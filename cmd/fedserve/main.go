@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"repro/internal/fed"
+	"repro/internal/serve"
 	"repro/pkg/slug"
 )
 
@@ -138,7 +139,7 @@ func main() {
 
 	fmt.Printf("listening on %s (coordinating %d shards, algorithm %s)\n",
 		*addr, client.NumShards(), sh.Algorithm())
-	if err := co.Run(ctx, *addr); err != nil {
+	if err := serve.NewServer(co).Run(ctx, *addr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("shut down cleanly")

@@ -61,14 +61,15 @@ var paperOrder = []struct{ canonical, display string }{
 // driven through the unified pkg/slug API and each reporting its
 // artifact's encoding cost. workers sets SLUGGER's candidate-group
 // pipeline width (the baselines stay serial; the shared option set is
-// ignored where inapplicable).
-func Algorithms(T, workers int) *summarize.Registry {
+// ignored where inapplicable). The slice is in paper order; pkg/slug's
+// registry is the only algorithm registry.
+func Algorithms(T, workers int) []summarize.Summarizer {
 	return AlgorithmsNamed(T, workers, nil)
 }
 
 // AlgorithmsNamed is Algorithms restricted to the given canonical
 // pkg/slug names (nil = all five). Unknown names are skipped.
-func AlgorithmsNamed(T, workers int, names []string) *summarize.Registry {
+func AlgorithmsNamed(T, workers int, names []string) []summarize.Summarizer {
 	want := func(string) bool { return true }
 	if len(names) > 0 {
 		set := make(map[string]bool, len(names))
@@ -77,21 +78,21 @@ func AlgorithmsNamed(T, workers int, names []string) *summarize.Registry {
 		}
 		want = func(n string) bool { return set[n] }
 	}
-	reg := summarize.NewRegistry()
+	var algs []summarize.Summarizer
 	opts := []slug.Option{slug.WithIterations(T), slug.WithWorkers(workers)}
 	for _, a := range paperOrder {
 		if !want(a.canonical) {
 			continue
 		}
 		if s, ok := slug.Lookup(a.canonical); ok {
-			reg.Register(summarize.FromSlug(s, a.display, opts...))
+			algs = append(algs, summarize.FromSlug(s, a.display, opts...))
 		}
 	}
-	return reg
+	return algs
 }
 
-// registry builds the algorithm registry for one Options value.
-func (o Options) registry() *summarize.Registry {
+// algorithms builds the compared summarizers for one Options value.
+func (o Options) algorithms() []summarize.Summarizer {
 	return AlgorithmsNamed(o.T, o.Workers, o.Algos)
 }
 
@@ -100,22 +101,21 @@ func (o Options) registry() *summarize.Registry {
 // dataset then algorithm.
 func Fig5a(opt Options) map[string]map[string]summarize.Result {
 	opt = opt.withDefaults()
-	reg := opt.registry()
+	algs := opt.algorithms()
 	out := make(map[string]map[string]summarize.Result)
 	fmt.Fprintf(opt.Out, "=== Fig 5(a): relative size of outputs (scale=%.2f, trials=%d) ===\n", opt.Scale, opt.Trials)
 	fmt.Fprintf(opt.Out, "%-4s %10s", "data", "|E|")
-	for _, name := range reg.Names() {
-		fmt.Fprintf(opt.Out, " %11s", name)
+	for _, alg := range algs {
+		fmt.Fprintf(opt.Out, " %11s", alg.Name())
 	}
 	fmt.Fprintln(opt.Out)
 	for _, spec := range datasets.All() {
 		g := spec.Generate(opt.Scale, opt.Seed)
 		row := make(map[string]summarize.Result)
 		fmt.Fprintf(opt.Out, "%-4s %10d", spec.Name, g.NumEdges())
-		for _, name := range reg.Names() {
-			alg, _ := reg.Get(name)
+		for _, alg := range algs {
 			r := summarize.MeasureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
-			row[name] = r
+			row[alg.Name()] = r
 			fmt.Fprintf(opt.Out, " %11.3f", r.RelativeSize)
 		}
 		fmt.Fprintln(opt.Out)
@@ -128,22 +128,21 @@ func Fig5a(opt Options) map[string]map[string]summarize.Result {
 // SLUGGER's speedups over SWeG and SAGS.
 func Fig5b(opt Options) map[string]map[string]summarize.Result {
 	opt = opt.withDefaults()
-	reg := opt.registry()
+	algs := opt.algorithms()
 	out := make(map[string]map[string]summarize.Result)
 	fmt.Fprintf(opt.Out, "=== Fig 5(b): running time (scale=%.2f) ===\n", opt.Scale)
 	fmt.Fprintf(opt.Out, "%-4s", "data")
-	for _, name := range reg.Names() {
-		fmt.Fprintf(opt.Out, " %12s", name)
+	for _, alg := range algs {
+		fmt.Fprintf(opt.Out, " %12s", alg.Name())
 	}
 	fmt.Fprintf(opt.Out, " %10s %10s\n", "vs SWeG", "vs SAGS")
 	for _, spec := range datasets.All() {
 		g := spec.Generate(opt.Scale, opt.Seed)
 		row := make(map[string]summarize.Result)
 		fmt.Fprintf(opt.Out, "%-4s", spec.Name)
-		for _, name := range reg.Names() {
-			alg, _ := reg.Get(name)
+		for _, alg := range algs {
 			r := summarize.MeasureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
-			row[name] = r
+			row[alg.Name()] = r
 			fmt.Fprintf(opt.Out, " %12s", r.Elapsed.Round(time.Millisecond))
 		}
 		spd := func(other string) string {

@@ -99,7 +99,7 @@ type endpoint struct {
 
 // ShardError marks a shard-level failure: the wrapped error exhausted
 // the retry budget (or was terminal) against every usable endpoint of
-// one shard. The coordinator maps it to 503 naming the shard.
+// one shard. Through ErrorFields, serve answers it 503 naming the shard.
 type ShardError struct {
 	Shard int
 	Err   error
@@ -107,6 +107,9 @@ type ShardError struct {
 
 func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard, e.Err) }
 func (e *ShardError) Unwrap() error { return e.Err }
+
+// ErrorFields adds the failed shard to serve's JSON error body.
+func (e *ShardError) ErrorFields() map[string]any { return map[string]any{"shard": e.Shard} }
 
 // statusError is a non-2xx response; 4xx are terminal.
 type statusError struct {

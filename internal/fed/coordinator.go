@@ -1,49 +1,41 @@
 package fed
 
-// The federation coordinator: the process clients actually talk to.
-// It loads the sharded envelope's routing half (id maps + boundary
-// sidecar) but none of the per-shard payload engines — those live in
-// shard servers across the network — and serves the exact public HTTP
-// surface internal/serve exposes, answering each query by routing:
+// The federation coordinator: the data source behind the process
+// clients actually talk to. It loads the sharded envelope's routing half
+// (id maps + boundary sidecar) but none of the per-shard payload engines
+// — those live in shard servers across the network — and plugs into
+// internal/serve's request pipeline as a serve.Backend, so the public
+// HTTP surface (routes, validation, metrics, admission, encoding, the
+// PageRank result cache) is serve's own. The coordinator only routes:
 //
-//   - NeighborsOf: scatter shard-local batches to the owning shards,
+//   - NeighborsBatch: scatter shard-local batches to the owning shards,
 //     gather, translate to global ids, merge each vertex's boundary
 //     adjacency locally (model.Routing.MergeBoundary — the same code
 //     path the in-process engine uses, so answers match bit for bit).
 //   - HasEdge: intra-shard pairs go to the owning shard in local ids;
 //     cross-shard pairs are answered locally from the boundary CSR
 //     with no network round-trip at all.
-//   - PageRank: gather the full merged adjacency once (cached — the
-//     artifact is immutable), then run the ordinary in-process power
-//     iteration over it. Same neighbor lists, same iteration order,
-//     same float64 operations: bit-identical ranks to the single
-//     process serving the same envelope.
+//   - Source (PageRank): gather the full merged adjacency once (cached —
+//     the artifact is immutable), then serve runs the ordinary
+//     in-process power iteration over it. Same neighbor lists, same
+//     iteration order, same float64 operations: bit-identical ranks to
+//     the single process serving the same envelope.
 //
-// A shard failure surfaces as 503 naming the failed shard, not a
-// generic error: the caller learns which piece of the data is
+// A shard failure surfaces as a *ShardError, which serve answers 503
+// naming the failed shard: the caller learns which piece of the data is
 // unavailable while queries touching only live shards keep answering.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"runtime/debug"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/algos"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/pkg/slug"
 )
-
-const maxRequestBody = 8 << 20
 
 // Coordinator scatter-gathers the public query surface across a
 // network shard federation.
@@ -54,14 +46,8 @@ type Coordinator struct {
 	epoch   string
 	version uint64
 
-	mu      sync.Mutex
-	adj     [][]int32 // gathered global adjacency; nil until first PageRank
-	prCache map[prKey][]float64
-}
-
-type prKey struct {
-	d float64
-	t int
+	mu  sync.Mutex
+	adj [][]int32 // gathered global adjacency; nil until first PageRank
 }
 
 // NewCoordinator builds a coordinator from a sharded envelope's
@@ -82,7 +68,6 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 		algo:    sh.Algorithm(),
 		epoch:   epoch,
 		version: slug.EpochVersion(epoch),
-		prCache: make(map[prKey][]float64),
 	}, nil
 }
 
@@ -95,6 +80,22 @@ func (co *Coordinator) Version() uint64 { return co.version }
 
 // NumNodes returns the global vertex count.
 func (co *Coordinator) NumNodes() int { return co.rt.NumNodes() }
+
+// The capabilities serve.NewServer discovers by type assertion, pinned
+// at compile time so a renamed method cannot silently drop one.
+var (
+	_ serve.Backend       = (*Coordinator)(nil)
+	_ serve.StatsReporter = (*Coordinator)(nil)
+	_ serve.ReadyChecker  = (*Coordinator)(nil)
+)
+
+// View makes the coordinator a serve.Backend: the artifact is
+// immutable, so the coordinator is its own (only) snapshot.
+func (co *Coordinator) View() serve.View { return co }
+
+// Handler returns the public HTTP surface: a new serve request pipeline
+// (see serve.Server.Handler for the routes) over the federation.
+func (co *Coordinator) Handler() http.Handler { return serve.NewServer(co).Handler() }
 
 // Verify cross-checks every shard server against the envelope: each
 // must report the expected epoch, its own shard index, the federation
@@ -121,11 +122,12 @@ func (co *Coordinator) Verify(ctx context.Context) error {
 	return nil
 }
 
-// neighborsGlobal scatter-gathers the neighbor lists of global vertex
+// NeighborsBatch scatter-gathers the neighbor lists of global vertex
 // ids: group by owning shard, fetch each shard's locals in parallel
 // over the binary batch endpoint, translate and merge boundary
-// adjacency locally. Results are in request order.
-func (co *Coordinator) neighborsGlobal(ctx context.Context, vs []int32) ([][]int32, error) {
+// adjacency locally, then visit in request order. Nothing is visited
+// unless every shard answered.
+func (co *Coordinator) NeighborsBatch(ctx context.Context, vs []int32, visit func(v int32, nbrs []int32)) error {
 	out := make([][]int32, len(vs))
 	type group struct {
 		pos   []int
@@ -169,9 +171,12 @@ func (co *Coordinator) neighborsGlobal(ctx context.Context, vs []int32) ([][]int
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
-	return out, nil
+	for i, nbrs := range out {
+		visit(vs[i], nbrs)
+	}
+	return nil
 }
 
 // HasEdge answers a global edge-existence query: the owning shard's
@@ -245,141 +250,40 @@ func (co *Coordinator) adjacency(ctx context.Context) ([][]int32, error) {
 	return adj, nil
 }
 
-const maxPRCacheEntries = 32
-
-// PageRankVector computes the federated PageRank vector for (d, t):
-// gather the merged adjacency (cached — the artifact is immutable),
-// then run the ordinary local power iteration over it, for bit-parity
-// with the in-process engine. No (d, t) result caching — that layer
-// lives in pageRank, behind the HTTP handler.
-func (co *Coordinator) PageRankVector(ctx context.Context, d float64, t int) ([]float64, error) {
+// Source supplies PageRank's traversal source: the merged adjacency,
+// gathered once.
+func (co *Coordinator) Source(ctx context.Context) (algos.NeighborSource, func(), error) {
 	adj, err := co.adjacency(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	src := algos.FromFuncs(co.rt.NumNodes(), func(v int32) []int32 { return adj[v] })
+	return src, func() {}, nil
+}
+
+// PageRankVector computes the federated PageRank vector for (d, t): the
+// ordinary local power iteration over the gathered adjacency, for
+// bit-parity with the in-process engine. Results are not cached here —
+// that layer is serve's, behind GET /pagerank.
+func (co *Coordinator) PageRankVector(ctx context.Context, d float64, t int) ([]float64, error) {
+	src, _, err := co.Source(ctx)
 	if err != nil {
 		return nil, err
 	}
-	src := algos.FromFuncs(co.rt.NumNodes(), func(v int32) []int32 { return adj[v] })
 	return algos.PageRank(src, d, t), nil
 }
 
-// pageRank adds (d, t)-keyed result caching over PageRankVector.
-func (co *Coordinator) pageRank(ctx context.Context, d float64, t int) ([]float64, error) {
-	key := prKey{d: d, t: t}
-	co.mu.Lock()
-	if r, ok := co.prCache[key]; ok {
-		co.mu.Unlock()
-		return r, nil
-	}
-	co.mu.Unlock()
-	r, err := co.PageRankVector(ctx, d, t)
-	if err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	if len(co.prCache) >= maxPRCacheEntries {
-		for k := range co.prCache {
-			delete(co.prCache, k)
-			break
-		}
-	}
-	co.prCache[key] = r
-	co.mu.Unlock()
-	return r, nil
+// downError is the readiness failure listing the unreachable shards.
+type downError struct{ shards []int }
+
+func (e *downError) Error() string { return fmt.Sprintf("degraded: shards %v unreachable", e.shards) }
+func (e *downError) ErrorFields() map[string]any {
+	return map[string]any{"down_shards": e.shards}
 }
 
-// ---- HTTP surface (mirrors internal/serve's shapes exactly) ----
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeQueryError maps a federation failure onto the wire: a
-// ShardError becomes 503 naming the failed shard (the caller can see
-// which piece of the graph is down, and a load balancer can retry
-// after the breaker's cooldown); anything else is a plain 503.
-func writeQueryError(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	var se *ShardError
-	if errors.As(err, &se) {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": se.Error(),
-			"shard": se.Shard,
-		})
-		return
-	}
-	httpError(w, http.StatusServiceUnavailable, "%v", err)
-}
-
-func (co *Coordinator) setVersionHeader(w http.ResponseWriter) {
-	w.Header().Set("X-Summary-Version", strconv.FormatUint(co.version, 10))
-}
-
-func (co *Coordinator) checkVertex(v int64) error {
-	if v < 0 || v >= int64(co.rt.NumNodes()) {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, co.rt.NumNodes())
-	}
-	return nil
-}
-
-func (co *Coordinator) parseVertex(raw string) (int32, error) {
-	v, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("vertex id %q: %v", raw, err)
-	}
-	if err := co.checkVertex(v); err != nil {
-		return 0, err
-	}
-	return int32(v), nil
-}
-
-// Handler returns the coordinator's HTTP routes — the same surface as
-// a single-process server (internal/serve), backed by the federation:
-//
-//	GET  /healthz                     liveness probe
-//	GET  /readyz                      readiness (503 listing down shards)
-//	GET  /stats                       federation topology + client resilience state
-//	GET  /neighbors?v=3 | v=3,7,9     neighbors, single or batched
-//	POST /neighbors {"v":[3,7,9]}     JSON batch form
-//	POST /batch/neighbors             binary batch form (wire framing)
-//	GET  /hasedge?u=1&v=2             edge existence
-//	GET  /pagerank?d=0.85&t=20&top=10 federated PageRank (gather-then-local)
-//	POST /update                      405: federated serving is read-only
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", co.handleReadyz)
-	mux.HandleFunc("GET /stats", co.handleStats)
-	mux.HandleFunc("GET /neighbors", co.handleNeighbors)
-	mux.HandleFunc("POST /neighbors", co.handleNeighborsPost)
-	mux.HandleFunc("POST /batch/neighbors", co.handleNeighborsBinary)
-	mux.HandleFunc("GET /hasedge", co.handleHasEdge)
-	mux.HandleFunc("GET /pagerank", co.handlePageRank)
-	mux.HandleFunc("POST /update", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", "")
-		httpError(w, http.StatusMethodNotAllowed, "federated serving is read-only; updates go to a mutable single-process server")
-	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				debug.PrintStack()
-				httpError(w, http.StatusInternalServerError, "internal error")
-			}
-		}()
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-		}
-		mux.ServeHTTP(w, r)
-	})
-}
-
-func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// Ready reports the federation not ready while any shard has no healthy
+// endpoint; GET /readyz then answers 503 listing "down_shards".
+func (co *Coordinator) Ready() error {
 	var down []int
 	for s := 0; s < co.rt.NumShards(); s++ {
 		if !co.client.Healthy(s) {
@@ -387,243 +291,21 @@ func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(down) > 0 {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "degraded", "down_shards": down,
-		})
-		return
+		return &downError{down}
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return nil
 }
 
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := map[string]any{
-		"nodes":          co.rt.NumNodes(),
-		"federated":      true,
-		"shards":         co.rt.NumShards(),
-		"boundary_edges": co.rt.NumBoundaryEdges(),
-		"epoch":          co.epoch,
-		"version":        co.version,
-		"client":         co.client.Snapshot(),
-	}
+// ReportStats adds the federation topology and the client's resilience
+// state to GET /stats.
+func (co *Coordinator) ReportStats(stats map[string]any) {
+	stats["federated"] = true
+	stats["shards"] = co.rt.NumShards()
+	stats["boundary_edges"] = co.rt.NumBoundaryEdges()
+	stats["epoch"] = co.epoch
+	stats["version"] = co.version
+	stats["client"] = co.client.Snapshot()
 	if co.algo != "" {
 		stats["algorithm"] = co.algo
-	}
-	writeJSON(w, http.StatusOK, stats)
-}
-
-func (co *Coordinator) answerNeighbors(w http.ResponseWriter, r *http.Request, vs []int32, single bool) {
-	lists, err := co.neighborsGlobal(r.Context(), vs)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	results := make([]serve.NeighborsResult, len(vs))
-	for i, nbrs := range lists {
-		results[i] = serve.NeighborsResult{V: vs[i], Degree: len(nbrs), Neighbors: nbrs}
-	}
-	co.setVersionHeader(w)
-	if single && len(results) == 1 {
-		writeJSON(w, http.StatusOK, results[0])
-		return
-	}
-	writeJSON(w, http.StatusOK, results)
-}
-
-func (co *Coordinator) handleNeighbors(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("v")
-	if raw == "" {
-		httpError(w, http.StatusBadRequest, "missing parameter %q", "v")
-		return
-	}
-	parts := strings.Split(raw, ",")
-	if len(parts) > serve.MaxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), serve.MaxBatchItems)
-		return
-	}
-	vs := make([]int32, 0, len(parts))
-	for _, p := range parts {
-		v, err := co.parseVertex(p)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter \"v\": %v", err)
-			return
-		}
-		vs = append(vs, v)
-	}
-	co.answerNeighbors(w, r, vs, true)
-}
-
-func (co *Coordinator) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		V []int32 `json:"v"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return
-	}
-	if len(req.V) == 0 {
-		httpError(w, http.StatusBadRequest, "missing field %q", "v")
-		return
-	}
-	if len(req.V) > serve.MaxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), serve.MaxBatchItems)
-		return
-	}
-	for _, v := range req.V {
-		if err := co.checkVertex(int64(v)); err != nil {
-			httpError(w, http.StatusBadRequest, "field \"v\": %v", err)
-			return
-		}
-	}
-	co.answerNeighbors(w, r, req.V, false)
-}
-
-func (co *Coordinator) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: %v", err)
-		return
-	}
-	ids, err := serve.DecodeNeighborsRequest(data, serve.MaxBatchItems)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	for _, v := range ids {
-		if err := co.checkVertex(int64(v)); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	lists, err := co.neighborsGlobal(r.Context(), ids)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	buf := serve.AppendNeighborsResponseHeader(make([]byte, 0, 16+8*len(ids)), len(ids))
-	for _, nbrs := range lists {
-		buf = serve.AppendNeighborsResponseList(buf, nbrs)
-	}
-	co.setVersionHeader(w)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf)
-}
-
-func (co *Coordinator) handleHasEdge(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	parse := func(name string) (int32, bool) {
-		raw := q.Get(name)
-		if raw == "" {
-			httpError(w, http.StatusBadRequest, "missing parameter %q", name)
-			return 0, false
-		}
-		v, err := co.parseVertex(raw)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "parameter %q: %v", name, err)
-			return 0, false
-		}
-		return v, true
-	}
-	u, ok := parse("u")
-	if !ok {
-		return
-	}
-	v, ok := parse("v")
-	if !ok {
-		return
-	}
-	exists, err := co.HasEdge(r.Context(), u, v)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	co.setVersionHeader(w)
-	writeJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": exists})
-}
-
-func (co *Coordinator) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	d := 0.85
-	if raw := q.Get("d"); raw != "" {
-		parsed, err := strconv.ParseFloat(raw, 64)
-		if err != nil || !(parsed > 0 && parsed < 1) {
-			httpError(w, http.StatusBadRequest, "parameter \"d\" must be in (0,1)")
-			return
-		}
-		d = parsed
-	}
-	t := 20
-	if raw := q.Get("t"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 || parsed > 1000 {
-			httpError(w, http.StatusBadRequest, "parameter \"t\" must be in [1,1000]")
-			return
-		}
-		t = parsed
-	}
-	top := 10
-	if raw := q.Get("top"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 {
-			httpError(w, http.StatusBadRequest, "parameter \"top\" must be positive")
-			return
-		}
-		top = parsed
-	}
-	rank, err := co.pageRank(r.Context(), d, t)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	co.setVersionHeader(w)
-	ranked := make([]serve.RankedVertex, len(rank))
-	for v, rr := range rank {
-		ranked[v] = serve.RankedVertex{V: int32(v), Rank: rr}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Rank != ranked[j].Rank {
-			return ranked[i].Rank > ranked[j].Rank
-		}
-		return ranked[i].V < ranked[j].V
-	})
-	if top > len(ranked) {
-		top = len(ranked)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"damping": d, "iterations": t, "top": ranked[:top],
-	})
-}
-
-// Run serves the coordinator on addr until the listener fails or ctx
-// is cancelled, draining in-flight requests on shutdown — the same
-// lifecycle contract as serve.Server.Run.
-func (co *Coordinator) Run(ctx context.Context, addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           co.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		return srv.Shutdown(sctx)
 	}
 }

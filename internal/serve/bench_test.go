@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -55,12 +56,12 @@ func legacyWriteJSON(w http.ResponseWriter, status int, v any) {
 func legacyAnswerNeighbors(s *Server, w http.ResponseWriter, vs []int32, single bool) {
 	view := s.view()
 	results := make([]NeighborsResult, 0, len(vs))
-	view.NeighborsBatch(vs, func(v int32, nbrs []int32) {
+	view.NeighborsBatch(context.Background(), vs, func(v int32, nbrs []int32) {
 		results = append(results, NeighborsResult{
 			V: v, Degree: len(nbrs), Neighbors: append([]int32{}, nbrs...),
 		})
 	})
-	s.setVersionHeader(w, view)
+	setVersionHeader(w, view)
 	if single && len(vs) == 1 {
 		legacyWriteJSON(w, http.StatusOK, results[0])
 		return
@@ -70,8 +71,9 @@ func legacyAnswerNeighbors(s *Server, w http.ResponseWriter, vs []int32, single 
 
 func legacyHandleHasEdge(s *Server, w http.ResponseWriter, u, v int32) {
 	view := s.view()
-	s.setVersionHeader(w, view)
-	legacyWriteJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": view.HasEdge(u, v)})
+	setVersionHeader(w, view)
+	exists, _ := view.HasEdge(context.Background(), u, v)
+	legacyWriteJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": exists})
 }
 
 // The before/after pairs below are what scripts/bench.sh records into
@@ -92,9 +94,10 @@ func BenchmarkServeNeighborsEncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
 	w := &nullRW{h: make(http.Header)}
 	vs := []int32{4321}
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.answerNeighbors(w, vs, true)
+		s.answerNeighbors(ctx, w, vs, true)
 	}
 }
 
@@ -121,9 +124,10 @@ func BenchmarkServeNeighborsBatch64EncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
 	w := &nullRW{h: make(http.Header)}
 	vs := benchBatchIDs(10000, 64)
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.answerNeighbors(w, vs, false)
+		s.answerNeighbors(ctx, w, vs, false)
 	}
 }
 
@@ -143,8 +147,9 @@ func BenchmarkServeHasEdgeEncodePooled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bp := acquireBuf()
-		buf := appendHasEdgeResult((*bp)[:0], 17, 4321, view.HasEdge(17, 4321))
-		s.setVersionHeader(w, view)
+		exists, _ := view.HasEdge(context.Background(), 17, 4321)
+		buf := appendHasEdgeResult((*bp)[:0], 17, 4321, exists)
+		setVersionHeader(w, view)
 		writeRawJSON(w, http.StatusOK, buf)
 		*bp = buf
 		releaseBuf(bp)
@@ -187,9 +192,10 @@ func TestPooledEncodingAllocBudget(t *testing.T) {
 	s := benchServer(1000, 6000)
 	w := &nullRW{h: make(http.Header)}
 	vs := []int32{123}
-	s.answerNeighbors(w, vs, true) // warm pools
+	ctx := context.Background()
+	s.answerNeighbors(ctx, w, vs, true) // warm pools
 	avg := testing.AllocsPerRun(200, func() {
-		s.answerNeighbors(w, vs, true)
+		s.answerNeighbors(ctx, w, vs, true)
 	})
 	// Legacy path measures ~8+ allocs/op here; the pooled path must do
 	// strictly better than half of that, and in practice stays ≤2.

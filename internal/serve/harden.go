@@ -7,9 +7,11 @@ package serve
 // request times out. A panicking handler should cost one 500, not the
 // process. /readyz (distinct from the /healthz liveness probe) tells
 // load balancers to drain while the server cannot answer at full
-// quality: during startup replay or a heavy background compaction.
+// quality: during startup replay, a heavy background compaction, or
+// while a federation shard is unreachable.
 
 import (
+	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -90,29 +92,28 @@ func (s *Server) WithAdmission(maxInflight, maxQueue int, maxWait time.Duration)
 // server starts ready; front-ends that bring the listener up before
 // recovery finishes (to answer probes early) call SetReady(false)
 // first and SetReady(true) once replay completes.
-func (s *Server) SetReady(ready bool) {
-	if ready {
-		s.unready.Store(nil)
-	} else {
-		reason := "starting: recovery in progress"
-		s.unready.Store(&reason)
-	}
-}
+func (s *Server) SetReady(ready bool) { s.unready.Store(!ready) }
 
-// unreadyReason returns why the server is not ready, or "" when it is.
-func (s *Server) unreadyReason() string {
-	if p := s.unready.Load(); p != nil {
-		return *p
+var errStarting = errors.New("starting: recovery in progress")
+
+// notReady returns why the server is not ready, or nil when it is: the
+// explicit gate first, then whatever the backend reports (a compaction
+// in flight, a federation shard down).
+func (s *Server) notReady() error {
+	if s.unready.Load() {
+		return errStarting
 	}
-	if s.live != nil && s.live.Stats().Compacting {
-		return "compacting: background re-summarize in flight"
+	if s.ready != nil {
+		return s.ready.Ready()
 	}
-	return ""
+	return nil
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if reason := s.unreadyReason(); reason != "" {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+	if err := s.notReady(); err != nil {
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable,
+			withErrorFields(map[string]any{"ready": false, "reason": err.Error()}, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true})

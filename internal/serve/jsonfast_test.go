@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // encodeReference is the pre-optimization encoder: exactly what
@@ -104,7 +106,7 @@ func TestEndpointByteParity(t *testing.T) {
 	// Single: vertices with populated and empty neighborhoods.
 	for _, v := range []int32{0, 4, 6} {
 		nbrs := []int32{}
-		testServer().view().NeighborsBatch([]int32{v}, func(_ int32, ns []int32) {
+		testServer().view().NeighborsBatch(context.Background(), []int32{v}, func(_ int32, ns []int32) {
 			nbrs = append(nbrs, ns...)
 		})
 		want := encodeReference(t, NeighborsResult{V: v, Degree: len(nbrs), Neighbors: nbrs})
@@ -227,7 +229,7 @@ func TestPageRankSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			r, err := s.pageRank(s.view(), 0.85, 20)
+			r, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
 			if err != nil {
 				t.Error(err)
 				return
@@ -250,14 +252,14 @@ func TestPageRankSingleflight(t *testing.T) {
 	}
 
 	// A different (d, t) is its own flight (now cached separately).
-	if _, err := s.pageRank(s.view(), 0.5, 10); err != nil {
+	if _, err := s.pageRank(context.Background(), s.view(), 0.5, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {
 		t.Fatalf("distinct params coalesced: %d computations, want 2", got)
 	}
 	// Cache hit: no new computation.
-	if _, err := s.pageRank(s.view(), 0.85, 20); err != nil {
+	if _, err := s.pageRank(context.Background(), s.view(), 0.85, 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {
@@ -311,5 +313,69 @@ func TestStatsEndpointCounters(t *testing.T) {
 	// on the keys existing to sanity-check its own accounting).
 	if pg, ok := stats.Serving.Endpoints["GET /pagerank"]; !ok || pg.Count != 0 {
 		t.Fatalf("GET /pagerank = %+v, want present with count 0", pg)
+	}
+}
+
+// TestPageRankFlightSurvivesPanic: a leader that panics mid-computation
+// costs its own request one 500, but the flight must still be retired —
+// a concurrent follower gets an error instead of blocking forever on
+// the dead flight, and the next request recomputes and succeeds.
+func TestPageRankFlightSurvivesPanic(t *testing.T) {
+	s := testServer()
+	var computes atomic.Int32
+	var failing atomic.Bool
+	failing.Store(true)
+	entered := make(chan struct{}, 2) // leader, plus a follower that arrived late and leads its own flight
+	gate := make(chan struct{})
+	s.prCompute = func(view View, d float64, t int) ([]float64, error) {
+		computes.Add(1)
+		if failing.Load() {
+			entered <- struct{}{}
+			<-gate
+			panic("pagerank bug")
+		}
+		return make([]float64, view.NumNodes()), nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	codes := make(chan int, 2)
+	request := func() {
+		resp, err := http.Get(ts.URL + "/pagerank")
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go request() // leader
+	<-entered
+	go request() // follower: same (d, t, version), so it waits on the leader's flight
+	// Nothing observable marks the follower as parked; give it time to
+	// get there. If it arrives after the release it leads a panicking
+	// flight of its own and still answers 5xx, so the assertions hold on
+	// either schedule.
+	time.Sleep(50 * time.Millisecond)
+	close(gate)
+	for i := 0; i < 2; i++ {
+		select {
+		case code := <-codes:
+			if code < 500 {
+				t.Fatalf("request on a panicked flight answered %d, want 5xx", code)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("request still blocked on a flight whose leader panicked")
+		}
+	}
+	if s.panics.Load() == 0 {
+		t.Fatal("leader panic was not counted")
+	}
+
+	failing.Store(false)
+	before := computes.Load()
+	get(t, ts, "/pagerank", http.StatusOK, nil)
+	if computes.Load() != before+1 {
+		t.Fatalf("request after the failed flight did not recompute (%d → %d computations)", before, computes.Load())
 	}
 }

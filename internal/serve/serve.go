@@ -1,20 +1,15 @@
-// Package serve exposes a compiled SLUGGER summary over HTTP: the
-// serving scenario of the ROADMAP north star. Queries (neighbors,
-// edge-existence, PageRank) run directly on the summary via partial
-// decompression (Algorithm 4 of the paper) — the full graph is never
-// materialized — and every request borrows a pooled query context, so
-// arbitrarily many requests are answered concurrently without
-// per-request allocation in the decompression core.
-//
-// A server built with NewLive is mutable: POST /update absorbs edge
-// insertions and deletions into a delta overlay on the compiled base
-// (readers stay lock-free via atomic snapshot swap), and a background
-// compaction re-summarizes once the overlay grows past its threshold.
-//
-// A server built with NewSharded serves a federated sharded summary
-// (one compiled summary per graph partition plus a boundary-edge
-// sidecar) through the same endpoints: queries route to the owning
-// shard and merge boundary edges, and /stats reports per-shard sizes.
+// Package serve is the repository's one HTTP request pipeline: routing,
+// input validation, body caps, admission control, panic containment,
+// per-route metrics, pooled response encoding and the PageRank cache,
+// written once against the Backend interface (backend.go). Queries
+// (neighbors, edge-existence, PageRank) run directly on a lossless
+// summary via partial decompression (Algorithm 4 of the paper) — the
+// full graph is never materialized — and the answers are identical
+// whichever backend holds the summary: a frozen compiled snapshot (New),
+// a live updatable one (NewLive), an in-process sharded federation
+// (NewSharded), one shard of a network federation (NewShard), or
+// internal/fed's coordinator scatter-gathering across shard servers
+// (NewServer over a *fed.Coordinator).
 package serve
 
 import (
@@ -42,46 +37,31 @@ const (
 	// Exported so federation clients (internal/fed) chunk their
 	// scatter-gather fan-out to exactly the server-side limit.
 	MaxBatchItems = 10000
-	// maxBatchItems is the historical private name.
-	maxBatchItems = MaxBatchItems
 )
 
-// View is the read surface every request handler consumes: one
-// immutable snapshot of a served graph. It is implemented by
-// *model.DeltaOverlay (a single summary, possibly live) and by
-// *model.ShardedCompiled (a federation of per-shard summaries), so the
-// endpoints are identical whether the data path is monolithic or
-// sharded.
-type View interface {
-	NumNodes() int
-	// Version keys the PageRank cache: it must change whenever the
-	// represented graph does (immutable views may always return 0).
-	Version() uint64
-	HasEdge(u, v int32) bool
-	NeighborsBatch(vs []int32, visit func(v int32, nbrs []int32))
-}
-
-// Server answers graph queries against one summary: a frozen compiled
-// snapshot (New), a live updatable one (NewLive), or a sharded
-// federation (NewSharded).
+// Server answers graph queries from one Backend.
 type Server struct {
-	live   *model.Live // non-nil for mutable servers
-	static View        // frozen snapshot for immutable servers
-	n      int         // leaf vertices (fixed across updates)
-	algo   string      // producing algorithm, reported by /stats when known
-	shard  *ShardInfo  // non-nil when serving one shard of a federation
+	backend Backend
+	// Optional backend capabilities, nil when absent.
+	updater Updater
+	stats   StatsReporter
+	ready   ReadyChecker
+	shard   shardIdentifier
+
+	n    int    // leaf vertices (fixed across updates)
+	algo string // producing algorithm, reported by /stats when known
 
 	mu        sync.Mutex
 	prCache   map[prKey][]float64
-	prVersion uint64                                      // overlay version the cached vectors were computed at
+	prVersion uint64                                      // view version the cached vectors were computed at
 	prFlight  map[prFlightKey]*prCall                     // in-flight PageRank computations (miss coalescing)
 	prCompute func(View, float64, int) ([]float64, error) // test seam; nil = real computation
 
 	eps *endpointMetrics // per-endpoint request counters + latency buckets
 
-	adm     *admission             // nil = unbounded (no WithAdmission)
-	unready atomic.Pointer[string] // non-nil = explicit not-ready reason
-	panics  atomic.Uint64          // handler panics contained by recovered()
+	adm     *admission    // nil = unbounded (no WithAdmission)
+	unready atomic.Bool   // explicit not-ready gate (SetReady)
+	panics  atomic.Uint64 // handler panics contained by recovered()
 
 	// Artifact provenance, reported by /stats when set via WithArtifact:
 	// the serving format ("v1-compiled" | "v2-mapped" | "v2-heap"), the
@@ -100,15 +80,26 @@ type prKey struct {
 	t int
 }
 
-// New wraps a compiled summary in a read-only query server.
-func New(cs *model.CompiledSummary) *Server {
-	return &Server{
-		static:   model.NewOverlay(cs),
-		n:        cs.NumNodes(),
+// NewServer puts the request pipeline in front of a backend. Every
+// other constructor is a wrapper that picks the backend.
+func NewServer(b Backend) *Server {
+	s := &Server{
+		backend:  b,
+		n:        b.View().NumNodes(),
 		prCache:  make(map[prKey][]float64),
 		prFlight: make(map[prFlightKey]*prCall),
 		eps:      newEndpointMetrics(),
 	}
+	s.updater, _ = b.(Updater)
+	s.stats, _ = b.(StatsReporter)
+	s.ready, _ = b.(ReadyChecker)
+	s.shard, _ = b.(shardIdentifier)
+	return s
+}
+
+// New wraps a compiled summary in a read-only query server.
+func New(cs *model.CompiledSummary) *Server {
+	return NewServer(staticBackend{overlayView{model.NewOverlay(cs)}})
 }
 
 // NewSharded wraps a federated sharded compilation in a read-only
@@ -116,13 +107,7 @@ func New(cs *model.CompiledSummary) *Server {
 // queries routed across shards and the boundary sidecar, and /stats
 // additionally reports per-shard sizes.
 func NewSharded(sc *model.ShardedCompiled) *Server {
-	return &Server{
-		static:   sc,
-		n:        sc.NumNodes(),
-		prCache:  make(map[prKey][]float64),
-		prFlight: make(map[prFlightKey]*prCall),
-		eps:      newEndpointMetrics(),
-	}
+	return NewServer(shardedBackend{sc})
 }
 
 // ShardInfo identifies one shard server of a network federation: which
@@ -146,23 +131,16 @@ type ShardInfo struct {
 // it expects. The binary POST /batch/neighbors endpoint is the
 // intended hot path for coordinator fan-out.
 func NewShard(cs *model.CompiledSummary, info ShardInfo) *Server {
-	s := New(cs)
-	s.shard = &info
-	s.algo = info.Algorithm
-	return s
+	b := &shardBackend{staticBackend{overlayView{model.NewOverlay(cs)}}, info}
+	return NewServer(b).WithAlgorithm(info.Algorithm)
 }
 
 // NewLive wraps a live summary in a mutable query server: queries run
 // against lock-free overlay snapshots and POST /update mutates the
-// represented graph.
+// represented graph (absorbed into a delta overlay; a background
+// compaction re-summarizes once it grows past its threshold).
 func NewLive(l *model.Live) *Server {
-	return &Server{
-		live:     l,
-		n:        l.View().NumNodes(),
-		prCache:  make(map[prKey][]float64),
-		prFlight: make(map[prFlightKey]*prCall),
-		eps:      newEndpointMetrics(),
-	}
+	return NewServer(liveBackend{l})
 }
 
 // WithAlgorithm records the producing algorithm's name (e.g. from
@@ -187,6 +165,9 @@ func (s *Server) WithArtifact(format string, mappedBytes int64, bootStart time.T
 	return s
 }
 
+// view returns the snapshot to answer the current request from.
+func (s *Server) view() View { return s.backend.View() }
+
 // markFirstQuery latches the boot-to-first-query duration on the first
 // query-path request (neighbors, hasedge, pagerank).
 func (s *Server) markFirstQuery() {
@@ -202,54 +183,13 @@ func (s *Server) markFirstQuery() {
 	})
 }
 
-// view returns the snapshot to answer the current request from.
-func (s *Server) view() View {
-	if s.live != nil {
-		return s.live.View()
-	}
-	return s.static
-}
-
-// Sourcer lets a View supply its own traversal source for whole-graph
-// algorithms (PageRank). A federated coordinator view implements it to
-// run traversals over a gathered adjacency instead of one remote
-// round-trip per Neighbors call.
-type Sourcer interface {
-	Source() (algos.NeighborSource, func(), error)
-}
-
-// newSource adapts a view to the traversal interface graph algorithms
-// run on, returning the source, its release hook, and an error when a
-// Sourcer view cannot currently produce one (e.g. a shard is down).
-func newSource(v View) (algos.NeighborSource, func(), error) {
-	switch x := v.(type) {
-	case Sourcer:
-		return x.Source()
-	case *model.DeltaOverlay:
-		src := algos.OnView(x)
-		return src, src.Release, nil
-	case *model.ShardedCompiled:
-		src := algos.OnSharded(x)
-		return src, src.Release, nil
-	default:
-		// Generic fallback for other View implementations: one batched
-		// lookup per Neighbors call (correct, just not context-pooled).
-		var out []int32
-		return algos.FromFuncs(v.NumNodes(), func(u int32) []int32 {
-			v.NeighborsBatch([]int32{u}, func(_ int32, nbrs []int32) {
-				out = append(out[:0], nbrs...)
-			})
-			return out
-		}), func() {}, nil
-	}
-}
-
 // Handler returns the HTTP routes:
 //
 //	GET  /healthz                     liveness probe
-//	GET  /readyz                      readiness probe (503 while recovering
-//	                                  or compacting)
-//	GET  /stats                       model sizes (+ overlay counters when mutable)
+//	GET  /readyz                      readiness probe (503 while recovering,
+//	                                  compacting, or with a shard down)
+//	GET  /stats                       the backend's sizes and counters plus
+//	                                  the pipeline's "serving" section
 //	GET  /neighbors?v=3               sorted neighbors of one vertex
 //	GET  /neighbors?v=3,7,9           batched: one pooled context for all
 //	POST /neighbors {"v":[3,7,9]}     JSON batch form
@@ -258,14 +198,15 @@ func newSource(v View) (algos.NeighborSource, func(), error) {
 //	GET  /shardinfo                   shard identity (NewShard servers only)
 //	GET  /hasedge?u=1&v=2             edge-existence point query
 //	GET  /pagerank?d=0.85&t=20&top=10 top-k PageRank on the summary
-//	POST /update {"u":1,"v":2}        insert/delete edges (mutable servers;
-//	     or {"updates":[...]})        read-only servers answer 405)
+//	POST /update {"u":1,"v":2}        insert/delete edges (Updater backends;
+//	     or {"updates":[...]})        all others answer 405)
 //
 // Request bodies are capped at maxRequestBody bytes; oversized payloads
 // are rejected with 413. With WithAdmission configured, requests beyond
 // the in-flight and queue bounds are shed with 429 (the probes bypass
 // the limiter). A panicking handler answers 500 and the server keeps
-// serving.
+// serving. A backend that cannot currently answer (a remote shard is
+// down) yields 503 with Retry-After.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("GET /healthz", s.handleHealthz))
@@ -291,6 +232,13 @@ func (s *Server) Handler() http.Handler {
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// unavailable answers a backend failure: 503 the client may retry, with
+// whatever fields the error contributes (a federation's failed shard).
+func unavailable(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", "1")
+	writeJSON(w, http.StatusServiceUnavailable, withErrorFields(map[string]any{"error": err.Error()}, err))
 }
 
 // decodeJSON decodes a request body, mapping an exceeded MaxBytesReader
@@ -350,71 +298,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := map[string]any{}
+	stats := map[string]any{"nodes": s.n}
 	if s.algo != "" {
 		stats["algorithm"] = s.algo
 	}
-	if s.live != nil {
-		// One locked snapshot for both the base sizes and the overlay
-		// counters — reading them separately could straddle a compaction
-		// swap and report an old base with new counters.
-		ls := s.live.Stats()
-		stats["nodes"] = ls.Nodes
-		stats["supernodes"] = ls.Supernodes
-		stats["superedges"] = ls.Superedges
-		stats["mutable"] = true
-		overlay := map[string]any{
-			"insertions":          ls.Insertions,
-			"deletions":           ls.Deletions,
-			"version":             ls.Version,
-			"applied":             ls.Applied,
-			"compactions":         ls.Compactions,
-			"compaction_failures": ls.CompactionFailures,
-			"threshold":           ls.Threshold,
-			"compacting":          ls.Compacting,
-			"lock_hold_ns_total":  ls.LockHoldNs,
-			"lock_hold_ns_max":    ls.LockHoldMaxNs,
-		}
-		if ls.LastError != "" {
-			overlay["last_compaction_error"] = ls.LastError
-		}
-		stats["overlay"] = overlay
-		if ls.Durable {
-			stats["durability"] = map[string]any{
-				"enabled": true,
-				"lsn":     ls.DurableLSN,
-			}
-		}
-	} else {
-		switch v := s.static.(type) {
-		case *model.DeltaOverlay:
-			base := v.Base()
-			stats["nodes"] = base.NumNodes()
-			stats["supernodes"] = base.NumSupernodes()
-			stats["superedges"] = base.NumSuperedges()
-		case *model.ShardedCompiled:
-			stats["nodes"] = v.NumNodes()
-			stats["supernodes"] = v.NumSupernodes()
-			stats["superedges"] = v.NumSuperedges()
-			stats["sharded"] = true
-			stats["boundary_edges"] = v.NumBoundaryEdges()
-			shards := make([]map[string]any, v.NumShards())
-			for i := range shards {
-				cs := v.Shard(i)
-				shards[i] = map[string]any{
-					"shard":      i,
-					"nodes":      cs.NumNodes(),
-					"supernodes": cs.NumSupernodes(),
-					"superedges": cs.NumSuperedges(),
-				}
-			}
-			stats["shards"] = shards
-		default:
-			stats["nodes"] = s.n
-		}
-	}
-	if s.shard != nil {
-		stats["shard_role"] = s.shard
+	if s.stats != nil {
+		s.stats.ReportStats(stats)
 	}
 	if s.artFormat != "" {
 		artifact := map[string]any{"format": s.artFormat}
@@ -427,7 +316,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats["artifact"] = artifact
 	}
 	serving := map[string]any{
-		"ready":     s.unreadyReason() == "",
+		"ready":     s.notReady() == nil,
 		"panics":    s.panics.Load(),
 		"endpoints": s.eps.snapshot(),
 	}
@@ -447,7 +336,7 @@ type NeighborsResult struct {
 	Neighbors []int32 `json:"neighbors"`
 }
 
-func (s *Server) answerNeighbors(w http.ResponseWriter, vs []int32, single bool) {
+func (s *Server) answerNeighbors(ctx context.Context, w http.ResponseWriter, vs []int32, single bool) {
 	view := s.view()
 	// Hot path: append the response JSON directly from the pooled
 	// decompression buffers into a pooled response buffer — no
@@ -460,12 +349,16 @@ func (s *Server) answerNeighbors(w http.ResponseWriter, vs []int32, single bool)
 	if asArray {
 		enc.buf = append(enc.buf, '[')
 	}
-	view.NeighborsBatch(vs, enc.visit)
+	if err := view.NeighborsBatch(ctx, vs, enc.visit); err != nil {
+		releaseNbrEncoder(enc)
+		unavailable(w, err)
+		return
+	}
 	if asArray {
 		enc.buf = append(enc.buf, ']')
 	}
 	enc.buf = append(enc.buf, '\n')
-	s.setVersionHeader(w, view)
+	setVersionHeader(w, view)
 	writeRawJSON(w, http.StatusOK, enc.buf)
 	releaseNbrEncoder(enc)
 	s.markFirstQuery()
@@ -478,8 +371,8 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	parts := strings.Split(raw, ",")
-	if len(parts) > maxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), maxBatchItems)
+	if len(parts) > MaxBatchItems {
+		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(parts), MaxBatchItems)
 		return
 	}
 	vs := make([]int32, 0, len(parts))
@@ -491,7 +384,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		}
 		vs = append(vs, v)
 	}
-	s.answerNeighbors(w, vs, true)
+	s.answerNeighbors(r.Context(), w, vs, true)
 }
 
 // handleNeighborsPost is the JSON-body batch form, for batches too
@@ -507,8 +400,8 @@ func (s *Server) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "missing field %q", "v")
 		return
 	}
-	if len(req.V) > maxBatchItems {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), maxBatchItems)
+	if len(req.V) > MaxBatchItems {
+		httpError(w, http.StatusBadRequest, "batch of %d exceeds %d vertices", len(req.V), MaxBatchItems)
 		return
 	}
 	for _, v := range req.V {
@@ -517,7 +410,7 @@ func (s *Server) handleNeighborsPost(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.answerNeighbors(w, req.V, false)
+	s.answerNeighbors(r.Context(), w, req.V, false)
 }
 
 func (s *Server) handleHasEdge(w http.ResponseWriter, r *http.Request) {
@@ -532,9 +425,14 @@ func (s *Server) handleHasEdge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view := s.view()
-	s.setVersionHeader(w, view)
+	exists, err := view.HasEdge(r.Context(), u, v)
+	if err != nil {
+		unavailable(w, err)
+		return
+	}
+	setVersionHeader(w, view)
 	bp := acquireBuf()
-	buf := appendHasEdgeResult((*bp)[:0], u, v, view.HasEdge(u, v))
+	buf := appendHasEdgeResult((*bp)[:0], u, v, exists)
 	writeRawJSON(w, http.StatusOK, buf)
 	*bp = buf
 	releaseBuf(bp)
@@ -561,7 +459,7 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	idsBuf := acquireInt32s()
 	defer releaseInt32s(idsBuf)
-	ids, err := DecodeNeighborsRequestInto(*idsBuf, data, maxBatchItems)
+	ids, err := DecodeNeighborsRequestInto(*idsBuf, data, MaxBatchItems)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -577,11 +475,15 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	respBuf := acquireBuf()
 	defer releaseBuf(respBuf)
 	buf := AppendNeighborsResponseHeader((*respBuf)[:0], len(ids))
-	view.NeighborsBatch(ids, func(_ int32, nbrs []int32) {
+	err = view.NeighborsBatch(r.Context(), ids, func(_ int32, nbrs []int32) {
 		buf = AppendNeighborsResponseList(buf, nbrs)
 	})
 	*respBuf = buf[:0]
-	s.setVersionHeader(w, view)
+	if err != nil {
+		unavailable(w, err)
+		return
+	}
+	setVersionHeader(w, view)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(buf)
 	s.markFirstQuery()
@@ -589,21 +491,15 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 
 // handleShardInfo reports the shard identity of a NewShard server.
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.shard)
+	writeJSON(w, http.StatusOK, s.shard.shardInfo())
 }
 
 // setVersionHeader reports the snapshot's content version on query
-// responses when one is known (mutable overlays and versioned sharded
-// federations), so clients can correlate answers across updates and
-// across coordinator/shard hops.
-func (s *Server) setVersionHeader(w http.ResponseWriter, view View) {
-	ver := view.Version()
-	if s.shard != nil {
-		// A shard server's view is a frozen overlay (version 0); its
-		// content version is the one the federation split recorded.
-		ver = s.shard.Version
-	}
-	if ver > 0 {
+// responses when one is known (mutable overlays, versioned sharded
+// federations and their shards), so clients can correlate answers
+// across updates and across coordinator/shard hops.
+func setVersionHeader(w http.ResponseWriter, view View) {
+	if ver := view.Version(); ver > 0 {
 		w.Header().Set("X-Summary-Version", strconv.FormatUint(ver, 10))
 	}
 }
@@ -625,9 +521,9 @@ type updateRequest struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if s.live == nil {
+	if s.updater == nil {
 		// 405, not a fallthrough 404: the route exists, but no method on
-		// it is allowed while the server is immutable. RFC 9110 requires
+		// it is allowed while the backend is immutable. RFC 9110 requires
 		// an Allow header on every 405; the empty list states that no
 		// method is currently allowed on the resource.
 		w.Header().Set("Allow", "")
@@ -647,8 +543,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		ups = []model.EdgeUpdate{{U: *req.U, V: *req.V, Delete: req.Delete}}
 	case len(req.Updates) > 0:
-		if len(req.Updates) > maxBatchItems {
-			httpError(w, http.StatusBadRequest, "batch of %d exceeds %d updates", len(req.Updates), maxBatchItems)
+		if len(req.Updates) > MaxBatchItems {
+			httpError(w, http.StatusBadRequest, "batch of %d exceeds %d updates", len(req.Updates), MaxBatchItems)
 			return
 		}
 		ups = make([]model.EdgeUpdate, len(req.Updates))
@@ -663,7 +559,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// overlay counters of the snapshot the batch landed in, so the
 	// response does not need a second locked Stats() read (which
 	// contended with concurrent writers under update load).
-	out, err := s.live.ApplyUpdatesOutcome(ups)
+	out, err := s.updater.ApplyUpdatesOutcome(ups)
 	if err != nil {
 		if errors.Is(err, model.ErrDurability) || errors.Is(err, model.ErrNoDurability) {
 			// The batch was rejected before publication: nothing was
@@ -722,19 +618,22 @@ type prCall struct {
 	err  error
 }
 
+// errPageRankAborted is what followers of a flight see when its leader
+// panicked mid-computation (the leader's own request answers 500).
+var errPageRankAborted = errors.New("pagerank computation aborted; retry")
+
 // computePageRank runs the actual power iteration (overridable in tests
 // to count and slow down computations).
-func (s *Server) computePageRank(view View, d float64, t int) ([]float64, error) {
+func (s *Server) computePageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
 	if s.prCompute != nil {
 		return s.prCompute(view, d, t)
 	}
-	src, release, err := newSource(view)
+	src, release, err := view.Source(ctx)
 	if err != nil {
 		return nil, err
 	}
-	r := algos.PageRank(src, d, t)
-	release()
-	return r, nil
+	defer release()
+	return algos.PageRank(src, d, t), nil
 }
 
 // pageRank returns the cached PageRank vector for (d, t) on the given
@@ -745,7 +644,10 @@ func (s *Server) computePageRank(view View, d float64, t int) ([]float64, error)
 // (d, t, version) are coalesced into a single computation
 // (singleflight): under update-driven version churn a thundering herd
 // of /pagerank requests costs one power iteration, not one per request.
-func (s *Server) pageRank(view View, d float64, t int) ([]float64, error) {
+// Followers share the leader's result, so the computation runs detached
+// from the leader's cancellation: its client disconnecting must not fail
+// everyone else's request. A failed computation is never cached.
+func (s *Server) pageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
 	key := prKey{d: d, t: t}
 	ver := view.Version()
 	s.mu.Lock()
@@ -770,27 +672,31 @@ func (s *Server) pageRank(view View, d float64, t int) ([]float64, error) {
 		<-c.done
 		return c.val, c.err
 	}
-	c := &prCall{done: make(chan struct{})}
+	// The error is pessimistic until the computation returns: if it
+	// panics instead, the deferred retirement below still runs, so
+	// followers (and every later request for this key) see a failed
+	// flight rather than blocking forever on a dead one.
+	c := &prCall{done: make(chan struct{}), err: errPageRankAborted}
 	s.prFlight[fk] = c
 	s.mu.Unlock()
-
-	c.val, c.err = s.computePageRank(view, d, t)
-
-	s.mu.Lock()
-	delete(s.prFlight, fk)
-	if c.err == nil && s.prVersion == ver {
-		if len(s.prCache) >= maxPRCacheEntries {
-			// Evict an arbitrary entry; the common workload reuses one or
-			// two (d, t) pairs and never reaches the cap.
-			for k := range s.prCache {
-				delete(s.prCache, k)
-				break
+	defer func() {
+		s.mu.Lock()
+		delete(s.prFlight, fk)
+		if c.err == nil && s.prVersion == ver {
+			if len(s.prCache) >= maxPRCacheEntries {
+				// Evict an arbitrary entry; the common workload reuses one
+				// or two (d, t) pairs and never reaches the cap.
+				for k := range s.prCache {
+					delete(s.prCache, k)
+					break
+				}
 			}
+			s.prCache[key] = c.val
 		}
-		s.prCache[key] = c.val
-	}
-	s.mu.Unlock()
-	close(c.done)
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = s.computePageRank(context.WithoutCancel(ctx), view, d, t)
 	return c.val, c.err
 }
 
@@ -827,13 +733,12 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		top = parsed
 	}
 	view := s.view()
-	rank, err := s.pageRank(view, d, t)
+	rank, err := s.pageRank(r.Context(), view, d, t)
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		unavailable(w, err)
 		return
 	}
-	s.setVersionHeader(w, view)
+	setVersionHeader(w, view)
 	ranked := make([]RankedVertex, len(rank))
 	for v, rr := range rank {
 		ranked[v] = RankedVertex{V: int32(v), Rank: rr}

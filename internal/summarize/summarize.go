@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -115,37 +114,3 @@ func MeasureAvg(s Summarizer, dataset string, g *graph.Graph, baseSeed int64, tr
 		Elapsed:      timeSum / time.Duration(trials),
 	}
 }
-
-// Registry maps algorithm names to summarizers, in a stable order.
-type Registry struct {
-	order []string
-	algs  map[string]Summarizer
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{algs: make(map[string]Summarizer)}
-}
-
-// Register adds a summarizer; duplicate names panic.
-func (r *Registry) Register(s Summarizer) {
-	if _, dup := r.algs[s.Name()]; dup {
-		panic(fmt.Sprintf("summarize: duplicate algorithm %q", s.Name()))
-	}
-	r.order = append(r.order, s.Name())
-	r.algs[s.Name()] = s
-}
-
-// Get returns the named summarizer.
-func (r *Registry) Get(name string) (Summarizer, error) {
-	s, ok := r.algs[name]
-	if !ok {
-		names := append([]string(nil), r.order...)
-		sort.Strings(names)
-		return nil, fmt.Errorf("summarize: unknown algorithm %q (have %v)", name, names)
-	}
-	return s, nil
-}
-
-// Names returns registration order.
-func (r *Registry) Names() []string { return append([]string(nil), r.order...) }

@@ -64,30 +64,3 @@ func TestMeasureAvgUsesDistinctSeeds(t *testing.T) {
 		t.Fatalf("trials=0 should run once, ran %d", len(seeds))
 	}
 }
-
-func TestRegistryOrderAndLookup(t *testing.T) {
-	r := NewRegistry()
-	r.Register(constAlg("b", 1))
-	r.Register(constAlg("a", 2))
-	names := r.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("Names = %v, want registration order", names)
-	}
-	if _, err := r.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("zzz"); err == nil {
-		t.Fatal("expected error for unknown algorithm")
-	}
-}
-
-func TestRegistryDuplicatePanics(t *testing.T) {
-	r := NewRegistry()
-	r.Register(constAlg("a", 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
-		}
-	}()
-	r.Register(constAlg("a", 2))
-}
