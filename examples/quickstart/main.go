@@ -46,8 +46,13 @@ func main() {
 		summary.MaxHeight(), summary.AvgLeafDepth())
 
 	// Partial decompression (Algorithm 4): neighbors of one vertex,
-	// without decoding the rest of the model.
-	fmt.Printf("\nneighbors of person 0 (from the summary): %v\n", summary.NeighborsOf(0))
+	// without decoding the rest of the model. Queries run on the
+	// compiled engine, the form a server answers from.
+	engine, err := artifact.Queryable()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nneighbors of person 0 (from the summary): %v\n", engine.NeighborsOf(0))
 	fmt.Printf("neighbors of person 0 (from the graph):   %v\n", g.Neighbors(0))
 
 	// The artifact represents the graph exactly.

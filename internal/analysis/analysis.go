@@ -73,38 +73,6 @@ func DirectiveAnnotated(doc *ast.CommentGroup, name string) (string, bool) {
 	return "", false
 }
 
-// EnclosingFuncs returns an index from every node position inside a
-// function body (or declaration) to its enclosing FuncDecl. Function
-// literals map to the FuncDecl that lexically contains them, which is
-// the granularity slugvet's allowlists work at.
-type EnclosingFuncs struct {
-	decls []*ast.FuncDecl
-}
-
-// NewEnclosingFuncs indexes the FuncDecls of files.
-func NewEnclosingFuncs(files []*ast.File) *EnclosingFuncs {
-	e := &EnclosingFuncs{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				e.decls = append(e.decls, fd)
-			}
-		}
-	}
-	return e
-}
-
-// At returns the FuncDecl whose extent contains pos, or nil for
-// positions outside any function (package-level initializers).
-func (e *EnclosingFuncs) At(pos token.Pos) *ast.FuncDecl {
-	for _, fd := range e.decls {
-		if fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
-}
-
 // ReceiverNamed returns the named type of a method call's receiver with
 // pointers stripped, or nil if the callee is not a selector on a value
 // (package-qualified calls, builtins).
@@ -171,12 +139,6 @@ func ErrorResultOnly(info *types.Info, call *ast.CallExpr) bool {
 	}
 	named, ok := types.Unalias(tv.Type).(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// Fileline renders pos as "file:line" relative output for messages.
-func Fileline(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }
 
 // InspectStack walks the tree rooted at root in depth-first order,

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/summarize"
 	"repro/pkg/slug"
 )
 
@@ -57,65 +57,45 @@ var paperOrder = []struct{ canonical, display string }{
 	{"sags", "SAGS"},
 }
 
-// Algorithms returns the five compared summarizers (paper Sect. IV-A),
-// driven through the unified pkg/slug API and each reporting its
-// artifact's encoding cost. workers sets SLUGGER's candidate-group
-// pipeline width (the baselines stay serial; the shared option set is
-// ignored where inapplicable). The slice is in paper order; pkg/slug's
-// registry is the only algorithm registry.
-func Algorithms(T, workers int) []summarize.Summarizer {
-	return AlgorithmsNamed(T, workers, nil)
-}
-
-// AlgorithmsNamed is Algorithms restricted to the given canonical
-// pkg/slug names (nil = all five). Unknown names are skipped.
-func AlgorithmsNamed(T, workers int, names []string) []summarize.Summarizer {
-	want := func(string) bool { return true }
-	if len(names) > 0 {
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n] = true
-		}
-		want = func(n string) bool { return set[n] }
-	}
-	var algs []summarize.Summarizer
-	opts := []slug.Option{slug.WithIterations(T), slug.WithWorkers(workers)}
+// algorithms returns the compared summarizers (paper Sect. IV-A) in
+// paper order: all five, or those named in o.Algos. Each is a pkg/slug
+// registry entry driven through slug.Summarizer; o.Workers sets
+// SLUGGER's candidate-group pipeline width (the baselines ignore the
+// options that do not apply to them). Unknown names are skipped.
+func (o Options) algorithms() []algorithm {
+	var algs []algorithm
+	opts := []slug.Option{slug.WithIterations(o.T), slug.WithWorkers(o.Workers)}
 	for _, a := range paperOrder {
-		if !want(a.canonical) {
+		if len(o.Algos) > 0 && !slices.Contains(o.Algos, a.canonical) {
 			continue
 		}
 		if s, ok := slug.Lookup(a.canonical); ok {
-			algs = append(algs, summarize.FromSlug(s, a.display, opts...))
+			algs = append(algs, algorithm{Summarizer: s, display: a.display, opts: opts})
 		}
 	}
 	return algs
 }
 
-// algorithms builds the compared summarizers for one Options value.
-func (o Options) algorithms() []summarize.Summarizer {
-	return AlgorithmsNamed(o.T, o.Workers, o.Algos)
-}
-
 // Fig5a reproduces Fig. 1(a)/Fig. 5(a): the relative size of outputs of
 // the five algorithms on every dataset. Returns results keyed by
 // dataset then algorithm.
-func Fig5a(opt Options) map[string]map[string]summarize.Result {
+func Fig5a(opt Options) map[string]map[string]Result {
 	opt = opt.withDefaults()
 	algs := opt.algorithms()
-	out := make(map[string]map[string]summarize.Result)
+	out := make(map[string]map[string]Result)
 	fmt.Fprintf(opt.Out, "=== Fig 5(a): relative size of outputs (scale=%.2f, trials=%d) ===\n", opt.Scale, opt.Trials)
 	fmt.Fprintf(opt.Out, "%-4s %10s", "data", "|E|")
 	for _, alg := range algs {
-		fmt.Fprintf(opt.Out, " %11s", alg.Name())
+		fmt.Fprintf(opt.Out, " %11s", alg.display)
 	}
 	fmt.Fprintln(opt.Out)
 	for _, spec := range datasets.All() {
 		g := spec.Generate(opt.Scale, opt.Seed)
-		row := make(map[string]summarize.Result)
+		row := make(map[string]Result)
 		fmt.Fprintf(opt.Out, "%-4s %10d", spec.Name, g.NumEdges())
 		for _, alg := range algs {
-			r := summarize.MeasureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
-			row[alg.Name()] = r
+			r := measureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
+			row[alg.display] = r
 			fmt.Fprintf(opt.Out, " %11.3f", r.RelativeSize)
 		}
 		fmt.Fprintln(opt.Out)
@@ -126,23 +106,23 @@ func Fig5a(opt Options) map[string]map[string]summarize.Result {
 
 // Fig5b reproduces Fig. 5(b): running time of the five algorithms, with
 // SLUGGER's speedups over SWeG and SAGS.
-func Fig5b(opt Options) map[string]map[string]summarize.Result {
+func Fig5b(opt Options) map[string]map[string]Result {
 	opt = opt.withDefaults()
 	algs := opt.algorithms()
-	out := make(map[string]map[string]summarize.Result)
+	out := make(map[string]map[string]Result)
 	fmt.Fprintf(opt.Out, "=== Fig 5(b): running time (scale=%.2f) ===\n", opt.Scale)
 	fmt.Fprintf(opt.Out, "%-4s", "data")
 	for _, alg := range algs {
-		fmt.Fprintf(opt.Out, " %12s", alg.Name())
+		fmt.Fprintf(opt.Out, " %12s", alg.display)
 	}
 	fmt.Fprintf(opt.Out, " %10s %10s\n", "vs SWeG", "vs SAGS")
 	for _, spec := range datasets.All() {
 		g := spec.Generate(opt.Scale, opt.Seed)
-		row := make(map[string]summarize.Result)
+		row := make(map[string]Result)
 		fmt.Fprintf(opt.Out, "%-4s", spec.Name)
 		for _, alg := range algs {
-			r := summarize.MeasureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
-			row[alg.Name()] = r
+			r := measureAvg(alg, spec.Name, g, opt.Seed, opt.Trials)
+			row[alg.display] = r
 			fmt.Fprintf(opt.Out, " %12s", r.Elapsed.Round(time.Millisecond))
 		}
 		spd := func(other string) string {
@@ -358,7 +338,8 @@ type DecompResult struct {
 }
 
 // Decompression reproduces the Sect. VIII-B measurement: the average
-// time to retrieve a vertex's neighbors from the summary (Algorithm 4),
+// time to retrieve a vertex's neighbors from the summary by partial
+// decompression (Algorithm 4, as the compiled engine implements it),
 // reported next to the average leaf depth the paper correlates it with.
 func Decompression(opt Options, names []string) []DecompResult {
 	opt = opt.withDefaults()
@@ -375,16 +356,18 @@ func Decompression(opt Options, names []string) []DecompResult {
 		}
 		g := spec.Generate(opt.Scale, opt.Seed)
 		s, _ := core.Summarize(g, core.Config{T: opt.T, Seed: opt.Seed, Workers: opt.Workers})
-		n := int32(s.N)
-		queries := n
-		if queries > 20000 {
-			queries = 20000
-		}
+		// Timed on the compiled engine, the form every query in this
+		// repository is served from (compiling is build-side work and
+		// stays outside the timed loop).
+		cs := s.Compile()
+		queries := min(int32(s.N), 20000)
+		q := cs.AcquireCtx()
 		start := time.Now()
 		for v := int32(0); v < queries; v++ {
-			s.NeighborsOf(v % n)
+			q.NeighborsOf(v)
 		}
 		avg := time.Since(start) / time.Duration(queries)
+		cs.ReleaseCtx(q)
 		out = append(out, DecompResult{Dataset: name, AvgQuery: avg, AvgLeafDepth: s.AvgLeafDepth()})
 		fmt.Fprintf(opt.Out, "%-4s %14s %14.2f\n", name, avg, s.AvgLeafDepth())
 	}
@@ -488,15 +471,8 @@ func Theorem1(opt Options, n, k int) Theorem1Result {
 	fmt.Fprintf(opt.Out, "=== Theorem 1: hierarchical vs flat conciseness (n=%d, k=%d) ===\n", n, k)
 	fmt.Fprintf(opt.Out, "|E|=%d  hierarchical cost=%d  flat cost=%d  ratio=%.2f\n",
 		res.Edges, res.HierarchicalCost, res.FlatCost,
-		float64(res.FlatCost)/float64(maxInt64(1, res.HierarchicalCost)))
+		float64(res.FlatCost)/float64(max(1, res.HierarchicalCost)))
 	return res
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LinearFitR2 returns the R^2 of a least-squares linear fit

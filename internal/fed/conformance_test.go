@@ -3,10 +3,11 @@ package fed_test
 // One request pipeline, many backends: the same graph mounted as a
 // static summary, a live one, an in-process sharded federation and a
 // coordinator over three shard servers must answer every shared route
-// with the same status and the same body bytes. The coordinator-only
-// tests below pin what the coordinator inherits from serve's pipeline
-// (per-route metrics, load shedding, panic accounting) — none of which
-// its own former copy of the HTTP surface had.
+// with the same status and the same body bytes — and those bytes must
+// be the raw graph's answer, over every vertex and every edge. The
+// coordinator-only tests below pin what the coordinator inherits from
+// serve's pipeline (per-route metrics, load shedding, panic accounting)
+// — none of which its own former copy of the HTTP surface had.
 
 import (
 	"bytes"
@@ -54,7 +55,7 @@ func TestBackendConformance(t *testing.T) {
 	}{
 		{"static", mount(serve.New(cs).Handler()), false},
 		{"live", mount(serve.NewLive(model.NewLive(cs)).Handler()), true},
-		{"sharded", mount(serve.NewSharded(sc).Handler()), false},
+		{"sharded", mount(serve.NewSharded(sc).WithAlgorithm(f.sh.Algorithm()).Handler()), false},
 		{"coordinator", f.ts.URL, false},
 	}
 
@@ -85,35 +86,126 @@ func TestBackendConformance(t *testing.T) {
 		b, _ := json.Marshal(map[string][]int32{"v": vs})
 		return b
 	}
+	// Ground truth: what the raw graph says a 200 body must hold.
+	sameList := func(v int32, got []int32) error {
+		if fmt.Sprint(got) != fmt.Sprint(f.g.Neighbors(v)) {
+			return fmt.Errorf("neighbors(%d) = %v, graph has %v", v, got, f.g.Neighbors(v))
+		}
+		return nil
+	}
+	sameResults := func(vs []int32, res []serve.NeighborsResult) error {
+		if len(res) != len(vs) {
+			return fmt.Errorf("%d results for %d ids", len(res), len(vs))
+		}
+		for i, r := range res {
+			if r.V != vs[i] || r.Degree != len(r.Neighbors) {
+				return fmt.Errorf("result %d is vertex %d degree %d with %d neighbors, want vertex %d", i, r.V, r.Degree, len(r.Neighbors), vs[i])
+			}
+			if err := sameList(r.V, r.Neighbors); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	single := func(v int32) func([]byte) error {
+		return func(body []byte) error {
+			var r serve.NeighborsResult
+			if err := json.Unmarshal(body, &r); err != nil {
+				return err
+			}
+			return sameResults([]int32{v}, []serve.NeighborsResult{r})
+		}
+	}
+	batch := func(body []byte) error {
+		var res []serve.NeighborsResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			return err
+		}
+		return sameResults(ids, res)
+	}
+	binary := func(body []byte) error {
+		lists, err := serve.DecodeNeighborsResponse(body, len(ids))
+		if err != nil {
+			return err
+		}
+		for i, l := range lists {
+			if err := sameList(ids[i], l); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	exists := func(want bool) func([]byte) error {
+		return func(body []byte) error {
+			var r struct {
+				Exists bool `json:"exists"`
+			}
+			if err := json.Unmarshal(body, &r); err != nil {
+				return err
+			}
+			if r.Exists != want {
+				return fmt.Errorf("exists = %v, graph says %v", r.Exists, want)
+			}
+			return nil
+		}
+	}
+	top := func(k int) func([]byte) error {
+		return func(body []byte) error {
+			var r struct {
+				Top []serve.RankedVertex `json:"top"`
+			}
+			if err := json.Unmarshal(body, &r); err != nil {
+				return err
+			}
+			if len(r.Top) != k {
+				return fmt.Errorf("%d ranked vertices, want %d", len(r.Top), k)
+			}
+			return nil
+		}
+	}
+
 	tooMany := make([]int32, serve.MaxBatchItems+1)
 	hugeJSON := append([]byte(`{"v":[`), bytes.Repeat([]byte("1,"), maxBody/2+512)...)
 	hugeBinary := make([]byte, maxBody+1024)
 
-	for _, tc := range []struct {
+	type row struct {
 		name, method, path string
 		body               []byte
 		want               int
-		readOnly           bool // row applies to backends without the update capability only
-	}{
-		{"healthz", "GET", "/healthz", nil, 200, false},
-		{"neighbors single", "GET", "/neighbors?v=17", nil, 200, false},
-		{"neighbors GET batch", "GET", "/neighbors?v=0,17,63,149,299", nil, 200, false},
-		{"neighbors POST batch", "POST", "/neighbors", jsonIDs(ids), 200, false},
-		{"neighbors binary batch", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest(ids), 200, false},
-		{"hasedge intra-shard", "GET", intra, nil, 200, false},
-		{"hasedge cross-shard", "GET", cross, nil, 200, false},
-		{"hasedge self", "GET", "/hasedge?u=5&v=5", nil, 200, false},
-		{"pagerank", "GET", "/pagerank?d=0.85&t=20&top=300", nil, 200, false},
-		{"out-of-range vertex", "GET", "/neighbors?v=99999", nil, 400, false},
-		{"out-of-range binary", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest([]int32{99999}), 400, false},
-		{"missing parameter", "GET", "/hasedge?u=1", nil, 400, false},
-		{"bad pagerank damping", "GET", "/pagerank?d=NaN", nil, 400, false},
-		{"oversize JSON batch", "POST", "/neighbors", jsonIDs(tooMany), 400, false},
-		{"oversize binary batch", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest(tooMany), 400, false},
-		{"oversize JSON body", "POST", "/neighbors", hugeJSON, 413, false},
-		{"oversize binary body", "POST", "/batch/neighbors", hugeBinary, 413, false},
-		{"update on read-only", "POST", "/update", []byte(`{"u":1,"v":2}`), 405, true},
-	} {
+		readOnly           bool               // row applies to backends without the update capability only
+		truth              func([]byte) error // what the raw graph says about the body; nil = byte parity only
+	}
+	rows := []row{
+		{"healthz", "GET", "/healthz", nil, 200, false, nil},
+		{"neighbors single", "GET", "/neighbors?v=17", nil, 200, false, single(17)},
+		{"neighbors GET batch", "GET", "/neighbors?v=0,17,63,149,299", nil, 200, false, batch},
+		{"neighbors POST batch", "POST", "/neighbors", jsonIDs(ids), 200, false, batch},
+		{"neighbors binary batch", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest(ids), 200, false, binary},
+		{"hasedge intra-shard", "GET", intra, nil, 200, false, exists(true)},
+		{"hasedge cross-shard", "GET", cross, nil, 200, false, exists(true)},
+		{"hasedge self", "GET", "/hasedge?u=5&v=5", nil, 200, false, exists(false)},
+		{"pagerank", "GET", "/pagerank?d=0.85&t=20&top=300", nil, 200, false, top(300)},
+		{"pagerank top 5", "GET", "/pagerank?top=5", nil, 200, false, top(5)},
+		{"out-of-range vertex", "GET", "/neighbors?v=99999", nil, 400, false, nil},
+		{"out-of-range binary", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest([]int32{99999}), 400, false, nil},
+		{"missing parameter", "GET", "/hasedge?u=1", nil, 400, false, nil},
+		{"bad pagerank damping", "GET", "/pagerank?d=NaN", nil, 400, false, nil},
+		{"oversize JSON batch", "POST", "/neighbors", jsonIDs(tooMany), 400, false, nil},
+		{"oversize binary batch", "POST", "/batch/neighbors", serve.EncodeNeighborsRequest(tooMany), 400, false, nil},
+		{"oversize JSON body", "POST", "/neighbors", hugeJSON, 413, false, nil},
+		{"oversize binary body", "POST", "/batch/neighbors", hugeBinary, 413, false, nil},
+		{"update on read-only", "POST", "/update", []byte(`{"u":1,"v":2}`), 405, true, nil},
+	}
+	// The whole graph through the point routes: every vertex's neighbor
+	// list and every edge, on every backend.
+	for v := int32(0); v < int32(f.g.NumNodes()); v++ {
+		rows = append(rows, row{fmt.Sprintf("neighbors(%d)", v), "GET", fmt.Sprintf("/neighbors?v=%d", v), nil, 200, false, single(v)})
+	}
+	f.g.ForEachEdge(func(u, v int32) {
+		rows = append(rows, row{fmt.Sprintf("hasedge(%d,%d)", u, v), "GET", fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), nil, 200, false, exists(true)})
+	})
+
+	for _, tc := range rows {
 		var ref []byte
 		refName := ""
 		for _, b := range backends {
@@ -147,6 +239,35 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("%s: %s and %s disagree:\n%s: %q\n%s: %q", tc.name, b.name, refName, b.name, got, refName, ref)
 			}
 		}
+		// Every backend sent these bytes, so one look at them covers all.
+		if tc.truth != nil {
+			if err := tc.truth(ref); err != nil {
+				t.Fatalf("%s: all backends agree on a wrong answer: %v (body %q)", tc.name, err, ref)
+			}
+		}
+	}
+
+	// /stats is per backend by design; the in-process federation's must
+	// describe it: the sharded flag, the algorithm tag, and per-shard
+	// sizes that account for every vertex.
+	var stats struct {
+		Algorithm string `json:"algorithm"`
+		Nodes     int    `json:"nodes"`
+		Sharded   bool   `json:"sharded"`
+		Shards    []struct {
+			Nodes int `json:"nodes"`
+		} `json:"shards"`
+	}
+	if _, err := getJSON(t, backends[2].url+"/stats", &stats); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, sh := range stats.Shards {
+		total += sh.Nodes
+	}
+	if !stats.Sharded || stats.Algorithm != f.sh.Algorithm() || stats.Nodes != f.g.NumNodes() ||
+		len(stats.Shards) != f.sh.NumShards() || total != f.g.NumNodes() {
+		t.Fatalf("sharded /stats = %+v (per-shard nodes sum to %d)", stats, total)
 	}
 }
 

@@ -409,77 +409,3 @@ func TestVerifyRejectsMismatchedEpoch(t *testing.T) {
 		t.Fatalf("Verify accepted a mismatched epoch: %v", err)
 	}
 }
-
-// TestCoordinatorBinaryAndJSONPost exercises the coordinator's POST
-// forms (JSON batch and binary batch) for parity with the graph.
-func TestCoordinatorBinaryAndJSONPost(t *testing.T) {
-	f := buildFederation(t, fed.Config{Retries: 1, RetriesSet: true})
-
-	ids := []int32{0, 17, 63, 149, 299}
-	payload, _ := json.Marshal(map[string][]int32{"v": ids})
-	resp, err := http.Post(f.ts.URL+"/neighbors", "application/json", strings.NewReader(string(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results []serve.NeighborsResult
-	if err := json.NewDecoder(resp.Body).Decode(&results); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(results) != len(ids) {
-		t.Fatalf("POST /neighbors: status %d, %d results", resp.StatusCode, len(results))
-	}
-	for i, res := range results {
-		if fmt.Sprint(res.Neighbors) != fmt.Sprint(f.g.Neighbors(ids[i])) {
-			t.Fatalf("JSON POST neighbors(%d) diverged", ids[i])
-		}
-	}
-
-	resp, err = http.Post(f.ts.URL+"/batch/neighbors", "application/octet-stream",
-		strings.NewReader(string(serve.EncodeNeighborsRequest(ids))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := make([]byte, 0, 4096)
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		raw = append(raw, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /batch/neighbors: status %d", resp.StatusCode)
-	}
-	lists, err := serve.DecodeNeighborsResponse(raw, len(ids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nbrs := range lists {
-		if fmt.Sprint(nbrs) != fmt.Sprint(f.g.Neighbors(ids[i])) {
-			t.Fatalf("binary neighbors(%d) diverged", ids[i])
-		}
-	}
-
-	// /update is read-only on a coordinator.
-	resp, err = http.Post(f.ts.URL+"/update", "application/json", strings.NewReader(`{"u":1,"v":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /update = %d, want 405", resp.StatusCode)
-	}
-
-	// Bad vertex ids are the caller's fault: 400, not 503.
-	resp, err = http.Get(f.ts.URL + "/neighbors?v=99999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range vertex = %d, want 400", resp.StatusCode)
-	}
-}

@@ -371,9 +371,3 @@ func (gr *Grouping) ReleaseGroup(id int32) {
 func (gr *Grouping) Encode() *flat.Summary {
 	return flat.Encode(gr.Graph(), flat.Compact(gr.GroupOf))
 }
-
-// TotalCost returns the Eq. (11) cost of the current grouping's optimal
-// encoding (including membership h-edges).
-func (gr *Grouping) TotalCost() int64 {
-	return gr.Encode().Cost()
-}

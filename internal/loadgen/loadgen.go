@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/hist"
 	"repro/internal/serve"
 )
 
@@ -135,7 +136,7 @@ type Report struct {
 }
 
 func ns2us(v uint64) float64 { return float64(v) / 1e3 }
-func opStats(op string, h *Hist, errs uint64, lastErr string) OpStats {
+func opStats(op string, h *hist.Hist, errs uint64, lastErr string) OpStats {
 	return OpStats{
 		Op:      op,
 		Count:   h.Count(),
@@ -151,7 +152,7 @@ func opStats(op string, h *Hist, errs uint64, lastErr string) OpStats {
 
 // worker holds one goroutine's private recording state.
 type worker struct {
-	hists   [numOps]Hist
+	hists   [numOps]hist.Hist
 	errs    [numOps]uint64
 	lastErr [numOps]string
 	maxLag  int64
@@ -250,8 +251,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wall := time.Since(r.start)
 
 	// Merge the per-worker shards.
-	var overall Hist
-	var perOp [numOps]Hist
+	var overall hist.Hist
+	var perOp [numOps]hist.Hist
 	var errsByOp [numOps]uint64
 	var lastErr [numOps]string
 	var maxLag int64

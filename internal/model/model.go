@@ -157,9 +157,6 @@ func (s *Summary) NumSupernodes() int { return len(s.Parent) }
 // slice aliases internal storage and must not be modified.
 func (s *Summary) VertsOf(sn int32) []int32 { return s.verts[sn] }
 
-// ChildrenOf returns the direct children of supernode sn.
-func (s *Summary) ChildrenOf(sn int32) []int32 { return s.children[sn] }
-
 // PCount returns |P+|.
 func (s *Summary) PCount() int64 { return s.pCount }
 
@@ -287,6 +284,12 @@ func (s *Summary) NeighborCounts(v int32, scratch map[int32]int32) map[int32]int
 // NeighborsOf returns the sorted neighbors of v in the represented
 // graph, decompressing only the relevant fraction of the model
 // (Algorithm 4 of the paper).
+//
+// This map-based walk and HasEdge below are the reference oracle: the
+// literal reading of the model that Decode and Validate share
+// (NeighborCounts) and that parity tests hold every other
+// representation to. Nothing serves or measures queries from it — that
+// is CompiledSummary (Compile), an order of magnitude faster.
 func (s *Summary) NeighborsOf(v int32) []int32 {
 	counts := s.NeighborCounts(v, nil)
 	out := make([]int32, 0, len(counts))
@@ -302,6 +305,7 @@ func (s *Summary) NeighborsOf(v int32) []int32 {
 // HasEdge reports whether the represented graph contains the edge
 // {u,v}, by summing the signs of the superedges covering the pair —
 // a point query that touches only the two vertices' ancestor chains.
+// Reference oracle, like NeighborsOf.
 func (s *Summary) HasEdge(u, v int32) bool {
 	if u == v {
 		return false

@@ -339,10 +339,6 @@ type Durability struct {
 // were applied. Serving layers typically map it to 503.
 var ErrDurability = errors.New("model: durable append failed")
 
-// ErrNoDurability is returned by ApplyUpdatesDurable when no sink is
-// installed: the caller demanded persistence the Live cannot provide.
-var ErrNoDurability = errors.New("model: no durability sink installed")
-
 // LiveStats is a point-in-time snapshot of a Live summary's state.
 type LiveStats struct {
 	Nodes       int
@@ -354,7 +350,7 @@ type LiveStats struct {
 	Applied     uint64 // effective updates since creation
 	Compactions uint64 // completed compactions
 	Threshold   int    // auto-compaction trigger, 0 = manual only
-	Compacting  bool   // a background compaction is in flight
+	Compacting  bool   // a compaction is in flight (rebuild, base swap or its checkpoint)
 	LastError   string // most recent compaction failure, "" after success
 
 	CompactionFailures uint64 // failed compaction attempts since creation
@@ -396,7 +392,7 @@ type Live struct {
 	lastErr     error  // most recent compaction failure, nil after success
 	failedAt    int    // overlay size at the last failure (retry backoff), 0 after success
 
-	lockHoldNs    int64 // total ns the writer lock was held by applyUpdates (under mu)
+	lockHoldNs    int64 // total ns the writer lock was held by ApplyUpdatesOutcome (under mu)
 	lockHoldMaxNs int64 // longest single hold (under mu)
 
 	durable *Durability
@@ -465,33 +461,17 @@ func (l *Live) View() *DeltaOverlay { return l.cur.Load() }
 // the compaction threshold a background compaction is started (at most
 // one at a time).
 func (l *Live) ApplyUpdates(ups []EdgeUpdate) (int, error) {
-	out, err := l.applyUpdates(ups, false)
+	out, err := l.ApplyUpdatesOutcome(ups)
 	return out.Applied, err
-}
-
-// ApplyUpdatesVersioned is ApplyUpdates returning also the version of
-// the snapshot the batch landed in (the current version when nothing
-// changed), so callers can tell readers which snapshot reflects their
-// write.
-func (l *Live) ApplyUpdatesVersioned(ups []EdgeUpdate) (int, uint64, error) {
-	out, err := l.applyUpdates(ups, false)
-	return out.Applied, out.Version, err
-}
-
-// ApplyUpdatesDurable is ApplyUpdatesVersioned that fails with
-// ErrNoDurability when no sink is installed, for callers that must not
-// proceed on a volatile summary.
-func (l *Live) ApplyUpdatesDurable(ups []EdgeUpdate) (int, uint64, error) {
-	out, err := l.applyUpdates(ups, true)
-	return out.Applied, out.Version, err
 }
 
 // ApplyOutcome reports what one update batch did, captured atomically
 // with the apply itself: the effective-update count, the version of the
-// snapshot the batch landed in, that snapshot's overlay counters, and
-// whether a compaction is in flight. Callers that previously paired
-// ApplyUpdates with a Stats() read can use this instead and halve their
-// writer-lock acquisitions.
+// snapshot the batch landed in (the current version when nothing
+// changed, so callers can tell readers which snapshot reflects their
+// write), that snapshot's overlay counters, and whether a compaction is
+// in flight — what a caller would otherwise pair ApplyUpdates with a
+// second, separately locked Stats() read for.
 type ApplyOutcome struct {
 	Applied    int
 	Version    uint64
@@ -503,16 +483,12 @@ type ApplyOutcome struct {
 // ApplyUpdatesOutcome is ApplyUpdates returning the full outcome in the
 // same (single) writer-lock critical section.
 func (l *Live) ApplyUpdatesOutcome(ups []EdgeUpdate) (ApplyOutcome, error) {
-	return l.applyUpdates(ups, false)
-}
-
-func (l *Live) applyUpdates(ups []EdgeUpdate, mustDurable bool) (ApplyOutcome, error) {
 	// Validation depends only on the (fixed) vertex count, so it runs
 	// before the writer lock: a malformed batch never serializes behind
 	// other writers, and well-formed batches spend less time under the
 	// lock. The snapshot read is lock-free.
 	if err := ValidateUpdates(ups, l.cur.Load().cs.n); err != nil {
-		return l.outcomeLockFree(err)
+		return l.outcome(0, false), err
 	}
 	l.mu.Lock()
 	t0 := time.Now()
@@ -524,9 +500,6 @@ func (l *Live) applyUpdates(ups []EdgeUpdate, mustDurable bool) (ApplyOutcome, e
 			l.lockHoldMaxNs = h
 		}
 	}()
-	if mustDurable && l.durable == nil {
-		return l.outcomeLocked(0), ErrNoDurability
-	}
 	nxt, applied := l.cur.Load().applyValidated(ups)
 	if applied > 0 {
 		// Append-then-publish: the batch reaches the log before any
@@ -536,7 +509,7 @@ func (l *Live) applyUpdates(ups []EdgeUpdate, mustDurable bool) (ApplyOutcome, e
 		if l.durable != nil {
 			lsn, err := l.durable.Append(ups)
 			if err != nil {
-				return l.outcomeLocked(0), fmt.Errorf("%w: %v", ErrDurability, err)
+				return l.outcome(0, l.compacting), fmt.Errorf("%w: %v", ErrDurability, err)
 			}
 			l.lastLSN = lsn
 		}
@@ -551,27 +524,22 @@ func (l *Live) applyUpdates(ups []EdgeUpdate, mustDurable bool) (ApplyOutcome, e
 		view, rebuild, lsn := l.beginCompactionLocked()
 		go l.runCompaction(view, rebuild, lsn)
 	}
-	return l.outcomeLocked(applied), nil
+	return l.outcome(applied, l.compacting), nil
 }
 
-// outcomeLocked snapshots the current overlay counters; caller holds
-// l.mu.
-func (l *Live) outcomeLocked(applied int) ApplyOutcome {
+// outcome snapshots the current overlay counters around the given
+// applied count. compacting is l.compacting when the caller holds l.mu;
+// a batch rejected before the lock (never applied, so no locked state
+// is involved) passes false.
+func (l *Live) outcome(applied int, compacting bool) ApplyOutcome {
 	v := l.cur.Load()
 	return ApplyOutcome{
 		Applied:    applied,
 		Version:    v.version,
 		Insertions: v.plus,
 		Deletions:  v.minus,
-		Compacting: l.compacting,
+		Compacting: compacting,
 	}
-}
-
-// outcomeLockFree builds a rejection outcome from a lock-free snapshot
-// read (the batch was never applied, so no locked state is involved).
-func (l *Live) outcomeLockFree(err error) (ApplyOutcome, error) {
-	v := l.cur.Load()
-	return ApplyOutcome{Version: v.version, Insertions: v.plus, Deletions: v.minus}, err
 }
 
 // beginCompactionLocked marks a compaction in flight and returns the
@@ -594,6 +562,11 @@ func (l *Live) beginCompactionLocked() (*DeltaOverlay, RebuildFunc, uint64) {
 // ckptLSN; tagging low is safe because updates are absolute set
 // operations, so replaying an already-applied suffix converges.
 //
+// The compaction stays in flight (compacting set, compactDone open)
+// until that checkpoint has returned: Quiesce and Compact therefore
+// wait for the new base to be persisted, not just served, and no second
+// compaction — with a checkpoint of its own — can start underneath it.
+//
 //slugvet:cow
 func (l *Live) runCompaction(view *DeltaOverlay, rebuild RebuildFunc, ckptLSN uint64) {
 	g := view.Decode()
@@ -605,7 +578,6 @@ func (l *Live) runCompaction(view *DeltaOverlay, rebuild RebuildFunc, ckptLSN ui
 	log := l.log
 	l.log = nil
 	l.logging = false
-	l.compacting = false
 	committed := false
 	if err != nil {
 		// Back off: don't retry on every subsequent batch (each attempt
@@ -636,11 +608,14 @@ func (l *Live) runCompaction(view *DeltaOverlay, rebuild RebuildFunc, ckptLSN ui
 		}
 	}
 	durable := l.durable
-	close(l.compactDone)
 	l.mu.Unlock()
 	if committed && durable != nil && durable.Checkpoint != nil {
 		durable.Checkpoint(ckptLSN)
 	}
+	l.mu.Lock()
+	l.compacting = false
+	close(l.compactDone)
+	l.mu.Unlock()
 }
 
 // Compact synchronously re-summarizes the live graph and swaps in the
@@ -674,8 +649,10 @@ func (l *Live) Compact() error {
 	return err
 }
 
-// Quiesce blocks until no background compaction is in flight. It does
-// not prevent a later ApplyUpdates from starting a new one.
+// Quiesce blocks until no background compaction is in flight: its base
+// swapped in and, with a durability sink, the checkpoint of that base
+// written. It does not prevent a later ApplyUpdates from starting a new
+// one.
 func (l *Live) Quiesce() {
 	l.mu.Lock()
 	done, compacting := l.compactDone, l.compacting

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -280,6 +281,71 @@ func TestLiveAutoCompactionReplaysJournal(t *testing.T) {
 		t.Fatalf("compactions = %d, want 1", st.Compactions)
 	}
 	checkOverlayParity(t, l.View(), setsToGraph(live, 40))
+}
+
+// TestQuiesceWaitsForCheckpoint: a compaction is not over until the
+// durability sink's checkpoint of the new base has returned. Quiesce
+// (what Close of a durable artifact calls before closing its log) must
+// block that long, Compact must too, the new base is served meanwhile,
+// and no second compaction starts under the unfinished one.
+func TestQuiesceWaitsForCheckpoint(t *testing.T) {
+	g := randomGraph(40, 0.1, 6)
+	l := NewLive(compileTrivial(g))
+	l.SetRebuild(trivialRebuild)
+	l.SetCompactionThreshold(1)
+	entered := make(chan uint64, 2) // one send per checkpoint; two compactions run
+	release := make(chan struct{})
+	var lsn uint64
+	l.SetDurability(Durability{
+		Append: func([]EdgeUpdate) (uint64, error) { lsn++; return lsn, nil },
+		Checkpoint: func(at uint64) {
+			entered <- at
+			<-release
+		},
+	}, 0)
+
+	toggle := func(u, v int32) {
+		t.Helper()
+		if _, err := l.ApplyUpdates([]EdgeUpdate{{U: u, V: v, Delete: l.View().HasEdge(u, v)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toggle(0, 1) // reaches the threshold: background compaction
+	if at := <-entered; at != 1 {
+		t.Fatalf("checkpoint at LSN %d, want 1", at)
+	}
+	// The base swap has committed; only the checkpoint is outstanding.
+	if st := l.Stats(); st.Compactions != 1 || !st.Compacting || st.Insertions+st.Deletions != 0 {
+		t.Fatalf("mid-checkpoint stats: %+v, want 1 compaction committed, still in flight, empty overlay", st)
+	}
+	toggle(2, 3) // at the threshold again, but must not start a second compaction
+	if st := l.Stats(); st.Compactions != 1 || st.Insertions+st.Deletions != 1 {
+		t.Fatalf("a second compaction ran under the unfinished one: %+v", st)
+	}
+
+	returned := make(chan string, 2)
+	go func() { l.Quiesce(); returned <- "Quiesce" }()
+	go func() {
+		if err := l.Compact(); err != nil {
+			t.Error(err)
+		}
+		returned <- "Compact"
+	}()
+	select {
+	case who := <-returned:
+		t.Fatalf("%s returned while the checkpoint was still being written", who)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+	<-returned
+	// Compact ran its own compaction (and checkpoint) after the wait.
+	if at := <-entered; at != 2 {
+		t.Fatalf("second checkpoint at LSN %d, want 2", at)
+	}
+	if st := l.Stats(); st.Compactions != 2 || st.Compacting {
+		t.Fatalf("final stats: %+v, want 2 compactions, none in flight", st)
+	}
 }
 
 // TestLiveConcurrentReadersCompiledSwap hammers one Live with concurrent

@@ -3,14 +3,14 @@ package model
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
-// Binary serialization of hierarchical summaries. The format is a
-// compact varint stream:
+// Binary serialization of hierarchical summaries: the payload encoding
+// behind pkg/slug's "SLGA" envelope (and, through it, sharded files).
+// It is not a persisted form on its own — files are written and read
+// by pkg/slug. The format is a compact varint stream:
 //
 //	magic "SLGR" | version u8
 //	n varint | numSupernodes varint
@@ -172,26 +172,4 @@ func ReadFrom(r io.Reader) (s *Summary, err error) {
 		edges = append(edges, e)
 	}
 	return New(int(n64), parent, edges), nil
-}
-
-// Save writes the summary to a file.
-func (s *Summary) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := s.WriteTo(f); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	return f.Close()
-}
-
-// Load reads a summary from a file.
-func Load(path string) (*Summary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close() //slugvet:ok syncerr (read-only descriptor; close failure cannot corrupt data already read)
-	return ReadFrom(f)
 }

@@ -3,7 +3,6 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,21 +29,6 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	if !graph.Equal(s.Decode(), s2.Decode()) {
 		t.Fatal("round trip changed the represented graph")
-	}
-}
-
-func TestSerializeFileRoundTrip(t *testing.T) {
-	s := fig2LikeSummary()
-	path := filepath.Join(t.TempDir(), "sum.slgr")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graph.Equal(s.Decode(), s2.Decode()) {
-		t.Fatal("file round trip changed the represented graph")
 	}
 }
 

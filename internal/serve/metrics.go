@@ -1,93 +1,58 @@
 package serve
 
-// Per-endpoint serving metrics: request counters, error counters, and a
-// coarse log-bucketed latency histogram per route, reported by /stats
-// under serving.endpoints. This is what a load generator (cmd/loadgen)
+// Per-endpoint serving metrics: request and error counters and a
+// latency histogram per route, reported by /stats under
+// serving.endpoints. This is what a load generator (cmd/loadgen)
 // sanity-checks its own accounting against, and the substrate a later
 // /metrics (Prometheus) endpoint will export.
 //
-// Latency buckets are powers of two in microseconds: bucket 0 counts
-// requests under 1µs, bucket k requests in [2^(k-1), 2^k) µs, and the
-// last bucket everything slower (~4.2s and beyond). The p50/p99
-// estimates are the upper bound of the bucket holding that rank —
-// coarse by design (at most 2× overestimate), cheap enough to sit on
-// every request.
+// Latencies are recorded in nanoseconds into the repository's one
+// histogram (internal/hist): p50_us/p99_us are at most 3.125% above
+// the true quantile. buckets_log2_us is that histogram folded to
+// powers of two in microseconds: entry 0 counts requests under 1µs,
+// entry k requests in [2^(k-1), 2^k) µs, and the last entry everything
+// slower (~4.2s and beyond).
 //
 // Requests shed by the admission limiter and panics are counted in the
 // serving section, not here: both are handled by middleware outside the
 // per-route mux.
 
 import (
-	"math/bits"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/hist"
 )
 
-// epBuckets spans <1µs .. >=4.2s in powers of two.
-const epBuckets = 24
+// log2Buckets is the length of buckets_log2_us: <1µs .. >=4.2s.
+const log2Buckets = 24
 
 type epStat struct {
-	route   string
-	count   atomic.Uint64
 	errors  atomic.Uint64 // responses with status >= 400
-	sumNs   atomic.Int64
-	buckets [epBuckets]atomic.Uint64
+	latency hist.Hist     // every response, in ns
 }
 
 func (e *epStat) record(status int, d time.Duration) {
-	e.count.Add(1)
 	if status >= 400 {
 		e.errors.Add(1)
 	}
-	e.sumNs.Add(d.Nanoseconds())
-	us := d.Microseconds()
-	idx := bits.Len64(uint64(us))
-	if idx >= epBuckets {
-		idx = epBuckets - 1
-	}
-	e.buckets[idx].Add(1)
-}
-
-// quantileUS returns the upper bound (in µs) of the bucket containing
-// the q-quantile of the recorded latencies, from a snapshot of the
-// bucket counts.
-func quantileUS(counts []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen uint64
-	for i, c := range counts {
-		seen += c
-		if seen > rank {
-			return float64(uint64(1) << i) // upper bound of bucket i
-		}
-	}
-	return float64(uint64(1) << (epBuckets - 1))
+	e.latency.Record(uint64(d))
 }
 
 // snapshot renders the endpoint's counters for /stats.
 func (e *epStat) snapshot() map[string]any {
-	counts := make([]uint64, epBuckets)
-	var total uint64
-	for i := range e.buckets {
-		counts[i] = e.buckets[i].Load()
-		total += counts[i]
-	}
+	h := &e.latency
 	out := map[string]any{
-		"count":  e.count.Load(),
+		"count":  h.Count(),
 		"errors": e.errors.Load(),
 	}
-	if total > 0 {
-		out["mean_us"] = float64(e.sumNs.Load()) / float64(total) / 1e3
-		out["p50_us"] = quantileUS(counts, total, 0.50)
-		out["p99_us"] = quantileUS(counts, total, 0.99)
-		out["buckets_log2_us"] = counts
+	if h.Count() > 0 {
+		out["mean_us"] = h.Mean() / 1e3
+		out["p50_us"] = float64(h.Quantile(0.50)) / 1e3
+		out["p99_us"] = float64(h.Quantile(0.99)) / 1e3
+		out["buckets_log2_us"] = h.Log2Buckets(1000, log2Buckets)
 	}
 	return out
 }
@@ -97,7 +62,6 @@ func (e *epStat) snapshot() map[string]any {
 // lock-free atomics.
 type endpointMetrics struct {
 	mu      sync.Mutex
-	stats   []*epStat // registration order
 	byRoute map[string]*epStat
 }
 
@@ -108,23 +72,21 @@ func newEndpointMetrics() *endpointMetrics {
 func (m *endpointMetrics) stat(route string) *epStat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st, ok := m.byRoute[route]; ok {
-		return st
+	st := m.byRoute[route]
+	if st == nil {
+		st = &epStat{}
+		m.byRoute[route] = st
 	}
-	st := &epStat{route: route}
-	m.byRoute[route] = st
-	m.stats = append(m.stats, st)
 	return st
 }
 
 // snapshot renders every route's counters keyed by route name.
 func (m *endpointMetrics) snapshot() map[string]any {
 	m.mu.Lock()
-	stats := m.stats
-	m.mu.Unlock()
-	out := make(map[string]any, len(stats))
-	for _, st := range stats {
-		out[st.route] = st.snapshot()
+	defer m.mu.Unlock()
+	out := make(map[string]any, len(m.byRoute))
+	for route, st := range m.byRoute {
+		out[route] = st.snapshot()
 	}
 	return out
 }

@@ -561,7 +561,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// contended with concurrent writers under update load).
 	out, err := s.updater.ApplyUpdatesOutcome(ups)
 	if err != nil {
-		if errors.Is(err, model.ErrDurability) || errors.Is(err, model.ErrNoDurability) {
+		if errors.Is(err, model.ErrDurability) {
 			// The batch was rejected before publication: nothing was
 			// applied, nothing acknowledged. The client may retry — the
 			// summary is intact, only its log is refusing writes.

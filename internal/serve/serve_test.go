@@ -384,65 +384,6 @@ func shardedTestServer(t *testing.T, g *graph.Graph, k int) *Server {
 	return NewSharded(sc)
 }
 
-// TestShardedServerParity runs the full endpoint surface against a
-// sharded server and checks every answer against the raw graph: the
-// endpoints must be indistinguishable from an unsharded server.
-func TestShardedServerParity(t *testing.T) {
-	g := graph.ErdosRenyi(60, 240, 7)
-	ts := httptest.NewServer(shardedTestServer(t, g, 4).WithAlgorithm("slugger").Handler())
-	defer ts.Close()
-
-	var stats struct {
-		Algorithm     string `json:"algorithm"`
-		Nodes         int    `json:"nodes"`
-		Sharded       bool   `json:"sharded"`
-		BoundaryEdges int    `json:"boundary_edges"`
-		Shards        []struct {
-			Shard int `json:"shard"`
-			Nodes int `json:"nodes"`
-		} `json:"shards"`
-	}
-	get(t, ts, "/stats", http.StatusOK, &stats)
-	if !stats.Sharded || stats.Nodes != 60 || len(stats.Shards) != 4 || stats.Algorithm != "slugger" {
-		t.Fatalf("sharded stats = %+v", stats)
-	}
-	total := 0
-	for _, sh := range stats.Shards {
-		total += sh.Nodes
-	}
-	if total != 60 {
-		t.Fatalf("per-shard nodes sum to %d, want 60", total)
-	}
-
-	for v := 0; v < g.NumNodes(); v++ {
-		var nbrs NeighborsResult
-		get(t, ts, fmt.Sprintf("/neighbors?v=%d", v), http.StatusOK, &nbrs)
-		if fmt.Sprint(nbrs.Neighbors) != fmt.Sprint(g.Neighbors(int32(v))) {
-			t.Fatalf("neighbors(%d) = %v, want %v", v, nbrs.Neighbors, g.Neighbors(int32(v)))
-		}
-	}
-	var edge map[string]any
-	g.ForEachEdge(func(u, v int32) {
-		get(t, ts, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), http.StatusOK, &edge)
-		if edge["exists"] != true {
-			t.Fatalf("hasedge(%d,%d) = false across shards", u, v)
-		}
-	})
-
-	var pr struct {
-		Top []RankedVertex `json:"top"`
-	}
-	get(t, ts, "/pagerank?top=5", http.StatusOK, &pr)
-	if len(pr.Top) != 5 {
-		t.Fatalf("pagerank top = %+v", pr.Top)
-	}
-
-	// Sharded servers are immutable: updates answer 405.
-	post(t, ts, "/update", `{"u":0,"v":1}`, http.StatusMethodNotAllowed, nil)
-	// Bad input handling is unchanged.
-	get(t, ts, "/neighbors?v=999", http.StatusBadRequest, nil)
-}
-
 // TestShardedServerConcurrentRequests exercises the federated query
 // path under concurrent load; with -race it checks the per-shard
 // context pooling behind one HTTP server.

@@ -22,9 +22,9 @@ import (
 //	payload (the wrapped model's own serialized form)
 //
 // so a reader can tell what built a file and which model it holds
-// before decoding the payload. ReadFrom also accepts raw hierarchical
-// model streams ("SLGR", as written by older slugger -save runs) and
-// wraps them as slugger artifacts.
+// before decoding the payload. The payload encodings (internal/model's
+// and internal/flat's varint streams) are not artifacts on their own:
+// ReadFrom rejects one that arrives without the envelope.
 
 const (
 	envelopeMagic   = "SLGA"
@@ -33,14 +33,55 @@ const (
 	kindHierarchical = byte(1)
 	kindFlat         = byte(2)
 
-	// legacyModelMagic is the header of a bare hierarchical model
-	// stream from internal/model, accepted for backward compatibility.
-	legacyModelMagic = "SLGR"
-
 	// maxAlgoNameLen bounds the algorithm-name field when reading, so a
 	// corrupt length prefix cannot provoke a giant allocation.
 	maxAlgoNameLen = 256
 )
+
+// appendHeader and readHeader are the one writer and one parser of the
+// header both envelopes ("SLGA" here, "SLGS" in sharded.go) open with:
+//
+//	magic (4 bytes) | version u8 | fixed bytes | algoLen uvarint | algo bytes
+//
+// where the fixed bytes are the envelope's own (SLGA: the kind byte;
+// SLGS: none).
+func appendHeader(magic string, version byte, fixed []byte, algo string) ([]byte, error) {
+	if len(algo) > maxAlgoNameLen {
+		return nil, fmt.Errorf("slug: algorithm name %q too long", algo)
+	}
+	head := append([]byte(magic), version)
+	head = append(head, fixed...)
+	head = binary.AppendUvarint(head, uint64(len(algo)))
+	return append(head, algo...), nil
+}
+
+// readHeader consumes one header from br, filling fixed, and returns
+// the algorithm name. what names the envelope in errors.
+func readHeader(br *bufio.Reader, what, magic string, version byte, fixed []byte) (algo string, err error) {
+	head := make([]byte, len(magic)+1+len(fixed))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return "", fmt.Errorf("slug: reading %s header: %w", what, err)
+	}
+	if got := head[:len(magic)]; string(got) != magic {
+		return "", fmt.Errorf("slug: bad %s magic %q", what, got)
+	}
+	if ver := head[len(magic)]; ver != version {
+		return "", fmt.Errorf("slug: unsupported %s version %d", what, ver)
+	}
+	copy(fixed, head[len(magic)+1:])
+	algoLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return "", fmt.Errorf("slug: reading algorithm name length: %w", err)
+	}
+	if algoLen > maxAlgoNameLen {
+		return "", fmt.Errorf("slug: implausible algorithm name length %d", algoLen)
+	}
+	name := make([]byte, algoLen)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return "", fmt.Errorf("slug: reading algorithm name: %w", err)
+	}
+	return string(name), nil
+}
 
 // Hierarchical is an Artifact wrapping the hierarchical model
 // G = (S, P+, P-, H) produced by SLUGGER.
@@ -122,14 +163,10 @@ func (a *Flat) WriteTo(w io.Writer) (int64, error) {
 
 // writeEnvelope emits the self-describing header, then the payload.
 func writeEnvelope(w io.Writer, kind byte, algo string, payload func(io.Writer) (int64, error)) (int64, error) {
-	if len(algo) > maxAlgoNameLen {
-		return 0, fmt.Errorf("slug: algorithm name %q too long", algo)
+	head, err := appendHeader(envelopeMagic, envelopeVersion, []byte{kind}, algo)
+	if err != nil {
+		return 0, err
 	}
-	var head []byte
-	head = append(head, envelopeMagic...)
-	head = append(head, envelopeVersion, kind)
-	head = binary.AppendUvarint(head, uint64(len(algo)))
-	head = append(head, algo...)
 	n, err := w.Write(head)
 	count := int64(n)
 	if err != nil {
@@ -139,12 +176,13 @@ func writeEnvelope(w io.Writer, kind byte, algo string, payload func(io.Writer) 
 	return count + pn, err
 }
 
-// ReadFrom deserializes an artifact written by any Artifact's WriteTo.
-// The envelope header restores the producing algorithm and model kind;
-// raw hierarchical model streams (legacy "SLGR" files) are accepted and
-// tagged as slugger output, and v2 zero-copy compiled streams ("SLGC",
-// from SaveCompiled) load heap-backed with the full checksum verified —
-// ready to serve with no recompilation. Corrupt input yields an error,
+// ReadFrom deserializes an artifact written by any Artifact's WriteTo
+// ("SLGA": the envelope header restores the producing algorithm and
+// model kind) or by WriteCompiledTo ("SLGC": loads heap-backed with the
+// full checksum verified, ready to serve with no recompilation). Those
+// two are the single-artifact forms; a sharded envelope answers
+// ErrShardedArtifact, and anything else — a bare payload encoding
+// included — is rejected by its magic. Corrupt input yields an error,
 // never a silently wrong artifact.
 func ReadFrom(r io.Reader) (Artifact, error) {
 	br := bufio.NewReader(r)
@@ -152,60 +190,36 @@ func ReadFrom(r io.Reader) (Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slug: reading artifact magic: %w", err)
 	}
-	if string(peek) == compiledMagic {
+	switch string(peek) {
+	case envelopeMagic: // parsed below
+	case compiledMagic:
 		return readMappedFrom(br)
-	}
-	if string(peek) == legacyModelMagic {
-		s, err := model.ReadFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewHierarchical("slugger", s), nil
-	}
-	if string(peek) == shardedMagic {
+	case shardedMagic:
 		return nil, ErrShardedArtifact
+	default:
+		return nil, fmt.Errorf("slug: %q is not an artifact magic (an artifact starts with %q, %q or %q)",
+			peek, envelopeMagic, compiledMagic, shardedMagic)
 	}
-	if string(peek) != envelopeMagic {
-		return nil, fmt.Errorf("slug: bad artifact magic %q", peek)
-	}
-	br.Discard(len(envelopeMagic))
-	ver, err := br.ReadByte()
+	var kind [1]byte
+	algo, err := readHeader(br, "artifact", envelopeMagic, envelopeVersion, kind[:])
 	if err != nil {
-		return nil, fmt.Errorf("slug: reading envelope version: %w", err)
+		return nil, err
 	}
-	if ver != envelopeVersion {
-		return nil, fmt.Errorf("slug: unsupported envelope version %d", ver)
-	}
-	kind, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("slug: reading artifact kind: %w", err)
-	}
-	algoLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("slug: reading algorithm name length: %w", err)
-	}
-	if algoLen > maxAlgoNameLen {
-		return nil, fmt.Errorf("slug: implausible algorithm name length %d", algoLen)
-	}
-	algo := make([]byte, algoLen)
-	if _, err := io.ReadFull(br, algo); err != nil {
-		return nil, fmt.Errorf("slug: reading algorithm name: %w", err)
-	}
-	switch kind {
+	switch kind[0] {
 	case kindHierarchical:
 		s, err := model.ReadFrom(br)
 		if err != nil {
 			return nil, err
 		}
-		return NewHierarchical(string(algo), s), nil
+		return NewHierarchical(algo, s), nil
 	case kindFlat:
 		s, err := flat.ReadFrom(br)
 		if err != nil {
 			return nil, err
 		}
-		return NewFlat(string(algo), s), nil
+		return NewFlat(algo, s), nil
 	default:
-		return nil, fmt.Errorf("slug: unknown artifact kind %d", kind)
+		return nil, fmt.Errorf("slug: unknown artifact kind %d", kind[0])
 	}
 }
 
@@ -264,9 +278,8 @@ func atomicWrite(path string, write func(io.Writer) (int64, error)) error {
 	return cerr
 }
 
-// Load reads an artifact from a file written by Save (or by the legacy
-// slugger -save model format, or a v2 compiled file from SaveCompiled —
-// the magic dispatches).
+// Load reads an artifact from a file written by Save or SaveCompiled
+// (the magic dispatches; see ReadFrom).
 func Load(path string) (Artifact, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -328,3 +328,68 @@ func TestDurableCheckpointBoundsReplay(t *testing.T) {
 		t.Fatalf("replayed %d batches after a full compaction, want 0", rds.RecoveredRecords)
 	}
 }
+
+// TestDurableCloseAfterBackgroundCompaction: Close right after a
+// background compaction must find that compaction's checkpoint already
+// in the log, so the next open replays only the batches logged after
+// the compaction captured its view — not the whole log.
+func TestDurableCloseAfterBackgroundCompaction(t *testing.T) {
+	art := buildDurableTestArtifact(t)
+	batches := durableTestBatches(durableTestGraph())
+	dir := t.TempDir()
+	// Two more batches follow the one that starts the compaction. Their
+	// at most ten corrections stay under the threshold, so no second
+	// compaction (and checkpoint) can start.
+	const threshold, after = 12, 2
+	opts := append(durableTestOpts(), WithCompactionThreshold(threshold), WithDurability(dir, SyncAlways()))
+	up, err := NewUpdatable(art, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, ckptLSN := 0, uint64(0) // the batch that started the compaction, and its LSN
+	for i, b := range batches {
+		if _, err := up.ApplyUpdates(b); err != nil {
+			t.Fatal(err)
+		}
+		if st := up.Live().Stats(); started == 0 && (st.Compacting || st.Compactions > 0) {
+			started, ckptLSN = i+1, st.DurableLSN
+		}
+		if started > 0 && i+1 == started+after {
+			break
+		}
+	}
+	if started == 0 || started+after > len(batches) {
+		t.Fatalf("compaction started at batch %d of %d: the stream is too short for this test", started, len(batches))
+	}
+	// Batches that change nothing are not logged, so count by LSN.
+	logged := int(up.Live().Stats().DurableLSN - ckptLSN)
+	if logged == 0 {
+		t.Fatal("no batch was logged after the compaction began: nothing to tell apart")
+	}
+	up.Live().Quiesce()
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenUpdatable(dir, SyncAlways(), durableTestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rds := re.Durability()
+	if !rds.RecoveredCheckpoint || rds.CheckpointLSN != ckptLSN || rds.RecoveredRecords != logged {
+		t.Fatalf("reopen: checkpoint %v at LSN %d, %d batches replayed; want the compaction's checkpoint at LSN %d and only the %d batches logged after it",
+			rds.RecoveredCheckpoint, rds.CheckpointLSN, rds.RecoveredRecords, ckptLSN, logged)
+	}
+	want, err := NewUpdatable(art, durableTestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches[:started+after] {
+		if _, err := want.ApplyUpdates(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !graph.Equal(re.Decode(), want.Decode()) {
+		t.Fatal("recovered graph differs from the acknowledged update stream")
+	}
+}

@@ -2,8 +2,9 @@ package slug_test
 
 // FuzzLoadArtifact drives arbitrary bytes through the unified artifact
 // loader — which dispatches across the v1 SLGA envelope, sharded SLGS
-// files, the zero-copy v2 SLGC layout, and legacy SLGR model streams —
-// and through the mmap boot path. The invariant under fuzz: loaders
+// files and the zero-copy v2 SLGC layout, and must reject a bare SLGR
+// model stream (a payload encoding, not an artifact) — and through the
+// mmap boot path. The invariant under fuzz: loaders
 // either reject the input with an error or return an artifact whose
 // query surface is safe to exercise; they never panic or index out of
 // bounds, whatever the bytes claim.
@@ -57,8 +58,8 @@ func FuzzLoadArtifact(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()/2])
-	legacy, _ := core.Summarize(g, core.Config{T: 2, Seed: 1})
-	seed(legacy)
+	bare, _ := core.Summarize(g, core.Config{T: 2, Seed: 1})
+	seed(bare)
 	f.Add([]byte{})
 	f.Add([]byte("SLGC"))
 	f.Add([]byte("SLGAxxxx"))
@@ -84,6 +85,9 @@ func FuzzLoadArtifact(f *testing.F) {
 			t.Fatal(err)
 		}
 		art, err := slug.Load(path)
+		if err == nil && bytes.HasPrefix(data, []byte("SLGR")) {
+			t.Fatal("bare SLGR payload stream loaded as an artifact")
+		}
 		switch {
 		case errors.Is(err, slug.ErrShardedArtifact):
 			if sh, err := slug.LoadSharded(path); err == nil {

@@ -152,17 +152,13 @@ func (a *Sharded) Queryable() (*model.ShardedCompiled, error) {
 // produces, so shard payloads round-trip through the ordinary artifact
 // reader.
 func (a *Sharded) WriteTo(w io.Writer) (int64, error) {
-	if len(a.algo) > maxAlgoNameLen {
-		return 0, fmt.Errorf("slug: algorithm name %q too long", a.algo)
+	head, err := appendHeader(shardedMagic, shardedVersion, nil, a.algo)
+	if err != nil {
+		return 0, err
 	}
 	if len(a.Shards) != len(a.GlobalID) {
 		return 0, fmt.Errorf("slug: %d shards but %d id maps", len(a.Shards), len(a.GlobalID))
 	}
-	var head []byte
-	head = append(head, shardedMagic...)
-	head = append(head, shardedVersion)
-	head = binary.AppendUvarint(head, uint64(len(a.algo)))
-	head = append(head, a.algo...)
 	head = binary.AppendUvarint(head, uint64(a.n))
 	head = binary.AppendUvarint(head, uint64(len(a.Shards)))
 	written := int64(0)
@@ -177,11 +173,7 @@ func (a *Sharded) WriteTo(w io.Writer) (int64, error) {
 		scratch = scratch[:0]
 		ids := a.GlobalID[s]
 		scratch = binary.AppendUvarint(scratch, uint64(len(ids)))
-		prev := int64(-1)
-		for _, v := range ids {
-			scratch = binary.AppendUvarint(scratch, uint64(int64(v)-prev-1))
-			prev = int64(v)
-		}
+		scratch = appendIDMap(scratch, ids)
 		buf.Reset()
 		if _, err := art.WriteTo(&buf); err != nil {
 			return written, fmt.Errorf("slug: serializing shard %d: %w", s, err)
@@ -213,30 +205,9 @@ func (a *Sharded) WriteTo(w io.Writer) (int64, error) {
 // Corrupt input yields an error, never a silently wrong artifact.
 func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(shardedMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("slug: reading sharded magic: %w", err)
-	}
-	if string(magic) != shardedMagic {
-		return nil, fmt.Errorf("slug: bad sharded artifact magic %q", magic)
-	}
-	ver, err := br.ReadByte()
+	algo, err := readHeader(br, "sharded artifact", shardedMagic, shardedVersion, nil)
 	if err != nil {
-		return nil, fmt.Errorf("slug: reading sharded envelope version: %w", err)
-	}
-	if ver != shardedVersion {
-		return nil, fmt.Errorf("slug: unsupported sharded envelope version %d", ver)
-	}
-	algoLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("slug: reading algorithm name length: %w", err)
-	}
-	if algoLen > maxAlgoNameLen {
-		return nil, fmt.Errorf("slug: implausible algorithm name length %d", algoLen)
-	}
-	algo := make([]byte, algoLen)
-	if _, err := io.ReadFull(br, algo); err != nil {
-		return nil, fmt.Errorf("slug: reading algorithm name: %w", err)
+		return nil, err
 	}
 	n64, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -255,7 +226,7 @@ func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 	}
 	k := int(k64)
 
-	a := &Sharded{algo: string(algo), n: n, Shards: make([]Artifact, 0, k), GlobalID: make([][]int32, 0, k)}
+	a := &Sharded{algo: algo, n: n, Shards: make([]Artifact, 0, k), GlobalID: make([][]int32, 0, k)}
 	assigned := make([]bool, n)
 	var payload bytes.Buffer
 	for s := 0; s < k; s++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,37 +88,52 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyModelStream checks that a bare hierarchical model stream
-// (the pre-envelope slugger -save format) still loads, tagged as
-// slugger output.
-func TestLegacyModelStream(t *testing.T) {
+// TestBarePayloadRejected: the hierarchical model's own stream ("SLGR")
+// is a payload encoding, not an artifact. ReadFrom rejects it with an
+// error naming the magic; the same bytes behind the envelope header load.
+func TestBarePayloadRejected(t *testing.T) {
 	g := testGraph()
 	sum, _ := core.Summarize(g, core.Config{T: 3, Seed: 1})
-	var buf bytes.Buffer
-	if _, err := sum.WriteTo(&buf); err != nil {
+	var bare bytes.Buffer
+	if _, err := sum.WriteTo(&bare); err != nil {
 		t.Fatal(err)
 	}
-	art, err := slug.ReadFrom(&buf)
+	if !bytes.HasPrefix(bare.Bytes(), []byte("SLGR")) {
+		t.Fatalf("model stream starts with %q, want SLGR", bare.Bytes()[:4])
+	}
+	art, err := slug.ReadFrom(bytes.NewReader(bare.Bytes()))
+	if err == nil {
+		t.Fatalf("bare SLGR stream loaded as a %q artifact", art.Algorithm())
+	}
+	if !strings.Contains(err.Error(), `"SLGR" is not an artifact magic`) {
+		t.Fatalf("error %q does not name the rejected magic", err)
+	}
+
+	var wrapped bytes.Buffer
+	if _, err := slug.NewHierarchical("slugger", sum).WriteTo(&wrapped); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(wrapped.Bytes(), bare.Bytes()) {
+		t.Fatal("the envelope's payload is not the bare model stream")
+	}
+	art, err = slug.ReadFrom(&wrapped)
 	if err != nil {
-		t.Fatalf("ReadFrom legacy stream: %v", err)
+		t.Fatalf("ReadFrom enveloped stream: %v", err)
 	}
-	if art.Algorithm() != "slugger" {
-		t.Fatalf("legacy algorithm tag = %q, want slugger", art.Algorithm())
-	}
-	if art.Cost() != sum.Cost() {
-		t.Fatalf("legacy cost = %d, want %d", art.Cost(), sum.Cost())
+	if art.Algorithm() != "slugger" || art.Cost() != sum.Cost() {
+		t.Fatalf("enveloped stream loaded as %q cost %d, want slugger cost %d", art.Algorithm(), art.Cost(), sum.Cost())
 	}
 }
 
 func TestReadFromRejectsCorruptEnvelope(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":        {},
-		"bad magic":    []byte("NOPE....."),
-		"bad version":  []byte("SLGA\xff\x01\x00"),
-		"bad kind":     []byte("SLGA\x01\x09\x00"),
-		"giant name":   append([]byte("SLGA\x01\x01"), 0xff, 0xff, 0x7f),
-		"cut payload":  []byte("SLGA\x01\x01\x03abc"),
-		"legacy trunc": []byte("SLGR\x01"),
+		"empty":       {},
+		"bad magic":   []byte("NOPE....."),
+		"bad version": []byte("SLGA\xff\x01\x00"),
+		"bad kind":    []byte("SLGA\x01\x09\x00"),
+		"giant name":  append([]byte("SLGA\x01\x01"), 0xff, 0xff, 0x7f),
+		"cut payload": []byte("SLGA\x01\x01\x03abc"),
+		"bare model":  []byte("SLGR\x01"),
 	}
 	for name, data := range cases {
 		if _, err := slug.ReadFrom(bytes.NewReader(data)); err == nil {

@@ -13,6 +13,7 @@ package slug
 // federate instead of silently merging mismatched graphs.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -65,19 +66,22 @@ type Manifest struct {
 // NumShards returns the number of exported shards.
 func (m *Manifest) NumShards() int { return len(m.Shards) }
 
-// idMapDigest hashes a shard's id map in its canonical delta-uvarint
-// encoding (identical to the SLGS envelope field, so the digest is
-// independent of the artifact format the shard was exported in).
-func idMapDigest(ids []int32) string {
-	h := sha256.New()
-	var scratch [binary.MaxVarintLen64]byte
+// appendIDMap appends a shard's sorted id map in its canonical
+// delta-uvarint encoding: the SLGS envelope field, and what idMapDigest
+// hashes (so the digest is independent of the artifact format the shard
+// was exported in).
+func appendIDMap(dst []byte, ids []int32) []byte {
 	prev := int64(-1)
 	for _, v := range ids {
-		n := binary.PutUvarint(scratch[:], uint64(int64(v)-prev-1))
-		h.Write(scratch[:n])
+		dst = binary.AppendUvarint(dst, uint64(int64(v)-prev-1))
 		prev = int64(v)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return dst
+}
+
+func idMapDigest(ids []int32) string {
+	sum := sha256.Sum256(appendIDMap(nil, ids))
+	return hex.EncodeToString(sum[:])
 }
 
 // boundaryDigest hashes the boundary sidecar in its canonical
@@ -199,23 +203,14 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 
 // encodeArtifact serializes one shard artifact in the requested format.
 func encodeArtifact(art Artifact, format string) ([]byte, error) {
-	var buf writerBuffer
+	var buf bytes.Buffer
 	var err error
 	if format == "v2" {
 		_, err = WriteCompiledTo(&buf, art)
 	} else {
 		_, err = art.WriteTo(&buf)
 	}
-	return buf.b, err
-}
-
-// writerBuffer is a minimal growing io.Writer (bytes.Buffer without
-// the import dance in hot paths).
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
+	return buf.Bytes(), err
 }
 
 // LoadManifest reads and validates a manifest written by Split: schema
@@ -292,7 +287,7 @@ func (m *Manifest) OpenShard(dir string, s int) (Artifact, error) {
 	if got := hex.EncodeToString(sum[:]); got != entry.Digest {
 		return nil, fmt.Errorf("slug: shard %d file %s digest %.12s... does not match manifest %.12s... — refusing to federate a mismatched shard", s, entry.File, got, entry.Digest)
 	}
-	art, err := ReadFrom(newByteReader(raw))
+	art, err := ReadFrom(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("slug: decoding shard %d file %s: %w", s, entry.File, err)
 	}
@@ -303,19 +298,4 @@ func (m *Manifest) OpenShard(dir string, s int) (Artifact, error) {
 		return nil, fmt.Errorf("slug: shard %d file has cost %d, manifest says %d", s, got, entry.Cost)
 	}
 	return art, nil
-}
-
-// newByteReader wraps a byte slice as an io.Reader without importing
-// bytes at every call site.
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
