@@ -12,20 +12,20 @@
 // The input format is one "u v" pair per line ('#'/'%' comments
 // allowed). -algo selects among slugger, sweg, mosso, randomized and
 // sags. With -validate the artifact is decoded and compared
-// edge-for-edge against the input (slow on large graphs). With
-// -serve :8080 the process stays up after summarizing (or -load) and
-// answers neighbor/hasedge/pagerank queries over HTTP. Interrupting a
-// running build (Ctrl-C) cancels it promptly via context cancellation.
+// edge-for-edge against the input (slow on large graphs). Interrupting
+// a running build (Ctrl-C) cancels it promptly via context
+// cancellation. Serving a saved artifact over HTTP is cmd/serve's job
+// (serve -summary out.slga).
 //
 // With -shards k > 1 the graph is partitioned into k shards that are
 // summarized concurrently under the -workers budget and written as one
 // sharded artifact (per-shard summaries plus a boundary-edge sidecar);
-// -validate, -save, -decode and -serve all work on the sharded path,
-// with serving federated across shards. -load detects sharded files
-// automatically. -split additionally exports every shard as a
-// standalone artifact file into a directory, alongside a manifest.json
-// recording digests and the federation epoch — the input to serve
-// -shard-role (one process per shard) and fedserve (the coordinator).
+// -validate, -save and -decode all work on the sharded path. -load
+// detects sharded files automatically. -split additionally exports
+// every shard as a standalone artifact file into a directory, alongside
+// a manifest.json recording digests and the federation epoch — the
+// input to serve -shard-role (one process per shard) and fedserve (the
+// coordinator).
 // -split honours -format: v1 exports portable envelopes, v2 exports
 // zero-copy layouts; the epoch is the same either way.
 //
@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/serve"
 	"repro/pkg/slug"
 )
 
@@ -68,7 +67,6 @@ func main() {
 		save     = flag.String("save", "", "write the artifact to this file (binary, self-describing)")
 		load     = flag.String("load", "", "load a saved artifact and report its statistics")
 		decodeTo = flag.String("decode", "", "decode the artifact back to an edge-list file")
-		serveOn  = flag.String("serve", "", "after summarizing or loading, serve queries over HTTP on this address (e.g. :8080)")
 		shards   = flag.Int("shards", 1, "partition the graph into this many shards and summarize them concurrently (1 = unsharded)")
 		split    = flag.String("split", "", "with -shards: also export each shard standalone into this directory plus a digest manifest, for serve -shard-role / fedserve")
 		format   = flag.String("format", "v1", "artifact encoding for -save: v1 (portable SLGA envelope) or v2 (zero-copy compiled SLGC layout, bootable with serve -mmap)")
@@ -98,14 +96,14 @@ func main() {
 				log.Fatalf("loading sharded artifact: %v", err)
 			}
 			describeSharded(sh, 0, 0)
-			finishSharded(sh, *decodeTo, *serveOn)
+			finish(sh, *decodeTo)
 			return
 		}
 		if err != nil {
 			log.Fatalf("loading artifact: %v", err)
 		}
 		describe(art, 0, 0)
-		finish(art, *decodeTo, *serveOn)
+		finish(art, *decodeTo)
 		return
 	}
 	if *in == "" {
@@ -140,7 +138,7 @@ func main() {
 	}
 	// Ctrl-C cancels the build promptly instead of killing the process
 	// mid-write. The handler is released right after the build so a
-	// later Ctrl-C still terminates -serve/-validate/-save normally.
+	// later Ctrl-C still terminates -validate/-save normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	if *shards > 1 {
 		start := time.Now()
@@ -174,7 +172,7 @@ func main() {
 			fmt.Printf("split: %d shard files (%s) + %s in %s (epoch %.12s...)\n",
 				man.NumShards(), *format, slug.ManifestFilename, *split, man.Epoch)
 		}
-		finishSharded(sh, *decodeTo, *serveOn)
+		finish(sh, *decodeTo)
 		return
 	}
 	start := time.Now()
@@ -198,7 +196,7 @@ func main() {
 		}
 		fmt.Printf("artifact written to %s (%s)\n", *save, *format)
 	}
-	finish(art, *decodeTo, *serveOn)
+	finish(art, *decodeTo)
 }
 
 // describe prints an artifact's statistics; edges and elapsed are zero
@@ -247,48 +245,14 @@ func describeSharded(sh *slug.Sharded, edges int64, elapsed time.Duration) {
 	}
 }
 
-// finishSharded handles the sharded output actions: decoding to an
-// edge list and federated serving.
-func finishSharded(sh *slug.Sharded, decodeTo, serveOn string) {
-	if decodeTo != "" {
-		if err := graph.SaveEdgeList(decodeTo, sh.Decode()); err != nil {
-			log.Fatalf("decoding: %v", err)
-		}
-		fmt.Printf("decoded graph written to %s\n", decodeTo)
-	}
-	if serveOn == "" {
+// finish handles the output action shared by every path (build or
+// load, sharded or not): decoding the artifact to an edge list.
+func finish(art interface{ Decode() *graph.Graph }, decodeTo string) {
+	if decodeTo == "" {
 		return
 	}
-	sc, err := sh.Queryable()
-	if err != nil {
-		log.Fatalf("compiling sharded artifact for serving: %v", err)
+	if err := graph.SaveEdgeList(decodeTo, art.Decode()); err != nil {
+		log.Fatalf("decoding: %v", err)
 	}
-	fmt.Printf("serving %s queries on %s (%d vertices across %d shards, %d boundary edges)\n",
-		sh.Algorithm(), serveOn, sc.NumNodes(), sc.NumShards(), sc.NumBoundaryEdges())
-	if err := serve.NewSharded(sc).WithAlgorithm(sh.Algorithm()).ListenAndServe(serveOn); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// finish handles the output actions shared by the build and load paths:
-// decoding to an edge list and serving queries.
-func finish(art slug.Artifact, decodeTo, serveOn string) {
-	if decodeTo != "" {
-		if err := graph.SaveEdgeList(decodeTo, art.Decode()); err != nil {
-			log.Fatalf("decoding: %v", err)
-		}
-		fmt.Printf("decoded graph written to %s\n", decodeTo)
-	}
-	if serveOn == "" {
-		return
-	}
-	cs, err := art.Queryable()
-	if err != nil {
-		log.Fatalf("compiling artifact for serving: %v", err)
-	}
-	fmt.Printf("serving %s queries on %s (%d vertices, %d supernodes)\n",
-		art.Algorithm(), serveOn, cs.NumNodes(), cs.NumSupernodes())
-	if err := serve.New(cs).WithAlgorithm(art.Algorithm()).ListenAndServe(serveOn); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("decoded graph written to %s\n", decodeTo)
 }

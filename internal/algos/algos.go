@@ -1,12 +1,10 @@
 // Package algos implements the unweighted graph algorithms of
-// Sect. VIII-C of the SLUGGER paper — BFS, DFS, PageRank, Dijkstra
+// Sect. VIII-C of the SLUGGER paper — BFS, PageRank, Dijkstra
 // (unit weights) and triangle counting — over a NeighborSource
 // abstraction, so that each algorithm runs identically on a raw
 // graph.Graph and on a hierarchical model.Summary via on-the-fly
 // partial decompression (Algorithm 4).
 package algos
-
-import "sort"
 
 // NeighborSource is the only access graph algorithms need: the vertex
 // count and per-vertex neighbor retrieval. *graph.Graph satisfies it
@@ -51,38 +49,6 @@ func BFS(g NeighborSource, src int32) []int32 {
 			if !visited[w] {
 				visited[w] = true
 				queue = append(queue, w)
-			}
-		}
-	}
-	return order
-}
-
-// DFS returns the vertices reachable from src in (iterative)
-// depth-first preorder, visiting neighbors in ascending order
-// (Algorithm 5 of the paper, made iterative).
-func DFS(g NeighborSource, src int32) []int32 {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	visited := make([]bool, n)
-	order := make([]int32, 0, n)
-	stack := []int32{src}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[v] {
-			continue
-		}
-		visited[v] = true
-		order = append(order, v)
-		nbrs := g.Neighbors(v)
-		// Push in reverse sorted order so the smallest is visited first.
-		sorted := append([]int32(nil), nbrs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-		for _, w := range sorted {
-			if !visited[w] {
-				stack = append(stack, w)
 			}
 		}
 	}

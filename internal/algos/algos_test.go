@@ -42,18 +42,6 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestDFSPreorder(t *testing.T) {
-	// Star with center 0: DFS visits 0 then each leaf.
-	g := Raw(graph.FromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}}))
-	order := DFS(g, 0)
-	if order[0] != 0 || len(order) != 4 {
-		t.Fatalf("DFS = %v", order)
-	}
-	if order[1] != 1 {
-		t.Fatalf("DFS should visit smallest neighbor first: %v", order)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := Raw(graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}}))
 	comp, n := ConnectedComponents(g)

@@ -8,6 +8,7 @@ package randomized
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/flat"
 	"repro/internal/flatgreedy"
@@ -67,7 +68,8 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64) (*flat.Summar
 }
 
 // twoHopGroups returns the distinct groups within two hops of group u
-// (excluding u itself).
+// (excluding u itself), in ascending order so that the caller's
+// best-saving tie-break does not depend on map iteration order.
 func twoHopGroups(gr *flatgreedy.Grouping, u int32) []int32 {
 	seen := map[int32]bool{u: true}
 	var out []int32
@@ -91,5 +93,6 @@ func twoHopGroups(gr *flatgreedy.Grouping, u int32) []int32 {
 			}
 		}
 	}
+	slices.Sort(out)
 	return out
 }

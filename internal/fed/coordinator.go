@@ -71,9 +71,6 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	}, nil
 }
 
-// Epoch returns the federation epoch the coordinator serves.
-func (co *Coordinator) Epoch() string { return co.epoch }
-
 // Version returns the content version derived from the epoch — the
 // same value the in-process engine for this envelope reports.
 func (co *Coordinator) Version() uint64 { return co.version }

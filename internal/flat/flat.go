@@ -13,6 +13,8 @@ package flat
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -94,8 +96,11 @@ func Encode(g *graph.Graph, assign []int32) *Summary {
 		counts[pairKey(assign[u], assign[v])]++
 	})
 
+	// P, C+ and C- are serialized in append order: visit the pairs in
+	// key order, not map order, so one partition has one encoding.
 	s := &Summary{N: n, Assign: assign, Groups: groups}
-	for key, eab := range counts {
+	for _, key := range slices.Sorted(maps.Keys(counts)) {
+		eab := counts[key]
 		a := int32(key >> 32)
 		b := int32(uint32(key))
 		var tab int64
@@ -234,16 +239,6 @@ func (s *Summary) Decode() *graph.Graph {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
-}
-
-// SingletonAssign returns the identity partition (every vertex its own
-// supernode), whose encoding cost is exactly |E|.
-func SingletonAssign(n int) []int32 {
-	a := make([]int32, n)
-	for i := range a {
-		a[i] = int32(i)
-	}
-	return a
 }
 
 // Compact renumbers an arbitrary (possibly sparse) group labeling into

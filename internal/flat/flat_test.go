@@ -10,7 +10,11 @@ import (
 
 func TestSingletonEncodingCostEqualsEdges(t *testing.T) {
 	g := graph.ErdosRenyi(60, 150, 3)
-	s := Encode(g, SingletonAssign(g.NumNodes()))
+	assign := make([]int32, g.NumNodes())
+	for i := range assign {
+		assign[i] = int32(i)
+	}
+	s := Encode(g, assign)
 	// Every pair has |T|=1 so superedge (cost 1) ties with listing; either
 	// way total cost is |E| and there are no corrections beyond that.
 	if s.Cost() != g.NumEdges() {

@@ -292,14 +292,6 @@ func TestCountTriangles(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	g := FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
-	s := ComputeStats(g)
-	if s.Nodes != 5 || s.Edges != 3 || s.MaxDegree != 2 || s.Isolated != 2 || s.TriangleEst != 1 {
-		t.Fatalf("unexpected stats: %+v", s)
-	}
-}
-
 // Property: HasEdge agrees with an adjacency-matrix oracle on random graphs.
 func TestHasEdgeMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {

@@ -2,35 +2,6 @@ package graph
 
 import "sort"
 
-// Stats summarizes basic structural properties of a graph.
-type Stats struct {
-	Nodes       int
-	Edges       int64
-	MaxDegree   int
-	AvgDegree   float64
-	Isolated    int // vertices with degree 0
-	TriangleEst int64
-}
-
-// ComputeStats returns basic statistics (triangle count is exact).
-func ComputeStats(g *Graph) Stats {
-	s := Stats{Nodes: g.NumNodes(), Edges: g.NumEdges()}
-	for v := 0; v < s.Nodes; v++ {
-		d := g.Degree(int32(v))
-		if d == 0 {
-			s.Isolated++
-		}
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-	}
-	if s.Nodes > 0 {
-		s.AvgDegree = 2 * float64(s.Edges) / float64(s.Nodes)
-	}
-	s.TriangleEst = CountTriangles(g)
-	return s
-}
-
 // CountTriangles returns the exact number of triangles using the
 // forward (degree-ordered) algorithm.
 func CountTriangles(g *Graph) int64 {

@@ -20,32 +20,6 @@ func Hash64(seed, x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// NeighborLister exposes the adjacency access the shingle computation
-// needs. *graph.Graph satisfies it.
-type NeighborLister interface {
-	NumNodes() int
-	Neighbors(v int32) []int32
-}
-
-// Shingles computes, for every vertex v, the 1-hop shingle
-// min_{w in N(v) ∪ {v}} h(w) under the seeded permutation h.
-// The shingle of a supernode is the min over its subnodes' shingles,
-// which callers compute by folding this per-vertex array.
-func Shingles(g NeighborLister, seed uint64) []uint64 {
-	n := g.NumNodes()
-	out := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		best := Hash64(seed, uint64(v))
-		for _, w := range g.Neighbors(int32(v)) {
-			if h := Hash64(seed, uint64(w)); h < best {
-				best = h
-			}
-		}
-		out[v] = best
-	}
-	return out
-}
-
 // Group partitions the items (arbitrary int32 ids) into groups of size
 // at most maxGroup. Items are first grouped by key(item, level); groups
 // exceeding maxGroup are re-split with the next level's key, up to

@@ -221,51 +221,3 @@ func TestQueryCtxEpochWrap(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkCompiledNeighborsOf(b *testing.B) {
-	s := compiledCases()["deep"]
-	cs := s.Compile()
-	ctx := cs.AcquireCtx()
-	defer cs.ReleaseCtx(ctx)
-	n := int32(s.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.NeighborsOf(int32(i) % n)
-	}
-}
-
-func BenchmarkCompiledHasEdge(b *testing.B) {
-	g := graph.Caveman(10, 10, 5, 3)
-	parent := make([]int32, g.NumNodes())
-	for i := range parent {
-		parent[i] = -1
-	}
-	var edges []Edge
-	g.ForEachEdge(func(u, v int32) { edges = append(edges, Edge{A: u, B: v, Sign: 1}) })
-	cs := New(g.NumNodes(), parent, edges).Compile()
-	ctx := cs.AcquireCtx()
-	defer cs.ReleaseCtx(ctx)
-	n := int32(g.NumNodes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.HasEdge(int32(i)%n, int32(i*7)%n)
-	}
-}
-
-// BenchmarkCompiledNeighborsParallel measures concurrent query
-// throughput through the context pool (RunParallel scales GOMAXPROCS
-// goroutines, each borrowing pooled contexts).
-func BenchmarkCompiledNeighborsParallel(b *testing.B) {
-	s := compiledCases()["deep"]
-	cs := s.Compile()
-	n := int32(s.N)
-	b.RunParallel(func(pb *testing.PB) {
-		ctx := cs.AcquireCtx()
-		defer cs.ReleaseCtx(ctx)
-		v := int32(0)
-		for pb.Next() {
-			ctx.NeighborsOf(v % n)
-			v++
-		}
-	})
-}

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"testing"
-
-	"repro/internal/graph"
-)
+import "testing"
 
 func TestHasEdgeMatchesGraph(t *testing.T) {
 	g := fig2LikeGraph()
@@ -55,22 +51,5 @@ func TestHasEdgeAgreesWithNeighborsOf(t *testing.T) {
 				t.Fatalf("HasEdge(%d,%d)=%v disagrees with NeighborsOf", v, u, s.HasEdge(v, u))
 			}
 		}
-	}
-}
-
-func BenchmarkHasEdge(b *testing.B) {
-	g := graph.Caveman(10, 10, 5, 3)
-	// Build the trivial summary (one p-edge per subedge).
-	parent := make([]int32, g.NumNodes())
-	for i := range parent {
-		parent[i] = -1
-	}
-	var edges []Edge
-	g.ForEachEdge(func(u, v int32) { edges = append(edges, Edge{A: u, B: v, Sign: 1}) })
-	s := New(g.NumNodes(), parent, edges)
-	n := int32(g.NumNodes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.HasEdge(int32(i)%n, int32(i*7)%n)
 	}
 }

@@ -411,3 +411,58 @@ func (e inconsistencyError) Error() string {
 }
 
 func errInconsistent(v, u int32) error { return inconsistencyError{v: v, u: u} }
+
+// TestLiveLockHoldStats pins the writer-mutex telemetry: applies
+// accumulate hold time, the max tracks the worst batch, and — because
+// validation was hoisted out of the critical section — a rejected batch
+// never touches the lock at all.
+func TestLiveLockHoldStats(t *testing.T) {
+	g := randomGraph(40, 0.1, 9)
+	l := NewLive(compileTrivial(g))
+
+	if st := l.Stats(); st.LockHoldNs != 0 || st.LockHoldMaxNs != 0 {
+		t.Fatalf("fresh Live reports hold time: %+v", st)
+	}
+	if _, err := l.ApplyUpdates([]EdgeUpdate{{U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	if st.LockHoldNs <= 0 || st.LockHoldMaxNs <= 0 || st.LockHoldMaxNs > st.LockHoldNs {
+		t.Fatalf("hold stats after one apply: total=%d max=%d", st.LockHoldNs, st.LockHoldMaxNs)
+	}
+
+	// Invalid batches are rejected before the lock: hold totals frozen.
+	if _, err := l.ApplyUpdates([]EdgeUpdate{{U: 0, V: 99}}); err == nil {
+		t.Fatal("out-of-range update accepted")
+	}
+	if _, err := l.ApplyUpdates([]EdgeUpdate{{U: 3, V: 3}}); err == nil {
+		t.Fatal("self-loop accepted")
+	}
+	if after := l.Stats(); after.LockHoldNs != st.LockHoldNs {
+		t.Fatalf("rejected batch grew lock hold: %d -> %d", st.LockHoldNs, after.LockHoldNs)
+	}
+
+	if _, err := l.ApplyUpdates([]EdgeUpdate{{U: 4, V: 5}, {U: 6, V: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if after := l.Stats(); after.LockHoldNs <= st.LockHoldNs {
+		t.Fatalf("second apply did not grow lock hold: %d -> %d", st.LockHoldNs, after.LockHoldNs)
+	}
+}
+
+// TestValidateUpdates covers the exported pre-lock validator.
+func TestValidateUpdates(t *testing.T) {
+	ok := []EdgeUpdate{{U: 0, V: 1}, {U: 2, V: 3, Delete: true}}
+	if err := ValidateUpdates(ok, 4); err != nil {
+		t.Fatalf("valid batch rejected: %v", err)
+	}
+	for _, bad := range [][]EdgeUpdate{
+		{{U: -1, V: 1}},
+		{{U: 0, V: 4}},
+		{{U: 2, V: 2}},
+	} {
+		if err := ValidateUpdates(bad, 4); err == nil {
+			t.Fatalf("batch %v accepted", bad)
+		}
+	}
+}

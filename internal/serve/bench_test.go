@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -41,54 +40,9 @@ func (w *nullRW) Header() http.Header         { return w.h }
 func (w *nullRW) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullRW) WriteHeader(int)             {}
 
-// legacyWriteJSON is the pre-optimization serializer: reflection-driven
-// encoding/json straight into the response.
-func legacyWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// legacyAnswerNeighbors is the pre-optimization response path, kept as
-// the "before" side of the alloc benchmarks: materialize a
-// []NeighborsResult (copying every neighbor list out of the pooled
-// decompression buffers) and hand it to encoding/json.
-func legacyAnswerNeighbors(s *Server, w http.ResponseWriter, vs []int32, single bool) {
-	view := s.view()
-	results := make([]NeighborsResult, 0, len(vs))
-	view.NeighborsBatch(context.Background(), vs, func(v int32, nbrs []int32) {
-		results = append(results, NeighborsResult{
-			V: v, Degree: len(nbrs), Neighbors: append([]int32{}, nbrs...),
-		})
-	})
-	setVersionHeader(w, view)
-	if single && len(vs) == 1 {
-		legacyWriteJSON(w, http.StatusOK, results[0])
-		return
-	}
-	legacyWriteJSON(w, http.StatusOK, results)
-}
-
-func legacyHandleHasEdge(s *Server, w http.ResponseWriter, u, v int32) {
-	view := s.view()
-	setVersionHeader(w, view)
-	exists, _ := view.HasEdge(context.Background(), u, v)
-	legacyWriteJSON(w, http.StatusOK, map[string]any{"u": u, "v": v, "exists": exists})
-}
-
-// The before/after pairs below are what scripts/bench.sh records into
-// BENCH_10.json: same server, same vertices, same response bytes
-// (pinned by TestFastJSONByteParity) — only the encoding path differs.
-
-func BenchmarkServeNeighborsEncodeLegacy(b *testing.B) {
-	s := benchServer(10000, 60000)
-	w := &nullRW{h: make(http.Header)}
-	vs := []int32{4321}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		legacyAnswerNeighbors(s, w, vs, true)
-	}
-}
+// The benchmarks below exist for their allocs/op column (wall-clock
+// serving numbers come from `go run ./bench`): same server, same
+// vertices, response bytes pinned by TestFastJSONByteParity.
 
 func BenchmarkServeNeighborsEncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
@@ -110,16 +64,6 @@ func benchBatchIDs(n, k int) []int32 {
 	return vs
 }
 
-func BenchmarkServeNeighborsBatch64EncodeLegacy(b *testing.B) {
-	s := benchServer(10000, 60000)
-	w := &nullRW{h: make(http.Header)}
-	vs := benchBatchIDs(10000, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		legacyAnswerNeighbors(s, w, vs, false)
-	}
-}
-
 func BenchmarkServeNeighborsBatch64EncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
 	w := &nullRW{h: make(http.Header)}
@@ -128,15 +72,6 @@ func BenchmarkServeNeighborsBatch64EncodePooled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.answerNeighbors(ctx, w, vs, false)
-	}
-}
-
-func BenchmarkServeHasEdgeEncodeLegacy(b *testing.B) {
-	s := benchServer(10000, 60000)
-	w := &nullRW{h: make(http.Header)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		legacyHandleHasEdge(s, w, 17, 4321)
 	}
 }
 

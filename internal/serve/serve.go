@@ -784,9 +784,3 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 		return srv.Shutdown(sctx)
 	}
 }
-
-// ListenAndServe serves the handler on addr until the listener fails.
-// Use Run for graceful shutdown on signal.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.Run(context.Background(), addr)
-}

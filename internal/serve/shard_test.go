@@ -131,7 +131,7 @@ func TestBinaryBatchRejections(t *testing.T) {
 
 func TestWireCodecRoundTrip(t *testing.T) {
 	ids := []int32{0, 5, 2, 2, 7}
-	decoded, err := DecodeNeighborsRequest(EncodeNeighborsRequest(ids), 10)
+	decoded, err := DecodeNeighborsRequestInto(nil, EncodeNeighborsRequest(ids), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeNeighborsResponse(buf, len(lists)+1); err == nil {
 		t.Fatal("count mismatch decoded without error")
 	}
-	if _, err := DecodeNeighborsRequest(EncodeNeighborsRequest(ids), len(ids)-1); err == nil {
+	if _, err := DecodeNeighborsRequestInto(nil, EncodeNeighborsRequest(ids), len(ids)-1); err == nil {
 		t.Fatal("over-cap request decoded without error")
 	}
 }

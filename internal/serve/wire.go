@@ -38,16 +38,11 @@ func EncodeNeighborsRequest(ids []int32) []byte {
 	return buf
 }
 
-// DecodeNeighborsRequest parses a binary batch request, enforcing the
-// item cap. Every id is validated to be a non-negative int32; vertex
-// range checking against the served model is the caller's job.
-func DecodeNeighborsRequest(data []byte, maxItems int) ([]int32, error) {
-	return DecodeNeighborsRequestInto(nil, data, maxItems)
-}
-
-// DecodeNeighborsRequestInto is DecodeNeighborsRequest decoding into
-// dst's capacity (the serving hot path reuses pooled slices across
-// requests instead of allocating per batch).
+// DecodeNeighborsRequestInto parses a binary batch request into dst's
+// capacity (the serving hot path reuses pooled slices across requests
+// instead of allocating per batch), enforcing the item cap. Every id is
+// validated to be a non-negative int32; vertex range checking against
+// the served model is the caller's job.
 func DecodeNeighborsRequestInto(dst []int32, data []byte, maxItems int) ([]int32, error) {
 	if len(data) < 8 || string(data[:4]) != batchReqMagic {
 		return nil, fmt.Errorf("bad batch request framing")

@@ -278,8 +278,8 @@ func TestSummarizeShardedProgress(t *testing.T) {
 
 // TestShardedBuildFasterSmoke only checks the sharded path completes
 // and reports a sane cost; the actual speedup measurement lives in the
-// benchmark pair (BenchmarkShardedBuildSingle/K4, recorded in
-// BENCH_5.json) since wall-clock assertions are flaky under CI load.
+// benchmark (`go run ./bench -trace 1`: slug.summarize_sharded_s) since
+// wall-clock assertions are flaky under CI load.
 func TestShardedCostAccounting(t *testing.T) {
 	ctx := context.Background()
 	g := graph.Caveman(8, 10, 4, 3)

@@ -88,6 +88,44 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArtifactBytesDeterministicPerSeed builds the same graph several
+// times with the same seed under every registered algorithm: the
+// serialized artifact and its cost must repeat exactly. Go randomizes
+// map iteration per range statement, so five builds in one process are
+// enough to expose an order that leaks into the encoding. The graph is
+// scale-free because equal-saving merge candidates (where a tie-break
+// taken in map order changes the partition itself) are common there.
+func TestArtifactBytesDeterministicPerSeed(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 11)
+	for _, name := range slug.Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			var want []byte
+			var wantCost int64
+			for run := 0; run < 5; run++ {
+				art, err := slug.Get(name).Summarize(context.Background(), g,
+					slug.WithIterations(5), slug.WithSeed(7))
+				if err != nil {
+					t.Fatalf("run %d: Summarize: %v", run, err)
+				}
+				var buf bytes.Buffer
+				if _, err := art.WriteTo(&buf); err != nil {
+					t.Fatalf("run %d: WriteTo: %v", run, err)
+				}
+				if run == 0 {
+					want, wantCost = buf.Bytes(), art.Cost()
+					continue
+				}
+				if art.Cost() != wantCost {
+					t.Fatalf("run %d: cost %d, run 0 had %d", run, art.Cost(), wantCost)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Fatalf("run %d: %d artifact bytes differ from run 0's %d", run, buf.Len(), len(want))
+				}
+			}
+		})
+	}
+}
+
 // TestBarePayloadRejected: the hierarchical model's own stream ("SLGR")
 // is a payload encoding, not an artifact. ReadFrom rejects it with an
 // error naming the magic; the same bytes behind the envelope header load.
