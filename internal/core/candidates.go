@@ -70,7 +70,7 @@ func (st *state) rootShingles(seed uint64) []uint64 {
 		sh[i] = ^uint64(0)
 	}
 	if st.workers > 1 && st.n >= 1024 {
-		runChunks(st.workers, int(st.n), func(lo, hi int) {
+		runChunks(st.workers, int(st.n), func(_, lo, hi int) {
 			for v := int32(lo); v < int32(hi); v++ {
 				f := st.vertexShingle(v, seed)
 				r := st.rootOf[v]
@@ -92,96 +92,6 @@ func (st *state) rootShingles(seed uint64) []uint64 {
 	return sh
 }
 
-// sweepCache caches per-root sweeps within one candidate group and
-// keeps them consistent across merges by collapsing merged targets.
-// Sweeps and the cache map are recycled through the owning context.
-type sweepCache struct {
-	st  *state
-	ctx *gctx
-	m   map[int32]*rootSweep
-}
-
-func newSweepCache(st *state, ctx *gctx) *sweepCache {
-	return &sweepCache{st: st, ctx: ctx, m: ctx.getCacheMap()}
-}
-
-func (sc *sweepCache) get(root int32) *rootSweep {
-	if sw, ok := sc.m[root]; ok {
-		return sw
-	}
-	sw := sc.st.sweepInto(sc.ctx, root)
-	sc.m[root] = sw
-	return sw
-}
-
-// release returns every cached sweep and the map to the context.
-func (sc *sweepCache) release() {
-	for _, sw := range sc.m {
-		sc.ctx.putSweep(sw)
-	}
-	sc.ctx.putCacheMap(sc.m)
-	sc.m = nil
-}
-
-// afterMerge updates the cache after a and b merged into m: the sweep
-// of m is derived from the sweeps of a and b (its atoms are exactly
-// {a,b}), and every cached sweep's stale targets a/b are collapsed into
-// a fresh target m whose atoms are {a,b}.
-func (sc *sweepCache) afterMerge(a, b, m int32, sweepA, sweepB *rootSweep) {
-	delete(sc.m, a)
-	delete(sc.m, b)
-	// sweep(m): left atom 0 is a (sweepA's rows collapsed), atom 1 is b.
-	swM := sc.ctx.getSweep()
-	sweepA.each(func(c int32, bc *blockCounts) {
-		e := swM.entry(c)
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				e.cnt[0][j] += bc.cnt[i][j]
-			}
-		}
-	})
-	sweepB.each(func(c int32, bc *blockCounts) {
-		e := swM.entry(c)
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				e.cnt[1][j] += bc.cnt[i][j]
-			}
-		}
-	})
-	swM.del(a)
-	swM.del(b)
-	sc.m[m] = swM
-	sc.ctx.putSweep(sweepA)
-	sc.ctx.putSweep(sweepB)
-	// Retarget other cached sweeps: collapse their a/b columns into a
-	// fresh target m with atom columns {a, b}.
-	for _, sw := range sc.m {
-		if sw == swM {
-			continue
-		}
-		var colsA, colsB blockCounts
-		bcA, bcB := sw.get(a), sw.get(b)
-		if bcA == nil && bcB == nil {
-			continue
-		}
-		// Copy before entry(): inserting m may grow the value arena and
-		// invalidate the bcA/bcB pointers.
-		if bcA != nil {
-			colsA = *bcA
-		}
-		if bcB != nil {
-			colsB = *bcB
-		}
-		sw.del(a)
-		sw.del(b)
-		nb := sw.entry(m)
-		for i := 0; i < 2; i++ {
-			nb.cnt[i][0] = colsA.cnt[i][0] + colsA.cnt[i][1]
-			nb.cnt[i][1] = colsB.cnt[i][0] + colsB.cnt[i][1]
-		}
-	}
-}
-
 // processGroup runs the inner loop of Algorithm 2 on one candidate set:
 // repeatedly pick a random root A, find the partner maximizing the
 // saving, and merge when the saving reaches the threshold. Returns the
@@ -193,11 +103,10 @@ func (sc *sweepCache) afterMerge(a, b, m int32, sweepA, sweepB *rootSweep) {
 // non-conflicting groups concurrently and still reproduce the serial
 // result exactly. When innerWorkers > 1, partner evaluations (pure
 // reads of the state) additionally run concurrently; the argmax
-// reduction scans results in index order with a strict comparison, so
+// reduction keeps the lowest-index maximum, like the serial scan, so
 // any worker count picks identical partners.
 func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *gctx, theta float64, hb int, innerWorkers int) int {
 	q := append(ctx.qBuf[:0], group...)
-	sc := newSweepCache(st, ctx)
 	merges := 0
 	for len(q) > 1 {
 		i := rng.Intn(len(q))
@@ -206,15 +115,14 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 		q = q[:len(q)-1]
 
 		mid := ids[merges] // the id a committed merge would take
-		sweepA := sc.get(a)
 		var best *mergeDecision
 		bestIdx := -1
 		if innerWorkers > 1 && len(q) >= 2*innerWorkers {
-			best, bestIdx = st.argmaxParallel(ctx, a, mid, q, sweepA, sc, theta, hb, innerWorkers)
+			best, bestIdx = st.argmaxParallel(ctx, a, mid, q, theta, hb, innerWorkers)
 		} else {
 			cutoff := theta
 			for j, z := range q {
-				dec := st.evaluateMerge(ctx, a, z, mid, sweepA, sc.get(z), hb, cutoff)
+				dec := st.evaluateMerge(ctx, a, z, mid, hb, cutoff)
 				if dec == nil {
 					continue
 				}
@@ -231,10 +139,7 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 			}
 		}
 		if best != nil && best.saving >= theta {
-			sweepB := sc.get(best.b)
-			bA, bB := best.a, best.b
 			st.commitMerge(ctx, best, mid)
-			sc.afterMerge(bA, bB, mid, sweepA, sweepB)
 			q[bestIdx] = mid
 			merges++
 		} else {
@@ -242,41 +147,40 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 		}
 	}
 	ctx.qBuf = q[:0]
-	sc.release()
 	return merges
 }
 
 // argmaxParallel evaluates all candidate partners concurrently.
 // Evaluations are pure reads of the summarization state; worker
-// goroutines borrow their own contexts from the state pool, build any
-// missing sweeps for their chunk, and share a monotone saving cutoff
-// through an atomic.
+// goroutines borrow their own contexts from the state pool and share a
+// monotone saving cutoff through an atomic. Each worker keeps only the
+// best decision of its chunk and recycles the losers into its own
+// context — the one they were drawn from — so no free-list grows with
+// the number of evaluations; the at most innerWorkers chunk bests are
+// then reduced, and the losers among them recycled, in the group's
+// context.
 //
 // The shared cutoff preserves determinism: a published cutoff is
 // strictly below the publishing candidate's saving (nextafter), and an
 // evaluation aborts only when its saving provably falls below the
 // cutoff — so every candidate achieving the maximum saving always
-// survives, and the index-ordered reduction picks the same partner as
-// a serial scan regardless of scheduling.
-func (st *state) argmaxParallel(ctx *gctx, a, mid int32, q []int32, sweepA *rootSweep, sc *sweepCache, theta float64, hb int, innerWorkers int) (*mergeDecision, int) {
-	sweeps, fresh, results := ctx.argmaxBufs(len(q))
-	for j, z := range q {
-		sweeps[j] = sc.m[z] // nil when not cached yet
+// survives. Chunks are contiguous and both levels of the reduction scan
+// in index order with a strict comparison, so the lowest-index maximum
+// wins, the same partner a serial scan picks regardless of scheduling.
+func (st *state) argmaxParallel(ctx *gctx, a, mid int32, q []int32, theta float64, hb int, innerWorkers int) (*mergeDecision, int) {
+	type chunkBest struct {
+		dec *mergeDecision
+		idx int
 	}
+	bests := make([]chunkBest, innerWorkers)
 	var cutoff atomic.Uint64
 	cutoff.Store(math.Float64bits(theta))
-	runChunks(innerWorkers, len(q), func(lo, hi int) {
+	runChunks(innerWorkers, len(q), func(k, lo, hi int) {
 		wctx := st.getCtx()
+		var best chunkBest
 		for j := lo; j < hi; j++ {
-			sw := sweeps[j]
-			if sw == nil {
-				sw = st.sweepInto(wctx, q[j])
-				sweeps[j] = sw
-				fresh[j] = true
-			}
 			cut := math.Float64frombits(cutoff.Load())
-			dec := st.evaluateMerge(wctx, a, q[j], mid, sweepA, sw, hb, cut)
-			results[j] = dec
+			dec := st.evaluateMerge(wctx, a, q[j], mid, hb, cut)
 			if dec == nil {
 				continue
 			}
@@ -288,26 +192,28 @@ func (st *state) argmaxParallel(ctx *gctx, a, mid int32, q []int32, sweepA *root
 					break
 				}
 			}
+			if best.dec == nil || dec.saving > best.dec.saving {
+				wctx.putDec(best.dec)
+				best = chunkBest{dec, j}
+			} else {
+				wctx.putDec(dec)
+			}
 		}
+		bests[k] = best
 		st.putCtx(wctx)
 	})
-	for j := range fresh {
-		if fresh[j] {
-			sc.m[q[j]] = sweeps[j]
-		}
-	}
 	var best *mergeDecision
 	bestIdx := -1
-	for j, dec := range results {
-		if dec == nil {
+	for _, cb := range bests {
+		if cb.dec == nil {
 			continue
 		}
-		if best == nil || dec.saving > best.saving {
+		if best == nil || cb.dec.saving > best.saving {
 			ctx.putDec(best)
-			best = dec
-			bestIdx = j
+			best = cb.dec
+			bestIdx = cb.idx
 		} else {
-			ctx.putDec(dec)
+			ctx.putDec(cb.dec)
 		}
 	}
 	return best, bestIdx

@@ -4,10 +4,13 @@ package core
 // saving of a candidate pair (Eq. (8)) by temporarily merging it, and
 // committing the best merge with the encoding update of Sect. III-B3.
 //
-// All transient objects of the evaluation inner loop (panel problems,
-// decisions, sweep results) are recycled through the caller's gctx, so
-// steady-state evaluations are allocation-free; commits allocate only
-// the long-lived encoding (exact-size edge lists and cross entries).
+// The panels' only graph-derived inputs, the per-atom subedge counts
+// of a root pair, are read off the pair's shared crossEntry; no step
+// here visits the graph. All transient objects of the evaluation inner
+// loop (panel problems, decisions) are recycled through the caller's
+// gctx, so steady-state evaluations are allocation-free; commits
+// allocate only the long-lived encoding (exact-size edge lists and
+// cross entries).
 
 // Within-encoding scenarios for Case 1.
 const (
@@ -38,7 +41,6 @@ type crossPlan struct {
 	plan     bipPlan
 	cost     int64
 	keepCost int64
-	gt       int64
 }
 
 // blockMin returns the cheapest achievable cost of one block over all
@@ -56,7 +58,7 @@ func blockMin(gt, total int64) int64 {
 // case2Bound computes, without building the problem, a lower bound on
 // any panel rewrite of the (A∪B, C) encoding: the sum of per-block
 // minima over the atoms of A, B and C.
-func (st *state) case2Bound(a, b, c int32, bcA, bcB *blockCounts) int64 {
+func (st *state) case2Bound(a, b, c int32, bcA, bcB blockCounts) int64 {
 	var lb, gtTotal int64
 	catoms := st.atomsOf(c)
 	nc := numAtoms(catoms)
@@ -69,10 +71,7 @@ func (st *state) case2Bound(a, b, c int32, bcA, bcB *blockCounts) int64 {
 		na := numAtoms(atoms)
 		for i := 0; i < na; i++ {
 			for j := 0; j < nc; j++ {
-				var gt int64
-				if bc != nil {
-					gt = bc.cnt[i][j]
-				}
+				gt := bc[i][j]
 				gtTotal += gt
 				lb += blockMin(gt, int64(st.size[atoms[i]])*int64(st.size[catoms[j]]))
 			}
@@ -86,16 +85,13 @@ func (st *state) case2Bound(a, b, c int32, bcA, bcB *blockCounts) int64 {
 }
 
 // case1Bound is the analogous bound for the cross(A,B) blocks.
-func (st *state) case1Bound(a, b int32, bc *blockCounts) int64 {
+func (st *state) case1Bound(a, b int32, bc blockCounts) int64 {
 	var lb, gtTotal int64
 	aAtoms := st.atomsOf(a)
 	bAtoms := st.atomsOf(b)
 	for i := 0; i < numAtoms(aAtoms); i++ {
 		for j := 0; j < numAtoms(bAtoms); j++ {
-			var gt int64
-			if bc != nil {
-				gt = bc.cnt[i][j]
-			}
+			gt := bc[i][j]
 			gtTotal += gt
 			lb += blockMin(gt, int64(st.size[aAtoms[i]])*int64(st.size[bAtoms[j]]))
 		}
@@ -144,25 +140,21 @@ func (st *state) fillRight(p *bipProblem, top int32) {
 }
 
 // fillCase1 builds the panel optimization for the cross(A,B) adjacency:
-// left tree (A, ch(A)), right tree (B, ch(B)). bc may be nil (no edges).
-func (st *state) fillCase1(p *bipProblem, a, b int32, bc *blockCounts, offset int8) {
+// left tree (A, ch(A)), right tree (B, ch(B)); bc holds the pair's block
+// counts with A's atoms as rows.
+func (st *state) fillCase1(p *bipProblem, a, b int32, bc blockCounts, offset int8) {
 	st.fillLeftSingle(p, a)
 	st.fillRight(p, b)
 	p.offset = offset
 	for i := 0; i < p.nAtoms; i++ {
-		for j := 0; j < p.nRight; j++ {
-			if bc != nil {
-				p.cnt[i][j] = bc.cnt[i][j]
-			} else {
-				p.cnt[i][j] = 0
-			}
-		}
+		p.cnt[i] = bc[i]
 	}
 }
 
 // fillCase2 builds the panel optimization for the adjacency between the
-// merged tree M = A∪B and root C's tree.
-func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB *blockCounts) {
+// merged tree M = A∪B and root C's tree; bcA and bcB hold the block
+// counts of (A,C) and (B,C) with A's and B's atoms as rows.
+func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB blockCounts) {
 	p.leftTop = mid
 	p.groups = [2]int32{-1, -1}
 	p.offset = 0
@@ -184,13 +176,7 @@ func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB *blockCou
 			p.groupOf[n] = grp
 			p.rowOK[n] = true
 			p.leftSizes[n] = int64(st.size[atoms[i]])
-			for j := 0; j < maxRight; j++ {
-				if bc != nil {
-					p.cnt[n][j] = bc.cnt[i][j]
-				} else {
-					p.cnt[n][j] = 0
-				}
-			}
+			p.cnt[n] = bc[i]
 			n++
 		}
 	}
@@ -201,10 +187,12 @@ func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB *blockCou
 // computeWithinPlan evaluates the three Case-1 scenarios and returns
 // the cheapest exact encoding of within(M). Panel problems come from
 // the context free-list; the losing scenario's problem is returned.
-func (st *state) computeWithinPlan(ctx *gctx, a, b int32, bc *blockCounts) withinPlan {
+// eAB is the (A,B) entry, nil when the two roots are not adjacent.
+func (st *state) computeWithinPlan(ctx *gctx, a, b int32, eAB *crossEntry) withinPlan {
 	wA := int64(len(st.within[a]))
 	wB := int64(len(st.within[b]))
-	keepCost := wA + wB + st.crossLen(a, b)
+	keepCost := wA + wB + eAB.numEdges()
+	bc := eAB.counts(a)
 	lb := st.case1Bound(a, b, bc)
 
 	var prob1 *bipProblem
@@ -268,21 +256,14 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, bc *blockCounts) withi
 }
 
 // computeCrossPlan evaluates keeping versus rewriting the encoding
-// between the merged tree and root C. The context's scratch problem
-// avoids allocation; it is copied into a pooled problem only when a
-// rewrite wins.
-func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEntry, bcA, bcB *blockCounts) crossPlan {
-	var keepCost, gt int64
-	if eA != nil {
-		keepCost += int64(len(eA.edges))
-		gt += eA.gt
-	}
-	if eB != nil {
-		keepCost += int64(len(eB.edges))
-		gt += eB.gt
-	}
+// between the merged tree and root C, given the (A,C) and (B,C) entries
+// (either may be nil). The context's scratch problem avoids allocation;
+// it is copied into a pooled problem only when a rewrite wins.
+func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEntry) crossPlan {
+	keepCost := eA.numEdges() + eB.numEdges()
+	bcA, bcB := eA.counts(a), eB.counts(b)
 	if st.case2Bound(a, b, c, bcA, bcB) >= keepCost {
-		return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost, gt: gt}
+		return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost}
 	}
 	scratch := &ctx.scratch
 	st.fillCase2(scratch, mid, a, b, c, bcA, bcB)
@@ -290,9 +271,9 @@ func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEn
 	if plan.cost < keepCost {
 		prob := ctx.getProb()
 		*prob = *scratch
-		return crossPlan{c: c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: keepCost, gt: gt}
+		return crossPlan{c: c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: keepCost}
 	}
-	return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost, gt: gt}
+	return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost}
 }
 
 // evaluateMerge evaluates merging roots a and b into the prospective
@@ -305,7 +286,7 @@ func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEn
 // minSaving — such a pair can neither win the argmax nor pass the
 // merging threshold. mid must equal the id the merge would be committed
 // under, since rewritten panels reference it.
-func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootSweep, hb int, minSaving float64) *mergeDecision {
+func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int, minSaving float64) *mergeDecision {
 	if hb > 0 {
 		h := st.height[a]
 		if st.height[b] > h {
@@ -315,7 +296,8 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootS
 			return nil
 		}
 	}
-	denom := st.rootCost(a) + st.rootCost(b) - st.crossLen(a, b)
+	eAB := st.nbrs[a][b]
+	denom := st.rootCost(a) + st.rootCost(b) - eAB.numEdges()
 	if denom <= 0 {
 		return nil
 	}
@@ -329,7 +311,7 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootS
 	numCutoff := int64((1-minSaving)*float64(denom)) + 1 + int64(float64(denom)*1e-12)
 	dec := ctx.getDec()
 	dec.a, dec.b = a, b
-	dec.within = st.computeWithinPlan(ctx, a, b, sweepA.get(b))
+	dec.within = st.computeWithinPlan(ctx, a, b, eAB)
 
 	num := st.hCost[a] + st.hCost[b] + 2 + dec.within.cost
 	if num > numCutoff {
@@ -337,7 +319,7 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, sweepA, sweepB *rootS
 		return nil
 	}
 	addCross := func(c int32, eA, eB *crossEntry) bool {
-		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB, sweepA.get(c), sweepB.get(c))
+		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB)
 		dec.crosses = append(dec.crosses, cp)
 		num += cp.cost
 		return num <= numCutoff
@@ -419,29 +401,28 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	w := exactEdges(buf)
 	ctx.edgeBuf = buf[:0]
 
-	// Materialize the cross entries before mutating locators.
+	// Materialize the cross entries before mutating locators. The block
+	// counts of (M,C) follow from those of (A,C) and (B,C).
 	newEntries := make([]*crossEntry, len(dec.crosses))
 	for i := range dec.crosses {
 		cp := &dec.crosses[i]
+		eA, eB := st.nbrs[a][cp.c], st.nbrs[b][cp.c]
 		buf = ctx.edgeBuf[:0]
 		if cp.keep {
-			if e, ok := st.nbrs[a][cp.c]; ok {
-				buf = append(buf, e.edges...)
+			if eA != nil {
+				buf = append(buf, eA.edges...)
 			}
-			if e, ok := st.nbrs[b][cp.c]; ok {
-				buf = append(buf, e.edges...)
+			if eB != nil {
+				buf = append(buf, eB.edges...)
 			}
 		} else {
 			buf = st.materializeBip(ctx, buf, cp.prob, &cp.plan)
 		}
-		newEntries[i] = &crossEntry{edges: exactEdges(buf), gt: cp.gt}
+		newEntries[i] = &crossEntry{edges: exactEdges(buf), row: m, blocks: mergedRows(eA.counts(a), eB.counts(b))}
 		ctx.edgeBuf = buf[:0]
 	}
 
-	var gtAB int64
-	if e, ok := st.nbrs[a][b]; ok {
-		gtAB = e.gt
-	}
+	gtAB := st.nbrs[a][b].counts(a).total()
 
 	// Allocate M at its reserved id.
 	st.parent[m] = -1
@@ -483,13 +464,8 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	st.pcost[m] = int64(len(w)) + crossTotal
 
 	// Update locators and hierarchy.
-	for _, v := range st.verts[a] {
+	for _, v := range vs {
 		st.rootOf[v] = m
-		st.topUnit[v] = a
-	}
-	for _, v := range st.verts[b] {
-		st.rootOf[v] = m
-		st.topUnit[v] = b
 	}
 	st.parent[a] = m
 	st.parent[b] = m
@@ -503,17 +479,13 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	return m
 }
 
-// tryMerge evaluates merging roots a and b with freshly-built sweeps
-// and commits when feasible, returning the new supernode id or -1.
-// Serial-phase helper used by tests and simple callers.
+// tryMerge evaluates merging roots a and b and commits when feasible,
+// returning the new supernode id or -1. Serial-phase helper of the
+// white-box tests.
 func (st *state) tryMerge(ctx *gctx, a, b int32, hb int, minSaving float64) int32 {
 	ids := st.reserveIDs(1)
 	mid := ids[0]
-	sweepA := st.sweepInto(ctx, a)
-	sweepB := st.sweepInto(ctx, b)
-	dec := st.evaluateMerge(ctx, a, b, mid, sweepA, sweepB, hb, minSaving)
-	ctx.putSweep(sweepA)
-	ctx.putSweep(sweepB)
+	dec := st.evaluateMerge(ctx, a, b, mid, hb, minSaving)
 	if dec == nil {
 		st.releaseIDs(ids)
 		return -1

@@ -111,48 +111,21 @@ func allocState(tb testing.TB) *state {
 	return st
 }
 
-// The seed implementation allocated ~19 objects per sweep (one pointer
-// per adjacent root plus map buckets). The arena-backed sweep must stay
-// allocation-free in steady state; allow a little slack for map-bucket
-// rehashing inside the recycled lookup tables.
-func TestSweepAllocationFree(t *testing.T) {
-	st := allocState(t)
-	ctx := st.getCtx()
-	roots := st.roots()
-	// Warm the free-lists.
-	for _, r := range roots {
-		ctx.putSweep(st.sweepInto(ctx, r))
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		ctx.putSweep(st.sweepInto(ctx, roots[i%len(roots)]))
-		i++
-	})
-	if avg > 1.0 {
-		t.Fatalf("sweep allocates %.2f objects per op, want <= 1", avg)
-	}
-	st.putCtx(ctx)
-}
-
 // evaluateMerge recycles decisions, panel problems and scratch through
 // the context, so steady-state partner evaluations allocate nothing.
 func TestEvaluateMergeAllocationFree(t *testing.T) {
 	st := allocState(t)
 	ctx := st.getCtx()
 	roots := st.roots()
-	sweeps := make([]*rootSweep, len(roots))
-	for i, r := range roots {
-		sweeps[i] = st.sweepInto(ctx, r)
-	}
 	mid := st.reserveIDs(1)[0]
 	// Warm the decision/problem free-lists.
 	for j := 0; j+1 < len(roots); j++ {
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
 		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
 		i++
 	})
 	if avg > 0.5 {
@@ -162,17 +135,25 @@ func TestEvaluateMergeAllocationFree(t *testing.T) {
 	st.putCtx(ctx)
 }
 
-// BenchmarkSweep measures the merge inner loop's sweep on a mid-run
-// state (the seed implementation: ~1.5us, 19 allocs/op).
-func BenchmarkSweep(b *testing.B) {
-	st := allocState(b)
+// The inner-parallel argmax must recycle every losing decision into the
+// context it was drawn from: the group context's free-lists may grow
+// with the number of pops (the chunk bests land there), never with the
+// number of evaluations.
+func TestInnerArgmaxRecyclesInOwningContext(t *testing.T) {
+	const innerWorkers = 2
+	st := newState(allocState(t).g, rand.New(rand.NewSource(1)))
+	group := st.roots()
+	ids := st.reserveIDs(len(group) - 1)
 	ctx := st.getCtx()
-	roots := st.roots()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx.putSweep(st.sweepInto(ctx, roots[i%len(roots)]))
+	merges := st.processGroup(group, rand.New(rand.NewSource(2)), ids, ctx, 0, 0, innerWorkers)
+	if merges == 0 {
+		t.Fatal("processGroup made no merges")
 	}
+	if got, max := len(ctx.decFree), innerWorkers*len(group); got > max {
+		t.Fatalf("group context retains %d decisions after %d pops of a %d-root group, want <= %d",
+			got, len(group)-1, len(group), max)
+	}
+	st.putCtx(ctx)
 }
 
 // BenchmarkEvaluateMerge measures one partner evaluation on a mid-run
@@ -182,15 +163,11 @@ func BenchmarkEvaluateMerge(b *testing.B) {
 	st := allocState(b)
 	ctx := st.getCtx()
 	roots := st.roots()
-	sweeps := make([]*rootSweep, len(roots))
-	for i, r := range roots {
-		sweeps[i] = st.sweepInto(ctx, r)
-	}
 	mid := st.reserveIDs(1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, sweeps[j], sweeps[j+1], 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
 	}
 }

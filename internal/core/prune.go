@@ -319,6 +319,8 @@ func (p *pruner) step3() bool {
 	}
 	replaced := make(map[uint64]*replacement)
 	changed := false
+	ctx := st.getCtx() // vertex marks for addMissingPairs
+	defer st.putCtx(ctx)
 	for k, bk := range buckets {
 		ra := int32(k >> 32)
 		rb := int32(uint32(k))
@@ -338,7 +340,7 @@ func (p *pruner) step3() bool {
 		replaced[k] = &replacement{ra: ra, rb: rb, superedge: superedge}
 		if superedge {
 			p.addNet(ra, rb, 1)
-			p.addMissingPairs(ra, rb)
+			p.addMissingPairs(ctx, ra, rb)
 		}
 		changed = true
 	}
@@ -365,16 +367,16 @@ func (p *pruner) step3() bool {
 }
 
 // addMissingPairs adds an n-edge for every non-adjacent vertex pair
-// between the trees of roots ra and rb.
-func (p *pruner) addMissingPairs(ra, rb int32) {
+// between the trees of roots ra and rb, using ctx's vertex marks.
+func (p *pruner) addMissingPairs(ctx *gctx, ra, rb int32) {
 	st := p.st
 	for _, u := range st.verts[ra] {
-		ep := st.nextEpoch()
+		ep := ctx.nextEpoch()
 		for _, w := range st.g.Neighbors(u) {
-			st.mark[w] = ep
+			ctx.mark[w] = ep
 		}
 		for _, w := range st.verts[rb] {
-			if st.mark[w] != ep {
+			if ctx.mark[w] != ep {
 				p.addNet(u, w, -1)
 			}
 		}

@@ -81,11 +81,12 @@ func TestStep2FlipsOppositeEdges(t *testing.T) {
 	ctx := st.getCtx()
 	m := st.reserveIDs(1)[0]
 	dec := &mergeDecision{a: 0, b: 1, within: withinPlan{scenario: withinKeep}}
-	dec.crosses = []crossPlan{{c: 2, keep: false, gt: 1,
+	dec.crosses = []crossPlan{{c: 2, keep: false,
 		prob: &bipProblem{}, plan: bipPlan{}}}
 	// Hand-build the cross entry instead of materializing the plan.
 	st.commitMerge(ctx, dec, m)
-	entry := &crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}}, gt: 1}
+	entry := &crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}},
+		row: m, blocks: blockCounts{{1, 0}, {0, 0}}}
 	st.nbrs[m][2] = entry
 	st.nbrs[2][m] = entry
 	pr := newPruner(st)
@@ -115,7 +116,7 @@ func TestStep3AdoptsFlatEncoding(t *testing.T) {
 	// Merge {0,1} but force the cross encoding to keep the two listed
 	// subnode edges.
 	dec := &mergeDecision{a: 0, b: 1, within: withinPlan{scenario: withinKeep}}
-	dec.crosses = []crossPlan{{c: 2, keep: true, keepCost: 2, gt: 2}}
+	dec.crosses = []crossPlan{{c: 2, keep: true, keepCost: 2}}
 	m := st.commitMerge(st.getCtx(), dec, st.reserveIDs(1)[0])
 	pr := newPruner(st)
 	if pr.totalPN != 2 {

@@ -13,8 +13,10 @@ import (
 )
 
 // runChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, blocking until all complete.
-func runChunks(workers, n int, fn func(lo, hi int)) {
+// runs fn on each concurrently, blocking until all complete. fn gets
+// the chunk's position k (chunks are numbered in index order) and its
+// half-open range.
+func runChunks(workers, n int, fn func(k, lo, hi int)) {
 	if n == 0 {
 		return
 	}
@@ -23,16 +25,16 @@ func runChunks(workers, n int, fn func(lo, hi int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
+	for k, lo := 0, 0; lo < n; k, lo = k+1, lo+chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(k, lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(k, lo, hi)
+		}(k, lo, hi)
 	}
 	wg.Wait()
 }
@@ -43,16 +45,65 @@ type sedge struct {
 	sign int8
 }
 
+// blockCounts is the 2x2 table of ground-truth subedge counts between
+// the atoms of two root trees: bc[i][j] counts the subedges between
+// atom i of the row root and atom j of the column root (see atomsOf).
+// The row and column of an absent second atom are zero.
+type blockCounts [2][2]int64
+
+// total returns the subedge count between the two trees.
+func (bc blockCounts) total() int64 {
+	return bc[0][0] + bc[0][1] + bc[1][0] + bc[1][1]
+}
+
+// mergedRows returns the block counts of the merged tree M = A∪B
+// towards a third root C, given those of A and of B towards C: the
+// atoms of M are A and B, so row 0 is A's rows summed and row 1 is B's.
+func mergedRows(bcA, bcB blockCounts) blockCounts {
+	return blockCounts{
+		{bcA[0][0] + bcA[1][0], bcA[0][1] + bcA[1][1]},
+		{bcB[0][0] + bcB[1][0], bcB[0][1] + bcB[1][1]},
+	}
+}
+
 // crossEntry holds, for one unordered pair of root supernodes, the
 // signed edges currently encoding the bipartite adjacency between the
-// two hierarchy trees, and the ground-truth subedge count between them.
+// two hierarchy trees, and the ground-truth subedge counts between
+// their atoms — the only graph-derived input of the Fig. 4 panels. The
+// atoms of a root never change while it is a root, so the counts stay
+// valid for the lifetime of the entry; a merge builds the new entries
+// of M from those of A and B (commitMerge) without revisiting the graph.
 //
 // Invariant: the edges of an entry always encode the bipartite
 // adjacency between the trees exactly, with per-subnode-pair net counts
 // in {0,1}.
 type crossEntry struct {
-	edges []sedge
-	gt    int64
+	edges  []sedge
+	row    int32       // the root of the pair whose atoms index the rows of blocks
+	blocks blockCounts // stored in one orientation; read through counts
+}
+
+// numEdges returns the number of signed edges currently encoding the
+// adjacency between the pair's trees (0 for a nil entry).
+func (e *crossEntry) numEdges() int64 {
+	if e == nil {
+		return 0
+	}
+	return int64(len(e.edges))
+}
+
+// counts returns the pair's block counts with the atoms of root x (one
+// of the entry's two roots) as rows. A nil entry — the roots are not
+// adjacent — has all-zero counts.
+func (e *crossEntry) counts(x int32) blockCounts {
+	switch {
+	case e == nil:
+		return blockCounts{}
+	case e.row == x:
+		return e.blocks
+	}
+	b := e.blocks
+	return blockCounts{{b[0][0], b[1][0]}, {b[0][1], b[1][1]}}
 }
 
 // unborn marks a supernode id that has been reserved for a candidate
@@ -81,10 +132,8 @@ type state struct {
 	height []int32    // height of the subtree rooted here
 	verts  [][]int32  // subnodes (leaves alias a shared backing array)
 
-	// Per-vertex locators.
-	rootOf  []int32 // current root supernode of each vertex
-	topUnit []int32 // child-of-root supernode containing each vertex
-	// (equals the vertex itself while its root is a leaf)
+	// Per-vertex locator.
+	rootOf []int32 // current root supernode of each vertex
 
 	// Encoding bookkeeping (valid at root ids only).
 	hCost  []int64                 // h-edges in the subtree (2 per merge)
@@ -104,11 +153,6 @@ type state struct {
 	// Striped locks serializing neighbor-map mutations on roots shared
 	// between concurrently-committing groups.
 	nbrMu [numStripes]sync.Mutex
-
-	// Epoch-stamped scratch marks over vertices, used by the serial
-	// phases (pruning). Group processing uses per-context marks.
-	mark  []int32
-	epoch int32
 }
 
 // stripe returns the mutex guarding cross-map mutations on root c.
@@ -128,7 +172,6 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		height:  make([]int32, n, cap),
 		verts:   make([][]int32, n, cap),
 		rootOf:  make([]int32, n),
-		topUnit: make([]int32, n),
 		hCost:   make([]int64, n, cap),
 		within:  make([][]sedge, n, cap),
 		pcost:   make([]int64, n, cap),
@@ -137,7 +180,6 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		next:    n,
 		rng:     rng,
 		workers: 1,
-		mark:    make([]int32, n),
 	}
 	leafIDs := make([]int32, n)
 	for v := int32(0); v < n; v++ {
@@ -147,12 +189,11 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		st.size[v] = 1
 		st.verts[v] = leafIDs[v : v+1]
 		st.rootOf[v] = v
-		st.topUnit[v] = v
 		st.nbrs[v] = make(map[int32]*crossEntry)
 	}
 	// Initialize G to G: one p-edge per subedge (Algorithm 1 lines 1-4).
 	g.ForEachEdge(func(u, v int32) {
-		e := &crossEntry{edges: []sedge{{a: u, b: v, sign: 1}}, gt: 1}
+		e := &crossEntry{edges: []sedge{{a: u, b: v, sign: 1}}, row: u, blocks: blockCounts{{1, 0}, {0, 0}}}
 		st.nbrs[u][v] = e
 		st.nbrs[v][u] = e
 		st.pcost[u]++
@@ -239,38 +280,9 @@ func numAtoms(a [2]int32) int {
 	return 2
 }
 
-// atomIndex maps a topUnit value to the 0/1 index within atomsOf(r).
-func atomIndex(atoms [2]int32, unit int32) int {
-	if unit == atoms[0] {
-		return 0
-	}
-	return 1
-}
-
-// nextEpoch advances the vertex mark epoch (serial phases only).
-func (st *state) nextEpoch() int32 {
-	st.epoch++
-	return st.epoch
-}
-
-// crossLen returns the number of signed edges currently encoding the
-// adjacency between root trees a and b (0 if not adjacent).
-func (st *state) crossLen(a, b int32) int64 {
-	if e, ok := st.nbrs[a][b]; ok {
-		return int64(len(e.edges))
-	}
-	return 0
-}
-
 // rootCost returns Cost_A(G) = Cost^H_A + Cost^P_A for root a (Eq. (6)).
 func (st *state) rootCost(a int32) int64 {
 	return st.hCost[a] + st.pcost[a]
-}
-
-// blockCounts accumulates subedge counts between the atoms of a swept
-// root and the atoms of each adjacent root.
-type blockCounts struct {
-	cnt [2][2]int64 // [sweptAtomIdx][targetAtomIdx]
 }
 
 // pairsWithin returns the number of unordered vertex pairs inside a

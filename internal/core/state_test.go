@@ -40,32 +40,69 @@ func mergeRandomPair(st *state, rng *rand.Rand) int32 {
 	return -1
 }
 
+// checkBlockCounts verifies the block counts of every root pair against
+// the graph: asked from either endpoint they must equal the brute-force
+// subedge count of every atom pair and sum to the brute-force count of
+// the root pair, and an entry must exist exactly for adjacent pairs.
+func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
+	t.Helper()
+	roots := st.roots()
+	for _, x := range roots {
+		xa := st.atomsOf(x)
+		for _, y := range roots {
+			if x == y {
+				continue
+			}
+			e := st.nbrs[x][y]
+			pair := bruteBlockCount(st, g, x, y)
+			if (e != nil) != (pair > 0) {
+				t.Fatalf("%s: entry (%d,%d) present=%v, but the pair has %d subedges", when, x, y, e != nil, pair)
+			}
+			bc := e.counts(x)
+			if bc.total() != pair {
+				t.Fatalf("%s: counts(%d) of (%d,%d) sum to %d, want %d", when, x, x, y, bc.total(), pair)
+			}
+			ya := st.atomsOf(y)
+			for i := 0; i < numAtoms(xa); i++ {
+				for j := 0; j < numAtoms(ya); j++ {
+					if want := bruteBlockCount(st, g, xa[i], ya[j]); bc[i][j] != want {
+						t.Fatalf("%s: counts(%d) of (%d,%d)[%d][%d] = %d, want %d", when, x, x, y, i, j, bc[i][j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The block counts stored on the cross entries replace the graph sweep:
+// they must match a brute-force count at the initial state and after
+// every merge.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	g := graph.ErdosRenyi(40, 160, 3)
 	rng := rand.New(rand.NewSource(1))
 	st := newState(g, rng)
-	for k := 0; k < 10; k++ {
-		mergeRandomPair(st, rng)
-	}
+	checkBlockCounts(t, st, g, "newState")
+	// mergeRandomPair's -1e18 cutoff overflows the numerator bound for
+	// all but the cheapest pairs, so most of its calls merge nothing;
+	// merge arbitrary pairs directly to get deep trees as well.
 	ctx := st.getCtx()
-	for _, x := range st.roots() {
-		sw := st.sweepInto(ctx, x)
-		xa := st.atomsOf(x)
-		sw.each(func(c int32, bc *blockCounts) {
-			ca := st.atomsOf(c)
-			for i := 0; i < numAtoms(xa); i++ {
-				for j := 0; j < numAtoms(ca); j++ {
-					want := bruteBlockCount(st, g, xa[i], ca[j])
-					if bc.cnt[i][j] != want {
-						t.Fatalf("sweep(%d)[%d].cnt[%d][%d] = %d, want %d",
-							x, c, i, j, bc.cnt[i][j], want)
-					}
-				}
-			}
-		})
-		ctx.putSweep(sw)
+	defer st.putCtx(ctx)
+	merged := 0
+	for k := 0; k < 30; k++ {
+		if mergeRandomPair(st, rng) >= 0 {
+			merged++
+		}
+		checkBlockCounts(t, st, g, "after mergeRandomPair")
+		roots := st.roots()
+		a, b := roots[rng.Intn(len(roots))], roots[rng.Intn(len(roots))]
+		if a != b && st.tryMerge(ctx, a, b, 0, -1e6) >= 0 {
+			merged++
+			checkBlockCounts(t, st, g, "after tryMerge")
+		}
 	}
-	st.putCtx(ctx)
+	if merged < 25 {
+		t.Fatalf("only %d merges happened", merged)
+	}
 }
 
 func TestSelfGTMatchesBruteForce(t *testing.T) {
@@ -113,15 +150,6 @@ func TestLocatorsAfterMerges(t *testing.T) {
 		if !found {
 			t.Fatalf("vertex %d not in verts of its root %d", v, r)
 		}
-		// topUnit must be v itself (leaf root) or a child of the root.
-		tu := st.topUnit[v]
-		if r == v {
-			if tu != v {
-				t.Fatalf("leaf root %d has topUnit %d", v, tu)
-			}
-		} else if st.parent[tu] != r {
-			t.Fatalf("topUnit[%d] = %d is not a child of root %d", v, tu, r)
-		}
 	}
 }
 
@@ -137,8 +165,8 @@ func TestCrossEntriesSymmetric(t *testing.T) {
 			if e2, ok := st.nbrs[c][r]; !ok || e2 != e {
 				t.Fatalf("entry (%d,%d) not shared symmetrically", r, c)
 			}
-			if e.gt <= 0 {
-				t.Fatalf("entry (%d,%d) has gt=%d", r, c, e.gt)
+			if gt := e.blocks.total(); gt <= 0 {
+				t.Fatalf("entry (%d,%d) has gt=%d", r, c, gt)
 			}
 		}
 	}
@@ -162,54 +190,24 @@ func TestRootCostDecomposition(t *testing.T) {
 	}
 }
 
+// The case the sweep cache used to cover: a whole candidate group
+// processed by processGroup, whose commits fold the counts of merged
+// roots into new entries many times over — on the serial path and on
+// the inner-parallel one.
 func TestSweepCacheAfterMergeConsistent(t *testing.T) {
-	g := graph.ErdosRenyi(40, 160, 17)
-	rng := rand.New(rand.NewSource(6))
-	st := newState(g, rng)
-	ctx := st.getCtx()
-	sc := newSweepCache(st, ctx)
-	roots := st.roots()
-	// Warm the cache for several roots.
-	for _, r := range roots[:10] {
-		sc.get(r)
-	}
-	// Merge two of them and verify every cached sweep equals a fresh one.
-	var dec *mergeDecision
-	var a, b, mid int32
-	for i := 0; i < len(roots)-1 && dec == nil; i++ {
-		a, b = roots[i], roots[i+1]
-		mid = st.reserveIDs(1)[0]
-		dec = st.evaluateMerge(ctx, a, b, mid, sc.get(a), sc.get(b), 0, -1e18)
-		if dec == nil {
-			st.releaseIDs([]int32{mid})
+	for _, innerWorkers := range []int{1, 2} {
+		g := graph.ErdosRenyi(40, 160, 17)
+		st := newState(g, rand.New(rand.NewSource(6)))
+		group := st.roots()
+		ids := st.reserveIDs(len(group) - 1)
+		ctx := st.getCtx()
+		merges := st.processGroup(group, rand.New(rand.NewSource(7)), ids, ctx, 0, 0, innerWorkers)
+		st.putCtx(ctx)
+		if merges < 5 {
+			t.Fatalf("innerWorkers %d: processGroup made only %d merges", innerWorkers, merges)
 		}
+		checkBlockCounts(t, st, g, "after processGroup")
 	}
-	if dec == nil {
-		t.Fatal("no feasible pair found")
-	}
-	sweepA, sweepB := sc.get(a), sc.get(b)
-	m := st.commitMerge(ctx, dec, mid)
-	sc.afterMerge(a, b, m, sweepA, sweepB)
-	fctx := st.getCtx()
-	for r, cached := range sc.m {
-		fresh := st.sweepInto(fctx, r)
-		if cached.size() != fresh.size() {
-			t.Fatalf("sweep(%d): cached %d targets, fresh %d", r, cached.size(), fresh.size())
-		}
-		fresh.each(func(c int32, bc *blockCounts) {
-			got := cached.get(c)
-			if got == nil {
-				t.Fatalf("sweep(%d): missing target %d", r, c)
-			}
-			if got.cnt != bc.cnt {
-				t.Fatalf("sweep(%d)[%d]: cached %v, fresh %v", r, c, got.cnt, bc.cnt)
-			}
-		})
-		fctx.putSweep(fresh)
-	}
-	st.putCtx(fctx)
-	sc.release()
-	st.putCtx(ctx)
 }
 
 func TestRootShinglesEqualNeighborhoodsMatch(t *testing.T) {
