@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -92,19 +93,27 @@ func (st *state) rootShingles(seed uint64) []uint64 {
 	return sh
 }
 
+// innerFloor is the smallest candidate queue, per inner worker, whose
+// partner scoring is split across goroutines. A scoring costs a few
+// hundred nanoseconds, so below it a goroutine's share is less work
+// than its start and join; the output does not depend on the value
+// (TestGroupPipelineDeterministicAcrossWorkerCounts).
+const innerFloor = 16
+
 // processGroup runs the inner loop of Algorithm 2 on one candidate set:
-// repeatedly pick a random root A, find the partner maximizing the
-// saving, and merge when the saving reaches the threshold. Returns the
+// repeatedly pick a random root A, score every other root of the set as
+// its partner, plan the merge with the partner maximizing the saving,
+// and commit it when the saving reaches the threshold. Returns the
 // number of merges performed.
 //
 // The group owns its RNG (seeded deterministically from the run seed
 // and the group's position) and a reserved block of supernode ids, so
 // its outcome depends only on its own territory — the scheduler can run
 // non-conflicting groups concurrently and still reproduce the serial
-// result exactly. When innerWorkers > 1, partner evaluations (pure
-// reads of the state) additionally run concurrently; the argmax
-// reduction keeps the lowest-index maximum, like the serial scan, so
-// any worker count picks identical partners.
+// result exactly. When innerWorkers > 1, partner scorings (pure reads
+// of the state and of the pop's lookup) additionally run concurrently;
+// the argmax reduction keeps the lowest-index maximum, like the serial
+// scan, so any worker count picks identical partners.
 func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *gctx, theta float64, hb int, innerWorkers int) int {
 	q := append(ctx.qBuf[:0], group...)
 	merges := 0
@@ -114,77 +123,67 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 		q[i] = q[len(q)-1]
 		q = q[:len(q)-1]
 
-		mid := ids[merges] // the id a committed merge would take
-		var best *mergeDecision
-		bestIdx := -1
-		if innerWorkers > 1 && len(q) >= 2*innerWorkers {
-			best, bestIdx = st.argmaxParallel(ctx, a, mid, q, theta, hb, innerWorkers)
+		pop := ctx.stampPop(a)
+		best := partner{idx: -1}
+		if innerWorkers > 1 && len(q) >= innerFloor*innerWorkers {
+			best = st.argmaxParallel(pop, q, theta, hb, innerWorkers)
 		} else {
 			cutoff := theta
 			for j, z := range q {
-				dec := st.evaluateMerge(ctx, a, z, mid, hb, cutoff)
-				if dec == nil {
-					continue
-				}
-				if best == nil || dec.saving > best.saving {
-					ctx.putDec(best)
-					best = dec
-					bestIdx = j
-					if dec.saving > cutoff {
-						cutoff = dec.saving
+				p, ok := st.scoreMerge(ctx, pop, z, hb, cutoff)
+				if ok && p.beats(best) {
+					p.idx = j
+					best = p
+					if p.saving > cutoff {
+						cutoff = p.saving
 					}
-				} else {
-					ctx.putDec(dec)
 				}
 			}
 		}
-		if best != nil && best.saving >= theta {
-			st.commitMerge(ctx, best, mid)
-			q[bestIdx] = mid
+		if best.idx >= 0 && best.saving >= theta {
+			mid := ids[merges]
+			dec := st.evaluateMerge(ctx, a, q[best.idx], mid, hb)
+			if dec == nil || dec.numerator != best.num {
+				panic(fmt.Sprintf("core: merge of roots %d and %d scored numerator %d, planned %+v", a, q[best.idx], best.num, dec))
+			}
+			st.commitMerge(ctx, dec, mid)
+			q[best.idx] = mid
 			merges++
-		} else {
-			ctx.putDec(best)
 		}
 	}
 	ctx.qBuf = q[:0]
 	return merges
 }
 
-// argmaxParallel evaluates all candidate partners concurrently.
-// Evaluations are pure reads of the summarization state; worker
-// goroutines borrow their own contexts from the state pool and share a
-// monotone saving cutoff through an atomic. Each worker keeps only the
-// best decision of its chunk and recycles the losers into its own
-// context — the one they were drawn from — so no free-list grows with
-// the number of evaluations; the at most innerWorkers chunk bests are
-// then reduced, and the losers among them recycled, in the group's
-// context.
+// argmaxParallel scores all candidate partners of the popped root
+// concurrently. Scorings are pure reads of the summarization state and
+// of pop; worker goroutines borrow their own contexts from the state
+// pool (for the within plan's scratch problems) and share a monotone
+// saving cutoff through an atomic.
 //
 // The shared cutoff preserves determinism: a published cutoff is
-// strictly below the publishing candidate's saving (nextafter), and an
-// evaluation aborts only when its saving provably falls below the
-// cutoff — so every candidate achieving the maximum saving always
-// survives. Chunks are contiguous and both levels of the reduction scan
-// in index order with a strict comparison, so the lowest-index maximum
-// wins, the same partner a serial scan picks regardless of scheduling.
-func (st *state) argmaxParallel(ctx *gctx, a, mid int32, q []int32, theta float64, hb int, innerWorkers int) (*mergeDecision, int) {
-	type chunkBest struct {
-		dec *mergeDecision
-		idx int
+// strictly below the publishing candidate's saving (nextafter), and a
+// scoring rejects only a saving that provably falls below the cutoff —
+// so every candidate achieving the maximum saving always survives.
+// Chunks are contiguous and both levels of the reduction scan in index
+// order with a strict comparison, so the lowest-index maximum wins, the
+// same partner a serial scan picks regardless of scheduling.
+func (st *state) argmaxParallel(pop *popInfo, q []int32, theta float64, hb int, innerWorkers int) partner {
+	bests := make([]partner, innerWorkers)
+	for k := range bests {
+		bests[k].idx = -1 // runChunks may start fewer chunks than workers
 	}
-	bests := make([]chunkBest, innerWorkers)
 	var cutoff atomic.Uint64
 	cutoff.Store(math.Float64bits(theta))
 	runChunks(innerWorkers, len(q), func(k, lo, hi int) {
 		wctx := st.getCtx()
-		var best chunkBest
+		best := partner{idx: -1}
 		for j := lo; j < hi; j++ {
-			cut := math.Float64frombits(cutoff.Load())
-			dec := st.evaluateMerge(wctx, a, q[j], mid, hb, cut)
-			if dec == nil {
+			p, ok := st.scoreMerge(wctx, pop, q[j], hb, math.Float64frombits(cutoff.Load()))
+			if !ok {
 				continue
 			}
-			pub := math.Float64bits(math.Nextafter(dec.saving, math.Inf(-1)))
+			pub := math.Float64bits(math.Nextafter(p.saving, math.Inf(-1)))
 			for {
 				old := cutoff.Load()
 				if math.Float64frombits(old) >= math.Float64frombits(pub) ||
@@ -192,29 +191,19 @@ func (st *state) argmaxParallel(ctx *gctx, a, mid int32, q []int32, theta float6
 					break
 				}
 			}
-			if best.dec == nil || dec.saving > best.dec.saving {
-				wctx.putDec(best.dec)
-				best = chunkBest{dec, j}
-			} else {
-				wctx.putDec(dec)
+			if p.beats(best) {
+				p.idx = j
+				best = p
 			}
 		}
 		bests[k] = best
 		st.putCtx(wctx)
 	})
-	var best *mergeDecision
-	bestIdx := -1
+	best := partner{idx: -1}
 	for _, cb := range bests {
-		if cb.dec == nil {
-			continue
-		}
-		if best == nil || cb.dec.saving > best.saving {
-			ctx.putDec(best)
-			best = cb.dec
-			bestIdx = cb.idx
-		} else {
-			ctx.putDec(cb.dec)
+		if cb.idx >= 0 && cb.beats(best) {
+			best = cb
 		}
 	}
-	return best, bestIdx
+	return best
 }

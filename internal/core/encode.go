@@ -26,6 +26,14 @@ package core
 // provably at least as good — the analogue of the paper's memoized
 // fast path. The "keep" candidate is always compared, so a rewrite
 // never increases the encoding cost.
+//
+// The same independence goes one step further in Case 2: given the
+// ambient vector, the rows of A and the rows of B do not interact, and
+// what each root's rows cost depends on its pair with C alone. That
+// part (sideCosts) is computed once per cross entry by the program's
+// own row step, and the cost of a panel — all that scoring a candidate
+// merge needs — is a minimum over at most four sums (panelCost);
+// solveBip runs only where the nets themselves are wanted.
 
 const inf = int64(1) << 50
 
@@ -62,7 +70,6 @@ type bipProblem struct {
 	// tab[i][j][s-tabMin] is the minimal cost of finishing block (i,j)
 	// when all coarser edges contribute net s; filled by finalize.
 	tab [maxAtoms][maxRight][tabLen]int64
-	lb  int64 // sum over blocks of the best achievable cost
 }
 
 // bipPlan records the chosen coarse nets; atom-level edges and subnode
@@ -89,21 +96,25 @@ func listCost(s int, gt, total int64) int64 {
 	}
 }
 
-// rawBlockCost computes the minimal cost of finishing one block given
-// the net contributed by all coarser edges, optimizing over the
-// atom-level edge in {-1,0,+1} and the subnode listing.
-func rawBlockCost(base int, gt, total int64) int64 {
-	best := inf
-	for a := -1; a <= 1; a++ {
-		c := int64(absInt(a)) + listCost(base+a, gt, total)
-		if c < best {
-			best = c
-		}
+// blockTable returns the minimal cost of finishing one block at every
+// ambient net tabMin..tabMax contributed by all coarser edges, optimized
+// over the atom-level edge a in {-1,0,+1} and the subnode listing — the
+// closed form of min over a of |a| + listCost(s+a): only nets in {0,1}
+// may be listed, so s = -1 and s = 2 force the atom edge and the
+// extremes are infeasible.
+func blockTable(gt, total int64) [tabLen]int64 {
+	return [tabLen]int64{
+		inf,                 // s = -2
+		1 + gt,              // s = -1: a = +1, list the subedges
+		min(gt, 1+total-gt), // s = 0: list, or a = +1 and carve
+		min(total-gt, 1+gt), // s = 1: carve, or a = -1 and list
+		1 + total - gt,      // s = 2: a = -1, carve the non-edges
+		inf,                 // s = 3
 	}
-	return best
 }
 
-// blockChoice returns the atom-level edge value realizing rawBlockCost.
+// blockChoice returns the atom-level edge value realizing blockTable's
+// cost at ambient net base (the lowest such value on ties).
 func blockChoice(base int, gt, total int64) int {
 	best, bestA := inf, 0
 	for a := -1; a <= 1; a++ {
@@ -123,22 +134,11 @@ func absInt(x int) int {
 	return x
 }
 
-// finalize fills the per-block cost tables and the lower bound.
+// finalize fills the per-block cost tables.
 func (p *bipProblem) finalize() {
-	p.lb = 0
 	for i := 0; i < p.nAtoms; i++ {
 		for j := 0; j < p.nRight; j++ {
-			gt := p.cnt[i][j]
-			total := p.leftSizes[i] * p.rightSizes[j]
-			blockMin := inf
-			for s := tabMin; s <= tabMax; s++ {
-				c := rawBlockCost(s, gt, total)
-				p.tab[i][j][s-tabMin] = c
-				if c < blockMin {
-					blockMin = c
-				}
-			}
-			p.lb += blockMin
+			p.tab[i][j] = blockTable(p.cnt[i][j], p.leftSizes[i]*p.rightSizes[j])
 		}
 	}
 }
@@ -151,38 +151,92 @@ func (p *bipProblem) block(i, j, s int) int64 {
 	return p.tab[i][j][s-tabMin]
 }
 
+// rowBest returns the optimal row net of atom i and its cost including
+// the atom's blocks, given the per-column nets of every coarser layer
+// (top, columns and the atom's group).
+func (p *bipProblem) rowBest(i int, tops *[maxRight]int) (int8, int64) {
+	bestRow, bestCost := int8(0), inf
+	lo, hi := -1, 1
+	if !p.rowOK[i] {
+		lo, hi = 0, 0
+	}
+	for r := lo; r <= hi; r++ {
+		c := int64(absInt(r))
+		for j := 0; j < p.nRight && c < inf; j++ {
+			c += p.block(i, j, tops[j]+r)
+		}
+		if c < bestCost {
+			bestCost = c
+			bestRow = int8(r)
+		}
+	}
+	return bestRow, bestCost
+}
+
+// groupBest chooses the net of group g jointly with the rows of its
+// atoms, given the per-column nets of top and columns. It returns the
+// group net and the cost of the group edge, its rows and their blocks,
+// and stores the chosen rows of the group's atoms in rows.
+func (p *bipProblem) groupBest(g int8, base *[maxRight]int, rows *[maxAtoms]int8) (int8, int64) {
+	bestG, bestCost := int8(0), inf
+	var trial [maxAtoms]int8
+	var tops [maxRight]int
+	for r := -1; r <= 1; r++ {
+		for j := 0; j < p.nRight; j++ {
+			tops[j] = base[j] + r
+		}
+		c := int64(absInt(r))
+		for i := 0; i < p.nAtoms && c < inf; i++ {
+			if p.groupOf[i] != g {
+				continue
+			}
+			row, rc := p.rowBest(i, &tops)
+			trial[i] = row
+			c += rc
+		}
+		if c < bestCost {
+			bestCost = c
+			bestG = int8(r)
+			for i := 0; i < p.nAtoms; i++ {
+				if p.groupOf[i] == g {
+					rows[i] = trial[i]
+				}
+			}
+		}
+	}
+	return bestG, bestCost
+}
+
+// sidesBest chooses, given the ambient net of every column (top plus
+// column edges), the group and row nets of all left atoms. It records
+// them in plan and returns their cost including the blocks. Given the
+// ambient nets, ungrouped atoms and groups are independent of each
+// other, which is what lets a cross entry store the result per root
+// (sideCosts) and a partner evaluation add two stored vectors.
+func (p *bipProblem) sidesBest(base *[maxRight]int, plan *bipPlan) int64 {
+	var total int64
+	for i := 0; i < p.nAtoms; i++ {
+		if p.groupOf[i] == -1 {
+			row, c := p.rowBest(i, base)
+			plan.rows[i] = row
+			total += c
+		}
+	}
+	for g := int8(0); g < 2; g++ {
+		if p.groups[g] != -1 {
+			gv, c := p.groupBest(g, base, &plan.rows)
+			plan.groupVals[g] = gv
+			total += c
+		}
+	}
+	return total
+}
+
 // solveBip finds a cost-minimal panel encoding for the problem.
 func solveBip(p *bipProblem) bipPlan {
-	// Fast path: a single right atom with no group structure makes the
-	// rows independent given the top net — the common case while most
-	// supernodes are still small.
-	if p.nRight == 1 && p.groups[0] == -1 && p.groups[1] == -1 {
-		return solveSmall(p)
-	}
 	p.finalize()
 	best := bipPlan{cost: inf}
 	q := p.nRight
-
-	// rowBest returns the optimal (row value, cost incl. blocks) for one
-	// atom given the per-column nets from top+cols+group.
-	rowBest := func(i int, tops *[maxRight]int) (int8, int64) {
-		bestRow, bestCost := int8(0), inf
-		lo, hi := -1, 1
-		if !p.rowOK[i] {
-			lo, hi = 0, 0
-		}
-		for r := lo; r <= hi; r++ {
-			c := int64(absInt(r))
-			for j := 0; j < q && c < inf; j++ {
-				c += p.block(i, j, tops[j]+r)
-			}
-			if c < bestCost {
-				bestCost = c
-				bestRow = int8(r)
-			}
-		}
-		return bestRow, bestCost
-	}
 
 	var cols [maxRight]int8
 	evaluate := func(t int) {
@@ -195,61 +249,10 @@ func solveBip(p *bipProblem) bipPlan {
 		if colCost >= best.cost {
 			return
 		}
-		total := colCost
 		var plan bipPlan
 		plan.top = int8(t)
 		plan.cols = cols
-		// Ungrouped atoms.
-		for i := 0; i < p.nAtoms; i++ {
-			if p.groupOf[i] != -1 {
-				continue
-			}
-			row, c := rowBest(i, &base)
-			plan.rows[i] = row
-			total += c
-			if total >= best.cost {
-				return
-			}
-		}
-		// Grouped atoms: choose each group's net jointly with its rows.
-		for g := 0; g < 2; g++ {
-			if p.groups[g] == -1 {
-				continue
-			}
-			bestG, bestGCost := int8(0), inf
-			var bestRows, rows [maxAtoms]int8
-			var tops [maxRight]int
-			for r := -1; r <= 1; r++ {
-				for j := 0; j < q; j++ {
-					tops[j] = base[j] + r
-				}
-				c := int64(absInt(r))
-				for i := 0; i < p.nAtoms && c < inf; i++ {
-					if p.groupOf[i] != int8(g) {
-						continue
-					}
-					row, rc := rowBest(i, &tops)
-					rows[i] = row
-					c += rc
-				}
-				if c < bestGCost {
-					bestGCost = c
-					bestG = int8(r)
-					bestRows = rows
-				}
-			}
-			plan.groupVals[g] = bestG
-			for i := 0; i < p.nAtoms; i++ {
-				if p.groupOf[i] == int8(g) {
-					plan.rows[i] = bestRows[i]
-				}
-			}
-			total += bestGCost
-			if total >= best.cost {
-				return
-			}
-		}
-		if total < best.cost {
+		if total := colCost + p.sidesBest(&base, &plan); total < best.cost {
 			plan.cost = total
 			best = plan
 		}
@@ -282,36 +285,62 @@ func solveBip(p *bipProblem) bipPlan {
 	return best
 }
 
-// solveSmall handles panels with one right atom and no left groups by
-// direct enumeration: for each top net the optimal row values decompose
-// per atom.
-func solveSmall(p *bipProblem) bipPlan {
-	best := bipPlan{cost: inf}
-	for t := -int(p.offset); t <= 1-int(p.offset); t++ {
-		var plan bipPlan
-		plan.top = int8(t)
-		total := int64(absInt(t))
-		for i := 0; i < p.nAtoms && total < inf; i++ {
-			gt := p.cnt[i][0]
-			sz := p.leftSizes[i] * p.rightSizes[0]
-			lo, hi := -1, 1
-			if !p.rowOK[i] {
-				lo, hi = 0, 0
-			}
-			bestRow, bestCost := int8(0), inf
-			for r := lo; r <= hi; r++ {
-				c := int64(absInt(r)) + rawBlockCost(int(p.offset)+t+r, gt, sz)
-				if c < bestCost {
-					bestCost = c
-					bestRow = int8(r)
+// sideVec holds, for each ambient vector over the right atoms of a
+// Case-2 panel (bit j of the index is the ambient net of right atom j),
+// the cost sidesBest finds for the atoms of one left root. The slots a
+// single right atom does not have hold inf.
+type sideVec [1 << maxRight]int64
+
+// ambientCost[v] is the cheapest top and column nets realizing ambient
+// vector v in a Case-2 panel (offset 0): nothing, one column edge, or —
+// for both columns — the top edge alone. With one right atom there is
+// no column slot and the two vectors cost the top edge's 0 and 1.
+var ambientCost = sideVec{0, 1, 1, 1}
+
+// sideCosts returns the side vector of the problem's left atoms.
+func (p *bipProblem) sideCosts() sideVec {
+	p.finalize()
+	out := sideVec{inf, inf, inf, inf}
+	var plan bipPlan
+	for v := 0; v < 1<<p.nRight; v++ {
+		base := [maxRight]int{v & 1, v >> 1}
+		out[v] = p.sidesBest(&base, &plan)
+	}
+	return out
+}
+
+// zeroSide[nl-1][nr-1] is the side vector of a left root with nl atoms
+// that has no subedge to a right root with nr atoms: what a partner not
+// adjacent to C contributes to the (M,C) panel. It holds for atoms of
+// any size: an empty block's table depends on its size only at ambient
+// net 2, which no cheapest choice of nets reaches
+// (TestPanelCostMatchesSolveBip).
+var zeroSide = func() (z [2][maxRight]sideVec) {
+	for nl := 1; nl <= 2; nl++ {
+		for nr := 1; nr <= maxRight; nr++ {
+			p := bipProblem{groups: [2]int32{-1, -1}, nAtoms: nl, nRight: nr, rightSizes: [maxRight]int64{1, 1}}
+			for i := 0; i < nl; i++ {
+				p.groupOf[i] = -1
+				if nl > 1 {
+					p.groups[0], p.groupOf[i] = 0, 0
 				}
+				p.rowOK[i] = true
+				p.leftSizes[i] = 1
 			}
-			plan.rows[i] = bestRow
-			total += bestCost
+			z[nl-1][nr-1] = p.sideCosts()
 		}
-		if total < best.cost {
-			plan.cost = total
-			best = plan
+	}
+	return z
+}()
+
+// panelCost returns the optimum of the Case-2 panel whose two left
+// roots have side vectors x and y towards the right root: solveBip's
+// cost for that problem, without building it.
+func panelCost(x, y *sideVec) int64 {
+	best := inf
+	for v, c := range ambientCost {
+		if c += x[v] + y[v]; c < best {
+			best = c
 		}
 	}
 	return best

@@ -145,8 +145,63 @@ func TestRawBlockCostTable(t *testing.T) {
 		{-1, 10, 10, 11}, // under-covered full: atom edge to 0, then list all 10
 	}
 	for _, c := range cases {
-		if got := rawBlockCost(c.base, c.gt, c.T); got != c.want {
-			t.Fatalf("rawBlockCost(%d, %d, %d) = %d, want %d", c.base, c.gt, c.T, got, c.want)
+		if got := blockTable(c.gt, c.T)[c.base-tabMin]; got != c.want {
+			t.Fatalf("blockTable(%d, %d)[%d] = %d, want %d", c.gt, c.T, c.base, got, c.want)
+		}
+	}
+}
+
+// The decomposition scoring rests on: for any Case-2 problem, the
+// cheapest ambient vector plus the side vectors of its two left roots,
+// each computed from that root's half of the problem alone, is
+// solveBip's optimum. A root without subedges to the right root
+// contributes zeroSide whatever the sizes of its atoms.
+func TestPanelCostMatchesSolveBip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		rightSizes := make([]int64, 1+rng.Intn(2))
+		for j := range rightSizes {
+			rightSizes[j] = 1 + rng.Int63n(5)
+		}
+		var leftSizes []int64
+		var groupOf []int8
+		var cnt [][]int64
+		var sides [2]sideVec
+		for s := int8(0); s < 2; s++ {
+			na := 1 + rng.Intn(2)
+			grp := int8(-1)
+			if na > 1 {
+				grp = s
+			}
+			empty := rng.Intn(4) == 0 // this root is not adjacent to the right root
+			lo := len(leftSizes)
+			for i := 0; i < na; i++ {
+				size := 1 + rng.Int63n(5)
+				if rng.Intn(8) == 0 {
+					size = 1000
+				}
+				row := make([]int64, len(rightSizes))
+				for j := range row {
+					switch total := size * rightSizes[j]; {
+					case empty || rng.Intn(3) == 0:
+					case rng.Intn(2) == 0:
+						row[j] = total
+					default:
+						row[j] = rng.Int63n(total + 1)
+					}
+				}
+				leftSizes, groupOf, cnt = append(leftSizes, size), append(groupOf, grp), append(cnt, row)
+			}
+			sides[s] = buildProblem(leftSizes[lo:], groupOf[lo:], rightSizes, cnt[lo:], 0).sideCosts()
+			if zero := zeroSide[na-1][len(rightSizes)-1]; empty && sides[s] != zero {
+				t.Fatalf("trial %d: side vector of an empty root with sizes %v x %v is %v, zeroSide says %v",
+					trial, leftSizes[lo:], rightSizes, sides[s], zero)
+			}
+		}
+		p := buildProblem(leftSizes, groupOf, rightSizes, cnt, 0)
+		if got, want := panelCost(&sides[0], &sides[1]), solveBip(p).cost; got != want {
+			t.Fatalf("trial %d: panelCost %d, solveBip %d for sizes %v x %v groups %v counts %v",
+				trial, got, want, leftSizes, rightSizes, groupOf, cnt)
 		}
 	}
 }
@@ -186,7 +241,7 @@ func TestMaterializeExactnessUnderRandomMerges(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if st.tryMerge(ctx, a, b, 0, -1e18) < 0 {
+			if st.tryMerge(ctx, a, b, 0) < 0 {
 				continue
 			}
 			pr := newPruner(st)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -36,6 +37,46 @@ func FuzzSummarizeLossless(f *testing.F) {
 		}
 		if sum.Cost() != stats.FinalCost {
 			t.Fatalf("stats cost mismatch")
+		}
+	})
+}
+
+// FuzzScoreMatchesPlan drives a state through a fuzz-chosen sequence of
+// merges on a fuzz-generated graph and asserts, for every ordered root
+// pair of the result, that scoreMerge and the planner agree
+// (checkScoreMatchesPlan) — optionally with every cross entry flattened
+// first, so that loose entries take part.
+func FuzzScoreMatchesPlan(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3}, []byte{0, 1, 2, 3}, uint8(0), false)                        // triangle + tail
+	f.Add([]byte{0, 4, 0, 5, 1, 4, 1, 5, 2, 4, 2, 5}, []byte{0, 1, 4, 5, 0, 2}, uint8(2), true)       // biclique, sides merged
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4}, []byte{0, 1, 2, 3, 0, 2}, uint8(0), true) // clique + pendant
+	f.Fuzz(func(t *testing.T, raw, merges []byte, hb uint8, flatten bool) {
+		if len(raw) > 200 || len(merges) > 64 {
+			return
+		}
+		b := graph.NewBuilder(0)
+		for i := 0; i+1 < len(raw); i += 2 {
+			b.AddEdge(int32(raw[i]%24), int32(raw[i+1]%24))
+		}
+		g := b.Build()
+		if g.NumNodes() < 2 {
+			return
+		}
+		st := newState(g, rand.New(rand.NewSource(1)))
+		ctx := st.getCtx()
+		defer st.putCtx(ctx)
+		for i := 0; i+1 < len(merges); i += 2 {
+			roots := st.roots()
+			x, y := roots[int(merges[i])%len(roots)], roots[int(merges[i+1])%len(roots)]
+			if x != y {
+				st.tryMerge(ctx, x, y, 0)
+			}
+		}
+		if flatten {
+			flattenCrossEntries(st, ctx)
+		}
+		for _, a := range st.roots() {
+			checkScoreMatchesPlan(t, st, ctx, a, int(hb%5))
 		}
 	})
 }

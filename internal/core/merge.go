@@ -1,16 +1,22 @@
 package core
 
-// This file implements the merging step (Algorithm 2): computing the
-// saving of a candidate pair (Eq. (8)) by temporarily merging it, and
-// committing the best merge with the encoding update of Sect. III-B3.
+import "math"
+
+// This file implements the merging step (Algorithm 2): scoring every
+// candidate partner of a popped root by the saving of Eq. (8), planning
+// the winner's temporary merge, and committing it with the encoding
+// update of Sect. III-B3.
 //
 // The panels' only graph-derived inputs, the per-atom subedge counts
 // of a root pair, are read off the pair's shared crossEntry; no step
-// here visits the graph. All transient objects of the evaluation inner
-// loop (panel problems, decisions) are recycled through the caller's
-// gctx, so steady-state evaluations are allocation-free; commits
-// allocate only the long-lived encoding (exact-size edge lists and
-// cross entries).
+// here visits the graph. Scoring a partner (scoreMerge) builds no
+// panel problem for the neighbours of the pair: what each neighbour's
+// re-encoding would save is a minimum over sums of two side vectors
+// stored on the cross entries. Only the winner is planned
+// (evaluateMerge), with the exact solves whose plans commitMerge
+// materializes. Transient objects (panel problems, decisions) are
+// recycled through the caller's gctx; commits allocate only the
+// long-lived encoding (exact-size edge lists and cross entries).
 
 // Within-encoding scenarios for Case 1.
 const (
@@ -151,37 +157,48 @@ func (st *state) fillCase1(p *bipProblem, a, b int32, bc blockCounts, offset int
 	}
 }
 
-// fillCase2 builds the panel optimization for the adjacency between the
-// merged tree M = A∪B and root C's tree; bcA and bcB hold the block
-// counts of (A,C) and (B,C) with A's and B's atoms as rows.
-func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB blockCounts) {
-	p.leftTop = mid
-	p.groups = [2]int32{-1, -1}
-	p.offset = 0
-	n := 0
-	for s, x := range [2]int32{a, b} {
-		atoms := st.atomsOf(x)
-		na := numAtoms(atoms)
-		grp := int8(-1)
-		if na > 1 {
-			p.groups[s] = x
-			grp = int8(s)
-		}
-		bc := bcA
-		if s == 1 {
-			bc = bcB
-		}
-		for i := 0; i < na; i++ {
-			p.atoms[n] = atoms[i]
-			p.groupOf[n] = grp
-			p.rowOK[n] = true
-			p.leftSizes[n] = int64(st.size[atoms[i]])
-			p.cnt[n] = bc[i]
-			n++
-		}
+// fillGroup appends the atoms of root x to the left side of a Case-2
+// problem as group s (a group proper only when x has two atoms); bc
+// holds the block counts of x towards the right root, x's atoms as rows.
+func (st *state) fillGroup(p *bipProblem, s int, x int32, bc blockCounts) {
+	atoms := st.atomsOf(x)
+	na := numAtoms(atoms)
+	grp := int8(-1)
+	if na > 1 {
+		p.groups[s] = x
+		grp = int8(s)
+	}
+	n := p.nAtoms
+	for i := 0; i < na; i++ {
+		p.atoms[n] = atoms[i]
+		p.groupOf[n] = grp
+		p.rowOK[n] = true
+		p.leftSizes[n] = int64(st.size[atoms[i]])
+		p.cnt[n] = bc[i]
+		n++
 	}
 	p.nAtoms = n
+}
+
+// fillSide builds the half of a Case-2 problem that root x contributes
+// when the right root is c, whoever x is merged with: enough for
+// sideCosts, not for a solve (there is no left top).
+func (st *state) fillSide(p *bipProblem, x, c int32, bc blockCounts) {
+	p.groups = [2]int32{-1, -1}
+	p.offset = 0
+	p.nAtoms = 0
+	st.fillGroup(p, 0, x, bc)
 	st.fillRight(p, c)
+}
+
+// fillCase2 builds the panel optimization for the adjacency between the
+// merged tree M = A∪B and root C's tree: A's half, B's group beside it,
+// and M on top. bcA and bcB hold the block counts of (A,C) and (B,C)
+// with A's and B's atoms as rows.
+func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB blockCounts) {
+	st.fillSide(p, a, c, bcA)
+	st.fillGroup(p, 1, b, bcB)
+	p.leftTop = mid
 }
 
 // computeWithinPlan evaluates the three Case-1 scenarios and returns
@@ -276,72 +293,136 @@ func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEn
 	return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost}
 }
 
-// evaluateMerge evaluates merging roots a and b into the prospective
-// supernode id mid, returning the full decision and its saving
-// (Eq. (8)), or nil when the merge is infeasible (zero denominator, or
-// it would exceed the height bound hb; hb <= 0 means unbounded — the
-// original SLUGGER). minSaving is a sound pruning cutoff: because the
-// numerator only grows as neighbor costs accumulate, the evaluation
-// aborts (returning nil) as soon as the saving provably falls below
-// minSaving — such a pair can neither win the argmax nor pass the
-// merging threshold. mid must equal the id the merge would be committed
-// under, since rewritten panels reference it.
-func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int, minSaving float64) *mergeDecision {
+// mergeDenom returns the Eq. (8) denominator of merging roots a and b,
+// whose entry is eAB (nil when they are not adjacent), and whether the
+// merge is feasible: the denominator is positive and the merged tree
+// respects the height bound hb (hb <= 0 means unbounded — the original
+// SLUGGER).
+func (st *state) mergeDenom(a, b int32, eAB *crossEntry, hb int) (int64, bool) {
 	if hb > 0 {
 		h := st.height[a]
 		if st.height[b] > h {
 			h = st.height[b]
 		}
 		if int(h)+1 > hb {
-			return nil
+			return 0, false
 		}
 	}
-	eAB := st.nbrs[a][b]
 	denom := st.rootCost(a) + st.rootCost(b) - eAB.numEdges()
-	if denom <= 0 {
-		return nil
+	return denom, denom > 0
+}
+
+// partner is one scored candidate of a pop: its position in the
+// candidate queue, the Eq. (8) numerator of merging it with the popped
+// root, and the saving.
+type partner struct {
+	idx    int // -1: none yet
+	num    int64
+	saving float64
+}
+
+// beats reports whether p replaces best in an index-ordered argmax scan:
+// there is no best yet, or p saves strictly more.
+func (p partner) beats(best partner) bool {
+	return best.idx < 0 || p.saving > best.saving
+}
+
+// scoreMerge computes the saving (Eq. (8)) of merging the popped root
+// pop.a with root b, without planning the merge. ok is false when the
+// merge is infeasible (mergeDenom) or its saving provably falls below
+// minSaving — such a pair can neither win the argmax nor pass the
+// merging threshold.
+//
+// The numerator is the h-edges of the merged tree, the cheapest
+// encoding of within(M), and for every root C adjacent to A or B the
+// cheaper of keeping the (A,C) and (B,C) edges and re-encoding them in
+// the (M,C) panel. Keeping everything costs what pcost already holds,
+// so only the neighbours whose panel beats keeping are visited: those
+// adjacent to both roots, and those adjacent to one whose entry is
+// loose — for the rest the panel cannot cost less than the edges kept.
+func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving float64) (p partner, ok bool) {
+	a := pop.a
+	eAB := pop.entry(b)
+	denom, ok := st.mergeDenom(a, b, eAB, hb)
+	if !ok {
+		return p, false
 	}
+	w := st.computeWithinPlan(ctx, a, b, eAB)
+	ctx.putProb(w.prob)
+	wA, wB, nAB := int64(len(st.within[a])), int64(len(st.within[b])), eAB.numEdges()
+	num := st.hCost[a] + st.hCost[b] + 2 + w.cost + (st.pcost[a] - wA - nAB) + (st.pcost[b] - wB - nAB)
+
+	// A neighbour's gain is what its panel saves over the edges kept.
+	nA, nB := numAtoms(st.atomsOf(a)), numAtoms(st.atomsOf(b))
+	for c, eB := range st.nbrs[b] {
+		if c == a {
+			continue
+		}
+		sB, loose := eB.side(b)
+		if eA := pop.entry(c); eA != nil {
+			sA, _ := eA.side(a)
+			num -= max(0, eA.numEdges()+eB.numEdges()-panelCost(sA, sB))
+		} else if loose {
+			num -= max(0, eB.numEdges()-panelCost(&zeroSide[nA-1][numAtoms(st.atomsOf(c))-1], sB))
+		}
+	}
+	for _, c := range pop.loose {
+		if _, common := st.nbrs[b][c]; common || c == b {
+			continue
+		}
+		eA := pop.entry(c)
+		sA, _ := eA.side(a)
+		num -= max(0, eA.numEdges()-panelCost(sA, &zeroSide[nB-1][numAtoms(st.atomsOf(c))-1]))
+	}
+
 	// numCutoff over-approximates the largest numerator still achieving
 	// minSaving. The slack must dominate the rounding error of the
 	// float64 product (~denom*2^-52), or a cutoff published by a
-	// concurrent float-tied evaluation could spuriously abort the true
-	// argmax on some schedules; a relative slack keeps the abort
+	// concurrent float-tied evaluation could spuriously reject the true
+	// argmax on some schedules; a relative slack keeps the rejection
 	// conservative at every magnitude, so ties always survive and the
-	// index-ordered reduction stays schedule-independent.
-	numCutoff := int64((1-minSaving)*float64(denom)) + 1 + int64(float64(denom)*1e-12)
+	// index-ordered reduction stays schedule-independent. A product
+	// int64 cannot represent (minSaving = -Inf: no cutoff) rejects
+	// nothing.
+	numCutoff := int64(math.MaxInt64)
+	if f := (1 - minSaving) * float64(denom); f < 1<<62 {
+		numCutoff = int64(f) + 1 + int64(float64(denom)*1e-12)
+	}
+	if num > numCutoff {
+		return p, false
+	}
+	return partner{num: num, saving: 1 - float64(num)/float64(denom)}, true
+}
+
+// evaluateMerge plans merging roots a and b into the prospective
+// supernode id mid: the full decision, whose numerator and saving are
+// those scoreMerge reports for the pair, or nil when the merge is
+// infeasible (mergeDenom). mid must equal the id the merge would be
+// committed under, since rewritten panels reference it.
+func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int) *mergeDecision {
+	eAB := st.nbrs[a][b]
+	denom, ok := st.mergeDenom(a, b, eAB, hb)
+	if !ok {
+		return nil
+	}
 	dec := ctx.getDec()
 	dec.a, dec.b = a, b
 	dec.within = st.computeWithinPlan(ctx, a, b, eAB)
 
 	num := st.hCost[a] + st.hCost[b] + 2 + dec.within.cost
-	if num > numCutoff {
-		ctx.putDec(dec)
-		return nil
-	}
-	addCross := func(c int32, eA, eB *crossEntry) bool {
+	addCross := func(c int32, eA, eB *crossEntry) {
 		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB)
 		dec.crosses = append(dec.crosses, cp)
 		num += cp.cost
-		return num <= numCutoff
 	}
 	for c, eA := range st.nbrs[a] {
 		if c != b {
-			if !addCross(c, eA, st.nbrs[b][c]) {
-				ctx.putDec(dec)
-				return nil
-			}
+			addCross(c, eA, st.nbrs[b][c])
 		}
 	}
 	for c, eB := range st.nbrs[b] {
-		if c == a {
-			continue
-		}
-		if _, dup := st.nbrs[a][c]; dup {
-			continue
-		}
-		if !addCross(c, nil, eB) {
-			ctx.putDec(dec)
-			return nil
+		if _, dup := st.nbrs[a][c]; !dup && c != a {
+			addCross(c, nil, eB)
 		}
 	}
 	dec.numerator = num
@@ -369,6 +450,22 @@ func exactEdges(buf []sedge) []sedge {
 // commit concurrently. The decision is consumed (recycled into ctx).
 func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	a, b := dec.a, dec.b
+
+	// Allocate M's tree at its reserved id: the entries built below read
+	// its atoms. Nothing reads M's root-only bookkeeping before it is set.
+	st.parent[m] = -1
+	st.child[m] = [2]int32{a, b}
+	st.size[m] = st.size[a] + st.size[b]
+	h := st.height[a]
+	if st.height[b] > h {
+		h = st.height[b]
+	}
+	st.height[m] = h + 1
+	vs := make([]int32, 0, st.size[a]+st.size[b])
+	vs = append(vs, st.verts[a]...)
+	vs = append(vs, st.verts[b]...)
+	st.verts[m] = vs
+	st.hCost[m] = st.hCost[a] + st.hCost[b] + 2
 
 	// Materialize within(M) in the context scratch, then copy exact.
 	buf := ctx.edgeBuf[:0]
@@ -402,7 +499,8 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	ctx.edgeBuf = buf[:0]
 
 	// Materialize the cross entries before mutating locators. The block
-	// counts of (M,C) follow from those of (A,C) and (B,C).
+	// counts of (M,C) follow from those of (A,C) and (B,C), and the side
+	// vectors from the counts.
 	newEntries := make([]*crossEntry, len(dec.crosses))
 	for i := range dec.crosses {
 		cp := &dec.crosses[i]
@@ -418,28 +516,12 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 		} else {
 			buf = st.materializeBip(ctx, buf, cp.prob, &cp.plan)
 		}
-		newEntries[i] = &crossEntry{edges: exactEdges(buf), row: m, blocks: mergedRows(eA.counts(a), eB.counts(b))}
+		newEntries[i] = st.newCrossEntry(&ctx.scratch, exactEdges(buf), m, cp.c, mergedRows(eA.counts(a), eB.counts(b)))
 		ctx.edgeBuf = buf[:0]
 	}
 
-	gtAB := st.nbrs[a][b].counts(a).total()
-
-	// Allocate M at its reserved id.
-	st.parent[m] = -1
-	st.child[m] = [2]int32{a, b}
-	st.size[m] = st.size[a] + st.size[b]
-	h := st.height[a]
-	if st.height[b] > h {
-		h = st.height[b]
-	}
-	st.height[m] = h + 1
-	vs := make([]int32, 0, st.size[a]+st.size[b])
-	vs = append(vs, st.verts[a]...)
-	vs = append(vs, st.verts[b]...)
-	st.verts[m] = vs
-	st.hCost[m] = st.hCost[a] + st.hCost[b] + 2
 	st.within[m] = w
-	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + gtAB
+	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + st.nbrs[a][b].counts(a).total()
 	st.nbrs[m] = make(map[int32]*crossEntry, len(dec.crosses))
 
 	// Swap in the new cross entries. The neighbor c may be shared with
@@ -482,10 +564,10 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 // tryMerge evaluates merging roots a and b and commits when feasible,
 // returning the new supernode id or -1. Serial-phase helper of the
 // white-box tests.
-func (st *state) tryMerge(ctx *gctx, a, b int32, hb int, minSaving float64) int32 {
+func (st *state) tryMerge(ctx *gctx, a, b int32, hb int) int32 {
 	ids := st.reserveIDs(1)
 	mid := ids[0]
-	dec := st.evaluateMerge(ctx, a, b, mid, hb, minSaving)
+	dec := st.evaluateMerge(ctx, a, b, mid, hb)
 	if dec == nil {
 		st.releaseIDs(ids)
 		return -1

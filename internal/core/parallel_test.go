@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/minhash"
 )
 
 // The parallel candidate-group pipeline must be bit-identical to the
@@ -97,7 +98,8 @@ func TestParallelNoRaces(t *testing.T) {
 	}
 }
 
-// allocState builds a mid-run merge state for the allocation tests.
+// allocState builds a mid-run merge state — at least 25 merges in — for
+// the allocation tests and TestScoreMatchesPlan.
 func allocState(tb testing.TB) *state {
 	g := graph.HierCommunity(graph.HierParams{
 		Levels: 2, Branching: 6, LeafSize: 8,
@@ -105,14 +107,20 @@ func allocState(tb testing.TB) *state {
 	}, 7)
 	rng := rand.New(rand.NewSource(1))
 	st := newState(g, rng)
+	merged := 0
 	for k := 0; k < 60; k++ {
-		mergeRandomPair(st, rng)
+		if mergeRandomPair(st, rng) >= 0 {
+			merged++
+		}
+	}
+	if merged < 25 {
+		tb.Fatalf("allocState made only %d merges", merged)
 	}
 	return st
 }
 
-// evaluateMerge recycles decisions, panel problems and scratch through
-// the context, so steady-state partner evaluations allocate nothing.
+// The planner recycles decisions, panel problems and scratch through
+// the context, so steady-state plans allocate nothing.
 func TestEvaluateMergeAllocationFree(t *testing.T) {
 	st := allocState(t)
 	ctx := st.getCtx()
@@ -120,12 +128,12 @@ func TestEvaluateMergeAllocationFree(t *testing.T) {
 	mid := st.reserveIDs(1)[0]
 	// Warm the decision/problem free-lists.
 	for j := 0; j+1 < len(roots); j++ {
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0))
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
 		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0))
 		i++
 	})
 	if avg > 0.5 {
@@ -133,6 +141,49 @@ func TestEvaluateMergeAllocationFree(t *testing.T) {
 	}
 	st.releaseIDs([]int32{mid})
 	st.putCtx(ctx)
+}
+
+// Scoring a partner builds no decision and no Case-2 problem; the only
+// transient it touches, the within plan's problem, is pooled.
+func TestScoreMergeAllocationFree(t *testing.T) {
+	st := allocState(t)
+	ctx := st.getCtx()
+	roots := st.roots()
+	pop := ctx.stampPop(roots[0])
+	for _, b := range roots[1:] {
+		st.scoreMerge(ctx, pop, b, 0, 0)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		st.scoreMerge(ctx, pop, roots[1+i%(len(roots)-1)], 0, 0)
+		i++
+	})
+	if avg > 0.5 {
+		t.Fatalf("scoreMerge allocates %.2f objects per op, want ~0", avg)
+	}
+	st.putCtx(ctx)
+}
+
+// A context reseeds one generator per group instead of allocating a
+// source: the stream must be the one a fresh source of the same seed
+// gives, whatever the generator drew before, and steady state
+// allocates nothing.
+func TestGroupRNGReseedMatchesFresh(t *testing.T) {
+	ctx := &gctx{}
+	for gi := 0; gi < 20; gi++ {
+		h := int64(minhash.Hash64(uint64(7)^0x5851F42D4C957F2D, uint64(3)<<32|uint64(gi)))
+		fresh := rand.New(rand.NewSource(h))
+		rng := ctx.groupRNG(7, 3, gi)
+		for k := 0; k <= gi; k++ { // a different number of draws per group
+			if got, want := rng.Intn(1000), fresh.Intn(1000); got != want {
+				t.Fatalf("group %d draw %d: reseeded generator gives %d, fresh one %d", gi, k, got, want)
+			}
+		}
+	}
+	gi := 0
+	if avg := testing.AllocsPerRun(50, func() { ctx.groupRNG(7, 3, gi); gi++ }); avg > 0 {
+		t.Fatalf("groupRNG allocates %.2f objects per group, want 0", avg)
+	}
 }
 
 // The inner-parallel argmax must recycle every losing decision into the
@@ -156,9 +207,8 @@ func TestInnerArgmaxRecyclesInOwningContext(t *testing.T) {
 	st.putCtx(ctx)
 }
 
-// BenchmarkEvaluateMerge measures one partner evaluation on a mid-run
-// state (the seed implementation: 1 alloc/op plus panel allocations on
-// the evaluation paths that built problems).
+// BenchmarkEvaluateMerge measures planning one merge on a mid-run state
+// (once per committed merge).
 func BenchmarkEvaluateMerge(b *testing.B) {
 	st := allocState(b)
 	ctx := st.getCtx()
@@ -168,6 +218,20 @@ func BenchmarkEvaluateMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % (len(roots) - 1)
-		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0, -1e18))
+		ctx.putDec(st.evaluateMerge(ctx, roots[j], roots[j+1], mid, 0))
+	}
+}
+
+// BenchmarkScoreMerge measures scoring one partner of a popped root on
+// the same state (once per candidate of every pop).
+func BenchmarkScoreMerge(b *testing.B) {
+	st := allocState(b)
+	ctx := st.getCtx()
+	roots := st.roots()
+	pop := ctx.stampPop(roots[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.scoreMerge(ctx, pop, roots[1+i%(len(roots)-1)], 0, 0)
 	}
 }

@@ -1,13 +1,16 @@
 package core
 
 // This file implements the per-worker scratch contexts and free-lists
-// that make the merge inner loop allocation-free in steady state. Every
-// goroutine that evaluates or commits merges owns a gctx; transient
-// objects (bipartite-panel problems, merge decisions, signed-edge
-// buffers) are recycled through the context instead of being
-// heap-allocated per evaluation. Contexts themselves are pooled on the
-// state via sync.Pool, so the cost of a fully-warmed context is paid
-// workers times per run, not once per evaluation.
+// that keep the merge inner loop allocation-free in steady state. Every
+// goroutine that scores, plans or commits merges owns a gctx. Scoring a
+// partner needs only the within plan's panel problem from it; planning
+// the winner additionally draws a decision and one problem per rewritten
+// neighbour panel, which live until the commit — all recycled through
+// the context instead of being heap-allocated per call. Contexts
+// themselves are pooled on the state via sync.Pool, so the cost of a
+// fully-warmed context is paid workers times per run.
+
+import "math/rand"
 
 // gctx is the per-goroutine execution context for group processing:
 // epoch-stamped vertex marks (each worker needs its own, since merge
@@ -21,7 +24,8 @@ type gctx struct {
 	mark  []int32
 	epoch int32
 
-	// Case-2 scratch problem reused across cross evaluations.
+	// Scratch problem of the planner's Case-2 solves and of the side
+	// vectors of the entries a commit builds.
 	scratch bipProblem
 
 	// Free-lists.
@@ -29,8 +33,57 @@ type gctx struct {
 	decFree  []*mergeDecision
 
 	// Reusable buffers.
-	edgeBuf []sedge // scratch for materializing signed-edge lists
-	qBuf    []int32 // processGroup's candidate queue
+	edgeBuf []sedge    // scratch for materializing signed-edge lists
+	qBuf    []int32    // processGroup's candidate queue
+	rng     *rand.Rand // the current group's generator (groupRNG)
+
+	// The popped root's view of its neighbours, stamped once per pop.
+	pop popInfo
+}
+
+// popInfo is what every partner evaluation of one pop shares about the
+// popped root A: a dense lookup of A's cross entries by neighbour id and
+// the neighbours whose entry is loose from A's side. The slots are
+// epoch-stamped, so a pop costs O(deg A) and nothing is reset. It is
+// written by stampPop only and read-only while partners are scored —
+// argmaxParallel's workers share the group context's.
+type popInfo struct {
+	a     int32
+	epoch int32
+	slots []popSlot // indexed by root id
+	loose []int32
+}
+
+type popSlot struct {
+	epoch int32
+	e     *crossEntry
+}
+
+// stampPop records root a's cross entries in the context's popInfo.
+func (ctx *gctx) stampPop(a int32) *popInfo {
+	pop := &ctx.pop
+	if n := len(ctx.st.nbrs); len(pop.slots) < n {
+		pop.slots = make([]popSlot, n)
+	}
+	pop.a = a
+	pop.epoch++
+	pop.loose = pop.loose[:0]
+	for c, e := range ctx.st.nbrs[a] {
+		pop.slots[c] = popSlot{pop.epoch, e}
+		if _, loose := e.side(a); loose {
+			pop.loose = append(pop.loose, c)
+		}
+	}
+	return pop
+}
+
+// entry returns the popped root's cross entry towards root c, nil when
+// they are not adjacent.
+func (pop *popInfo) entry(c int32) *crossEntry {
+	if s := &pop.slots[c]; s.epoch == pop.epoch {
+		return s.e
+	}
+	return nil
 }
 
 // nextEpoch advances this context's vertex-mark epoch.

@@ -44,7 +44,7 @@ func TestStep2PushesSingleEdgeDown(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int32{{0, 1}, {0, 2}})
 	st := newState(g, rand.New(rand.NewSource(1)))
 	ctx := st.getCtx()
-	m := st.tryMerge(ctx, 1, 2, 0, -1e18)
+	m := st.tryMerge(ctx, 1, 2, 0)
 	if m < 0 {
 		t.Fatal("merge evaluation failed")
 	}

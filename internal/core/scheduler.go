@@ -130,10 +130,19 @@ func buildWaves(conflicts [][]int32, k int) [][]int32 {
 	return waves
 }
 
-// groupRNG derives the deterministic RNG of one candidate group.
-func groupRNG(seed int64, iter, gi int) *rand.Rand {
-	h := minhash.Hash64(uint64(seed)^0x5851F42D4C957F2D, uint64(iter)<<32|uint64(gi))
-	return rand.New(rand.NewSource(int64(h)))
+// groupRNG returns the deterministic RNG of one candidate group: the
+// context's generator, reseeded. Seed leaves the source in the state
+// rand.NewSource gives it, so the group draws the stream a fresh
+// generator of its seed would, and a scale-free graph's thousands of
+// tiny groups do not allocate a 5 KB source each.
+func (ctx *gctx) groupRNG(seed int64, iter, gi int) *rand.Rand {
+	h := int64(minhash.Hash64(uint64(seed)^0x5851F42D4C957F2D, uint64(iter)<<32|uint64(gi)))
+	if ctx.rng == nil {
+		ctx.rng = rand.New(rand.NewSource(h))
+	} else {
+		ctx.rng.Seed(h)
+	}
+	return ctx.rng
 }
 
 // runIteration executes one merging iteration over the candidate
@@ -181,7 +190,7 @@ func (st *state) runIteration(ctx context.Context, groups [][]int32, iter int, s
 				st.putCtx(gc)
 				return tally(), err
 			}
-			mergesPer[gi] = st.processGroup(grp, groupRNG(seed, iter, gi), blocks[gi], gc, theta, hb, 1)
+			mergesPer[gi] = st.processGroup(grp, gc.groupRNG(seed, iter, gi), blocks[gi], gc, theta, hb, 1)
 		}
 		st.putCtx(gc)
 	} else {
@@ -203,7 +212,7 @@ func (st *state) runIteration(ctx context.Context, groups [][]int32, iter int, s
 					defer wg.Done()
 					defer func() { <-sem }()
 					gc := st.getCtx()
-					mergesPer[gi] = st.processGroup(groups[gi], groupRNG(seed, iter, int(gi)), blocks[gi], gc, theta, hb, inner)
+					mergesPer[gi] = st.processGroup(groups[gi], gc.groupRNG(seed, iter, int(gi)), blocks[gi], gc, theta, hb, inner)
 					st.putCtx(gc)
 				}(gi)
 			}

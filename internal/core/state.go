@@ -74,13 +74,46 @@ func mergedRows(bcA, bcB blockCounts) blockCounts {
 // valid for the lifetime of the entry; a merge builds the new entries
 // of M from those of A and B (commitMerge) without revisiting the graph.
 //
+// Everything a partner evaluation needs of the pair is derived from the
+// counts once, when the entry is built (newCrossEntry): per endpoint,
+// the side vector of its atoms in a Case-2 panel whose right root is
+// the other endpoint, and whether a merge of the endpoint with a partner
+// that is not adjacent to the other endpoint could still re-encode the
+// pair more cheaply than its current edges (loose). Index 0 of both is
+// the row root's, index 1 the other root's; read them through side.
+//
 // Invariant: the edges of an entry always encode the bipartite
 // adjacency between the trees exactly, with per-subnode-pair net counts
 // in {0,1}.
 type crossEntry struct {
 	edges  []sedge
-	row    int32       // the root of the pair whose atoms index the rows of blocks
 	blocks blockCounts // stored in one orientation; read through counts
+	sides  [2]sideVec
+	row    int32 // the root of the pair whose atoms index the rows of blocks
+	loose  [2]bool
+}
+
+// newCrossEntry builds the entry of the root pair (row, col) from its
+// edges and block counts (row's atoms as rows); p is scratch.
+func (st *state) newCrossEntry(p *bipProblem, edges []sedge, row, col int32, blocks blockCounts) *crossEntry {
+	e := &crossEntry{edges: edges, row: row, blocks: blocks}
+	for o, xy := range [2][2]int32{{row, col}, {col, row}} {
+		st.fillSide(p, xy[0], xy[1], e.counts(xy[0]))
+		e.sides[o] = p.sideCosts()
+		// The partner's rows cost at least nothing, so the panel of such a
+		// merge costs at least the cheapest ambient vector plus this side.
+		e.loose[o] = panelCost(&e.sides[o], &sideVec{}) < int64(len(edges))
+	}
+	return e
+}
+
+// side returns the side vector of root x (one of the entry's two roots)
+// towards the other root, and x's loose bit.
+func (e *crossEntry) side(x int32) (*sideVec, bool) {
+	if e.row == x {
+		return &e.sides[0], e.loose[0]
+	}
+	return &e.sides[1], e.loose[1]
 }
 
 // numEdges returns the number of signed edges currently encoding the
@@ -192,8 +225,9 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		st.nbrs[v] = make(map[int32]*crossEntry)
 	}
 	// Initialize G to G: one p-edge per subedge (Algorithm 1 lines 1-4).
+	var scratch bipProblem
 	g.ForEachEdge(func(u, v int32) {
-		e := &crossEntry{edges: []sedge{{a: u, b: v, sign: 1}}, row: u, blocks: blockCounts{{1, 0}, {0, 0}}}
+		e := st.newCrossEntry(&scratch, []sedge{{a: u, b: v, sign: 1}}, u, v, blockCounts{{1, 0}, {0, 0}})
 		st.nbrs[u][v] = e
 		st.nbrs[v][u] = e
 		st.pcost[u]++

@@ -33,20 +33,26 @@ func mergeRandomPair(st *state, rng *rand.Rand) int32 {
 		if a == b {
 			continue
 		}
-		if m := st.tryMerge(ctx, a, b, 0, -1e18); m >= 0 {
+		if m := st.tryMerge(ctx, a, b, 0); m >= 0 {
 			return m
 		}
 	}
 	return -1
 }
 
-// checkBlockCounts verifies the block counts of every root pair against
-// the graph: asked from either endpoint they must equal the brute-force
-// subedge count of every atom pair and sum to the brute-force count of
-// the root pair, and an entry must exist exactly for adjacent pairs.
+// checkBlockCounts verifies everything a cross entry stores about its
+// root pair. The block counts, asked from either endpoint, must equal
+// the brute-force subedge count of every atom pair and sum to the
+// brute-force count of the root pair, and an entry must exist exactly
+// for adjacent pairs. The side vectors and loose bits, asked from either
+// endpoint, must equal a recomputation from the counts. And for every
+// root pair (A, B) and every root C adjacent to A or B, panelCost over
+// the two stored (or zero-count) vectors must be the cost solveBip finds
+// for the (A∪B, C) panel.
 func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 	t.Helper()
 	roots := st.roots()
+	var p bipProblem
 	for _, x := range roots {
 		xa := st.atomsOf(x)
 		for _, y := range roots {
@@ -70,35 +76,55 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 					}
 				}
 			}
+			if e == nil {
+				continue
+			}
+			st.fillSide(&p, x, y, bc)
+			want := p.sideCosts()
+			wantLoose := panelCost(&want, &sideVec{}) < int64(len(e.edges))
+			if got, loose := e.side(x); *got != want || loose != wantLoose {
+				t.Fatalf("%s: side(%d) of (%d,%d) = %v loose %v, want %v loose %v", when, x, x, y, *got, loose, want, wantLoose)
+			}
+		}
+	}
+	// sideOf is what root x contributes to a panel whose right root is c.
+	sideOf := func(x, c int32) *sideVec {
+		if e := st.nbrs[x][c]; e != nil {
+			s, _ := e.side(x)
+			return s
+		}
+		return &zeroSide[numAtoms(st.atomsOf(x))-1][numAtoms(st.atomsOf(c))-1]
+	}
+	for i, a := range roots {
+		for _, b := range roots[i+1:] {
+			for _, c := range roots {
+				eA, eB := st.nbrs[a][c], st.nbrs[b][c]
+				if c == a || c == b || (eA == nil && eB == nil) {
+					continue
+				}
+				st.fillCase2(&p, -1, a, b, c, eA.counts(a), eB.counts(b))
+				if got, want := panelCost(sideOf(a, c), sideOf(b, c)), solveBip(&p).cost; got != want {
+					t.Fatalf("%s: panelCost of (%d∪%d, %d) = %d, solveBip finds %d", when, a, b, c, got, want)
+				}
+			}
 		}
 	}
 }
 
-// The block counts stored on the cross entries replace the graph sweep:
-// they must match a brute-force count at the initial state and after
+// What the cross entries store replaces the graph sweep: it must match a
+// brute-force count, and the solver, at the initial state and after
 // every merge.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	g := graph.ErdosRenyi(40, 160, 3)
 	rng := rand.New(rand.NewSource(1))
 	st := newState(g, rng)
 	checkBlockCounts(t, st, g, "newState")
-	// mergeRandomPair's -1e18 cutoff overflows the numerator bound for
-	// all but the cheapest pairs, so most of its calls merge nothing;
-	// merge arbitrary pairs directly to get deep trees as well.
-	ctx := st.getCtx()
-	defer st.putCtx(ctx)
 	merged := 0
 	for k := 0; k < 30; k++ {
 		if mergeRandomPair(st, rng) >= 0 {
 			merged++
 		}
 		checkBlockCounts(t, st, g, "after mergeRandomPair")
-		roots := st.roots()
-		a, b := roots[rng.Intn(len(roots))], roots[rng.Intn(len(roots))]
-		if a != b && st.tryMerge(ctx, a, b, 0, -1e6) >= 0 {
-			merged++
-			checkBlockCounts(t, st, g, "after tryMerge")
-		}
 	}
 	if merged < 25 {
 		t.Fatalf("only %d merges happened", merged)
