@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 
 	"repro/internal/minhash"
@@ -118,7 +118,7 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 	q := append(ctx.qBuf[:0], group...)
 	merges := 0
 	for len(q) > 1 {
-		i := rng.Intn(len(q))
+		i := rng.IntN(len(q))
 		a := q[i]
 		q[i] = q[len(q)-1]
 		q = q[:len(q)-1]

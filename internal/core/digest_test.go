@@ -12,6 +12,12 @@ import (
 // (graph, config) rows, at a serial and a parallel worker count. It is
 // the guard for refactors of the merge kernel: a change that claims to
 // keep the output identical must keep every digest here.
+//
+// Re-pinned once, by PR 20, on purpose: the per-group generator became a
+// PCG seeded with two words (groupRNG), so every candidate group draws a
+// different stream and every summary differs, by seed-to-seed noise in
+// size (CHANGES.md has the relative_size table). The same PR's move of
+// the root adjacency from maps to sorted lists did not move a digest.
 func TestArtifactDigestsPinned(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -30,26 +36,26 @@ func TestArtifactDigestsPinned(t *testing.T) {
 				}, 64)
 			},
 			cfg:  Config{T: 20, Seed: 1},
-			want: "e9394584fdeccd5c744811e92d8d1f3e16112d8dc25d11877bdf11c9c32fa3b6",
+			want: "3ed37565b94fc12cb5c53ab2cbbc12aeb77b948011fcf5b042dea23e7becb588",
 		},
 		{
 			name:  "ba5000x3",
 			large: true,
 			g:     func() *graph.Graph { return graph.BarabasiAlbert(5000, 3, 64) },
 			cfg:   Config{T: 20, Seed: 1},
-			want:  "18a316bdd544aaee1faa4a909e722ba786fcbdadde5c0436efd32f2da000d570",
+			want:  "010f636414fd224f283f86bbc375f7990714e3b3ddf94fd65181eb59bd911f24",
 		},
 		{
 			name: "er120x400",
 			g:    func() *graph.Graph { return graph.ErdosRenyi(120, 400, 7) },
 			cfg:  Config{T: 6, Seed: 11},
-			want: "42438cf5c8ae2d70113006b96315901d7b1e04f705d03f2e725a2b0491ba7768",
+			want: "ef0cd35c609b538745904c157b08312e60983d11bb14ccfa1a1e20643635b582",
 		},
 		{
 			name: "caveman8x10-hb3",
 			g:    func() *graph.Graph { return graph.Caveman(8, 10, 6, 9) },
 			cfg:  Config{T: 8, Seed: 13, Hb: 3},
-			want: "2b367a94e3e34948903b96ee46e4d6691c86ade8823f81d6b5536b426fce2ce0",
+			want: "28d6f0b6829cb983fdcb0d134ff759ad526c4fea03585cf8b27d766a8e613241",
 		},
 	}
 	for _, row := range rows {

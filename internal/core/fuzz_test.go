@@ -72,6 +72,7 @@ func FuzzScoreMatchesPlan(f *testing.F) {
 				st.tryMerge(ctx, x, y, 0)
 			}
 		}
+		checkAdjacency(t, st)
 		if flatten {
 			flattenCrossEntries(st, ctx)
 		}

@@ -354,7 +354,8 @@ func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving 
 
 	// A neighbour's gain is what its panel saves over the edges kept.
 	nA, nB := numAtoms(st.atomsOf(a)), numAtoms(st.atomsOf(b))
-	for c, eB := range st.nbrs[b] {
+	for _, nb := range st.nbrs[b] {
+		c, eB := nb.c, nb.e
 		if c == a {
 			continue
 		}
@@ -367,7 +368,7 @@ func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving 
 		}
 	}
 	for _, c := range pop.loose {
-		if _, common := st.nbrs[b][c]; common || c == b {
+		if _, common := st.find(b, c); common || c == b {
 			continue
 		}
 		eA := pop.entry(c)
@@ -398,9 +399,10 @@ func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving 
 // supernode id mid: the full decision, whose numerator and saving are
 // those scoreMerge reports for the pair, or nil when the merge is
 // infeasible (mergeDenom). mid must equal the id the merge would be
-// committed under, since rewritten panels reference it.
+// committed under, since rewritten panels reference it. The crosses of
+// the decision are ascending in c: a merge of the two neighbour lists.
 func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int) *mergeDecision {
-	eAB := st.nbrs[a][b]
+	eAB := st.entry(a, b)
 	denom, ok := st.mergeDenom(a, b, eAB, hb)
 	if !ok {
 		return nil
@@ -410,20 +412,30 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int) *mergeDecisio
 	dec.within = st.computeWithinPlan(ctx, a, b, eAB)
 
 	num := st.hCost[a] + st.hCost[b] + 2 + dec.within.cost
-	addCross := func(c int32, eA, eB *crossEntry) {
+	la, lb := st.nbrs[a], st.nbrs[b]
+	for i, j := 0, 0; i < len(la) || j < len(lb); {
+		c := int32(math.MaxInt32)
+		if i < len(la) {
+			c = la[i].c
+		}
+		if j < len(lb) && lb[j].c < c {
+			c = lb[j].c
+		}
+		var eA, eB *crossEntry
+		if i < len(la) && la[i].c == c {
+			eA = la[i].e
+			i++
+		}
+		if j < len(lb) && lb[j].c == c {
+			eB = lb[j].e
+			j++
+		}
+		if c == a || c == b {
+			continue
+		}
 		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB)
 		dec.crosses = append(dec.crosses, cp)
 		num += cp.cost
-	}
-	for c, eA := range st.nbrs[a] {
-		if c != b {
-			addCross(c, eA, st.nbrs[b][c])
-		}
-	}
-	for c, eB := range st.nbrs[b] {
-		if _, dup := st.nbrs[a][c]; !dup && c != a {
-			addCross(c, nil, eB)
-		}
 	}
 	dec.numerator = num
 	dec.saving = 1 - float64(num)/float64(denom)
@@ -445,7 +457,7 @@ func exactEdges(buf []sedge) []sedge {
 // must equal the mid the decision was evaluated with): it rewrites the
 // encoding per the evaluated plans and updates all bookkeeping. Must be
 // called with the decision-relevant state unchanged since evaluation.
-// Mutations of neighbor maps on roots outside the merged pair take the
+// Mutations of neighbor lists on roots outside the merged pair take the
 // per-root striped lock, so groups sharing an external neighbor can
 // commit concurrently. The decision is consumed (recycled into ctx).
 func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
@@ -473,7 +485,7 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	case withinKeep:
 		buf = append(buf, st.within[a]...)
 		buf = append(buf, st.within[b]...)
-		if e, ok := st.nbrs[a][b]; ok {
+		if e := st.entry(a, b); e != nil {
 			buf = append(buf, e.edges...)
 		}
 	case withinRewrite:
@@ -504,7 +516,7 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	newEntries := make([]*crossEntry, len(dec.crosses))
 	for i := range dec.crosses {
 		cp := &dec.crosses[i]
-		eA, eB := st.nbrs[a][cp.c], st.nbrs[b][cp.c]
+		eA, eB := st.entry(a, cp.c), st.entry(b, cp.c)
 		buf = ctx.edgeBuf[:0]
 		if cp.keep {
 			if eA != nil {
@@ -521,24 +533,25 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	}
 
 	st.within[m] = w
-	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + st.nbrs[a][b].counts(a).total()
-	st.nbrs[m] = make(map[int32]*crossEntry, len(dec.crosses))
+	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + st.entry(a, b).counts(a).total()
+	st.nbrs[m] = make([]nbr, len(dec.crosses))
 
 	// Swap in the new cross entries. The neighbor c may be shared with
-	// another concurrently-committing group; its map and pcost are
-	// guarded by the striped lock. st.nbrs[m] is group-owned.
+	// another concurrently-committing group; its list and pcost are
+	// guarded by the striped lock. st.nbrs[m] is group-owned, and the
+	// decision's crosses are in its order.
 	var crossTotal int64
 	for i := range dec.crosses {
 		cp := &dec.crosses[i]
 		c := cp.c
 		entry := newEntries[i]
-		st.nbrs[m][c] = entry
+		st.nbrs[m][i] = nbr{c, entry}
 		delta := int64(len(entry.edges)) - cp.keepCost
 		mu := st.stripe(c)
 		mu.Lock()
-		delete(st.nbrs[c], a)
-		delete(st.nbrs[c], b)
-		st.nbrs[c][m] = entry
+		st.del(c, a)
+		st.del(c, b)
+		st.set(c, m, entry)
 		st.pcost[c] += delta
 		mu.Unlock()
 		crossTotal += int64(len(entry.edges))
@@ -581,9 +594,9 @@ func (st *state) totalCost() int64 {
 	var total int64
 	for _, r := range st.roots() {
 		total += st.hCost[r] + int64(len(st.within[r]))
-		for c, e := range st.nbrs[r] {
-			if c > r {
-				total += int64(len(e.edges))
+		for _, nb := range st.nbrs[r] {
+			if nb.c > r {
+				total += int64(len(nb.e.edges))
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func checkScoreMatchesPlan(t *testing.T, st *state, ctx *gctx, a int32, hb int) 
 		if p.num != dec.numerator || math.Float64bits(p.saving) != math.Float64bits(dec.saving) {
 			t.Fatalf("pair (%d,%d) hb %d: scored %d / %v, planned %d / %v", a, b, hb, p.num, p.saving, dec.numerator, dec.saving)
 		}
-		denom := st.rootCost(a) + st.rootCost(b) - st.nbrs[a][b].numEdges()
+		denom := st.rootCost(a) + st.rootCost(b) - st.entry(a, b).numEdges()
 		for _, cut := range []float64{0, 0.25, 0.5, dec.saving, dec.saving + 1e-9} {
 			numCutoff := int64((1-cut)*float64(denom)) + 1 + int64(float64(denom)*1e-12)
 			if _, ok := st.scoreMerge(ctx, pop, b, hb, cut); ok != (dec.numerator <= numCutoff) {
@@ -53,14 +53,16 @@ func checkScoreMatchesPlan(t *testing.T, st *state, ctx *gctx, a int32, hb int) 
 func flattenCrossEntries(st *state, ctx *gctx) int {
 	loose := 0
 	for _, x := range st.roots() {
-		for y, e := range st.nbrs[x] {
+		for _, nb := range st.nbrs[x] {
+			y, e := nb.c, nb.e
 			if y < x {
 				continue
 			}
 			flat := exactEdges(st.appendBlockEdges(ctx, nil, x, y, 1))
 			d := int64(len(flat) - len(e.edges))
 			e = st.newCrossEntry(&ctx.scratch, flat, x, y, e.counts(x))
-			st.nbrs[x][y], st.nbrs[y][x] = e, e
+			st.set(x, y, e)
+			st.set(y, x, e)
 			st.pcost[x] += d
 			st.pcost[y] += d
 			for _, l := range e.loose {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"testing"
 
@@ -164,18 +165,17 @@ func TestScoreMergeAllocationFree(t *testing.T) {
 	st.putCtx(ctx)
 }
 
-// A context reseeds one generator per group instead of allocating a
-// source: the stream must be the one a fresh source of the same seed
-// gives, whatever the generator drew before, and steady state
-// allocates nothing.
+// A context reseeds one generator per group: the stream must be the one
+// a fresh PCG of the same two words gives, whatever the context drew
+// before, and a group allocates nothing.
 func TestGroupRNGReseedMatchesFresh(t *testing.T) {
-	ctx := &gctx{}
+	ctx := (&state{}).getCtx()
 	for gi := 0; gi < 20; gi++ {
-		h := int64(minhash.Hash64(uint64(7)^0x5851F42D4C957F2D, uint64(3)<<32|uint64(gi)))
-		fresh := rand.New(rand.NewSource(h))
+		pos := uint64(3)<<32 | uint64(gi)
+		fresh := randv2.New(randv2.NewPCG(minhash.Hash64(uint64(7)^0x5851F42D4C957F2D, pos), pos))
 		rng := ctx.groupRNG(7, 3, gi)
 		for k := 0; k <= gi; k++ { // a different number of draws per group
-			if got, want := rng.Intn(1000), fresh.Intn(1000); got != want {
+			if got, want := rng.IntN(1000), fresh.IntN(1000); got != want {
 				t.Fatalf("group %d draw %d: reseeded generator gives %d, fresh one %d", gi, k, got, want)
 			}
 		}
@@ -183,6 +183,39 @@ func TestGroupRNGReseedMatchesFresh(t *testing.T) {
 	gi := 0
 	if avg := testing.AllocsPerRun(50, func() { ctx.groupRNG(7, 3, gi); gi++ }); avg > 0 {
 		t.Fatalf("groupRNG allocates %.2f objects per group, want 0", avg)
+	}
+}
+
+// A group of two roots takes one draw and a group of three takes two:
+// the first draw after a reseed is the group's whole behaviour, so over
+// consecutive positions it must be uniform and not follow its
+// predecessor's.
+func TestGroupRNGFirstDrawUniform(t *testing.T) {
+	ctx := (&state{}).getCtx()
+	// The limits are the 99.99th percentiles of chi-square with n*n-1 = 3
+	// and 8 degrees of freedom.
+	for _, tc := range []struct {
+		n     int
+		limit float64
+	}{{2, 21.1}, {3, 31.8}} {
+		const draws = 4096
+		n := tc.n
+		counts := make([]float64, n*n) // (previous position's draw, this one's)
+		prev := 0
+		for k := 0; k <= draws; k++ {
+			d := ctx.groupRNG(1, 1+k/1024, k%1024).IntN(n)
+			if k > 0 {
+				counts[prev*n+d]++
+			}
+			prev = d
+		}
+		chi2, expect := 0.0, float64(draws)/float64(n*n)
+		for _, c := range counts {
+			chi2 += (c - expect) * (c - expect) / expect
+		}
+		if chi2 > tc.limit {
+			t.Fatalf("IntN(%d) first draws over %d consecutive groups: chi-square %.1f over pairs %v, limit %.1f", n, draws, chi2, counts, tc.limit)
+		}
 	}
 }
 
@@ -196,7 +229,7 @@ func TestInnerArgmaxRecyclesInOwningContext(t *testing.T) {
 	group := st.roots()
 	ids := st.reserveIDs(len(group) - 1)
 	ctx := st.getCtx()
-	merges := st.processGroup(group, rand.New(rand.NewSource(2)), ids, ctx, 0, 0, innerWorkers)
+	merges := st.processGroup(group, ctx.groupRNG(2, 0, 0), ids, ctx, 0, 0, innerWorkers)
 	if merges == 0 {
 		t.Fatal("processGroup made no merges")
 	}

@@ -10,7 +10,7 @@ package core
 // themselves are pooled on the state via sync.Pool, so the cost of a
 // fully-warmed context is paid workers times per run.
 
-import "math/rand"
+import "math/rand/v2"
 
 // gctx is the per-goroutine execution context for group processing:
 // epoch-stamped vertex marks (each worker needs its own, since merge
@@ -33,9 +33,13 @@ type gctx struct {
 	decFree  []*mergeDecision
 
 	// Reusable buffers.
-	edgeBuf []sedge    // scratch for materializing signed-edge lists
-	qBuf    []int32    // processGroup's candidate queue
-	rng     *rand.Rand // the current group's generator (groupRNG)
+	edgeBuf []sedge // scratch for materializing signed-edge lists
+	qBuf    []int32 // processGroup's candidate queue
+
+	// The current group's generator: rng draws from pcg, which groupRNG
+	// reseeds in place.
+	pcg rand.PCG
+	rng *rand.Rand
 
 	// The popped root's view of its neighbours, stamped once per pop.
 	pop popInfo
@@ -68,10 +72,10 @@ func (ctx *gctx) stampPop(a int32) *popInfo {
 	pop.a = a
 	pop.epoch++
 	pop.loose = pop.loose[:0]
-	for c, e := range ctx.st.nbrs[a] {
-		pop.slots[c] = popSlot{pop.epoch, e}
-		if _, loose := e.side(a); loose {
-			pop.loose = append(pop.loose, c)
+	for _, nb := range ctx.st.nbrs[a] {
+		pop.slots[nb.c] = popSlot{pop.epoch, nb.e}
+		if _, loose := nb.e.side(a); loose {
+			pop.loose = append(pop.loose, nb.c)
 		}
 	}
 	return pop
@@ -146,7 +150,9 @@ func (st *state) getCtx() *gctx {
 	if v := st.ctxPool.Get(); v != nil {
 		return v.(*gctx)
 	}
-	return &gctx{st: st, mark: make([]int32, st.n)}
+	ctx := &gctx{st: st, mark: make([]int32, st.n)}
+	ctx.rng = rand.New(&ctx.pcg)
+	return ctx
 }
 
 func (st *state) putCtx(ctx *gctx) {

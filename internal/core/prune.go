@@ -60,11 +60,11 @@ func newPruner(st *state) *pruner {
 		for _, e := range st.within[r] {
 			p.addNet(e.a, e.b, int32(e.sign))
 		}
-		for c, entry := range st.nbrs[r] {
-			if c > r {
+		for _, nb := range st.nbrs[r] {
+			if nb.c > r {
 				continue // each entry shared by both endpoints; add once
 			}
-			for _, e := range entry.edges {
+			for _, e := range nb.e.edges {
 				p.addNet(e.a, e.b, int32(e.sign))
 			}
 		}

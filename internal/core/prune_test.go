@@ -87,8 +87,8 @@ func TestStep2FlipsOppositeEdges(t *testing.T) {
 	st.commitMerge(ctx, dec, m)
 	entry := &crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}},
 		row: m, blocks: blockCounts{{1, 0}, {0, 0}}}
-	st.nbrs[m][2] = entry
-	st.nbrs[2][m] = entry
+	st.set(m, 2, entry)
+	st.set(2, m, entry)
 	pr := newPruner(st)
 	// Sanity: pre-prune model is exact.
 	if err := pr.emit().Validate(g); err != nil {

@@ -19,14 +19,14 @@ package core
 //   - the wave partition defers a group that conflicts with ANY
 //     not-yet-scheduled earlier group, preserving the original relative
 //     order of every conflicting pair.
-// Mutations that non-conflicting groups share — neighbor maps and
+// Mutations that non-conflicting groups share — the neighbor list and
 // pcost of a root adjacent to two groups — are commutative (disjoint
-// map keys, additive counters) and serialized by the state's striped
-// locks.
+// list elements in a sorted list, additive counters) and serialized by
+// the state's striped locks.
 
 import (
 	"context"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"repro/internal/minhash"
@@ -53,8 +53,8 @@ func (st *state) groupConflicts(groups [][]int32) [][]int32 {
 	conflicts := make([][]int32, len(groups))
 	for gi, grp := range groups {
 		for _, r := range grp {
-			for c := range st.nbrs[r] {
-				gj := groupOf[c]
+			for _, nb := range st.nbrs[r] {
+				gj := groupOf[nb.c]
 				if gj < 0 || gj == int32(gi) || seen[gj] == int32(gi) {
 					continue
 				}
@@ -131,17 +131,14 @@ func buildWaves(conflicts [][]int32, k int) [][]int32 {
 }
 
 // groupRNG returns the deterministic RNG of one candidate group: the
-// context's generator, reseeded. Seed leaves the source in the state
-// rand.NewSource gives it, so the group draws the stream a fresh
-// generator of its seed would, and a scale-free graph's thousands of
-// tiny groups do not allocate a 5 KB source each.
+// context's generator, reseeded with two words — constant time, where a
+// scale-free graph has thousands of groups of two or three roots an
+// iteration. The group's position is hashed into the first word because
+// most groups take a single draw, and the first draws of adjacent
+// positions must not correlate.
 func (ctx *gctx) groupRNG(seed int64, iter, gi int) *rand.Rand {
-	h := int64(minhash.Hash64(uint64(seed)^0x5851F42D4C957F2D, uint64(iter)<<32|uint64(gi)))
-	if ctx.rng == nil {
-		ctx.rng = rand.New(rand.NewSource(h))
-	} else {
-		ctx.rng.Seed(h)
-	}
+	pos := uint64(iter)<<32 | uint64(gi)
+	ctx.pcg.Seed(minhash.Hash64(uint64(seed)^0x5851F42D4C957F2D, pos), pos)
 	return ctx.rng
 }
 

@@ -240,15 +240,6 @@ func TestBookkeepingConsistency(t *testing.T) {
 	st := newState(g, rng)
 	for t2 := 1; t2 <= 5; t2++ {
 		st.runIteration(context.Background(), st.generateCandidates(t2, 100, 5, 5), t2, 5, Threshold(t2, 5), 0)
-		// pcost must match the actual edge lists.
-		for _, r := range st.roots() {
-			want := int64(len(st.within[r]))
-			for _, e := range st.nbrs[r] {
-				want += int64(len(e.edges))
-			}
-			if st.pcost[r] != want {
-				t.Fatalf("iter %d: pcost[%d] = %d, want %d", t2, r, st.pcost[r], want)
-			}
-		}
+		checkAdjacency(t, st) // pcost must match the actual edge lists
 	}
 }

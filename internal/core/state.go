@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -146,7 +147,7 @@ func (e *crossEntry) counts(x int32) blockCounts {
 const unborn = int32(-2)
 
 // numStripes is the size of the striped mutex table protecting
-// neighbor-map mutations on roots outside the committing group. Powers
+// neighbor-list mutations on roots outside the committing group. Powers
 // of two keep the stripe computation a mask.
 const numStripes = 64
 
@@ -169,11 +170,11 @@ type state struct {
 	rootOf []int32 // current root supernode of each vertex
 
 	// Encoding bookkeeping (valid at root ids only).
-	hCost  []int64                 // h-edges in the subtree (2 per merge)
-	within [][]sedge               // edges with both endpoints inside the tree
-	pcost  []int64                 // len(within) + sum of incident cross entries
-	selfGT []int64                 // ground-truth subedge count within the tree
-	nbrs   []map[int32]*crossEntry // adjacent root -> shared entry
+	hCost  []int64   // h-edges in the subtree (2 per merge)
+	within [][]sedge // edges with both endpoints inside the tree
+	pcost  []int64   // len(within) + sum of incident cross entries
+	selfGT []int64   // ground-truth subedge count within the tree
+	nbrs   [][]nbr   // adjacent roots and the shared entries, ascending by root id
 
 	next    int32   // id high-water mark
 	free    []int32 // recycled reserved-but-unused ids
@@ -183,12 +184,12 @@ type state struct {
 	// Per-goroutine scratch contexts (see pool.go).
 	ctxPool sync.Pool
 
-	// Striped locks serializing neighbor-map mutations on roots shared
+	// Striped locks serializing neighbor-list mutations on roots shared
 	// between concurrently-committing groups.
 	nbrMu [numStripes]sync.Mutex
 }
 
-// stripe returns the mutex guarding cross-map mutations on root c.
+// stripe returns the mutex guarding neighbor-list mutations on root c.
 func (st *state) stripe(c int32) *sync.Mutex {
 	return &st.nbrMu[uint32(c)&(numStripes-1)]
 }
@@ -209,7 +210,7 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		within:  make([][]sedge, n, cap),
 		pcost:   make([]int64, n, cap),
 		selfGT:  make([]int64, n, cap),
-		nbrs:    make([]map[int32]*crossEntry, n, cap),
+		nbrs:    make([][]nbr, n, cap),
 		next:    n,
 		rng:     rng,
 		workers: 1,
@@ -222,18 +223,74 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		st.size[v] = 1
 		st.verts[v] = leafIDs[v : v+1]
 		st.rootOf[v] = v
-		st.nbrs[v] = make(map[int32]*crossEntry)
 	}
 	// Initialize G to G: one p-edge per subedge (Algorithm 1 lines 1-4).
+	// A vertex's list is its adjacency, which the graph keeps ascending;
+	// the lists of old roots only ever shrink (a commit swaps two
+	// neighbours for one), so one exact-size backing array serves them all.
+	backing := make([]nbr, 2*g.NumEdges())
+	for v := int32(0); v < n; v++ {
+		deg := g.Degree(v)
+		st.nbrs[v], backing = backing[:0:deg], backing[deg:]
+	}
 	var scratch bipProblem
 	g.ForEachEdge(func(u, v int32) {
 		e := st.newCrossEntry(&scratch, []sedge{{a: u, b: v, sign: 1}}, u, v, blockCounts{{1, 0}, {0, 0}})
-		st.nbrs[u][v] = e
-		st.nbrs[v][u] = e
+		st.set(u, v, e)
+		st.set(v, u, e)
 		st.pcost[u]++
 		st.pcost[v]++
 	})
 	return st
+}
+
+// nbr is one element of a root's neighbour list: an adjacent root and
+// the entry the two share.
+type nbr struct {
+	c int32
+	e *crossEntry
+}
+
+// find returns the position of root c in root r's neighbour list — where
+// it is, or where it would be inserted — and whether it is there. Written
+// out because it takes a third of slices.BinarySearchFunc's time.
+func (st *state) find(r, c int32) (int, bool) {
+	l := st.nbrs[r]
+	lo, hi := 0, len(l)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); l[mid].c < c {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(l) && l[lo].c == c
+}
+
+// entry returns the cross entry of roots r and c, nil when they are not
+// adjacent.
+func (st *state) entry(r, c int32) *crossEntry {
+	if i, ok := st.find(r, c); ok {
+		return st.nbrs[r][i].e
+	}
+	return nil
+}
+
+// set makes e the entry root r holds towards root c.
+func (st *state) set(r, c int32, e *crossEntry) {
+	i, ok := st.find(r, c)
+	if ok {
+		st.nbrs[r][i].e = e
+		return
+	}
+	st.nbrs[r] = slices.Insert(st.nbrs[r], i, nbr{c, e})
+}
+
+// del removes root c from root r's neighbour list, if it is there.
+func (st *state) del(r, c int32) {
+	if i, ok := st.find(r, c); ok {
+		st.nbrs[r] = slices.Delete(st.nbrs[r], i, i+1)
+	}
 }
 
 // ensureLen grows every id-indexed slice to length n, marking the new

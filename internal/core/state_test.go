@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -40,6 +41,40 @@ func mergeRandomPair(st *state, rng *rand.Rand) int32 {
 	return -1
 }
 
+// checkAdjacency verifies the neighbour lists and what is kept in step
+// with them: a live root's list is strictly ascending, names live roots
+// only and shares each entry, pointer-identical, with the list of the
+// root it names; a dead or unborn id has no list; and pcost is the
+// root's within edges plus those of its entries.
+func checkAdjacency(t testing.TB, st *state) {
+	t.Helper()
+	for r := int32(0); r < st.next; r++ {
+		l := st.nbrs[r]
+		if st.parent[r] != -1 {
+			if l != nil {
+				t.Fatalf("id %d is not a root but keeps a list of %d neighbours", r, len(l))
+			}
+			continue
+		}
+		want := int64(len(st.within[r]))
+		for i, nb := range l {
+			if i > 0 && l[i-1].c >= nb.c {
+				t.Fatalf("list of root %d not strictly ascending: %d then %d", r, l[i-1].c, nb.c)
+			}
+			if nb.c == r || st.parent[nb.c] != -1 {
+				t.Fatalf("list of root %d names %d, which is not another live root", r, nb.c)
+			}
+			if nb.e == nil || st.entry(nb.c, r) != nb.e {
+				t.Fatalf("entry (%d,%d) not shared symmetrically", r, nb.c)
+			}
+			want += int64(len(nb.e.edges))
+		}
+		if st.pcost[r] != want {
+			t.Fatalf("pcost[%d] = %d, want %d", r, st.pcost[r], want)
+		}
+	}
+}
+
 // checkBlockCounts verifies everything a cross entry stores about its
 // root pair. The block counts, asked from either endpoint, must equal
 // the brute-force subedge count of every atom pair and sum to the
@@ -59,7 +94,7 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 			if x == y {
 				continue
 			}
-			e := st.nbrs[x][y]
+			e := st.entry(x, y)
 			pair := bruteBlockCount(st, g, x, y)
 			if (e != nil) != (pair > 0) {
 				t.Fatalf("%s: entry (%d,%d) present=%v, but the pair has %d subedges", when, x, y, e != nil, pair)
@@ -89,7 +124,7 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 	}
 	// sideOf is what root x contributes to a panel whose right root is c.
 	sideOf := func(x, c int32) *sideVec {
-		if e := st.nbrs[x][c]; e != nil {
+		if e := st.entry(x, c); e != nil {
 			s, _ := e.side(x)
 			return s
 		}
@@ -98,7 +133,7 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 	for i, a := range roots {
 		for _, b := range roots[i+1:] {
 			for _, c := range roots {
-				eA, eB := st.nbrs[a][c], st.nbrs[b][c]
+				eA, eB := st.entry(a, c), st.entry(b, c)
 				if c == a || c == b || (eA == nil && eB == nil) {
 					continue
 				}
@@ -118,12 +153,14 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 	g := graph.ErdosRenyi(40, 160, 3)
 	rng := rand.New(rand.NewSource(1))
 	st := newState(g, rng)
+	checkAdjacency(t, st)
 	checkBlockCounts(t, st, g, "newState")
 	merged := 0
 	for k := 0; k < 30; k++ {
 		if mergeRandomPair(st, rng) >= 0 {
 			merged++
 		}
+		checkAdjacency(t, st)
 		checkBlockCounts(t, st, g, "after mergeRandomPair")
 	}
 	if merged < 25 {
@@ -138,6 +175,7 @@ func TestSelfGTMatchesBruteForce(t *testing.T) {
 	for k := 0; k < 12; k++ {
 		mergeRandomPair(st, rng)
 	}
+	checkAdjacency(t, st)
 	for _, r := range st.roots() {
 		var want int64
 		vs := st.verts[r]
@@ -161,6 +199,7 @@ func TestLocatorsAfterMerges(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		mergeRandomPair(st, rng)
 	}
+	checkAdjacency(t, st)
 	for v := int32(0); v < st.n; v++ {
 		// rootOf must be a root containing v.
 		r := st.rootOf[v]
@@ -186,13 +225,11 @@ func TestCrossEntriesSymmetric(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		mergeRandomPair(st, rng)
 	}
+	checkAdjacency(t, st) // symmetry included
 	for _, r := range st.roots() {
-		for c, e := range st.nbrs[r] {
-			if e2, ok := st.nbrs[c][r]; !ok || e2 != e {
-				t.Fatalf("entry (%d,%d) not shared symmetrically", r, c)
-			}
-			if gt := e.blocks.total(); gt <= 0 {
-				t.Fatalf("entry (%d,%d) has gt=%d", r, c, gt)
+		for _, nb := range st.nbrs[r] {
+			if gt := nb.e.blocks.total(); gt <= 0 {
+				t.Fatalf("entry (%d,%d) has gt=%d", r, nb.c, gt)
 			}
 		}
 	}
@@ -205,10 +242,11 @@ func TestRootCostDecomposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st := newState(g, rng)
 	mergeRandomPair(st, rng)
+	checkAdjacency(t, st)
 	for _, r := range st.roots() {
 		want := st.hCost[r] + int64(len(st.within[r]))
-		for _, e := range st.nbrs[r] {
-			want += int64(len(e.edges))
+		for _, nb := range st.nbrs[r] {
+			want += int64(len(nb.e.edges))
 		}
 		if st.rootCost(r) != want {
 			t.Fatalf("rootCost(%d) = %d, want %d", r, st.rootCost(r), want)
@@ -221,17 +259,18 @@ func TestRootCostDecomposition(t *testing.T) {
 // roots into new entries many times over — on the serial path and on
 // the inner-parallel one.
 func TestSweepCacheAfterMergeConsistent(t *testing.T) {
-	for _, innerWorkers := range []int{1, 2} {
-		g := graph.ErdosRenyi(40, 160, 17)
+	for _, innerWorkers := range []int{1, 2, 3} {
+		g := graph.ErdosRenyi(64, 256, 17) // 63 partners: three workers clear innerFloor
 		st := newState(g, rand.New(rand.NewSource(6)))
 		group := st.roots()
 		ids := st.reserveIDs(len(group) - 1)
 		ctx := st.getCtx()
-		merges := st.processGroup(group, rand.New(rand.NewSource(7)), ids, ctx, 0, 0, innerWorkers)
+		merges := st.processGroup(group, ctx.groupRNG(7, 0, 0), ids, ctx, 0, 0, innerWorkers)
 		st.putCtx(ctx)
 		if merges < 5 {
 			t.Fatalf("innerWorkers %d: processGroup made only %d merges", innerWorkers, merges)
 		}
+		checkAdjacency(t, st)
 		checkBlockCounts(t, st, g, "after processGroup")
 	}
 }
@@ -266,5 +305,69 @@ func TestGenerateCandidatesCoverRoots(t *testing.T) {
 	// groups are dropped, so just require substantial coverage).
 	if len(seen) < g.NumNodes()/2 {
 		t.Fatalf("only %d of %d roots grouped", len(seen), g.NumNodes())
+	}
+}
+
+// Groups of one wave commit concurrently into the lists of the roots
+// they share (striped locks): the lists must come out of every
+// iteration of a parallel run intact. Meaningful with `go test -race`.
+func TestAdjacencyAcrossParallelIterations(t *testing.T) {
+	g := graph.HierCommunity(graph.HierParams{
+		Levels: 2, Branching: 5, LeafSize: 7,
+		Density: []float64{0.02, 0.2, 0.8},
+	}, 29)
+	st := newState(g, rand.New(rand.NewSource(5)))
+	st.workers = 3
+	merges := 0
+	for it := 1; it <= 6; it++ {
+		groups := st.generateCandidates(it, 25, 5, 5)
+		if it == 1 && len(groups) < 3 {
+			t.Fatalf("only %d candidate groups: no wave to run concurrently", len(groups))
+		}
+		m, err := st.runIteration(context.Background(), groups, it, 5, Threshold(it, 6), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merges += m
+		checkAdjacency(t, st)
+	}
+	if merges < 50 {
+		t.Fatalf("only %d merges happened", merges)
+	}
+}
+
+// A decision lists its crosses in ascending order of the neighbour, once
+// each: every root adjacent to A or B other than the pair itself.
+func TestEvaluateMergeCrossesAscending(t *testing.T) {
+	st := allocState(t)
+	ctx := st.getCtx()
+	defer st.putCtx(ctx)
+	mid := st.reserveIDs(1)[0]
+	roots := st.roots()
+	for i, a := range roots {
+		for _, b := range roots[i+1:] {
+			dec := st.evaluateMerge(ctx, a, b, mid, 0)
+			if dec == nil {
+				continue
+			}
+			want := 0
+			for _, c := range roots {
+				if c != a && c != b && (st.entry(a, c) != nil || st.entry(b, c) != nil) {
+					want++
+				}
+			}
+			if len(dec.crosses) != want {
+				t.Fatalf("pair (%d,%d): %d crosses, want %d", a, b, len(dec.crosses), want)
+			}
+			for k, cp := range dec.crosses {
+				if k > 0 && dec.crosses[k-1].c >= cp.c {
+					t.Fatalf("pair (%d,%d): cross %d then %d", a, b, dec.crosses[k-1].c, cp.c)
+				}
+				if cp.c == a || cp.c == b || (st.entry(a, cp.c) == nil && st.entry(b, cp.c) == nil) {
+					t.Fatalf("pair (%d,%d): cross %d is not a neighbour of the pair", a, b, cp.c)
+				}
+			}
+			ctx.putDec(dec)
+		}
 	}
 }

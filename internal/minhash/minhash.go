@@ -4,10 +4,7 @@
 // Sect. 3; SAGS LSH bucketing).
 package minhash
 
-import (
-	"math/rand"
-	"slices"
-)
+import "math/rand"
 
 // Hash64 mixes a 64-bit value with a seed using the SplitMix64
 // finalizer. It behaves as a random permutation fingerprint: for a
@@ -20,13 +17,45 @@ func Hash64(seed, x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// keyed is an item with its key at the level being split.
+type keyed struct {
+	key  uint64
+	item int32
+}
+
+// sortByKey sorts ks by key, keeping the order of items with equal keys:
+// a radix sort from the least significant byte up, through tmp (of the
+// same length). On the 5 000 level-0 keys of a scale-free graph's roots
+// it takes a quarter of the time of slices.SortStableFunc, which would
+// be slower than the map of buckets this replaced.
+func sortByKey(ks, tmp []keyed) {
+	for shift := 0; shift < 64; shift += 8 {
+		var next [256]int // where the next item of each byte value goes
+		for _, k := range ks {
+			next[byte(k.key>>shift)]++
+		}
+		sum := 0
+		for b, n := range next {
+			next[b], sum = sum, sum+n
+		}
+		for _, k := range ks {
+			b := byte(k.key >> shift)
+			tmp[next[b]] = k
+			next[b]++
+		}
+		ks, tmp = tmp, ks
+	}
+	// Eight passes: the sorted items are back in the caller's ks.
+}
+
 // Group partitions the items (arbitrary int32 ids) into groups of size
 // at most maxGroup. Items are first grouped by key(item, level); groups
 // exceeding maxGroup are re-split with the next level's key, up to
 // maxLevels; any still-oversized group is split into random chunks.
 // This mirrors SLUGGER/SWeG candidate generation: "iteratively divides
 // root nodes using shingle values at most 10 times and then randomly so
-// that each candidate set consists of at most 500 nodes".
+// that each candidate set consists of at most 500 nodes". The groups
+// returned are subslices of items, which is reordered.
 func Group(items []int32, maxGroup, maxLevels int, key func(item int32, level int) uint64, rng *rand.Rand) [][]int32 {
 	if maxGroup < 2 {
 		maxGroup = 2
@@ -54,27 +83,30 @@ func Group(items []int32, maxGroup, maxLevels int, key func(item int32, level in
 			}
 			return
 		}
-		buckets := make(map[uint64][]int32)
-		for _, it := range group {
-			k := key(it, level)
-			buckets[k] = append(buckets[k], it)
+		// Bucket by key with one stable sort and a cut at every key
+		// change: buckets come out in ascending key order with their items
+		// in the order they had — callers (the parallel group pipeline)
+		// rely on the output group order, and hence per-group RNG
+		// streams, being deterministic for a fixed seed.
+		ks := make([]keyed, 2*len(group))
+		ks, tmp := ks[:len(group)], ks[len(group):]
+		for i, it := range group {
+			ks[i] = keyed{key(it, level), it}
 		}
-		if len(buckets) == 1 {
+		sortByKey(ks, tmp)
+		if ks[0].key == ks[len(ks)-1].key {
 			// Key failed to discriminate; go straight to random chunks.
 			split(group, maxLevels)
 			return
 		}
-		// Recurse in sorted key order: map iteration order is random,
-		// and callers (the parallel group pipeline) rely on the output
-		// group order — and hence per-group RNG streams — being
-		// deterministic for a fixed seed.
-		keys := make([]uint64, 0, len(buckets))
-		for k := range buckets {
-			keys = append(keys, k)
+		for i, k := range ks {
+			group[i] = k.item
 		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			split(buckets[k], level+1)
+		for lo, hi := 0, 1; lo < len(ks); lo, hi = hi, hi+1 {
+			for hi < len(ks) && ks[hi].key == ks[lo].key {
+				hi++
+			}
+			split(group[lo:hi], level+1)
 		}
 	}
 	split(items, 0)

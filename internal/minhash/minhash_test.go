@@ -1,6 +1,7 @@
 package minhash
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -82,5 +83,21 @@ func TestGroupSmallInput(t *testing.T) {
 	got := Group([]int32{1, 2}, 10, 3, func(int32, int) uint64 { return 0 }, rng)
 	if len(got) != 1 || len(got[0]) != 2 {
 		t.Fatalf("two items should form one group, got %v", got)
+	}
+}
+
+// Buckets come out in ascending key order, each with its items in the
+// order they had in the input.
+func TestGroupBucketsInKeyOrder(t *testing.T) {
+	items := []int32{9, 4, 7, 1, 8, 3, 6}
+	keys := map[int32]uint64{9: 5, 4: 2, 7: 5, 1: 2, 8: 9, 3: 5, 6: 2}
+	calls := 0
+	got := Group(items, 3, 1, func(it int32, _ int) uint64 { calls++; return keys[it] }, nil)
+	want := [][]int32{{4, 1, 6}, {9, 7, 3}} // key 9's singleton is dropped
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Group = %v, want %v", got, want)
+	}
+	if calls != len(keys) {
+		t.Fatalf("key called %d times for %d items at one level", calls, len(keys))
 	}
 }
