@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -214,7 +215,8 @@ func main() {
 	fmt.Printf("neighbors(%d): degree %d — matches the in-process engine\n", probe, nr.Degree)
 
 	// PageRank scatter-gathers the adjacency once, then iterates
-	// locally: bit-identical float64s to the single-process run.
+	// locally; the single-process run multiplies on its hierarchies
+	// instead, so the two agree to 1e-12, not to the bit.
 	var pr struct {
 		Top []struct {
 			V    int32   `json:"v"`
@@ -228,11 +230,11 @@ func main() {
 	rank := algos.PageRank(src, 0.85, 20)
 	src.Release()
 	for _, rv := range pr.Top {
-		if rank[rv.V] != rv.Rank { // bit-exact, not approximate
+		if math.Abs(rank[rv.V]-rv.Rank) > 1e-12 {
 			log.Fatalf("pagerank parity: vertex %d federated %v, in-process %v", rv.V, rv.Rank, rank[rv.V])
 		}
 	}
-	fmt.Printf("pagerank top-3 via federation: bit-identical to in-process (top vertex %d, rank %.5f)\n\n", pr.Top[0].V, pr.Top[0].Rank)
+	fmt.Printf("pagerank top-3 via federation: within 1e-12 of in-process (top vertex %d, rank %.5f)\n\n", pr.Top[0].V, pr.Top[0].Rank)
 
 	// Step 6: kill shard 1. Queries owned by it fail fast with the
 	// shard's identity; the other shards keep answering; /readyz

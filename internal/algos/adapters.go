@@ -25,6 +25,10 @@ func (c *CompiledSource) NumNodes() int { return c.cs.NumNodes() }
 // next call.
 func (c *CompiledSource) Neighbors(v int32) []int32 { return c.ctx.NeighborsOf(v) }
 
+// MulAdj applies the adjacency matrix on the hierarchy; see
+// model.CompiledSummary.MulAdj.
+func (c *CompiledSource) MulAdj(dst, x []float64) bool { return c.cs.MulAdj(dst, x) }
+
 // Release returns the source's query context to the summary's pool.
 // Call it when the traversal is done; the source must not be used
 // afterwards. Long-lived callers that skip Release only forfeit
@@ -68,6 +72,10 @@ func (s *LiveSource) NumNodes() int { return s.view.NumNodes() }
 // the next call.
 func (s *LiveSource) Neighbors(v int32) []int32 { return s.ctx.NeighborsOf(v) }
 
+// MulAdj applies the live adjacency matrix; see
+// model.DeltaOverlay.MulAdj.
+func (s *LiveSource) MulAdj(dst, x []float64) bool { return s.view.MulAdj(dst, x) }
+
 // Release returns the source's query context. Call it when the
 // traversal is done; the source must not be used afterwards.
 func (s *LiveSource) Release() {
@@ -100,6 +108,10 @@ func (s *ShardedSource) NumNodes() int { return s.sc.NumNodes() }
 // Neighbors returns the global neighbors of v across shard and
 // boundary edges; the result is valid until the next call.
 func (s *ShardedSource) Neighbors(v int32) []int32 { return s.ctx.NeighborsOf(v) }
+
+// MulAdj applies the federated adjacency matrix; see
+// model.ShardedCompiled.MulAdj.
+func (s *ShardedSource) MulAdj(dst, x []float64) bool { return s.sc.MulAdj(dst, x) }
 
 // Release returns the source's query context to the federation's pool.
 // Call it when the traversal is done; the source must not be used

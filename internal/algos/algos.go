@@ -3,7 +3,9 @@
 // (unit weights) and triangle counting — over a NeighborSource
 // abstraction, so that each algorithm runs identically on a raw
 // graph.Graph and on a hierarchical model.Summary via on-the-fly
-// partial decompression (Algorithm 4).
+// partial decompression (Algorithm 4). PageRank, which needs products
+// with the adjacency matrix rather than neighbor lists, takes them from
+// the hierarchy directly where the source offers that (model's MulAdj).
 package algos
 
 // NeighborSource is the only access graph algorithms need: the vertex
@@ -85,9 +87,35 @@ func ConnectedComponents(g NeighborSource) ([]int32, int) {
 	return comp, int(next)
 }
 
+// adjMultiplier is a source that can apply its adjacency matrix to a
+// vector without enumerating neighbors (model's MulAdj). A false return
+// means it cannot for the data it holds, and dst is untouched.
+type adjMultiplier interface {
+	MulAdj(dst, x []float64) bool
+}
+
+// mulAdj computes dst = A·x for g's (symmetric) adjacency matrix A:
+// through the source's own MulAdj when it has one that applies, and
+// otherwise by scattering x[v] to v's neighbors for v = 0, 1, ... — so
+// dst[w] collects its neighbors' entries in ascending order.
+func mulAdj(g NeighborSource, dst, x []float64) {
+	if m, ok := g.(adjMultiplier); ok && m.MulAdj(dst, x) {
+		return
+	}
+	clear(dst)
+	for v, xv := range x {
+		for _, w := range g.Neighbors(int32(v)) {
+			dst[w] += xv
+		}
+	}
+}
+
 // PageRank runs T power iterations with damping factor d on the
 // undirected graph (Algorithm 6 of the paper). Dangling mass is
 // redistributed uniformly; the result sums to 1 for non-empty graphs.
+// Each iteration is one product with the adjacency matrix, which a
+// compiled, live or sharded source computes on the hierarchy itself
+// (model's MulAdj) rather than by querying every vertex.
 func PageRank(g NeighborSource, d float64, T int) []float64 {
 	n := g.NumNodes()
 	if n == 0 {
@@ -95,23 +123,21 @@ func PageRank(g NeighborSource, d float64, T int) []float64 {
 	}
 	rank := make([]float64, n)
 	next := make([]float64, n)
+	share := make([]float64, n) // rank[v] / deg[v], what v sends each neighbor
+	deg := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
+		share[i] = 1
 	}
+	mulAdj(g, deg, share)
 	for t := 0; t < T; t++ {
-		for i := range next {
-			next[i] = 0
-		}
-		for v := 0; v < n; v++ {
-			nbrs := g.Neighbors(int32(v))
-			if len(nbrs) == 0 {
-				continue
-			}
-			share := rank[v] / float64(len(nbrs))
-			for _, w := range nbrs {
-				next[w] += share
+		for v := range share {
+			share[v] = 0
+			if deg[v] > 0 {
+				share[v] = rank[v] / deg[v]
 			}
 		}
+		mulAdj(g, next, share)
 		var sum float64
 		for i := range next {
 			next[i] *= d

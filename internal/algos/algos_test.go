@@ -161,3 +161,71 @@ func TestBFSReachEqualsComponentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// parentPageRank is PageRank as it stood before the power iteration was
+// rewritten around "apply the adjacency matrix" (a verbatim copy): the
+// reference a neighbor-enumerating source must still match bit for bit.
+func parentPageRank(g NeighborSource, d float64, T int) []float64 {
+	n := g.NumNodes()
+	if n == 0 {
+		return nil
+	}
+	rank := make([]float64, n)
+	next := make([]float64, n)
+	for i := range rank {
+		rank[i] = 1 / float64(n)
+	}
+	for t := 0; t < T; t++ {
+		for i := range next {
+			next[i] = 0
+		}
+		for v := 0; v < n; v++ {
+			nbrs := g.Neighbors(int32(v))
+			if len(nbrs) == 0 {
+				continue
+			}
+			share := rank[v] / float64(len(nbrs))
+			for _, w := range nbrs {
+				next[w] += share
+			}
+		}
+		var sum float64
+		for i := range next {
+			next[i] *= d
+			sum += next[i]
+		}
+		leak := (1 - sum) / float64(n)
+		for i := range next {
+			next[i] += leak
+		}
+		rank, next = next, rank
+	}
+	return rank
+}
+
+// TestPageRankNeighborSourcesKeepTheirBits: sources without a MulAdj —
+// the raw graph, and a gathered adjacency behind FromFuncs as the
+// federation coordinator builds — get the same additions in the same
+// order as before, isolated vertices included.
+func TestPageRankNeighborSourcesKeepTheirBits(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"caveman":  graph.Caveman(5, 6, 4, 3),
+		"skewed":   graph.BarabasiAlbert(200, 3, 11),
+		"isolated": graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {4, 5}}),
+	}
+	for name, g := range graphs {
+		adj := make([][]int32, g.NumNodes())
+		for v := range adj {
+			adj[v] = append([]int32(nil), g.Neighbors(int32(v))...)
+		}
+		gathered := FromFuncs(len(adj), func(v int32) []int32 { return adj[v] })
+		for _, src := range []NeighborSource{Raw(g), gathered} {
+			got, want := PageRank(src, 0.85, 20), parentPageRank(src, 0.85, 20)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s: rank[%d] = %v, the parent's loop gives %v", name, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}

@@ -14,7 +14,6 @@ package datasets
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -147,27 +146,6 @@ func Names() []string {
 	out := make([]string, len(specs))
 	for i, s := range specs {
 		out[i] = s.Name
-	}
-	return out
-}
-
-// SortedByEdges returns specs ordered by the edge count of their
-// default-scale instance (ascending), mirroring the paper's dataset
-// ordering by size.
-func SortedByEdges(scale float64, seed int64) []Spec {
-	specs := All()
-	type pair struct {
-		s Spec
-		m int64
-	}
-	pairs := make([]pair, len(specs))
-	for i, s := range specs {
-		pairs[i] = pair{s, s.Generate(scale, seed).NumEdges()}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].m < pairs[j].m })
-	out := make([]Spec, len(specs))
-	for i, p := range pairs {
-		out[i] = p.s
 	}
 	return out
 }

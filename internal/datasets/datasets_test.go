@@ -74,15 +74,3 @@ func TestNamesOrder(t *testing.T) {
 		t.Fatalf("unexpected order: %v", names)
 	}
 }
-
-func TestSortedByEdgesAscending(t *testing.T) {
-	specs := SortedByEdges(0.05, 3)
-	var prev int64 = -1
-	for _, s := range specs {
-		m := s.Generate(0.05, 3).NumEdges()
-		if m < prev {
-			t.Fatalf("not ascending at %s", s.Name)
-		}
-		prev = m
-	}
-}

@@ -17,9 +17,10 @@ package fed
 //     with no network round-trip at all.
 //   - Source (PageRank): gather the full merged adjacency once (cached —
 //     the artifact is immutable), then serve runs the ordinary
-//     in-process power iteration over it. Same neighbor lists, same
-//     iteration order, same float64 operations: bit-identical ranks to
-//     the single process serving the same envelope.
+//     in-process power iteration over it: the ranks algos.PageRank
+//     gives the raw graph, bit for bit, and within 1e-12 of the single
+//     process serving the same envelope (which multiplies on its
+//     hierarchies, model.ShardedCompiled.MulAdj, in another order).
 //
 // A shard failure surfaces as a *ShardError, which serve answers 503
 // naming the failed shard: the caller learns which piece of the data is
@@ -259,9 +260,9 @@ func (co *Coordinator) Source(ctx context.Context) (algos.NeighborSource, func()
 }
 
 // PageRankVector computes the federated PageRank vector for (d, t): the
-// ordinary local power iteration over the gathered adjacency, for
-// bit-parity with the in-process engine. Results are not cached here —
-// that layer is serve's, behind GET /pagerank.
+// ordinary local power iteration over the gathered adjacency, within
+// 1e-12 of the in-process engine. Results are not cached here — that
+// layer is serve's, behind GET /pagerank.
 func (co *Coordinator) PageRankVector(ctx context.Context, d float64, t int) ([]float64, error) {
 	src, _, err := co.Source(ctx)
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -239,7 +240,9 @@ func TestFederationParityAndFailure(t *testing.T) {
 		}
 	}
 
-	// --- PageRank bit-parity with the in-process sharded engine ---
+	// --- PageRank parity with the in-process sharded engine (1e-12:
+	// the engine multiplies on its hierarchies, the coordinator on the
+	// gathered adjacency, so the sums differ in order) ---
 	src := algos.OnSharded(sc)
 	want := algos.PageRank(src, 0.85, 20)
 	src.Release()
@@ -257,7 +260,7 @@ func TestFederationParityAndFailure(t *testing.T) {
 		t.Fatalf("pagerank returned %d ranks, want %d", len(pr.Top), n)
 	}
 	for _, rv := range pr.Top {
-		if rv.Rank != want[rv.V] { // bit-exact: same lists, same float ops
+		if math.Abs(rv.Rank-want[rv.V]) > 1e-12 {
 			t.Fatalf("pagerank(%d) = %v, in-process engine says %v", rv.V, rv.Rank, want[rv.V])
 		}
 	}

@@ -262,19 +262,6 @@ func TestNodeSample(t *testing.T) {
 	}
 }
 
-func TestEdgeSample(t *testing.T) {
-	g := ErdosRenyi(100, 400, 13)
-	s := EdgeSample(g, 0.5, 7)
-	if s.NumEdges() >= g.NumEdges() || s.NumEdges() == 0 {
-		t.Fatalf("edge sample size %d out of range", s.NumEdges())
-	}
-	s.ForEachEdge(func(u, v int32) {
-		if !g.HasEdge(u, v) {
-			t.Fatalf("sampled edge (%d,%d) not in source", u, v)
-		}
-	})
-}
-
 func TestCountTriangles(t *testing.T) {
 	// K4 has 4 triangles.
 	k4 := FromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})

@@ -35,16 +35,3 @@ func NodeSample(g *Graph, frac float64, seed int64) *Graph {
 	})
 	return b.Build()
 }
-
-// EdgeSample returns a graph containing each edge independently with
-// probability frac, over the same vertex set.
-func EdgeSample(g *Graph, frac float64, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := NewBuilder(g.NumNodes())
-	g.ForEachEdge(func(u, v int32) {
-		if rng.Float64() < frac {
-			b.AddEdge(u, v)
-		}
-	})
-	return b.Build()
-}

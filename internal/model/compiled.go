@@ -50,6 +50,10 @@ type CompiledSummary struct {
 	verts    []int32
 
 	ctxPool sync.Pool
+
+	// adjPlan returns MulAdj's plan, building it on the first call
+	// (muladj.go); set by the constructors.
+	adjPlan func() *adjPlan
 }
 
 // Compile freezes the summary into its read-optimized serving form.
@@ -58,6 +62,7 @@ type CompiledSummary struct {
 func (s *Summary) Compile() *CompiledSummary {
 	total := len(s.Parent)
 	cs := &CompiledSummary{n: s.N, total: total}
+	cs.adjPlan = sync.OnceValue(cs.buildAdjPlan)
 
 	// Ancestor chains.
 	cs.chainOff = make([]int32, s.N+1)

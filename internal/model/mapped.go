@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"unsafe"
 )
 
@@ -400,6 +401,7 @@ func FromMapped(data []byte) (*CompiledSummary, MappedInfo, error) {
 	if err := cs.validateMapped(); err != nil {
 		return nil, info, err
 	}
+	cs.adjPlan = sync.OnceValue(cs.buildAdjPlan)
 	return cs, info, nil
 }
 
@@ -530,16 +532,7 @@ func VerifyChecksum(data []byte) error {
 // exported back to the portable v1 envelope without having kept the
 // uncompiled model around.
 func (cs *CompiledSummary) ToSummary() *Summary {
-	parent := make([]int32, cs.total)
-	for i := range parent {
-		parent[i] = -1
-	}
-	for v := 0; v < cs.n; v++ {
-		chain := cs.chainOf(int32(v))
-		for i := 0; i+1 < len(chain); i++ {
-			parent[chain[i]] = chain[i+1]
-		}
-	}
+	parent, _ := cs.forest()
 	edges := make([]Edge, len(cs.edgeA))
 	for i := range edges {
 		edges[i] = Edge{A: cs.edgeA[i], B: cs.edgeB[i], Sign: cs.edgeSign[i]}

@@ -10,6 +10,7 @@ package model
 // background compaction re-summarizes and swaps in a fresh base.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -43,12 +44,24 @@ type DeltaOverlay struct {
 	plus    int    // inserted pairs
 	minus   int    // deleted pairs
 	version uint64 // bumped on every published snapshot
+
+	// corrections returns adj flattened for MulAdj (flatten), built on
+	// the first call; set by the constructors.
+	corrections func() []correction
+}
+
+// correction is one directed overlay entry: dst[v] gains s·x[u].
+type correction struct {
+	v, u int32
+	s    float64
 }
 
 // NewOverlay returns the empty overlay over cs: it represents exactly
 // the base's graph.
 func NewOverlay(cs *CompiledSummary) *DeltaOverlay {
-	return &DeltaOverlay{cs: cs}
+	o := &DeltaOverlay{cs: cs}
+	o.corrections = sync.OnceValue(o.flatten)
+	return o
 }
 
 // Base returns the compiled summary the overlay corrects.
@@ -105,6 +118,7 @@ func (o *DeltaOverlay) Apply(ups []EdgeUpdate) (*DeltaOverlay, int, error) {
 // snapshot and the number of effective updates; see Apply.
 func (o *DeltaOverlay) applyValidated(ups []EdgeUpdate) (*DeltaOverlay, int) {
 	nxt := &DeltaOverlay{cs: o.cs, plus: o.plus, minus: o.minus, version: o.version + 1}
+	nxt.corrections = sync.OnceValue(nxt.flatten)
 	if len(ups) == 0 {
 		nxt.adj = o.adj
 		return nxt, 0
@@ -292,6 +306,35 @@ func (o *DeltaOverlay) NeighborsBatch(vs []int32, visit func(v int32, nbrs []int
 	for _, v := range vs {
 		visit(v, c.NeighborsOf(v))
 	}
+}
+
+// MulAdj computes dst = A·x for the live graph's adjacency matrix: the
+// base's product (CompiledSummary.MulAdj, whose false it passes on)
+// plus the overlay's ±1 corrections. Safe for concurrent callers.
+func (o *DeltaOverlay) MulAdj(dst, x []float64) bool {
+	if !o.cs.MulAdj(dst, x) {
+		return false
+	}
+	for _, c := range o.corrections() {
+		dst[c.v] += c.s * x[c.u]
+	}
+	return true
+}
+
+// flatten lists adj's entries with each vertex's contiguous and in
+// ascending u: every dst[v] then takes its corrections in a fixed
+// order, so MulAdj never depends on map iteration (the order of the v's
+// among themselves cannot matter — they write different entries).
+func (o *DeltaOverlay) flatten() []correction {
+	flat := make([]correction, 0, 2*o.Len())
+	for v, dm := range o.adj {
+		mine := len(flat)
+		for u, s := range dm {
+			flat = append(flat, correction{v, u, float64(s)})
+		}
+		slices.SortFunc(flat[mine:], func(a, b correction) int { return cmp.Compare(a.u, b.u) })
+	}
+	return flat
 }
 
 // Decode materializes the live graph (base graph with all overlay

@@ -364,6 +364,38 @@ func (sc *ShardedCompiled) NeighborsBatch(vs []int32, visit func(v int32, nbrs [
 	}
 }
 
+// MulAdj computes dst = A·x for the federated graph's adjacency matrix:
+// each shard's product (CompiledSummary.MulAdj) carried through its id
+// map, plus the boundary edges. It reports false, leaving dst alone,
+// when any shard's MulAdj would. Safe for concurrent callers.
+func (sc *ShardedCompiled) MulAdj(dst, x []float64) bool {
+	size := 0
+	for _, cs := range sc.shards {
+		if !cs.adjPlan().eligible {
+			return false
+		}
+		size = max(size, cs.n)
+	}
+	buf := make([]float64, 2*size)
+	for s, cs := range sc.shards {
+		gid := sc.globalID[s]
+		lx, ldst := buf[:len(gid)], buf[size:size+len(gid)]
+		for l, g := range gid {
+			lx[l] = x[g]
+		}
+		cs.MulAdj(ldst, lx)
+		for l, g := range gid {
+			dst[g] = ldst[l]
+		}
+	}
+	for v := range dst {
+		for _, u := range sc.BoundaryOf(int32(v)) {
+			dst[v] += x[u]
+		}
+	}
+	return true
+}
+
 // Decode reconstructs the full represented graph (all shards plus the
 // boundary sidecar) in global ids.
 func (sc *ShardedCompiled) Decode() *graph.Graph {

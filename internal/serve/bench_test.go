@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/algos"
+	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/model"
 )
 
@@ -40,9 +44,9 @@ func (w *nullRW) Header() http.Header         { return w.h }
 func (w *nullRW) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullRW) WriteHeader(int)             {}
 
-// The benchmarks below exist for their allocs/op column (wall-clock
-// serving numbers come from `go run ./bench`): same server, same
-// vertices, response bytes pinned by TestFastJSONByteParity.
+// The Encode/EndToEnd/Binary benchmarks below exist for their allocs/op
+// column (wall-clock serving numbers come from `go run ./bench`): same
+// server, same vertices, response bytes pinned by TestFastJSONByteParity.
 
 func BenchmarkServeNeighborsEncodePooled(b *testing.B) {
 	s := benchServer(10000, 60000)
@@ -112,6 +116,71 @@ func BenchmarkServeBatchNeighborsBinary(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/batch/neighbors", bytes.NewReader(body))
+		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkServePageRankUnderChurn is the one wall-clock case kept here,
+// because `go run ./bench` leaves /pagerank out of its serving mixes
+// (ROADMAP item 4(b)): GET /pagerank?t=20 on a live view of the
+// benchmark's served graph (n = 7 500) whose overlay holds ≈ 5 000
+// corrections and whose version a 4-edge update bumps before every
+// request, so every request is a cache miss. Only the request is timed.
+// Run with -count 10 and read the median.
+func BenchmarkServePageRankUnderChurn(b *testing.B) {
+	g := graph.HierCommunity(graph.HierParams{
+		Levels: 4, Branching: 5, LeafSize: 12, Density: []float64{0.00002, 0.0008, 0.01, 0.2, 0.9},
+	}, 1)
+	sum, _ := core.Summarize(g, core.Config{T: 10, Seed: 1})
+	live := model.NewLive(sum.Compile())
+	n := int32(g.NumNodes())
+	rng := rand.New(rand.NewSource(5))
+	absentPairs := func(k int) []model.EdgeUpdate {
+		view := live.View()
+		var ups []model.EdgeUpdate
+		for len(ups) < k {
+			if u, v := rng.Int31n(n), rng.Int31n(n); u != v && !view.HasEdge(u, v) {
+				ups = append(ups, model.EdgeUpdate{U: u, V: v})
+			}
+		}
+		return ups
+	}
+	edges := g.Edges()
+	for live.View().Len() < 5000 {
+		ups := absentPairs(250)
+		for _, e := range edges[live.View().Len():][:250] {
+			ups = append(ups, model.EdgeUpdate{U: e[0], V: e[1], Delete: true})
+		}
+		if _, err := live.ApplyUpdates(ups); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := NewLive(live)
+	h := s.Handler()
+
+	got, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for v, want := range algos.PageRank(algos.Raw(live.View().Decode()), 0.85, 20) {
+		if math.Abs(got[v]-want) > 1e-12 {
+			b.Fatalf("rank[%d] = %v, raw graph gives %v", v, got[v], want)
+		}
+	}
+
+	churn := absentPairs(4)
+	req := httptest.NewRequest(http.MethodGet, "/pagerank?t=20", nil)
+	w := &nullRW{h: make(http.Header)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range churn {
+			churn[j].Delete = i%2 == 1 // in on even rounds, out again on odd ones
+		}
+		if applied, err := live.ApplyUpdates(churn); err != nil || applied != len(churn) {
+			b.Fatalf("update applied %d of %d: %v", applied, len(churn), err)
+		}
+		b.StartTimer()
 		h.ServeHTTP(w, req)
 	}
 }
