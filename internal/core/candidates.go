@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -71,7 +70,7 @@ func (st *state) rootShingles(seed uint64) []uint64 {
 		sh[i] = ^uint64(0)
 	}
 	if st.workers > 1 && st.n >= 1024 {
-		runChunks(st.workers, int(st.n), func(_, lo, hi int) {
+		runChunks(st.workers, int(st.n), func(lo, hi int) {
 			for v := int32(lo); v < int32(hi); v++ {
 				f := st.vertexShingle(v, seed)
 				r := st.rootOf[v]
@@ -93,13 +92,6 @@ func (st *state) rootShingles(seed uint64) []uint64 {
 	return sh
 }
 
-// innerFloor is the smallest candidate queue, per inner worker, whose
-// partner scoring is split across goroutines. A scoring costs a few
-// hundred nanoseconds, so below it a goroutine's share is less work
-// than its start and join; the output does not depend on the value
-// (TestGroupPipelineDeterministicAcrossWorkerCounts).
-const innerFloor = 16
-
 // processGroup runs the inner loop of Algorithm 2 on one candidate set:
 // repeatedly pick a random root A, score every other root of the set as
 // its partner, plan the merge with the partner maximizing the saving,
@@ -110,11 +102,8 @@ const innerFloor = 16
 // and the group's position) and a reserved block of supernode ids, so
 // its outcome depends only on its own territory — the scheduler can run
 // non-conflicting groups concurrently and still reproduce the serial
-// result exactly. When innerWorkers > 1, partner scorings (pure reads
-// of the state and of the pop's lookup) additionally run concurrently;
-// the argmax reduction keeps the lowest-index maximum, like the serial
-// scan, so any worker count picks identical partners.
-func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *gctx, theta float64, hb int, innerWorkers int) int {
+// result exactly.
+func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *gctx, theta float64, hb int) int {
 	q := append(ctx.qBuf[:0], group...)
 	merges := 0
 	for len(q) > 1 {
@@ -123,20 +112,16 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 		q[i] = q[len(q)-1]
 		q = q[:len(q)-1]
 
-		pop := ctx.stampPop(a)
+		ctx.stampPop(a)
 		best := partner{idx: -1}
-		if innerWorkers > 1 && len(q) >= innerFloor*innerWorkers {
-			best = st.argmaxParallel(pop, q, theta, hb, innerWorkers)
-		} else {
-			cutoff := theta
-			for j, z := range q {
-				p, ok := st.scoreMerge(ctx, pop, z, hb, cutoff)
-				if ok && p.beats(best) {
-					p.idx = j
-					best = p
-					if p.saving > cutoff {
-						cutoff = p.saving
-					}
+		cutoff := theta
+		for j, z := range q {
+			p, ok := st.scoreMerge(ctx, z, hb, cutoff)
+			if ok && p.beats(best) {
+				p.idx = j
+				best = p
+				if p.saving > cutoff {
+					cutoff = p.saving
 				}
 			}
 		}
@@ -153,57 +138,4 @@ func (st *state) processGroup(group []int32, rng *rand.Rand, ids []int32, ctx *g
 	}
 	ctx.qBuf = q[:0]
 	return merges
-}
-
-// argmaxParallel scores all candidate partners of the popped root
-// concurrently. Scorings are pure reads of the summarization state and
-// of pop; worker goroutines borrow their own contexts from the state
-// pool (for the within plan's scratch problems) and share a monotone
-// saving cutoff through an atomic.
-//
-// The shared cutoff preserves determinism: a published cutoff is
-// strictly below the publishing candidate's saving (nextafter), and a
-// scoring rejects only a saving that provably falls below the cutoff —
-// so every candidate achieving the maximum saving always survives.
-// Chunks are contiguous and both levels of the reduction scan in index
-// order with a strict comparison, so the lowest-index maximum wins, the
-// same partner a serial scan picks regardless of scheduling.
-func (st *state) argmaxParallel(pop *popInfo, q []int32, theta float64, hb int, innerWorkers int) partner {
-	bests := make([]partner, innerWorkers)
-	for k := range bests {
-		bests[k].idx = -1 // runChunks may start fewer chunks than workers
-	}
-	var cutoff atomic.Uint64
-	cutoff.Store(math.Float64bits(theta))
-	runChunks(innerWorkers, len(q), func(k, lo, hi int) {
-		wctx := st.getCtx()
-		best := partner{idx: -1}
-		for j := lo; j < hi; j++ {
-			p, ok := st.scoreMerge(wctx, pop, q[j], hb, math.Float64frombits(cutoff.Load()))
-			if !ok {
-				continue
-			}
-			pub := math.Float64bits(math.Nextafter(p.saving, math.Inf(-1)))
-			for {
-				old := cutoff.Load()
-				if math.Float64frombits(old) >= math.Float64frombits(pub) ||
-					cutoff.CompareAndSwap(old, pub) {
-					break
-				}
-			}
-			if p.beats(best) {
-				p.idx = j
-				best = p
-			}
-		}
-		bests[k] = best
-		st.putCtx(wctx)
-	})
-	best := partner{idx: -1}
-	for _, cb := range bests {
-		if cb.idx >= 0 && cb.beats(best) {
-			best = cb
-		}
-	}
-	return best
 }

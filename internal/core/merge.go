@@ -327,11 +327,11 @@ func (p partner) beats(best partner) bool {
 	return best.idx < 0 || p.saving > best.saving
 }
 
-// scoreMerge computes the saving (Eq. (8)) of merging the popped root
-// pop.a with root b, without planning the merge. ok is false when the
-// merge is infeasible (mergeDenom) or its saving provably falls below
-// minSaving — such a pair can neither win the argmax nor pass the
-// merging threshold.
+// scoreMerge computes the saving (Eq. (8)) of merging the root ctx last
+// popped (stampPop) with root b, without planning the merge. ok is
+// false when the merge is infeasible (mergeDenom) or its saving provably
+// falls below minSaving — such a pair can neither win the argmax nor
+// pass the merging threshold.
 //
 // The numerator is the h-edges of the merged tree, the cheapest
 // encoding of within(M), and for every root C adjacent to A or B the
@@ -340,7 +340,8 @@ func (p partner) beats(best partner) bool {
 // so only the neighbours whose panel beats keeping are visited: those
 // adjacent to both roots, and those adjacent to one whose entry is
 // loose — for the rest the panel cannot cost less than the edges kept.
-func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving float64) (p partner, ok bool) {
+func (st *state) scoreMerge(ctx *gctx, b int32, hb int, minSaving float64) (p partner, ok bool) {
+	pop := &ctx.pop
 	a := pop.a
 	eAB := pop.entry(b)
 	denom, ok := st.mergeDenom(a, b, eAB, hb)
@@ -378,13 +379,10 @@ func (st *state) scoreMerge(ctx *gctx, pop *popInfo, b int32, hb int, minSaving 
 
 	// numCutoff over-approximates the largest numerator still achieving
 	// minSaving. The slack must dominate the rounding error of the
-	// float64 product (~denom*2^-52), or a cutoff published by a
-	// concurrent float-tied evaluation could spuriously reject the true
-	// argmax on some schedules; a relative slack keeps the rejection
-	// conservative at every magnitude, so ties always survive and the
-	// index-ordered reduction stays schedule-independent. A product
-	// int64 cannot represent (minSaving = -Inf: no cutoff) rejects
-	// nothing.
+	// float64 product (~denom*2^-52); a relative slack keeps the rejection
+	// conservative at every magnitude, so a pair whose computed saving
+	// would beat minSaving is never rejected. A product int64 cannot
+	// represent (minSaving = -Inf: no cutoff) rejects nothing.
 	numCutoff := int64(math.MaxInt64)
 	if f := (1 - minSaving) * float64(denom); f < 1<<62 {
 		numCutoff = int64(f) + 1 + int64(float64(denom)*1e-12)

@@ -14,7 +14,7 @@ func checkScoreMatchesPlan(t *testing.T, st *state, ctx *gctx, a int32, hb int) 
 	t.Helper()
 	ids := st.reserveIDs(1)
 	defer st.releaseIDs(ids)
-	pop := ctx.stampPop(a)
+	ctx.stampPop(a)
 	pairs := 0
 	for _, b := range st.roots() {
 		if b == a {
@@ -22,7 +22,7 @@ func checkScoreMatchesPlan(t *testing.T, st *state, ctx *gctx, a int32, hb int) 
 		}
 		pairs++
 		dec := st.evaluateMerge(ctx, a, b, ids[0], hb)
-		p, ok := st.scoreMerge(ctx, pop, b, hb, math.Inf(-1))
+		p, ok := st.scoreMerge(ctx, b, hb, math.Inf(-1))
 		if ok != (dec != nil) {
 			t.Fatalf("pair (%d,%d) hb %d: scored feasible=%v, planned feasible=%v", a, b, hb, ok, dec != nil)
 		}
@@ -35,7 +35,7 @@ func checkScoreMatchesPlan(t *testing.T, st *state, ctx *gctx, a int32, hb int) 
 		denom := st.rootCost(a) + st.rootCost(b) - st.entry(a, b).numEdges()
 		for _, cut := range []float64{0, 0.25, 0.5, dec.saving, dec.saving + 1e-9} {
 			numCutoff := int64((1-cut)*float64(denom)) + 1 + int64(float64(denom)*1e-12)
-			if _, ok := st.scoreMerge(ctx, pop, b, hb, cut); ok != (dec.numerator <= numCutoff) {
+			if _, ok := st.scoreMerge(ctx, b, hb, cut); ok != (dec.numerator <= numCutoff) {
 				t.Fatalf("pair (%d,%d) cutoff %v: scored survives=%v, planned numerator %d against bound %d",
 					a, b, cut, ok, dec.numerator, numCutoff)
 			}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -150,13 +152,13 @@ func TestScoreMergeAllocationFree(t *testing.T) {
 	st := allocState(t)
 	ctx := st.getCtx()
 	roots := st.roots()
-	pop := ctx.stampPop(roots[0])
+	ctx.stampPop(roots[0])
 	for _, b := range roots[1:] {
-		st.scoreMerge(ctx, pop, b, 0, 0)
+		st.scoreMerge(ctx, b, 0, 0)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(200, func() {
-		st.scoreMerge(ctx, pop, roots[1+i%(len(roots)-1)], 0, 0)
+		st.scoreMerge(ctx, roots[1+i%(len(roots)-1)], 0, 0)
 		i++
 	})
 	if avg > 0.5 {
@@ -219,25 +221,194 @@ func TestGroupRNGFirstDrawUniform(t *testing.T) {
 	}
 }
 
-// The inner-parallel argmax must recycle every losing decision into the
-// context it was drawn from: the group context's free-lists may grow
-// with the number of pops (the chunk bests land there), never with the
-// number of evaluations.
-func TestInnerArgmaxRecyclesInOwningContext(t *testing.T) {
-	const innerWorkers = 2
-	st := newState(allocState(t).g, rand.New(rand.NewSource(1)))
-	group := st.roots()
-	ids := st.reserveIDs(len(group) - 1)
-	ctx := st.getCtx()
-	merges := st.processGroup(group, ctx.groupRNG(2, 0, 0), ids, ctx, 0, 0, innerWorkers)
-	if merges == 0 {
-		t.Fatal("processGroup made no merges")
+// The wave planner planWaves replaced, kept verbatim as the reference of
+// TestPlanWavesMatchesReference: a conflict graph, then a status machine
+// re-walking the remaining groups once per wave.
+
+// groupConflicts builds, for each group, the sorted set of
+// earlier-or-later groups it shares a cross entry with.
+func (st *state) groupConflicts(groups [][]int32) [][]int32 {
+	groupOf := make([]int32, st.next)
+	for i := range groupOf {
+		groupOf[i] = -1
 	}
-	if got, max := len(ctx.decFree), innerWorkers*len(group); got > max {
-		t.Fatalf("group context retains %d decisions after %d pops of a %d-root group, want <= %d",
-			got, len(group)-1, len(group), max)
+	for gi, grp := range groups {
+		for _, r := range grp {
+			groupOf[r] = int32(gi)
+		}
 	}
-	st.putCtx(ctx)
+	// seen[gj] stamps the last group index that recorded a conflict with
+	// gj; group indices are unique per outer pass, so no reset is needed.
+	seen := make([]int32, len(groups))
+	for i := range seen {
+		seen[i] = -1
+	}
+	conflicts := make([][]int32, len(groups))
+	for gi, grp := range groups {
+		for _, r := range grp {
+			for _, nb := range st.nbrs[r] {
+				gj := groupOf[nb.c]
+				if gj < 0 || gj == int32(gi) || seen[gj] == int32(gi) {
+					continue
+				}
+				seen[gj] = int32(gi)
+				conflicts[gi] = append(conflicts[gi], gj)
+			}
+		}
+	}
+	// Symmetrize: a conflict discovered from either side blocks both.
+	for gi, cs := range conflicts {
+		for _, gj := range cs {
+			dup := false
+			for _, gk := range conflicts[gj] {
+				if gk == int32(gi) {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				conflicts[gj] = append(conflicts[gj], int32(gi))
+			}
+		}
+	}
+	return conflicts
+}
+
+// buildWaves partitions group indices into waves of pairwise
+// non-conflicting groups. A group is deferred when it conflicts with a
+// group already placed in the current wave OR with an earlier group
+// that was itself deferred — the latter keeps every conflicting pair in
+// its original relative order, which makes the parallel schedule
+// equivalent to processing groups 0..k-1 serially.
+func buildWaves(conflicts [][]int32, k int) [][]int32 {
+	const (
+		stateNone = iota
+		stateWave
+		stateDeferred
+	)
+	waves := make([][]int32, 0, 4)
+	remaining := make([]int32, k)
+	for i := range remaining {
+		remaining[i] = int32(i)
+	}
+	status := make([]int8, k)
+	for len(remaining) > 0 {
+		wave := make([]int32, 0, len(remaining))
+		deferred := remaining[:0]
+		for _, gi := range remaining {
+			ok := true
+			for _, gj := range conflicts[gi] {
+				if s := status[gj]; s == stateWave || s == stateDeferred {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				status[gi] = stateWave
+				wave = append(wave, gi)
+			} else {
+				status[gi] = stateDeferred
+				deferred = append(deferred, gi)
+			}
+		}
+		for _, gi := range wave {
+			status[gi] = stateNone
+		}
+		for _, gi := range deferred {
+			status[gi] = stateNone
+		}
+		waves = append(waves, wave)
+		remaining = deferred
+	}
+	return waves
+}
+
+// planWaves must give the partition the two-step planner gave, wave for
+// wave and index for index, on mid-run states of every shape — many
+// groups, one group, none — and the partition must be valid on its own
+// terms: no two groups of a wave share a cross entry, and a conflicting
+// pair keeps its index order across waves.
+func TestPlanWavesMatchesReference(t *testing.T) {
+	cases := []struct {
+		name     string
+		g        *graph.Graph
+		maxGroup int
+	}{
+		{"hier", graph.HierCommunity(graph.HierParams{
+			Levels: 2, Branching: 5, LeafSize: 7,
+			Density: []float64{0.02, 0.2, 0.8},
+		}, 29), 25},
+		{"skew", graph.BarabasiAlbert(600, 3, 31), 500},
+		{"one group", graph.Caveman(4, 8, 2, 19), 500},
+		{"edgeless", graph.FromEdges(40, nil), 10},
+	}
+	states, multiWave := 0, 0
+	for _, tc := range cases {
+		st := newState(tc.g, rand.New(rand.NewSource(3)))
+		st.workers = 2
+		for it := 1; it <= 10; it++ {
+			groups := st.generateCandidates(it, tc.maxGroup, 5, 3)
+			waves := st.planWaves(groups)
+			ref := buildWaves(st.groupConflicts(groups), len(groups))
+			if !reflect.DeepEqual(waves, ref) {
+				t.Fatalf("%s iteration %d: planWaves = %v, reference %v", tc.name, it, waves, ref)
+			}
+			checkWaves(t, st, groups, waves)
+			states++
+			if len(waves) > 1 {
+				multiWave++
+			}
+			if _, err := st.runIteration(context.Background(), groups, it, 3, Threshold(it, 10), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if states < 30 || multiWave < 10 {
+		t.Fatalf("compared %d states, %d of them with more than one wave", states, multiWave)
+	}
+}
+
+// checkWaves asserts the scheduling property directly from the
+// neighbour lists: the waves partition the groups, and every pair of
+// groups sharing a cross entry sits in different waves, the
+// lower-indexed group in the earlier one.
+func checkWaves(t *testing.T, st *state, groups [][]int32, waves [][]int32) {
+	t.Helper()
+	waveOf := make([]int, len(groups))
+	for i := range waveOf {
+		waveOf[i] = -1
+	}
+	for w, wave := range waves {
+		for _, gi := range wave {
+			if waveOf[gi] != -1 {
+				t.Fatalf("group %d is in waves %d and %d", gi, waveOf[gi], w)
+			}
+			waveOf[gi] = w
+		}
+	}
+	groupOf := map[int32]int{}
+	for gi, grp := range groups {
+		if waveOf[gi] == -1 {
+			t.Fatalf("group %d is in no wave", gi)
+		}
+		for _, r := range grp {
+			groupOf[r] = gi
+		}
+	}
+	for gi, grp := range groups {
+		for _, r := range grp {
+			for _, nb := range st.nbrs[r] {
+				gj, ok := groupOf[nb.c]
+				if !ok || gj == gi {
+					continue
+				}
+				if (gi < gj) != (waveOf[gi] < waveOf[gj]) {
+					t.Fatalf("groups %d and %d share the entry (%d,%d) and sit in waves %d and %d",
+						gi, gj, r, nb.c, waveOf[gi], waveOf[gj])
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkEvaluateMerge measures planning one merge on a mid-run state
@@ -261,10 +432,10 @@ func BenchmarkScoreMerge(b *testing.B) {
 	st := allocState(b)
 	ctx := st.getCtx()
 	roots := st.roots()
-	pop := ctx.stampPop(roots[0])
+	ctx.stampPop(roots[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.scoreMerge(ctx, pop, roots[1+i%(len(roots)-1)], 0, 0)
+		st.scoreMerge(ctx, roots[1+i%(len(roots)-1)], 0, 0)
 	}
 }

@@ -2,13 +2,14 @@ package core
 
 // This file implements the per-worker scratch contexts and free-lists
 // that keep the merge inner loop allocation-free in steady state. Every
-// goroutine that scores, plans or commits merges owns a gctx. Scoring a
-// partner needs only the within plan's panel problem from it; planning
-// the winner additionally draws a decision and one problem per rewritten
-// neighbour panel, which live until the commit — all recycled through
-// the context instead of being heap-allocated per call. Contexts
-// themselves are pooled on the state via sync.Pool, so the cost of a
-// fully-warmed context is paid workers times per run.
+// goroutine that runs candidate groups (scheduler.go) holds a gctx for
+// the iteration and runs whole groups on it. Scoring a partner needs
+// only the within plan's panel problem from it; planning the winner
+// additionally draws a decision and one problem per rewritten neighbour
+// panel, which live until the commit — all recycled through the context
+// instead of being heap-allocated per call. Contexts themselves are
+// pooled on the state via sync.Pool, so the cost of a fully-warmed
+// context is paid workers times per run.
 
 import "math/rand/v2"
 
@@ -49,8 +50,7 @@ type gctx struct {
 // popped root A: a dense lookup of A's cross entries by neighbour id and
 // the neighbours whose entry is loose from A's side. The slots are
 // epoch-stamped, so a pop costs O(deg A) and nothing is reset. It is
-// written by stampPop only and read-only while partners are scored —
-// argmaxParallel's workers share the group context's.
+// written by stampPop only and read by scoreMerge on the same context.
 type popInfo struct {
 	a     int32
 	epoch int32
@@ -64,7 +64,7 @@ type popSlot struct {
 }
 
 // stampPop records root a's cross entries in the context's popInfo.
-func (ctx *gctx) stampPop(a int32) *popInfo {
+func (ctx *gctx) stampPop(a int32) {
 	pop := &ctx.pop
 	if n := len(ctx.st.nbrs); len(pop.slots) < n {
 		pop.slots = make([]popSlot, n)
@@ -78,7 +78,6 @@ func (ctx *gctx) stampPop(a int32) *popInfo {
 			pop.loose = append(pop.loose, nb.c)
 		}
 	}
-	return pop
 }
 
 // entry returns the popped root's cross entry towards root c, nil when

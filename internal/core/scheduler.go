@@ -1,13 +1,14 @@
 package core
 
-// This file implements the candidate-group scheduler: one merging
-// iteration of Algorithm 1 dispatches the (root-disjoint) candidate
-// groups of Sect. III-B2 onto a worker pool. Two groups conflict when a
-// root of one holds a cross entry to a root of the other — then one
-// group's commits would rewrite state the other group's evaluations
-// read. Conflicting groups are deferred to later waves; groups within a
-// wave touch disjoint decision-relevant state, so they commute and any
-// execution interleaving reproduces the serial result bit for bit.
+// This file implements the candidate-group scheduler, the only
+// parallelism of a build: one merging iteration of Algorithm 1 runs the
+// (root-disjoint) candidate groups of Sect. III-B2 on a few workers. Two
+// groups conflict when a root of one holds a cross entry to a root of
+// the other — then one group's commits would rewrite state the other
+// group's evaluations read. Conflicting groups go to different waves, in
+// index order; groups within a wave touch disjoint decision-relevant
+// state, so they commute and any execution interleaving reproduces the
+// serial result bit for bit.
 //
 // Determinism across worker counts rests on four invariants:
 //   - group order and membership are deterministic (sorted min-hash
@@ -16,9 +17,9 @@ package core
 //     iteration, group index) — never from a shared stream;
 //   - supernode ids are reserved per group up front, so the ids a
 //     group's merges allocate do not depend on scheduling;
-//   - the wave partition defers a group that conflicts with ANY
-//     not-yet-scheduled earlier group, preserving the original relative
-//     order of every conflicting pair.
+//   - a group's wave is later than that of every earlier group it
+//     conflicts with (planWaves), preserving the original relative order
+//     of every conflicting pair.
 // Mutations that non-conflicting groups share — the neighbor list and
 // pcost of a root adjacent to two groups — are commutative (disjoint
 // list elements in a sorted list, additive counters) and serialized by
@@ -28,13 +29,23 @@ import (
 	"context"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/minhash"
 )
 
-// groupConflicts builds, for each group, the sorted set of
-// earlier-or-later groups it shares a cross entry with.
-func (st *state) groupConflicts(groups [][]int32) [][]int32 {
+// planWaves partitions the group indices into waves of pairwise
+// non-conflicting groups, each wave ascending. A group is deferred past
+// every earlier-indexed group it shares a cross entry with:
+//
+//	wave(g) = 1 + max{wave(g') : g' < g, g' conflicts with g}   (0 if none)
+//
+// which keeps every conflicting pair in its original relative order and
+// so makes the parallel schedule equivalent to processing groups
+// 0..k-1 serially. Neighbour lists are symmetric (checkAdjacency), so a
+// conflict is always seen from the later group's side and one sweep in
+// group order settles every group.
+func (st *state) planWaves(groups [][]int32) [][]int32 {
 	groupOf := make([]int32, st.next)
 	for i := range groupOf {
 		groupOf[i] = -1
@@ -44,88 +55,31 @@ func (st *state) groupConflicts(groups [][]int32) [][]int32 {
 			groupOf[r] = int32(gi)
 		}
 	}
-	// seen[gj] stamps the last group index that recorded a conflict with
-	// gj; group indices are unique per outer pass, so no reset is needed.
-	seen := make([]int32, len(groups))
-	for i := range seen {
-		seen[i] = -1
-	}
-	conflicts := make([][]int32, len(groups))
+	waveOf := make([]int32, len(groups))
+	var sizes []int
 	for gi, grp := range groups {
+		w := int32(0)
 		for _, r := range grp {
 			for _, nb := range st.nbrs[r] {
-				gj := groupOf[nb.c]
-				if gj < 0 || gj == int32(gi) || seen[gj] == int32(gi) {
-					continue
-				}
-				seen[gj] = int32(gi)
-				conflicts[gi] = append(conflicts[gi], gj)
-			}
-		}
-	}
-	// Symmetrize: a conflict discovered from either side blocks both.
-	for gi, cs := range conflicts {
-		for _, gj := range cs {
-			dup := false
-			for _, gk := range conflicts[gj] {
-				if gk == int32(gi) {
-					dup = true
-					break
+				if gj := groupOf[nb.c]; gj >= 0 && gj < int32(gi) && waveOf[gj] >= w {
+					w = waveOf[gj] + 1
 				}
 			}
-			if !dup {
-				conflicts[gj] = append(conflicts[gj], int32(gi))
-			}
 		}
+		waveOf[gi] = w
+		if int(w) == len(sizes) {
+			sizes = append(sizes, 0)
+		}
+		sizes[w]++
 	}
-	return conflicts
-}
-
-// buildWaves partitions group indices into waves of pairwise
-// non-conflicting groups. A group is deferred when it conflicts with a
-// group already placed in the current wave OR with an earlier group
-// that was itself deferred — the latter keeps every conflicting pair in
-// its original relative order, which makes the parallel schedule
-// equivalent to processing groups 0..k-1 serially.
-func buildWaves(conflicts [][]int32, k int) [][]int32 {
-	const (
-		stateNone = iota
-		stateWave
-		stateDeferred
-	)
-	waves := make([][]int32, 0, 4)
-	remaining := make([]int32, k)
-	for i := range remaining {
-		remaining[i] = int32(i)
+	// Lay the waves out in one backing array, filled in group order.
+	backing := make([]int32, len(groups))
+	waves := make([][]int32, len(sizes))
+	for w, n := range sizes {
+		waves[w], backing = backing[:0:n], backing[n:]
 	}
-	status := make([]int8, k)
-	for len(remaining) > 0 {
-		wave := make([]int32, 0, len(remaining))
-		deferred := remaining[:0]
-		for _, gi := range remaining {
-			ok := true
-			for _, gj := range conflicts[gi] {
-				if s := status[gj]; s == stateWave || s == stateDeferred {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				status[gi] = stateWave
-				wave = append(wave, gi)
-			} else {
-				status[gi] = stateDeferred
-				deferred = append(deferred, gi)
-			}
-		}
-		for _, gi := range wave {
-			status[gi] = stateNone
-		}
-		for _, gi := range deferred {
-			status[gi] = stateNone
-		}
-		waves = append(waves, wave)
-		remaining = deferred
+	for gi, w := range waveOf {
+		waves[w] = append(waves[w], int32(gi))
 	}
 	return waves
 }
@@ -143,17 +97,16 @@ func (ctx *gctx) groupRNG(seed int64, iter, gi int) *rand.Rand {
 }
 
 // runIteration executes one merging iteration over the candidate
-// groups: reserves per-group supernode-id blocks, partitions groups
-// into non-conflicting waves, and processes each wave on the worker
-// pool. Returns the total number of merges. With workers == 1 the
-// groups run serially in order — producing byte-identical state to any
-// parallel schedule.
+// groups: reserves per-group supernode-id blocks, plans the waves, and
+// runs each wave on min(workers, len(wave)) goroutines, each holding one
+// context and pulling the wave's groups. Returns the total number of
+// merges. With workers == 1 the groups run serially in order —
+// producing byte-identical state to any parallel schedule.
 //
-// Cancellation is checked between groups (serial) and between group
-// dispatches (parallel); on a cancelled ctx the iteration stops
-// scheduling new groups, waits for in-flight workers to drain, and
-// returns ctx.Err(). The summarization state is abandoned by the
-// caller, so no cleanup beyond draining is needed.
+// Cancellation is checked between groups; on a cancelled ctx the
+// iteration stops starting new groups, waits for in-flight workers to
+// drain, and returns ctx.Err(). The summarization state is abandoned by
+// the caller, so no cleanup beyond draining is needed.
 func (st *state) runIteration(ctx context.Context, groups [][]int32, iter int, seed int64, theta float64, hb int) (int, error) {
 	if len(groups) == 0 {
 		return 0, ctx.Err()
@@ -187,36 +140,49 @@ func (st *state) runIteration(ctx context.Context, groups [][]int32, iter int, s
 				st.putCtx(gc)
 				return tally(), err
 			}
-			mergesPer[gi] = st.processGroup(grp, gc.groupRNG(seed, iter, gi), blocks[gi], gc, theta, hb, 1)
+			mergesPer[gi] = st.processGroup(grp, gc.groupRNG(seed, iter, gi), blocks[gi], gc, theta, hb)
 		}
 		st.putCtx(gc)
 	} else {
-		waves := buildWaves(st.groupConflicts(groups), len(groups))
-		for _, wave := range waves {
-			inner := 1
-			if len(wave) < st.workers {
-				inner = (st.workers + len(wave) - 1) / len(wave)
-			}
-			sem := make(chan struct{}, st.workers)
-			var wg sync.WaitGroup
-			for _, gi := range wave {
-				if ctx.Err() != nil {
-					break
+		// One context per worker for the whole iteration; worker 0 is this
+		// goroutine.
+		gcs := make([]*gctx, min(st.workers, len(groups)))
+		for k := range gcs {
+			gcs[k] = st.getCtx()
+		}
+		for _, wave := range st.planWaves(groups) {
+			// Groups of a wave commute and write disjoint mergesPer slots,
+			// so the workers pull them in whatever order they get to them.
+			var next atomic.Int32
+			pull := func(gc *gctx) {
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(wave) {
+						return
+					}
+					gi := wave[i]
+					mergesPer[gi] = st.processGroup(groups[gi], gc.groupRNG(seed, iter, int(gi)), blocks[gi], gc, theta, hb)
 				}
+			}
+			var wg sync.WaitGroup
+			for _, gc := range gcs[1:min(len(gcs), len(wave))] {
 				wg.Add(1)
-				sem <- struct{}{}
-				go func(gi int32) {
+				go func() {
 					defer wg.Done()
-					defer func() { <-sem }()
-					gc := st.getCtx()
-					mergesPer[gi] = st.processGroup(groups[gi], gc.groupRNG(seed, iter, int(gi)), blocks[gi], gc, theta, hb, inner)
-					st.putCtx(gc)
-				}(gi)
+					pull(gc)
+				}()
 			}
+			pull(gcs[0])
 			wg.Wait()
-			if err := ctx.Err(); err != nil {
-				return tally(), err
+			if ctx.Err() != nil {
+				break
 			}
+		}
+		for _, gc := range gcs {
+			st.putCtx(gc)
+		}
+		if err := ctx.Err(); err != nil {
+			return tally(), err
 		}
 	}
 

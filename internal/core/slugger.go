@@ -29,10 +29,11 @@ type Config struct {
 	// Seed drives all randomness; runs are deterministic given a seed.
 	Seed int64
 	// Workers sets the size of the worker pool that processes candidate
-	// groups during merging (default 1 = serial). Non-conflicting groups
-	// run concurrently and undersized waves fall back to concurrent
-	// partner evaluations, so any worker count produces exactly the same
-	// summary as a serial run for a fixed seed.
+	// groups during merging (default 1 = serial). Only non-conflicting
+	// groups run concurrently — an iteration with one candidate group
+	// (≤ MaxGroup roots) is serial whatever the value — and any worker
+	// count produces exactly the same summary as a serial run for a fixed
+	// seed.
 	Workers int
 
 	// OnIteration, if non-nil, is invoked after each merging iteration

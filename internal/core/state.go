@@ -14,10 +14,9 @@ import (
 )
 
 // runChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, blocking until all complete. fn gets
-// the chunk's position k (chunks are numbered in index order) and its
-// half-open range.
-func runChunks(workers, n int, fn func(k, lo, hi int)) {
+// runs fn on each chunk's half-open range concurrently, blocking until
+// all complete.
+func runChunks(workers, n int, fn func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
@@ -26,16 +25,16 @@ func runChunks(workers, n int, fn func(k, lo, hi int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for k, lo := 0, 0; lo < n; k, lo = k+1, lo+chunk {
+	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
 		wg.Add(1)
-		go func(k, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(k, lo, hi)
-		}(k, lo, hi)
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }

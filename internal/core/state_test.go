@@ -256,23 +256,20 @@ func TestRootCostDecomposition(t *testing.T) {
 
 // The case the sweep cache used to cover: a whole candidate group
 // processed by processGroup, whose commits fold the counts of merged
-// roots into new entries many times over — on the serial path and on
-// the inner-parallel one.
+// roots into new entries many times over.
 func TestSweepCacheAfterMergeConsistent(t *testing.T) {
-	for _, innerWorkers := range []int{1, 2, 3} {
-		g := graph.ErdosRenyi(64, 256, 17) // 63 partners: three workers clear innerFloor
-		st := newState(g, rand.New(rand.NewSource(6)))
-		group := st.roots()
-		ids := st.reserveIDs(len(group) - 1)
-		ctx := st.getCtx()
-		merges := st.processGroup(group, ctx.groupRNG(7, 0, 0), ids, ctx, 0, 0, innerWorkers)
-		st.putCtx(ctx)
-		if merges < 5 {
-			t.Fatalf("innerWorkers %d: processGroup made only %d merges", innerWorkers, merges)
-		}
-		checkAdjacency(t, st)
-		checkBlockCounts(t, st, g, "after processGroup")
+	g := graph.ErdosRenyi(64, 256, 17)
+	st := newState(g, rand.New(rand.NewSource(6)))
+	group := st.roots()
+	ids := st.reserveIDs(len(group) - 1)
+	ctx := st.getCtx()
+	merges := st.processGroup(group, ctx.groupRNG(7, 0, 0), ids, ctx, 0, 0)
+	st.putCtx(ctx)
+	if merges < 5 {
+		t.Fatalf("processGroup made only %d merges", merges)
 	}
+	checkAdjacency(t, st)
+	checkBlockCounts(t, st, g, "after processGroup")
 }
 
 func TestRootShinglesEqualNeighborhoodsMatch(t *testing.T) {

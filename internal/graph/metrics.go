@@ -2,20 +2,6 @@ package graph
 
 import "sort"
 
-// DegreeHistogram returns the number of vertices of each degree,
-// indexed by degree (length MaxDegree()+1, empty for an empty graph).
-func DegreeHistogram(g *Graph) []int64 {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	hist := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < n; v++ {
-		hist[g.Degree(int32(v))]++
-	}
-	return hist
-}
-
 // GlobalClusteringCoefficient returns 3*triangles / #wedges (0 when the
 // graph has no wedges) — the transitivity of the graph.
 func GlobalClusteringCoefficient(g *Graph) float64 {
@@ -113,13 +99,4 @@ func EffectiveDiameter(g *Graph, samples int, seed int64) int {
 	}
 	sort.Ints(dists)
 	return dists[(len(dists)*9)/10]
-}
-
-// Density returns 2|E| / (|V|(|V|-1)), the fraction of present pairs.
-func Density(g *Graph) float64 {
-	n := int64(g.NumNodes())
-	if n < 2 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(n*(n-1))
 }

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
-	hist := DegreeHistogram(g)
-	// Star: one degree-3 vertex, three degree-1 vertices.
-	if hist[3] != 1 || hist[1] != 3 || hist[0] != 0 {
-		t.Fatalf("hist = %v", hist)
-	}
-	if DegreeHistogram(FromEdges(0, nil)) != nil {
-		t.Fatal("empty graph should yield nil histogram")
-	}
-}
-
 func TestGlobalClusteringTriangleVsStar(t *testing.T) {
 	tri := FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {0, 2}})
 	if c := GlobalClusteringCoefficient(tri); math.Abs(c-1) > 1e-12 {
@@ -75,16 +63,5 @@ func TestEffectiveDiameterCliqueIsOne(t *testing.T) {
 	g := FromEdges(6, edges)
 	if d := EffectiveDiameter(g, 0, 3); d != 1 {
 		t.Fatalf("clique effective diameter = %d, want 1", d)
-	}
-}
-
-func TestDensity(t *testing.T) {
-	g := FromEdges(4, [][2]int32{{0, 1}, {2, 3}})
-	want := 2.0 * 2 / (4 * 3)
-	if d := Density(g); math.Abs(d-want) > 1e-12 {
-		t.Fatalf("density = %f, want %f", d, want)
-	}
-	if Density(FromEdges(1, nil)) != 0 {
-		t.Fatal("single vertex density should be 0")
 	}
 }

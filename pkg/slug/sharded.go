@@ -343,10 +343,12 @@ func LoadSharded(path string) (*Sharded, error) {
 //
 // Shards build concurrently under one worker budget: WithWorkers
 // bounds the total parallelism (shard-level concurrency times each
-// shard's merge-phase pool; default GOMAXPROCS). Progress events
-// report completed shards: StageIteration with Step = shards finished
-// and Total = k, then one StageDone carrying the final cost.
-// Cancelling ctx stops all in-flight shard builds promptly.
+// shard's merge-phase pool; default GOMAXPROCS). Per-shard workers only
+// help a shard with more than one candidate group, i.e. > 500 roots: a
+// smaller shard builds serially and its share of the budget idles.
+// Progress events report completed shards: StageIteration with Step =
+// shards finished and Total = k, then one StageDone carrying the final
+// cost. Cancelling ctx stops all in-flight shard builds promptly.
 func SummarizeSharded(ctx context.Context, g *graph.Graph, k int, opts ...Option) (*Sharded, error) {
 	cfg := resolve(opts)
 	algo := cfg.algorithm
