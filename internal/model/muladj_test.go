@@ -9,7 +9,9 @@ package model_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -243,8 +245,8 @@ func TestMulAdjFallback(t *testing.T) {
 
 // TestPageRankRepeatable: one view, two runs, identical bits — and
 // within 1e-12 of the raw graph — for all three views. The overlay is
-// rebuilt from its update stream for every run, so its correction maps
-// iterate in a different order each time.
+// rebuilt from its update stream for every run, so each run reads a
+// freshly built correction index.
 func TestPageRankRepeatable(t *testing.T) {
 	g := testGraphs(6)["hier"]
 	cs := summarize(t, "slugger", g, 6)
@@ -282,6 +284,64 @@ func TestPageRankRepeatable(t *testing.T) {
 			}
 			if d := first[i] - want[i]; d > 1e-12 || d < -1e-12 {
 				t.Fatalf("%s: rank[%d] = %v, raw graph gives %v", v.name, i, first[i], want[i])
+			}
+		}
+	}
+}
+
+// TestOverlayMulAdjBatchOrder: two overlays over one base that reach
+// the same corrections through different batch orders give bit-equal
+// MulAdj and PageRank — the floating-point sums must not depend on the
+// history that built the overlay.
+func TestOverlayMulAdjBatchOrder(t *testing.T) {
+	g := testGraphs(8)["hier"]
+	cs := summarize(t, "slugger", g, 8)
+	seen := map[[2]int32]bool{}
+	var ups []model.EdgeUpdate
+	for _, up := range randomUpdates(rand.New(rand.NewSource(4)), g, 80) {
+		if k := [2]int32{min(up.U, up.V), max(up.U, up.V)}; !seen[k] {
+			seen[k] = true // one update per pair: any order ends in the same graph
+			ups = append(ups, up)
+		}
+	}
+	one, _, err := model.NewOverlay(cs).Apply(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many := model.NewOverlay(cs)
+	rev := slices.Clone(ups)
+	slices.Reverse(rev)
+	for len(rev) > 0 {
+		k := min(7, len(rev))
+		if many, _, err = many.Apply(rev[:k]); err != nil {
+			t.Fatal(err)
+		}
+		rev = rev[k:]
+	}
+	if one.Len() == 0 || one.Insertions() != many.Insertions() || one.Deletions() != many.Deletions() {
+		t.Fatalf("overlays hold +%d -%d and +%d -%d", one.Insertions(), one.Deletions(), many.Insertions(), many.Deletions())
+	}
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, g.NumNodes())
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	a, b := make([]float64, len(x)), make([]float64, len(x))
+	if !one.MulAdj(a, x) || !many.MulAdj(b, x) {
+		t.Fatal("overlay reported ineligible")
+	}
+	pr := func(o *model.DeltaOverlay) []float64 {
+		s := algos.OnView(o)
+		defer s.Release()
+		return algos.PageRank(s, 0.85, 20)
+	}
+	for _, c := range []struct {
+		what string
+		a, b []float64
+	}{{"MulAdj", a, b}, {"PageRank", pr(one), pr(many)}} {
+		for i := range c.a {
+			if math.Float64bits(c.a[i]) != math.Float64bits(c.b[i]) {
+				t.Fatalf("%s[%d] = %v in one batch, %v in reversed batches", c.what, i, c.a[i], c.b[i])
 			}
 		}
 	}

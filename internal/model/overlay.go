@@ -31,23 +31,42 @@ type EdgeUpdate struct {
 
 // DeltaOverlay is an immutable snapshot of edge corrections relative to
 // a compiled base summary: +1 entries are edges present in the live
-// graph but absent from the base, -1 entries the reverse. A nil/empty
-// adjacency means the overlay represents exactly the base. Snapshots
-// are safe for any number of concurrent readers; Apply returns a new
+// graph but absent from the base, -1 entries the reverse. A nil page
+// index means the overlay represents exactly the base. Snapshots are
+// safe for any number of concurrent readers; Apply returns a new
 // snapshot and never mutates its receiver.
 type DeltaOverlay struct {
 	cs *CompiledSummary
-	// adj[v][u] = +1 (edge {v,u} inserted over the base) or -1 (deleted
-	// from the base); entries exist only where the live graph differs
-	// from the base, symmetrically for both endpoints.
-	adj     map[int32]map[int32]int8
+	// pages[v>>pageBits][v&pageMask] lists v's corrections sorted by u:
+	// entries exist only where the live graph differs from the base,
+	// symmetrically for both endpoints. Pages and lists are shared
+	// between snapshots and never written after publication; nil when
+	// the overlay is empty.
+	pages   []*page
 	plus    int    // inserted pairs
 	minus   int    // deleted pairs
 	version uint64 // bumped on every published snapshot
 
-	// corrections returns adj flattened for MulAdj (flatten), built on
-	// the first call; set by the constructors.
+	// corrections returns the entries flattened for MulAdj (flatten),
+	// built on the first call; set by the constructors.
 	corrections func() []correction
+}
+
+const (
+	pageBits = 7
+	pageMask = 1<<pageBits - 1
+)
+
+// page holds the correction lists of 1<<pageBits consecutive vertices,
+// one pointer each (nil: no corrections), so cloning a page copies a
+// kilobyte whatever the lists hold.
+type page [1 << pageBits]*[]entry
+
+// entry is one correction of a vertex's list: the pair {v, u} is
+// inserted over the base (s = +1) or masked out of it (s = -1).
+type entry struct {
+	u int32
+	s int8
 }
 
 // correction is one directed overlay entry: dst[v] gains s·x[u].
@@ -84,6 +103,29 @@ func (o *DeltaOverlay) Len() int { return o.plus + o.minus }
 // Version returns the snapshot's monotonically increasing version.
 func (o *DeltaOverlay) Version() uint64 { return o.version }
 
+// list returns v's corrections, sorted by u (nil when it has none).
+func (o *DeltaOverlay) list(v int32) []entry {
+	if o.pages == nil {
+		return nil
+	}
+	if p := o.pages[v>>pageBits]; p != nil && p[v&pageMask] != nil {
+		return *p[v&pageMask]
+	}
+	return nil
+}
+
+// sign returns the correction for the pair {v, u}: +1, -1, or 0 when
+// the live graph agrees with the base.
+func (o *DeltaOverlay) sign(v, u int32) int8 {
+	l := o.list(v)
+	if i, ok := slices.BinarySearchFunc(l, u, byU); ok {
+		return l[i].s
+	}
+	return 0
+}
+
+func byU(e entry, u int32) int { return cmp.Compare(e.u, u) }
+
 // ValidateUpdates checks a batch against a vertex count: out-of-range
 // endpoints and self-loops are rejected. Exposed so writers can
 // validate before taking any serialization lock (validity depends only
@@ -114,97 +156,124 @@ func (o *DeltaOverlay) Apply(ups []EdgeUpdate) (*DeltaOverlay, int, error) {
 	return nxt, applied, nil
 }
 
+// arc is one sign change of a batch, seen from endpoint v: the pair
+// {v, u} takes correction s (0: the entry goes).
+type arc struct {
+	v int32
+	entry
+}
+
 // applyValidated applies a pre-validated batch, returning the new
 // snapshot and the number of effective updates; see Apply.
+//
+// Copy-on-write by structural sharing: each pair the batch names is
+// resolved once, replaying its updates in batch order, into the sign
+// changes it makes; those are sorted by (v, u), so every touched list
+// is rebuilt exactly once by a merge and pages are cloned in ascending
+// order, each once. A batch costs the page index (n/128 pointers) plus
+// the pages and lists it touches; the rest is shared with o.
 func (o *DeltaOverlay) applyValidated(ups []EdgeUpdate) (*DeltaOverlay, int) {
-	nxt := &DeltaOverlay{cs: o.cs, plus: o.plus, minus: o.minus, version: o.version + 1}
+	nxt := &DeltaOverlay{cs: o.cs, pages: o.pages, plus: o.plus, minus: o.minus, version: o.version + 1}
 	nxt.corrections = sync.OnceValue(nxt.flatten)
-	if len(ups) == 0 {
-		nxt.adj = o.adj
-		return nxt, 0
+	pairs := make([]EdgeUpdate, len(ups))
+	for i, up := range ups {
+		pairs[i] = EdgeUpdate{U: min(up.U, up.V), V: max(up.U, up.V), Delete: up.Delete}
 	}
-	// Copy-on-write: share inner maps with o, cloning each vertex's map
-	// the first time this batch writes to it. The outer copy is O(|Δ|)
-	// per batch — bounded by the compaction threshold; with compaction
-	// disabled it grows with the overlay, so unbounded-overlay callers
-	// should batch updates and compact manually.
-	nxt.adj = make(map[int32]map[int32]int8, len(o.adj)+4)
-	for v, m := range o.adj {
-		nxt.adj[v] = m
-	}
-	cloned := make(map[int32]bool, 8)
-	inner := func(v int32) map[int32]int8 {
-		m := nxt.adj[v]
-		switch {
-		case m == nil:
-			m = make(map[int32]int8, 2)
-			nxt.adj[v] = m
-			cloned[v] = true
-		case !cloned[v]:
-			c := make(map[int32]int8, len(m)+1)
-			for k, s := range m {
-				c[k] = s
-			}
-			m = c
-			nxt.adj[v] = m
-			cloned[v] = true
+	slices.SortStableFunc(pairs, func(a, b EdgeUpdate) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return m
-	}
-	set := func(u, v int32, s int8) {
-		inner(u)[v] = s
-		inner(v)[u] = s
-	}
-	del := func(u, v int32) {
-		mu, mv := inner(u), inner(v)
-		delete(mu, v)
-		delete(mv, u)
-		if len(mu) == 0 {
-			delete(nxt.adj, u)
-		}
-		if len(mv) == 0 {
-			delete(nxt.adj, v)
-		}
-	}
+		return cmp.Compare(a.V, b.V)
+	})
 	qc := o.cs.AcquireCtx()
 	defer o.cs.ReleaseCtx(qc)
 	applied := 0
-	for _, up := range ups {
-		u, v := up.U, up.V
-		var cur int8
-		if m := nxt.adj[u]; m != nil {
-			cur = m[v]
+	arcs := make([]arc, 0, 2*len(pairs))
+	for i := 0; i < len(pairs); {
+		u, v := pairs[i].U, pairs[i].V
+		s := o.sign(u, v)
+		inBase := s < 0 || s == 0 && qc.HasEdge(u, v)
+		present := s > 0 || s == 0 && inBase
+		for ; i < len(pairs) && pairs[i].U == u && pairs[i].V == v; i++ {
+			if pairs[i].Delete == present {
+				present = !present
+				applied++
+			}
 		}
-		var present bool
-		switch cur {
-		case 1:
-			present = true
-		case -1:
-			present = false
+		var ns int8
+		switch {
+		case present == inBase:
+		case present:
+			ns = 1 // add over the base
 		default:
-			present = qc.HasEdge(u, v)
+			ns = -1 // mask a base edge
 		}
-		if up.Delete != present {
-			continue // no-op: already in the requested state
-		}
-		applied++
-		if up.Delete {
-			if cur == 1 {
-				del(u, v) // un-insert
+		if ns != s {
+			switch s {
+			case 1:
 				nxt.plus--
-			} else {
-				set(u, v, -1) // mask a base edge
+			case -1:
+				nxt.minus--
+			}
+			switch ns {
+			case 1:
+				nxt.plus++
+			case -1:
 				nxt.minus++
 			}
-		} else {
-			if cur == -1 {
-				del(u, v) // un-delete
-				nxt.minus--
-			} else {
-				set(u, v, 1) // add over the base
-				nxt.plus++
+			arcs = append(arcs, arc{u, entry{v, ns}}, arc{v, entry{u, ns}})
+		}
+	}
+	if len(arcs) == 0 {
+		return nxt, applied
+	}
+	slices.SortFunc(arcs, func(a, b arc) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.u, b.u)
+	})
+	if o.pages == nil {
+		nxt.pages = make([]*page, (o.cs.n+pageMask)>>pageBits)
+	} else {
+		nxt.pages = slices.Clone(o.pages)
+	}
+	lastPage := int32(-1)
+	for i := 0; i < len(arcs); {
+		v, end := arcs[i].v, i
+		for end < len(arcs) && arcs[end].v == v {
+			end++
+		}
+		old := o.list(v)
+		merged := make([]entry, 0, len(old)+end-i)
+		k := 0
+		for _, a := range arcs[i:end] {
+			j, found := slices.BinarySearchFunc(old[k:], a.u, byU)
+			merged = append(merged, old[k:k+j]...)
+			if k += j; found {
+				k++ // replaced or dropped
+			}
+			if a.s != 0 {
+				merged = append(merged, a.entry)
 			}
 		}
+		merged = append(merged, old[k:]...)
+		i = end
+		if pi := v >> pageBits; pi != lastPage {
+			p := new(page)
+			if op := nxt.pages[pi]; op != nil {
+				*p = *op
+			}
+			nxt.pages[pi], lastPage = p, pi
+		}
+		var slot *[]entry
+		if len(merged) > 0 {
+			slot = &merged
+		}
+		nxt.pages[v>>pageBits][v&pageMask] = slot
+	}
+	if nxt.Len() == 0 {
+		nxt.pages = nil // the empty overlay reads as the bare base
 	}
 	return nxt, applied
 }
@@ -235,27 +304,29 @@ func (o *DeltaOverlay) ReleaseCtx(c *OverlayCtx) {
 }
 
 // NeighborsOf returns the sorted neighbors of leaf v in the live graph:
-// the base decompression (Algorithm 4) filtered and extended by the
-// overlay's corrections for v. The result aliases the context's buffer
-// and is valid until the next call; copy it to retain it.
+// the base decompression (Algorithm 4) merged with v's corrections,
+// dropping the -1 entries and splicing in the +1 entries. The result
+// aliases the context's buffer and is valid until the next call; copy
+// it to retain it.
 func (c *OverlayCtx) NeighborsOf(v int32) []int32 {
 	base := c.qc.NeighborsOf(v)
-	dm := c.o.adj[v]
-	if len(dm) == 0 {
+	d := c.o.list(v)
+	if len(d) == 0 {
 		return base
 	}
-	c.buf = c.buf[:0]
-	for _, u := range base {
-		if dm[u] >= 0 {
-			c.buf = append(c.buf, u)
+	buf, i := c.buf[:0], 0
+	for _, e := range d {
+		for i < len(base) && base[i] < e.u {
+			buf = append(buf, base[i])
+			i++
+		}
+		if e.s > 0 {
+			buf = append(buf, e.u)
+		} else if i < len(base) && base[i] == e.u {
+			i++
 		}
 	}
-	for u, s := range dm {
-		if s > 0 {
-			c.buf = append(c.buf, u)
-		}
-	}
-	slices.Sort(c.buf)
+	c.buf = append(buf, base[i:]...)
 	return c.buf
 }
 
@@ -266,10 +337,8 @@ func (c *OverlayCtx) HasEdge(u, v int32) bool {
 	if u == v {
 		return false
 	}
-	if dm := c.o.adj[u]; dm != nil {
-		if s := dm[v]; s != 0 {
-			return s > 0
-		}
+	if s := c.o.sign(u, v); s != 0 {
+		return s > 0
 	}
 	return c.qc.HasEdge(u, v)
 }
@@ -280,10 +349,8 @@ func (o *DeltaOverlay) HasEdge(u, v int32) bool {
 	if u == v {
 		return false
 	}
-	if dm := o.adj[u]; dm != nil {
-		if s := dm[v]; s != 0 {
-			return s > 0
-		}
+	if s := o.sign(u, v); s != 0 {
+		return s > 0
 	}
 	return o.cs.HasEdge(u, v)
 }
@@ -321,18 +388,15 @@ func (o *DeltaOverlay) MulAdj(dst, x []float64) bool {
 	return true
 }
 
-// flatten lists adj's entries with each vertex's contiguous and in
-// ascending u: every dst[v] then takes its corrections in a fixed
-// order, so MulAdj never depends on map iteration (the order of the v's
-// among themselves cannot matter — they write different entries).
+// flatten lists the entries in (v, u) order: every dst[v] then takes
+// its corrections in ascending u, a fixed order, so MulAdj does not
+// depend on the batches that built the overlay.
 func (o *DeltaOverlay) flatten() []correction {
 	flat := make([]correction, 0, 2*o.Len())
-	for v, dm := range o.adj {
-		mine := len(flat)
-		for u, s := range dm {
-			flat = append(flat, correction{v, u, float64(s)})
+	for v := int32(0); v < int32(o.cs.n); v++ {
+		for _, e := range o.list(v) {
+			flat = append(flat, correction{v, e.u, float64(e.s)})
 		}
-		slices.SortFunc(flat[mine:], func(a, b correction) int { return cmp.Compare(a.u, b.u) })
 	}
 	return flat
 }

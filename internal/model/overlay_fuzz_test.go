@@ -44,6 +44,7 @@ func FuzzOverlayParity(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Apply(%v): %v", pending, err)
 			}
+			checkOverlay(t, nxt)
 			o = nxt
 			pending = pending[:0]
 		}

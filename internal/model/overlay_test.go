@@ -1,8 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +68,47 @@ func checkOverlayParity(t *testing.T, o *DeltaOverlay, want *graph.Graph) {
 	}
 }
 
+// checkOverlay asserts the overlay's representation invariants: every
+// list strictly ascending in u with signs ±1, entries symmetric, plus
+// and minus equal to the entry counts, -1 only over base edges and +1
+// only over base non-edges, and the page index nil exactly when empty.
+func checkOverlay(t *testing.T, o *DeltaOverlay) {
+	t.Helper()
+	if (o.pages == nil) != (o.Len() == 0) {
+		t.Fatalf("page index nil = %v with %d corrections", o.pages == nil, o.Len())
+	}
+	n := int32(o.NumNodes())
+	if o.pages != nil && len(o.pages) != int(n+pageMask)>>pageBits {
+		t.Fatalf("%d pages for %d vertices", len(o.pages), n)
+	}
+	plus, minus := 0, 0
+	for v := int32(0); v < n; v++ {
+		l := o.list(v)
+		for i, e := range l {
+			switch {
+			case i > 0 && l[i-1].u >= e.u:
+				t.Fatalf("list of %d not strictly ascending: %v", v, l)
+			case e.s != 1 && e.s != -1:
+				t.Fatalf("correction {%d,%d} has sign %d", v, e.u, e.s)
+			case e.u < 0 || e.u >= n || e.u == v:
+				t.Fatalf("list of %d holds vertex %d", v, e.u)
+			case o.sign(e.u, v) != e.s:
+				t.Fatalf("correction {%d,%d} = %d, {%d,%d} = %d", v, e.u, e.s, e.u, v, o.sign(e.u, v))
+			case (e.s < 0) != o.cs.HasEdge(v, e.u):
+				t.Fatalf("correction {%d,%d} = %d, base edge %v", v, e.u, e.s, o.cs.HasEdge(v, e.u))
+			}
+			if v < e.u && e.s > 0 {
+				plus++
+			} else if v < e.u {
+				minus++
+			}
+		}
+	}
+	if plus != o.plus || minus != o.minus {
+		t.Fatalf("counters +%d -%d, entries +%d -%d", o.plus, o.minus, plus, minus)
+	}
+}
+
 func TestOverlayApplySemantics(t *testing.T) {
 	cs := fig2Summary().Compile()
 	o := NewOverlay(cs)
@@ -83,6 +126,7 @@ func TestOverlayApplySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOverlay(t, o2)
 	if applied != 2 {
 		t.Fatalf("applied = %d, want 2", applied)
 	}
@@ -105,6 +149,7 @@ func TestOverlayApplySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOverlay(t, o3)
 	if applied != 2 || o3.Len() != 0 {
 		t.Fatalf("revert: applied %d, len %d; want 2, 0", applied, o3.Len())
 	}
@@ -152,7 +197,145 @@ func TestOverlayParityAgainstMutatedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOverlay(t, o2)
 	checkOverlayParity(t, o2, setsToGraph(live, 60))
+}
+
+// snapshotRecord is what one overlay snapshot answered when it was
+// created: every neighbor list, HasEdge on a fixed pair sample, and
+// MulAdj of a fixed vector.
+type snapshotRecord struct {
+	o     *DeltaOverlay
+	nbrs  [][]int32
+	has   []bool
+	mul   []float64
+	mulOK bool
+}
+
+func recordSnapshot(o *DeltaOverlay, pairs [][2]int32, x []float64) snapshotRecord {
+	r := snapshotRecord{o: o, mul: make([]float64, len(x))}
+	for v := int32(0); v < int32(o.NumNodes()); v++ {
+		r.nbrs = append(r.nbrs, o.NeighborsOf(v))
+	}
+	for _, p := range pairs {
+		r.has = append(r.has, o.HasEdge(p[0], p[1]))
+	}
+	r.mulOK = o.MulAdj(r.mul, x)
+	return r
+}
+
+// verify re-asks the snapshot everything it was asked at creation.
+func (r snapshotRecord) verify(pairs [][2]int32, x []float64) error {
+	c := r.o.AcquireCtx()
+	defer r.o.ReleaseCtx(c)
+	for v, want := range r.nbrs {
+		if got := c.NeighborsOf(int32(v)); !slices.Equal(got, want) {
+			return fmt.Errorf("version %d: NeighborsOf(%d) = %v, was %v", r.o.Version(), v, got, want)
+		}
+	}
+	for i, p := range pairs {
+		if got := c.HasEdge(p[0], p[1]); got != r.has[i] {
+			return fmt.Errorf("version %d: HasEdge(%d,%d) = %v, was %v", r.o.Version(), p[0], p[1], got, r.has[i])
+		}
+	}
+	mul := make([]float64, len(x))
+	if ok := r.o.MulAdj(mul, x); ok != r.mulOK || !slices.Equal(mul, r.mul) {
+		return fmt.Errorf("version %d: MulAdj changed", r.o.Version())
+	}
+	return nil
+}
+
+// TestOverlaySnapshotsImmutable: snapshots share pages and lists with
+// their ancestors, so a write that reached a shared one would change an
+// older snapshot's answers. Two children of one parent write the same
+// vertex and the same page; 200 descendants then branch off random
+// earlier snapshots while readers re-verify old ones (run under -race).
+func TestOverlaySnapshotsImmutable(t *testing.T) {
+	const n = 300
+	g := randomGraph(n, 0.03, 4)
+	rng := rand.New(rand.NewSource(5))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = float64(rng.Intn(2001) - 1000)
+	}
+	var pairs [][2]int32
+	for i := 0; i < 400; i++ {
+		pairs = append(pairs, [2]int32{rng.Int31n(n), rng.Int31n(n)})
+	}
+	batch := func(size int) []EdgeUpdate {
+		ups := make([]EdgeUpdate, 0, size)
+		for len(ups) < size {
+			// Endpoints from a small range: batches collide on pages.
+			u, v := rng.Int31n(160), rng.Int31n(n)
+			if u != v {
+				ups = append(ups, EdgeUpdate{U: u, V: v, Delete: rng.Intn(3) == 0})
+			}
+		}
+		return ups
+	}
+	apply := func(o *DeltaOverlay, ups []EdgeUpdate) *DeltaOverlay {
+		nxt, _, err := o.Apply(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOverlay(t, nxt)
+		return nxt
+	}
+
+	parent := apply(NewOverlay(compileTrivial(g)), batch(40))
+	a := apply(parent, []EdgeUpdate{{U: 5, V: 9}, {U: 5, V: 200}, {U: 6, V: 7, Delete: true}})
+	b := apply(parent, []EdgeUpdate{{U: 5, V: 9, Delete: true}, {U: 5, V: 201}, {U: 7, V: 6}})
+	if a.list(5) == nil || b.list(5) == nil || a.pages[0] == b.pages[0] {
+		t.Fatal("the two children do not both write vertex 5 and page 0")
+	}
+
+	var mu sync.Mutex
+	recs := []snapshotRecord{recordSnapshot(parent, pairs, x), recordSnapshot(a, pairs, x), recordSnapshot(b, pairs, x)}
+	snapshot := func() []snapshotRecord {
+		mu.Lock()
+		defer mu.Unlock()
+		return recs
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rr := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rs := snapshot()
+				if err := rs[rr.Intn(len(rs))].verify(pairs, x); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(w))
+	}
+	for i := 0; i < 200; i++ {
+		from := recs[rng.Intn(len(recs))].o
+		r := recordSnapshot(apply(from, batch(1+rng.Intn(8))), pairs, x)
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := r.verify(pairs, x); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // compileTrivial compiles g as a flat identity summary (each vertex its

@@ -60,7 +60,9 @@ func WithWorkers(n int) Option {
 // WithCompactionThreshold sets, for updatable artifacts (NewUpdatable),
 // the number of overlay corrections at which a background re-summarize
 // is triggered and the fresh base swapped in (0, the default, disables
-// auto-compaction: the overlay grows until Compact is called).
+// auto-compaction: the overlay grows until Compact is called). A
+// batch's cost does not grow with the overlay, only the reads of the
+// vertices it has corrected do: each merges that vertex's corrections.
 // Summarize calls ignore it.
 func WithCompactionThreshold(n int) Option {
 	return func(cfg *buildConfig) { cfg.compaction = n }
