@@ -214,10 +214,6 @@ func describe(art slug.Artifact, edges int64, elapsed time.Duration) {
 			s.NumSupernodes(), s.PCount(), s.NCount(), s.HCount())
 		fmt.Printf("hierarchy: max height %d, avg leaf depth %.2f\n",
 			s.MaxHeight(), s.AvgLeafDepth())
-	case *slug.Flat:
-		s := a.Summary
-		fmt.Printf("flat model: %d supernodes, |P|=%d |C+|=%d |C-|=%d\n",
-			s.NumSupernodes(), len(s.P), len(s.CPlus), len(s.CMinus))
 	case *slug.Mapped:
 		cs, _ := a.Queryable()
 		fmt.Printf("compiled model (%s): %d vertices, %d supernodes, %d superedges, %d bytes\n",

@@ -153,9 +153,10 @@ func PageRank(g NeighborSource, d float64, T int) []float64 {
 }
 
 // Dijkstra returns shortest-path distances from src with unit edge
-// weights (-1 for unreachable vertices). With unit weights the binary
-// heap degenerates gracefully to near-BFS behavior, matching the
-// paper's use of Dijkstra's on unweighted summaries.
+// weights (-1 for unreachable vertices), the paper's Dijkstra's on
+// unweighted summaries. With every weight 1 a FIFO queue already pops
+// vertices in distance order, so the distances are BFS levels and no
+// priority queue is needed.
 func Dijkstra(g NeighborSource, src int32) []int64 {
 	n := g.NumNodes()
 	dist := make([]int64, n)
@@ -165,57 +166,15 @@ func Dijkstra(g NeighborSource, src int32) []int64 {
 	if n == 0 {
 		return dist
 	}
-	type item struct {
-		v int32
-		d int64
-	}
-	heap := []item{{src, 0}}
 	dist[src] = 0
-	push := func(it item) {
-		heap = append(heap, it)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].d <= heap[i].d {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() item {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < last && heap[l].d < heap[smallest].d {
-				smallest = l
-			}
-			if r < last && heap[r].d < heap[smallest].d {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			heap[i], heap[smallest] = heap[smallest], heap[i]
-			i = smallest
-		}
-		return top
-	}
-	for len(heap) > 0 {
-		it := pop()
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, w := range g.Neighbors(it.v) {
-			nd := it.d + 1
-			if dist[w] < 0 || nd < dist[w] {
-				dist[w] = nd
-				push(item{w, nd})
+	queue := []int32{src}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, w := range g.Neighbors(v) {
+			if dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, w)
 			}
 		}
 	}

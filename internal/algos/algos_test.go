@@ -134,8 +134,39 @@ func TestAlgorithmsAgreeOnSummary(t *testing.T) {
 	_ = cb
 }
 
+// isBFSDistance reports whether dist is the unit-weight distance from
+// src in g, given reach (the vertices BFS reaches from src): dist[src]
+// is 0, -1 marks exactly the vertices off the reach, the two ends of
+// every edge are at most one level apart, and every other reached
+// vertex has a neighbor one level closer.
+func isBFSDistance(g *graph.Graph, src int32, reach []int32, dist []int64) bool {
+	if len(dist) != g.NumNodes() || dist[src] != 0 {
+		return false
+	}
+	reached := make([]bool, g.NumNodes())
+	for _, v := range reach {
+		reached[v] = true
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		if (dist[v] >= 0) != reached[v] {
+			return false
+		}
+		closer := v == src
+		for _, w := range g.Neighbors(v) {
+			if d := dist[v] - dist[w]; d > 1 || d < -1 {
+				return false
+			}
+			closer = closer || dist[w] == dist[v]-1
+		}
+		if reached[v] && !closer {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: BFS reach equals component size on random graphs, both raw
-// and on summaries.
+// and on summaries, and Dijkstra's distances are BFS levels.
 func TestBFSReachEqualsComponentProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property test skipped in -short mode")
@@ -151,11 +182,13 @@ func TestBFSReachEqualsComponentProperty(t *testing.T) {
 				size++
 			}
 		}
-		if len(BFS(Raw(g), src)) != size {
+		reach := BFS(Raw(g), src)
+		if len(reach) != size || !isBFSDistance(g, src, reach, Dijkstra(Raw(g), src)) {
 			return false
 		}
 		sum, _ := core.Summarize(g, core.Config{T: 4, Seed: seed})
-		return len(BFS(OnSummary(sum), src)) == size
+		onsum := OnSummary(sum)
+		return len(BFS(onsum, src)) == size && isBFSDistance(g, src, reach, Dijkstra(onsum, src))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -80,48 +80,20 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 }
 
 // ProcessInsertion performs MoSSo's randomized move proposals for
-// endpoint u of a newly arrived edge (u, v). Exported so the streaming
-// example can drive the summarizer edge by edge.
+// endpoint u of a newly arrived edge (u, v). SummarizeCtx calls it for
+// both endpoints of every streamed edge; it is exported so a caller
+// feeding an incremental grouping (flatgreedy.NewIncremental) edge by
+// edge can drive the same proposals.
 func ProcessInsertion(gr *flatgreedy.Grouping, u, v int32, cfg Config, rng *rand.Rand) {
 	_ = u
 	correctivePass(gr, v, cfg.withDefaults(), rng)
 }
 
-// ProcessDeletion performs the corrective move proposals for endpoint u
-// of a deleted edge (u, v): the same randomized pass around v's
-// remaining neighborhood, plus a proposal for v itself (the vertex whose
-// cost position the deletion perturbed most — with no neighbors left,
-// escaping to a singleton is the only sensible correction). Together
-// with ProcessInsertion this generalizes the batch summarizer to fully
-// dynamic streams.
-func ProcessDeletion(gr *flatgreedy.Grouping, u, v int32, cfg Config, rng *rand.Rand) {
-	_ = u
-	cfg = cfg.withDefaults()
-	nbrs := gr.Neighbors(v)
-	if len(nbrs) == 0 {
-		if gr.Size(gr.GroupOf[v]) > 1 {
-			tryEscape(gr, v)
-		}
-		return
-	}
-	// Propose a move for v itself first: escape, or join a remaining
-	// neighbor's supernode.
-	if rng.Float64() < cfg.Escape {
-		tryEscape(gr, v)
-	} else {
-		y := nbrs[rng.Intn(len(nbrs))]
-		if target := gr.GroupOf[y]; target != gr.GroupOf[v] {
-			tryMove(gr, v, target)
-		}
-	}
-	correctivePass(gr, v, cfg, rng)
-}
-
-// correctivePass runs the randomized move proposals around vertex v
-// (shared core of insertion and deletion processing): each trial picks a
-// random neighbor of v, which either escapes to a fresh singleton
-// supernode or tries joining the supernode of another sampled neighbor,
-// keeping moves that do not increase the local encoding cost.
+// correctivePass runs the randomized move proposals around vertex v:
+// each trial picks a random neighbor of v, which either escapes to a
+// fresh singleton supernode or tries joining the supernode of another
+// sampled neighbor, keeping moves that do not increase the local
+// encoding cost.
 func correctivePass(gr *flatgreedy.Grouping, v int32, cfg Config, rng *rand.Rand) {
 	nbrs := gr.Neighbors(v)
 	if len(nbrs) == 0 {
@@ -149,63 +121,10 @@ func correctivePass(gr *flatgreedy.Grouping, v int32, cfg Config, rng *rand.Rand
 	}
 }
 
-// Update is one edge mutation of a fully dynamic graph stream.
-type Update struct {
-	U, V   int32
-	Delete bool
-}
-
-// ApplyUpdates feeds a fully dynamic update stream into an incremental
-// grouping: each effective insertion or deletion mutates the maintained
-// graph and triggers corrective passes on both endpoints, keeping the
-// encoding cost low without re-summarizing. Inserting a present edge or
-// deleting an absent one is skipped, so replaying a stream is
-// idempotent. It returns the number of effective updates. The grouping
-// stays lossless throughout: Encode always represents the maintained
-// graph exactly.
-func ApplyUpdates(gr *flatgreedy.Grouping, ups []Update, cfg Config, rng *rand.Rand) int {
-	cfg = cfg.withDefaults()
-	applied := 0
-	for _, up := range ups {
-		u, v := up.U, up.V
-		if u == v {
-			continue
-		}
-		if up.Delete {
-			if !gr.RemoveEdge(u, v) {
-				continue
-			}
-			applied++
-			ProcessDeletion(gr, u, v, cfg, rng)
-			ProcessDeletion(gr, v, u, cfg, rng)
-		} else {
-			if gr.HasEdge(u, v) {
-				continue
-			}
-			gr.AddEdge(u, v)
-			applied++
-			ProcessInsertion(gr, u, v, cfg, rng)
-			ProcessInsertion(gr, v, u, cfg, rng)
-		}
-	}
-	return applied
-}
-
-// Maintain resumes incremental maintenance on an existing flat summary:
-// the summary's grouping is reconstructed, the update stream applied
-// with corrective passes, and the re-encoded summary returned. This is
-// the MoSSo-style alternative to a full re-summarize when a served flat
-// artifact must track a changing graph.
-func Maintain(s *flat.Summary, ups []Update, seed int64, cfg Config) *flat.Summary {
-	gr := flatgreedy.NewFromSummary(s)
-	ApplyUpdates(gr, ups, cfg, rand.New(rand.NewSource(seed)))
-	return gr.Encode()
-}
-
 // tryEscape proposes moving x into a fresh singleton supernode,
 // releasing the group for reuse when the move is rejected — long
-// dynamic streams make millions of escape proposals, and without
-// recycling every rejected one would leak a dead group slot.
+// streams make millions of escape proposals, and without recycling
+// every rejected one would leak a dead group slot.
 func tryEscape(gr *flatgreedy.Grouping, x int32) {
 	fresh := gr.NewGroup()
 	tryMove(gr, x, fresh)

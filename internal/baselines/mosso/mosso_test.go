@@ -59,114 +59,3 @@ func TestProcessInsertionIsolatedEndpoint(t *testing.T) {
 	// v has no neighbors: must be a no-op, not a panic.
 	ProcessInsertion(gr, 0, 3, Config{}, rng)
 }
-
-func TestProcessDeletionIsolatedEndpoint(t *testing.T) {
-	gr := flatgreedy.NewIncremental(4)
-	rng := rand.New(rand.NewSource(1))
-	gr.AddEdge(0, 1)
-	gr.RemoveEdge(0, 1)
-	// Both endpoints now isolated: corrective passes must not panic.
-	ProcessDeletion(gr, 0, 1, Config{}, rng)
-	ProcessDeletion(gr, 1, 0, Config{}, rng)
-}
-
-// TestFullyDynamicStreamStaysLossless drives a mixed insert/delete
-// stream through ApplyUpdates and checks the maintained summary decodes
-// to the mutated graph exactly at every checkpoint.
-func TestFullyDynamicStreamStaysLossless(t *testing.T) {
-	g := graph.Caveman(3, 6, 2, 9)
-	n := g.NumNodes()
-	gr := flatgreedy.NewIncremental(n)
-	g.ForEachEdge(gr.AddEdge)
-
-	rng := rand.New(rand.NewSource(2))
-	cfg := Config{Trials: 15}
-	for round := 0; round < 8; round++ {
-		var ups []Update
-		for i := 0; i < 25; i++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			ups = append(ups, Update{U: u, V: v, Delete: rng.Intn(2) == 0})
-		}
-		ApplyUpdates(gr, ups, cfg, rng)
-		if !graph.Equal(gr.Encode().Decode(), gr.Graph()) {
-			t.Fatalf("lossless violated after round %d", round)
-		}
-	}
-}
-
-// TestApplyUpdatesIdempotentSkips verifies inserting present edges and
-// deleting absent ones are skipped, so replays don't corrupt counts.
-func TestApplyUpdatesIdempotentSkips(t *testing.T) {
-	gr := flatgreedy.NewIncremental(4)
-	rng := rand.New(rand.NewSource(3))
-	ups := []Update{
-		{U: 0, V: 1},               // insert
-		{U: 0, V: 1},               // duplicate: skipped
-		{U: 2, V: 3, Delete: true}, // absent: skipped
-		{U: 0, V: 0},               // self-loop: skipped
-		{U: 0, V: 1, Delete: true}, // delete
-		{U: 0, V: 1, Delete: true}, // already gone: skipped
-	}
-	if applied := ApplyUpdates(gr, ups, Config{Trials: 5}, rng); applied != 2 {
-		t.Fatalf("applied = %d, want 2", applied)
-	}
-	if gr.HasEdge(0, 1) {
-		t.Fatal("edge survived delete")
-	}
-	if !graph.Equal(gr.Encode().Decode(), gr.Graph()) {
-		t.Fatal("summary not lossless after replayed stream")
-	}
-}
-
-// TestMaintainResumesOnFlatSummary builds a batch MoSSo summary, then
-// maintains it through deletions and insertions without re-summarizing,
-// checking losslessness against the mutated graph.
-func TestMaintainResumesOnFlatSummary(t *testing.T) {
-	g := graph.Caveman(4, 6, 3, 5)
-	s := Summarize(g, 7, Config{Trials: 30})
-
-	rng := rand.New(rand.NewSource(11))
-	var ups []Update
-	n := g.NumNodes()
-	// Delete a third of the existing edges, insert some fresh ones.
-	g.ForEachEdge(func(u, v int32) {
-		if rng.Intn(3) == 0 {
-			ups = append(ups, Update{U: u, V: v, Delete: true})
-		}
-	})
-	for i := 0; i < 30; i++ {
-		ups = append(ups, Update{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))})
-	}
-
-	maintained := Maintain(s, ups, 13, Config{Trials: 20})
-
-	// Oracle: apply the same effective mutations to an edge set.
-	want := make(map[[2]int32]bool)
-	g.ForEachEdge(func(u, v int32) {
-		if u > v {
-			u, v = v, u
-		}
-		want[[2]int32{u, v}] = true
-	})
-	for _, up := range ups {
-		u, v := up.U, up.V
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		if up.Delete {
-			delete(want, [2]int32{u, v})
-		} else {
-			want[[2]int32{u, v}] = true
-		}
-	}
-	b := graph.NewBuilder(n)
-	for e := range want {
-		b.AddEdge(e[0], e[1])
-	}
-	if !graph.Equal(maintained.Decode(), b.Build()) {
-		t.Fatal("maintained summary does not represent the mutated graph")
-	}
-}

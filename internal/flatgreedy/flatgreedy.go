@@ -13,9 +13,9 @@ import (
 // Grouping is a partition of the vertices with incremental cost
 // bookkeeping. Group ids are stable; emptied groups become dead.
 //
-// A Grouping is either static (built from a complete graph with New) or
-// incremental (built empty with NewIncremental and fed edges with
-// AddEdge, the mode MoSSo's streaming setting uses).
+// A Grouping is either static (built from a complete graph with New,
+// as every baseline including batch MoSSo does) or incremental (built
+// empty with NewIncremental and fed edges one at a time with AddEdge).
 type Grouping struct {
 	G       *graph.Graph
 	GroupOf []int32
@@ -48,26 +48,6 @@ func NewIncremental(n int) *Grouping {
 	return gr
 }
 
-// NewFromSummary reconstructs an incremental grouping from an existing
-// flat summary: vertices are placed in their summary groups and the
-// decoded graph is replayed edge by edge, so incremental maintenance
-// (MoSSo-style corrective passes, including deletions) can resume on a
-// previously built artifact instead of starting from singletons.
-func NewFromSummary(s *flat.Summary) *Grouping {
-	gr := NewIncremental(s.N)
-	for _, members := range s.Groups {
-		if len(members) < 2 {
-			continue
-		}
-		lead := gr.GroupOf[members[0]]
-		for _, v := range members[1:] {
-			gr.MoveVertex(v, lead)
-		}
-	}
-	s.Decode().ForEachEdge(gr.AddEdge)
-	return gr
-}
-
 func newEmpty(n int) *Grouping {
 	gr := &Grouping{
 		GroupOf: make([]int32, n),
@@ -95,56 +75,6 @@ func (gr *Grouping) AddEdge(u, v int32) {
 	gr.dynAdj[u] = append(gr.dynAdj[u], v)
 	gr.dynAdj[v] = append(gr.dynAdj[v], u)
 	gr.addPair(gr.GroupOf[u], gr.GroupOf[v], 1)
-}
-
-// RemoveEdge removes one occurrence of the undirected edge {u, v} from
-// an incremental grouping, updating the supernode-pair subedge counts.
-// It reports whether the edge was present (removing an absent edge is a
-// no-op). Panics in static mode.
-func (gr *Grouping) RemoveEdge(u, v int32) bool {
-	if gr.dynAdj == nil {
-		panic("flatgreedy: RemoveEdge requires NewIncremental")
-	}
-	if u == v || !removeFromAdj(gr.dynAdj, u, v) {
-		return false
-	}
-	removeFromAdj(gr.dynAdj, v, u)
-	gr.addPair(gr.GroupOf[u], gr.GroupOf[v], -1)
-	return true
-}
-
-// removeFromAdj deletes one occurrence of w from adj[u] (swap-remove).
-func removeFromAdj(adj [][]int32, u, w int32) bool {
-	a := adj[u]
-	for i, x := range a {
-		if x == w {
-			a[i] = a[len(a)-1]
-			adj[u] = a[:len(a)-1]
-			return true
-		}
-	}
-	return false
-}
-
-// HasEdge reports whether the current graph contains the edge {u, v}.
-func (gr *Grouping) HasEdge(u, v int32) bool {
-	if u == v {
-		return false
-	}
-	if gr.dynAdj == nil {
-		return gr.G.HasEdge(u, v)
-	}
-	// Scan the smaller adjacency (incremental lists are unsorted).
-	a, w := gr.dynAdj[u], v
-	if len(gr.dynAdj[v]) < len(a) {
-		a, w = gr.dynAdj[v], u
-	}
-	for _, x := range a {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 // Neighbors returns the current adjacency of v (static or incremental).
@@ -351,7 +281,7 @@ func (gr *Grouping) NewGroup() int32 {
 }
 
 // ReleaseGroup returns an empty group id to the free list for reuse by
-// NewGroup — without it, long dynamic streams whose speculative escape
+// NewGroup — without it, long streams whose speculative escape
 // proposals get reverted would grow Members/Nbr without bound. Panics
 // if the group still has members or subedge counts.
 func (gr *Grouping) ReleaseGroup(id int32) {

@@ -171,75 +171,3 @@ func TestMergePanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestRemoveEdgeBookkeeping(t *testing.T) {
-	gr := NewIncremental(5)
-	gr.AddEdge(0, 1)
-	gr.AddEdge(1, 2)
-	gr.MoveVertex(1, 0) // group {0,1}, so 1-2 crosses groups
-	if !gr.HasEdge(0, 1) || !gr.HasEdge(1, 2) || gr.HasEdge(0, 2) {
-		t.Fatal("HasEdge wrong before removal")
-	}
-	if !gr.RemoveEdge(1, 2) {
-		t.Fatal("RemoveEdge(1,2) reported absent")
-	}
-	if gr.RemoveEdge(1, 2) {
-		t.Fatal("second RemoveEdge(1,2) reported present")
-	}
-	if gr.RemoveEdge(3, 4) || gr.RemoveEdge(3, 3) {
-		t.Fatal("removing absent edge / self-loop reported present")
-	}
-	if gr.HasEdge(1, 2) {
-		t.Fatal("edge survived removal")
-	}
-	// Pair counts must reflect only the surviving within-group edge.
-	if gr.Nbr[gr.GroupOf[1]][gr.GroupOf[2]] != 0 {
-		t.Fatal("cross-group count not cleared")
-	}
-	if !graph.Equal(gr.Encode().Decode(), gr.Graph()) {
-		t.Fatal("encoding not lossless after removal")
-	}
-}
-
-func TestRemoveEdgePanicsInStaticMode(t *testing.T) {
-	gr := New(graph.FromEdges(3, [][2]int32{{0, 1}}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic in static mode")
-		}
-	}()
-	gr.RemoveEdge(0, 1)
-}
-
-func TestNewFromSummaryRoundTrip(t *testing.T) {
-	g := graph.Caveman(3, 5, 2, 4)
-	base := New(g)
-	// Build some non-trivial grouping, encode it, and reconstruct.
-	base.Merge(0, 1)
-	base.Merge(0, 2)
-	base.Merge(5, 6)
-	s := base.Encode()
-
-	gr := NewFromSummary(s)
-	if !graph.Equal(gr.Graph(), g) {
-		t.Fatal("reconstructed graph differs")
-	}
-	// Group structure must match: same partition of the vertex set.
-	for v := 0; v < g.NumNodes(); v++ {
-		for w := v + 1; w < g.NumNodes(); w++ {
-			same := s.Assign[v] == s.Assign[w]
-			got := gr.GroupOf[v] == gr.GroupOf[w]
-			if same != got {
-				t.Fatalf("pair (%d,%d): summary same-group %v, grouping %v", v, w, same, got)
-			}
-		}
-	}
-	// Costs agree with a fresh encode, and maintenance can continue.
-	if gr.Encode().Cost() != s.Cost() {
-		t.Fatalf("cost %d after reconstruction, want %d", gr.Encode().Cost(), s.Cost())
-	}
-	gr.RemoveEdge(0, 1)
-	if !graph.Equal(gr.Encode().Decode(), gr.Graph()) {
-		t.Fatal("not lossless after post-reconstruction removal")
-	}
-}

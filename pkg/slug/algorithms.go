@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // The five algorithms of the paper's evaluation register themselves at
@@ -61,14 +62,67 @@ func (sluggerSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...
 	return NewHierarchical("slugger", sum), nil
 }
 
-// finishFlat wraps a baseline run's output, emitting the StageDone
-// event on success.
+// finishFlat converts a baseline run's flat output into the equivalent
+// height-1 hierarchy (same graph, same Eq. (11) cost), so every
+// algorithm returns a *Hierarchical, and emits the StageDone event on
+// success.
 func finishFlat(cfg buildConfig, algo string, s *flat.Summary, err error, step, total int) (Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.emit(Event{Algorithm: algo, Stage: StageDone, Step: step, Total: total, Cost: s.Cost()})
-	return NewFlat(algo, s), nil
+	art := NewHierarchical(algo, flatToModel(s))
+	cfg.emit(Event{Algorithm: algo, Stage: StageDone, Step: step, Total: total, Cost: art.Cost()})
+	return art, nil
+}
+
+// flatToModel converts a flat summary into the equivalent hierarchical
+// model: every non-singleton supernode becomes a height-1 tree,
+// superedges become p-edges between the corresponding supernodes, and
+// corrections become signed edges between leaves. Net per-pair counts
+// are preserved, so the model represents the same graph, and the
+// hierarchical cost |P+| + |P-| + |H| equals the flat cost (Eq. (11)).
+func flatToModel(f *flat.Summary) *model.Summary {
+	n := f.N
+	parent := make([]int32, n, n+len(f.Groups))
+	for i := range parent {
+		parent[i] = -1
+	}
+	// super[gi] is the model supernode standing for group gi: a fresh
+	// internal node for groups of two or more, the lone member for
+	// singletons. An empty group gets none; flat.Encode only places
+	// superedges between groups that have edges, so P never names one.
+	super := make([]int32, len(f.Groups))
+	next := int32(n)
+	for gi, members := range f.Groups {
+		switch {
+		case len(members) >= 2:
+			super[gi] = next
+			parent = append(parent, -1)
+			for _, v := range members {
+				parent[v] = next
+			}
+			next++
+		case len(members) == 1:
+			super[gi] = members[0]
+		}
+	}
+	edges := make([]model.Edge, 0, len(f.P)+len(f.CPlus)+len(f.CMinus))
+	add := func(a, b int32, sign int8) {
+		if a > b {
+			a, b = b, a
+		}
+		edges = append(edges, model.Edge{A: a, B: b, Sign: sign})
+	}
+	for _, pe := range f.P {
+		add(super[pe[0]], super[pe[1]], 1)
+	}
+	for _, e := range f.CPlus {
+		add(e[0], e[1], 1)
+	}
+	for _, e := range f.CMinus {
+		add(e[0], e[1], -1)
+	}
+	return model.New(n, parent, edges)
 }
 
 // swegSummarizer adapts SWeG (lossless mode) to the unified API.
@@ -77,8 +131,9 @@ type swegSummarizer struct{}
 // Name returns "sweg".
 func (swegSummarizer) Name() string { return "sweg" }
 
-// Summarize runs SWeG and returns a flat artifact. Iterations, seed and
-// progress apply; height bound and workers are ignored.
+// Summarize runs SWeG and returns its summary as a height-1 hierarchy.
+// Iterations, seed and progress apply; height bound and workers are
+// ignored.
 func (swegSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Option) (Artifact, error) {
 	cfg := resolve(opts)
 	swegCfg := sweg.Config{T: cfg.iterations}
@@ -101,9 +156,9 @@ type mossoSummarizer struct{}
 // Name returns "mosso".
 func (mossoSummarizer) Name() string { return "mosso" }
 
-// Summarize streams the graph's edges through MoSSo and returns a flat
-// artifact. Seed and progress apply (progress steps count streamed
-// edges); the remaining options are ignored.
+// Summarize streams the graph's edges through MoSSo and returns its
+// summary as a height-1 hierarchy. Seed and progress apply (progress
+// steps count streamed edges); the remaining options are ignored.
 func (mossoSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Option) (Artifact, error) {
 	cfg := resolve(opts)
 	mossoCfg := mosso.Config{}
@@ -124,10 +179,10 @@ type randomizedSummarizer struct{}
 // Name returns "randomized".
 func (randomizedSummarizer) Name() string { return "randomized" }
 
-// Summarize runs the randomized greedy search and returns a flat
-// artifact. Seed and progress apply (the search has no fixed iteration
-// count, so only StageDone is emitted); the remaining options are
-// ignored.
+// Summarize runs the randomized greedy search and returns its summary
+// as a height-1 hierarchy. Seed and progress apply (the search has no
+// fixed iteration count, so only StageDone is emitted); the remaining
+// options are ignored.
 func (randomizedSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Option) (Artifact, error) {
 	cfg := resolve(opts)
 	s, err := randomized.SummarizeCtx(ctx, g, cfg.seed)
@@ -140,9 +195,9 @@ type sagsSummarizer struct{}
 // Name returns "sags".
 func (sagsSummarizer) Name() string { return "sags" }
 
-// Summarize runs SAGS and returns a flat artifact. Seed and progress
-// apply (progress steps count LSH bands); the remaining options are
-// ignored.
+// Summarize runs SAGS and returns its summary as a height-1 hierarchy.
+// Seed and progress apply (progress steps count LSH bands); the
+// remaining options are ignored.
 func (sagsSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Option) (Artifact, error) {
 	cfg := resolve(opts)
 	sagsCfg := sags.Config{}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -21,17 +20,18 @@ import (
 //	magic "SLGA" | version u8 | kind u8 | algoLen varint | algo bytes
 //	payload (the wrapped model's own serialized form)
 //
-// so a reader can tell what built a file and which model it holds
-// before decoding the payload. The payload encodings (internal/model's
-// and internal/flat's varint streams) are not artifacts on their own:
-// ReadFrom rejects one that arrives without the envelope.
+// so a reader can tell what built a file before decoding the payload.
+// Every algorithm's output is a hierarchical model (the baselines' flat
+// summaries are height-1 hierarchies), so the kind byte has one legal
+// value; it stays in the header so existing files keep their bytes. The
+// payload encoding (internal/model's varint stream) is not an artifact
+// on its own: ReadFrom rejects one that arrives without the envelope.
 
 const (
 	envelopeMagic   = "SLGA"
 	envelopeVersion = 1
 
 	kindHierarchical = byte(1)
-	kindFlat         = byte(2)
 
 	// maxAlgoNameLen bounds the algorithm-name field when reading, so a
 	// corrupt length prefix cannot provoke a giant allocation.
@@ -84,7 +84,8 @@ func readHeader(br *bufio.Reader, what, magic string, version byte, fixed []byte
 }
 
 // Hierarchical is an Artifact wrapping the hierarchical model
-// G = (S, P+, P-, H) produced by SLUGGER.
+// G = (S, P+, P-, H). It is what every registered algorithm returns:
+// SLUGGER's trees as built, a baseline's flat summary as height-1 trees.
 type Hierarchical struct {
 	algo    string
 	Summary *model.Summary
@@ -117,53 +118,13 @@ func (a *Hierarchical) Queryable() (*model.CompiledSummary, error) {
 
 // WriteTo serializes the artifact through the versioned envelope.
 func (a *Hierarchical) WriteTo(w io.Writer) (int64, error) {
-	return writeEnvelope(w, kindHierarchical, a.algo, a.Summary.WriteTo)
+	return writeEnvelope(w, a.algo, a.Summary)
 }
 
-// Flat is an Artifact wrapping the flat model G~ = (S, P, C+, C-) of
-// Navlakha et al., produced by the four baseline algorithms.
-type Flat struct {
-	algo    string
-	Summary *flat.Summary
-
-	compileOnce sync.Once
-	compiled    *model.CompiledSummary
-}
-
-// NewFlat wraps a flat summary as an artifact tagged with the producing
-// algorithm's canonical name.
-func NewFlat(algo string, s *flat.Summary) *Flat {
-	return &Flat{algo: algo, Summary: s}
-}
-
-// Algorithm returns the producing algorithm's canonical name.
-func (a *Flat) Algorithm() string { return a.algo }
-
-// Cost returns the flat encoding cost |P| + |C+| + |C-| + |H*|
-// (Eq. (11)).
-func (a *Flat) Cost() int64 { return a.Summary.Cost() }
-
-// Decode reconstructs the input graph exactly.
-func (a *Flat) Decode() *graph.Graph { return a.Summary.Decode() }
-
-// Queryable converts the flat summary to the equivalent hierarchical
-// model (height-1 trees) and compiles it into the CSR query engine,
-// once; the compiled form is cached and shared by later calls. The
-// conversion preserves the encoding cost and the represented graph, so
-// a baseline's artifact serves queries exactly like a SLUGGER one.
-func (a *Flat) Queryable() (*model.CompiledSummary, error) {
-	a.compileOnce.Do(func() { a.compiled = flatToModel(a.Summary).Compile() })
-	return a.compiled, nil
-}
-
-// WriteTo serializes the artifact through the versioned envelope.
-func (a *Flat) WriteTo(w io.Writer) (int64, error) {
-	return writeEnvelope(w, kindFlat, a.algo, a.Summary.WriteTo)
-}
-
-// writeEnvelope emits the self-describing header, then the payload.
-func writeEnvelope(w io.Writer, kind byte, algo string, payload func(io.Writer) (int64, error)) (int64, error) {
-	head, err := appendHeader(envelopeMagic, envelopeVersion, []byte{kind}, algo)
+// writeEnvelope emits the self-describing header, then the model's
+// payload stream.
+func writeEnvelope(w io.Writer, algo string, s *model.Summary) (int64, error) {
+	head, err := appendHeader(envelopeMagic, envelopeVersion, []byte{kindHierarchical}, algo)
 	if err != nil {
 		return 0, err
 	}
@@ -172,15 +133,15 @@ func writeEnvelope(w io.Writer, kind byte, algo string, payload func(io.Writer) 
 	if err != nil {
 		return count, err
 	}
-	pn, err := payload(w)
+	pn, err := s.WriteTo(w)
 	return count + pn, err
 }
 
 // ReadFrom deserializes an artifact written by any Artifact's WriteTo
-// ("SLGA": the envelope header restores the producing algorithm and
-// model kind) or by WriteCompiledTo ("SLGC": loads heap-backed with the
-// full checksum verified, ready to serve with no recompilation). Those
-// two are the single-artifact forms; a sharded envelope answers
+// ("SLGA": the envelope header restores the producing algorithm) or by
+// WriteCompiledTo ("SLGC": loads heap-backed with the full checksum
+// verified, ready to serve with no recompilation). Those two are the
+// single-artifact forms; a sharded envelope answers
 // ErrShardedArtifact, and anything else — a bare payload encoding
 // included — is rejected by its magic. Corrupt input yields an error,
 // never a silently wrong artifact.
@@ -205,22 +166,14 @@ func ReadFrom(r io.Reader) (Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch kind[0] {
-	case kindHierarchical:
-		s, err := model.ReadFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewHierarchical(algo, s), nil
-	case kindFlat:
-		s, err := flat.ReadFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewFlat(algo, s), nil
-	default:
+	if kind[0] != kindHierarchical {
 		return nil, fmt.Errorf("slug: unknown artifact kind %d", kind[0])
 	}
+	s, err := model.ReadFrom(br)
+	if err != nil {
+		return nil, err
+	}
+	return NewHierarchical(algo, s), nil
 }
 
 // Save writes an artifact (sharded or not: anything serializing
@@ -328,59 +281,4 @@ func compareDecoded(dec, g *graph.Graph) error {
 		return firstErr
 	}
 	return nil
-}
-
-// flatToModel converts a flat summary into the equivalent hierarchical
-// model: every non-singleton supernode becomes a height-1 tree,
-// superedges become p-edges between the corresponding supernodes, and
-// corrections become signed edges between leaves. Net per-pair counts
-// are preserved, so the model represents the same graph, and the
-// hierarchical cost |P+| + |P-| + |H| equals the flat cost (Eq. (11)).
-func flatToModel(f *flat.Summary) *model.Summary {
-	n := f.N
-	parent := make([]int32, n, n+len(f.Groups))
-	for i := range parent {
-		parent[i] = -1
-	}
-	// super[gi] is the model supernode standing for group gi: a fresh
-	// internal node for groups of two or more, the lone member for
-	// singletons, -1 for empty groups (which encode nothing).
-	super := make([]int32, len(f.Groups))
-	next := int32(n)
-	for gi, members := range f.Groups {
-		switch {
-		case len(members) >= 2:
-			super[gi] = next
-			parent = append(parent, -1)
-			for _, v := range members {
-				parent[v] = next
-			}
-			next++
-		case len(members) == 1:
-			super[gi] = members[0]
-		default:
-			super[gi] = -1
-		}
-	}
-	edges := make([]model.Edge, 0, len(f.P)+len(f.CPlus)+len(f.CMinus))
-	add := func(a, b int32, sign int8) {
-		if a > b {
-			a, b = b, a
-		}
-		edges = append(edges, model.Edge{A: a, B: b, Sign: sign})
-	}
-	for _, pe := range f.P {
-		a, b := super[pe[0]], super[pe[1]]
-		if a < 0 || b < 0 {
-			continue // superedge on an empty group covers zero pairs
-		}
-		add(a, b, 1)
-	}
-	for _, e := range f.CPlus {
-		add(e[0], e[1], 1)
-	}
-	for _, e := range f.CMinus {
-		add(e[0], e[1], -1)
-	}
-	return model.New(n, parent, edges)
 }

@@ -138,13 +138,11 @@ func (m *Mapped) Queryable() (*model.CompiledSummary, error) { return m.cs, nil 
 
 // WriteTo exports the artifact back to the portable v1 SLGA envelope,
 // reconstructing the hierarchical model from the compiled arrays. The
-// reconstruction is exact: for an artifact that was hierarchical before
-// SaveCompiled, the emitted bytes are identical to the original
-// artifact's WriteTo. (Flat baseline artifacts come back as their
-// cost-equivalent hierarchical conversion — the form that was compiled.)
-// Use SaveCompiled to persist the v2 form itself.
+// reconstruction is exact: for every registered algorithm the emitted
+// bytes are identical to the original artifact's WriteTo. Use
+// SaveCompiled to persist the v2 form itself.
 func (m *Mapped) WriteTo(w io.Writer) (int64, error) {
-	return writeEnvelope(w, kindHierarchical, m.algo, m.cs.ToSummary().WriteTo)
+	return writeEnvelope(w, m.algo, m.cs.ToSummary())
 }
 
 // MappedBytes returns the size of the backing mapping or buffer.

@@ -39,7 +39,8 @@ func WithIterations(t int) Option {
 }
 
 // WithHeightBound bounds the height of SLUGGER's hierarchy trees
-// (0 = unbounded, the default). Flat algorithms ignore it.
+// (0 = unbounded, the default). The baselines, whose trees never
+// exceed height 1, ignore it.
 func WithHeightBound(hb int) Option {
 	return func(cfg *buildConfig) { cfg.heightBound = hb }
 }

@@ -313,8 +313,6 @@ func artifactNodes(a Artifact) int {
 	switch t := a.(type) {
 	case *Hierarchical:
 		return t.Summary.N
-	case *Flat:
-		return t.Summary.N
 	case *Mapped:
 		return t.cs.NumNodes()
 	}

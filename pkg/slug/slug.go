@@ -10,12 +10,14 @@
 //     the registry with [Get] (or register your own with [Register]);
 //     tune a run with functional options such as [WithIterations] or
 //     [WithSeed]; cancel a long build through the context.
-//   - An [Artifact] is a finished summary, independent of the model the
-//     algorithm produced (hierarchical for SLUGGER, flat for the
-//     baselines): it reports its encoding cost, decodes losslessly back
-//     to the input graph, serializes through a versioned self-describing
-//     envelope ([ReadFrom] restores it, algorithm tag included), and
-//     compiles into the read-optimized CSR query engine for serving.
+//   - An [Artifact] is a finished summary. Every registered algorithm
+//     returns a [*Hierarchical]: the paper's model includes the flat one
+//     of Navlakha et al. as a special case, so a baseline's summary is
+//     kept as height-1 trees at the same cost. An artifact reports its
+//     encoding cost, decodes losslessly back to the input graph,
+//     serializes through a versioned self-describing envelope
+//     ([ReadFrom] restores it, algorithm tag included), and compiles
+//     into the read-optimized CSR query engine for serving.
 //   - [Event]s report build progress through [WithProgress].
 //
 // A complete round trip:
@@ -58,26 +60,24 @@ type Summarizer interface {
 }
 
 // Artifact is a finished summary: the first-class output of every
-// Summarizer, unifying what hierarchical (SLUGGER) and flat (baseline)
-// models can do.
+// Summarizer.
 type Artifact interface {
 	// Algorithm returns the canonical name of the producing algorithm,
 	// preserved across serialization.
 	Algorithm() string
-	// Cost returns the encoding cost of the summary (Eq. (1) for
-	// hierarchical models, Eq. (11) for flat ones).
+	// Cost returns the encoding cost of the summary, |P+| + |P-| + |H|
+	// (Eq. (1)); for a baseline's height-1 trees this equals its flat
+	// cost, Eq. (11).
 	Cost() int64
 	// Decode reconstructs the input graph exactly.
 	Decode() *graph.Graph
 	// WriterTo serializes the artifact through the versioned envelope
 	// understood by ReadFrom; the header records the producing
-	// algorithm and model kind.
+	// algorithm.
 	io.WriterTo
 	// Queryable compiles the artifact into the concurrent CSR query
 	// engine (neighbors, edge existence, graph algorithms on the
-	// summary). The compiled form is built once and cached; flat
-	// artifacts are first converted to the equivalent hierarchical
-	// model.
+	// summary). The compiled form is built once and cached.
 	Queryable() (*model.CompiledSummary, error)
 }
 

@@ -9,10 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baselines/mosso"
+	"repro/internal/baselines/randomized"
+	"repro/internal/baselines/sags"
+	"repro/internal/baselines/sweg"
+	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/pkg/slug"
-
-	"repro/internal/core"
 )
 
 func testGraph() *graph.Graph {
@@ -172,6 +176,9 @@ func TestReadFromRejectsCorruptEnvelope(t *testing.T) {
 		"giant name":  append([]byte("SLGA\x01\x01"), 0xff, 0xff, 0x7f),
 		"cut payload": []byte("SLGA\x01\x01\x03abc"),
 		"bare model":  []byte("SLGR\x01"),
+		// Kind 2 held the flat model before baselines became height-1
+		// hierarchies; it is now an unknown kind like any other.
+		"retired flat kind": []byte("SLGA\x01\x02\x00"),
 	}
 	for name, data := range cases {
 		if _, err := slug.ReadFrom(bytes.NewReader(data)); err == nil {
@@ -340,22 +347,76 @@ func TestSluggerMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// TestFlatQueryableCostParity checks the flat->hierarchical conversion
-// preserves the encoding cost, so serving a baseline artifact reports
-// the same model sizes the build did.
+// TestFlatQueryableCostParity pins the one-model contract for the four
+// baselines: each returns a *slug.Hierarchical (its flat summary as
+// height-1 trees) whose cost equals the flat summary's Eq. (11) cost,
+// which passes the model's strict validator (every pair's net count in
+// {0, 1}, and set exactly on the input's edges), and whose algorithm
+// tag survives the envelope.
 func TestFlatQueryableCostParity(t *testing.T) {
-	g := testGraph()
-	art, err := slug.Get("sweg").Summarize(context.Background(), g,
-		slug.WithIterations(5), slug.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
+	const seed, iters = 7, 5
+	ctx := context.Background()
+	baselines := []struct {
+		algo string
+		run  func(*graph.Graph) (*flat.Summary, error)
+	}{
+		{"sweg", func(g *graph.Graph) (*flat.Summary, error) {
+			return sweg.SummarizeCtx(ctx, g, seed, sweg.Config{T: iters})
+		}},
+		{"mosso", func(g *graph.Graph) (*flat.Summary, error) {
+			return mosso.SummarizeCtx(ctx, g, seed, mosso.Config{})
+		}},
+		{"randomized", func(g *graph.Graph) (*flat.Summary, error) {
+			return randomized.SummarizeCtx(ctx, g, seed)
+		}},
+		{"sags", func(g *graph.Graph) (*flat.Summary, error) {
+			return sags.SummarizeCtx(ctx, g, seed, sags.Config{})
+		}},
 	}
-	f := art.(*slug.Flat)
-	cs, err := f.Queryable()
-	if err != nil {
-		t.Fatal(err)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hier", graph.HierCommunity(graph.HierParams{
+			Levels: 2, Branching: 4, LeafSize: 8,
+			Density: []float64{0.01, 0.2, 0.9},
+		}, 3)},
+		{"ba", graph.BarabasiAlbert(150, 3, 11)},
+		{"caveman", testGraph()},
 	}
-	if !graph.Equal(cs.Decode(), g) {
-		t.Fatal("compiled baseline artifact decodes to a different graph")
+	for _, b := range baselines {
+		for _, tg := range graphs {
+			algo, g := b.algo, tg.g
+			t.Run(algo+"/"+tg.name, func(t *testing.T) {
+				art, err := slug.Get(algo).Summarize(ctx, g, slug.WithIterations(iters), slug.WithSeed(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := art.(*slug.Hierarchical); !ok {
+					t.Fatalf("artifact type %T, want *slug.Hierarchical", art)
+				}
+				s, err := b.run(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if art.Cost() != s.Cost() {
+					t.Fatalf("artifact cost %d, flat summary cost %d", art.Cost(), s.Cost())
+				}
+				if err := slug.Validate(art, g); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if _, err := art.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				back, err := slug.ReadFrom(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if back.Algorithm() != algo {
+					t.Fatalf("reloaded algorithm %q, want %q", back.Algorithm(), algo)
+				}
+			})
+		}
 	}
 }

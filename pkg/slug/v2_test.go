@@ -86,7 +86,7 @@ func assertSameAnswers(t *testing.T, want, got *model.CompiledSummary) {
 
 // TestV2Parity pins the acceptance bar: a v2 artifact — heap-loaded or
 // memory-mapped — answers byte-identically to the v1 artifact it was
-// compiled from, at equal cost, for a hierarchical and a flat producer.
+// compiled from, at equal cost, for SLUGGER and a baseline producer.
 func TestV2Parity(t *testing.T) {
 	for _, algo := range []string{"slugger", "sags"} {
 		t.Run(algo, func(t *testing.T) {
@@ -138,35 +138,40 @@ func TestV2Parity(t *testing.T) {
 	}
 }
 
-// TestV2WriteToExport pins the v2 -> v1 escape hatch: a hierarchical
-// artifact exported from its mapped form is byte-identical to the
-// original envelope, so no information is lost by serving v2.
+// TestV2WriteToExport pins the v2 -> v1 escape hatch for every
+// registered algorithm: an artifact exported from its mapped form is
+// byte-identical to the original envelope, so no information is lost by
+// serving v2 and one artifact has one v1 encoding.
 func TestV2WriteToExport(t *testing.T) {
-	art := buildArtifact(t, "slugger")
-	var want bytes.Buffer
-	if _, err := art.WriteTo(&want); err != nil {
-		t.Fatal(err)
-	}
-	m, err := slug.OpenMapped(saveV2(t, art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	var got bytes.Buffer
-	if _, err := m.WriteTo(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("v1 export of the mapped artifact diverges: %d vs %d bytes", want.Len(), got.Len())
-	}
-	// And the exported envelope loads back as a regular v1 artifact.
-	back, err := slug.ReadFrom(bytes.NewReader(got.Bytes()))
-	if err != nil {
-		t.Fatalf("reloading exported envelope: %v", err)
-	}
-	if back.Algorithm() != art.Algorithm() || back.Cost() != art.Cost() {
-		t.Fatalf("reloaded export: %s/%d, want %s/%d",
-			back.Algorithm(), back.Cost(), art.Algorithm(), art.Cost())
+	for _, algo := range slug.Algorithms() {
+		t.Run(algo, func(t *testing.T) {
+			art := buildArtifact(t, algo)
+			var want bytes.Buffer
+			if _, err := art.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			m, err := slug.OpenMapped(saveV2(t, art))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			var got bytes.Buffer
+			if _, err := m.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("v1 export of the mapped artifact diverges: %d vs %d bytes", want.Len(), got.Len())
+			}
+			// And the exported envelope loads back as a regular v1 artifact.
+			back, err := slug.ReadFrom(bytes.NewReader(got.Bytes()))
+			if err != nil {
+				t.Fatalf("reloading exported envelope: %v", err)
+			}
+			if back.Algorithm() != art.Algorithm() || back.Cost() != art.Cost() {
+				t.Fatalf("reloaded export: %s/%d, want %s/%d",
+					back.Algorithm(), back.Cost(), art.Algorithm(), art.Cost())
+			}
+		})
 	}
 }
 
