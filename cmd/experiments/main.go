@@ -8,13 +8,15 @@
 //	experiments -run fig5a -algos slugger,sweg
 //
 // Available experiments: fig5a fig5b fig1b table3 table4 table5 fig6
-// decomp algos theorem1 (or "all").
+// decomp algos theorem1 ablation bytes (or "all"). An unknown id exits
+// with status 2 and the list, before anything runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -65,16 +67,20 @@ func main() {
 		}
 	} else {
 		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.Contains(experiments.Names(), id) {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s all\n",
+					id, strings.Join(experiments.Names(), " "))
+				os.Exit(2)
+			}
+			want[id] = true
 		}
 	}
 
-	ran := 0
 	maybe := func(id string, f func()) {
 		if want[id] {
 			f()
 			fmt.Println()
-			ran++
 		}
 	}
 	maybe("fig5a", func() { experiments.Fig5a(opt) })
@@ -91,12 +97,5 @@ func main() {
 	maybe("algos", func() { experiments.AlgorithmsOnSummary(opt, "FA") })
 	maybe("theorem1", func() { experiments.Theorem1(opt, 24, 3) })
 	maybe("ablation", func() { experiments.Ablation(opt, "PR") })
-	maybe("lossy", func() { experiments.Lossy(opt, "PR") })
 	maybe("bytes", func() { experiments.Bytes(opt, names) })
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment(s) %q; available: %s all\n",
-			*run, strings.Join(experiments.Names(), " "))
-		os.Exit(2)
-	}
 }

@@ -12,28 +12,28 @@ import (
 	"repro/internal/baselines/randomized"
 	"repro/internal/baselines/sags"
 	"repro/internal/baselines/sweg"
-	"repro/internal/flat"
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 type algo struct {
 	name string
-	run  func(g *graph.Graph, seed int64) *flat.Summary
+	run  func(g *graph.Graph, seed int64) *model.Summary
 }
 
 func algos() []algo {
 	return []algo{
-		{"Randomized", func(g *graph.Graph, seed int64) *flat.Summary {
+		{"Randomized", func(g *graph.Graph, seed int64) *model.Summary {
 			return randomized.Summarize(g, seed)
 		}},
-		{"SWeG", func(g *graph.Graph, seed int64) *flat.Summary {
+		{"SWeG", func(g *graph.Graph, seed int64) *model.Summary {
 			return sweg.Summarize(g, seed, sweg.Config{T: 10})
 		}},
-		{"SAGS", func(g *graph.Graph, seed int64) *flat.Summary {
+		{"SAGS", func(g *graph.Graph, seed int64) *model.Summary {
 			return sags.Summarize(g, seed, sags.Config{})
 		}},
-		{"MoSSo", func(g *graph.Graph, seed int64) *flat.Summary {
+		{"MoSSo", func(g *graph.Graph, seed int64) *model.Summary {
 			return mosso.Summarize(g, seed, mosso.Config{Trials: 20})
 		}},
 	}
@@ -80,8 +80,8 @@ func TestRandomizedMergesTwins(t *testing.T) {
 	// Two identical-neighborhood vertices must end up in one supernode.
 	g := graph.BipartiteCores(1, 2, 6, 0, 3)
 	s := randomized.Summarize(g, 5)
-	if s.Assign[0] != s.Assign[1] {
-		t.Fatalf("twins not merged: assign=%v", s.Assign)
+	if s.Parent[0] != s.Parent[1] || int(s.Parent[0]) < s.N {
+		t.Fatalf("twins not merged: parent=%v", s.Parent)
 	}
 }
 

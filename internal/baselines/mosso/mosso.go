@@ -12,9 +12,9 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/flat"
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // Config holds MoSSo parameters; the zero value uses the paper's
@@ -41,8 +41,8 @@ func (c Config) withDefaults() Config {
 
 // Summarize streams the edges of g in random order through the
 // incremental summarizer and returns the optimal flat encoding of the
-// final partition.
-func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
+// final partition, as a height-1 hierarchy.
+func Summarize(g *graph.Graph, seed int64, cfg Config) *model.Summary {
 	s, _ := SummarizeCtx(context.Background(), g, seed, cfg)
 	return s
 }
@@ -50,7 +50,7 @@ func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
 // SummarizeCtx runs MoSSo like Summarize but checks ctx before every
 // streamed edge: a cancelled context makes the run return promptly with
 // a nil summary and ctx.Err().
-func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*flat.Summary, error) {
+func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*model.Summary, error) {
 	// An edgeless graph skips the stream loop entirely; honor
 	// cancellation even then.
 	if err := ctx.Err(); err != nil {

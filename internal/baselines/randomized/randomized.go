@@ -10,14 +10,14 @@ import (
 	"math/rand"
 	"slices"
 
-	"repro/internal/flat"
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // Summarize runs the randomized greedy search and returns the optimal
-// flat encoding of the resulting partition.
-func Summarize(g *graph.Graph, seed int64) *flat.Summary {
+// flat encoding of the resulting partition, as a height-1 hierarchy.
+func Summarize(g *graph.Graph, seed int64) *model.Summary {
 	s, _ := SummarizeCtx(context.Background(), g, seed)
 	return s
 }
@@ -26,7 +26,7 @@ func Summarize(g *graph.Graph, seed int64) *flat.Summary {
 // checks ctx on every pick from the unfinished pool: a cancelled
 // context makes the run return promptly with a nil summary and
 // ctx.Err().
-func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64) (*flat.Summary, error) {
+func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64) (*model.Summary, error) {
 	// A vertexless graph has an empty pool; honor cancellation even then.
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -33,8 +33,9 @@ func TestSummarizeCompressesClique(t *testing.T) {
 	}
 	g := graph.FromEdges(8, edges)
 	s := Summarize(g, 3)
-	if s.NumSupernodes() != 1 {
-		t.Fatalf("clique should collapse to one supernode, got %d", s.NumSupernodes())
+	// One internal supernode over the 8 leaves: 9 supernodes, 8 h-edges.
+	if s.NumSupernodes() != 9 || s.HCount() != 8 {
+		t.Fatalf("clique should collapse to one supernode, got %d supernodes and %d h-edges", s.NumSupernodes(), s.HCount())
 	}
 	if !graph.Equal(s.Decode(), g) {
 		t.Fatal("not lossless")
@@ -55,7 +56,7 @@ func TestSummarizeNavlakhaCostNeverGrows(t *testing.T) {
 	}
 	g := graph.FromEdges(20, edges)
 	s := Summarize(g, 3)
-	navlakha := int64(len(s.P) + len(s.CPlus) + len(s.CMinus))
+	navlakha := s.PCount() + s.NCount()
 	if navlakha > g.NumEdges() {
 		t.Fatalf("Navlakha cost %d exceeds |E| %d", navlakha, g.NumEdges())
 	}

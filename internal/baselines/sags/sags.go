@@ -11,10 +11,10 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/flat"
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
 	"repro/internal/minhash"
+	"repro/internal/model"
 )
 
 // Config holds SAGS parameters; the zero value uses the paper's
@@ -43,8 +43,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Summarize runs SAGS and returns the optimal flat encoding of the
-// resulting partition.
-func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
+// resulting partition, as a height-1 hierarchy.
+func Summarize(g *graph.Graph, seed int64, cfg Config) *model.Summary {
 	s, _ := SummarizeCtx(context.Background(), g, seed, cfg)
 	return s
 }
@@ -52,7 +52,7 @@ func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
 // SummarizeCtx runs SAGS like Summarize but checks ctx before every LSH
 // band: a cancelled context makes the run return promptly with a nil
 // summary and ctx.Err().
-func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*flat.Summary, error) {
+func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*model.Summary, error) {
 	cfg = cfg.withDefaults()
 	gr := flatgreedy.New(g)
 	rng := rand.New(rand.NewSource(seed))

@@ -25,17 +25,10 @@ func TestHighProbabilityMergesMore(t *testing.T) {
 	g := graph.Caveman(6, 8, 2, 9)
 	low := Summarize(g, 3, Config{P: 0.05})
 	high := Summarize(g, 3, Config{P: 0.95})
-	lowGroups, highGroups := 0, 0
-	for _, grp := range low.Groups {
-		if len(grp) > 0 {
-			lowGroups++
-		}
-	}
-	for _, grp := range high.Groups {
-		if len(grp) > 0 {
-			highGroups++
-		}
-	}
+	// A flat supernode is a root of the height-1 hierarchy; every other
+	// supernode has one h-edge.
+	lowGroups := low.NumSupernodes() - int(low.HCount())
+	highGroups := high.NumSupernodes() - int(high.HCount())
 	if highGroups >= lowGroups {
 		t.Fatalf("p=0.95 produced %d groups, p=0.05 produced %d; expected fewer",
 			highGroups, lowGroups)
@@ -56,7 +49,7 @@ func TestBandSignaturesGroupTwins(t *testing.T) {
 	// signature, so SAGS can find them.
 	g := graph.BipartiteCores(1, 2, 6, 0, 3)
 	s := Summarize(g, 1, Config{P: 1.0})
-	if s.Assign[0] != s.Assign[1] {
-		t.Fatalf("twins not merged with p=1: %v", s.Assign)
+	if s.Parent[0] != s.Parent[1] || int(s.Parent[0]) < s.N {
+		t.Fatalf("twins not merged with p=1: %v", s.Parent)
 	}
 }

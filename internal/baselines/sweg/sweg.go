@@ -10,10 +10,10 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/flat"
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
 	"repro/internal/minhash"
+	"repro/internal/model"
 )
 
 // Config holds SWeG parameters; the zero value uses the paper's
@@ -42,8 +42,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Summarize runs SWeG and returns the optimal flat encoding of the
-// final partition.
-func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
+// final partition, as a height-1 hierarchy.
+func Summarize(g *graph.Graph, seed int64, cfg Config) *model.Summary {
 	s, _ := SummarizeCtx(context.Background(), g, seed, cfg)
 	return s
 }
@@ -51,7 +51,7 @@ func Summarize(g *graph.Graph, seed int64, cfg Config) *flat.Summary {
 // SummarizeCtx runs SWeG like Summarize but checks ctx between
 // candidate groups: a cancelled context makes the run return promptly
 // with a nil summary and ctx.Err().
-func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*flat.Summary, error) {
+func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*model.Summary, error) {
 	// Degenerate inputs may produce no candidate groups at all; honor
 	// cancellation even then.
 	if err := ctx.Err(); err != nil {

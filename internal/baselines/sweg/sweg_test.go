@@ -68,8 +68,8 @@ func TestTwinsMergeUnderSWeG(t *testing.T) {
 	// a large saving, so SWeG must merge them.
 	g := graph.BipartiteCores(1, 2, 6, 0, 3)
 	s := Summarize(g, 5, Config{T: 10})
-	if s.Assign[0] != s.Assign[1] {
-		t.Fatalf("twins not merged: %v", s.Assign)
+	if s.Parent[0] != s.Parent[1] || int(s.Parent[0]) < s.N {
+		t.Fatalf("twins not merged: %v", s.Parent)
 	}
 	if !graph.Equal(s.Decode(), g) {
 		t.Fatal("not lossless")

@@ -5,9 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/lossy"
-
-	"repro/internal/baselines/sweg"
 )
 
 // AblationRow reports one configuration of the design-choice ablation.
@@ -51,47 +48,6 @@ func Ablation(opt Options, dataset string) []AblationRow {
 		spec.Name, opt.Scale, g.NumEdges())
 	for _, r := range rows {
 		fmt.Fprintf(opt.Out, "%-36s %8.3f\n", r.Config, r.RelativeSize)
-	}
-	return rows
-}
-
-// LossyRow reports one ε point of the lossy-summarization extension.
-type LossyRow struct {
-	Eps          float64
-	RelativeSize float64
-	PairErrors   int64
-}
-
-// Lossy sweeps the bounded-error sparsification (an extension beyond
-// the paper's lossless evaluation; see Sect. V related work): a lossless
-// SWeG summary is sparsified at growing ε and the size/error trade-off
-// reported.
-func Lossy(opt Options, dataset string) []LossyRow {
-	opt = opt.withDefaults()
-	spec, err := datasets.ByName(dataset)
-	if err != nil {
-		spec, _ = datasets.ByName("PR")
-	}
-	g := spec.Generate(opt.Scale, opt.Seed)
-	s := sweg.Summarize(g, opt.Seed, sweg.Config{T: opt.T})
-
-	var rows []LossyRow
-	fmt.Fprintf(opt.Out, "=== Lossy extension on %s (scale=%.2f) ===\n", spec.Name, opt.Scale)
-	fmt.Fprintf(opt.Out, "%8s %14s %12s\n", "eps", "relative size", "pair errors")
-	for _, eps := range []float64{0, 0.1, 0.2, 0.3, 0.5, 1.0} {
-		res, err := lossy.Sparsify(s, g, eps)
-		if err != nil {
-			fmt.Fprintf(opt.Out, "%8.2f sparsify failed: %v\n", eps, err)
-			continue
-		}
-		pairs, _ := lossy.Error(res.Summary, g)
-		row := LossyRow{
-			Eps:          eps,
-			RelativeSize: res.Summary.RelativeSize(g.NumEdges()),
-			PairErrors:   pairs,
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(opt.Out, "%8.2f %14.3f %12d\n", row.Eps, row.RelativeSize, row.PairErrors)
 	}
 	return rows
 }

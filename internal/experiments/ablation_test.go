@@ -42,20 +42,3 @@ func TestAblationUnknownDatasetFallsBack(t *testing.T) {
 		t.Fatalf("fallback failed: %d rows", len(rows))
 	}
 }
-
-func TestLossySweepShapes(t *testing.T) {
-	var buf bytes.Buffer
-	opt := Options{Scale: 0.08, Seed: 5, T: 8, Out: &buf}
-	rows := Lossy(opt, "PR")
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	if rows[0].Eps != 0 || rows[0].PairErrors != 0 {
-		t.Fatalf("eps=0 must be lossless: %+v", rows[0])
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].RelativeSize > rows[i-1].RelativeSize+1e-12 {
-			t.Fatalf("size not monotone in eps: %+v", rows)
-		}
-	}
-}

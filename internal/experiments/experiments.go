@@ -504,7 +504,7 @@ func LinearFitR2(pts []ScalePoint) float64 {
 
 // Names lists the available experiment ids for the CLI.
 func Names() []string {
-	names := []string{"fig5a", "fig5b", "fig1b", "table3", "table4", "table5", "fig6", "decomp", "algos", "theorem1", "ablation", "lossy", "bytes"}
+	names := []string{"fig5a", "fig5b", "fig1b", "table3", "table4", "table5", "fig6", "decomp", "algos", "theorem1", "ablation", "bytes"}
 	sort.Strings(names)
 	return names
 }

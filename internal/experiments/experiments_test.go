@@ -169,7 +169,7 @@ func TestLinearFitR2PerfectLine(t *testing.T) {
 
 func TestNamesStable(t *testing.T) {
 	names := Names()
-	if len(names) != 13 {
-		t.Fatalf("experiments = %d, want 13", len(names))
+	if len(names) != 12 {
+		t.Fatalf("experiments = %d, want 12", len(names))
 	}
 }

@@ -1,14 +1,17 @@
-// Package flat implements the previous (non-hierarchical) graph
-// summarization model of Navlakha et al. (Sect. II-A of the SLUGGER
-// paper): G~ = (S, P, C+, C-), where S is a partition of the vertices
-// into disjoint supernodes, P is a set of superedges, and C+/C- are
-// subnode-level correction edges.
+// Package flat encodes a vertex partition in the flat summarization
+// model of Navlakha et al. (Sect. II-A of the SLUGGER paper): supernodes
+// that partition the vertices, superedges P between supernodes, and
+// subnode-level corrections C+ and C-.
 //
-// Given the partition, the optimal encoding is computed per supernode
-// pair as min(|E_AB|, |T_AB| - |E_AB| + 1) — either list all subedges,
-// or place a superedge and list the missing pairs (Sect. II-A; SWeG
-// Sect. 3.4). This package is used by all baseline algorithms and by
-// SLUGGER's pruning substep 3.
+// Sect. II-B defines the hierarchical model so that the flat model is
+// its height-1 case, and Encode returns it as such: a model.Summary in
+// which each supernode of two or more vertices is an internal supernode
+// whose children are its members. Given the partition, the optimal
+// encoding is computed per supernode pair as min(|E_AB|, |T_AB| - |E_AB|
+// + 1) — either list all subedges, or place a superedge and list the
+// missing pairs (Sect. II-A; SWeG Sect. 3.4). The baseline summarizers
+// encode their final partitions here (through flatgreedy), and the
+// Theorem 1 experiment its flat comparison point.
 package flat
 
 import (
@@ -17,42 +20,8 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/model"
 )
-
-// Summary is a flat graph summarization model.
-type Summary struct {
-	N      int        // number of vertices in the input graph
-	Assign []int32    // vertex -> supernode index (0..len(Groups)-1)
-	Groups [][]int32  // supernode -> sorted member vertices
-	P      [][2]int32 // superedges (a <= b; a == b is a self-loop)
-	CPlus  [][2]int32 // positive subnode corrections (u < v)
-	CMinus [][2]int32 // negative subnode corrections (u < v)
-}
-
-// Cost returns the encoding cost per Eq. (11) of the paper:
-// |P| + |C+| + |C-| + |H*|, where |H*| counts one hierarchy edge per
-// subnode of each non-singleton supernode (the height-1 trees that
-// record supernode membership).
-func (s *Summary) Cost() int64 {
-	cost := int64(len(s.P) + len(s.CPlus) + len(s.CMinus))
-	for _, g := range s.Groups {
-		if len(g) >= 2 {
-			cost += int64(len(g))
-		}
-	}
-	return cost
-}
-
-// RelativeSize returns Cost / |E| (Eq. (10)/(11)).
-func (s *Summary) RelativeSize(edges int64) float64 {
-	if edges == 0 {
-		return 0
-	}
-	return float64(s.Cost()) / float64(edges)
-}
-
-// NumSupernodes returns the number of supernodes (including singletons).
-func (s *Summary) NumSupernodes() int { return len(s.Groups) }
 
 // pairKey builds a canonical map key for an unordered supernode pair.
 func pairKey(a, b int32) uint64 {
@@ -63,15 +32,21 @@ func pairKey(a, b int32) uint64 {
 }
 
 // Encode computes the optimal flat encoding of g for the given
-// partition. assign[v] must be a dense supernode index for every
-// vertex. The choice per supernode pair {A,B} is:
+// partition and returns it as a height-1 hierarchy. assign[v] must be a
+// non-negative supernode index for every vertex; an index no vertex
+// uses yields no supernode. The choice per supernode pair {A,B} is:
 //
 //	cost(list)      = |E_AB|
 //	cost(superedge) = 1 + (|T_AB| - |E_AB|)
 //
 // whichever is smaller (ties go to the superedge, which never hurts
-// and yields smaller C+ sets).
-func Encode(g *graph.Graph, assign []int32) *Summary {
+// and yields smaller C+ sets). A superedge becomes a p-edge between the
+// two supernodes (a self-loop when A = B), a listed subedge (C+) a
+// p-edge between leaves, and a missing pair under a superedge (C-) an
+// n-edge between leaves, so the model's cost |P+| + |P-| + |H| is
+// Eq. (11): |P| + |C+| + |C-| plus one h-edge per member of every
+// supernode of two or more vertices.
+func Encode(g *graph.Graph, assign []int32) *model.Summary {
 	n := g.NumNodes()
 	if len(assign) != n {
 		panic(fmt.Sprintf("flat: assign has %d entries for %d vertices", len(assign), n))
@@ -90,15 +65,39 @@ func Encode(g *graph.Graph, assign []int32) *Summary {
 		groups[assign[v]] = append(groups[assign[v]], int32(v))
 	}
 
+	// super[a] is the model supernode standing for group a: a fresh
+	// internal supernode, numbered n, n+1, ... in group order, for a
+	// group of two or more; the lone member for a singleton. An empty
+	// group gets none, and no edge names it: only pairs with subedges
+	// are encoded.
+	parent := make([]int32, n, n+len(groups))
+	for v := range parent {
+		parent[v] = -1
+	}
+	super := make([]int32, len(groups))
+	for a, members := range groups {
+		switch {
+		case len(members) >= 2:
+			super[a] = int32(len(parent))
+			for _, v := range members {
+				parent[v] = super[a]
+			}
+			parent = append(parent, -1)
+		case len(members) == 1:
+			super[a] = members[0]
+		}
+	}
+
 	// Count subedges per supernode pair.
 	counts := make(map[uint64]int64)
 	g.ForEachEdge(func(u, v int32) {
 		counts[pairKey(assign[u], assign[v])]++
 	})
 
-	// P, C+ and C- are serialized in append order: visit the pairs in
-	// key order, not map order, so one partition has one encoding.
-	s := &Summary{N: n, Assign: assign, Groups: groups}
+	// The model serializes edges in order: P, then C+, then C-, each
+	// filled visiting the pairs in key order, not map order, so one
+	// partition has one encoding.
+	var p, cPlus, cMinus []model.Edge
 	for _, key := range slices.Sorted(maps.Keys(counts)) {
 		eab := counts[key]
 		a := int32(key >> 32)
@@ -112,30 +111,30 @@ func Encode(g *graph.Graph, assign []int32) *Summary {
 		}
 		if 1+tab-eab <= eab {
 			// Superedge plus negative corrections.
-			s.P = append(s.P, [2]int32{a, b})
+			p = append(p, model.Edge{A: super[a], B: super[b], Sign: 1})
 			if tab > eab {
-				appendMissingPairs(&s.CMinus, g, groups[a], groups[b], a == b)
+				cMinus = appendMissingPairs(cMinus, g, groups[a], groups[b], a == b)
 			}
 		} else {
 			// List all subedges as positive corrections.
-			appendPresentPairs(&s.CPlus, g, groups[a], groups[b], a == b)
+			cPlus = appendPresentPairs(cPlus, g, groups[a], groups[b], a == b)
 		}
 	}
-	return s
+	return model.New(n, parent, slices.Concat(p, cPlus, cMinus))
 }
 
 // appendPresentPairs appends every subedge between ga and gb (or within
-// ga when self) to dst, with u < v.
-func appendPresentPairs(dst *[][2]int32, g *graph.Graph, ga, gb []int32, self bool) {
+// ga when self) to dst as a p-edge.
+func appendPresentPairs(dst []model.Edge, g *graph.Graph, ga, gb []int32, self bool) []model.Edge {
 	if self {
 		for _, u := range ga {
 			for _, v := range g.Neighbors(u) {
-				if v > u && inSorted(ga, v) {
-					*dst = append(*dst, [2]int32{u, v})
+				if _, in := slices.BinarySearch(ga, v); v > u && in {
+					dst = append(dst, model.Edge{A: u, B: v, Sign: 1})
 				}
 			}
 		}
-		return
+		return dst
 	}
 	// Iterate the smaller side for efficiency.
 	if len(ga) > len(gb) {
@@ -143,102 +142,35 @@ func appendPresentPairs(dst *[][2]int32, g *graph.Graph, ga, gb []int32, self bo
 	}
 	for _, u := range ga {
 		for _, v := range g.Neighbors(u) {
-			if inSorted(gb, v) {
-				a, b := u, v
-				if a > b {
-					a, b = b, a
-				}
-				*dst = append(*dst, [2]int32{a, b})
+			if _, in := slices.BinarySearch(gb, v); in {
+				dst = append(dst, model.Edge{A: u, B: v, Sign: 1})
 			}
 		}
 	}
+	return dst
 }
 
 // appendMissingPairs appends every non-adjacent pair between ga and gb
-// (or within ga when self) to dst, with u < v.
-func appendMissingPairs(dst *[][2]int32, g *graph.Graph, ga, gb []int32, self bool) {
+// (or within ga when self) to dst as an n-edge.
+func appendMissingPairs(dst []model.Edge, g *graph.Graph, ga, gb []int32, self bool) []model.Edge {
 	if self {
 		for i, u := range ga {
 			for _, v := range ga[i+1:] {
 				if !g.HasEdge(u, v) {
-					*dst = append(*dst, [2]int32{u, v})
+					dst = append(dst, model.Edge{A: u, B: v, Sign: -1})
 				}
 			}
 		}
-		return
+		return dst
 	}
 	for _, u := range ga {
 		for _, v := range gb {
 			if !g.HasEdge(u, v) {
-				a, b := u, v
-				if a > b {
-					a, b = b, a
-				}
-				*dst = append(*dst, [2]int32{a, b})
+				dst = append(dst, model.Edge{A: u, B: v, Sign: -1})
 			}
 		}
 	}
-}
-
-func inSorted(sorted []int32, x int32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == x
-}
-
-// Decode reconstructs the original graph from the summary. It is the
-// correctness oracle for all baseline summarizers.
-func (s *Summary) Decode() *graph.Graph {
-	present := make(map[[2]int32]bool)
-	add := func(u, v int32) {
-		if u == v {
-			return
-		}
-		if u > v {
-			u, v = v, u
-		}
-		present[[2]int32{u, v}] = true
-	}
-	del := func(u, v int32) {
-		if u > v {
-			u, v = v, u
-		}
-		delete(present, [2]int32{u, v})
-	}
-	for _, pe := range s.P {
-		ga, gb := s.Groups[pe[0]], s.Groups[pe[1]]
-		if pe[0] == pe[1] {
-			for i, u := range ga {
-				for _, v := range ga[i+1:] {
-					add(u, v)
-				}
-			}
-		} else {
-			for _, u := range ga {
-				for _, v := range gb {
-					add(u, v)
-				}
-			}
-		}
-	}
-	for _, e := range s.CPlus {
-		add(e[0], e[1])
-	}
-	for _, e := range s.CMinus {
-		del(e[0], e[1])
-	}
-	b := graph.NewBuilder(s.N)
-	for e := range present {
-		b.AddEdge(e[0], e[1])
-	}
-	return b.Build()
+	return dst
 }
 
 // Compact renumbers an arbitrary (possibly sparse) group labeling into

@@ -8,6 +8,7 @@ package flatgreedy
 import (
 	"repro/internal/flat"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // Grouping is a partition of the vertices with incremental cost
@@ -296,8 +297,8 @@ func (gr *Grouping) ReleaseGroup(id int32) {
 	gr.free = append(gr.free, id)
 }
 
-// Encode produces the optimal flat summary of the current grouping
-// over the current graph.
-func (gr *Grouping) Encode() *flat.Summary {
+// Encode produces the optimal flat encoding of the current grouping
+// over the current graph, as a height-1 hierarchy (flat.Encode).
+func (gr *Grouping) Encode() *model.Summary {
 	return flat.Encode(gr.Graph(), flat.Compact(gr.GroupOf))
 }

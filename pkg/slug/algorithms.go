@@ -8,7 +8,6 @@ import (
 	"repro/internal/baselines/sags"
 	"repro/internal/baselines/sweg"
 	"repro/internal/core"
-	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/internal/model"
 )
@@ -55,74 +54,18 @@ func (sluggerSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...
 		}
 	}
 	sum, _, err := core.SummarizeCtx(ctx, g, coreCfg)
+	return finish(cfg, "slugger", sum, err, total, total)
+}
+
+// finish wraps a run's summary as the algorithm's *Hierarchical
+// artifact (a baseline's is the height-1 hierarchy flat.Encode builds)
+// and emits the StageDone event on success.
+func finish(cfg buildConfig, algo string, s *model.Summary, err error, step, total int) (Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.emit(Event{Algorithm: "slugger", Stage: StageDone, Step: total, Total: total, Cost: sum.Cost()})
-	return NewHierarchical("slugger", sum), nil
-}
-
-// finishFlat converts a baseline run's flat output into the equivalent
-// height-1 hierarchy (same graph, same Eq. (11) cost), so every
-// algorithm returns a *Hierarchical, and emits the StageDone event on
-// success.
-func finishFlat(cfg buildConfig, algo string, s *flat.Summary, err error, step, total int) (Artifact, error) {
-	if err != nil {
-		return nil, err
-	}
-	art := NewHierarchical(algo, flatToModel(s))
-	cfg.emit(Event{Algorithm: algo, Stage: StageDone, Step: step, Total: total, Cost: art.Cost()})
-	return art, nil
-}
-
-// flatToModel converts a flat summary into the equivalent hierarchical
-// model: every non-singleton supernode becomes a height-1 tree,
-// superedges become p-edges between the corresponding supernodes, and
-// corrections become signed edges between leaves. Net per-pair counts
-// are preserved, so the model represents the same graph, and the
-// hierarchical cost |P+| + |P-| + |H| equals the flat cost (Eq. (11)).
-func flatToModel(f *flat.Summary) *model.Summary {
-	n := f.N
-	parent := make([]int32, n, n+len(f.Groups))
-	for i := range parent {
-		parent[i] = -1
-	}
-	// super[gi] is the model supernode standing for group gi: a fresh
-	// internal node for groups of two or more, the lone member for
-	// singletons. An empty group gets none; flat.Encode only places
-	// superedges between groups that have edges, so P never names one.
-	super := make([]int32, len(f.Groups))
-	next := int32(n)
-	for gi, members := range f.Groups {
-		switch {
-		case len(members) >= 2:
-			super[gi] = next
-			parent = append(parent, -1)
-			for _, v := range members {
-				parent[v] = next
-			}
-			next++
-		case len(members) == 1:
-			super[gi] = members[0]
-		}
-	}
-	edges := make([]model.Edge, 0, len(f.P)+len(f.CPlus)+len(f.CMinus))
-	add := func(a, b int32, sign int8) {
-		if a > b {
-			a, b = b, a
-		}
-		edges = append(edges, model.Edge{A: a, B: b, Sign: sign})
-	}
-	for _, pe := range f.P {
-		add(super[pe[0]], super[pe[1]], 1)
-	}
-	for _, e := range f.CPlus {
-		add(e[0], e[1], 1)
-	}
-	for _, e := range f.CMinus {
-		add(e[0], e[1], -1)
-	}
-	return model.New(n, parent, edges)
+	cfg.emit(Event{Algorithm: algo, Stage: StageDone, Step: step, Total: total, Cost: s.Cost()})
+	return NewHierarchical(algo, s), nil
 }
 
 // swegSummarizer adapts SWeG (lossless mode) to the unified API.
@@ -147,7 +90,7 @@ func (swegSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Opt
 		}
 	}
 	s, err := sweg.SummarizeCtx(ctx, g, cfg.seed, swegCfg)
-	return finishFlat(cfg, "sweg", s, err, total, total)
+	return finish(cfg, "sweg", s, err, total, total)
 }
 
 // mossoSummarizer adapts MoSSo (batch setting) to the unified API.
@@ -169,7 +112,7 @@ func (mossoSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Op
 	}
 	s, err := mosso.SummarizeCtx(ctx, g, cfg.seed, mossoCfg)
 	totalEdges := int(g.NumEdges())
-	return finishFlat(cfg, "mosso", s, err, totalEdges, totalEdges)
+	return finish(cfg, "mosso", s, err, totalEdges, totalEdges)
 }
 
 // randomizedSummarizer adapts the Randomized greedy search to the
@@ -186,7 +129,7 @@ func (randomizedSummarizer) Name() string { return "randomized" }
 func (randomizedSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Option) (Artifact, error) {
 	cfg := resolve(opts)
 	s, err := randomized.SummarizeCtx(ctx, g, cfg.seed)
-	return finishFlat(cfg, "randomized", s, err, 1, 1)
+	return finish(cfg, "randomized", s, err, 1, 1)
 }
 
 // sagsSummarizer adapts SAGS to the unified API.
@@ -213,5 +156,5 @@ func (sagsSummarizer) Summarize(ctx context.Context, g *graph.Graph, opts ...Opt
 		}
 	}
 	s, err := sags.SummarizeCtx(ctx, g, cfg.seed, sagsCfg)
-	return finishFlat(cfg, "sags", s, err, bands, bands)
+	return finish(cfg, "sags", s, err, bands, bands)
 }

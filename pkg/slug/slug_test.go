@@ -9,12 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baselines/mosso"
-	"repro/internal/baselines/randomized"
-	"repro/internal/baselines/sags"
-	"repro/internal/baselines/sweg"
 	"repro/internal/core"
-	"repro/internal/flat"
 	"repro/internal/graph"
 	"repro/pkg/slug"
 )
@@ -349,30 +344,13 @@ func TestSluggerMatchesDirectCall(t *testing.T) {
 
 // TestFlatQueryableCostParity pins the one-model contract for the four
 // baselines: each returns a *slug.Hierarchical (its flat summary as
-// height-1 trees) whose cost equals the flat summary's Eq. (11) cost,
-// which passes the model's strict validator (every pair's net count in
-// {0, 1}, and set exactly on the input's edges), and whose algorithm
-// tag survives the envelope.
+// height-1 trees) which passes the model's strict validator (every
+// pair's net count in {0, 1}, and set exactly on the input's edges), and
+// whose algorithm tag survives the envelope. That its cost is Eq. (11)
+// is internal/flat's TestEncodeCostSanityProperty.
 func TestFlatQueryableCostParity(t *testing.T) {
 	const seed, iters = 7, 5
 	ctx := context.Background()
-	baselines := []struct {
-		algo string
-		run  func(*graph.Graph) (*flat.Summary, error)
-	}{
-		{"sweg", func(g *graph.Graph) (*flat.Summary, error) {
-			return sweg.SummarizeCtx(ctx, g, seed, sweg.Config{T: iters})
-		}},
-		{"mosso", func(g *graph.Graph) (*flat.Summary, error) {
-			return mosso.SummarizeCtx(ctx, g, seed, mosso.Config{})
-		}},
-		{"randomized", func(g *graph.Graph) (*flat.Summary, error) {
-			return randomized.SummarizeCtx(ctx, g, seed)
-		}},
-		{"sags", func(g *graph.Graph) (*flat.Summary, error) {
-			return sags.SummarizeCtx(ctx, g, seed, sags.Config{})
-		}},
-	}
 	graphs := []struct {
 		name string
 		g    *graph.Graph
@@ -384,9 +362,9 @@ func TestFlatQueryableCostParity(t *testing.T) {
 		{"ba", graph.BarabasiAlbert(150, 3, 11)},
 		{"caveman", testGraph()},
 	}
-	for _, b := range baselines {
+	for _, algo := range []string{"sweg", "mosso", "randomized", "sags"} {
 		for _, tg := range graphs {
-			algo, g := b.algo, tg.g
+			g := tg.g
 			t.Run(algo+"/"+tg.name, func(t *testing.T) {
 				art, err := slug.Get(algo).Summarize(ctx, g, slug.WithIterations(iters), slug.WithSeed(seed))
 				if err != nil {
@@ -394,13 +372,6 @@ func TestFlatQueryableCostParity(t *testing.T) {
 				}
 				if _, ok := art.(*slug.Hierarchical); !ok {
 					t.Fatalf("artifact type %T, want *slug.Hierarchical", art)
-				}
-				s, err := b.run(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if art.Cost() != s.Cost() {
-					t.Fatalf("artifact cost %d, flat summary cost %d", art.Cost(), s.Cost())
 				}
 				if err := slug.Validate(art, g); err != nil {
 					t.Fatal(err)
