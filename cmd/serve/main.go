@@ -65,9 +65,11 @@
 //	GET  /stats
 //	GET  /neighbors?v=3          (or v=3,7,9 for a batch)
 //	POST /neighbors              ({"v":[3,7,9]} JSON batch)
+//	POST /batch/neighbors        (binary batch: "NBRQ" + u32 count + i32 ids)
 //	GET  /hasedge?u=1&v=2
 //	GET  /pagerank?d=0.85&t=20&top=10
 //	POST /update                 ({"u":1,"v":2,"delete":false} or {"updates":[...]})
+//	GET  /shardinfo              (-shard-role only)
 //
 // SIGINT/SIGTERM drain in-flight requests through a graceful shutdown
 // instead of killing them.

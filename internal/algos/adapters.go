@@ -48,14 +48,6 @@ func OnCompiled(cs *model.CompiledSummary) *CompiledSource {
 	return &CompiledSource{cs: cs, ctx: cs.AcquireCtx()}
 }
 
-// OnSummary adapts a hierarchical summary: the summary is compiled into
-// its read-optimized form once, and algorithms then run on it without
-// materializing the graph. For repeated traversals over one summary,
-// compile once yourself and use OnCompiled per traversal.
-func OnSummary(s *model.Summary) NeighborSource {
-	return OnCompiled(s.Compile())
-}
-
 // LiveSource adapts one overlay snapshot of a live summary, reusing a
 // single overlay query context for the whole traversal. Like any
 // NeighborSource it is single-goroutine; concurrent traversals each

@@ -10,7 +10,7 @@ package algos
 
 // NeighborSource is the only access graph algorithms need: the vertex
 // count and per-vertex neighbor retrieval. *graph.Graph satisfies it
-// via an adapter (Raw); *model.Summary satisfies it via OnSummary.
+// via an adapter (Raw); a compiled *model.Summary via OnCompiled.
 type NeighborSource interface {
 	NumNodes() int
 	// Neighbors returns the neighbors of v. The result may alias

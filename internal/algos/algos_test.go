@@ -105,7 +105,9 @@ func TestCountTrianglesMatchesGraphPackage(t *testing.T) {
 func TestAlgorithmsAgreeOnSummary(t *testing.T) {
 	g := graph.Caveman(4, 6, 3, 21)
 	sum, _ := core.Summarize(g, core.Config{T: 10, Seed: 3})
-	raw, onsum := Raw(g), OnSummary(sum)
+	onsum := OnCompiled(sum.Compile())
+	defer onsum.Release()
+	raw := Raw(g)
 
 	if a, b := BFS(raw, 0), BFS(onsum, 0); len(a) != len(b) {
 		t.Fatalf("BFS reach differs: %d vs %d", len(a), len(b))
@@ -187,7 +189,8 @@ func TestBFSReachEqualsComponentProperty(t *testing.T) {
 			return false
 		}
 		sum, _ := core.Summarize(g, core.Config{T: 4, Seed: seed})
-		onsum := OnSummary(sum)
+		onsum := OnCompiled(sum.Compile())
+		defer onsum.Release()
 		return len(BFS(onsum, src)) == size && isBFSDistance(g, src, reach, Dijkstra(onsum, src))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -17,26 +17,19 @@ import (
 	"repro/internal/model"
 )
 
-// Config holds MoSSo parameters; the zero value uses the paper's
-// settings.
-type Config struct {
-	Escape float64 // escape probability e (default 0.3)
-	Trials int     // candidate samples per processed edge c (default 120)
+// The paper's settings: escape probability e and candidate samples c
+// per processed edge endpoint.
+const (
+	escape = 0.3
+	trials = 120
+)
 
+// Config holds MoSSo's run options; the zero value is usable.
+type Config struct {
 	// OnProgress, if non-nil, is invoked periodically (about ten times
 	// per run, and always after the last edge) with the number of
 	// streamed edges processed so far and the total.
 	OnProgress func(processed, total int)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Escape <= 0 {
-		c.Escape = 0.3
-	}
-	if c.Trials <= 0 {
-		c.Trials = 120
-	}
-	return c
 }
 
 // Summarize streams the edges of g in random order through the
@@ -56,7 +49,6 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	gr := flatgreedy.New(g)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -70,8 +62,8 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ProcessInsertion(gr, e[0], e[1], cfg, rng)
-		ProcessInsertion(gr, e[1], e[0], cfg, rng)
+		correctivePass(gr, e[1], rng)
+		correctivePass(gr, e[0], rng)
 		if cfg.OnProgress != nil && ((i+1)%step == 0 || i+1 == len(edges)) {
 			cfg.OnProgress(i+1, len(edges))
 		}
@@ -79,36 +71,19 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 	return gr.Encode(), nil
 }
 
-// ProcessInsertion performs MoSSo's randomized move proposals for
-// endpoint u of a newly arrived edge (u, v). SummarizeCtx calls it for
-// both endpoints of every streamed edge; it is exported so a caller
-// feeding an incremental grouping (flatgreedy.NewIncremental) edge by
-// edge can drive the same proposals.
-func ProcessInsertion(gr *flatgreedy.Grouping, u, v int32, cfg Config, rng *rand.Rand) {
-	_ = u
-	correctivePass(gr, v, cfg.withDefaults(), rng)
-}
-
 // correctivePass runs the randomized move proposals around vertex v:
 // each trial picks a random neighbor of v, which either escapes to a
 // fresh singleton supernode or tries joining the supernode of another
 // sampled neighbor, keeping moves that do not increase the local
 // encoding cost.
-func correctivePass(gr *flatgreedy.Grouping, v int32, cfg Config, rng *rand.Rand) {
-	nbrs := gr.Neighbors(v)
-	if len(nbrs) == 0 {
-		return
-	}
-	trials := cfg.Trials
-	if trials > len(nbrs) {
-		trials = len(nbrs)
-	}
-	for i := 0; i < trials; i++ {
+func correctivePass(gr *flatgreedy.Grouping, v int32, rng *rand.Rand) {
+	nbrs := gr.G.Neighbors(v)
+	for i := 0; i < min(trials, len(nbrs)); i++ {
 		// The node proposing a move: a random neighbor of v (the edge
 		// event perturbs v's neighborhood, so corrections concentrate
 		// there).
 		x := nbrs[rng.Intn(len(nbrs))]
-		if rng.Float64() < cfg.Escape {
+		if rng.Float64() < escape {
 			tryEscape(gr, x)
 			continue
 		}
@@ -167,7 +142,7 @@ func localCost(gr *flatgreedy.Grouping, x, a, b int32) int64 {
 	for _, g := range []int32{a, b} {
 		addPair(g, g)
 		addPair(a, b)
-		for _, w := range gr.Neighbors(x) {
+		for _, w := range gr.G.Neighbors(x) {
 			addPair(g, gr.GroupOf[w])
 		}
 	}

@@ -17,29 +17,20 @@ import (
 	"repro/internal/model"
 )
 
-// Config holds SAGS parameters; the zero value uses the paper's
-// settings.
-type Config struct {
-	H int     // total hash functions (default 30)
-	B int     // bands (default 10); H/B rows per band
-	P float64 // merge probability (default 0.3)
+// The paper's settings: h min-hash functions in b bands of h/b rows,
+// and merge probability p.
+const (
+	hashes = 30
+	bands  = 10
+	rows   = hashes / bands
+	mergeP = 0.3
+)
 
+// Config holds SAGS's run options; the zero value is usable.
+type Config struct {
 	// OnBand, if non-nil, is invoked after each LSH band is processed
 	// with the band number (1-based) and the total band count.
 	OnBand func(band, bands int)
-}
-
-func (c Config) withDefaults() Config {
-	if c.H <= 0 {
-		c.H = 30
-	}
-	if c.B <= 0 {
-		c.B = 10
-	}
-	if c.P <= 0 {
-		c.P = 0.3
-	}
-	return c
 }
 
 // Summarize runs SAGS and returns the optimal flat encoding of the
@@ -53,21 +44,16 @@ func Summarize(g *graph.Graph, seed int64, cfg Config) *model.Summary {
 // band: a cancelled context makes the run return promptly with a nil
 // summary and ctx.Err().
 func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (*model.Summary, error) {
-	cfg = cfg.withDefaults()
 	gr := flatgreedy.New(g)
 	rng := rand.New(rand.NewSource(seed))
-	rows := cfg.H / cfg.B
-	if rows < 1 {
-		rows = 1
-	}
 
-	for band := 0; band < cfg.B; band++ {
+	for band := 0; band < bands; band++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Band signature: combined hash of `rows` min-hash values of the
 		// supernode neighborhood.
-		sigs := bandSignatures(gr, uint64(seed), band, rows)
+		sigs := bandSignatures(gr, uint64(seed), band)
 		buckets := make(map[uint64][]int32)
 		var keys []uint64
 		for id := int32(0); id < int32(len(gr.Members)); id++ {
@@ -89,13 +75,13 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 			rng.Shuffle(len(bucket), func(i, j int) { bucket[i], bucket[j] = bucket[j], bucket[i] })
 			// Merge consecutive pairs with probability p.
 			for i := 0; i+1 < len(bucket); i += 2 {
-				if rng.Float64() < cfg.P {
+				if rng.Float64() < mergeP {
 					gr.Merge(bucket[i], bucket[i+1])
 				}
 			}
 		}
 		if cfg.OnBand != nil {
-			cfg.OnBand(band+1, cfg.B)
+			cfg.OnBand(band+1, bands)
 		}
 	}
 	return gr.Encode(), nil
@@ -103,27 +89,11 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 
 // bandSignatures computes, for every live supernode, the combined hash
 // of `rows` independent min-hash values of its subnode neighborhood.
-func bandSignatures(gr *flatgreedy.Grouping, seed uint64, band, rows int) []uint64 {
-	n := len(gr.Members)
-	sigs := make([]uint64, n)
+func bandSignatures(gr *flatgreedy.Grouping, seed uint64, band int) []uint64 {
+	sigs := make([]uint64, len(gr.Members))
 	for r := 0; r < rows; r++ {
 		hseed := minhash.Hash64(seed, uint64(band*97+r))
-		mins := make([]uint64, n)
-		for i := range mins {
-			mins[i] = ^uint64(0)
-		}
-		g := gr.G
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			f := minhash.Hash64(hseed, uint64(v))
-			for _, w := range g.Neighbors(v) {
-				if h := minhash.Hash64(hseed, uint64(w)); h < f {
-					f = h
-				}
-			}
-			if sn := gr.GroupOf[v]; f < mins[sn] {
-				mins[sn] = f
-			}
-		}
+		mins := minhash.Shingles(gr.G, gr.GroupOf, len(gr.Members), hseed)
 		for i := range sigs {
 			sigs[i] = minhash.Hash64(sigs[i]^0x1234567, mins[i])
 		}

@@ -16,12 +16,18 @@ import (
 	"repro/internal/model"
 )
 
+// Candidate generation as in the paper: shingle re-splits at most
+// maxLevels deep, then random chunks, into sets of at most maxGroup
+// supernodes.
+const (
+	maxGroup  = 500
+	maxLevels = 10
+)
+
 // Config holds SWeG parameters; the zero value uses the paper's
 // settings (T = 20).
 type Config struct {
-	T         int
-	MaxGroup  int
-	MaxLevels int
+	T int
 
 	// OnIteration, if non-nil, is invoked after each merging iteration
 	// with the iteration number (1-based).
@@ -31,12 +37,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.T <= 0 {
 		c.T = 20
-	}
-	if c.MaxGroup <= 0 {
-		c.MaxGroup = 500
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 10
 	}
 	return c
 }
@@ -63,7 +63,7 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, seed int64, cfg Config) (
 
 	for t := 1; t <= cfg.T; t++ {
 		theta := threshold(t, cfg.T)
-		for _, group := range candidateGroups(gr, t, seed, cfg, rng) {
+		for _, group := range candidateGroups(gr, t, seed, rng) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -84,7 +84,7 @@ func threshold(t, T int) float64 {
 }
 
 // candidateGroups groups live supernodes by neighborhood shingles.
-func candidateGroups(gr *flatgreedy.Grouping, iter int, seed int64, cfg Config, rng *rand.Rand) [][]int32 {
+func candidateGroups(gr *flatgreedy.Grouping, iter int, seed int64, rng *rand.Rand) [][]int32 {
 	var live []int32
 	for id := int32(0); id < int32(len(gr.Members)); id++ {
 		if gr.Alive(id) {
@@ -95,33 +95,13 @@ func candidateGroups(gr *flatgreedy.Grouping, iter int, seed int64, cfg Config, 
 	key := func(sn int32, level int) uint64 {
 		sh, ok := cache[level]
 		if !ok {
-			sh = supernodeShingles(gr, minhash.Hash64(uint64(seed), uint64(iter)<<20|uint64(level)))
+			levelSeed := minhash.Hash64(uint64(seed), uint64(iter)<<20|uint64(level))
+			sh = minhash.Shingles(gr.G, gr.GroupOf, len(gr.Members), levelSeed)
 			cache[level] = sh
 		}
 		return sh[sn]
 	}
-	return minhash.Group(live, cfg.MaxGroup, cfg.MaxLevels, key, rng)
-}
-
-// supernodeShingles folds per-vertex 1-hop shingles into supernodes.
-func supernodeShingles(gr *flatgreedy.Grouping, seed uint64) []uint64 {
-	sh := make([]uint64, len(gr.Members))
-	for i := range sh {
-		sh[i] = ^uint64(0)
-	}
-	g := gr.G
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		f := minhash.Hash64(seed, uint64(v))
-		for _, w := range g.Neighbors(v) {
-			if h := minhash.Hash64(seed, uint64(w)); h < f {
-				f = h
-			}
-		}
-		if sn := gr.GroupOf[v]; f < sh[sn] {
-			sh[sn] = f
-		}
-	}
-	return sh
+	return minhash.Group(live, maxGroup, maxLevels, key, rng)
 }
 
 // processGroup is SWeG's merging phase for one candidate group: pick a

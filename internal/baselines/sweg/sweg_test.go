@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/flatgreedy"
 	"repro/internal/graph"
+	"repro/internal/minhash"
 )
 
 func TestThresholdSchedule(t *testing.T) {
@@ -50,9 +51,9 @@ func TestNeighborhoodUnion(t *testing.T) {
 func TestSupernodeShinglesFoldMembers(t *testing.T) {
 	g := graph.FromEdges(4, [][2]int32{{0, 1}, {2, 3}})
 	gr := flatgreedy.New(g)
-	before := supernodeShingles(gr, 9)
+	before := minhash.Shingles(g, gr.GroupOf, len(gr.Members), 9)
 	gr.Merge(0, 2)
-	after := supernodeShingles(gr, 9)
+	after := minhash.Shingles(g, gr.GroupOf, len(gr.Members), 9)
 	// The merged supernode's shingle is the min of its members'.
 	want := before[0]
 	if before[2] < want {
@@ -78,7 +79,7 @@ func TestTwinsMergeUnderSWeG(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.T != 20 || c.MaxGroup != 500 || c.MaxLevels != 10 {
+	if c.T != 20 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }

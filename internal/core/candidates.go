@@ -20,7 +20,7 @@ import (
 // group, so their shingles are computed per root on demand — re-split
 // hashing is scoped to the group being split instead of touching every
 // root in the graph.
-func (st *state) generateCandidates(iter, maxGroup, maxLevels int, seed int64) [][]int32 {
+func (st *state) generateCandidates(iter, maxGroup int, seed int64) [][]int32 {
 	roots := st.roots()
 	var level0 []uint64
 	key := func(root int32, level int) uint64 {
@@ -36,24 +36,12 @@ func (st *state) generateCandidates(iter, maxGroup, maxLevels int, seed int64) [
 	return minhash.Group(roots, maxGroup, maxLevels, key, st.rng)
 }
 
-// vertexShingle is the per-vertex 1-hop shingle of Lemma 2:
-// min(h(v), min_{w in N(v)} h(w)) under the seeded permutation h.
-func (st *state) vertexShingle(v int32, seed uint64) uint64 {
-	f := minhash.Hash64(seed, uint64(v))
-	for _, w := range st.g.Neighbors(v) {
-		if h := minhash.Hash64(seed, uint64(w)); h < f {
-			f = h
-		}
-	}
-	return f
-}
-
 // rootShingle computes the shingle of a single root in O(sum of degrees
 // in the root): the minimum of its subnodes' vertex shingles.
 func (st *state) rootShingle(root int32, seed uint64) uint64 {
 	best := ^uint64(0)
 	for _, v := range st.verts[root] {
-		if f := st.vertexShingle(v, seed); f < best {
+		if f := minhash.VertexShingle(st.g, v, seed); f < best {
 			best = f
 		}
 	}
@@ -65,30 +53,25 @@ func (st *state) rootShingle(root int32, seed uint64) uint64 {
 // chunked and per-root minima are folded with compare-and-swap — min is
 // commutative, so the result is identical to the serial pass.
 func (st *state) rootShingles(seed uint64) []uint64 {
+	if st.workers <= 1 || st.n < 1024 {
+		return minhash.Shingles(st.g, st.rootOf, int(st.next), seed)
+	}
 	sh := make([]uint64, st.next)
 	for i := range sh {
 		sh[i] = ^uint64(0)
 	}
-	if st.workers > 1 && st.n >= 1024 {
-		runChunks(st.workers, int(st.n), func(lo, hi int) {
-			for v := int32(lo); v < int32(hi); v++ {
-				f := st.vertexShingle(v, seed)
-				r := st.rootOf[v]
-				for {
-					old := atomic.LoadUint64(&sh[r])
-					if f >= old || atomic.CompareAndSwapUint64(&sh[r], old, f) {
-						break
-					}
+	runChunks(st.workers, int(st.n), func(lo, hi int) {
+		for v := int32(lo); v < int32(hi); v++ {
+			f := minhash.VertexShingle(st.g, v, seed)
+			r := st.rootOf[v]
+			for {
+				old := atomic.LoadUint64(&sh[r])
+				if f >= old || atomic.CompareAndSwapUint64(&sh[r], old, f) {
+					break
 				}
 			}
-		})
-		return sh
-	}
-	for v := int32(0); v < st.n; v++ {
-		if f := st.vertexShingle(v, seed); f < sh[st.rootOf[v]] {
-			sh[st.rootOf[v]] = f
 		}
-	}
+	})
 	return sh
 }
 

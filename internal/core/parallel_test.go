@@ -347,7 +347,7 @@ func TestPlanWavesMatchesReference(t *testing.T) {
 		st := newState(tc.g, rand.New(rand.NewSource(3)))
 		st.workers = 2
 		for it := 1; it <= 10; it++ {
-			groups := st.generateCandidates(it, tc.maxGroup, 5, 3)
+			groups := st.generateCandidates(it, tc.maxGroup, 3)
 			waves := st.planWaves(groups)
 			ref := buildWaves(st.groupConflicts(groups), len(groups))
 			if !reflect.DeepEqual(waves, ref) {

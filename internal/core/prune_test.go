@@ -143,7 +143,7 @@ func TestPruneRunStopsWhenStable(t *testing.T) {
 	g := graph.Caveman(3, 5, 2, 3)
 	st := newState(g, rand.New(rand.NewSource(2)))
 	for t2 := 1; t2 <= 3; t2++ {
-		st.runIteration(context.Background(), st.generateCandidates(t2, 100, 5, 2), t2, 2, Threshold(t2, 3), 0)
+		st.runIteration(context.Background(), st.generateCandidates(t2, 100, 2), t2, 2, Threshold(t2, 3), 0)
 	}
 	pr := newPruner(st)
 	var calls []int
@@ -167,7 +167,7 @@ func TestPrunerCostMatchesEmittedModel(t *testing.T) {
 		g := graph.ErdosRenyi(40, 140, seed)
 		st := newState(g, rand.New(rand.NewSource(seed)))
 		for t2 := 1; t2 <= 4; t2++ {
-			st.runIteration(context.Background(), st.generateCandidates(t2, 100, 5, seed), t2, seed, Threshold(t2, 4), 0)
+			st.runIteration(context.Background(), st.generateCandidates(t2, 100, seed), t2, seed, Threshold(t2, 4), 0)
 		}
 		pr := newPruner(st)
 		for i, step := range []func() bool{pr.step1, pr.step2, pr.step3} {

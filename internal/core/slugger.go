@@ -8,6 +8,15 @@ import (
 	"repro/internal/model"
 )
 
+// The paper's fixed settings: candidate sets are re-split by shingles
+// at most maxLevels deep before random chunking (Sect. III-B2), and the
+// three pruning substeps of Algorithm 3 repeat pruneRounds times
+// ("these three substeps can be repeated a few times").
+const (
+	maxLevels   = 10
+	pruneRounds = 3
+)
+
 // Config holds the SLUGGER parameters. The zero value is usable;
 // defaults match the paper's experimental settings (Sect. IV-A).
 type Config struct {
@@ -19,11 +28,6 @@ type Config struct {
 	Hb int
 	// MaxGroup caps candidate set sizes (default 500, as in the paper).
 	MaxGroup int
-	// MaxLevels caps shingle re-splitting depth (default 10).
-	MaxLevels int
-	// PruneRounds repeats the three pruning substeps (default 3,
-	// "these three substeps can be repeated a few times").
-	PruneRounds int
 	// SkipPrune disables the pruning step entirely (Table IV state 0).
 	SkipPrune bool
 	// Seed drives all randomness; runs are deterministic given a seed.
@@ -50,12 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxGroup <= 0 {
 		c.MaxGroup = 500
-	}
-	if c.MaxLevels <= 0 {
-		c.MaxLevels = 10
-	}
-	if c.PruneRounds <= 0 {
-		c.PruneRounds = 3
 	}
 	return c
 }
@@ -106,7 +104,7 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*model.Summa
 
 	for t := 1; t <= cfg.T; t++ {
 		theta := Threshold(t, cfg.T)
-		groups := st.generateCandidates(t, cfg.MaxGroup, cfg.MaxLevels, cfg.Seed)
+		groups := st.generateCandidates(t, cfg.MaxGroup, cfg.Seed)
 		merges, err := st.runIteration(ctx, groups, t, cfg.Seed, theta, cfg.Hb)
 		stats.Merges += merges
 		if err != nil {
@@ -120,7 +118,7 @@ func SummarizeCtx(ctx context.Context, g *graph.Graph, cfg Config) (*model.Summa
 
 	pr := newPruner(st)
 	if !cfg.SkipPrune {
-		if err := pr.run(ctx, cfg.PruneRounds, cfg.OnPruneSubstep); err != nil {
+		if err := pr.run(ctx, pruneRounds, cfg.OnPruneSubstep); err != nil {
 			return nil, stats, err
 		}
 	}

@@ -239,7 +239,7 @@ func TestBookkeepingConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	st := newState(g, rng)
 	for t2 := 1; t2 <= 5; t2++ {
-		st.runIteration(context.Background(), st.generateCandidates(t2, 100, 5, 5), t2, 5, Threshold(t2, 5), 0)
+		st.runIteration(context.Background(), st.generateCandidates(t2, 100, 5), t2, 5, Threshold(t2, 5), 0)
 		checkAdjacency(t, st) // pcost must match the actual edge lists
 	}
 }

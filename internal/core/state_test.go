@@ -285,7 +285,7 @@ func TestRootShinglesEqualNeighborhoodsMatch(t *testing.T) {
 func TestGenerateCandidatesCoverRoots(t *testing.T) {
 	g := graph.Caveman(4, 8, 2, 19)
 	st := newState(g, rand.New(rand.NewSource(2)))
-	groups := st.generateCandidates(1, 10, 5, 3)
+	groups := st.generateCandidates(1, 10, 3)
 	seen := map[int32]bool{}
 	for _, grp := range groups {
 		if len(grp) > 10 {
@@ -317,7 +317,7 @@ func TestAdjacencyAcrossParallelIterations(t *testing.T) {
 	st.workers = 3
 	merges := 0
 	for it := 1; it <= 6; it++ {
-		groups := st.generateCandidates(it, 25, 5, 5)
+		groups := st.generateCandidates(it, 25, 5)
 		if it == 1 && len(groups) < 3 {
 			t.Fatalf("only %d candidate groups: no wave to run concurrently", len(groups))
 		}

@@ -393,7 +393,9 @@ func AlgorithmsOnSummary(opt Options, dataset string) []AlgoResult {
 	}
 	g := spec.Generate(opt.Scale, opt.Seed)
 	s, _ := core.Summarize(g, core.Config{T: opt.T, Seed: opt.Seed, Workers: opt.Workers})
-	raw, osum := algos.Raw(g), algos.OnSummary(s)
+	osum := algos.OnCompiled(s.Compile())
+	defer osum.Release()
+	raw := algos.Raw(g)
 
 	var out []AlgoResult
 	run := func(name string, f func(src algos.NeighborSource) interface{}, eq func(a, b interface{}) bool) {

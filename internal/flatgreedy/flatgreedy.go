@@ -11,12 +11,8 @@ import (
 	"repro/internal/model"
 )
 
-// Grouping is a partition of the vertices with incremental cost
-// bookkeeping. Group ids are stable; emptied groups become dead.
-//
-// A Grouping is either static (built from a complete graph with New,
-// as every baseline including batch MoSSo does) or incremental (built
-// empty with NewIncremental and fed edges one at a time with AddEdge).
+// Grouping is a partition of the vertices of a graph with incremental
+// cost bookkeeping. Group ids are stable; emptied groups become dead.
 type Grouping struct {
 	G       *graph.Graph
 	GroupOf []int32
@@ -25,82 +21,28 @@ type Grouping struct {
 	// (within-group count under Nbr[a][a]).
 	Nbr []map[int32]int64
 
-	dynAdj [][]int32 // incremental adjacency; nil in static mode
-	free   []int32   // released empty group ids, recycled by NewGroup
-	n      int
+	free []int32 // released empty group ids, recycled by NewGroup
 }
 
 // New returns the singleton grouping of g.
 func New(g *graph.Graph) *Grouping {
-	gr := newEmpty(g.NumNodes())
-	gr.G = g
-	g.ForEachEdge(func(u, v int32) {
-		gr.Nbr[u][v]++
-		gr.Nbr[v][u]++
-	})
-	return gr
-}
-
-// NewIncremental returns an empty grouping over n vertices; edges
-// arrive one at a time via AddEdge.
-func NewIncremental(n int) *Grouping {
-	gr := newEmpty(n)
-	gr.dynAdj = make([][]int32, n)
-	return gr
-}
-
-func newEmpty(n int) *Grouping {
+	n := g.NumNodes()
 	gr := &Grouping{
+		G:       g,
 		GroupOf: make([]int32, n),
 		Members: make([][]int32, n),
 		Nbr:     make([]map[int32]int64, n),
-		n:       n,
 	}
 	for v := 0; v < n; v++ {
 		gr.GroupOf[v] = int32(v)
 		gr.Members[v] = []int32{int32(v)}
 		gr.Nbr[v] = make(map[int32]int64)
 	}
+	g.ForEachEdge(func(u, v int32) {
+		gr.Nbr[u][v]++
+		gr.Nbr[v][u]++
+	})
 	return gr
-}
-
-// AddEdge feeds one undirected edge into an incremental grouping,
-// updating the supernode-pair subedge counts. Panics in static mode.
-func (gr *Grouping) AddEdge(u, v int32) {
-	if gr.dynAdj == nil {
-		panic("flatgreedy: AddEdge requires NewIncremental")
-	}
-	if u == v {
-		return
-	}
-	gr.dynAdj[u] = append(gr.dynAdj[u], v)
-	gr.dynAdj[v] = append(gr.dynAdj[v], u)
-	gr.addPair(gr.GroupOf[u], gr.GroupOf[v], 1)
-}
-
-// Neighbors returns the current adjacency of v (static or incremental).
-func (gr *Grouping) Neighbors(v int32) []int32 {
-	if gr.dynAdj != nil {
-		return gr.dynAdj[v]
-	}
-	return gr.G.Neighbors(v)
-}
-
-// Graph materializes the current graph (the input in static mode, the
-// accumulated stream in incremental mode).
-func (gr *Grouping) Graph() *graph.Graph {
-	if gr.dynAdj == nil {
-		return gr.G
-	}
-	b := graph.NewBuilder(gr.n)
-	for u := int32(0); u < int32(gr.n); u++ {
-		for _, w := range gr.dynAdj[u] {
-			if u < w {
-				b.AddEdge(u, w)
-			}
-		}
-	}
-	return b.Build()
 }
 
 // Alive reports whether group a still has members.
@@ -256,7 +198,7 @@ func (gr *Grouping) MoveVertex(v, to int32) {
 	}
 	gr.Members[to] = append(gr.Members[to], v)
 	gr.GroupOf[v] = to
-	for _, w := range gr.Neighbors(v) {
+	for _, w := range gr.G.Neighbors(v) {
 		if w == v {
 			continue
 		}
@@ -297,8 +239,8 @@ func (gr *Grouping) ReleaseGroup(id int32) {
 	gr.free = append(gr.free, id)
 }
 
-// Encode produces the optimal flat encoding of the current grouping
-// over the current graph, as a height-1 hierarchy (flat.Encode).
+// Encode produces the optimal flat encoding of the current grouping,
+// as a height-1 hierarchy (flat.Encode).
 func (gr *Grouping) Encode() *model.Summary {
-	return flat.Encode(gr.Graph(), flat.Compact(gr.GroupOf))
+	return flat.Encode(gr.G, flat.Compact(gr.GroupOf))
 }

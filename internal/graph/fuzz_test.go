@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -31,33 +30,6 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if g2.NumEdges() != g.NumEdges() {
 			t.Fatalf("round trip lost edges: %d vs %d", g2.NumEdges(), g.NumEdges())
-		}
-	})
-}
-
-// FuzzReadBinary ensures the binary decoder rejects or safely parses
-// arbitrary bytes and that valid outputs re-encode identically.
-func FuzzReadBinary(f *testing.F) {
-	var buf bytes.Buffer
-	WriteBinary(&buf, ErdosRenyi(10, 20, 1))
-	f.Add(buf.Bytes())
-	f.Add([]byte("GCSR"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<16 {
-			return
-		}
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if _, err := WriteBinary(&out, g); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		g2, err := ReadBinary(&out)
-		if err != nil || !Equal(g, g2) {
-			t.Fatalf("re-encode round trip failed: %v", err)
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Generators for the synthetic analogues of the paper's 16 datasets.
 // All generators are deterministic given their seed.
@@ -251,9 +248,4 @@ func Theorem1Graph(n, k int) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// expectedRMATEdges is a helper for sizing (kept for documentation).
-func expectedRMATEdges(scale, edgeFactor int) float64 {
-	return float64(edgeFactor) * math.Exp2(float64(scale))
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 )
 
@@ -51,48 +50,6 @@ func WriteBinary(w io.Writer, g *Graph) (int64, error) {
 		return count, err
 	}
 	return count, nil
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	if string(head) != "GCSR" {
-		return nil, fmt.Errorf("graph: bad magic %q", head)
-	}
-	n64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := binary.ReadUvarint(br); err != nil { // edge count (informative)
-		return nil, err
-	}
-	b := NewBuilder(int(n64))
-	for v := int32(0); v < int32(n64); v++ {
-		deg, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: vertex %d degree: %w", v, err)
-		}
-		prev := int64(-1)
-		for k := uint64(0); k < deg; k++ {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("graph: vertex %d neighbor %d: %w", v, k, err)
-			}
-			w := prev + int64(delta)
-			if w < 0 || w >= int64(n64) {
-				return nil, fmt.Errorf("graph: vertex %d neighbor out of range", v)
-			}
-			prev = w
-			if int64(v) < w {
-				b.AddEdge(v, int32(w))
-			}
-		}
-	}
-	return b.Build(), nil
 }
 
 // SerializedSize returns the number of bytes WriteBinary would emit.

@@ -3,62 +3,8 @@ package graph
 import (
 	"bytes"
 	"io"
-	"strings"
 	"testing"
-	"testing/quick"
-
-	"math/rand"
 )
-
-func TestBinaryRoundTrip(t *testing.T) {
-	g := ErdosRenyi(80, 300, 5)
-	var buf bytes.Buffer
-	n, err := WriteBinary(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(g, g2) {
-		t.Fatal("binary round trip changed the graph")
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(2+rng.Intn(50), rng.Intn(150), seed)
-		var buf bytes.Buffer
-		if _, err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return Equal(g, g2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadBinaryRejectsCorrupt(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":     "",
-		"bad magic": "XXXX",
-		"truncated": "GCSR\x05",
-	} {
-		if _, err := ReadBinary(strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: expected error", name)
-		}
-	}
-}
 
 func TestSerializedSizeMatchesWrite(t *testing.T) {
 	g := BarabasiAlbert(100, 2, 3)

@@ -22,7 +22,6 @@ package loadgen
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -475,11 +474,4 @@ func (r *runner) do(ctx context.Context, method, path, contentType string, body 
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil
-}
-
-// MarshalJSON keeps ops ordered in reports (Report itself is a plain
-// struct; this is just a convenience for cmd/loadgen output).
-func (r *Report) JSON() []byte {
-	b, _ := json.MarshalIndent(r, "", "  ")
-	return append(b, '\n')
 }

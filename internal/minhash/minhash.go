@@ -4,7 +4,11 @@
 // Sect. 3; SAGS LSH bucketing).
 package minhash
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/graph"
+)
 
 // Hash64 mixes a 64-bit value with a seed using the SplitMix64
 // finalizer. It behaves as a random permutation fingerprint: for a
@@ -15,6 +19,35 @@ func Hash64(seed, x uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
+}
+
+// VertexShingle is the 1-hop shingle of vertex v (Lemma 2 of the
+// SLUGGER paper): min(h(v), min over w in N(v) of h(w)), where h is
+// Hash64 under seed.
+func VertexShingle(g *graph.Graph, v int32, seed uint64) uint64 {
+	f := Hash64(seed, uint64(v))
+	for _, w := range g.Neighbors(v) {
+		if h := Hash64(seed, uint64(w)); h < f {
+			f = h
+		}
+	}
+	return f
+}
+
+// Shingles folds the vertex shingles of g into groups in O(|V|+|E|):
+// entry a is the minimum VertexShingle over the vertices v with
+// groupOf[v] == a, and ^uint64(0) for a group with no vertex.
+func Shingles(g *graph.Graph, groupOf []int32, numGroups int, seed uint64) []uint64 {
+	sh := make([]uint64, numGroups)
+	for i := range sh {
+		sh[i] = ^uint64(0)
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		if f := VertexShingle(g, v, seed); f < sh[groupOf[v]] {
+			sh[groupOf[v]] = f
+		}
+	}
+	return sh
 }
 
 // keyed is an item with its key at the level being split.

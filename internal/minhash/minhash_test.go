@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/graph"
 )
 
 func TestHash64Deterministic(t *testing.T) {
@@ -99,5 +102,47 @@ func TestGroupBucketsInKeyOrder(t *testing.T) {
 	}
 	if calls != len(keys) {
 		t.Fatalf("key called %d times for %d items at one level", calls, len(keys))
+	}
+}
+
+// Property: on random graphs and random groupings (some group ids
+// holding no vertex), every entry of Shingles is the brute-force
+// minimum of Hash64(seed, x) over the group's members and their
+// neighbors, and an empty group holds ^uint64(0).
+func TestShinglesMatchBruteForceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		g := graph.ErdosRenyi(n, rng.Intn(1+n*(n-1)/4), seed)
+		numGroups := 1 + rng.Intn(2*n)
+		groupOf := make([]int32, n)
+		for v := range groupOf {
+			groupOf[v] = int32(rng.Intn(numGroups))
+		}
+		hseed := rng.Uint64()
+		got := Shingles(g, groupOf, numGroups, hseed)
+		if len(got) != numGroups {
+			return false
+		}
+		for a := range got {
+			want := ^uint64(0)
+			for v := int32(0); v < int32(n); v++ {
+				if groupOf[v] != int32(a) {
+					continue
+				}
+				want = min(want, Hash64(hseed, uint64(v)))
+				for _, w := range g.Neighbors(v) {
+					want = min(want, Hash64(hseed, uint64(w)))
+				}
+			}
+			if got[a] != want {
+				t.Logf("seed %d: group %d shingle %x, want %x", seed, a, got[a], want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

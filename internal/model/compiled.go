@@ -279,18 +279,6 @@ func (ctx *QueryCtx) NeighborsOf(v int32) []int32 {
 	return ctx.out
 }
 
-// Degree returns the number of neighbors of leaf v.
-func (ctx *QueryCtx) Degree(v int32) int {
-	ctx.accumulate(v)
-	d := 0
-	for _, u := range ctx.touched {
-		if u != v && ctx.cnt[u] > 0 {
-			d++
-		}
-	}
-	return d
-}
-
 // HasEdge reports whether the represented graph contains {u,v}: the
 // point query sums the signs of superedges covering the pair, touching
 // only the two ancestor chains. Allocation-free at steady state.

@@ -330,19 +330,6 @@ func (c *OverlayCtx) NeighborsOf(v int32) []int32 {
 	return c.buf
 }
 
-// HasEdge reports whether the live graph contains {u,v}: the overlay
-// answers when it has a correction for the pair, the base point query
-// otherwise.
-func (c *OverlayCtx) HasEdge(u, v int32) bool {
-	if u == v {
-		return false
-	}
-	if s := c.o.sign(u, v); s != 0 {
-		return s > 0
-	}
-	return c.qc.HasEdge(u, v)
-}
-
 // HasEdge is the context-free convenience form. Safe for concurrent
 // callers.
 func (o *DeltaOverlay) HasEdge(u, v int32) bool {

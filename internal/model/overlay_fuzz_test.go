@@ -78,8 +78,8 @@ func FuzzOverlayParity(f *testing.F) {
 				}
 			}
 			for u := int32(0); u < n; u++ {
-				if c.HasEdge(v, u) != want.HasEdge(v, u) {
-					t.Fatalf("HasEdge(%d,%d) = %v, want %v", v, u, c.HasEdge(v, u), want.HasEdge(v, u))
+				if o.HasEdge(v, u) != want.HasEdge(v, u) {
+					t.Fatalf("HasEdge(%d,%d) = %v, want %v", v, u, o.HasEdge(v, u), want.HasEdge(v, u))
 				}
 			}
 		}

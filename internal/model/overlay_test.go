@@ -58,8 +58,8 @@ func checkOverlayParity(t *testing.T, o *DeltaOverlay, want *graph.Graph) {
 	}
 	for u := int32(0); u < n; u++ {
 		for v := int32(0); v < n; v++ {
-			if c.HasEdge(u, v) != want.HasEdge(u, v) {
-				t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, c.HasEdge(u, v), want.HasEdge(u, v))
+			if o.HasEdge(u, v) != want.HasEdge(u, v) {
+				t.Fatalf("HasEdge(%d,%d) = %v, want %v", u, v, o.HasEdge(u, v), want.HasEdge(u, v))
 			}
 		}
 	}
@@ -234,7 +234,7 @@ func (r snapshotRecord) verify(pairs [][2]int32, x []float64) error {
 		}
 	}
 	for i, p := range pairs {
-		if got := c.HasEdge(p[0], p[1]); got != r.has[i] {
+		if got := r.o.HasEdge(p[0], p[1]); got != r.has[i] {
 			return fmt.Errorf("version %d: HasEdge(%d,%d) = %v, was %v", r.o.Version(), p[0], p[1], got, r.has[i])
 		}
 	}
@@ -555,7 +555,7 @@ func TestLiveConcurrentReadersCompiledSwap(t *testing.T) {
 				c := view.AcquireCtx()
 				v := int32(rng.Intn(50))
 				for _, u := range c.NeighborsOf(v) {
-					if !c.HasEdge(v, u) {
+					if !view.HasEdge(v, u) {
 						errs <- errInconsistent(v, u)
 						view.ReleaseCtx(c)
 						return

@@ -306,13 +306,6 @@ func (c *ShardedCtx) NeighborsOf(v int32) []int32 {
 	return c.out
 }
 
-// Degree returns the number of neighbors of global leaf v.
-func (c *ShardedCtx) Degree(v int32) int {
-	sc := c.sc
-	s := sc.shardOf[v]
-	return c.shardCtx(s).Degree(sc.localOf[v]) + len(sc.BoundaryOf(v))
-}
-
 // HasEdge reports whether the represented graph contains {u,v}: the
 // owning shard's point query when both endpoints share a shard, a
 // binary search of the smaller boundary window otherwise.

@@ -7,11 +7,10 @@ package serve
 // request times out. A panicking handler should cost one 500, not the
 // process. /readyz (distinct from the /healthz liveness probe) tells
 // load balancers to drain while the server cannot answer at full
-// quality: during startup replay, a heavy background compaction, or
-// while a federation shard is unreachable.
+// quality: during a heavy background compaction, or while a federation
+// shard is unreachable.
 
 import (
-	"errors"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -88,21 +87,10 @@ func (s *Server) WithAdmission(maxInflight, maxQueue int, maxWait time.Duration)
 	return s
 }
 
-// SetReady flips the explicit readiness gate reported by /readyz. A
-// server starts ready; front-ends that bring the listener up before
-// recovery finishes (to answer probes early) call SetReady(false)
-// first and SetReady(true) once replay completes.
-func (s *Server) SetReady(ready bool) { s.unready.Store(!ready) }
-
-var errStarting = errors.New("starting: recovery in progress")
-
-// notReady returns why the server is not ready, or nil when it is: the
-// explicit gate first, then whatever the backend reports (a compaction
-// in flight, a federation shard down).
+// notReady returns why the server is not ready, or nil when it is:
+// whatever the backend reports (a compaction in flight, a federation
+// shard down).
 func (s *Server) notReady() error {
-	if s.unready.Load() {
-		return errStarting
-	}
 	if s.ready != nil {
 		return s.ready.Ready()
 	}

@@ -160,8 +160,8 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestReadyz covers the readiness gate: explicit SetReady, and the
-// automatic not-ready window while a compaction rebuild is in flight.
+// TestReadyz covers the readiness gate: the automatic not-ready window
+// while a compaction rebuild is in flight.
 func TestReadyz(t *testing.T) {
 	srv, live := liveTestServer(0)
 	ts := httptest.NewServer(srv.Handler())
@@ -180,14 +180,6 @@ func TestReadyz(t *testing.T) {
 
 	if code, _ := status(); code != http.StatusOK {
 		t.Fatalf("fresh server not ready: %d", code)
-	}
-	srv.SetReady(false)
-	if code, body := status(); code != http.StatusServiceUnavailable || body["reason"] == "" {
-		t.Fatalf("SetReady(false): %d %v", code, body)
-	}
-	srv.SetReady(true)
-	if code, _ := status(); code != http.StatusOK {
-		t.Fatal("SetReady(true): not ready again")
 	}
 
 	// Block the compaction rebuild and check /readyz reports 503 with a

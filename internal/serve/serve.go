@@ -59,9 +59,8 @@ type Server struct {
 
 	eps *endpointMetrics // per-endpoint request counters + latency buckets
 
-	adm     *admission    // nil = unbounded (no WithAdmission)
-	unready atomic.Bool   // explicit not-ready gate (SetReady)
-	panics  atomic.Uint64 // handler panics contained by recovered()
+	adm    *admission    // nil = unbounded (no WithAdmission)
+	panics atomic.Uint64 // handler panics contained by recovered()
 
 	// Artifact provenance, reported by /stats when set via WithArtifact:
 	// the serving format ("v1-compiled" | "v2-mapped" | "v2-heap"), the

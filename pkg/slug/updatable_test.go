@@ -106,8 +106,8 @@ func TestUpdatableQueryParity(t *testing.T) {
 	}
 	for v := int32(0); v < n; v++ {
 		for u := int32(0); u < n; u++ {
-			if c.HasEdge(v, u) != refCtx.HasEdge(v, u) {
-				t.Fatalf("HasEdge(%d,%d): overlay %v, rebuild %v", v, u, c.HasEdge(v, u), refCtx.HasEdge(v, u))
+			if view.HasEdge(v, u) != refCtx.HasEdge(v, u) {
+				t.Fatalf("HasEdge(%d,%d): overlay %v, rebuild %v", v, u, view.HasEdge(v, u), refCtx.HasEdge(v, u))
 			}
 		}
 	}
