@@ -15,11 +15,11 @@
 //	serve -shard-role 2 -manifest shards/manifest.json [-addr :8082]
 //
 // With -shards k > 1 the graph is partitioned into k shards summarized
-// concurrently under the -workers budget, and queries are served
-// federated: routed to the owning shard's compiled engine and merged
-// with the boundary edges. The endpoints are unchanged; /stats gains
-// per-shard sizes. Sharded serving is immutable (-mutable is
-// rejected). -summary detects sharded artifact files automatically.
+// concurrently under the -workers budget. The sharded build is served
+// like any other artifact, from one compiled summary: the union of the
+// shard hierarchies, with every cross-shard edge a leaf–leaf p-edge.
+// Sharded serving is immutable (-mutable is rejected). -summary
+// detects sharded artifact files automatically.
 //
 // With -shard-role N the process serves exactly one shard of a split
 // sharded build (from slug.Split / the federated example): the shard's
@@ -109,7 +109,7 @@ func main() {
 		workers = flag.Int("workers", 1, "group-scheduler worker pool size when summarizing -in and for -mutable compaction rebuilds")
 		mutable = flag.Bool("mutable", false, "accept live edge updates via POST /update")
 		compact = flag.Int("compact", 10000, "with -mutable: overlay corrections that trigger a background re-summarize (0 = never: the overlay then grows without bound and per-update cost grows with it; pair with manual offline compaction)")
-		shards  = flag.Int("shards", 1, "partition -in into this many shards, summarize them concurrently and serve the federation (1 = unsharded; incompatible with -mutable)")
+		shards  = flag.Int("shards", 1, "partition -in into this many shards, summarize them concurrently and serve the result (1 = unsharded; incompatible with -mutable)")
 		addr    = flag.String("addr", ":8080", "listen address")
 
 		shardRole = flag.Int("shard-role", -1, "serve exactly one shard of a split sharded build: the shard index to mount (requires -manifest; incompatible with every other serving mode)")
@@ -204,10 +204,7 @@ func main() {
 		slug.WithCompactionThreshold(*compact),
 	}
 
-	var (
-		art slug.Artifact
-		sh  *slug.Sharded
-	)
+	var art slug.Artifact
 	switch {
 	case *summary != "" && *mmap:
 		m, err := slug.OpenMapped(*summary)
@@ -225,16 +222,12 @@ func main() {
 	case *summary != "":
 		a, err := slug.Load(*summary)
 		if errors.Is(err, slug.ErrShardedArtifact) {
-			s, err := slug.LoadSharded(*summary)
-			if err != nil {
-				log.Fatalf("loading sharded artifact: %v", err)
-			}
-			sh = s
-		} else if err != nil {
-			log.Fatalf("loading artifact: %v", err)
-		} else {
-			art = a
+			a, err = slug.LoadSharded(*summary)
 		}
+		if err != nil {
+			log.Fatalf("loading artifact: %v", err)
+		}
+		art = a
 	case *in != "":
 		g, err := graph.LoadEdgeList(*in)
 		if err != nil {
@@ -243,30 +236,19 @@ func main() {
 		fmt.Printf("input: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
 		start := time.Now()
 		if *shards > 1 {
-			s, err := slug.SummarizeSharded(ctx, g, *shards, append(opts, slug.WithAlgorithm(*algo))...)
-			if err != nil {
-				log.Fatalf("summarizing %d shards with %s: %v", *shards, *algo, err)
-			}
-			rel := 0.0
-			if g.NumEdges() > 0 {
-				rel = float64(s.Cost()) / float64(g.NumEdges())
-			}
-			fmt.Printf("summarized %d shards with %s in %s: cost %d (%.1f%% of input)\n",
-				s.NumShards(), s.Algorithm(), time.Since(start).Round(time.Millisecond), s.Cost(), 100*rel)
-			sh = s
+			art, err = slug.SummarizeSharded(ctx, g, *shards, append(opts, slug.WithAlgorithm(*algo))...)
 		} else {
-			a, err := slug.Get(*algo).Summarize(ctx, g, opts...)
-			if err != nil {
-				log.Fatalf("summarizing with %s: %v", *algo, err)
-			}
-			rel := 0.0
-			if g.NumEdges() > 0 {
-				rel = float64(a.Cost()) / float64(g.NumEdges())
-			}
-			fmt.Printf("summarized with %s in %s: cost %d (%.1f%% of input)\n",
-				a.Algorithm(), time.Since(start).Round(time.Millisecond), a.Cost(), 100*rel)
-			art = a
+			art, err = slug.Get(*algo).Summarize(ctx, g, opts...)
 		}
+		if err != nil {
+			log.Fatalf("summarizing with %s into %d shard(s): %v", *algo, *shards, err)
+		}
+		rel := 0.0
+		if g.NumEdges() > 0 {
+			rel = float64(art.Cost()) / float64(g.NumEdges())
+		}
+		fmt.Printf("summarized with %s in %s: %d shard(s), cost %d (%.1f%% of input)\n",
+			art.Algorithm(), time.Since(start).Round(time.Millisecond), *shards, art.Cost(), 100*rel)
 	default:
 		if *walDir == "" {
 			flag.Usage()
@@ -276,32 +258,10 @@ func main() {
 		// base and update suffix — from the log alone.
 	}
 
-	if sh != nil {
-		if *mutable {
-			// Reachable only via -summary <sharded file> -mutable (the
-			// -shards conflict is rejected at flag parse).
-			log.Fatal("sharded artifacts serve immutably: drop -mutable, or serve an unsharded artifact")
-		}
-		start := time.Now()
-		sc, err := sh.Queryable()
-		if err != nil {
-			log.Fatalf("compiling sharded artifact: %v", err)
-		}
-		fmt.Printf("compiled %d vertices across %d shards (%d supernodes, %d superedges, %d boundary edges) in %s\n",
-			sc.NumNodes(), sc.NumShards(), sc.NumSupernodes(), sc.NumSuperedges(),
-			sc.NumBoundaryEdges(), time.Since(start).Round(time.Millisecond))
-		for s := 0; s < sc.NumShards(); s++ {
-			cs := sc.Shard(s)
-			fmt.Printf("  shard %d: %d vertices, %d supernodes, %d superedges\n",
-				s, cs.NumNodes(), cs.NumSupernodes(), cs.NumSuperedges())
-		}
-		fmt.Printf("listening on %s (algorithm %s, federated)\n", *addr, sh.Algorithm())
-		srv := serve.NewSharded(sc).WithAlgorithm(sh.Algorithm()).WithArtifact("v1-sharded", 0, bootStart)
-		if err := srv.Run(ctx, *addr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("shut down cleanly")
-		return
+	if _, ok := art.(*slug.Sharded); ok && *mutable {
+		// Reachable only via -summary <sharded file> -mutable (the
+		// -shards conflict is rejected at flag parse).
+		log.Fatal("sharded artifacts serve immutably: drop -mutable, or serve an unsharded artifact")
 	}
 
 	var (
@@ -364,9 +324,12 @@ func main() {
 	// Artifact provenance for /stats: how the served model is backed and
 	// how long boot-to-first-query takes on that path.
 	format, mappedBytes := "v1-compiled", int64(0)
-	if m, ok := art.(*slug.Mapped); ok {
-		format, mappedBytes = m.Format(), m.MappedBytes()
-	} else if art == nil {
+	switch a := art.(type) {
+	case *slug.Mapped:
+		format, mappedBytes = a.Format(), a.MappedBytes()
+	case *slug.Sharded:
+		format = "v1-sharded"
+	case nil:
 		format = "wal-recovered"
 	}
 	srv.WithArtifact(format, mappedBytes, bootStart)

@@ -162,9 +162,6 @@ func main() {
 			fmt.Printf("sharded artifact written to %s\n", *save)
 		}
 		if *split != "" {
-			if err := os.MkdirAll(*split, 0o755); err != nil {
-				log.Fatalf("creating split directory: %v", err)
-			}
 			man, err := sh.Split(*split, *format)
 			if err != nil {
 				log.Fatalf("splitting artifact: %v", err)

@@ -3,7 +3,7 @@
 // shard as a standalone artifact plus a digest-bearing manifest, shard
 // servers mount one shard each, and a coordinator — holding only the
 // id maps and boundary sidecar — scatter-gathers queries across them
-// with bit-identical answers to the single-process engine. The demo
+// with bit-identical answers to the single-process server. The demo
 // then kills a shard server to show failure containment (503 naming
 // the dead shard, circuit breaker opens, the healthy shard keeps
 // answering) and restarts it to show recovery.
@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/algos"
@@ -194,8 +195,8 @@ func main() {
 	fmt.Printf("coordinator: verified %d shard servers, listening on %s\n\n", k, base)
 
 	// Step 5: parity. The federation must answer exactly like the
-	// in-process engine over the same artifact.
-	sc, err := sh.Queryable()
+	// single-process server over the same artifact.
+	cs, err := sh.Queryable()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -208,14 +209,14 @@ func main() {
 	if err := getJSON(fmt.Sprintf("%s/neighbors?v=%d", base, probe), &nr); err != nil {
 		log.Fatal(err)
 	}
-	want := sc.NeighborsOf(probe)
-	if len(nr.Neighbors) != len(want) {
-		log.Fatalf("parity: federated degree %d, in-process %d", len(nr.Neighbors), len(want))
+	want := cs.NeighborsOf(probe)
+	if !slices.Equal(nr.Neighbors, want) {
+		log.Fatalf("parity: federated neighbors %v, in-process %v", nr.Neighbors, want)
 	}
-	fmt.Printf("neighbors(%d): degree %d — matches the in-process engine\n", probe, nr.Degree)
+	fmt.Printf("neighbors(%d): degree %d — matches the in-process summary\n", probe, nr.Degree)
 
 	// PageRank scatter-gathers the adjacency once, then iterates
-	// locally; the single-process run multiplies on its hierarchies
+	// locally; the single-process run multiplies on the merged hierarchy
 	// instead, so the two agree to 1e-12, not to the bit.
 	var pr struct {
 		Top []struct {
@@ -226,7 +227,7 @@ func main() {
 	if err := getJSON(base+"/pagerank?d=0.85&t=20&top=3", &pr); err != nil {
 		log.Fatal(err)
 	}
-	src := algos.OnSharded(sc)
+	src := algos.OnCompiled(cs)
 	rank := algos.PageRank(src, 0.85, 20)
 	src.Release()
 	for _, rv := range pr.Top {
@@ -241,19 +242,7 @@ func main() {
 	// reports the federation degraded.
 	servers[1].stop()
 	fmt.Println("killed shard 1's server")
-	victim, survivor := int32(-1), int32(-1)
-	for v := int32(0); v < int32(sc.NumNodes()); v++ {
-		switch sc.ShardOf(v) {
-		case 1:
-			if victim < 0 {
-				victim = v
-			}
-		case 0:
-			if survivor < 0 {
-				survivor = v
-			}
-		}
-	}
+	victim, survivor := sh.GlobalID[1][0], sh.GlobalID[0][0]
 	var fail any
 	err = getJSON(fmt.Sprintf("%s/neighbors?v=%d", base, victim), &fail)
 	fmt.Printf("  neighbors(%d) [shard 1]: %v\n", victim, err)

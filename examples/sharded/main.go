@@ -1,10 +1,10 @@
-// Sharding: partition-parallel summarization and federated serving.
-// The graph is cut into k shards by the deterministic edge-cut
-// partitioner, every shard is summarized concurrently under one worker
-// budget, and the result — per-shard summaries plus a boundary-edge
-// sidecar — decodes losslessly, round-trips through one "SLGS" file,
-// and serves queries federated across shards exactly like a single
-// compiled summary.
+// Sharding: partition-parallel summarization. The graph is cut into k
+// shards by the deterministic edge-cut partitioner, every shard is
+// summarized concurrently under one worker budget, and the result —
+// per-shard summaries plus a boundary-edge sidecar — decodes
+// losslessly, round-trips through one "SLGS" file, and compiles into
+// one ordinary compiled summary: the union of the shard hierarchies,
+// with every boundary edge a leaf–leaf p-edge.
 //
 // Run with:
 //
@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/algos"
@@ -99,22 +100,27 @@ func main() {
 	fmt.Printf("round trip: %s restored %d shards, algorithm %q, cost %d\n",
 		filepath.Base(path), back.NumShards(), back.Algorithm(), back.Cost())
 
-	// Step 5: federated queries. Compile once; NeighborsOf merges the
-	// owning shard's answer with the vertex's boundary edges, HasEdge
-	// routes by shard pair — global ids in, global ids out.
-	sc, err := back.Queryable()
+	// Step 5: queries. Compile once: the shards' trees side by side under
+	// global ids, plus one p-edge per boundary edge, at exactly the
+	// sharded cost — global ids in, global ids out.
+	cs, err := back.Queryable()
 	if err != nil {
 		log.Fatal(err)
 	}
 	v := int32(3) // an early hub
-	fmt.Printf("\nfederated queries (vertex %d lives in shard %d):\n", v, sc.ShardOf(v))
-	nbrs := sc.NeighborsOf(v)
+	fmt.Printf("\nqueries on one compiled summary (%d supernodes, %d superedges; vertex %d lives in shard %d):\n",
+		cs.NumSupernodes(), cs.NumSuperedges(), v, shardOf(back, v))
+	nbrs := cs.NeighborsOf(v)
 	fmt.Printf("  neighbors(%d): %d of them, first few %v\n", v, len(nbrs), nbrs[:min(5, len(nbrs))])
-	fmt.Printf("  hasedge(%d,%d) = %v (cross-shard answers come from the boundary sidecar)\n",
-		v, nbrs[0], sc.HasEdge(v, nbrs[0]))
+	for _, u := range nbrs {
+		if shardOf(back, u) != shardOf(back, v) {
+			fmt.Printf("  hasedge(%d,%d) = %v (a cross-shard edge: one leaf–leaf p-edge)\n", v, u, cs.HasEdge(v, u))
+			break
+		}
+	}
 
-	// PageRank runs on the federated view unchanged.
-	src := algos.OnSharded(sc)
+	// PageRank runs on it like on any compiled summary.
+	src := algos.OnCompiled(cs)
 	rank := algos.PageRank(src, 0.85, 20)
 	src.Release()
 	best, bestRank := 0, 0.0
@@ -125,4 +131,14 @@ func main() {
 	}
 	fmt.Printf("  pagerank top vertex: %d (rank %.5f)\n", best, bestRank)
 	fmt.Println("\nServe it over HTTP with: go run ./cmd/serve -in <edges> -shards 4")
+}
+
+// shardOf returns the shard owning global vertex v.
+func shardOf(sh *slug.Sharded, v int32) int {
+	for s, ids := range sh.GlobalID {
+		if _, ok := slices.BinarySearch(ids, v); ok {
+			return s
+		}
+	}
+	return -1
 }

@@ -84,42 +84,3 @@ func OnView(view *model.DeltaOverlay) *LiveSource {
 	//slugvet:ok poolpair (acquire wrapper: the Source owns the context for one traversal; callers pair OnView with Source.Release)
 	return &LiveSource{view: view, ctx: view.AcquireCtx()}
 }
-
-// ShardedSource adapts a federated sharded compilation, reusing one
-// sharded query context (and through it one compiled context per
-// shard) for the whole traversal. Like any NeighborSource it is
-// single-goroutine; concurrent traversals each take their own source
-// via OnSharded.
-type ShardedSource struct {
-	sc  *model.ShardedCompiled
-	ctx *model.ShardedCtx
-}
-
-func (s *ShardedSource) NumNodes() int { return s.sc.NumNodes() }
-
-// Neighbors returns the global neighbors of v across shard and
-// boundary edges; the result is valid until the next call.
-func (s *ShardedSource) Neighbors(v int32) []int32 { return s.ctx.NeighborsOf(v) }
-
-// MulAdj applies the federated adjacency matrix; see
-// model.ShardedCompiled.MulAdj.
-func (s *ShardedSource) MulAdj(dst, x []float64) bool { return s.sc.MulAdj(dst, x) }
-
-// Release returns the source's query context to the federation's pool.
-// Call it when the traversal is done; the source must not be used
-// afterwards.
-func (s *ShardedSource) Release() {
-	if s.ctx != nil {
-		s.sc.ReleaseCtx(s.ctx)
-		s.ctx = nil
-	}
-}
-
-// OnSharded adapts a sharded compilation: every Neighbors call routes
-// to the owning shard's engine and merges the vertex's boundary
-// adjacency, so graph algorithms (PageRank, BFS, ...) run on the
-// federated view exactly as they would on a single compiled summary.
-func OnSharded(sc *model.ShardedCompiled) *ShardedSource {
-	//slugvet:ok poolpair (acquire wrapper: the Source owns the context for one traversal; callers pair OnSharded with Source.Release)
-	return &ShardedSource{sc: sc, ctx: sc.AcquireCtx()}
-}

@@ -6,12 +6,12 @@
 // jitter, hedged requests, per-endpoint circuit breakers fed by active
 // health checks, and static-file peer discovery with live reload.
 //
-// The split of responsibilities mirrors the in-process engine exactly:
-// model.Routing decides which shard owns a vertex and merges boundary
-// adjacency, identically whether the shard is an in-process
-// CompiledSummary (model.ShardedCompiled) or a process across the
-// network (fed.Coordinator). That shared routing is what makes the
-// federation bit-compatible with the single-process server.
+// The coordinator routes with model.Routing: which shard owns a vertex,
+// and each vertex's boundary adjacency, merged into the shard's sorted
+// answer. The single-process server of the same build answers from one
+// compiled summary instead (the union of the shard hierarchies, with
+// every boundary edge a leaf–leaf p-edge). Both are lossless, so their
+// neighbor lists and edge answers are byte-identical.
 package fed
 
 import (

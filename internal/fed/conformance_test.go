@@ -1,7 +1,7 @@
 package fed_test
 
 // One request pipeline, many backends: the same graph mounted as a
-// static summary, a live one, an in-process sharded federation and a
+// static summary, a live one, the sharded build's compiled union and a
 // coordinator over three shard servers must answer every shared route
 // with the same status and the same body bytes — and those bytes must
 // be the raw graph's answer, over every vertex and every edge.
@@ -44,7 +44,7 @@ func TestBackendConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := f.sh.Queryable()
+	union, err := f.sh.Queryable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBackendConformance(t *testing.T) {
 	}{
 		{"static", mount(serve.New(cs).Handler()), false},
 		{"live", mount(serve.NewLive(model.NewLive(cs)).Handler()), true},
-		{"sharded", mount(serve.NewSharded(sc).WithAlgorithm(f.sh.Algorithm()).Handler()), false},
+		{"sharded", mount(serve.New(union).WithAlgorithm(f.sh.Algorithm()).Handler()), false},
 		{"coordinator", f.ts.URL, false},
 	}
 
@@ -278,27 +278,27 @@ func TestBackendConformance(t *testing.T) {
 		}
 	}
 
-	// /stats is per backend by design; the in-process federation's must
-	// describe it: the sharded flag, the algorithm tag, and per-shard
-	// sizes that account for every vertex.
+	// /stats is per backend by design; the compiled union's must describe
+	// the merged model: every vertex, the algorithm tag, and one
+	// superedge per shard superedge plus one per boundary edge.
 	var stats struct {
-		Algorithm string `json:"algorithm"`
-		Nodes     int    `json:"nodes"`
-		Sharded   bool   `json:"sharded"`
-		Shards    []struct {
-			Nodes int `json:"nodes"`
-		} `json:"shards"`
+		Algorithm  string `json:"algorithm"`
+		Nodes      int    `json:"nodes"`
+		Superedges int    `json:"superedges"`
 	}
 	if _, err := getJSON(t, backends[2].url+"/stats", &stats); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, sh := range stats.Shards {
-		total += sh.Nodes
+	want := len(f.sh.Boundary)
+	for _, art := range f.sh.Shards {
+		cs, err := art.Queryable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += cs.NumSuperedges()
 	}
-	if !stats.Sharded || stats.Algorithm != f.sh.Algorithm() || stats.Nodes != f.g.NumNodes() ||
-		len(stats.Shards) != f.sh.NumShards() || total != f.g.NumNodes() {
-		t.Fatalf("sharded /stats = %+v (per-shard nodes sum to %d)", stats, total)
+	if stats.Algorithm != f.sh.Algorithm() || stats.Nodes != f.g.NumNodes() || stats.Superedges != want {
+		t.Fatalf("sharded /stats = %+v, want %d nodes and %d superedges", stats, f.g.NumNodes(), want)
 	}
 }
 

@@ -10,8 +10,8 @@ package fed
 //
 //   - NeighborsBatch: scatter shard-local batches to the owning shards,
 //     gather, translate to global ids, merge each vertex's boundary
-//     adjacency locally (model.Routing.MergeBoundary — the same code
-//     path the in-process engine uses, so answers match bit for bit).
+//     adjacency locally (model.Routing.MergeBoundary). Answers equal
+//     the single-process server's bit for bit: both are lossless.
 //   - HasEdge: intra-shard pairs go to the owning shard in local ids;
 //     cross-shard pairs are answered locally from the boundary CSR
 //     with no network round-trip at all.
@@ -19,8 +19,8 @@ package fed
 //     the artifact is immutable), then serve runs the ordinary
 //     in-process power iteration over it: the ranks algos.PageRank
 //     gives the raw graph, bit for bit, and within 1e-12 of the single
-//     process serving the same envelope (which multiplies on its
-//     hierarchies, model.ShardedCompiled.MulAdj, in another order).
+//     process serving the same envelope (which multiplies on the merged
+//     hierarchy, model.CompiledSummary.MulAdj, in another order).
 //
 // A shard failure surfaces as a *ShardError, which serve answers 503
 // naming the failed shard: the caller learns which piece of the data is
@@ -73,7 +73,7 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 }
 
 // Version returns the content version derived from the epoch — the
-// same value the in-process engine for this envelope reports.
+// same value every shard server of the split reports.
 func (co *Coordinator) Version() uint64 { return co.version }
 
 // NumNodes returns the global vertex count.

@@ -3,7 +3,7 @@ package fed_test
 // End-to-end federation test: one coordinator and three shard servers,
 // each listening on its own real loopback TCP port (so a shard can be
 // killed and restarted on the same address), exercising query parity
-// against the in-process sharded engine, partial-failure semantics
+// against the raw graph and the compiled union, partial-failure semantics
 // (503 naming the dead shard while live shards keep answering), the
 // circuit breaker opening, and recovery after restart.
 
@@ -173,11 +173,11 @@ func TestFederationParityAndFailure(t *testing.T) {
 	stop := f.client.StartHealth(context.Background())
 	defer stop()
 
-	sc, err := f.sh.Queryable()
+	cs, err := f.sh.Queryable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVersion := strconv.FormatUint(sc.Version(), 10)
+	wantVersion := strconv.FormatUint(slug.EpochVersion(f.sh.Epoch()), 10)
 	n := f.g.NumNodes()
 
 	// --- Neighbor parity, batched across all shards at once ---
@@ -240,10 +240,10 @@ func TestFederationParityAndFailure(t *testing.T) {
 		}
 	}
 
-	// --- PageRank parity with the in-process sharded engine (1e-12:
-	// the engine multiplies on its hierarchies, the coordinator on the
+	// --- PageRank parity with the in-process compiled union (1e-12: it
+	// multiplies on the merged hierarchy, the coordinator on the
 	// gathered adjacency, so the sums differ in order) ---
-	src := algos.OnSharded(sc)
+	src := algos.OnCompiled(cs)
 	want := algos.PageRank(src, 0.85, 20)
 	src.Release()
 	var pr struct {

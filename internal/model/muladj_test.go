@@ -21,7 +21,7 @@ import (
 	"repro/pkg/slug"
 )
 
-// adjMultiplier is the method the three views share.
+// adjMultiplier is the method the compiled and overlay views share.
 type adjMultiplier interface {
 	MulAdj(dst, x []float64) bool
 }
@@ -218,15 +218,7 @@ func TestMulAdjFallback(t *testing.T) {
 	for name, cs := range ineligible(t) {
 		n := cs.NumNodes()
 		dst, x := make([]float64, n), integerVector(n, 1)
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		sc, err := model.NewShardedCompiled([]*model.CompiledSummary{cs}, [][]int32{ids}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for view, m := range map[string]adjMultiplier{"compiled": cs, "overlay": model.NewOverlay(cs), "sharded": sc} {
+		for view, m := range map[string]adjMultiplier{"compiled": cs, "overlay": model.NewOverlay(cs)} {
 			if m.MulAdj(dst, x) {
 				t.Fatalf("%s: %s view reports eligible", name, view)
 			}
@@ -273,7 +265,7 @@ func TestPageRankRepeatable(t *testing.T) {
 	}{
 		{"compiled", func() []float64 { s := algos.OnCompiled(cs); defer s.Release(); return algos.PageRank(s, 0.85, 20) }, g},
 		{"overlay", func() []float64 { s := algos.OnView(overlay()); defer s.Release(); return algos.PageRank(s, 0.85, 20) }, overlay().Decode()},
-		{"sharded", func() []float64 { s := algos.OnSharded(sc); defer s.Release(); return algos.PageRank(s, 0.85, 20) }, g},
+		{"sharded", func() []float64 { s := algos.OnCompiled(sc); defer s.Release(); return algos.PageRank(s, 0.85, 20) }, g},
 	}
 	for _, v := range views {
 		first, second := v.run(), v.run()

@@ -1,208 +1,216 @@
-package model
+package model_test
+
+// A sharded build is one hierarchy: model.Union of its shard summaries
+// is a lossless summary of the whole graph at exactly the sharded cost,
+// for every registered algorithm and shard count, and it is what
+// slug.Sharded.Queryable compiles. CheckSharding is the one validator
+// of the partition, shared by Union and NewRouting.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/algos"
 	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/pkg/slug"
 )
 
-// rawCompiled wraps a graph in a trivial compiled summary (every vertex
-// its own root, one p-edge per graph edge) — exact by construction, so
-// federation bugs can't hide behind summarization bugs.
-func rawCompiled(g *graph.Graph) *CompiledSummary {
-	n := g.NumNodes()
-	parent := make([]int32, n)
+// TestUnionProperty: for every registered algorithm, k ∈ {1, 2, 3, 8}
+// and three graph shapes, the union costs exactly Sharded.Cost(),
+// validates against the graph, answers every neighbor list and a sample
+// of edge probes like the raw graph, is MulAdj-eligible with exact
+// products, and gives PageRank within 1e-12 of the raw graph's. With
+// k = 1 its compiled bytes are the unsharded artifact's.
+func TestUnionProperty(t *testing.T) {
+	ctx := context.Background()
+	graphs := map[string]*graph.Graph{
+		"er":      graph.ErdosRenyi(120, 500, 3),
+		"ba":      graph.BarabasiAlbert(120, 3, 4),
+		"caveman": graph.Caveman(6, 10, 4, 5),
+	}
+	for _, algo := range slug.Algorithms() {
+		opts := []slug.Option{slug.WithAlgorithm(algo), slug.WithSeed(1), slug.WithIterations(5)}
+		for name, g := range graphs {
+			n := int32(g.NumNodes())
+			raw := algos.PageRank(algos.Raw(g), 0.85, 20)
+			for _, k := range []int{1, 2, 3, 8} {
+				what := fmt.Sprintf("%s/%s/k=%d", algo, name, k)
+				sh, err := slug.SummarizeSharded(ctx, g, k, opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				shards := make([]*model.Summary, k)
+				for s, art := range sh.Shards {
+					shards[s] = art.(*slug.Hierarchical).Summary
+				}
+				union, err := model.Union(shards, sh.GlobalID, sh.Boundary)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if union.Cost() != sh.Cost() {
+					t.Fatalf("%s: union costs %d, sharded artifact %d", what, union.Cost(), sh.Cost())
+				}
+				if err := union.Validate(g); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+
+				cs, err := sh.Queryable()
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if cs.NumSupernodes() != union.NumSupernodes() || int64(cs.NumSuperedges()) != union.PCount()+union.NCount() {
+					t.Fatalf("%s: Queryable has %d supernodes / %d superedges, the union %d / %d",
+						what, cs.NumSupernodes(), cs.NumSuperedges(), union.NumSupernodes(), union.PCount()+union.NCount())
+				}
+				for v := int32(0); v < n; v++ {
+					if got := cs.NeighborsOf(v); !slices.Equal(got, g.Neighbors(v)) {
+						t.Fatalf("%s: neighbors(%d) = %v, graph has %v", what, v, got, g.Neighbors(v))
+					}
+					for d := int32(0); d < 5; d++ {
+						if u := (v + 1 + d*17) % n; cs.HasEdge(v, u) != g.HasEdge(v, u) {
+							t.Fatalf("%s: hasedge(%d,%d) = %v, graph says %v", what, v, u, !g.HasEdge(v, u), g.HasEdge(v, u))
+						}
+					}
+				}
+				checkMulAdj(t, what, cs, int(n), g.Neighbors)
+				src := algos.OnCompiled(cs)
+				rank := algos.PageRank(src, 0.85, 20)
+				src.Release()
+				for v := range rank {
+					if math.Abs(rank[v]-raw[v]) > 1e-12 {
+						t.Fatalf("%s: pagerank[%d] = %v, raw graph gives %v", what, v, rank[v], raw[v])
+					}
+				}
+
+				if k == 1 {
+					direct, err := slug.Get(algo).Summarize(ctx, g, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					var want, got bytes.Buffer
+					if _, err := slug.WriteCompiledTo(&want, direct); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := slug.WriteCompiledTo(&got, sh); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("%s: compiled union differs from the unsharded artifact's compiled bytes", what)
+					}
+				}
+			}
+		}
+	}
+}
+
+// rawSummary is the trivial exact summary of g: every vertex its own
+// root, one p-edge per edge.
+func rawSummary(g *graph.Graph) *model.Summary {
+	parent := make([]int32, g.NumNodes())
 	for i := range parent {
 		parent[i] = -1
 	}
-	var edges []Edge
-	g.ForEachEdge(func(u, v int32) { edges = append(edges, Edge{A: u, B: v, Sign: 1}) })
-	return New(n, parent, edges).Compile()
+	var edges []model.Edge
+	g.ForEachEdge(func(u, v int32) { edges = append(edges, model.Edge{A: u, B: v, Sign: 1}) })
+	return model.New(g.NumNodes(), parent, edges)
 }
 
-// shardedFrom partitions g into k shards and federates raw per-shard
-// compilations.
-func shardedFrom(t *testing.T, g *graph.Graph, k int) *ShardedCompiled {
-	t.Helper()
-	p, err := graph.PartitionGraph(g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*CompiledSummary, k)
-	for s, sub := range p.Subgraphs {
-		shards[s] = rawCompiled(sub)
-	}
-	sc, err := NewShardedCompiled(shards, p.GlobalID, p.Boundary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
-func TestShardedCompiledParity(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"er", graph.ErdosRenyi(120, 500, 3)},
-		{"ba", graph.BarabasiAlbert(120, 3, 4)},
-		{"caveman", graph.Caveman(6, 10, 4, 5)},
-	} {
-		single := rawCompiled(tc.g)
-		for _, k := range []int{1, 2, 8} {
-			sc := shardedFrom(t, tc.g, k)
-			if sc.NumNodes() != tc.g.NumNodes() {
-				t.Fatalf("%s k=%d: NumNodes %d != %d", tc.name, k, sc.NumNodes(), tc.g.NumNodes())
-			}
-			ctx := sc.AcquireCtx()
-			qc := single.AcquireCtx()
-			for v := int32(0); v < int32(tc.g.NumNodes()); v++ {
-				want := fmt.Sprint(qc.NeighborsOf(v))
-				if got := fmt.Sprint(ctx.NeighborsOf(v)); got != want {
-					t.Fatalf("%s k=%d: neighbors(%d) = %s, want %s", tc.name, k, v, got, want)
-				}
-			}
-			// Every edge plus a sample of non-edges.
-			tc.g.ForEachEdge(func(u, v int32) {
-				if !ctx.HasEdge(u, v) || !ctx.HasEdge(v, u) {
-					t.Fatalf("%s k=%d: edge (%d,%d) missing", tc.name, k, u, v)
-				}
-			})
-			n := int32(tc.g.NumNodes())
-			for u := int32(0); u < n; u++ {
-				for d := int32(1); d <= 7; d++ {
-					v := (u + d*13) % n
-					if u == v {
-						continue
-					}
-					if ctx.HasEdge(u, v) != tc.g.HasEdge(u, v) {
-						t.Fatalf("%s k=%d: hasedge(%d,%d) != graph", tc.name, k, u, v)
-					}
-				}
-			}
-			single.ReleaseCtx(qc)
-			sc.ReleaseCtx(ctx)
-			if !graph.Equal(sc.Decode(), tc.g) {
-				t.Fatalf("%s k=%d: Decode differs from input", tc.name, k)
-			}
-		}
-	}
-}
-
-func TestShardedCompiledConvenienceForms(t *testing.T) {
-	g := graph.ErdosRenyi(60, 200, 9)
-	sc := shardedFrom(t, g, 4)
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		if fmt.Sprint(sc.NeighborsOf(v)) != fmt.Sprint(g.Neighbors(v)) {
-			t.Fatalf("NeighborsOf(%d) differs from graph", v)
-		}
-	}
-	if sc.HasEdge(3, 3) {
-		t.Fatal("self-loop reported present")
-	}
-	count := 0
-	sc.NeighborsBatch([]int32{0, 1, 2}, func(v int32, nbrs []int32) {
-		if fmt.Sprint(nbrs) != fmt.Sprint(g.Neighbors(v)) {
-			t.Fatalf("batch neighbors(%d) differ", v)
-		}
-		count++
-	})
-	if count != 3 {
-		t.Fatalf("batch visited %d vertices, want 3", count)
-	}
-	if sc.Version() != 0 {
-		t.Fatalf("fresh Version = %d, want 0 (unversioned)", sc.Version())
-	}
-	sc.SetVersion(42)
-	if sc.Version() != 42 {
-		t.Fatalf("Version after SetVersion = %d, want 42", sc.Version())
-	}
-	if sc.ShardOf(0) != sc.ShardOf(sc.GlobalIDs(int(sc.ShardOf(0)))[0]) {
-		t.Fatal("routing accessors disagree")
-	}
-	if lv := sc.LocalOf(0); sc.GlobalIDs(int(sc.ShardOf(0)))[lv] != 0 {
-		t.Fatalf("LocalOf(0) = %d does not map back to 0", lv)
-	}
-	if sc.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", sc.NumShards())
-	}
-	total := 0
-	for s := 0; s < sc.NumShards(); s++ {
-		total += sc.Shard(s).NumNodes()
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("shard sizes sum to %d, want %d", total, g.NumNodes())
-	}
-}
-
-func TestNewShardedCompiledRejectsMalformed(t *testing.T) {
+func TestCheckShardingRejectsMalformed(t *testing.T) {
 	g := graph.ErdosRenyi(20, 60, 1)
 	p, err := graph.PartitionGraph(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := []*CompiledSummary{rawCompiled(p.Subgraphs[0]), rawCompiled(p.Subgraphs[1])}
+	if len(p.Boundary) < 2 {
+		t.Fatalf("fixture has %d boundary edges, want at least 2", len(p.Boundary))
+	}
+	shards := []*model.Summary{rawSummary(p.Subgraphs[0]), rawSummary(p.Subgraphs[1])}
+	if _, err := model.Union(shards, p.GlobalID, p.Boundary); err != nil {
+		t.Fatalf("well-formed partition rejected: %v", err)
+	}
 
-	check := func(name string, shards []*CompiledSummary, gid [][]int32, bnd [][2]int32) {
+	// Every malformed partition fails the shared check, so both of its
+	// users refuse it.
+	check := func(name string, gid [][]int32, bnd [][2]int32) {
 		t.Helper()
-		if _, err := NewShardedCompiled(shards, gid, bnd); err == nil {
-			t.Fatalf("%s: accepted", name)
+		if _, _, err := model.CheckSharding(gid, bnd); err == nil {
+			t.Fatalf("%s: CheckSharding accepted", name)
+		}
+		if _, err := model.NewRouting(gid, bnd); err == nil {
+			t.Fatalf("%s: NewRouting accepted", name)
+		}
+		if len(gid) == len(shards) {
+			if _, err := model.Union(shards, gid, bnd); err == nil {
+				t.Fatalf("%s: Union accepted", name)
+			}
 		}
 	}
-	check("no shards", nil, nil, nil)
-	check("map count mismatch", shards, p.GlobalID[:1], p.Boundary)
+	check("no shards", nil, nil)
 
-	short := [][]int32{p.GlobalID[0][:len(p.GlobalID[0])-1], p.GlobalID[1]}
-	check("short id map", shards, short, p.Boundary)
-
-	dup := [][]int32{append([]int32{}, p.GlobalID[0]...), append([]int32{}, p.GlobalID[1]...)}
+	dup := [][]int32{slices.Clone(p.GlobalID[0]), slices.Clone(p.GlobalID[1])}
 	dup[1][0] = dup[0][0] // two shards own one vertex; some vertex unowned
-	check("duplicate global id", shards, dup, nil)
+	check("duplicate global id", dup, nil)
 
-	var intra [2]int32
-	intra[0], intra[1] = p.GlobalID[0][0], p.GlobalID[0][1]
-	check("intra-shard boundary edge", shards, p.GlobalID, [][2]int32{intra})
-	check("self-loop boundary edge", shards, p.GlobalID, [][2]int32{{p.GlobalID[0][0], p.GlobalID[0][0]}})
-	check("out-of-range boundary edge", shards, p.GlobalID, [][2]int32{{0, 99}})
-	if len(p.Boundary) > 0 {
-		dupb := [][2]int32{p.Boundary[0], p.Boundary[0]}
-		check("duplicate boundary edge", shards, p.GlobalID, dupb)
+	check("intra-shard boundary edge", p.GlobalID, [][2]int32{{p.GlobalID[0][0], p.GlobalID[0][1]}})
+	check("self-loop boundary edge", p.GlobalID, [][2]int32{{p.GlobalID[0][0], p.GlobalID[0][0]}})
+	check("reversed boundary edge", p.GlobalID, [][2]int32{{p.Boundary[0][1], p.Boundary[0][0]}})
+	check("out-of-range boundary edge", p.GlobalID, [][2]int32{{0, 99}})
+	check("duplicate boundary edge", p.GlobalID, [][2]int32{p.Boundary[0], p.Boundary[0]})
+	check("unsorted boundary", p.GlobalID, [][2]int32{p.Boundary[1], p.Boundary[0]})
+
+	// Union alone also needs one summary per id map, of the map's size.
+	if _, err := model.Union(shards, p.GlobalID[:1], p.Boundary); err == nil {
+		t.Fatal("map count mismatch: Union accepted")
+	}
+	big := len(p.GlobalID[0]) + 1
+	wrong := model.New(big, slices.Repeat([]int32{-1}, big), nil)
+	if _, err := model.Union([]*model.Summary{wrong, shards[1]}, p.GlobalID, p.Boundary); err == nil {
+		t.Fatal("shard size mismatch: Union accepted")
 	}
 }
 
-// TestShardedCompiledConcurrent hammers one ShardedCompiled from many
-// goroutines; under -race this validates the pooled context federation.
-func TestShardedCompiledConcurrent(t *testing.T) {
+// TestRoutingAgreesWithPartition: the routing structure maps every
+// vertex back to its shard and local id, and its boundary windows are
+// sorted and hold exactly the partition's cross-shard edges.
+func TestRoutingAgreesWithPartition(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 6)
-	sc := shardedFrom(t, g, 4)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := sc.AcquireCtx()
-			defer sc.ReleaseCtx(ctx)
-			n := int32(g.NumNodes())
-			for i := 0; i < 300; i++ {
-				v := (int32(w)*31 + int32(i)) % n
-				if fmt.Sprint(ctx.NeighborsOf(v)) != fmt.Sprint(g.Neighbors(v)) {
-					errs <- fmt.Errorf("worker %d: neighbors(%d) diverged", w, v)
-					return
-				}
-				u := (v + 1 + int32(i)%17) % n
-				if u != v && ctx.HasEdge(u, v) != g.HasEdge(u, v) {
-					errs <- fmt.Errorf("worker %d: hasedge(%d,%d) diverged", w, u, v)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	p, err := graph.PartitionGraph(g, 4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	rt, err := model.NewRouting(p.GlobalID, p.Boundary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt.NumNodes() != g.NumNodes() || rt.NumShards() != 4 || rt.NumBoundaryEdges() != len(p.Boundary) {
+		t.Fatalf("routing sizes %d/%d/%d", rt.NumNodes(), rt.NumShards(), rt.NumBoundaryEdges())
+	}
+	for s, ids := range p.GlobalID {
+		for l, v := range ids {
+			if int(rt.ShardOf(v)) != s || int(rt.LocalOf(v)) != l {
+				t.Fatalf("vertex %d routes to shard %d local %d, want %d/%d", v, rt.ShardOf(v), rt.LocalOf(v), s, l)
+			}
+		}
+	}
+	for v := int32(0); v < int32(g.NumNodes()); v++ {
+		var want []int32
+		for _, u := range g.Neighbors(v) {
+			if rt.ShardOf(u) != rt.ShardOf(v) {
+				want = append(want, u)
+			}
+		}
+		if got := rt.BoundaryOf(v); !slices.Equal(got, want) {
+			t.Fatalf("BoundaryOf(%d) = %v, want %v", v, got, want)
+		}
+		for _, u := range want {
+			if !rt.BoundaryHasEdge(v, u) || !rt.BoundaryHasEdge(u, v) {
+				t.Fatalf("BoundaryHasEdge(%d,%d) = false", v, u)
+			}
+		}
 	}
 }

@@ -3,9 +3,10 @@ package serve
 // Backends: where a Server's answers come from. The request pipeline
 // (routing, validation, admission, metrics, encoding, the PageRank
 // cache) is written once against the interfaces below; a data source —
-// a compiled summary, a live one, an in-process sharded federation, one
-// shard of a network federation, or internal/fed's coordinator in front
-// of remote shards — is a Backend plugged into NewServer.
+// a compiled summary (a sharded build's included: it compiles to one),
+// a live one, one shard of a network federation, or internal/fed's
+// coordinator in front of remote shards — is a Backend plugged into
+// NewServer.
 
 import (
 	"context"
@@ -185,42 +186,4 @@ func (b liveBackend) ReportStats(stats map[string]any) {
 			"lsn":     ls.DurableLSN,
 		}
 	}
-}
-
-// shardedBackend serves an in-process sharded federation: queries route
-// to the owning shard's engine and merge the boundary sidecar.
-type shardedBackend struct{ *model.ShardedCompiled }
-
-func (b shardedBackend) View() View { return b }
-
-func (b shardedBackend) HasEdge(_ context.Context, u, v int32) (bool, error) {
-	return b.ShardedCompiled.HasEdge(u, v), nil
-}
-
-func (b shardedBackend) NeighborsBatch(_ context.Context, vs []int32, visit func(int32, []int32)) error {
-	b.ShardedCompiled.NeighborsBatch(vs, visit)
-	return nil
-}
-
-func (b shardedBackend) Source(context.Context) (algos.NeighborSource, func(), error) {
-	src := algos.OnSharded(b.ShardedCompiled)
-	return src, src.Release, nil
-}
-
-func (b shardedBackend) ReportStats(stats map[string]any) {
-	stats["supernodes"] = b.NumSupernodes()
-	stats["superedges"] = b.NumSuperedges()
-	stats["sharded"] = true
-	stats["boundary_edges"] = b.NumBoundaryEdges()
-	shards := make([]map[string]any, b.NumShards())
-	for i := range shards {
-		cs := b.Shard(i)
-		shards[i] = map[string]any{
-			"shard":      i,
-			"nodes":      cs.NumNodes(),
-			"supernodes": cs.NumSupernodes(),
-			"superedges": cs.NumSuperedges(),
-		}
-	}
-	stats["shards"] = shards
 }

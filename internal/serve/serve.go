@@ -5,11 +5,11 @@
 // (neighbors, edge-existence, PageRank) run directly on a lossless
 // summary via partial decompression (Algorithm 4 of the paper) — the
 // full graph is never materialized — and the answers are identical
-// whichever backend holds the summary: a frozen compiled snapshot (New),
-// a live updatable one (NewLive), an in-process sharded federation
-// (NewSharded), one shard of a network federation (NewShard), or
-// internal/fed's coordinator scatter-gathering across shard servers
-// (NewServer over a *fed.Coordinator).
+// whichever backend holds the summary: a frozen compiled snapshot (New;
+// a sharded build compiles to one too), a live updatable one (NewLive),
+// one shard of a network federation (NewShard), or internal/fed's
+// coordinator scatter-gathering across shard servers (NewServer over a
+// *fed.Coordinator).
 package serve
 
 import (
@@ -99,14 +99,6 @@ func NewServer(b Backend) *Server {
 // New wraps a compiled summary in a read-only query server.
 func New(cs *model.CompiledSummary) *Server {
 	return NewServer(staticBackend{overlayView{model.NewOverlay(cs)}})
-}
-
-// NewSharded wraps a federated sharded compilation in a read-only
-// query server: every endpoint behaves exactly as with New, with
-// queries routed across shards and the boundary sidecar, and /stats
-// additionally reports per-shard sizes.
-func NewSharded(sc *model.ShardedCompiled) *Server {
-	return NewServer(shardedBackend{sc})
 }
 
 // ShardInfo identifies one shard server of a network federation: which
@@ -494,9 +486,9 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // setVersionHeader reports the snapshot's content version on query
-// responses when one is known (mutable overlays, versioned sharded
-// federations and their shards), so clients can correlate answers
-// across updates and across coordinator/shard hops.
+// responses when one is known (mutable overlays, and the shards and
+// coordinator of a network federation), so clients can correlate
+// answers across updates and across coordinator/shard hops.
 func setVersionHeader(w http.ResponseWriter, view View) {
 	if ver := view.Version(); ver > 0 {
 		w.Header().Set("X-Summary-Version", strconv.FormatUint(ver, 10))

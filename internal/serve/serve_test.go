@@ -358,73 +358,6 @@ func TestRunGracefulShutdown(t *testing.T) {
 	}
 }
 
-// shardedTestServer partitions a generated graph, wraps each shard in
-// a trivial exact compiled summary, and serves the federation.
-func shardedTestServer(t *testing.T, g *graph.Graph, k int) *Server {
-	t.Helper()
-	p, err := graph.PartitionGraph(g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*model.CompiledSummary, k)
-	for s, sub := range p.Subgraphs {
-		n := sub.NumNodes()
-		parent := make([]int32, n)
-		for i := range parent {
-			parent[i] = -1
-		}
-		var edges []model.Edge
-		sub.ForEachEdge(func(u, v int32) { edges = append(edges, model.Edge{A: u, B: v, Sign: 1}) })
-		shards[s] = model.New(n, parent, edges).Compile()
-	}
-	sc, err := model.NewShardedCompiled(shards, p.GlobalID, p.Boundary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewSharded(sc)
-}
-
-// TestShardedServerConcurrentRequests exercises the federated query
-// path under concurrent load; with -race it checks the per-shard
-// context pooling behind one HTTP server.
-func TestShardedServerConcurrentRequests(t *testing.T) {
-	g := graph.BarabasiAlbert(100, 3, 11)
-	ts := httptest.NewServer(shardedTestServer(t, g, 4).Handler())
-	defer ts.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				v := (w*13 + i) % g.NumNodes()
-				var nbrs NeighborsResult
-				resp, err := http.Get(fmt.Sprintf("%s/neighbors?v=%d", ts.URL, v))
-				if err != nil {
-					errs <- err
-					return
-				}
-				err = json.NewDecoder(resp.Body).Decode(&nbrs)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if fmt.Sprint(nbrs.Neighbors) != fmt.Sprint(g.Neighbors(int32(v))) {
-					errs <- fmt.Errorf("neighbors(%d) diverged under load", v)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 // TestServeConcurrentUpdatesAndQueries hammers a mutable server with
 // mixed readers and writers; with a tiny compaction threshold the base
 // swap happens repeatedly under load. Under -race this validates the

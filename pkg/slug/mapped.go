@@ -184,14 +184,7 @@ func WriteCompiledTo(w io.Writer, a Artifact) (int64, error) {
 // layout ("SLGC"), the format OpenMapped boots from. The write is
 // crash-safe: tmp + fsync + rename, like Save.
 func SaveCompiled(path string, a Artifact) error {
-	cs, err := a.Queryable()
-	if err != nil {
-		return err
-	}
-	info := model.MappedInfo{Algorithm: a.Algorithm(), Cost: a.Cost()}
-	return atomicWrite(path, func(w io.Writer) (int64, error) {
-		return model.WriteCompiled(w, cs, info)
-	})
+	return atomicWrite(path, func(w io.Writer) (int64, error) { return WriteCompiledTo(w, a) })
 }
 
 // readMappedFrom drains a reader positioned at a v2 stream into an

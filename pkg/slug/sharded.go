@@ -5,11 +5,11 @@ package slug
 // deterministic edge-cut partitioner), runs the chosen registered
 // algorithm on every shard concurrently under one shared worker
 // budget, and returns a *Sharded artifact — per-shard summaries plus a
-// boundary-edge sidecar — that decodes losslessly, serializes through
-// a versioned "SLGS" envelope embedding ordinary per-shard "SLGA"
-// payloads, and compiles into the federated query engine
-// (model.ShardedCompiled) behind the same read surface the HTTP server
-// consumes.
+// boundary-edge sidecar — that decodes losslessly and serializes
+// through a versioned "SLGS" envelope embedding ordinary per-shard
+// "SLGA" payloads. It compiles into one ordinary CompiledSummary: the
+// union of the shard hierarchies under global ids, with every boundary
+// edge a leaf–leaf p-edge (model.Union).
 
 import (
 	"bufio"
@@ -50,9 +50,8 @@ var ErrShardedArtifact = errors.New("slug: file holds a sharded artifact; load i
 
 // Sharded is a finished sharded summary: one Artifact per shard (in
 // shard-local vertex ids) plus the boundary edges between shards in
-// global ids. It mirrors the Artifact surface — Algorithm, Cost,
-// Decode, WriteTo — and compiles into the federated query engine via
-// Queryable.
+// global ids. It has the whole Artifact surface; WriteTo writes the
+// sharded envelope, which LoadSharded reads back.
 type Sharded struct {
 	algo string
 	n    int
@@ -66,21 +65,13 @@ type Sharded struct {
 	Boundary [][2]int32
 
 	compileOnce sync.Once
-	compiled    *model.ShardedCompiled
+	compiled    *model.CompiledSummary
 	compileErr  error
 }
 
-// NewSharded assembles a sharded artifact from per-shard artifacts, id
-// maps and a boundary sidecar (all invariants are re-checked when the
-// artifact is compiled or serialized). Most callers want
-// SummarizeSharded instead.
-func NewSharded(algo string, shards []Artifact, globalID [][]int32, boundary [][2]int32) *Sharded {
-	n := 0
-	for _, ids := range globalID {
-		n += len(ids)
-	}
-	return &Sharded{algo: algo, n: n, Shards: shards, GlobalID: globalID, Boundary: boundary}
-}
+// A sharded summary is an Artifact like any other: cmd/serve serves one
+// through the same static path.
+var _ Artifact = (*Sharded)(nil)
 
 // Algorithm returns the canonical name of the per-shard algorithm.
 func (a *Sharded) Algorithm() string { return a.algo }
@@ -122,27 +113,31 @@ func (a *Sharded) Validate(g *graph.Graph) error {
 	return compareDecoded(a.Decode(), g)
 }
 
-// Queryable compiles every shard into the CSR query engine and
-// federates them (with the boundary sidecar) behind the global id
-// space, once; the compiled form is cached and shared by later calls.
-func (a *Sharded) Queryable() (*model.ShardedCompiled, error) {
+// Queryable compiles the union of the shard hierarchies (model.Union:
+// global ids, boundary edges as leaf–leaf p-edges, at exactly Cost())
+// into the CSR query engine, once; the compiled form is cached and
+// shared by later calls.
+func (a *Sharded) Queryable() (*model.CompiledSummary, error) {
 	a.compileOnce.Do(func() {
-		shards := make([]*model.CompiledSummary, len(a.Shards))
+		shards := make([]*model.Summary, len(a.Shards))
 		for s, art := range a.Shards {
+			if h, ok := art.(*Hierarchical); ok {
+				shards[s] = h.Summary
+				continue
+			}
 			cs, err := art.Queryable()
 			if err != nil {
 				a.compileErr = fmt.Errorf("slug: compiling shard %d: %w", s, err)
 				return
 			}
-			shards[s] = cs
+			shards[s] = cs.ToSummary()
 		}
-		a.compiled, a.compileErr = model.NewShardedCompiled(shards, a.GlobalID, a.Boundary)
-		if a.compileErr == nil {
-			// Stamp the content version derived from the federation epoch,
-			// so the in-process engine and a network federation of the same
-			// build report the same X-Summary-Version.
-			a.compiled.SetVersion(EpochVersion(a.Epoch()))
+		union, err := model.Union(shards, a.GlobalID, a.Boundary)
+		if err != nil {
+			a.compileErr = fmt.Errorf("slug: %w", err)
+			return
 		}
+		a.compiled = union.Compile()
 	})
 	return a.compiled, a.compileErr
 }
@@ -158,6 +153,9 @@ func (a *Sharded) WriteTo(w io.Writer) (int64, error) {
 	}
 	if len(a.Shards) != len(a.GlobalID) {
 		return 0, fmt.Errorf("slug: %d shards but %d id maps", len(a.Shards), len(a.GlobalID))
+	}
+	if _, _, err := model.CheckSharding(a.GlobalID, a.Boundary); err != nil {
+		return 0, fmt.Errorf("slug: %w", err)
 	}
 	head = binary.AppendUvarint(head, uint64(a.n))
 	head = binary.AppendUvarint(head, uint64(len(a.Shards)))
@@ -190,15 +188,20 @@ func (a *Sharded) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
-	scratch = scratch[:0]
-	scratch = binary.AppendUvarint(scratch, uint64(len(a.Boundary)))
-	for _, e := range a.Boundary {
-		scratch = binary.AppendUvarint(scratch, uint64(e[0]))
-		scratch = binary.AppendUvarint(scratch, uint64(e[1]))
-	}
-	n, err = w.Write(scratch)
+	n, err = w.Write(appendBoundary(scratch[:0], a.Boundary))
 	written += int64(n)
 	return written, err
+}
+
+// appendBoundary appends the envelope's boundary section: the edge
+// count, then each edge as two uvarints.
+func appendBoundary(dst []byte, boundary [][2]int32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(boundary)))
+	for _, e := range boundary {
+		dst = binary.AppendUvarint(dst, uint64(e[0]))
+		dst = binary.AppendUvarint(dst, uint64(e[1]))
+	}
+	return dst
 }
 
 // ReadShardedFrom deserializes a sharded artifact written by WriteTo.
@@ -227,16 +230,17 @@ func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 	k := int(k64)
 
 	a := &Sharded{algo: algo, n: n, Shards: make([]Artifact, 0, k), GlobalID: make([][]int32, 0, k)}
-	assigned := make([]bool, n)
+	total := 0
 	var payload bytes.Buffer
 	for s := 0; s < k; s++ {
 		localN, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("slug: reading shard %d size: %w", s, err)
 		}
-		if localN > uint64(n) {
-			return nil, fmt.Errorf("slug: shard %d claims %d of %d vertices", s, localN, n)
+		if localN > uint64(n-total) {
+			return nil, fmt.Errorf("slug: shard %d claims %d of the %d unassigned vertices", s, localN, n-total)
 		}
+		total += int(localN)
 		ids := make([]int32, localN)
 		prev := int64(-1)
 		for l := range ids {
@@ -244,14 +248,11 @@ func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 			if err != nil {
 				return nil, fmt.Errorf("slug: reading shard %d id map: %w", s, err)
 			}
-			v := prev + 1 + int64(gap)
+			// Clamped, so a hostile gap cannot wrap v to a negative id.
+			v := prev + 1 + int64(min(gap, uint64(n)))
 			if v >= int64(n) {
 				return nil, fmt.Errorf("slug: shard %d maps local %d beyond vertex count", s, l)
 			}
-			if assigned[v] {
-				return nil, fmt.Errorf("slug: global vertex %d owned by two shards", v)
-			}
-			assigned[v] = true
 			ids[l] = int32(v)
 			prev = v
 		}
@@ -275,10 +276,8 @@ func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 		a.Shards = append(a.Shards, art)
 		a.GlobalID = append(a.GlobalID, ids)
 	}
-	for v, ok := range assigned {
-		if !ok {
-			return nil, fmt.Errorf("slug: global vertex %d unassigned", v)
-		}
+	if total != n {
+		return nil, fmt.Errorf("slug: shards hold %d of %d vertices", total, n)
 	}
 	bc, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -303,6 +302,11 @@ func ReadShardedFrom(r io.Reader) (*Sharded, error) {
 			return nil, fmt.Errorf("slug: boundary edge %d (%d,%d) malformed", i, u, v)
 		}
 		a.Boundary = append(a.Boundary, [2]int32{int32(u), int32(v)})
+	}
+	// One owner per vertex; a sorted, repeat-free sidecar of cross-shard
+	// edges (one that is not would load with a wrong Cost()).
+	if _, _, err := model.CheckSharding(a.GlobalID, a.Boundary); err != nil {
+		return nil, fmt.Errorf("slug: %w", err)
 	}
 	return a, nil
 }

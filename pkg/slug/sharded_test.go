@@ -3,10 +3,13 @@ package slug
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/algos"
@@ -22,9 +25,9 @@ func shardParityGraphs() map[string]*graph.Graph {
 
 // TestShardedParity is the shard-parity suite of the acceptance
 // criteria: for k in {1, 2, 8} on ER and BA graphs, the sharded
-// artifact decodes to exactly the input, and the federated query
-// engine agrees with the unsharded compiled engine on every vertex's
-// neighborhood, on edge probes, and on PageRank.
+// artifact decodes to exactly the input, and its compiled union agrees
+// with the unsharded compiled engine on every vertex's neighborhood, on
+// edge probes, and on PageRank.
 func TestShardedParity(t *testing.T) {
 	ctx := context.Background()
 	opts := []Option{WithIterations(8), WithSeed(1)}
@@ -51,14 +54,14 @@ func TestShardedParity(t *testing.T) {
 			if err := sh.Validate(g); err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
-			fed, err := sh.Queryable()
+			union, err := sh.Queryable()
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
 			// Neighbor parity on every vertex, edge parity on every edge
 			// plus sampled non-edges.
 			qc := scs.AcquireCtx()
-			fc := fed.AcquireCtx()
+			fc := union.AcquireCtx()
 			n := int32(g.NumNodes())
 			for v := int32(0); v < n; v++ {
 				want := fmt.Sprint(qc.NeighborsOf(v))
@@ -68,7 +71,7 @@ func TestShardedParity(t *testing.T) {
 			}
 			g.ForEachEdge(func(u, v int32) {
 				if !fc.HasEdge(u, v) {
-					t.Fatalf("%s k=%d: edge (%d,%d) missing from federated engine", name, k, u, v)
+					t.Fatalf("%s k=%d: edge (%d,%d) missing from the compiled union", name, k, u, v)
 				}
 			})
 			for u := int32(0); u < n; u++ {
@@ -80,12 +83,12 @@ func TestShardedParity(t *testing.T) {
 				}
 			}
 			scs.ReleaseCtx(qc)
-			fed.ReleaseCtx(fc)
+			union.ReleaseCtx(fc)
 
-			// PageRank on the federated view matches the single engine:
-			// identical neighbor lists mean identical arithmetic.
+			// PageRank on the union matches the single engine to 1e-12:
+			// both multiply on a hierarchy (MulAdj), in different orders.
 			ss := algos.OnCompiled(scs)
-			fs := algos.OnSharded(fed)
+			fs := algos.OnCompiled(union)
 			pr1 := algos.PageRank(ss, 0.85, 20)
 			pr2 := algos.PageRank(fs, 0.85, 20)
 			ss.Release()
@@ -226,6 +229,44 @@ func TestReadShardedFromRejectsCorrupt(t *testing.T) {
 	bad[4] = 99 // version byte
 	if _, err := ReadShardedFrom(bytes.NewReader(bad)); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+
+	// An id-map gap past the int64 range is rejected, not wrapped into a
+	// negative vertex id.
+	huge, err := appendHeader(shardedMagic, shardedVersion, nil, "slugger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []uint64{2, 1, 2, 1 << 63} { // n, k, shard 0's size, first gap
+		huge = binary.AppendUvarint(huge, x)
+	}
+	if _, err := ReadShardedFrom(bytes.NewReader(huge)); err == nil {
+		t.Fatal("id-map gap of 2^63 accepted")
+	}
+
+	// The boundary section ends the envelope: swap in corrupt sidecars.
+	// Each would load with a wrong Cost() if it were accepted, and
+	// WriteTo refuses to write any of them.
+	tail := appendBoundary(nil, sh.Boundary)
+	if !bytes.HasSuffix(good, tail) || len(sh.Boundary) < 2 {
+		t.Fatalf("fixture: envelope does not end with its %d-edge boundary section", len(sh.Boundary))
+	}
+	head := good[:len(good)-len(tail)]
+	b := sh.Boundary
+	intra := [2]int32{sh.GlobalID[0][0], sh.GlobalID[0][1]}
+	for name, bnd := range map[string][][2]int32{
+		"duplicate edge":   append([][2]int32{b[0]}, b...),
+		"intra-shard edge": append([][2]int32{intra}, b...),
+		"unsorted sidecar": append([][2]int32{b[1], b[0]}, b[2:]...),
+	} {
+		corrupt := appendBoundary(slices.Clone(head), bnd)
+		if _, err := ReadShardedFrom(bytes.NewReader(corrupt)); err == nil {
+			t.Fatalf("%s: ReadShardedFrom accepted", name)
+		}
+		bad := &Sharded{algo: sh.algo, n: sh.n, Shards: sh.Shards, GlobalID: sh.GlobalID, Boundary: bnd}
+		if _, err := bad.WriteTo(io.Discard); err == nil {
+			t.Fatalf("%s: WriteTo accepted", name)
+		}
 	}
 }
 

@@ -31,9 +31,10 @@
 //
 // For large graphs the sharded path runs the same pipeline
 // partition-parallel: [SummarizeSharded] cuts the graph into k shards,
-// summarizes them concurrently and returns a [*Sharded] artifact whose
-// Queryable federates per-shard compiled engines behind the global id
-// space (see the package-level docs in sharded.go).
+// summarizes them concurrently and returns a [*Sharded] artifact. Its
+// Queryable is one compiled summary over the global id space: the
+// union of the shard hierarchies, with every cross-shard edge a
+// leaf–leaf p-edge (see the package-level docs in sharded.go).
 package slug
 
 import (
