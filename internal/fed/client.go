@@ -11,7 +11,8 @@ package fed
 // federation is down. A background health loop probes every endpoint's
 // /healthz and (when an epoch is pinned) /shardinfo, feeding the same
 // breakers the request path trips, so a restarted shard is readmitted
-// without waiting for a live request to probe it.
+// without waiting for a live request to probe it. Every call is one
+// synchronous exchange on a pooled connection (transport.go).
 
 import (
 	"bytes"
@@ -19,7 +20,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -29,8 +29,11 @@ import (
 	"repro/internal/serve"
 )
 
-// Config tunes the client. Zero values take the defaults noted on each
-// field.
+// Config tunes the client's resilience. Zero values take the defaults
+// noted on each field. The transport itself has no settings: plain
+// HTTP/1.1 over TCP, up to 32 idle connections per endpoint, each
+// dropped after 90 s idle; a reply body is capped at 8 MiB (JSON) or
+// 256 MiB (binary batch).
 type Config struct {
 	// Timeout bounds each individual attempt (default 2s).
 	Timeout time.Duration
@@ -61,9 +64,6 @@ type Config struct {
 	// server's /shardinfo epoch: a server from a different sharded
 	// build is marked unhealthy rather than queried.
 	ExpectEpoch string
-	// Transport overrides the HTTP transport (tests inject failures
-	// here); nil uses a pooled transport.
-	Transport http.RoundTripper
 }
 
 func (c Config) withDefaults() Config {
@@ -93,6 +93,7 @@ func (c Config) withDefaults() Config {
 // state survives a SIGHUP that keeps the URL.
 type endpoint struct {
 	url     string
+	conns   *connPool
 	brk     *breaker
 	healthy atomic.Bool
 }
@@ -145,7 +146,6 @@ type ShardEndpoint struct {
 // per coordinator, safe for concurrent use.
 type Client struct {
 	cfg Config
-	hc  *http.Client
 
 	mu     sync.RWMutex
 	shards [][]*endpoint
@@ -168,31 +168,21 @@ func NewClient(p *Peers, cfg Config) (*Client, error) {
 	if cfg.ExpectEpoch != "" && p.Epoch != "" && p.Epoch != cfg.ExpectEpoch {
 		return nil, fmt.Errorf("fed: peers file epoch %.12s... does not match expected %.12s... — refusing to federate mismatched epochs", p.Epoch, cfg.ExpectEpoch)
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
 	c := &Client{
 		cfg: cfg,
-		// No Client.Timeout: per-attempt contexts bound each call, and a
-		// global timeout would also cap hedged races.
-		hc:  &http.Client{Transport: transport},
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	c.install(p)
 	return c, nil
 }
 
-// install replaces the endpoint table, carrying breaker and health
-// state over for URLs that persist.
+// install replaces the endpoint table, carrying breaker, health and
+// connection state over for URLs that persist; endpoints that leave
+// close their idle connections.
 func (c *Client) install(p *Peers) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev := map[string]*endpoint{}
+	prev, kept := map[string]*endpoint{}, map[string]bool{}
 	for _, eps := range c.shards {
 		for _, ep := range eps {
 			prev[ep.url] = ep
@@ -204,11 +194,17 @@ func (c *Client) install(p *Peers) {
 		for i, u := range urls {
 			if ep, ok := prev[u]; ok {
 				shards[s][i] = ep
+				kept[u] = true
 				continue
 			}
-			ep := &endpoint{url: u, brk: newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)}
+			ep := &endpoint{url: u, conns: newConnPool(u), brk: newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)}
 			ep.healthy.Store(true) // innocent until probed
 			shards[s][i] = ep
+		}
+	}
+	for u, ep := range prev {
+		if !kept[u] {
+			ep.conns.closeIdle()
 		}
 	}
 	c.shards = shards
@@ -339,8 +335,8 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// op is one shard-local operation against a base URL.
-type op func(ctx context.Context, base string) (any, error)
+// op is one shard-local operation against one endpoint.
+type op func(ctx context.Context, ep *endpoint) (any, error)
 
 // call runs one attempt against one endpoint, bounded by the
 // per-attempt timeout, and settles the endpoint's breaker: success or
@@ -352,7 +348,7 @@ func (c *Client) call(ctx context.Context, ep *endpoint, f op) (any, error) {
 	c.attempts.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	v, err := f(actx, ep.url)
+	v, err := f(actx, ep)
 	switch {
 	case err == nil:
 		ep.brk.success()
@@ -455,23 +451,11 @@ func (c *Client) do(ctx context.Context, shard int, f op) (any, error) {
 	return nil, &ShardError{Shard: shard, Err: lastErr}
 }
 
-// get issues a GET and decodes a JSON body into out.
-func (c *Client) get(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// get issues a GET of path on ep and decodes a JSON body into out.
+func get(ctx context.Context, ep *endpoint, path string, out any) error {
+	body, err := ep.conns.exchange(ctx, http.MethodGet, path, nil, maxJSONReply)
 	if err != nil {
 		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &statusError{status: resp.StatusCode, msg: errMessage(body)}
 	}
 	return json.Unmarshal(body, out)
 }
@@ -499,8 +483,8 @@ func (c *Client) NeighborsLocal(ctx context.Context, shard int, ids []int32) ([]
 	for off := 0; off < len(ids); off += serve.MaxBatchItems {
 		end := min(off+serve.MaxBatchItems, len(ids))
 		chunk := ids[off:end]
-		v, err := c.do(ctx, shard, func(ctx context.Context, base string) (any, error) {
-			return c.neighborsOnce(ctx, base, chunk)
+		v, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
+			return neighborsOnce(ctx, ep, chunk)
 		})
 		if err != nil {
 			return nil, err
@@ -510,35 +494,22 @@ func (c *Client) NeighborsLocal(ctx context.Context, shard int, ids []int32) ([]
 	return out, nil
 }
 
-func (c *Client) neighborsOnce(ctx context.Context, base string, ids []int32) ([][]int32, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/batch/neighbors",
-		bytes.NewReader(serve.EncodeNeighborsRequest(ids)))
+func neighborsOnce(ctx context.Context, ep *endpoint, ids []int32) ([][]int32, error) {
+	body, err := ep.conns.exchange(ctx, http.MethodPost, "/batch/neighbors",
+		serve.EncodeNeighborsRequest(ids), maxBatchReply)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &statusError{status: resp.StatusCode, msg: errMessage(body)}
 	}
 	return serve.DecodeNeighborsResponse(body, len(ids))
 }
 
 // HasEdgeLocal asks shard for an intra-shard edge in local ids.
 func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool, error) {
-	r, err := c.do(ctx, shard, func(ctx context.Context, base string) (any, error) {
+	r, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
 		var body struct {
 			Exists bool `json:"exists"`
 		}
-		if err := c.get(ctx, fmt.Sprintf("%s/hasedge?u=%d&v=%d", base, u, v), &body); err != nil {
+		if err := get(ctx, ep, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), &body); err != nil {
 			return nil, err
 		}
 		return body.Exists, nil
@@ -551,9 +522,9 @@ func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool,
 
 // ShardInfo fetches a shard server's identity.
 func (c *Client) ShardInfo(ctx context.Context, shard int) (serve.ShardInfo, error) {
-	r, err := c.do(ctx, shard, func(ctx context.Context, base string) (any, error) {
+	r, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
 		var info serve.ShardInfo
-		if err := c.get(ctx, base+"/shardinfo", &info); err != nil {
+		if err := get(ctx, ep, "/shardinfo", &info); err != nil {
 			return nil, err
 		}
 		return info, nil
@@ -645,12 +616,12 @@ func (c *Client) probeOne(ctx context.Context, shard int, ep *endpoint) {
 		var h struct {
 			Status string `json:"status"`
 		}
-		if err := c.get(pctx, ep.url+"/healthz", &h); err != nil {
+		if err := get(pctx, ep, "/healthz", &h); err != nil {
 			return false
 		}
 		if c.cfg.ExpectEpoch != "" {
 			var info serve.ShardInfo
-			if err := c.get(pctx, ep.url+"/shardinfo", &info); err != nil {
+			if err := get(pctx, ep, "/shardinfo", &info); err != nil {
 				return false
 			}
 			if info.Epoch != c.cfg.ExpectEpoch || info.Shard != shard {

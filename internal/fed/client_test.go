@@ -4,17 +4,23 @@ package fed_test
 // 4xx answers, slow responses vs. the per-attempt timeout, connection
 // resets, hedging (fires, wins, cancels the loser), circuit breaker
 // lifecycle (opens, fast-fails, half-open probe, closes), and peer
-// reload semantics.
+// reload semantics; then the transport's own rules: stale pooled
+// connections, chunked replies, the reply-size cap, and
+// "Connection: close".
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -390,6 +396,7 @@ func TestLoadPeersValidation(t *testing.T) {
 		"noeps.json":    `{"shards":[["http://a:1"],[]]}`,
 		"relative.json": `{"shards":[["not-a-url"]]}`,
 		"scheme.json":   `{"shards":[["ftp://a:1"]]}`,
+		"https.json":    `{"shards":[["https://a:1"]]}`, // no shard server speaks TLS
 	} {
 		if _, err := fed.LoadPeers(write(name, content)); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -405,5 +412,186 @@ func TestLoadPeersValidation(t *testing.T) {
 		fed.Config{ExpectEpoch: "bbb"},
 	); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("epoch mismatch accepted: %v", err)
+	}
+}
+
+// rawServer answers every request on every connection with reply,
+// verbatim, and never closes a connection itself. It reports how many
+// connections it accepted.
+func rawServer(t *testing.T, reply string) (url string, accepted *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted = new(atomic.Int64)
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			go func() {
+				br := bufio.NewReader(c)
+				for {
+					req, err := http.ReadRequest(br)
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, req.Body)
+					if _, err := io.WriteString(c, reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String(), accepted
+}
+
+// oneList is the binary batch reply for one vertex with neighbors 1 2 3.
+func oneList() []byte {
+	return serve.AppendNeighborsResponseList(serve.AppendNeighborsResponseHeader(nil, 1), []int32{1, 2, 3})
+}
+
+func TestStalePooledConnectionRedialled(t *testing.T) {
+	ts := httptest.NewServer(neighborsHandler(nil))
+	defer ts.Close()
+	c := singleShardClient(t, ts.URL, fed.Config{BackoffBase: time.Millisecond})
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			// The server drops the idle keep-alive connection the
+			// first call left in the pool.
+			ts.CloseClientConnections()
+		}
+		if lists, err := c.NeighborsLocal(context.Background(), 0, []int32{0}); err != nil || fmt.Sprint(lists) != "[[1 2 3]]" {
+			t.Fatalf("call %d: %v, %v", i, lists, err)
+		}
+	}
+	if st := c.Snapshot(); st.Retries != 0 || st.Shards[0].Breaker != "closed" {
+		t.Fatalf("stale connection cost retries=%d, breaker %s", st.Retries, st.Shards[0].Breaker)
+	}
+}
+
+func TestChunkedReplyAccepted(t *testing.T) {
+	body := oneList()
+	url, accepted := rawServer(t, fmt.Sprintf(
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n",
+		5, body[:5], len(body)-5, body[5:]))
+	c := singleShardClient(t, url, fed.Config{Retries: 0, RetriesSet: true})
+	for i := 0; i < 2; i++ {
+		if lists, err := c.NeighborsLocal(context.Background(), 0, []int32{0}); err != nil || fmt.Sprint(lists) != "[[1 2 3]]" {
+			t.Fatalf("call %d: %v, %v", i, lists, err)
+		}
+	}
+	// The trailer was consumed: the connection carried both exchanges.
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("two chunked exchanges took %d connections, want 1", n)
+	}
+}
+
+func TestOversizedReplyRejected(t *testing.T) {
+	url, _ := rawServer(t, "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n")
+	c := singleShardClient(t, url, fed.Config{Retries: 0, RetriesSet: true})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.NeighborsLocal(context.Background(), 0, []int32{0})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a 1 TiB reply: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 1 TiB reply allocated %d bytes", grew)
+	}
+}
+
+func TestConnectionCloseNeverPooled(t *testing.T) {
+	body := oneList()
+	// The server says "Connection: close" but leaves the connection
+	// open: only the client's own rule keeps it out of the pool.
+	url, accepted := rawServer(t, fmt.Sprintf(
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	c := singleShardClient(t, url, fed.Config{Retries: 0, RetriesSet: true})
+	for i := 0; i < 2; i++ {
+		if _, err := c.NeighborsLocal(context.Background(), 0, []int32{0}); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("two exchanges after Connection: close took %d connections, want 2", n)
+	}
+}
+
+func TestConcurrentCallsSharePooledConnections(t *testing.T) {
+	var dialed atomic.Int64
+	ts := httptest.NewUnstartedServer(neighborsHandler(nil))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := singleShardClient(t, ts.URL, fed.Config{})
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if lists, err := c.NeighborsLocal(context.Background(), 0, []int32{0}); err != nil || fmt.Sprint(lists) != "[[1 2 3]]" {
+					t.Errorf("concurrent call: %v, %v", lists, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Every connection went back to the pool: no more were ever open
+	// than there were callers.
+	if n := dialed.Load(); n > callers {
+		t.Fatalf("%d callers dialled %d connections", callers, n)
+	}
+}
+
+func TestReloadClosesDroppedEndpointConnections(t *testing.T) {
+	closed := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(neighborsHandler(nil))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateClosed {
+			select {
+			case closed <- struct{}{}:
+			default:
+			}
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := singleShardClient(t, ts.URL, fed.Config{})
+	if _, err := c.NeighborsLocal(context.Background(), 0, []int32{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Reload(&fed.Peers{Shards: [][]string{{"http://127.0.0.1:1"}}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the idle connection to the dropped endpoint stayed open")
 	}
 }

@@ -122,9 +122,10 @@ func (co *Coordinator) Verify(ctx context.Context) error {
 
 // NeighborsBatch scatter-gathers the neighbor lists of global vertex
 // ids: group by owning shard, fetch each shard's locals in parallel
-// over the binary batch endpoint, translate and merge boundary
-// adjacency locally, then visit in request order. Nothing is visited
-// unless every shard answered.
+// over the binary batch endpoint — the last (often only) group on the
+// calling goroutine — translate and merge boundary adjacency locally,
+// then visit in request order. Nothing is visited unless every shard
+// answered.
 func (co *Coordinator) NeighborsBatch(ctx context.Context, vs []int32, visit func(v int32, nbrs []int32)) error {
 	out := make([][]int32, len(vs))
 	type group struct {
@@ -147,25 +148,33 @@ func (co *Coordinator) NeighborsBatch(ctx context.Context, vs []int32, visit fun
 		mu       sync.Mutex
 		firstErr error
 	)
+	fetch := func(s int32, g *group) {
+		lists, err := co.client.NeighborsLocal(ctx, int(s), g.local)
+		if err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			return
+		}
+		gid := co.rt.GlobalIDs(int(s))
+		for k, pos := range g.pos {
+			v := vs[pos]
+			out[pos] = co.rt.MergeBoundary(make([]int32, 0, len(lists[k])+4), v, lists[k], gid)
+		}
+	}
+	left := len(groups)
 	for s, g := range groups {
+		if left--; left == 0 {
+			fetch(s, g)
+			break
+		}
 		wg.Add(1)
-		go func(s int32, g *group) {
+		go func() {
 			defer wg.Done()
-			lists, err := co.client.NeighborsLocal(ctx, int(s), g.local)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			gid := co.rt.GlobalIDs(int(s))
-			for k, pos := range g.pos {
-				v := vs[pos]
-				out[pos] = co.rt.MergeBoundary(make([]int32, 0, len(lists[k])+4), v, lists[k], gid)
-			}
-		}(s, g)
+			fetch(s, g)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -204,40 +213,13 @@ func (co *Coordinator) adjacency(ctx context.Context) ([][]int32, error) {
 	}
 	co.mu.Unlock()
 
-	adj := make([][]int32, co.rt.NumNodes())
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for s := 0; s < co.rt.NumShards(); s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			size := co.rt.ShardSize(s)
-			locals := make([]int32, size)
-			for l := range locals {
-				locals[l] = int32(l)
-			}
-			lists, err := co.client.NeighborsLocal(ctx, s, locals)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			gid := co.rt.GlobalIDs(s)
-			for l, list := range lists {
-				v := gid[l]
-				adj[v] = co.rt.MergeBoundary(make([]int32, 0, len(list)+2), v, list, gid)
-			}
-		}(s)
+	vs := make([]int32, co.rt.NumNodes())
+	for v := range vs {
+		vs[v] = int32(v)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	adj := make([][]int32, len(vs))
+	if err := co.NeighborsBatch(ctx, vs, func(v int32, nbrs []int32) { adj[v] = nbrs }); err != nil {
+		return nil, err
 	}
 	co.mu.Lock()
 	if co.adj == nil {

@@ -34,7 +34,8 @@ type Peers struct {
 }
 
 // LoadPeers reads and validates a peers file: at least one shard, at
-// least one endpoint per shard, every endpoint an absolute http(s) URL.
+// least one endpoint per shard, every endpoint an absolute http:// URL
+// (shard servers speak plain HTTP; there is no TLS to dial).
 func LoadPeers(path string) (*Peers, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -63,8 +64,8 @@ func (p *Peers) validate() error {
 			if err != nil {
 				return fmt.Errorf("shard %d endpoint %q: %v", s, ep, err)
 			}
-			if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-				return fmt.Errorf("shard %d endpoint %q is not an absolute http(s) URL", s, ep)
+			if u.Scheme != "http" || u.Host == "" {
+				return fmt.Errorf("shard %d endpoint %q is not an absolute http:// URL", s, ep)
 			}
 		}
 	}

@@ -89,8 +89,18 @@ func releaseNbrEncoder(e *nbrEncoder) {
 // its trailing newline) with the given status.
 func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	setContentLength(w, len(body))
 	w.WriteHeader(status)
 	w.Write(body)
+}
+
+// setContentLength declares the length of a finished reply body.
+// net/http adds the header itself to a body that fits its 2 KB
+// response buffer, and would send a longer one chunked.
+func setContentLength(w http.ResponseWriter, n int) {
+	if n > 2048 {
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+	}
 }
 
 // appendNeighborsResult appends one NeighborsResult object:

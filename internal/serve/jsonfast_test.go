@@ -186,6 +186,47 @@ func TestBinaryBatchParityWithJSON(t *testing.T) {
 	}
 }
 
+// TestBatchRepliesCarryContentLength checks that finished reply buffers
+// go out with a Content-Length, not chunked: both 64-id batch forms are
+// well over the 2 KB net/http would buffer before it starts chunking,
+// and a 1-id reply under it gets the header from net/http itself.
+func TestBatchRepliesCarryContentLength(t *testing.T) {
+	ts := httptest.NewServer(benchServer(1000, 6000).Handler())
+	defer ts.Close()
+
+	ids := benchBatchIDs(1000, 64)
+	vs := make([]string, len(ids))
+	for i, v := range ids {
+		vs[i] = fmt.Sprint(v)
+	}
+	for _, form := range []struct {
+		name, path, contentType string
+		body                    []byte
+		big                     bool
+	}{
+		{"binary", "/batch/neighbors", "application/octet-stream", EncodeNeighborsRequest(ids), true},
+		{"JSON", "/neighbors", "application/json", []byte(`{"v":[` + strings.Join(vs, ",") + `]}`), true},
+		{"1-id JSON", "/neighbors", "application/json", []byte(`{"v":[` + vs[0] + `]}`), false},
+	} {
+		resp, err := http.Post(ts.URL+form.path, form.contentType, bytes.NewReader(form.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || (len(raw) > 2048) != form.big {
+			t.Fatalf("%s batch: status %d, %d bytes", form.name, resp.StatusCode, len(raw))
+		}
+		if resp.ContentLength != int64(len(raw)) || resp.TransferEncoding != nil {
+			t.Fatalf("%s batch of %d bytes: ContentLength %d, Transfer-Encoding %v",
+				form.name, len(raw), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+}
+
 // TestWriteJSONEncodeFailure checks the error-swallowing fix: a value
 // that cannot be marshalled must produce a clean 500 JSON error — not a
 // 200 header followed by a half-written body.

@@ -476,6 +476,7 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	setVersionHeader(w, view)
 	w.Header().Set("Content-Type", "application/octet-stream")
+	setContentLength(w, len(buf))
 	w.Write(buf)
 	s.markFirstQuery()
 }
