@@ -3,14 +3,16 @@ package model
 // This file implements the read-optimized serving layer over a Summary:
 // a CompiledSummary freezes the model into flat CSR-packed arrays
 // (ancestor chains, incidence lists, subnode lists, edge endpoints) and
-// answers NeighborsOf/HasEdge/NeighborCounts through pooled QueryCtx
-// scratch contexts. It is the query-path counterpart of the
-// construction-side gctx pool in internal/core: a warmed context
-// performs zero allocations per query, and any number of goroutines may
-// query one CompiledSummary concurrently, each through its own context.
+// answers NeighborsOf and HasEdge (and through them NeighborsBatch and
+// Decode) in pooled QueryCtx scratch contexts. It is the query-path
+// counterpart of the construction-side gctx pool in internal/core: a
+// warmed context performs zero allocations per query, and any number of
+// goroutines may query one CompiledSummary concurrently, each through
+// its own context.
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -23,8 +25,8 @@ import (
 //
 // Compared to querying the Summary directly, the compiled form replaces
 // per-call map allocation and parent-pointer chasing with flat arrays:
-// ancestor chains are precomputed per leaf, and membership/dedup tests
-// use epoch-stamped dense scratch in the context.
+// ancestor chains are precomputed per leaf, and membership tests use
+// epoch-stamped dense scratch in the context.
 type CompiledSummary struct {
 	n     int // leaf vertices 0..n-1
 	total int // supernodes
@@ -139,27 +141,30 @@ func (cs *CompiledSummary) chainOf(v int32) []int32 {
 }
 
 // QueryCtx holds the per-goroutine scratch for queries against one
-// CompiledSummary: epoch-stamped dense arrays replacing the maps the
-// uncompiled path allocates per call. A context is not safe for
-// concurrent use; acquire one per goroutine (or per traversal) and
-// release it when done.
+// CompiledSummary: dense, epoch-stamped arrays over the leaves and the
+// supernodes, replacing the maps the uncompiled path allocates per
+// call. A context is not safe for concurrent use; acquire one per
+// goroutine (or per traversal) and release it when done.
 type QueryCtx struct {
 	cs *CompiledSummary
 
-	// Dense per-leaf neighbor counts (Algorithm 4 accumulation).
+	// Algorithm 4's per-leaf counts: cnt[u] is current only while
+	// cntStamp[u] == cntEpoch, and touched lists those leaves in the
+	// order they were first reached.
 	cnt      []int32
 	cntStamp []int32
 	cntEpoch int32
-	touched  []int32 // leaves stamped in the current epoch
+	touched  []int32
 
-	// Per-supernode ancestor membership for the query endpoints.
-	ancU     []int32
-	ancV     []int32
+	// Ancestor-chain membership: x is on the chain of the queried leaf
+	// (HasEdge's v) while anc[x] == ancEpoch.
+	anc      []int32
 	ancEpoch int32
 
-	// Per-superedge dedup stamps.
-	edgeStamp []int32
-	edgeEpoch int32
+	// NeighborsOf's ordered emission: a bitmap over the leaves and the
+	// indices of its nonzero words. Both are empty between calls.
+	set   []uint64
+	words []int32
 
 	out []int32 // NeighborsOf result buffer
 }
@@ -171,12 +176,11 @@ func (cs *CompiledSummary) AcquireCtx() *QueryCtx {
 		return v.(*QueryCtx)
 	}
 	return &QueryCtx{
-		cs:        cs,
-		cnt:       make([]int32, cs.n),
-		cntStamp:  make([]int32, cs.n),
-		ancU:      make([]int32, cs.total),
-		ancV:      make([]int32, cs.total),
-		edgeStamp: make([]int32, len(cs.edgeA)),
+		cs:       cs,
+		cnt:      make([]int32, cs.n),
+		cntStamp: make([]int32, cs.n),
+		anc:      make([]int32, cs.total),
+		set:      make([]uint64, (cs.n+63)/64),
 	}
 }
 
@@ -184,24 +188,14 @@ func (cs *CompiledSummary) AcquireCtx() *QueryCtx {
 func (cs *CompiledSummary) ReleaseCtx(ctx *QueryCtx) { cs.ctxPool.Put(ctx) }
 
 // nextAncEpoch opens a fresh ancestor-stamp epoch, clearing the stamp
-// arrays on the (once per ~2^31 queries) wraparound.
+// array on the (once per ~2^31 queries) wraparound.
 func (ctx *QueryCtx) nextAncEpoch() int32 {
 	if ctx.ancEpoch == math.MaxInt32 {
-		clear(ctx.ancU)
-		clear(ctx.ancV)
+		clear(ctx.anc)
 		ctx.ancEpoch = 0
 	}
 	ctx.ancEpoch++
 	return ctx.ancEpoch
-}
-
-func (ctx *QueryCtx) nextEdgeEpoch() int32 {
-	if ctx.edgeEpoch == math.MaxInt32 {
-		clear(ctx.edgeStamp)
-		ctx.edgeEpoch = 0
-	}
-	ctx.edgeEpoch++
-	return ctx.edgeEpoch
 }
 
 func (ctx *QueryCtx) nextCntEpoch() int32 {
@@ -213,51 +207,74 @@ func (ctx *QueryCtx) nextCntEpoch() int32 {
 	return ctx.cntEpoch
 }
 
+// other returns the endpoint of superedge ei that is not x (x itself
+// for a self-loop). It reads both stored endpoints rather than
+// deriving one from the other, so it cannot leave the supernode range;
+// that x is an endpoint at all is FromMapped's incidence check.
+func (cs *CompiledSummary) other(ei, x int32) int32 {
+	if a := cs.edgeA[ei]; a != x {
+		return a
+	}
+	return cs.edgeB[ei]
+}
+
+// count adds sign to leaf u's count in the current epoch.
+func (ctx *QueryCtx) count(u, sign, ep int32) {
+	if ctx.cntStamp[u] != ep {
+		ctx.cntStamp[u] = ep
+		ctx.cnt[u] = 0
+		ctx.touched = append(ctx.touched, u)
+	}
+	ctx.cnt[u] += sign
+}
+
 // accumulate runs the counting core of Algorithm 4 for leaf v into the
 // dense scratch: after it returns, ctx.touched lists every leaf u with a
 // stamped count, and ctx.cnt[u] is |p-edges| - |n-edges| covering {v,u}.
+//
+// A superedge is reached once from each endpoint on v's ancestor chain.
+// One whose other endpoint is off the chain is reached once and covers
+// the leaves under that endpoint. One with both endpoints on the chain
+// (nested, or a self-loop on an ancestor) is counted at the endpoint
+// nearer the leaf, and covers the leaves under the larger endpoint.
 func (ctx *QueryCtx) accumulate(v int32) {
 	cs := ctx.cs
+	n := int32(cs.n)
 	chain := cs.chainOf(v)
 	ancEp := ctx.nextAncEpoch()
 	for _, x := range chain {
-		ctx.ancU[x] = ancEp
+		ctx.anc[x] = ancEp
 	}
-	edgeEp := ctx.nextEdgeEpoch()
 	cntEp := ctx.nextCntEpoch()
 	ctx.touched = ctx.touched[:0]
-	for _, x := range chain {
+	for i, x := range chain {
 		for _, ei := range cs.incAdj[cs.incOff[x]:cs.incOff[x+1]] {
-			if ctx.edgeStamp[ei] == edgeEp {
-				continue
-			}
-			ctx.edgeStamp[ei] = edgeEp
-			a, b := cs.edgeA[ei], cs.edgeB[ei]
-			vInA := ctx.ancU[a] == ancEp
-			vInB := ctx.ancU[b] == ancEp
+			y := cs.other(ei, x)
+			sign := int32(cs.edgeSign[ei])
 			var span []int32
 			switch {
-			case vInA && vInB:
-				// Nested endpoints (or a self-loop on an ancestor): the
-				// pair {v,u} is covered iff u is in the larger endpoint.
+			case ctx.anc[y] != ancEp && y < n:
+				// A leaf off the chain: vertsOf(y) is [y], counted
+				// without loading it (the common case off a sparse
+				// or random graph's summary).
+				ctx.count(y, sign, cntEp)
+				continue
+			case ctx.anc[y] != ancEp:
+				span = cs.vertsOf(y)
+			case slices.Contains(chain[:i], y):
+				continue // counted at y
+			default:
+				// Nested endpoints, or a self-loop: {v,u} is covered
+				// iff u is under the larger endpoint.
+				a, b := cs.edgeA[ei], cs.edgeB[ei]
 				if cs.vertsOff[a+1]-cs.vertsOff[a] >= cs.vertsOff[b+1]-cs.vertsOff[b] {
 					span = cs.vertsOf(a)
 				} else {
 					span = cs.vertsOf(b)
 				}
-			case vInA:
-				span = cs.vertsOf(b)
-			default:
-				span = cs.vertsOf(a)
 			}
-			sign := int32(cs.edgeSign[ei])
 			for _, u := range span {
-				if ctx.cntStamp[u] != cntEp {
-					ctx.cntStamp[u] = cntEp
-					ctx.cnt[u] = 0
-					ctx.touched = append(ctx.touched, u)
-				}
-				ctx.cnt[u] += sign
+				ctx.count(u, sign, cntEp)
 			}
 		}
 	}
@@ -267,56 +284,60 @@ func (ctx *QueryCtx) accumulate(v int32) {
 // graph (Algorithm 4). The result aliases the context's buffer and is
 // valid until the next call on this context; copy it to retain it.
 // Allocation-free at steady state.
+//
+// The neighbors are set in a bitmap whose nonzero words are recorded as
+// they are first touched; sorting those word indices and reading their
+// bits out in order yields the sorted list.
 func (ctx *QueryCtx) NeighborsOf(v int32) []int32 {
 	ctx.accumulate(v)
-	ctx.out = ctx.out[:0]
+	set, words := ctx.set, ctx.words[:0]
 	for _, u := range ctx.touched {
 		if u != v && ctx.cnt[u] > 0 {
-			ctx.out = append(ctx.out, u)
+			w := u >> 6
+			if set[w] == 0 {
+				words = append(words, w)
+			}
+			set[w] |= 1 << (u & 63)
 		}
 	}
-	slices.Sort(ctx.out)
-	return ctx.out
+	slices.Sort(words)
+	out := ctx.out[:0]
+	for _, w := range words {
+		for m := set[w]; m != 0; m &= m - 1 {
+			out = append(out, w<<6|int32(bits.TrailingZeros64(m)))
+		}
+		set[w] = 0
+	}
+	ctx.words, ctx.out = words, out
+	return out
 }
 
 // HasEdge reports whether the represented graph contains {u,v}: the
-// point query sums the signs of superedges covering the pair, touching
-// only the two ancestor chains. Allocation-free at steady state.
+// point query sums the signs of superedges covering the pair. Every
+// such edge has an endpoint on u's ancestor chain, so only that chain's
+// incidences are scanned, and an edge at x covers {u,v} iff its other
+// endpoint y is an ancestor of v. An edge with both endpoints on the
+// chain is counted once, at the endpoint x nearer u: y is then x itself
+// or an ancestor of x, so it is an ancestor of v whenever x is.
+// Allocation-free at steady state.
 func (ctx *QueryCtx) HasEdge(u, v int32) bool {
 	if u == v {
 		return false
 	}
 	cs := ctx.cs
-	chainU, chainV := cs.chainOf(u), cs.chainOf(v)
+	chainU := cs.chainOf(u)
 	ancEp := ctx.nextAncEpoch()
-	for _, x := range chainU {
-		ctx.ancU[x] = ancEp
+	for _, x := range cs.chainOf(v) {
+		ctx.anc[x] = ancEp
 	}
-	for _, x := range chainV {
-		ctx.ancV[x] = ancEp
-	}
-	edgeEp := ctx.nextEdgeEpoch()
 	var net int32
-	count := func(chain []int32) {
-		for _, x := range chain {
-			for _, ei := range cs.incAdj[cs.incOff[x]:cs.incOff[x+1]] {
-				if ctx.edgeStamp[ei] == edgeEp {
-					continue
-				}
-				ctx.edgeStamp[ei] = edgeEp
-				a, b := cs.edgeA[ei], cs.edgeB[ei]
-				// The edge covers {u,v} iff one endpoint contains u and
-				// the other contains v (an endpoint containing both
-				// counts for either side).
-				if (ctx.ancU[a] == ancEp && ctx.ancV[b] == ancEp) ||
-					(ctx.ancU[b] == ancEp && ctx.ancV[a] == ancEp) {
-					net += int32(cs.edgeSign[ei])
-				}
+	for i, x := range chainU {
+		for _, ei := range cs.incAdj[cs.incOff[x]:cs.incOff[x+1]] {
+			if y := cs.other(ei, x); ctx.anc[y] == ancEp && !slices.Contains(chainU[:i], y) {
+				net += int32(cs.edgeSign[ei])
 			}
 		}
 	}
-	count(chainU)
-	count(chainV)
 	return net > 0
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // compiledCases returns named summaries covering the query-path corner
-// cases: nested endpoints, self-loops, n-edges, isolated vertices, and
-// a deeper multi-level forest.
+// cases: nested endpoints, self-loops, n-edges, repeated superedges,
+// isolated vertices, and a deeper multi-level forest.
 func compiledCases() map[string]*Summary {
 	// 100 leaves in pairs under 100..149, those in fives under 150..159,
 	// all under the single root 160: a 3-level hierarchy.
@@ -38,11 +38,37 @@ func compiledCases() map[string]*Summary {
 	}
 	deepEdges = append(deepEdges, Edge{A: 100, B: 100, Sign: 1}) // self-loop on an internal node
 
+	// Leaves 0..6; 7 = {0,1}, 8 = {7,2} = {0,1,2}, 9 = {3,4}. The
+	// n-edge (7,8) is nested under 8's self-loop, and the p-edges (0,1)
+	// and (0,2) restore pairs it removes (counting (7,8) twice would
+	// lose them); the n-edge (8,9) is offset by two copies of the p-edge
+	// (7,9), as the pruner emits |net| copies, and by (2,9). Leaf 6 has
+	// no neighbors.
+	multiEdges := []Edge{
+		{A: 8, B: 8, Sign: 1}, {A: 7, B: 8, Sign: -1}, {A: 0, B: 1, Sign: 1}, {A: 0, B: 2, Sign: 1},
+		{A: 8, B: 9, Sign: -1}, {A: 7, B: 9, Sign: 1}, {A: 7, B: 9, Sign: 1}, {A: 2, B: 9, Sign: 1},
+		{A: 5, B: 9, Sign: 1},
+	}
+
 	return map[string]*Summary{
+		"multi":  New(7, []int32{7, 7, 8, 9, 9, -1, -1, 8, -1, -1}, multiEdges),
 		"fig2":   fig2LikeSummary(),
 		"nested": New(4, []int32{4, 4, 5, -1, 5, -1}, []Edge{{A: 4, B: 5, Sign: 1}}),
 		"clique": New(5, []int32{5, 5, 5, 5, 5, -1}, []Edge{{A: 5, B: 5, Sign: 1}}),
 		"deep":   New(100, deepParent, deepEdges),
+	}
+}
+
+// TestMultiCaseGraph pins what the "multi" case represents, so its
+// corner cases are exercised on a known graph.
+func TestMultiCaseGraph(t *testing.T) {
+	s := compiledCases()["multi"]
+	b := graph.NewBuilder(7)
+	for _, e := range [][2]int32{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 3}, {1, 4}, {3, 5}, {4, 5}} {
+		b.AddEdge(e[0], e[1])
+	}
+	if err := s.Validate(b.Build()); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -207,7 +233,6 @@ func TestQueryCtxEpochWrap(t *testing.T) {
 		t.Fatalf("pre-wrap NeighborsOf(0) = %v, want %v", got, want0)
 	}
 	ctx.ancEpoch = math.MaxInt32 - 1
-	ctx.edgeEpoch = math.MaxInt32 - 1
 	ctx.cntEpoch = math.MaxInt32 - 1
 	for i := 0; i < 5; i++ {
 		if got := ctx.NeighborsOf(0); !int32sEqual(got, want0) {

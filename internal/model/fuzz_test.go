@@ -3,6 +3,8 @@ package model
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // FuzzReadFrom feeds arbitrary bytes through the deserializer: corrupt
@@ -54,6 +56,131 @@ func FuzzReadFrom(f *testing.F) {
 					t.Fatalf("compiled NeighborsOf(%d) = %v, want %v", v, got, want)
 				}
 			}
+		}
+	})
+}
+
+// fuzzHierarchy decodes bytes into a valid hierarchy: data[0] and
+// data[1] size the forest (up to 24 leaves and 12 internal supernodes),
+// the next byte per supernode picks its parent among the larger ids (or
+// none), and the rest are (a, b, op) triples. op bit 0 is the sign and
+// bits 1-2 the shape: a random pair, a self-loop on a, a with one of its
+// ancestors (a nested pair), or a copy of the previous edge.
+// Internal supernodes that end up without leaves are dropped.
+func fuzzHierarchy(data []byte) *Summary {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	n := 1 + int(next())%24
+	total := n + int(next())%13
+	parent := make([]int32, total)
+	for x := range parent {
+		parent[x] = -1
+		if b := int(next()); b%4 != 0 {
+			lo := max(x+1, n)
+			if lo < total {
+				parent[x] = int32(lo + b%(total-lo))
+			}
+		}
+	}
+	// Parents have larger ids, so one ascending pass finds every
+	// supernode with a leaf below it; renumber those.
+	keep := make([]bool, total)
+	id := make([]int32, total)
+	next32 := int32(n)
+	for x := range parent {
+		keep[x] = keep[x] || x < n
+		if !keep[x] {
+			continue
+		}
+		if x >= n {
+			id[x] = next32
+			next32++
+		} else {
+			id[x] = int32(x)
+		}
+		if p := parent[x]; p >= 0 {
+			keep[p] = true
+		}
+	}
+	forest := make([]int32, next32)
+	for x, p := range parent {
+		if keep[x] {
+			forest[id[x]] = -1
+			if p >= 0 {
+				forest[id[x]] = id[p]
+			}
+		}
+	}
+	var edges []Edge
+	for len(data) >= 3 {
+		a, b, op := int32(next())%next32, int32(next()), next()
+		sign := int8(1 - 2*int(op&1))
+		switch (op >> 1) & 3 {
+		case 0:
+			b %= next32
+		case 1:
+			b = a
+		case 2:
+			var chain []int32
+			for x := a; x >= 0; x = forest[x] {
+				chain = append(chain, x)
+			}
+			b = chain[int(b)%len(chain)]
+		case 3:
+			if len(edges) > 0 {
+				e := edges[len(edges)-1]
+				a, b = e.A, e.B
+			} else {
+				b %= next32
+			}
+		}
+		edges = append(edges, Edge{A: a, B: b, Sign: sign})
+	}
+	return New(n, forest, edges)
+}
+
+// FuzzQueryParity holds the compiled engine to the map-based reference
+// of model.go on fuzzer-built hierarchies: NeighborsOf and HasEdge on
+// every vertex and pair, through one reused context, and Decode.
+func FuzzQueryParity(f *testing.F) {
+	// 7 = {0,1} under 8 = {7,2,3} under 9 = {8,4,6}, leaf 5 a root: a
+	// self-loop on 9, the n-edges (7,8) and (0,7) nested under it, the
+	// p-edge (5,9) twice, an n-edge self-loop on 8, and (3,4) as a p-edge
+	// and an n-edge.
+	f.Add([]byte{6, 3, 3, 3, 1, 1, 2, 0, 2, 2, 1, 0,
+		9, 0, 2, 7, 1, 5, 0, 1, 5, 5, 9, 0, 0, 0, 6, 8, 0, 3, 3, 4, 0, 3, 4, 1})
+	f.Add([]byte{4, 2, 1, 1, 1, 1, 1, 0, 5, 0, 2, 4, 1, 4, 5, 7, 0, 0, 6})
+	f.Add([]byte{10, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
+		10, 11, 0, 12, 12, 2, 0, 2, 4, 3, 5, 1, 0, 0, 6, 13, 1, 5})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*256 {
+			t.Skip("too many edges")
+		}
+		s := fuzzHierarchy(data)
+		cs := s.Compile()
+		ctx := cs.AcquireCtx()
+		defer cs.ReleaseCtx(ctx)
+		n := int32(s.N)
+		for v := range n {
+			if got, want := ctx.NeighborsOf(v), s.NeighborsOf(v); !int32sEqual(got, want) {
+				t.Fatalf("NeighborsOf(%d) = %v, want %v", v, got, want)
+			}
+			for u := range n {
+				if got, want := ctx.HasEdge(v, u), s.HasEdge(v, u); got != want {
+					t.Fatalf("HasEdge(%d,%d) = %v, want %v", v, u, got, want)
+				}
+			}
+		}
+		if !graph.Equal(cs.Decode(), s.Decode()) {
+			t.Fatal("compiled Decode differs from the reference")
 		}
 	})
 }

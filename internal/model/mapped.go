@@ -408,9 +408,12 @@ func FromMapped(data []byte) (*CompiledSummary, MappedInfo, error) {
 // validateMapped is the structural sweep run before a mapped summary is
 // first used: every offset array must be monotone and in bounds, and
 // every stored id must be in range, so the query paths (which index
-// without checks for speed) cannot fault on hostile bytes. The sweeps
-// are sequential, allocation-free scans except for one int32 per
-// supernode used to cross-check hierarchy consistency.
+// without checks for speed) cannot fault on hostile bytes, and every
+// incidence list must name its node's own edges once each, so they
+// cannot count an edge twice or invent one. The sweeps are linear and
+// allocation-free except for one int32 per supernode used to
+// cross-check hierarchy consistency; all but the incidence one read
+// sequentially.
 func (cs *CompiledSummary) validateMapped() error {
 	n, total := int32(cs.n), int32(cs.total)
 	m := int32(len(cs.edgeA))
@@ -465,7 +468,26 @@ func (cs *CompiledSummary) validateMapped() error {
 		}
 	}
 
-	// Incidence CSR.
+	// Superedges: canonical endpoints, valid signs.
+	ends := int64(0) // incidence entries the edges call for
+	for i := int32(0); i < m; i++ {
+		a, b := cs.edgeA[i], cs.edgeB[i]
+		if a < 0 || b >= total || a > b {
+			return corrupt("edge %d endpoints (%d,%d) invalid for %d supernodes", i, a, b, total)
+		}
+		if s := cs.edgeSign[i]; s != 1 && s != -1 {
+			return corrupt("edge %d has sign %d", i, s)
+		}
+		ends += 2
+		if a == b {
+			ends--
+		}
+	}
+
+	// Incidence CSR: every edge is listed once under each of its
+	// endpoints and nowhere else, each list ascending as Compile writes
+	// it. The queries count an edge once per listing and take its other
+	// end from the listing node.
 	if cs.incOff[0] != 0 || cs.incOff[total] != int32(len(cs.incAdj)) {
 		return corrupt("incOff spans [%d,%d], want [0,%d]", cs.incOff[0], cs.incOff[total], len(cs.incAdj))
 	}
@@ -474,20 +496,16 @@ func (cs *CompiledSummary) validateMapped() error {
 			return corrupt("incOff not monotone at supernode %d", x)
 		}
 	}
-	for i, ei := range cs.incAdj {
-		if ei < 0 || ei >= m {
-			return corrupt("incidence entry %d references edge %d of %d", i, ei, m)
-		}
+	if ends != int64(len(cs.incAdj)) {
+		return corrupt("%d incidence entries for %d edge endpoints", len(cs.incAdj), ends)
 	}
-
-	// Superedges: canonical endpoints, valid signs.
-	for i := int32(0); i < m; i++ {
-		a, b := cs.edgeA[i], cs.edgeB[i]
-		if a < 0 || b >= total || a > b {
-			return corrupt("edge %d endpoints (%d,%d) invalid for %d supernodes", i, a, b, total)
-		}
-		if s := cs.edgeSign[i]; s != 1 && s != -1 {
-			return corrupt("edge %d has sign %d", i, s)
+	for x := int32(0); x < total; x++ {
+		prev := int32(-1)
+		for _, ei := range cs.incAdj[cs.incOff[x]:cs.incOff[x+1]] {
+			if ei <= prev || ei >= m || (cs.edgeA[ei] != x && cs.edgeB[ei] != x) {
+				return corrupt("supernode %d lists edge %d of %d out of order or not its own", x, ei, m)
+			}
+			prev = ei
 		}
 	}
 

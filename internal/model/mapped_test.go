@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -200,6 +201,34 @@ func TestMappedRejectsStructuralCorruption(t *testing.T) {
 			d := AlignedBuffer(len(pristine))
 			copy(d, pristine)
 			mutate(d)
+			if _, _, err := FromMapped(d); !errors.Is(err, ErrMappedCorrupt) {
+				t.Fatalf("got %v, want ErrMappedCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestMappedRejectsInconsistentIncidence: an incidence list that names
+// an edge twice, or names an edge the supernode is not an endpoint of,
+// stays in bounds but would make the queries count an edge twice or
+// read a made-up one, so FromMapped must refuse it.
+func TestMappedRejectsInconsistentIncidence(t *testing.T) {
+	// Leaves 0-1-2 on a path: incAdj is [0 | 0 1 | 1].
+	cs := New(3, []int32{-1, -1, -1}, []Edge{{A: 0, B: 1, Sign: 1}, {A: 1, B: 2, Sign: 1}}).Compile()
+	if !int32sEqual(cs.incAdj, []int32{0, 0, 1, 1}) {
+		t.Fatalf("incAdj = %v, want [0 0 1 1] (layout moved?)", cs.incAdj)
+	}
+	pristine := writeV2(t, cs, MappedInfo{})
+	lo := computeLayout(0, cs.n, cs.total, len(cs.edgeA), len(cs.chains), len(cs.incAdj), len(cs.verts))
+	cases := map[string]struct{ entry, edge int }{
+		"listed-twice":     {2, 0}, // leaf 1 lists edge 0 twice, edge 1 never
+		"not-its-endpoint": {0, 1}, // leaf 0 lists edge {1,2}
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			d := AlignedBuffer(len(pristine))
+			copy(d, pristine)
+			binary.LittleEndian.PutUint32(d[lo.secOff[3]+4*c.entry:], uint32(c.edge))
 			if _, _, err := FromMapped(d); !errors.Is(err, ErrMappedCorrupt) {
 				t.Fatalf("got %v, want ErrMappedCorrupt", err)
 			}

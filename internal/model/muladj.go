@@ -114,34 +114,12 @@ func (cs *CompiledSummary) buildAdjPlan() *adjPlan {
 }
 
 // isLinear proves, from the arrays themselves, that MulAdj's algebra
-// equals what NeighborsOf enumerates: incidence lists and subnode lists
-// agree with the edge and chain arrays (FromMapped bounds-checks a file,
-// it does not cross-check the sections), and one accumulate sweep finds
-// every pair count in {0,1}. depth is each supernode's distance from
-// its root.
+// equals what NeighborsOf enumerates: subnode lists agree with the
+// chain arrays (FromMapped cross-checks a file's incidence lists
+// against its edges, not its subnode lists against its chains), and
+// one accumulate sweep finds every pair count in {0,1}. depth is each
+// supernode's distance from its root.
 func (cs *CompiledSummary) isLinear(depth []int32) bool {
-	// Every edge is listed by both endpoints and by nothing else.
-	listed := make([]uint8, len(cs.edgeA))
-	for x := int32(0); x < int32(cs.total); x++ {
-		for _, ei := range cs.incAdj[cs.incOff[x]:cs.incOff[x+1]] {
-			a, b := cs.edgeA[ei], cs.edgeB[ei]
-			if x != a && x != b {
-				return false
-			}
-			if x == a {
-				listed[ei] |= 1
-			}
-			if x == b {
-				listed[ei] |= 2
-			}
-		}
-	}
-	for _, l := range listed {
-		if l != 3 {
-			return false
-		}
-	}
-
 	// verts[x] is exactly the set of leaves whose chain passes through x.
 	under := make([]int64, cs.total)
 	for _, x := range cs.chains {
