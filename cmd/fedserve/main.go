@@ -1,7 +1,9 @@
-// Command fedserve is the federation coordinator: it loads a sharded
-// summary envelope (the id maps and boundary sidecar — the routing
-// state), connects to a set of shard servers over HTTP (cmd/serve
-// -shard-role processes, one per shard), and serves the familiar query
+// Command fedserve is the federation coordinator: it loads a split
+// sharded build (slugger -split: the manifest, shard files and id-map
+// sidecars, of which it keeps the id maps and boundary sidecar — the
+// routing state), connects to a set of shard servers over HTTP
+// (cmd/serve -shard-role processes, one per shard, mounting the same
+// directory), and serves the familiar query
 // surface by scatter-gathering across them. Queries arrive and leave
 // in global vertex ids; the coordinator routes each to the owning
 // shard, fetches shard-local answers over a compact binary batch
@@ -11,7 +13,7 @@
 //
 // Usage:
 //
-//	fedserve -summary out.slgs -peers peers.json [-addr :8080]
+//	fedserve -manifest shards/manifest.json -peers peers.json [-addr :8080]
 //
 // peers.json maps each shard index to one or more replica base URLs:
 //
@@ -21,11 +23,11 @@
 // SIGHUP reloads the peers file without dropping the routing state or
 // the circuit-breaker history of endpoints that stayed; the shard
 // count must not change (that would be a different build — restart
-// with its envelope instead).
+// with its manifest instead).
 //
 // At boot the coordinator asks every shard server for /shardinfo and
 // refuses to start unless shard index, shard count, and federation
-// epoch all match the loaded envelope: pieces of different sharded
+// epoch all match the loaded split: pieces of different sharded
 // builds never federate silently. The same check runs continuously in
 // the active health loop, which also feeds the per-endpoint circuit
 // breakers. Per-shard failures surface as 503 with the shard identity
@@ -59,9 +61,9 @@ func main() {
 	log.SetPrefix("fedserve: ")
 
 	var (
-		summary = flag.String("summary", "", "sharded summary envelope (.slgs) holding the id maps and boundary sidecar")
-		peers   = flag.String("peers", "", "JSON peers file mapping shard index to replica base URLs (SIGHUP reloads it)")
-		addr    = flag.String("addr", ":8080", "listen address")
+		manifest = flag.String("manifest", "", "manifest.json of a split sharded build (slugger -split): the id maps and boundary sidecar")
+		peers    = flag.String("peers", "", "JSON peers file mapping shard index to replica base URLs (SIGHUP reloads it)")
+		addr     = flag.String("addr", ":8080", "listen address")
 
 		timeout  = flag.Duration("timeout", 2*time.Second, "per-attempt timeout for shard requests")
 		retries  = flag.Int("retries", 2, "re-attempts after the first failed shard request (0 = fail fast)")
@@ -72,22 +74,18 @@ func main() {
 		skipBoot = flag.Bool("skip-verify", false, "skip the boot-time /shardinfo verification (shards verified lazily by the health loop instead; first queries may 503 until it passes)")
 	)
 	flag.Parse()
-	if *summary == "" || *peers == "" {
+	if *manifest == "" || *peers == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	sh, err := slug.LoadSharded(*summary)
+	sh, err := slug.OpenSplit(*manifest)
 	if err != nil {
-		log.Fatalf("loading sharded envelope: %v", err)
+		log.Fatalf("loading split build: %v", err)
 	}
 	epoch := sh.Epoch()
-	nodes := 0
-	for _, ids := range sh.GlobalID {
-		nodes += len(ids)
-	}
-	fmt.Printf("envelope: %d vertices, %d shards, %d boundary edges, algorithm %s, epoch %.12s...\n",
-		nodes, sh.NumShards(), len(sh.Boundary), sh.Algorithm(), epoch)
+	fmt.Printf("split: %d vertices, %d shards, %d boundary edges, algorithm %s, epoch %.12s...\n",
+		sh.NumNodes(), sh.NumShards(), len(sh.Boundary), sh.Algorithm(), epoch)
 
 	p, err := fed.LoadPeers(*peers)
 	if err != nil {

@@ -10,6 +10,7 @@
 //	serve -summary out.slgc -mmap [-mutable]   (zero-copy boot from a v2 artifact)
 //	serve -in graph.txt [-algo slugger] [-t 20] [-hb 0] [-workers 4] [-addr :8080]
 //	serve -in graph.txt -shards 4 [-workers 8] [-addr :8080]
+//	serve -summary union.slga -mutable   (a sharded build saved by slugger -shards k -save)
 //	serve -summary out.slga -mutable -wal-dir /var/lib/slug [-fsync always]
 //	serve -mutable -wal-dir /var/lib/slug   (restart: recover from the log alone)
 //	serve -shard-role 2 -manifest shards/manifest.json [-addr :8082]
@@ -18,11 +19,13 @@
 // concurrently under the -workers budget. The sharded build is served
 // like any other artifact, from one compiled summary: the union of the
 // shard hierarchies, with every cross-shard edge a leaf–leaf p-edge.
-// Sharded serving is immutable (-mutable is rejected). -summary
-// detects sharded artifact files automatically.
+// -shards builds serve immutably (-mutable is rejected). A sharded
+// build saved by slugger -shards k -save is that union, an ordinary
+// artifact: -summary serves it like any other, -mutable included (its
+// compactions re-summarize the whole graph unsharded).
 //
 // With -shard-role N the process serves exactly one shard of a split
-// sharded build (from slug.Split / the federated example): the shard's
+// sharded build (from slugger -split or slug.Split): the shard's
 // artifact file is located through -manifest, cross-checked against
 // the manifest's byte digest, and mounted behind the shard surface —
 // /shardinfo announces the shard index, shard count, and federation
@@ -77,7 +80,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -221,9 +223,6 @@ func main() {
 		art = m
 	case *summary != "":
 		a, err := slug.Load(*summary)
-		if errors.Is(err, slug.ErrShardedArtifact) {
-			a, err = slug.LoadSharded(*summary)
-		}
 		if err != nil {
 			log.Fatalf("loading artifact: %v", err)
 		}
@@ -256,12 +255,6 @@ func main() {
 		}
 		// No -summary, no -in, but a WAL directory: recover everything —
 		// base and update suffix — from the log alone.
-	}
-
-	if _, ok := art.(*slug.Sharded); ok && *mutable {
-		// Reachable only via -summary <sharded file> -mutable (the
-		// -shards conflict is rejected at flag parse).
-		log.Fatal("sharded artifacts serve immutably: drop -mutable, or serve an unsharded artifact")
 	}
 
 	var (

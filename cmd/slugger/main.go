@@ -6,7 +6,7 @@
 //
 //	slugger -in graph.txt [-algo slugger] [-t 20] [-hb 0] [-seed 0] [-validate] [-v]
 //	slugger -in graph.txt -save out.slgc -format v2   (zero-copy serving artifact)
-//	slugger -in graph.txt -shards 4 [-workers 8] [-save out.slgs]
+//	slugger -in graph.txt -shards 4 [-workers 8] [-save union.slga]
 //	slugger -in graph.txt -shards 4 -split shards/   (per-shard files + manifest)
 //
 // The input format is one "u v" pair per line ('#'/'%' comments
@@ -18,16 +18,18 @@
 // (serve -summary out.slga).
 //
 // With -shards k > 1 the graph is partitioned into k shards that are
-// summarized concurrently under the -workers budget and written as one
-// sharded artifact (per-shard summaries plus a boundary-edge sidecar);
-// -validate, -save and -decode all work on the sharded path. -load
-// detects sharded files automatically. -split additionally exports
-// every shard as a standalone artifact file into a directory, alongside
+// summarized concurrently under the -workers budget (per-shard
+// summaries plus a boundary-edge sidecar); -validate and -decode work
+// on the sharded path. The build is one hierarchy, the union of the
+// shards with every cross-shard edge a leaf–leaf p-edge, and -save
+// writes that union as an ordinary artifact in the -format encoding,
+// for one process to load or serve. -split instead exports every shard
+// as a standalone artifact file into a directory, with its id map and
 // a manifest.json recording digests and the federation epoch — the
-// input to serve -shard-role (one process per shard) and fedserve (the
-// coordinator).
-// -split honours -format: v1 exports portable envelopes, v2 exports
-// zero-copy layouts; the epoch is the same either way.
+// input to serve -shard-role (one process per shard) and fedserve -manifest
+// (the coordinator). -split honours -format: v1 exports portable
+// envelopes, v2 exports zero-copy layouts; the epoch is the same
+// either way.
 //
 // -format selects the -save encoding: v1 (default) writes the portable
 // SLGA envelope, v2 writes the zero-copy compiled SLGC layout that
@@ -38,7 +40,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -75,9 +76,6 @@ func main() {
 	if *format != "v1" && *format != "v2" {
 		log.Fatalf("-format %q: must be v1 or v2", *format)
 	}
-	if *format == "v2" && *shards > 1 && *save != "" {
-		log.Fatal("-format v2 writes one compiled summary: incompatible with -shards -save (save sharded artifacts as v1; -split does accept -format v2)")
-	}
 	if *split != "" && *shards <= 1 {
 		log.Fatal("-split exports the shards of a sharded build: it requires -shards > 1")
 	}
@@ -90,15 +88,6 @@ func main() {
 	}
 	if *load != "" {
 		art, err := slug.Load(*load)
-		if errors.Is(err, slug.ErrShardedArtifact) {
-			sh, err := slug.LoadSharded(*load)
-			if err != nil {
-				log.Fatalf("loading sharded artifact: %v", err)
-			}
-			describeSharded(sh, 0, 0)
-			finish(sh, *decodeTo)
-			return
-		}
 		if err != nil {
 			log.Fatalf("loading artifact: %v", err)
 		}
@@ -140,44 +129,17 @@ func main() {
 	// mid-write. The handler is released right after the build so a
 	// later Ctrl-C still terminates -validate/-save normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	if *shards > 1 {
-		start := time.Now()
-		sh, err := slug.SummarizeSharded(ctx, g, *shards, append(opts, slug.WithAlgorithm(*algo))...)
-		elapsed := time.Since(start)
-		stop()
-		if err != nil {
-			log.Fatalf("summarizing %d shards with %s: %v", *shards, *algo, err)
-		}
-		describeSharded(sh, g.NumEdges(), elapsed)
-		if *validate {
-			if err := sh.Validate(g); err != nil {
-				log.Fatalf("validation FAILED: %v", err)
-			}
-			fmt.Println("validation: OK (lossless)")
-		}
-		if *save != "" {
-			if err := slug.Save(*save, sh); err != nil {
-				log.Fatalf("saving artifact: %v", err)
-			}
-			fmt.Printf("sharded artifact written to %s\n", *save)
-		}
-		if *split != "" {
-			man, err := sh.Split(*split, *format)
-			if err != nil {
-				log.Fatalf("splitting artifact: %v", err)
-			}
-			fmt.Printf("split: %d shard files (%s) + %s in %s (epoch %.12s...)\n",
-				man.NumShards(), *format, slug.ManifestFilename, *split, man.Epoch)
-		}
-		finish(sh, *decodeTo)
-		return
-	}
 	start := time.Now()
-	art, err := slug.Get(*algo).Summarize(ctx, g, opts...)
+	var art slug.Artifact
+	if *shards > 1 {
+		art, err = slug.SummarizeSharded(ctx, g, *shards, append(opts, slug.WithAlgorithm(*algo))...)
+	} else {
+		art, err = slug.Get(*algo).Summarize(ctx, g, opts...)
+	}
 	elapsed := time.Since(start)
 	stop()
 	if err != nil {
-		log.Fatalf("summarizing with %s: %v", *algo, err)
+		log.Fatalf("summarizing with %s into %d shard(s): %v", *algo, *shards, err)
 	}
 	describe(art, g.NumEdges(), elapsed)
 
@@ -192,6 +154,14 @@ func main() {
 			log.Fatalf("saving artifact: %v", err)
 		}
 		fmt.Printf("artifact written to %s (%s)\n", *save, *format)
+	}
+	if *split != "" {
+		man, err := art.(*slug.Sharded).Split(*split, *format)
+		if err != nil {
+			log.Fatalf("splitting artifact: %v", err)
+		}
+		fmt.Printf("split: %d shard files (%s) + %s in %s (epoch %.12s...)\n",
+			man.NumShards(), *format, slug.ManifestFilename, *split, man.Epoch)
 	}
 	finish(art, *decodeTo)
 }
@@ -215,32 +185,20 @@ func describe(art slug.Artifact, edges int64, elapsed time.Duration) {
 		cs, _ := a.Queryable()
 		fmt.Printf("compiled model (%s): %d vertices, %d supernodes, %d superedges, %d bytes\n",
 			a.Format(), cs.NumNodes(), cs.NumSupernodes(), cs.NumSuperedges(), a.MappedBytes())
+	case *slug.Sharded:
+		for s, shard := range a.Shards {
+			fmt.Printf("  shard %d: %d vertices, cost %d\n", s, len(a.GlobalID[s]), shard.Cost())
+		}
+		fmt.Printf("  boundary: %d cross-shard edges\n", len(a.Boundary))
 	}
-	if elapsed > 0 {
-		fmt.Printf("time: %s\n", elapsed.Round(time.Millisecond))
-	}
-}
-
-// describeSharded prints a sharded artifact's statistics with one line
-// per shard; edges and elapsed are zero when unknown (the -load path).
-func describeSharded(sh *slug.Sharded, edges int64, elapsed time.Duration) {
-	fmt.Printf("sharded artifact: algorithm=%s shards=%d cost=%d", sh.Algorithm(), sh.NumShards(), sh.Cost())
-	if edges > 0 {
-		fmt.Printf(" (relative size %.4f)", float64(sh.Cost())/float64(edges))
-	}
-	fmt.Println()
-	for s, art := range sh.Shards {
-		fmt.Printf("  shard %d: %d vertices, cost %d\n", s, len(sh.GlobalID[s]), art.Cost())
-	}
-	fmt.Printf("  boundary: %d cross-shard edges\n", len(sh.Boundary))
 	if elapsed > 0 {
 		fmt.Printf("time: %s\n", elapsed.Round(time.Millisecond))
 	}
 }
 
 // finish handles the output action shared by every path (build or
-// load, sharded or not): decoding the artifact to an edge list.
-func finish(art interface{ Decode() *graph.Graph }, decodeTo string) {
+// load): decoding the artifact to an edge list.
+func finish(art slug.Artifact, decodeTo string) {
 	if decodeTo == "" {
 		return
 	}

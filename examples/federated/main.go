@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"time"
 
@@ -161,9 +162,15 @@ func main() {
 		urls[s] = []string{"http://" + servers[s].addr}
 	}
 
-	// Step 4: the coordinator — id maps + boundary sidecar + resilient
-	// scatter-gather client. Verify refuses mismatched epochs at boot;
-	// the health loop keeps re-checking and feeds the circuit breakers.
+	// Step 4: the coordinator — id maps + boundary sidecar, read back
+	// from the split directory as cmd/fedserve -manifest does, plus a
+	// resilient scatter-gather client. Verify refuses mismatched epochs
+	// at boot; the health loop keeps re-checking and feeds the circuit
+	// breakers.
+	split, err := slug.OpenSplit(filepath.Join(dir, slug.ManifestFilename))
+	if err != nil {
+		log.Fatal(err)
+	}
 	client, err := fed.NewClient(&fed.Peers{Epoch: epoch, Shards: urls}, fed.Config{
 		Timeout:         500 * time.Millisecond,
 		Retries:         1,
@@ -177,7 +184,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	co, err := fed.NewCoordinator(sh, client)
+	co, err := fed.NewCoordinator(split, client)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -285,7 +292,7 @@ func main() {
 		servers[s].stop()
 	}
 	fmt.Println("\nRun it across real processes with:")
-	fmt.Println("  slugger -in edges.txt -shards 3 -save out.slgs   (then split via pkg/slug)")
+	fmt.Println("  slugger -in edges.txt -shards 3 -split dir -format v2")
 	fmt.Println("  serve -shard-role N -manifest dir/manifest.json -addr :808N   (one per shard)")
-	fmt.Println("  fedserve -summary out.slgs -peers peers.json -addr :8080")
+	fmt.Println("  fedserve -manifest dir/manifest.json -peers peers.json -addr :8080")
 }

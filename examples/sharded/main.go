@@ -2,9 +2,10 @@
 // shards by the deterministic edge-cut partitioner, every shard is
 // summarized concurrently under one worker budget, and the result —
 // per-shard summaries plus a boundary-edge sidecar — decodes
-// losslessly, round-trips through one "SLGS" file, and compiles into
-// one ordinary compiled summary: the union of the shard hierarchies,
-// with every boundary edge a leaf–leaf p-edge.
+// losslessly, round-trips through a split directory (one file per
+// shard plus a manifest, a federation's input), and compiles into one
+// ordinary compiled summary: the union of the shard hierarchies, with
+// every boundary edge a leaf–leaf p-edge (what Save writes).
 //
 // Run with:
 //
@@ -86,19 +87,23 @@ func main() {
 	}
 	fmt.Println("\ndecode: lossless (shards + boundary reproduce the input exactly)")
 
-	// Step 4: one file round trip through the "SLGS" envelope, which
-	// embeds each shard's ordinary "SLGA" artifact bytes.
-	path := filepath.Join(os.TempDir(), "example.slgs")
-	if err := slug.Save(path, sh); err != nil {
-		log.Fatal(err)
-	}
-	back, err := slug.LoadSharded(path)
+	// Step 4: a split directory round trip. Split writes each shard's
+	// ordinary artifact file and id map beside a digest manifest;
+	// OpenSplit verifies them all and restores the sharded build.
+	dir, err := os.MkdirTemp("", "sharded")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(path)
-	fmt.Printf("round trip: %s restored %d shards, algorithm %q, cost %d\n",
-		filepath.Base(path), back.NumShards(), back.Algorithm(), back.Cost())
+	defer os.RemoveAll(dir)
+	if _, err := sh.Split(dir, "v1"); err != nil {
+		log.Fatal(err)
+	}
+	back, err := slug.OpenSplit(filepath.Join(dir, slug.ManifestFilename))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("round trip: split directory restored %d shards, algorithm %q, cost %d, same epoch %v\n",
+		back.NumShards(), back.Algorithm(), back.Cost(), back.Epoch() == sh.Epoch())
 
 	// Step 5: queries. Compile once: the shards' trees side by side under
 	// global ids, plus one p-edge per boundary edge, at exactly the

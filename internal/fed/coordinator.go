@@ -1,9 +1,10 @@
 package fed
 
 // The federation coordinator: the data source behind the process
-// clients actually talk to. It loads the sharded envelope's routing half
-// (id maps + boundary sidecar) but none of the per-shard payload engines
-// — those live in shard servers across the network — and plugs into
+// clients actually talk to. It keeps a sharded build's routing half
+// (id maps + boundary sidecar, as slug.OpenSplit reads them back from a
+// split directory) but none of the per-shard engines — those live in
+// shard servers across the network — and plugs into
 // internal/serve's request pipeline as a serve.Backend, so the public
 // HTTP surface (routes, validation, metrics, admission, encoding, the
 // PageRank result cache) is serve's own. The coordinator only routes:
@@ -19,7 +20,7 @@ package fed
 //     the artifact is immutable), then serve runs the ordinary
 //     in-process power iteration over it: the ranks algos.PageRank
 //     gives the raw graph, bit for bit, and within 1e-12 of the single
-//     process serving the same envelope (which multiplies on the merged
+//     process serving the same build (which multiplies on the merged
 //     hierarchy, model.CompiledSummary.MulAdj, in another order).
 //
 // A shard failure surfaces as a *ShardError, which serve answers 503
@@ -51,16 +52,16 @@ type Coordinator struct {
 	adj [][]int32 // gathered global adjacency; nil until first PageRank
 }
 
-// NewCoordinator builds a coordinator from a sharded envelope's
-// routing structure and a resilient client whose peer set must cover
-// exactly the envelope's shards.
+// NewCoordinator builds a coordinator from a sharded build's routing
+// structure and a resilient client whose peer set must cover exactly
+// the build's shards.
 func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	rt, err := model.NewRouting(sh.GlobalID, sh.Boundary)
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
 	if client.NumShards() != rt.NumShards() {
-		return nil, fmt.Errorf("fed: peers cover %d shards, envelope has %d", client.NumShards(), rt.NumShards())
+		return nil, fmt.Errorf("fed: peers cover %d shards, build has %d", client.NumShards(), rt.NumShards())
 	}
 	epoch := sh.Epoch()
 	return &Coordinator{
@@ -95,7 +96,7 @@ func (co *Coordinator) View() serve.View { return co }
 // (see serve.Server.Handler for the routes) over the federation.
 func (co *Coordinator) Handler() http.Handler { return serve.NewServer(co).Handler() }
 
-// Verify cross-checks every shard server against the envelope: each
+// Verify cross-checks every shard server against the build: each
 // must report the expected epoch, its own shard index, the federation
 // shard count, and its shard's vertex count. Run it at boot —
 // federating a server from a different sharded build would silently
@@ -112,9 +113,9 @@ func (co *Coordinator) Verify(ctx context.Context) error {
 		case info.Shard != s:
 			return fmt.Errorf("fed: endpoint for shard %d identifies as shard %d", s, info.Shard)
 		case info.Shards != co.rt.NumShards():
-			return fmt.Errorf("fed: shard %d believes the federation has %d shards, envelope has %d", s, info.Shards, co.rt.NumShards())
+			return fmt.Errorf("fed: shard %d believes the federation has %d shards, build has %d", s, info.Shards, co.rt.NumShards())
 		case info.Nodes != co.rt.ShardSize(s):
-			return fmt.Errorf("fed: shard %d serves %d vertices, envelope assigns it %d", s, info.Nodes, co.rt.ShardSize(s))
+			return fmt.Errorf("fed: shard %d serves %d vertices, build assigns it %d", s, info.Nodes, co.rt.ShardSize(s))
 		}
 	}
 	return nil

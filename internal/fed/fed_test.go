@@ -84,7 +84,7 @@ func (p *shardProc) restart(t *testing.T) {
 }
 
 // federation assembles the full topology: a summarized 3-shard
-// envelope, three shard servers on loopback, a resilient client, and a
+// build, three shard servers on loopback, a resilient client, and a
 // coordinator serving over httptest.
 type federation struct {
 	g      *graph.Graph

@@ -8,11 +8,11 @@ package graph
 // union is lossless by construction.
 //
 // The partitioner is the linear deterministic greedy (LDG) streaming
-// heuristic of Stanton & Kleinberg: vertices are scanned in id order
-// and each is assigned to the shard holding most of its already-placed
-// neighbors, damped by how full that shard is. It is deterministic (no
-// randomness, no map iteration), single-pass, and respects a hard
-// balance cap of ceil(n/k) vertices per shard.
+// heuristic of Stanton & Kliot (KDD 2012): vertices are scanned in id
+// order and each is assigned to the shard holding most of its
+// already-placed neighbors, damped by how full that shard is. It is
+// deterministic (no randomness, no map iteration), single-pass, and
+// respects a hard balance cap of ceil(n/k) vertices per shard.
 
 import "fmt"
 

@@ -38,51 +38,6 @@ const (
 	maxAlgoNameLen = 256
 )
 
-// appendHeader and readHeader are the one writer and one parser of the
-// header both envelopes ("SLGA" here, "SLGS" in sharded.go) open with:
-//
-//	magic (4 bytes) | version u8 | fixed bytes | algoLen uvarint | algo bytes
-//
-// where the fixed bytes are the envelope's own (SLGA: the kind byte;
-// SLGS: none).
-func appendHeader(magic string, version byte, fixed []byte, algo string) ([]byte, error) {
-	if len(algo) > maxAlgoNameLen {
-		return nil, fmt.Errorf("slug: algorithm name %q too long", algo)
-	}
-	head := append([]byte(magic), version)
-	head = append(head, fixed...)
-	head = binary.AppendUvarint(head, uint64(len(algo)))
-	return append(head, algo...), nil
-}
-
-// readHeader consumes one header from br, filling fixed, and returns
-// the algorithm name. what names the envelope in errors.
-func readHeader(br *bufio.Reader, what, magic string, version byte, fixed []byte) (algo string, err error) {
-	head := make([]byte, len(magic)+1+len(fixed))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return "", fmt.Errorf("slug: reading %s header: %w", what, err)
-	}
-	if got := head[:len(magic)]; string(got) != magic {
-		return "", fmt.Errorf("slug: bad %s magic %q", what, got)
-	}
-	if ver := head[len(magic)]; ver != version {
-		return "", fmt.Errorf("slug: unsupported %s version %d", what, ver)
-	}
-	copy(fixed, head[len(magic)+1:])
-	algoLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", fmt.Errorf("slug: reading algorithm name length: %w", err)
-	}
-	if algoLen > maxAlgoNameLen {
-		return "", fmt.Errorf("slug: implausible algorithm name length %d", algoLen)
-	}
-	name := make([]byte, algoLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return "", fmt.Errorf("slug: reading algorithm name: %w", err)
-	}
-	return string(name), nil
-}
-
 // Hierarchical is an Artifact wrapping the hierarchical model
 // G = (S, P+, P-, H). It is what every registered algorithm returns:
 // SLUGGER's trees as built, a baseline's flat summary as height-1 trees.
@@ -124,11 +79,12 @@ func (a *Hierarchical) WriteTo(w io.Writer) (int64, error) {
 // writeEnvelope emits the self-describing header, then the model's
 // payload stream.
 func writeEnvelope(w io.Writer, algo string, s *model.Summary) (int64, error) {
-	head, err := appendHeader(envelopeMagic, envelopeVersion, []byte{kindHierarchical}, algo)
-	if err != nil {
-		return 0, err
+	if len(algo) > maxAlgoNameLen {
+		return 0, fmt.Errorf("slug: algorithm name %q too long", algo)
 	}
-	n, err := w.Write(head)
+	head := append([]byte(envelopeMagic), envelopeVersion, kindHierarchical)
+	head = binary.AppendUvarint(head, uint64(len(algo)))
+	n, err := w.Write(append(head, algo...))
 	count := int64(n)
 	if err != nil {
 		return count, err
@@ -140,11 +96,9 @@ func writeEnvelope(w io.Writer, algo string, s *model.Summary) (int64, error) {
 // ReadFrom deserializes an artifact written by any Artifact's WriteTo
 // ("SLGA": the envelope header restores the producing algorithm) or by
 // WriteCompiledTo ("SLGC": loads heap-backed with the full checksum
-// verified, ready to serve with no recompilation). Those two are the
-// single-artifact forms; a sharded envelope answers
-// ErrShardedArtifact, and anything else — a bare payload encoding
-// included — is rejected by its magic. Corrupt input yields an error,
-// never a silently wrong artifact.
+// verified, ready to serve with no recompilation). Anything else — a
+// bare payload encoding included — is rejected by its magic. Corrupt
+// input yields an error, never a silently wrong artifact.
 func ReadFrom(r io.Reader) (Artifact, error) {
 	br := bufio.NewReader(r)
 	peek, err := br.Peek(len(envelopeMagic))
@@ -155,29 +109,40 @@ func ReadFrom(r io.Reader) (Artifact, error) {
 	case envelopeMagic: // parsed below
 	case compiledMagic:
 		return readMappedFrom(br)
-	case shardedMagic:
-		return nil, ErrShardedArtifact
 	default:
-		return nil, fmt.Errorf("slug: %q is not an artifact magic (an artifact starts with %q, %q or %q)",
-			peek, envelopeMagic, compiledMagic, shardedMagic)
+		return nil, fmt.Errorf("slug: %q is not an artifact magic (an artifact starts with %q or %q)",
+			peek, envelopeMagic, compiledMagic)
 	}
-	var kind [1]byte
-	algo, err := readHeader(br, "artifact", envelopeMagic, envelopeVersion, kind[:])
+	var head [len(envelopeMagic) + 2]byte // magic | version | kind
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("slug: reading artifact header: %w", err)
+	}
+	if ver := head[len(envelopeMagic)]; ver != envelopeVersion {
+		return nil, fmt.Errorf("slug: unsupported artifact version %d", ver)
+	}
+	if kind := head[len(envelopeMagic)+1]; kind != kindHierarchical {
+		return nil, fmt.Errorf("slug: unknown artifact kind %d", kind)
+	}
+	algoLen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("slug: reading algorithm name length: %w", err)
 	}
-	if kind[0] != kindHierarchical {
-		return nil, fmt.Errorf("slug: unknown artifact kind %d", kind[0])
+	if algoLen > maxAlgoNameLen {
+		return nil, fmt.Errorf("slug: implausible algorithm name length %d", algoLen)
+	}
+	algo := make([]byte, algoLen)
+	if _, err := io.ReadFull(br, algo); err != nil {
+		return nil, fmt.Errorf("slug: reading algorithm name: %w", err)
 	}
 	s, err := model.ReadFrom(br)
 	if err != nil {
 		return nil, err
 	}
-	return NewHierarchical(algo, s), nil
+	return NewHierarchical(string(algo), s), nil
 }
 
-// Save writes an artifact (sharded or not: anything serializing
-// through WriteTo, such as an Artifact or a *Sharded) to a file.
+// Save writes an artifact (anything serializing through WriteTo; a
+// *Sharded saves its union) to a file.
 // The write is crash-safe: the bytes land in a temporary file in the
 // same directory, are fsynced, and are renamed over the target — the
 // same discipline as WAL checkpoints — so a crash mid-save never
@@ -246,10 +211,13 @@ func Load(path string) (Artifact, error) {
 // the first discrepancy found (a concrete missing or extra edge) —
 // more useful than a boolean when debugging a losslessness regression.
 func Validate(a Artifact, g *graph.Graph) error {
-	if h, ok := a.(*Hierarchical); ok {
+	switch t := a.(type) {
+	case *Hierarchical:
 		// The hierarchical model's validator names the offending edge
 		// without materializing the decoded graph.
-		return h.Summary.Validate(g)
+		return t.Summary.Validate(g)
+	case *Sharded:
+		return t.Validate(g) // the union, through the same validator
 	}
 	return compareDecoded(a.Decode(), g)
 }

@@ -3,11 +3,8 @@ package slug
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -102,33 +99,35 @@ func TestShardedParity(t *testing.T) {
 	}
 }
 
-// TestShardedK1ByteIdentical pins the k=1 guarantee: the single shard's
-// embedded payload is byte-identical to the artifact the unsharded path
-// produces under the same options.
+// TestShardedK1ByteIdentical pins the k=1 guarantee: for every
+// registered algorithm, the sharded build's saved bytes (its union) are
+// the artifact the unsharded path produces under the same options.
 func TestShardedK1ByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	for name, g := range shardParityGraphs() {
-		opts := []Option{WithIterations(8), WithSeed(7)}
-		direct, err := Get("slugger").Summarize(ctx, g, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, err := SummarizeSharded(ctx, g, 1, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want, got bytes.Buffer
-		if _, err := direct.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.Shards[0].WriteTo(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("%s: k=1 shard payload differs from the unsharded artifact", name)
-		}
-		if len(sh.Boundary) != 0 {
-			t.Fatalf("%s: k=1 has %d boundary edges", name, len(sh.Boundary))
+		for _, algo := range Algorithms() {
+			opts := []Option{WithIterations(8), WithSeed(7), WithAlgorithm(algo)}
+			direct, err := Get(algo).Summarize(ctx, g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := SummarizeSharded(ctx, g, 1, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got bytes.Buffer
+			if _, err := direct.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("%s/%s: k=1 sharded bytes differ from the unsharded artifact", name, algo)
+			}
+			if len(sh.Boundary) != 0 {
+				t.Fatalf("%s/%s: k=1 has %d boundary edges", name, algo, len(sh.Boundary))
+			}
 		}
 	}
 }
@@ -155,7 +154,10 @@ func TestShardedDeterministicAcrossWorkerBudgets(t *testing.T) {
 	}
 }
 
-func TestShardedEnvelopeRoundTrip(t *testing.T) {
+// TestShardedSaveLoadRoundTrip: Save writes the union, and Load reads
+// it back as an ordinary *Hierarchical that costs, answers and ranks
+// exactly like the sharded build it came from.
+func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	g := graph.ErdosRenyi(120, 500, 5)
 	for _, algo := range []string{"slugger", "sweg"} {
@@ -163,109 +165,36 @@ func TestShardedEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		path := filepath.Join(dir, algo+".slgs")
+		path := filepath.Join(t.TempDir(), algo+".slga")
 		if err := Save(path, sh); err != nil {
 			t.Fatal(err)
 		}
-		back, err := LoadSharded(path)
+		back, err := Load(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Algorithm() != algo || back.NumShards() != 3 || back.NumNodes() != g.NumNodes() {
-			t.Fatalf("%s: metadata lost: %q/%d/%d", algo, back.Algorithm(), back.NumShards(), back.NumNodes())
+		if _, ok := back.(*Hierarchical); !ok || back.Algorithm() != algo || back.Cost() != sh.Cost() {
+			t.Fatalf("%s: loaded %T %q at cost %d, want *Hierarchical %q at %d", algo, back, back.Algorithm(), back.Cost(), algo, sh.Cost())
 		}
-		if back.Cost() != sh.Cost() {
-			t.Fatalf("%s: cost %d != %d after round trip", algo, back.Cost(), sh.Cost())
-		}
-		if !graph.Equal(back.Decode(), g) {
-			t.Fatalf("%s: round-tripped artifact no longer decodes to the input", algo)
-		}
-		// Serialization is deterministic: a second write matches.
-		var b1, b2 bytes.Buffer
-		if _, err := sh.WriteTo(&b1); err != nil {
+		want, err := sh.Queryable()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := back.WriteTo(&b2); err != nil {
+		got, err := back.Queryable()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("%s: round trip changed the serialized bytes", algo)
+		for v := int32(0); v < int32(g.NumNodes()); v++ {
+			if !slices.Equal(got.NeighborsOf(v), want.NeighborsOf(v)) {
+				t.Fatalf("%s: neighbors(%d) = %v after the round trip, want %v", algo, v, got.NeighborsOf(v), want.NeighborsOf(v))
+			}
 		}
-
-		// Load reports sharded files distinctly instead of a generic
-		// magic error.
-		if _, err := Load(path); !errors.Is(err, ErrShardedArtifact) {
-			t.Fatalf("Load(sharded file) = %v, want ErrShardedArtifact", err)
-		}
-	}
-}
-
-func TestReadShardedFromRejectsCorrupt(t *testing.T) {
-	ctx := context.Background()
-	g := graph.ErdosRenyi(60, 200, 5)
-	sh, err := SummarizeSharded(ctx, g, 2, WithIterations(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sh.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	if _, err := ReadShardedFrom(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
-	}
-	if _, err := ReadShardedFrom(bytes.NewReader([]byte("SLGA"))); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	for _, cut := range []int{5, 8, len(good) / 2, len(good) - 1} {
-		if _, err := ReadShardedFrom(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	bad := append([]byte{}, good...)
-	bad[4] = 99 // version byte
-	if _, err := ReadShardedFrom(bytes.NewReader(bad)); err == nil {
-		t.Fatal("unknown version accepted")
-	}
-
-	// An id-map gap past the int64 range is rejected, not wrapped into a
-	// negative vertex id.
-	huge, err := appendHeader(shardedMagic, shardedVersion, nil, "slugger")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []uint64{2, 1, 2, 1 << 63} { // n, k, shard 0's size, first gap
-		huge = binary.AppendUvarint(huge, x)
-	}
-	if _, err := ReadShardedFrom(bytes.NewReader(huge)); err == nil {
-		t.Fatal("id-map gap of 2^63 accepted")
-	}
-
-	// The boundary section ends the envelope: swap in corrupt sidecars.
-	// Each would load with a wrong Cost() if it were accepted, and
-	// WriteTo refuses to write any of them.
-	tail := appendBoundary(nil, sh.Boundary)
-	if !bytes.HasSuffix(good, tail) || len(sh.Boundary) < 2 {
-		t.Fatalf("fixture: envelope does not end with its %d-edge boundary section", len(sh.Boundary))
-	}
-	head := good[:len(good)-len(tail)]
-	b := sh.Boundary
-	intra := [2]int32{sh.GlobalID[0][0], sh.GlobalID[0][1]}
-	for name, bnd := range map[string][][2]int32{
-		"duplicate edge":   append([][2]int32{b[0]}, b...),
-		"intra-shard edge": append([][2]int32{intra}, b...),
-		"unsorted sidecar": append([][2]int32{b[1], b[0]}, b[2:]...),
-	} {
-		corrupt := appendBoundary(slices.Clone(head), bnd)
-		if _, err := ReadShardedFrom(bytes.NewReader(corrupt)); err == nil {
-			t.Fatalf("%s: ReadShardedFrom accepted", name)
-		}
-		bad := &Sharded{algo: sh.algo, n: sh.n, Shards: sh.Shards, GlobalID: sh.GlobalID, Boundary: bnd}
-		if _, err := bad.WriteTo(io.Discard); err == nil {
-			t.Fatalf("%s: WriteTo accepted", name)
+		ws, gs := algos.OnCompiled(want), algos.OnCompiled(got)
+		pw, pg := algos.PageRank(ws, 0.85, 20), algos.PageRank(gs, 0.85, 20)
+		ws.Release()
+		gs.Release()
+		if !slices.Equal(pw, pg) {
+			t.Fatalf("%s: PageRank differs after the round trip", algo)
 		}
 	}
 }
@@ -334,25 +263,5 @@ func TestShardedCostAccounting(t *testing.T) {
 	}
 	if sh.Cost() != sum+int64(len(sh.Boundary)) {
 		t.Fatalf("Cost %d != shards %d + boundary %d", sh.Cost(), sum, len(sh.Boundary))
-	}
-}
-
-func TestWriteShardedToTemp(t *testing.T) {
-	// Save/Load through a real file descriptor (exercises the os paths).
-	ctx := context.Background()
-	g := graph.ErdosRenyi(40, 120, 8)
-	sh, err := SummarizeSharded(ctx, g, 2, WithIterations(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.slgs")
-	if err := Save(path, sh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(path); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -34,7 +34,9 @@
 // summarizes them concurrently and returns a [*Sharded] artifact. Its
 // Queryable is one compiled summary over the global id space: the
 // union of the shard hierarchies, with every cross-shard edge a
-// leaf–leaf p-edge (see the package-level docs in sharded.go).
+// leaf–leaf p-edge (see the package-level docs in sharded.go). Save
+// writes that union as an ordinary artifact; [Sharded.Split] writes
+// one file per shard for a federation, and [OpenSplit] reads it back.
 package slug
 
 import (

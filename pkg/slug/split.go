@@ -3,14 +3,15 @@ package slug
 // Splitting a sharded summary into independently servable pieces: the
 // artifact side of network federation (internal/fed). Split exports
 // each shard of a *Sharded as a standalone artifact file — v1 envelope
-// or v2 zero-copy layout — plus a JSON manifest recording the shard
-// files' digests, the per-shard id-map digests, the boundary sidecar,
-// and an epoch digest binding them all together. A shard server mounts
-// one shard file and cross-checks it against the manifest; a
-// coordinator loads the full envelope and cross-checks its own epoch
-// against the manifest and against every shard server's /shardinfo —
-// so processes holding pieces of *different* sharded builds refuse to
-// federate instead of silently merging mismatched graphs.
+// or v2 zero-copy layout — and its local→global id map as a sidecar
+// file, plus a JSON manifest recording the shard files' digests, the
+// id-map digests, the boundary sidecar, and an epoch digest binding
+// them all together. A shard server mounts one shard file and
+// cross-checks it against the manifest; a coordinator loads the whole
+// directory back with OpenSplit and cross-checks its epoch against
+// every shard server's /shardinfo — so processes holding pieces of
+// *different* sharded builds refuse to federate instead of silently
+// merging mismatched graphs.
 
 import (
 	"bytes"
@@ -20,9 +21,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+
+	"repro/internal/model"
 )
 
 // ManifestFilename is the conventional manifest name Split writes
@@ -43,14 +47,17 @@ type ManifestShard struct {
 	// Digest is the hex SHA-256 of the shard artifact file's bytes.
 	Digest string `json:"digest"`
 	// IDMapDigest is the hex SHA-256 of the shard's delta-encoded
-	// local→global id map (the same encoding the SLGS envelope uses).
+	// local→global id map: the bytes of IDMapFile.
 	IDMapDigest string `json:"id_map_digest"`
+	// IDMapFile is the id-map sidecar's filename, relative to the
+	// manifest.
+	IDMapFile string `json:"id_map_file"`
 }
 
 // Manifest is the federation control file written by Split: everything
 // a shard server needs to verify its mount and everything a
-// coordinator needs to verify the federation, except the id maps
-// themselves (those live in the SLGS envelope the coordinator loads).
+// coordinator needs to verify the federation, the id maps by name and
+// digest.
 type Manifest struct {
 	FormatVersion int             `json:"format_version"`
 	Algorithm     string          `json:"algorithm"`
@@ -67,9 +74,9 @@ type Manifest struct {
 func (m *Manifest) NumShards() int { return len(m.Shards) }
 
 // appendIDMap appends a shard's sorted id map in its canonical
-// delta-uvarint encoding: the SLGS envelope field, and what idMapDigest
-// hashes (so the digest is independent of the artifact format the shard
-// was exported in).
+// delta-uvarint encoding: the id-map sidecar's bytes, and what
+// idMapDigest hashes (so the digest is independent of the artifact
+// format the shard was exported in).
 func appendIDMap(dst []byte, ids []int32) []byte {
 	prev := int64(-1)
 	for _, v := range ids {
@@ -79,9 +86,40 @@ func appendIDMap(dst []byte, ids []int32) []byte {
 	return dst
 }
 
-func idMapDigest(ids []int32) string {
-	sum := sha256.Sum256(appendIDMap(nil, ids))
+func idMapDigest(ids []int32) string { return digest(appendIDMap(nil, ids)) }
+
+// digest is the hex SHA-256 the manifest records for a file's bytes.
+func digest(raw []byte) string {
+	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
+}
+
+// decodeIDMap parses an id-map sidecar written by Split: exactly count
+// strictly ascending ids below n, and nothing after them.
+func decodeIDMap(raw []byte, count, n int) ([]int32, error) {
+	if count > len(raw) { // every id takes at least one byte
+		return nil, fmt.Errorf("%d bytes cannot hold %d ids", len(raw), count)
+	}
+	ids := make([]int32, count)
+	prev := int64(-1)
+	for l := range ids {
+		gap, w := binary.Uvarint(raw)
+		if w <= 0 {
+			return nil, fmt.Errorf("malformed gap at local %d", l)
+		}
+		raw = raw[w:]
+		// Clamped, so a hostile gap cannot wrap v to a negative id.
+		v := prev + 1 + int64(min(gap, uint64(n)))
+		if v >= int64(n) || v > math.MaxInt32 {
+			return nil, fmt.Errorf("local %d maps beyond the vertex count", l)
+		}
+		ids[l] = int32(v)
+		prev = v
+	}
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after %d ids", len(raw), count)
+	}
+	return ids, nil
 }
 
 // boundaryDigest hashes the boundary sidecar in its canonical
@@ -141,11 +179,12 @@ func EpochVersion(epoch string) uint64 {
 // Split exports each shard of the artifact as a standalone file in
 // dir — shard-000.slga, shard-001.slga, ... for format "v1" (portable
 // envelope) or shard-000.slgc, ... for format "v2" (zero-copy compiled
-// layout, mmap-bootable by a shard server) — plus ManifestFilename
-// tying them together, and returns the manifest. All writes are
-// crash-safe (tmp + fsync + rename). The per-shard files round-trip
-// through the ordinary Load path; the sharded envelope itself
-// (Save(a)) remains the coordinator's boot artifact.
+// layout, mmap-bootable by a shard server) — with each shard's id map
+// beside it (shard-000.ids, ...), plus ManifestFilename tying them
+// together, and returns the manifest. All writes are crash-safe (tmp +
+// fsync + rename). The per-shard files round-trip through the ordinary
+// Load path; OpenSplit reads the whole directory back, as a
+// coordinator boots from it.
 func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 	var ext string
 	switch format {
@@ -175,19 +214,21 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slug: exporting shard %d: %w", s, err)
 		}
-		if err := atomicWrite(filepath.Join(dir, name), func(w io.Writer) (int64, error) {
-			n, err := w.Write(payload)
-			return int64(n), err
-		}); err != nil {
+		if err := writeBytes(filepath.Join(dir, name), payload); err != nil {
 			return nil, fmt.Errorf("slug: writing shard %d: %w", s, err)
 		}
-		sum := sha256.Sum256(payload)
+		idName := fmt.Sprintf("shard-%03d.ids", s)
+		idMap := appendIDMap(nil, a.GlobalID[s])
+		if err := writeBytes(filepath.Join(dir, idName), idMap); err != nil {
+			return nil, fmt.Errorf("slug: writing shard %d id map: %w", s, err)
+		}
 		m.Shards[s] = ManifestShard{
 			File:        name,
 			Nodes:       len(a.GlobalID[s]),
 			Cost:        art.Cost(),
-			Digest:      hex.EncodeToString(sum[:]),
-			IDMapDigest: idMapDigest(a.GlobalID[s]),
+			Digest:      digest(payload),
+			IDMapDigest: digest(idMap),
+			IDMapFile:   idName,
 		}
 	}
 	m.Epoch = a.Epoch()
@@ -199,6 +240,14 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 		return nil, fmt.Errorf("slug: writing manifest: %w", err)
 	}
 	return m, nil
+}
+
+// writeBytes commits raw to path crash-safely (see atomicWrite).
+func writeBytes(path string, raw []byte) error {
+	return atomicWrite(path, func(w io.Writer) (int64, error) {
+		n, err := w.Write(raw)
+		return int64(n), err
+	})
 }
 
 // encodeArtifact serializes one shard artifact in the requested format.
@@ -215,8 +264,8 @@ func encodeArtifact(art Artifact, format string) ([]byte, error) {
 
 // LoadManifest reads and validates a manifest written by Split: schema
 // version, structural sanity (shard sizes sum to the vertex count,
-// boundary sorted with in-range endpoints), and the recorded epoch
-// matching a recomputation from the manifest's own digests — a
+// boundary strictly sorted with in-range endpoints), and the recorded
+// epoch matching a recomputation from the manifest's own digests — a
 // tampered or hand-edited manifest is rejected, not trusted.
 func LoadManifest(path string) (*Manifest, error) {
 	raw, err := os.ReadFile(path)
@@ -235,25 +284,22 @@ func LoadManifest(path string) (*Manifest, error) {
 	}
 	total := 0
 	for s, sh := range m.Shards {
-		if sh.Nodes < 0 || sh.File == "" || filepath.Base(sh.File) != sh.File {
-			return nil, fmt.Errorf("slug: manifest shard %d malformed (file %q, nodes %d)", s, sh.File, sh.Nodes)
+		if sh.Nodes < 0 || sh.File == "" || filepath.Base(sh.File) != sh.File ||
+			(sh.IDMapFile != "" && filepath.Base(sh.IDMapFile) != sh.IDMapFile) {
+			return nil, fmt.Errorf("slug: manifest shard %d malformed (file %q, id map file %q, nodes %d)", s, sh.File, sh.IDMapFile, sh.Nodes)
 		}
 		total += sh.Nodes
 	}
 	if total != m.Nodes {
 		return nil, fmt.Errorf("slug: manifest shard sizes sum to %d, vertex count says %d", total, m.Nodes)
 	}
-	if !sort.SliceIsSorted(m.Boundary, func(i, j int) bool {
-		if m.Boundary[i][0] != m.Boundary[j][0] {
-			return m.Boundary[i][0] < m.Boundary[j][0]
-		}
-		return m.Boundary[i][1] < m.Boundary[j][1]
-	}) {
-		return nil, fmt.Errorf("slug: manifest boundary sidecar not sorted")
-	}
 	for i, e := range m.Boundary {
 		if e[0] < 0 || e[0] >= e[1] || int(e[1]) >= m.Nodes {
 			return nil, fmt.Errorf("slug: manifest boundary edge %d (%d,%d) malformed", i, e[0], e[1])
+		}
+		// Strictly increasing: a repeated edge would count twice in Cost().
+		if i > 0 && slices.Compare(m.Boundary[i-1][:], e[:]) >= 0 {
+			return nil, fmt.Errorf("slug: manifest boundary sidecar not strictly sorted at edge %d", i)
 		}
 	}
 	idDigests := make([]string, len(m.Shards))
@@ -283,8 +329,7 @@ func (m *Manifest) OpenShard(dir string, s int) (Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(raw)
-	if got := hex.EncodeToString(sum[:]); got != entry.Digest {
+	if got := digest(raw); got != entry.Digest {
 		return nil, fmt.Errorf("slug: shard %d file %s digest %.12s... does not match manifest %.12s... — refusing to federate a mismatched shard", s, entry.File, got, entry.Digest)
 	}
 	art, err := ReadFrom(bytes.NewReader(raw))
@@ -298,4 +343,57 @@ func (m *Manifest) OpenShard(dir string, s int) (Artifact, error) {
 		return nil, fmt.Errorf("slug: shard %d file has cost %d, manifest says %d", s, got, entry.Cost)
 	}
 	return art, nil
+}
+
+// artifactNodes returns the vertex count an artifact was built over, or
+// -1 when the concrete type doesn't expose it cheaply.
+func artifactNodes(a Artifact) int {
+	switch t := a.(type) {
+	case *Hierarchical:
+		return t.Summary.N
+	case *Mapped:
+		return t.cs.NumNodes()
+	}
+	return -1
+}
+
+// OpenSplit loads the split directory whose manifest is at
+// manifestPath back into the *Sharded it was split from: every shard
+// file through OpenShard's checks, every id map from its sidecar
+// (digest-checked against the manifest), the partition through
+// model.CheckSharding, and the whole against the manifest's epoch.
+// This is a federation coordinator's boot artifact.
+func OpenSplit(manifestPath string) (*Sharded, error) {
+	m, err := LoadManifest(manifestPath)
+	if err != nil {
+		return nil, err
+	}
+	dir := filepath.Dir(manifestPath)
+	k := m.NumShards()
+	a := &Sharded{algo: m.Algorithm, n: m.Nodes, Shards: make([]Artifact, k), GlobalID: make([][]int32, k), Boundary: m.Boundary}
+	for s, entry := range m.Shards {
+		if entry.IDMapFile == "" {
+			return nil, fmt.Errorf("slug: manifest shard %d names no id_map_file: split the build again to write its id maps", s)
+		}
+		if a.Shards[s], err = m.OpenShard(dir, s); err != nil {
+			return nil, err
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, entry.IDMapFile))
+		if err != nil {
+			return nil, err
+		}
+		if got := digest(raw); got != entry.IDMapDigest {
+			return nil, fmt.Errorf("slug: shard %d id map %s digest %.12s... does not match manifest %.12s...", s, entry.IDMapFile, got, entry.IDMapDigest)
+		}
+		if a.GlobalID[s], err = decodeIDMap(raw, entry.Nodes, m.Nodes); err != nil {
+			return nil, fmt.Errorf("slug: shard %d id map %s: %w", s, entry.IDMapFile, err)
+		}
+	}
+	if _, _, err := model.CheckSharding(a.GlobalID, a.Boundary); err != nil {
+		return nil, fmt.Errorf("slug: %w", err)
+	}
+	if got := a.Epoch(); got != m.Epoch {
+		return nil, fmt.Errorf("slug: split directory epoch %.12s... does not match its manifest %.12s...", got, m.Epoch)
+	}
+	return a, nil
 }
