@@ -129,15 +129,21 @@ func TestDecompressionReportsQueries(t *testing.T) {
 }
 
 func TestAlgorithmsOnSummaryAgree(t *testing.T) {
-	var buf bytes.Buffer
-	opt := Options{Scale: 0.05, Seed: 5, T: 3, Out: &buf}
-	res := AlgorithmsOnSummary(opt, "FA")
-	if len(res) != 4 {
-		t.Fatalf("algorithms = %d, want 4", len(res))
-	}
-	for _, r := range res {
-		if !r.Agrees {
-			t.Fatalf("%s disagrees between raw and summary", r.Algorithm)
+	// The second row is the command line's defaults at -scale 0.05.
+	for _, opt := range []Options{
+		{Scale: 0.05, Seed: 5, T: 3},
+		{Scale: 0.05, Seed: 0, T: 20},
+	} {
+		var buf bytes.Buffer
+		opt.Out = &buf
+		res := AlgorithmsOnSummary(opt, "FA")
+		if len(res) != 4 {
+			t.Fatalf("seed %d T %d: algorithms = %d, want 4", opt.Seed, opt.T, len(res))
+		}
+		for _, r := range res {
+			if !r.Agrees {
+				t.Errorf("seed %d T %d: %s disagrees between raw and summary", opt.Seed, opt.T, r.Algorithm)
+			}
 		}
 	}
 }

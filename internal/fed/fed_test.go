@@ -1,8 +1,9 @@
 package fed_test
 
-// End-to-end federation test: one coordinator and three shard servers,
-// each listening on its own real loopback TCP port (so a shard can be
-// killed and restarted on the same address), exercising query parity
+// End-to-end federation test: one coordinator and three shard servers
+// booted from a split directory, each shard listening on its own real
+// loopback TCP port (so a shard can be killed and restarted on the same
+// address), exercising query parity
 // against the raw graph and the compiled union, partial-failure semantics
 // (503 naming the dead shard while live shards keep answering), the
 // circuit breaker opening, and recovery after restart.
@@ -15,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -83,9 +85,9 @@ func (p *shardProc) restart(t *testing.T) {
 	p.serveOn(ln)
 }
 
-// federation assembles the full topology: a summarized 3-shard
-// build, three shard servers on loopback, a resilient client, and a
-// coordinator serving over httptest.
+// federation assembles the full topology: a summarized 3-shard build
+// read back from its split directory, three shard servers on loopback,
+// a resilient client, and a coordinator serving over httptest.
 type federation struct {
 	g      *graph.Graph
 	sh     *slug.Sharded
@@ -99,27 +101,46 @@ type federation struct {
 func buildFederation(t *testing.T, cfg fed.Config) *federation {
 	t.Helper()
 	g := graph.ErdosRenyi(300, 1500, 7)
-	sh, err := slug.SummarizeSharded(context.Background(), g, 3, slug.WithSeed(3))
+	built, err := slug.SummarizeSharded(context.Background(), g, 3, slug.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Boot as the binaries do from a split directory: each shard server
+	// mounts its file through Manifest.OpenShard (serve -shard-role),
+	// the coordinator loads the directory through slug.OpenSplit
+	// (fedserve -manifest).
+	dir := t.TempDir()
+	man, err := built.Split(dir, "v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := slug.OpenSplit(filepath.Join(dir, slug.ManifestFilename))
 	if err != nil {
 		t.Fatal(err)
 	}
 	epoch := sh.Epoch()
-	version := slug.EpochVersion(epoch)
+	if epoch != built.Epoch() || epoch != man.Epoch {
+		t.Fatalf("split directory epoch %s, build %s, manifest %s", epoch, built.Epoch(), man.Epoch)
+	}
 
-	procs := make([]*shardProc, sh.NumShards())
-	urls := make([][]string, sh.NumShards())
-	for s := 0; s < sh.NumShards(); s++ {
-		cs, err := sh.Shards[s].Queryable()
+	procs := make([]*shardProc, man.NumShards())
+	urls := make([][]string, man.NumShards())
+	for s := range man.NumShards() {
+		art, err := man.OpenShard(dir, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := art.Queryable()
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := serve.NewShard(cs, serve.ShardInfo{
 			Shard:     s,
-			Shards:    sh.NumShards(),
-			Epoch:     epoch,
-			Nodes:     len(sh.GlobalID[s]),
-			Version:   version,
-			Algorithm: sh.Algorithm(),
+			Shards:    man.NumShards(),
+			Epoch:     man.Epoch,
+			Nodes:     cs.NumNodes(),
+			Version:   slug.EpochVersion(man.Epoch),
+			Algorithm: man.Algorithm,
 		})
 		procs[s] = startShardProc(t, srv.Handler())
 		urls[s] = []string{procs[s].url()}
