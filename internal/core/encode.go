@@ -30,10 +30,11 @@ package core
 // The same independence goes one step further in Case 2: given the
 // ambient vector, the rows of A and the rows of B do not interact, and
 // what each root's rows cost depends on its pair with C alone. That
-// part (sideCosts) is computed once per cross entry by the program's
-// own row step, and the cost of a panel — all that scoring a candidate
-// merge needs — is a minimum over at most four sums (panelCost);
-// solveBip runs only where the nets themselves are wanted.
+// part (sideKernel, checked against the program's own row step in
+// sideCosts) is computed once per neighbour record, and the cost of a
+// panel — all that scoring a candidate merge and deciding keep need —
+// is a minimum over four sums (panelCost); solveBip runs only where the
+// nets of a winning rewrite are wanted.
 
 const inf = int64(1) << 50
 
@@ -287,26 +288,66 @@ func solveBip(p *bipProblem) bipPlan {
 
 // sideVec holds, for each ambient vector over the right atoms of a
 // Case-2 panel (bit j of the index is the ambient net of right atom j),
-// the cost sidesBest finds for the atoms of one left root. The slots a
-// single right atom does not have hold inf.
-type sideVec [1 << maxRight]int64
+// the cost sidesBest finds for the atoms of one left root, narrowed to
+// int32. The slots a single right atom does not have hold sideInf. A
+// finite slot is at most the pair's subedges + 2 (list every subedge
+// under one edge per layer), so it stays exact for any pair with fewer
+// than 2^31 - 3 subedges; larger values saturate at sideInf.
+type sideVec [1 << maxRight]int32
 
-// ambientCost[v] is the cheapest top and column nets realizing ambient
-// vector v in a Case-2 panel (offset 0): nothing, one column edge, or —
-// for both columns — the top edge alone. With one right atom there is
-// no column slot and the two vectors cost the top edge's 0 and 1.
-var ambientCost = sideVec{0, 1, 1, 1}
+const sideInf = int32(1<<31 - 1)
 
-// sideCosts returns the side vector of the problem's left atoms.
-func (p *bipProblem) sideCosts() sideVec {
+// narrowSide converts an exact side vector to a sideVec, saturating.
+func narrowSide(exact [1 << maxRight]int64) (s sideVec) {
+	for v, c := range exact {
+		s[v] = int32(min(c, int64(sideInf)))
+	}
+	return s
+}
+
+// sideCosts returns the exact side vector of the problem's left atoms by
+// the program's own row step: the reference sideKernel is checked
+// against (TestSideKernelMatchesSideCosts).
+func (p *bipProblem) sideCosts() [1 << maxRight]int64 {
 	p.finalize()
-	out := sideVec{inf, inf, inf, inf}
+	out := [1 << maxRight]int64{inf, inf, inf, inf}
 	var plan bipPlan
 	for v := 0; v < 1<<p.nRight; v++ {
 		base := [maxRight]int{v & 1, v >> 1}
 		out[v] = p.sidesBest(&base, &plan)
 	}
 	return out
+}
+
+// sideKernel returns the side vector sideCosts finds for the half of a
+// Case-2 panel that fillSide builds, straight from the block counts bc
+// (left atoms as rows) and the atom sizes: nl left atoms of sizes ls, nr
+// right atoms of sizes rs. Block (i,j) sits under the ambient net v_j
+// plus the left root's group net g (two atoms only) plus atom i's row
+// net r, each in {-1,0,1}, so every slot is a minimum over at most
+// 3 x 3 x 3 table sums; an absent right atom's blocks cost nothing.
+func sideKernel(bc *blockCounts, ls, rs *[2]int64, nl, nr int) sideVec {
+	var tab [2][2][tabLen]int64
+	for i := 0; i < nl; i++ {
+		for j := 0; j < nr; j++ {
+			tab[i][j] = blockTable(bc[i][j], ls[i]*rs[j])
+		}
+	}
+	// row is atom i's cheapest row net plus its blocks under column nets
+	// n0, n1 in [-1,2]: table index n+r-tabMin for r = -1, 0, 1.
+	row := func(i, n0, n1 int) int64 {
+		t := &tab[i]
+		return min(1+t[0][n0+1]+t[1][n1+1], t[0][n0+2]+t[1][n1+2], 1+t[0][n0+3]+t[1][n1+3])
+	}
+	out := [1 << maxRight]int64{inf, inf, inf, inf}
+	for v := 0; v < 1<<nr; v++ {
+		n0, n1 := v&1, v>>1
+		out[v] = row(0, n0, n1)
+		if nl == 2 {
+			out[v] = min(1+row(0, n0-1, n1-1)+row(1, n0-1, n1-1), out[v]+row(1, n0, n1), 1+row(0, n0+1, n1+1)+row(1, n0+1, n1+1))
+		}
+	}
+	return narrowSide(out)
 }
 
 // zeroSide[nl-1][nr-1] is the side vector of a left root with nl atoms
@@ -327,7 +368,7 @@ var zeroSide = func() (z [2][maxRight]sideVec) {
 				p.rowOK[i] = true
 				p.leftSizes[i] = 1
 			}
-			z[nl-1][nr-1] = p.sideCosts()
+			z[nl-1][nr-1] = narrowSide(p.sideCosts())
 		}
 	}
 	return z
@@ -335,15 +376,13 @@ var zeroSide = func() (z [2][maxRight]sideVec) {
 
 // panelCost returns the optimum of the Case-2 panel whose two left
 // roots have side vectors x and y towards the right root: solveBip's
-// cost for that problem, without building it.
+// cost for that problem, without building it. Ambient vector 0 costs no
+// edge; each other one costs one — a column edge, or for both columns
+// the top edge alone. With one right atom the vectors past 1 are
+// sideInf, and the sums stay in int64.
 func panelCost(x, y *sideVec) int64 {
-	best := inf
-	for v, c := range ambientCost {
-		if c += x[v] + y[v]; c < best {
-			best = c
-		}
-	}
-	return best
+	return min(int64(x[0])+int64(y[0]), 1+int64(x[1])+int64(y[1]),
+		1+int64(x[2])+int64(y[2]), 1+int64(x[3])+int64(y[3]))
 }
 
 // materializeBip converts a plan into concrete signed edges appended

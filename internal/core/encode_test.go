@@ -192,7 +192,7 @@ func TestPanelCostMatchesSolveBip(t *testing.T) {
 				}
 				leftSizes, groupOf, cnt = append(leftSizes, size), append(groupOf, grp), append(cnt, row)
 			}
-			sides[s] = buildProblem(leftSizes[lo:], groupOf[lo:], rightSizes, cnt[lo:], 0).sideCosts()
+			sides[s] = narrowSide(buildProblem(leftSizes[lo:], groupOf[lo:], rightSizes, cnt[lo:], 0).sideCosts())
 			if zero := zeroSide[na-1][len(rightSizes)-1]; empty && sides[s] != zero {
 				t.Fatalf("trial %d: side vector of an empty root with sizes %v x %v is %v, zeroSide says %v",
 					trial, leftSizes[lo:], rightSizes, sides[s], zero)
@@ -202,6 +202,87 @@ func TestPanelCostMatchesSolveBip(t *testing.T) {
 		if got, want := panelCost(&sides[0], &sides[1]), solveBip(p).cost; got != want {
 			t.Fatalf("trial %d: panelCost %d, solveBip %d for sizes %v x %v groups %v counts %v",
 				trial, got, want, leftSizes, rightSizes, groupOf, cnt)
+		}
+	}
+}
+
+// checkSideKernel compares sideKernel with the reference DP on a left
+// root with atom sizes ls[:nl] against a right root with atom sizes
+// rs[:nr] and block counts bc: the kernel must give the DP's exact
+// vector narrowed to int32, and every slot the right root has must be at
+// most the pair's subedges + 2, the bound that keeps the narrowing exact
+// for any pair an int32 edge count can hold.
+func checkSideKernel(t testing.TB, bc blockCounts, ls, rs [2]int64, nl, nr int) {
+	t.Helper()
+	groupOf := []int8{-1}
+	if nl == 2 {
+		groupOf = []int8{0, 0}
+	}
+	cnt := make([][]int64, nl)
+	for i := range cnt {
+		cnt[i] = bc[i][:nr]
+	}
+	exact := buildProblem(ls[:nl], groupOf, rs[:nr], cnt, 0).sideCosts()
+	got := sideKernel(&bc, &ls, &rs, nl, nr)
+	for v, c := range exact {
+		if v < 1<<nr && c > bc.total()+2 {
+			t.Fatalf("sizes %v x %v counts %v: slot %d costs %d, above subedges + 2", ls, rs, bc, v, c)
+		}
+		if want := min(c, int64(sideInf)); int64(got[v]) != want {
+			t.Fatalf("sizes %v x %v counts %v: kernel %v, DP %v narrows to %d at slot %d", ls, rs, bc, got, exact, want, v)
+		}
+	}
+}
+
+// The kernel against the DP for every (left atoms, right atoms) in
+// {1,2}^2: every count of every block for atoms of sizes 1 and 2, and
+// for atoms whose size products exceed 2^31 the empty, single, half,
+// all-but-one and full count of every block, so that slots past int32
+// saturate.
+func TestSideKernelMatchesSideCosts(t *testing.T) {
+	for nl := 1; nl <= 2; nl++ {
+		for nr := 1; nr <= 2; nr++ {
+			var bc blockCounts
+			var ls, rs [2]int64
+			// each sets the counts of blocks k.. to every combination of
+			// counts(i, j, total) and checks each.
+			var each func(k int, counts func(total int64) []int64)
+			each = func(k int, counts func(total int64) []int64) {
+				if k == nl*nr {
+					checkSideKernel(t, bc, ls, rs, nl, nr)
+					return
+				}
+				i, j := k/nr, k%nr
+				for _, c := range counts(ls[i] * rs[j]) {
+					bc[i][j] = c
+					each(k+1, counts)
+				}
+				bc[i][j] = 0
+			}
+			all := func(total int64) (cs []int64) {
+				for c := int64(0); c <= total; c++ {
+					cs = append(cs, c)
+				}
+				return cs
+			}
+			for sizes := 0; sizes < 1<<(nl+nr); sizes++ {
+				ls, rs = [2]int64{}, [2]int64{}
+				for i := 0; i < nl; i++ {
+					ls[i] = 1 + int64(sizes>>i&1)
+				}
+				for j := 0; j < nr; j++ {
+					rs[j] = 1 + int64(sizes>>(nl+j)&1)
+				}
+				each(0, all)
+			}
+			ls, rs = [2]int64{}, [2]int64{}
+			for i := 0; i < nl; i++ {
+				ls[i] = 1<<16 + 3 + int64(i)
+			}
+			for j := 0; j < nr; j++ {
+				rs[j] = 1<<17 - 1 - int64(j)
+			}
+			each(0, func(total int64) []int64 { return []int64{0, 1, total / 2, total - 1, total} })
 		}
 	}
 }

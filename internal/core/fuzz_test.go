@@ -81,3 +81,27 @@ func FuzzScoreMatchesPlan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSideKernel compares sideKernel with the reference DP
+// (bipProblem.sideCosts, checkSideKernel) on fuzz-chosen atom counts,
+// atom sizes up to 2^20 — products past 2^31 — and block counts anywhere
+// in [0, size product].
+func FuzzSideKernel(f *testing.F) {
+	f.Add(uint8(0), uint32(0), uint32(0), uint32(0), uint32(0), uint64(1), uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(3), uint32(4), uint32(1), uint32(2), uint32(7), uint64(9), uint64(3), uint64(0), uint64(40))
+	f.Add(uint8(3), uint32(1<<20-1), uint32(1<<19), uint32(1<<20-2), uint32(3), uint64(1<<39), uint64(7), uint64(1<<38), uint64(5))
+	f.Fuzz(func(t *testing.T, shape uint8, l0, l1, r0, r1 uint32, c00, c01, c10, c11 uint64) {
+		nl, nr := 1+int(shape&1), 1+int(shape>>1&1)
+		size := func(x uint32) int64 { return 1 + int64(x%(1<<20)) }
+		ls, rs := [2]int64{size(l0), size(l1)}, [2]int64{size(r0), size(r1)}
+		ls[1] *= int64(nl - 1)
+		rs[1] *= int64(nr - 1)
+		var bc blockCounts
+		for k, c := range []uint64{c00, c01, c10, c11} {
+			if i, j := k/2, k%2; i < nl && j < nr {
+				bc[i][j] = int64(c % uint64(ls[i]*rs[j]+1))
+			}
+		}
+		checkSideKernel(t, bc, ls, rs, nl, nr)
+	})
+}

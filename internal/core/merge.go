@@ -12,7 +12,7 @@ import "math"
 // here visits the graph. Scoring a partner (scoreMerge) builds no
 // panel problem for the neighbours of the pair: what each neighbour's
 // re-encoding would save is a minimum over sums of two side vectors
-// stored on the cross entries. Only the winner is planned
+// stored in the roots' neighbour records. Only the winner is planned
 // (evaluateMerge), with the exact solves whose plans commitMerge
 // materializes. Transient objects (panel problems, decisions) are
 // recycled through the caller's gctx; commits allocate only the
@@ -61,36 +61,9 @@ func blockMin(gt, total int64) int64 {
 	return gt
 }
 
-// case2Bound computes, without building the problem, a lower bound on
-// any panel rewrite of the (A∪B, C) encoding: the sum of per-block
-// minima over the atoms of A, B and C.
-func (st *state) case2Bound(a, b, c int32, bcA, bcB blockCounts) int64 {
-	var lb, gtTotal int64
-	catoms := st.atomsOf(c)
-	nc := numAtoms(catoms)
-	for s, x := range [2]int32{a, b} {
-		bc := bcA
-		if s == 1 {
-			bc = bcB
-		}
-		atoms := st.atomsOf(x)
-		na := numAtoms(atoms)
-		for i := 0; i < na; i++ {
-			for j := 0; j < nc; j++ {
-				gt := bc[i][j]
-				gtTotal += gt
-				lb += blockMin(gt, int64(st.size[atoms[i]])*int64(st.size[catoms[j]]))
-			}
-		}
-	}
-	// Any panel with subedges needs at least one signed edge.
-	if lb == 0 && gtTotal > 0 {
-		lb = 1
-	}
-	return lb
-}
-
-// case1Bound is the analogous bound for the cross(A,B) blocks.
+// case1Bound computes, without building the problem, a lower bound on
+// any panel rewrite of the cross(A,B) blocks: the sum of per-block
+// minima over the atoms of A and B.
 func (st *state) case1Bound(a, b int32, bc blockCounts) int64 {
 	var lb, gtTotal int64
 	aAtoms := st.atomsOf(a)
@@ -210,7 +183,10 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, eAB *crossEntry) withi
 	wB := int64(len(st.within[b]))
 	keepCost := wA + wB + eAB.numEdges()
 	bc := eAB.counts(a)
-	lb := st.case1Bound(a, b, bc)
+	var lb int64 // the blocks of a pair that is not adjacent are empty
+	if eAB != nil {
+		lb = st.case1Bound(a, b, bc)
+	}
 
 	var prob1 *bipProblem
 	rewriteCost := inf
@@ -273,32 +249,38 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, eAB *crossEntry) withi
 }
 
 // computeCrossPlan evaluates keeping versus rewriting the encoding
-// between the merged tree and root C, given the (A,C) and (B,C) entries
-// (either may be nil). The context's scratch problem avoids allocation;
-// it is copied into a pooled problem only when a rewrite wins.
-func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, eA, eB *crossEntry) crossPlan {
-	keepCost := eA.numEdges() + eB.numEdges()
-	bcA, bcB := eA.counts(a), eB.counts(b)
-	if st.case2Bound(a, b, c, bcA, bcB) >= keepCost {
+// between the merged tree and root C, given A's and B's records towards
+// C (either may be nil). The panel's optimum is panelCost of the two
+// stored sides, so keep is decided without a solve; solveBip runs only
+// when a rewrite wins, for the nets commitMerge materializes.
+func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, rA, rB *nbr) crossPlan {
+	nc := numAtoms(st.atomsOf(c))
+	var eA, eB *crossEntry
+	var keepCost int64
+	sA, sB := &zeroSide[numAtoms(st.atomsOf(a))-1][nc-1], &zeroSide[numAtoms(st.atomsOf(b))-1][nc-1]
+	if rA != nil {
+		eA, sA = rA.e, &rA.side
+		keepCost += int64(rA.n)
+	}
+	if rB != nil {
+		eB, sB = rB.e, &rB.side
+		keepCost += int64(rB.n)
+	}
+	if panelCost(sA, sB) >= keepCost {
 		return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost}
 	}
-	scratch := &ctx.scratch
-	st.fillCase2(scratch, mid, a, b, c, bcA, bcB)
-	plan := solveBip(scratch)
-	if plan.cost < keepCost {
-		prob := ctx.getProb()
-		*prob = *scratch
-		return crossPlan{c: c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: keepCost}
-	}
-	return crossPlan{c: c, keep: true, cost: keepCost, keepCost: keepCost}
+	prob := ctx.getProb()
+	st.fillCase2(prob, mid, a, b, c, eA.counts(a), eB.counts(b))
+	plan := solveBip(prob)
+	return crossPlan{c: c, keep: false, prob: prob, plan: plan, cost: plan.cost, keepCost: keepCost}
 }
 
 // mergeDenom returns the Eq. (8) denominator of merging roots a and b,
-// whose entry is eAB (nil when they are not adjacent), and whether the
+// whose entry has nAB edges (0 when they are not adjacent), and whether the
 // merge is feasible: the denominator is positive and the merged tree
 // respects the height bound hb (hb <= 0 means unbounded — the original
 // SLUGGER).
-func (st *state) mergeDenom(a, b int32, eAB *crossEntry, hb int) (int64, bool) {
+func (st *state) mergeDenom(a, b int32, nAB int64, hb int) (int64, bool) {
 	if hb > 0 {
 		h := st.height[a]
 		if st.height[b] > h {
@@ -308,7 +290,7 @@ func (st *state) mergeDenom(a, b int32, eAB *crossEntry, hb int) (int64, bool) {
 			return 0, false
 		}
 	}
-	denom := st.rootCost(a) + st.rootCost(b) - eAB.numEdges()
+	denom := st.rootCost(a) + st.rootCost(b) - nAB
 	return denom, denom > 0
 }
 
@@ -343,38 +325,41 @@ func (p partner) beats(best partner) bool {
 func (st *state) scoreMerge(ctx *gctx, b int32, hb int, minSaving float64) (p partner, ok bool) {
 	pop := &ctx.pop
 	a := pop.a
-	eAB := pop.entry(b)
-	denom, ok := st.mergeDenom(a, b, eAB, hb)
+	var eAB *crossEntry
+	var nAB int64
+	if r := pop.record(b); r != nil {
+		eAB, nAB = r.e, int64(r.n)
+	}
+	denom, ok := st.mergeDenom(a, b, nAB, hb)
 	if !ok {
 		return p, false
 	}
 	w := st.computeWithinPlan(ctx, a, b, eAB)
 	ctx.putProb(w.prob)
-	wA, wB, nAB := int64(len(st.within[a])), int64(len(st.within[b])), eAB.numEdges()
+	wA, wB := int64(len(st.within[a])), int64(len(st.within[b]))
 	num := st.hCost[a] + st.hCost[b] + 2 + w.cost + (st.pcost[a] - wA - nAB) + (st.pcost[b] - wB - nAB)
 
 	// A neighbour's gain is what its panel saves over the edges kept.
 	nA, nB := numAtoms(st.atomsOf(a)), numAtoms(st.atomsOf(b))
-	for _, nb := range st.nbrs[b] {
-		c, eB := nb.c, nb.e
+	lb := st.nbrs[b]
+	for i := range lb {
+		rB := &lb[i]
+		c := rB.c
 		if c == a {
 			continue
 		}
-		sB, loose := eB.side(b)
-		if eA := pop.entry(c); eA != nil {
-			sA, _ := eA.side(a)
-			num -= max(0, eA.numEdges()+eB.numEdges()-panelCost(sA, sB))
-		} else if loose {
-			num -= max(0, eB.numEdges()-panelCost(&zeroSide[nA-1][numAtoms(st.atomsOf(c))-1], sB))
+		if rA := pop.record(c); rA != nil {
+			num -= max(0, int64(rA.n)+int64(rB.n)-panelCost(&rA.side, &rB.side))
+		} else if rB.loose {
+			num -= max(0, int64(rB.n)-panelCost(&zeroSide[nA-1][numAtoms(st.atomsOf(c))-1], &rB.side))
 		}
 	}
 	for _, c := range pop.loose {
 		if _, common := st.find(b, c); common || c == b {
 			continue
 		}
-		eA := pop.entry(c)
-		sA, _ := eA.side(a)
-		num -= max(0, eA.numEdges()-panelCost(sA, &zeroSide[nB-1][numAtoms(st.atomsOf(c))-1]))
+		rA := pop.record(c)
+		num -= max(0, int64(rA.n)-panelCost(&rA.side, &zeroSide[nB-1][numAtoms(st.atomsOf(c))-1]))
 	}
 
 	// numCutoff over-approximates the largest numerator still achieving
@@ -401,7 +386,7 @@ func (st *state) scoreMerge(ctx *gctx, b int32, hb int, minSaving float64) (p pa
 // the decision are ascending in c: a merge of the two neighbour lists.
 func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int) *mergeDecision {
 	eAB := st.entry(a, b)
-	denom, ok := st.mergeDenom(a, b, eAB, hb)
+	denom, ok := st.mergeDenom(a, b, eAB.numEdges(), hb)
 	if !ok {
 		return nil
 	}
@@ -419,19 +404,19 @@ func (st *state) evaluateMerge(ctx *gctx, a, b, mid int32, hb int) *mergeDecisio
 		if j < len(lb) && lb[j].c < c {
 			c = lb[j].c
 		}
-		var eA, eB *crossEntry
+		var rA, rB *nbr
 		if i < len(la) && la[i].c == c {
-			eA = la[i].e
+			rA = &la[i]
 			i++
 		}
 		if j < len(lb) && lb[j].c == c {
-			eB = lb[j].e
+			rB = &lb[j]
 			j++
 		}
 		if c == a || c == b {
 			continue
 		}
-		cp := st.computeCrossPlan(ctx, mid, a, b, c, eA, eB)
+		cp := st.computeCrossPlan(ctx, mid, a, b, c, rA, rB)
 		dec.crosses = append(dec.crosses, cp)
 		num += cp.cost
 	}
@@ -509,8 +494,8 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	ctx.edgeBuf = buf[:0]
 
 	// Materialize the cross entries before mutating locators. The block
-	// counts of (M,C) follow from those of (A,C) and (B,C), and the side
-	// vectors from the counts.
+	// counts of (M,C) follow from those of (A,C) and (B,C), and the
+	// records' side vectors from the counts.
 	newEntries := make([]*crossEntry, len(dec.crosses))
 	for i := range dec.crosses {
 		cp := &dec.crosses[i]
@@ -526,7 +511,7 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 		} else {
 			buf = st.materializeBip(ctx, buf, cp.prob, &cp.plan)
 		}
-		newEntries[i] = st.newCrossEntry(&ctx.scratch, exactEdges(buf), m, cp.c, mergedRows(eA.counts(a), eB.counts(b)))
+		newEntries[i] = &crossEntry{edges: exactEdges(buf), row: m, blocks: mergedRows(eA.counts(a), eB.counts(b))}
 		ctx.edgeBuf = buf[:0]
 	}
 
@@ -543,13 +528,14 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 		cp := &dec.crosses[i]
 		c := cp.c
 		entry := newEntries[i]
-		st.nbrs[m][i] = nbr{c, entry}
+		st.nbrs[m][i] = st.record(m, c, entry)
+		rec := st.record(c, m, entry)
 		delta := int64(len(entry.edges)) - cp.keepCost
 		mu := st.stripe(c)
 		mu.Lock()
 		st.del(c, a)
 		st.del(c, b)
-		st.set(c, m, entry)
+		st.set(c, rec)
 		st.pcost[c] += delta
 		mu.Unlock()
 		crossTotal += int64(len(entry.edges))
@@ -564,6 +550,10 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	st.parent[b] = m
 	st.within[a] = nil
 	st.within[b] = nil
+	// A leaf's list is a window of newState's one backing array: zero it,
+	// so that the array does not keep the dead entries reachable.
+	clear(st.nbrs[a])
+	clear(st.nbrs[b])
 	st.nbrs[a] = nil
 	st.nbrs[b] = nil
 	st.pcost[a] = 0

@@ -60,16 +60,14 @@ func flattenCrossEntries(st *state, ctx *gctx) int {
 			}
 			flat := exactEdges(st.appendBlockEdges(ctx, nil, x, y, 1))
 			d := int64(len(flat) - len(e.edges))
-			e = st.newCrossEntry(&ctx.scratch, flat, x, y, e.counts(x))
-			st.set(x, y, e)
-			st.set(y, x, e)
-			st.pcost[x] += d
-			st.pcost[y] += d
-			for _, l := range e.loose {
-				if l {
+			linkEntry(st, x, y, &crossEntry{edges: flat, row: x, blocks: e.counts(x)})
+			for _, r := range [][2]int32{{x, y}, {y, x}} {
+				if i, _ := st.find(r[0], r[1]); st.nbrs[r[0]][i].loose {
 					loose++
 				}
 			}
+			st.pcost[x] += d
+			st.pcost[y] += d
 		}
 	}
 	return loose

@@ -25,10 +25,6 @@ type gctx struct {
 	mark  []int32
 	epoch int32
 
-	// Scratch problem of the planner's Case-2 solves and of the side
-	// vectors of the entries a commit builds.
-	scratch bipProblem
-
 	// Free-lists.
 	probFree []*bipProblem
 	decFree  []*mergeDecision
@@ -47,10 +43,10 @@ type gctx struct {
 }
 
 // popInfo is what every partner evaluation of one pop shares about the
-// popped root A: a dense lookup of A's cross entries by neighbour id and
-// the neighbours whose entry is loose from A's side. The slots are
-// epoch-stamped, so a pop costs O(deg A) and nothing is reset. It is
-// written by stampPop only and read by scoreMerge on the same context.
+// popped root A: a dense copy of A's neighbour records by neighbour id
+// and the neighbours whose record is loose. The slots are epoch-stamped,
+// so a pop costs O(deg A) and nothing is reset. It is written by
+// stampPop only and read by scoreMerge on the same context.
 type popInfo struct {
 	a     int32
 	epoch int32
@@ -59,32 +55,35 @@ type popInfo struct {
 }
 
 type popSlot struct {
+	rec   nbr
 	epoch int32
-	e     *crossEntry
 }
 
-// stampPop records root a's cross entries in the context's popInfo.
+// stampPop copies root a's neighbour records into the context's popInfo.
 func (ctx *gctx) stampPop(a int32) {
 	pop := &ctx.pop
-	if n := len(ctx.st.nbrs); len(pop.slots) < n {
-		pop.slots = make([]popSlot, n)
+	if len(pop.slots) < len(ctx.st.nbrs) {
+		// Every id a build allocates (at most 2n - 1: the merged ids plus
+		// one reserved block of fewer than n) fits the capacity newState
+		// gives the id space, so the slots are made once per context.
+		pop.slots = make([]popSlot, cap(ctx.st.nbrs))
 	}
 	pop.a = a
 	pop.epoch++
 	pop.loose = pop.loose[:0]
 	for _, nb := range ctx.st.nbrs[a] {
-		pop.slots[nb.c] = popSlot{pop.epoch, nb.e}
-		if _, loose := nb.e.side(a); loose {
+		pop.slots[nb.c] = popSlot{nb, pop.epoch}
+		if nb.loose {
 			pop.loose = append(pop.loose, nb.c)
 		}
 	}
 }
 
-// entry returns the popped root's cross entry towards root c, nil when
-// they are not adjacent.
-func (pop *popInfo) entry(c int32) *crossEntry {
+// record returns the popped root's record towards root c, nil when they
+// are not adjacent.
+func (pop *popInfo) record(c int32) *nbr {
 	if s := &pop.slots[c]; s.epoch == pop.epoch {
-		return s.e
+		return &s.rec
 	}
 	return nil
 }

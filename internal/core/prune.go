@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -27,10 +28,24 @@ type pruner struct {
 	parent   []int32
 	children [][]int32
 	alive    []bool
-	adj      []map[int32]int32 // supernode -> partner -> net (nonzero)
-	totalPN  int64             // sum over pairs of |net|
-	totalH   int64             // alive supernodes with a parent
+	adj      [][]pnet // per supernode, its nonzero nets ascending by partner
+	totalPN  int64    // sum over pairs of |net|
+	totalH   int64    // alive supernodes with a parent
 	rng      *rand.Rand
+	items    []pairItem // step3's scratch, kept across rounds
+}
+
+// pairItem is one nonzero net, or one subedge of the input graph, between
+// two trees, keyed by the trees' root pair.
+type pairItem struct {
+	key  uint64 // the root pair, the smaller root in the high word
+	a, b int32
+	net  int32 // 0: a subedge of the input graph
+}
+
+// pnet is the net signed-edge count between a supernode and partner b.
+type pnet struct {
+	b, net int32
 }
 
 func newPruner(st *state) *pruner {
@@ -40,7 +55,7 @@ func newPruner(st *state) *pruner {
 		parent:   append([]int32(nil), st.parent...),
 		children: make([][]int32, total),
 		alive:    make([]bool, total),
-		adj:      make([]map[int32]int32, total),
+		adj:      make([][]pnet, total),
 		rng:      st.rng,
 	}
 	for id := 0; id < total; id++ {
@@ -50,26 +65,54 @@ func newPruner(st *state) *pruner {
 			continue
 		}
 		p.alive[id] = true
-		p.adj[id] = make(map[int32]int32)
 		if pr := st.parent[id]; pr >= 0 {
 			p.children[pr] = append(p.children[pr], int32(id))
 			p.totalH++
 		}
 	}
-	for _, r := range st.roots() {
-		for _, e := range st.within[r] {
-			p.addNet(e.a, e.b, int32(e.sign))
+	// Gather every signed edge at both endpoints (a loop once), then sort
+	// each list and fold repeated pairs into their net.
+	add := func(es []sedge) {
+		for _, e := range es {
+			p.adj[e.a] = append(p.adj[e.a], pnet{e.b, int32(e.sign)})
+			if e.a != e.b {
+				p.adj[e.b] = append(p.adj[e.b], pnet{e.a, int32(e.sign)})
+			}
 		}
+	}
+	for _, r := range st.roots() {
+		add(st.within[r])
 		for _, nb := range st.nbrs[r] {
 			if nb.c > r {
-				continue // each entry shared by both endpoints; add once
+				add(nb.e.edges) // each entry shared by both endpoints; add once
 			}
-			for _, e := range nb.e.edges {
-				p.addNet(e.a, e.b, int32(e.sign))
+		}
+	}
+	for a, l := range p.adj {
+		slices.SortFunc(l, func(x, y pnet) int { return cmp.Compare(x.b, y.b) })
+		out := l[:0]
+		for _, x := range l {
+			if k := len(out) - 1; k >= 0 && out[k].b == x.b {
+				out[k].net += x.net
+			} else {
+				out = append(out, x)
+			}
+		}
+		l = slices.DeleteFunc(out, func(x pnet) bool { return x.net == 0 })
+		p.adj[a] = l
+		for _, x := range l {
+			if x.b >= int32(a) {
+				p.totalPN += int64(absInt32(x.net))
 			}
 		}
 	}
 	return p
+}
+
+// find returns the position of partner b in a's list, or where it
+// would be inserted, and whether it is there.
+func (p *pruner) find(a, b int32) (int, bool) {
+	return slices.BinarySearchFunc(p.adj[a], b, func(x pnet, b int32) int { return cmp.Compare(x.b, b) })
 }
 
 // addNet adjusts the net signed-edge count between supernodes a and b.
@@ -77,23 +120,28 @@ func (p *pruner) addNet(a, b int32, delta int32) {
 	if delta == 0 {
 		return
 	}
-	if a > b {
-		a, b = b, a
-	}
-	old := p.adj[a][b]
-	nw := old + delta
-	p.totalPN += int64(absInt32(nw)) - int64(absInt32(old))
-	if nw == 0 {
-		delete(p.adj[a], b)
-		if a != b {
-			delete(p.adj[b], a)
-		}
-		return
-	}
-	p.adj[a][b] = nw
+	old := p.bump(a, b, delta)
 	if a != b {
-		p.adj[b][a] = nw
+		p.bump(b, a, delta)
 	}
+	p.totalPN += int64(absInt32(old+delta)) - int64(absInt32(old))
+}
+
+// bump adds delta to a's net towards b in a's list alone, returning the
+// old net.
+func (p *pruner) bump(a, b, delta int32) int32 {
+	i, ok := p.find(a, b)
+	l := p.adj[a]
+	switch {
+	case !ok:
+		p.adj[a] = slices.Insert(l, i, pnet{b, delta})
+		return 0
+	case l[i].net+delta == 0:
+		p.adj[a] = slices.Delete(l, i, i+1)
+		return -delta
+	}
+	l[i].net += delta
+	return l[i].net - delta
 }
 
 func absInt32(x int32) int32 {
@@ -217,10 +265,7 @@ func (p *pruner) step2() bool {
 		if !p.alive[a] || p.parent[a] >= 0 || len(p.children[a]) == 0 || len(p.adj[a]) != 1 {
 			continue
 		}
-		var b, net int32
-		for partner, n := range p.adj[a] {
-			b, net = partner, n
-		}
+		b, net := p.adj[a][0].b, p.adj[a][0].net
 		if b == a || absInt32(net) != 1 {
 			continue // self-loop or multi-edge: not eligible
 		}
@@ -258,13 +303,16 @@ func (p *pruner) step3() bool {
 		return r
 	}
 
-	// Current encoding cost and pair list per root pair.
-	type bucket struct {
-		cur   int64
-		pairs [][2]int32
-		gt    int64
+	// One item per nonzero net and per subedge between two trees;
+	// sorting groups each root pair's items together. Each pair's
+	// decision touches only the nets between its own trees, so the pairs
+	// are settled in any order. There are at most totalPN nets and |E|
+	// subedges, so the buffer never grows.
+	st := p.st
+	if need := int(p.totalPN + st.g.NumEdges()); cap(p.items) < need {
+		p.items = make([]pairItem, 0, need)
 	}
-	buckets := make(map[uint64]*bucket)
+	items := p.items[:0]
 	key := func(x, y int32) uint64 {
 		if x > y {
 			x, y = y, x
@@ -272,96 +320,69 @@ func (p *pruner) step3() bool {
 		return uint64(x)<<32 | uint64(uint32(y))
 	}
 	for a := int32(0); a < p.st.next; a++ {
-		for b, net := range p.adj[a] {
-			if b < a {
+		for _, x := range p.adj[a] {
+			if x.b < a {
 				continue
 			}
-			ra, rb := rootOfSuper(a), rootOfSuper(b)
-			if ra == rb {
-				continue // within-tree encodings are not touched by step 3
+			if ra, rb := rootOfSuper(a), rootOfSuper(x.b); ra != rb {
+				// Within-tree encodings are not touched by step 3.
+				items = append(items, pairItem{key(ra, rb), a, x.b, x.net})
 			}
-			k := key(ra, rb)
-			bk := buckets[k]
-			if bk == nil {
-				bk = &bucket{}
-				buckets[k] = bk
-			}
-			bk.cur += int64(absInt32(net))
-			bk.pairs = append(bk.pairs, [2]int32{a, b})
 		}
 	}
-	// Ground-truth cross counts per root pair.
-	st := p.st
 	for v := int32(0); v < st.n; v++ {
 		rv := rootOfSuper(v)
 		for _, w := range st.g.Neighbors(v) {
-			if w <= v {
-				continue
+			if rw := rootOfSuper(w); w > v && rv != rw {
+				items = append(items, pairItem{key(rv, rw), v, w, 0})
 			}
-			rw := rootOfSuper(w)
-			if rv == rw {
-				continue
-			}
-			k := key(rv, rw)
-			bk := buckets[k]
-			if bk == nil {
-				bk = &bucket{}
-				buckets[k] = bk
-			}
-			bk.gt++
 		}
 	}
+	slices.SortFunc(items, func(x, y pairItem) int { return cmp.Compare(x.key, y.key) })
 
-	// Decide replacements.
-	type replacement struct {
-		ra, rb    int32
-		superedge bool
-	}
-	replaced := make(map[uint64]*replacement)
 	changed := false
 	ctx := st.getCtx() // vertex marks for addMissingPairs
 	defer st.putCtx(ctx)
-	for k, bk := range buckets {
-		ra := int32(k >> 32)
-		rb := int32(uint32(k))
-		t := int64(st.size[ra]) * int64(st.size[rb])
-		flat := bk.gt
-		superedge := false
-		if 1+t-bk.gt < flat {
-			flat = 1 + t - bk.gt
-			superedge = true
+	for lo := 0; lo < len(items); {
+		k := items[lo].key
+		hi := lo
+		var cur, gt int64
+		for ; hi < len(items) && items[hi].key == k; hi++ {
+			if net := items[hi].net; net != 0 {
+				cur += int64(absInt32(net))
+			} else {
+				gt++
+			}
 		}
-		if flat >= bk.cur {
+		group := items[lo:hi]
+		lo = hi
+		// The optimal flat encoding of the pair: list its subedges, or one
+		// superedge and its non-edges carved out.
+		ra, rb := int32(k>>32), int32(uint32(k))
+		t := int64(st.size[ra]) * int64(st.size[rb])
+		flat, superedge := gt, false
+		if 1+t-gt < flat {
+			flat, superedge = 1+t-gt, true
+		}
+		if flat >= cur {
 			continue
 		}
-		for _, pr := range bk.pairs {
-			p.addNet(pr[0], pr[1], -p.adj[pr[0]][pr[1]])
+		for _, it := range group {
+			if it.net != 0 {
+				p.addNet(it.a, it.b, -it.net)
+			}
 		}
-		replaced[k] = &replacement{ra: ra, rb: rb, superedge: superedge}
 		if superedge {
 			p.addNet(ra, rb, 1)
 			p.addMissingPairs(ctx, ra, rb)
-		}
-		changed = true
-	}
-	if len(replaced) > 0 {
-		// One sweep over the graph materializes the listed subedges of
-		// every replaced pair that chose listing.
-		for v := int32(0); v < st.n; v++ {
-			rv := rootOfSuper(v)
-			for _, w := range st.g.Neighbors(v) {
-				if w <= v {
-					continue
-				}
-				rw := rootOfSuper(w)
-				if rv == rw {
-					continue
-				}
-				if rep, ok := replaced[key(rv, rw)]; ok && !rep.superedge {
-					p.addNet(v, w, 1)
+		} else {
+			for _, it := range group {
+				if it.net == 0 {
+					p.addNet(it.a, it.b, 1)
 				}
 			}
 		}
+		changed = true
 	}
 	return changed
 }
@@ -445,24 +466,19 @@ func (p *pruner) emit() *model.Summary {
 	}
 	var edges []model.Edge
 	for a := int32(0); a < st.next; a++ {
-		// Iterate partners in sorted order: map order would make the
-		// emitted edge list — and hence serialized artifacts — differ
-		// between runs with identical seeds.
-		partners := make([]int32, 0, len(p.adj[a]))
-		for b := range p.adj[a] {
-			if b >= a {
-				partners = append(partners, b)
+		// Partners in ascending order, as the lists keep them: the emitted
+		// edge list — and hence serialized artifacts — is a function of the
+		// nets alone.
+		for _, x := range p.adj[a] {
+			if x.b < a {
+				continue
 			}
-		}
-		sort.Slice(partners, func(i, j int) bool { return partners[i] < partners[j] })
-		for _, b := range partners {
-			net := p.adj[a][b]
 			sign := int8(1)
-			if net < 0 {
+			if x.net < 0 {
 				sign = -1
 			}
-			for k := int32(0); k < absInt32(net); k++ {
-				edges = append(edges, model.Edge{A: remap[a], B: remap[b], Sign: sign})
+			for k := int32(0); k < absInt32(x.net); k++ {
+				edges = append(edges, model.Edge{A: remap[a], B: remap[x.b], Sign: sign})
 			}
 		}
 	}

@@ -87,8 +87,7 @@ func TestStep2FlipsOppositeEdges(t *testing.T) {
 	st.commitMerge(ctx, dec, m)
 	entry := &crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}},
 		row: m, blocks: blockCounts{{1, 0}, {0, 0}}}
-	st.set(m, 2, entry)
-	st.set(2, m, entry)
+	linkEntry(st, m, 2, entry)
 	pr := newPruner(st)
 	// Sanity: pre-prune model is exact.
 	if err := pr.emit().Validate(g); err != nil {
@@ -129,7 +128,7 @@ func TestStep3AdoptsFlatEncoding(t *testing.T) {
 	if pr.totalPN != 1 {
 		t.Fatalf("post-step3 p/n edges = %d, want 1", pr.totalPN)
 	}
-	if pr.adj[m][2] != 1 {
+	if i, ok := pr.find(m, 2); !ok || pr.adj[m][i].net != 1 {
 		t.Fatalf("expected superedge (M,2), adj = %v", pr.adj[m])
 	}
 	if err := pr.emit().Validate(g); err != nil {

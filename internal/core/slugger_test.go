@@ -243,3 +243,25 @@ func TestBookkeepingConsistency(t *testing.T) {
 		checkAdjacency(t, st) // pcost must match the actual edge lists
 	}
 }
+
+// BenchmarkSummarize times whole builds on the two build shapes of
+// `go run ./bench` (build_hier and build_skew, graph 0 at seed 1), at
+// T = 20 and Workers = 1. Run with -count 10 and compare medians.
+func BenchmarkSummarize(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"hier", graph.HierCommunity(graph.HierParams{
+			Levels: 3, Branching: 5, LeafSize: 12, Density: []float64{0.0008, 0.01, 0.2, 0.9},
+		}, 64)},
+		{"skew", graph.BarabasiAlbert(5000, 3, 64)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Summarize(tc.g, Config{T: 20, Seed: 1, Workers: 1})
+			}
+		})
+	}
+}

@@ -73,14 +73,8 @@ func mergedRows(bcA, bcB blockCounts) blockCounts {
 // atoms of a root never change while it is a root, so the counts stay
 // valid for the lifetime of the entry; a merge builds the new entries
 // of M from those of A and B (commitMerge) without revisiting the graph.
-//
-// Everything a partner evaluation needs of the pair is derived from the
-// counts once, when the entry is built (newCrossEntry): per endpoint,
-// the side vector of its atoms in a Case-2 panel whose right root is
-// the other endpoint, and whether a merge of the endpoint with a partner
-// that is not adjacent to the other endpoint could still re-encode the
-// pair more cheaply than its current edges (loose). Index 0 of both is
-// the row root's, index 1 the other root's; read them through side.
+// What scoring reads of the pair is copied into the two roots' neighbour
+// records (nbr); the entry itself is read by planning and commits only.
 //
 // Invariant: the edges of an entry always encode the bipartite
 // adjacency between the trees exactly, with per-subnode-pair net counts
@@ -88,32 +82,7 @@ func mergedRows(bcA, bcB blockCounts) blockCounts {
 type crossEntry struct {
 	edges  []sedge
 	blocks blockCounts // stored in one orientation; read through counts
-	sides  [2]sideVec
-	row    int32 // the root of the pair whose atoms index the rows of blocks
-	loose  [2]bool
-}
-
-// newCrossEntry builds the entry of the root pair (row, col) from its
-// edges and block counts (row's atoms as rows); p is scratch.
-func (st *state) newCrossEntry(p *bipProblem, edges []sedge, row, col int32, blocks blockCounts) *crossEntry {
-	e := &crossEntry{edges: edges, row: row, blocks: blocks}
-	for o, xy := range [2][2]int32{{row, col}, {col, row}} {
-		st.fillSide(p, xy[0], xy[1], e.counts(xy[0]))
-		e.sides[o] = p.sideCosts()
-		// The partner's rows cost at least nothing, so the panel of such a
-		// merge costs at least the cheapest ambient vector plus this side.
-		e.loose[o] = panelCost(&e.sides[o], &sideVec{}) < int64(len(edges))
-	}
-	return e
-}
-
-// side returns the side vector of root x (one of the entry's two roots)
-// towards the other root, and x's loose bit.
-func (e *crossEntry) side(x int32) (*sideVec, bool) {
-	if e.row == x {
-		return &e.sides[0], e.loose[0]
-	}
-	return &e.sides[1], e.loose[1]
+	row    int32       // the root of the pair whose atoms index the rows of blocks
 }
 
 // numEdges returns the number of signed edges currently encoding the
@@ -232,22 +201,59 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		deg := g.Degree(v)
 		st.nbrs[v], backing = backing[:0:deg], backing[deg:]
 	}
-	var scratch bipProblem
+	// Every initial entry joins two leaves by one subedge, so all records
+	// share one side vector.
+	leafSide := sideKernel(&blockCounts{{1, 0}, {0, 0}}, &[2]int64{1}, &[2]int64{1}, 1, 1)
 	g.ForEachEdge(func(u, v int32) {
-		e := st.newCrossEntry(&scratch, []sedge{{a: u, b: v, sign: 1}}, u, v, blockCounts{{1, 0}, {0, 0}})
-		st.set(u, v, e)
-		st.set(v, u, e)
+		e := &crossEntry{edges: []sedge{{a: u, b: v, sign: 1}}, row: u, blocks: blockCounts{{1, 0}, {0, 0}}}
+		st.set(u, newRecord(e, v, leafSide))
+		st.set(v, newRecord(e, u, leafSide))
 		st.pcost[u]++
 		st.pcost[v]++
 	})
 	return st
 }
 
-// nbr is one element of a root's neighbour list: an adjacent root and
-// the entry the two share.
+// nbr is one record of a root's neighbour list, holding everything a
+// partner scan reads of the pair, so that the scan follows no pointer:
+// the adjacent root c, the number of signed edges of the pair's entry,
+// this root's side vector towards c — its atoms' cost in a Case-2 panel
+// whose right root is c, whoever it is merged with — and its loose bit:
+// whether a merge with a partner not adjacent to c could still re-encode
+// the pair more cheaply than its edges. e is the entry the two roots
+// share, and a record is built with it (record). An entry never has more
+// edges than its pair has subedges, so n fits any graph of fewer than
+// 2^31 edges.
 type nbr struct {
-	c int32
-	e *crossEntry
+	e     *crossEntry
+	c     int32
+	n     int32
+	side  sideVec
+	loose bool
+}
+
+// record returns root x's record towards root c, whose entry is e.
+func (st *state) record(x, c int32, e *crossEntry) nbr {
+	xa, ca := st.atomsOf(x), st.atomsOf(c)
+	nl, nr := numAtoms(xa), numAtoms(ca)
+	var ls, rs [2]int64
+	for i := 0; i < nl; i++ {
+		ls[i] = int64(st.size[xa[i]])
+	}
+	for j := 0; j < nr; j++ {
+		rs[j] = int64(st.size[ca[j]])
+	}
+	bc := e.counts(x)
+	return newRecord(e, c, sideKernel(&bc, &ls, &rs, nl, nr))
+}
+
+// newRecord completes a record from its entry, root and side vector. The
+// partner's rows cost at least nothing, so the panel of a merge with a
+// partner not adjacent to c costs at least the cheapest ambient vector
+// plus this side.
+func newRecord(e *crossEntry, c int32, side sideVec) nbr {
+	n := int64(len(e.edges))
+	return nbr{e: e, c: c, n: int32(n), side: side, loose: panelCost(&side, &sideVec{}) < n}
 }
 
 // find returns the position of root c in root r's neighbour list — where
@@ -275,14 +281,15 @@ func (st *state) entry(r, c int32) *crossEntry {
 	return nil
 }
 
-// set makes e the entry root r holds towards root c.
-func (st *state) set(r, c int32, e *crossEntry) {
-	i, ok := st.find(r, c)
+// set puts rec into root r's neighbour list, replacing its record
+// towards rec.c if there is one.
+func (st *state) set(r int32, rec nbr) {
+	i, ok := st.find(r, rec.c)
 	if ok {
-		st.nbrs[r][i].e = e
+		st.nbrs[r][i] = rec
 		return
 	}
-	st.nbrs[r] = slices.Insert(st.nbrs[r], i, nbr{c, e})
+	st.nbrs[r] = slices.Insert(st.nbrs[r], i, rec)
 }
 
 // del removes root c from root r's neighbour list, if it is there.

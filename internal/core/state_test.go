@@ -22,6 +22,13 @@ func bruteBlockCount(st *state, g *graph.Graph, x, y int32) int64 {
 	return cnt
 }
 
+// linkEntry makes e the entry of roots x and y, with e.row == x,
+// rebuilding both records.
+func linkEntry(st *state, x, y int32, e *crossEntry) {
+	st.set(x, st.record(x, y, e))
+	st.set(y, st.record(y, x, e))
+}
+
 // mergeRandomPair merges one random feasible root pair, returning the
 // new supernode id or -1.
 func mergeRandomPair(st *state, rng *rand.Rand) int32 {
@@ -44,10 +51,13 @@ func mergeRandomPair(st *state, rng *rand.Rand) int32 {
 // checkAdjacency verifies the neighbour lists and what is kept in step
 // with them: a live root's list is strictly ascending, names live roots
 // only and shares each entry, pointer-identical, with the list of the
-// root it names; a dead or unborn id has no list; and pcost is the
-// root's within edges plus those of its entries.
+// root it names; each record's edge count, side vector and loose bit are
+// what its entry's edges and counts give through the reference DP
+// (sideCosts); a dead or unborn id has no list; and pcost is the root's
+// within edges plus those of its entries.
 func checkAdjacency(t testing.TB, st *state) {
 	t.Helper()
+	var p bipProblem
 	for r := int32(0); r < st.next; r++ {
 		l := st.nbrs[r]
 		if st.parent[r] != -1 {
@@ -67,6 +77,12 @@ func checkAdjacency(t testing.TB, st *state) {
 			if nb.e == nil || st.entry(nb.c, r) != nb.e {
 				t.Fatalf("entry (%d,%d) not shared symmetrically", r, nb.c)
 			}
+			st.fillSide(&p, r, nb.c, nb.e.counts(r))
+			side, n := narrowSide(p.sideCosts()), int64(len(nb.e.edges))
+			if loose := panelCost(&side, &sideVec{}) < n; int64(nb.n) != n || nb.side != side || nb.loose != loose {
+				t.Fatalf("record of root %d towards %d holds %d edges, side %v, loose %v; its entry gives %d, %v, %v",
+					r, nb.c, nb.n, nb.side, nb.loose, n, side, loose)
+			}
 			want += int64(len(nb.e.edges))
 		}
 		if st.pcost[r] != want {
@@ -75,15 +91,13 @@ func checkAdjacency(t testing.TB, st *state) {
 	}
 }
 
-// checkBlockCounts verifies everything a cross entry stores about its
-// root pair. The block counts, asked from either endpoint, must equal
-// the brute-force subedge count of every atom pair and sum to the
+// checkBlockCounts verifies what a cross entry stores about its root
+// pair. The block counts, asked from either endpoint, must equal the
+// brute-force subedge count of every atom pair and sum to the
 // brute-force count of the root pair, and an entry must exist exactly
-// for adjacent pairs. The side vectors and loose bits, asked from either
-// endpoint, must equal a recomputation from the counts. And for every
-// root pair (A, B) and every root C adjacent to A or B, panelCost over
-// the two stored (or zero-count) vectors must be the cost solveBip finds
-// for the (A∪B, C) panel.
+// for adjacent pairs. And for every root pair (A, B) and every root C
+// adjacent to A or B, panelCost over the two recorded (or zero-count)
+// side vectors must be the cost solveBip finds for the (A∪B, C) panel.
 func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 	t.Helper()
 	roots := st.roots()
@@ -111,22 +125,12 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 					}
 				}
 			}
-			if e == nil {
-				continue
-			}
-			st.fillSide(&p, x, y, bc)
-			want := p.sideCosts()
-			wantLoose := panelCost(&want, &sideVec{}) < int64(len(e.edges))
-			if got, loose := e.side(x); *got != want || loose != wantLoose {
-				t.Fatalf("%s: side(%d) of (%d,%d) = %v loose %v, want %v loose %v", when, x, x, y, *got, loose, want, wantLoose)
-			}
 		}
 	}
 	// sideOf is what root x contributes to a panel whose right root is c.
 	sideOf := func(x, c int32) *sideVec {
-		if e := st.entry(x, c); e != nil {
-			s, _ := e.side(x)
-			return s
+		if i, ok := st.find(x, c); ok {
+			return &st.nbrs[x][i].side
 		}
 		return &zeroSide[numAtoms(st.atomsOf(x))-1][numAtoms(st.atomsOf(c))-1]
 	}

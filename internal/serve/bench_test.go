@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -117,6 +118,25 @@ func BenchmarkServeBatchNeighborsBinary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/batch/neighbors", bytes.NewReader(body))
 		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkServePageRankHit is GET /pagerank?top=10 answered from the
+// cache, on a flat model of n vertices with 8 edges each: what a hit
+// costs beyond the computation, which runs once before the timer starts.
+func BenchmarkServePageRankHit(b *testing.B) {
+	for _, n := range []int{5000, 50000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			h := benchServer(n, 8*n).Handler()
+			req := httptest.NewRequest(http.MethodGet, "/pagerank?top=10", nil)
+			w := &nullRW{h: make(http.Header)}
+			h.ServeHTTP(w, req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, req)
+			}
+		})
 	}
 }
 

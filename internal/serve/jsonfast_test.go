@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -249,6 +250,56 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 // requests for the same (d, t) on the same snapshot version must cost
 // exactly one computation, and distinct parameters must not be
 // coalesced together.
+// fullSortRanked is the /pagerank order computed the way the handler
+// once did: every vertex sorted, rank descending, ties by ascending id.
+func fullSortRanked(rank []float64) []RankedVertex {
+	ranked := make([]RankedVertex, len(rank))
+	for v, rr := range rank {
+		ranked[v] = RankedVertex{V: int32(v), Rank: rr}
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].Rank != ranked[j].Rank {
+			return ranked[i].Rank > ranked[j].Rank
+		}
+		return ranked[i].V < ranked[j].V
+	})
+	return ranked
+}
+
+// A /pagerank answer selects its top k in one pass: its bytes must be
+// those of the full sort, on vectors from all ties to all distinct, for
+// top = 1, top = n, top > n and sizes between — and on the real vector.
+func TestPageRankTopMatchesFullSort(t *testing.T) {
+	const n = 300
+	s := benchServer(n, 1200)
+	h := s.Handler()
+	computed, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for iters, levels := range []int{0, 1, 2, 5, 40, n} { // distinct values; 0: the real vector
+		rank := computed
+		if levels > 0 {
+			rank = make([]float64, n)
+			for v := range rank {
+				rank[v] = float64(rng.Intn(levels)) / 7
+			}
+		}
+		iters++ // a fresh cache key per vector
+		s.prCompute = func(View, float64, int) ([]float64, error) { return rank, nil }
+		ref := fullSortRanked(rank)
+		for _, top := range []int{1, 2, 3, 10, n - 1, n, n + 1, 5 * n} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/pagerank?t=%d&top=%d", iters, top), nil))
+			want := encodeReference(t, map[string]any{"damping": 0.85, "iterations": iters, "top": ref[:min(top, n)]})
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%d rank levels, top=%d: status %d, body\n%s\nwant\n%s", levels, top, rec.Code, rec.Body.Bytes(), want)
+			}
+		}
+	}
+}
+
 func TestPageRankSingleflight(t *testing.T) {
 	s := testServer()
 	var computes atomic.Int32

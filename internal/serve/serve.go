@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -731,23 +731,59 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setVersionHeader(w, view)
-	ranked := make([]RankedVertex, len(rank))
-	for v, rr := range rank {
-		ranked[v] = RankedVertex{V: int32(v), Rank: rr}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].Rank != ranked[j].Rank {
-			return ranked[i].Rank > ranked[j].Rank
-		}
-		return ranked[i].V < ranked[j].V
-	})
-	if top > len(ranked) {
-		top = len(ranked)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"damping": d, "iterations": t, "top": ranked[:top],
+		"damping": d, "iterations": t, "top": topRanked(rank, top),
 	})
 	s.markFirstQuery()
+}
+
+// rankedBefore orders the /pagerank answer: rank descending, ties by
+// ascending vertex id.
+func rankedBefore(x, y RankedVertex) bool {
+	return x.Rank > y.Rank || x.Rank == y.Rank && x.V < y.V
+}
+
+// topRanked returns the first min(k, n) vertices of rank in
+// rankedBefore order — what sorting all n would give — in one pass that
+// keeps the k best in a heap whose root is the worst of them.
+func topRanked(rank []float64, k int) []RankedVertex {
+	k = min(k, len(rank))
+	h := make([]RankedVertex, 0, k)
+	for v, r := range rank {
+		x := RankedVertex{V: int32(v), Rank: r}
+		if len(h) < k {
+			h = append(h, x)
+			for i := len(h) - 1; i > 0 && rankedBefore(h[(i-1)/2], h[i]); i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+			continue
+		}
+		if k == 0 || !rankedBefore(x, h[0]) {
+			continue
+		}
+		h[0] = x
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && rankedBefore(h[c], h[c+1]) {
+				c++
+			}
+			if !rankedBefore(h[i], h[c]) {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	slices.SortFunc(h, func(x, y RankedVertex) int {
+		if rankedBefore(x, y) {
+			return -1
+		}
+		return 1
+	})
+	return h
 }
 
 // Run serves the handler on addr until the listener fails or ctx is
