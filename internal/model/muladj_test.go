@@ -9,6 +9,9 @@ package model_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"slices"
@@ -409,4 +412,73 @@ func FuzzMulAdjParity(f *testing.F) {
 		}
 		checkMulAdj(t, name+"+overlay", o, n, o.Decode().Neighbors)
 	})
+}
+
+// pageRankBits are sha256 digests of the float64 bits of
+// PageRank(0.85, 10) followed by MulAdj(integerVector(n, 1)), per
+// registered algorithm and test graph (seed 1). A change to MulAdj's
+// layout must leave every bit where it was: only the order of the
+// additions into each accumulator fixes them, so a digest that moves
+// means that order moved.
+var pageRankBits = map[string]string{
+	"mosso/hier":         "d97ef3e2742fee24f0333dd8cd2d0cd14228c6c9c5e9eba472a8380750c9708c",
+	"mosso/caveman":      "ed133486e26e775e9f25ab862d906e23f46dc588df39d586f9f5b67a2b3c7a37",
+	"randomized/hier":    "44838574d37445acd3be3d7f78127152c2c0970f52e710683cb5d784a9597125",
+	"randomized/caveman": "a059b8a678693cd44ab60d5c373ea767318b526dce4ddb53d975c5932a63878e",
+	"sags/hier":          "5a6cdb5dbadab22bc58a96c42dbc39d6327fb3e705221bd3effc1a3ad711cc8f",
+	"sags/caveman":       "a12dbc7443eae60f7384b3952a8cbcb6917a0292d55762cdd3662d66864624ed",
+	"slugger/hier":       "04cf689cfc82c426bfcd3254648348ea49ad8baa2ac6666d62456897c6df15e3",
+	"slugger/caveman":    "89d2ac83337dd8c7d16fdff1734d4fd510b86dbdfea4aa6f3dffe8f3fa51f74d",
+	"sweg/hier":          "42f89db300d8e73f2f8e30f04bf64ad0bd589d722e713311710c5ab985db014f",
+	"sweg/caveman":       "a059b8a678693cd44ab60d5c373ea767318b526dce4ddb53d975c5932a63878e",
+}
+
+// TestPageRankBitsPinned holds the heap engine and the v2 engine
+// reopened from WriteCompiledTo bytes to the pinned digests.
+func TestPageRankBitsPinned(t *testing.T) {
+	digest := func(cs *model.CompiledSummary) string {
+		src := algos.OnCompiled(cs)
+		defer src.Release()
+		h := sha256.New()
+		x := integerVector(cs.NumNodes(), 1)
+		dst := make([]float64, len(x))
+		if !cs.MulAdj(dst, x) {
+			t.Fatal("reported ineligible")
+		}
+		for _, f := range append(algos.PageRank(src, 0.85, 10), dst...) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	graphs := testGraphs(1)
+	if len(pageRankBits) != 2*len(slug.Algorithms()) {
+		t.Fatalf("%d digests pinned for algorithms %v", len(pageRankBits), slug.Algorithms())
+	}
+	for _, algo := range slug.Algorithms() {
+		for _, name := range []string{"hier", "caveman"} {
+			g := graphs[name]
+			art, err := slug.Get(algo).Summarize(context.Background(), g, slug.WithSeed(1), slug.WithIterations(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := slug.WriteCompiledTo(&buf, art); err != nil {
+				t.Fatal(err)
+			}
+			v2, err := slug.ReadFrom(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := algo + "/" + name
+			for engine, a := range map[string]slug.Artifact{"heap": art, "v2": v2} {
+				cs, err := a.Queryable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digest(cs); got != pageRankBits[key] {
+					t.Errorf("%s (%s): digest %s, pinned %s", key, engine, got, pageRankBits[key])
+				}
+			}
+		}
+	}
 }
