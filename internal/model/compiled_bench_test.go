@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algos"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/pkg/slug"
@@ -83,5 +84,36 @@ func BenchmarkCompiledQuery(b *testing.B) {
 			}
 			b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 		})
+	}
+}
+
+// MulAdj and PageRank (d 0.85, T 10) on the hierarchy of the served
+// graph above: the analytics workload's repetition, in-process.
+//
+//	go test -run '^$' -bench 'MulAdj|PageRank' -count 10 ./internal/model
+func BenchmarkMulAdj(b *testing.B) {
+	cs := benchSummaries()["hier"]
+	x := make([]float64, cs.NumNodes())
+	for i := range x {
+		x[i] = 1 / float64(i+1)
+	}
+	dst := make([]float64, len(x))
+	if !cs.MulAdj(dst, x) {
+		b.Fatal("reported ineligible")
+	}
+	b.ResetTimer()
+	for range b.N {
+		cs.MulAdj(dst, x)
+	}
+}
+
+func BenchmarkPageRank(b *testing.B) {
+	cs := benchSummaries()["hier"]
+	src := algos.OnCompiled(cs)
+	defer src.Release()
+	algos.PageRank(src, 0.85, 10)
+	b.ResetTimer()
+	for range b.N {
+		algos.PageRank(src, 0.85, 10)
 	}
 }
