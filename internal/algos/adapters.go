@@ -29,6 +29,10 @@ func (c *CompiledSource) Neighbors(v int32) []int32 { return c.ctx.NeighborsOf(v
 // model.CompiledSummary.MulAdj.
 func (c *CompiledSource) MulAdj(dst, x []float64) bool { return c.cs.MulAdj(dst, x) }
 
+// Degrees writes the degree vector the summary computed once; see
+// model.CompiledSummary.Degrees.
+func (c *CompiledSource) Degrees(dst []float64) bool { return c.cs.Degrees(dst) }
+
 // Release returns the source's query context to the summary's pool.
 // Call it when the traversal is done; the source must not be used
 // afterwards. Long-lived callers that skip Release only forfeit

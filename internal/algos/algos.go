@@ -115,7 +115,8 @@ func mulAdj(g NeighborSource, dst, x []float64) {
 // redistributed uniformly; the result sums to 1 for non-empty graphs.
 // Each iteration is one product with the adjacency matrix, which a
 // compiled, live or sharded source computes on the hierarchy itself
-// (model's MulAdj) rather than by querying every vertex.
+// (model's MulAdj) rather than by querying every vertex; the degrees
+// are one more, unless the source keeps them (model's Degrees).
 func PageRank(g NeighborSource, d float64, T int) []float64 {
 	n := g.NumNodes()
 	if n == 0 {
@@ -129,7 +130,9 @@ func PageRank(g NeighborSource, d float64, T int) []float64 {
 		rank[i] = 1 / float64(n)
 		share[i] = 1
 	}
-	mulAdj(g, deg, share)
+	if ds, ok := g.(interface{ Degrees([]float64) bool }); !ok || !ds.Degrees(deg) {
+		mulAdj(g, deg, share)
+	}
 	for t := 0; t < T; t++ {
 		for v := range share {
 			share[v] = 0

@@ -117,6 +117,37 @@ func TestSolveBipOffsetScenario(t *testing.T) {
 	}
 }
 
+// TestDisjointLoopPlan: for a pair with no subedge between them, the
+// (M,M) loop's panel is solved by disjointLoopPlan, whatever the atom
+// counts and sizes, so computeWithinPlan may skip the solve. A
+// one-atom side is a leaf (its atom is its top: no row slot) or, in
+// case pruning leaves one, a supernode with a single child.
+func TestDisjointLoopPlan(t *testing.T) {
+	for na := 1; na <= 2; na++ {
+		for nb := 1; nb <= 2; nb++ {
+			for s := int64(1); s <= 40; s++ {
+				left, right := make([]int64, na), make([]int64, nb)
+				for i := range left {
+					left[i] = s + int64(i)
+				}
+				for j := range right {
+					right[j] = 1 + (s*int64(j+3))%17
+				}
+				for _, rowOK := range []bool{true, na > 1} {
+					p := buildProblem(left, []int8{-1, -1}, right, nil, 1)
+					for i := 0; i < na; i++ {
+						p.rowOK[i] = rowOK
+					}
+					if plan := solveBip(p); plan != disjointLoopPlan {
+						t.Fatalf("atoms %d×%d, sizes %v×%v, rows %v: solveBip gives %+v, want %+v",
+							na, nb, left, right, rowOK, plan, disjointLoopPlan)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSolveBipColumnCover(t *testing.T) {
 	// Right atom 0 fully connected to everything, right atom 1 not:
 	// one (leftTop, rightAtom0) column edge.

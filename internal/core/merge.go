@@ -174,6 +174,11 @@ func (st *state) fillCase2(p *bipProblem, mid, a, b, c int32, bcA, bcB blockCoun
 	p.leftTop = mid
 }
 
+// disjointLoopPlan is solveBip's answer to the (M,M) panel of a pair
+// with no subedge between them (TestDisjointLoopPlan): one n-edge
+// between the tops cancels the loop over A×B.
+var disjointLoopPlan = bipPlan{cost: 1, top: -1}
+
 // computeWithinPlan evaluates the three Case-1 scenarios and returns
 // the cheapest exact encoding of within(M). Panel problems come from
 // the context free-list; the losing scenario's problem is returned.
@@ -230,7 +235,11 @@ func (st *state) computeWithinPlan(ctx *gctx, a, b int32, eAB *crossEntry) withi
 	if 1+sideCost+lb < bound {
 		prob2 = ctx.getProb()
 		st.fillCase1(prob2, a, b, bc, 1)
-		plan2 = solveBip(prob2)
+		if eAB == nil {
+			plan2 = disjointLoopPlan
+		} else {
+			plan2 = solveBip(prob2)
+		}
 		loopCost = 1 + sideCost + plan2.cost
 	}
 

@@ -550,7 +550,7 @@ func VerifyChecksum(data []byte) error {
 // exported back to the portable v1 envelope without having kept the
 // uncompiled model around.
 func (cs *CompiledSummary) ToSummary() *Summary {
-	parent, _ := cs.forest()
+	parent, _, _ := cs.forest()
 	edges := make([]Edge, len(cs.edgeA))
 	for i := range edges {
 		edges[i] = Edge{A: cs.edgeA[i], B: cs.edgeB[i], Sign: cs.edgeSign[i]}

@@ -62,6 +62,21 @@ func checkMulAdj(t *testing.T, what string, view adjMultiplier, n int, neighbors
 	}
 }
 
+// checkDegrees demands cs be eligible and Degrees[v] equal the number
+// of neighbors of v.
+func checkDegrees(t *testing.T, what string, cs *model.CompiledSummary, neighbors func(v int32) []int32) {
+	t.Helper()
+	deg := make([]float64, cs.NumNodes())
+	if !cs.Degrees(deg) {
+		t.Fatalf("%s: Degrees reported ineligible", what)
+	}
+	for v, d := range deg {
+		if want := len(neighbors(int32(v))); d != float64(want) {
+			t.Fatalf("%s: Degrees[%d] = %v, %d neighbors", what, v, d, want)
+		}
+	}
+}
+
 // handBuilt are models exercising each branch of the edge pass.
 func handBuilt() map[string]*model.Summary {
 	return map[string]*model.Summary{
@@ -227,6 +242,9 @@ func TestMulAdjFallback(t *testing.T) {
 			}
 		}
 		src := algos.OnCompiled(cs)
+		if cs.Degrees(dst) || src.Degrees(dst) {
+			t.Fatalf("%s: Degrees reports eligible", name)
+		}
 		got := algos.PageRank(src, 0.85, 20)
 		src.Release()
 		want := algos.PageRank(algos.FromFuncs(n, cs.NeighborsOf), 0.85, 20)
@@ -342,8 +360,9 @@ func TestOverlayMulAdjBatchOrder(t *testing.T) {
 	}
 }
 
-// TestMulAdjConcurrent races the lazy plan build and the scratch pool
-// (run under -race): every goroutine must get the same exact product.
+// TestMulAdjConcurrent races the lazy plan build, the scratch pool and
+// the lazy degree vector (run under -race): every goroutine must get
+// the same exact product and degrees.
 func TestMulAdjConcurrent(t *testing.T) {
 	g := testGraphs(7)["caveman"]
 	cs := summarize(t, "slugger", g, 7)
@@ -359,6 +378,16 @@ func TestMulAdjConcurrent(t *testing.T) {
 			defer wg.Done()
 			h := integerVector(g.NumNodes(), 5)
 			dst := make([]float64, len(h))
+			if !cs.Degrees(dst) {
+				t.Error("Degrees: ineligible")
+				return
+			}
+			for v, d := range dst {
+				if want := len(g.Neighbors(int32(v))); d != float64(want) {
+					t.Errorf("Degrees[%d] = %v, want %d", v, d, want)
+					return
+				}
+			}
 			for rep := 0; rep < 20; rep++ {
 				if !o.MulAdj(dst, h) {
 					t.Error("ineligible")
@@ -398,6 +427,7 @@ func FuzzMulAdjParity(f *testing.F) {
 		name := algorithms[int(algo)%len(algorithms)]
 		cs := summarize(t, name, g, seed)
 		checkMulAdj(t, name, cs, n, g.Neighbors)
+		checkDegrees(t, name, cs, g.Neighbors)
 
 		var ups []model.EdgeUpdate
 		for i := 0; i+2 < len(stream); i += 3 {

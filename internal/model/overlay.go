@@ -69,10 +69,11 @@ type entry struct {
 	s int8
 }
 
-// correction is one directed overlay entry: dst[v] gains s·x[u].
+// correction is one directed overlay entry: dst[v] gains x[u], or
+// loses x[^u] when u < 0 (a deletion; the sign is folded into the id
+// as in MulAdj's plan).
 type correction struct {
 	v, u int32
-	s    float64
 }
 
 // NewOverlay returns the empty overlay over cs: it represents exactly
@@ -370,7 +371,11 @@ func (o *DeltaOverlay) MulAdj(dst, x []float64) bool {
 		return false
 	}
 	for _, c := range o.corrections() {
-		dst[c.v] += c.s * x[c.u]
+		if c.u >= 0 {
+			dst[c.v] += x[c.u]
+		} else {
+			dst[c.v] -= x[^c.u]
+		}
 	}
 	return true
 }
@@ -382,7 +387,7 @@ func (o *DeltaOverlay) flatten() []correction {
 	flat := make([]correction, 0, 2*o.Len())
 	for v := int32(0); v < int32(o.cs.n); v++ {
 		for _, e := range o.list(v) {
-			flat = append(flat, correction{v, e.u, float64(e.s)})
+			flat = append(flat, correction{v, e.u ^ int32(e.s>>1)}) // ^u when s = -1
 		}
 	}
 	return flat
