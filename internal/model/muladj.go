@@ -217,9 +217,8 @@ func (cs *CompiledSummary) MulAdj(dst, x []float64) bool {
 			sum[par] += x[v]
 		}
 	}
-	up := p.orderParent[:len(p.order)]
 	for i, c := range p.order {
-		sum[up[i]] += sum[c]
+		sum[p.orderParent[i]] += sum[c]
 	}
 
 	// Each superedge hands every leaf under one endpoint the sum under
