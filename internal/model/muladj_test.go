@@ -143,6 +143,7 @@ func TestMulAdjEveryAlgorithm(t *testing.T) {
 			for name, g := range testGraphs(seed) {
 				cs := summarize(t, algo, g, seed)
 				checkMulAdj(t, algo+"/"+name, cs, g.NumNodes(), g.Neighbors)
+				checkDegrees(t, algo+"/"+name, cs, g.Neighbors)
 			}
 		}
 	}
