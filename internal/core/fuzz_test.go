@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -8,17 +9,22 @@ import (
 )
 
 // FuzzSummarizeLossless drives SLUGGER with fuzz-generated edge lists
-// and asserts exact reconstruction. The seed corpus covers the shapes
-// that exercise distinct encoder paths (cliques, bicliques, paths,
-// isolated vertices); `go test -fuzz=FuzzSummarizeLossless` explores
-// beyond them.
+// and asserts exact reconstruction. With par set it runs Workers 3 over
+// candidate groups of at most 8 roots — so groups of one wave commit
+// concurrently, rebuilding entries of one table in place — and asserts
+// the summary of Workers 1 under the same settings. The seed corpus covers
+// the shapes that exercise distinct encoder paths (cliques, bicliques,
+// paths, isolated vertices); `go test -fuzz=FuzzSummarizeLossless`
+// explores beyond them.
 func FuzzSummarizeLossless(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 0, 2}, uint8(3), uint8(1))                   // triangle
-	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(2), uint8(7))                   // matching
-	f.Add([]byte{0, 4, 0, 5, 1, 4, 1, 5, 2, 4, 2, 5}, uint8(5), uint8(0)) // biclique
-	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4}, uint8(4), uint8(9))             // path
-	f.Add([]byte{}, uint8(1), uint8(0))                                   // empty
-	f.Fuzz(func(t *testing.T, raw []byte, tIter uint8, seed uint8) {
+	f.Add([]byte{0, 1, 1, 2, 0, 2}, uint8(3), uint8(1), false)                   // triangle
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, uint8(2), uint8(7), false)                   // matching
+	f.Add([]byte{0, 4, 0, 5, 1, 4, 1, 5, 2, 4, 2, 5}, uint8(5), uint8(0), false) // biclique
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4}, uint8(4), uint8(9), false)             // path
+	f.Add([]byte{}, uint8(1), uint8(0), false)                                   // empty
+	f.Add([]byte{0, 1, 0, 2, 1, 2, 3, 4, 3, 5, 4, 5, 6, 7, 6, 8, 7, 8, 9, 10, 9, 11, 10, 11,
+		12, 13, 12, 14, 13, 14, 2, 3, 5, 6, 8, 9, 11, 12, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29}, uint8(7), uint8(4), true) // triangles in a ring, concurrent
+	f.Fuzz(func(t *testing.T, raw []byte, tIter uint8, seed uint8, par bool) {
 		if len(raw) > 300 {
 			return
 		}
@@ -28,15 +34,29 @@ func FuzzSummarizeLossless(f *testing.F) {
 		}
 		g := b.Build()
 		iters := int(tIter%8) + 1
-		sum, stats := Summarize(g, Config{T: iters, Seed: int64(seed)})
+		cfg := Config{T: iters, Seed: int64(seed)}
+		if par {
+			cfg.MaxGroup, cfg.Workers = 8, 3
+		}
+		sum, stats := Summarize(g, cfg)
 		if err := sum.Validate(g); err != nil {
-			t.Fatalf("lossless violation (T=%d seed=%d): %v", iters, seed, err)
+			t.Fatalf("lossless violation (T=%d seed=%d workers=%d): %v", iters, seed, cfg.Workers, err)
 		}
 		if sum.Cost() > g.NumEdges() {
 			t.Fatalf("cost %d exceeds |E| %d", sum.Cost(), g.NumEdges())
 		}
 		if sum.Cost() != stats.FinalCost {
 			t.Fatalf("stats cost mismatch")
+		}
+		if par {
+			cfg.Workers = 1
+			serial, _ := Summarize(g, cfg)
+			var x, y bytes.Buffer
+			sum.WriteTo(&x)
+			serial.WriteTo(&y)
+			if !bytes.Equal(x.Bytes(), y.Bytes()) {
+				t.Fatalf("Workers 3 and Workers 1 summaries differ (T=%d seed=%d)", iters, seed)
+			}
 		}
 	})
 }

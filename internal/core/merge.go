@@ -268,11 +268,11 @@ func (st *state) computeCrossPlan(ctx *gctx, mid, a, b, c int32, rA, rB *nbr) cr
 	var keepCost int64
 	sA, sB := &zeroSide[numAtoms(st.atomsOf(a))-1][nc-1], &zeroSide[numAtoms(st.atomsOf(b))-1][nc-1]
 	if rA != nil {
-		eA, sA = rA.e, &rA.side
+		eA, sA = &st.ents[rA.e], &rA.side
 		keepCost += int64(rA.n)
 	}
 	if rB != nil {
-		eB, sB = rB.e, &rB.side
+		eB, sB = &st.ents[rB.e], &rB.side
 		keepCost += int64(rB.n)
 	}
 	if panelCost(sA, sB) >= keepCost {
@@ -337,16 +337,25 @@ func (st *state) scoreMerge(ctx *gctx, b int32, hb int, minSaving float64) (p pa
 	var eAB *crossEntry
 	var nAB int64
 	if r := pop.record(b); r != nil {
-		eAB, nAB = r.e, int64(r.n)
+		eAB, nAB = &st.ents[r.e], int64(r.n)
 	}
 	denom, ok := st.mergeDenom(a, b, nAB, hb)
 	if !ok {
 		return p, false
 	}
-	w := st.computeWithinPlan(ctx, a, b, eAB)
-	ctx.putProb(w.prob)
+	var wCost int64
+	if eAB != nil && eAB.within != 0 {
+		wCost = int64(eAB.within)
+	} else {
+		w := st.computeWithinPlan(ctx, a, b, eAB)
+		ctx.putProb(w.prob)
+		wCost = w.cost
+		if eAB != nil {
+			eAB.within = int32(wCost)
+		}
+	}
 	wA, wB := int64(len(st.within[a])), int64(len(st.within[b]))
-	num := st.hCost[a] + st.hCost[b] + 2 + w.cost + (st.pcost[a] - wA - nAB) + (st.pcost[b] - wB - nAB)
+	num := st.hCost[a] + st.hCost[b] + 2 + wCost + (st.pcost[a] - wA - nAB) + (st.pcost[b] - wB - nAB)
 
 	// A neighbour's gain is what its panel saves over the edges kept.
 	nA, nB := numAtoms(st.atomsOf(a)), numAtoms(st.atomsOf(b))
@@ -364,7 +373,7 @@ func (st *state) scoreMerge(ctx *gctx, b int32, hb int, minSaving float64) (p pa
 		}
 	}
 	for _, c := range pop.loose {
-		if _, common := st.find(b, c); common || c == b {
+		if _, common := search(lb, c); common || c == b {
 			continue
 		}
 		rA := pop.record(c)
@@ -451,9 +460,13 @@ func exactEdges(buf []sedge) []sedge {
 // called with the decision-relevant state unchanged since evaluation.
 // Mutations of neighbor lists on roots outside the merged pair take the
 // per-root striped lock, so groups sharing an external neighbor can
-// commit concurrently. The decision is consumed (recycled into ctx).
+// commit concurrently. The (A,C) and (B,C) entries come from a walk of A's
+// and B's lists beside the crosses, all ascending in c. The decision is
+// consumed (recycled into ctx).
 func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	a, b := dec.a, dec.b
+	la, lb := st.nbrs[a], st.nbrs[b]
+	eAB := st.entry(a, b)
 
 	// Allocate M's tree at its reserved id: the entries built below read
 	// its atoms. Nothing reads M's root-only bookkeeping before it is set.
@@ -477,8 +490,8 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	case withinKeep:
 		buf = append(buf, st.within[a]...)
 		buf = append(buf, st.within[b]...)
-		if e := st.entry(a, b); e != nil {
-			buf = append(buf, e.edges...)
+		if eAB != nil {
+			buf = append(buf, eAB.edges...)
 		}
 	case withinRewrite:
 		buf = append(buf, st.within[a]...)
@@ -501,55 +514,62 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	}
 	w := exactEdges(buf)
 	ctx.edgeBuf = buf[:0]
-
-	// Materialize the cross entries before mutating locators. The block
-	// counts of (M,C) follow from those of (A,C) and (B,C), and the
-	// records' side vectors from the counts.
-	newEntries := make([]*crossEntry, len(dec.crosses))
-	for i := range dec.crosses {
-		cp := &dec.crosses[i]
-		eA, eB := st.entry(a, cp.c), st.entry(b, cp.c)
-		buf = ctx.edgeBuf[:0]
-		if cp.keep {
-			if eA != nil {
-				buf = append(buf, eA.edges...)
-			}
-			if eB != nil {
-				buf = append(buf, eB.edges...)
-			}
-		} else {
-			buf = st.materializeBip(ctx, buf, cp.prob, &cp.plan)
-		}
-		newEntries[i] = &crossEntry{edges: exactEdges(buf), row: m, blocks: mergedRows(eA.counts(a), eB.counts(b))}
-		ctx.edgeBuf = buf[:0]
-	}
-
 	st.within[m] = w
-	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + st.entry(a, b).counts(a).total()
+	st.selfGT[m] = st.selfGT[a] + st.selfGT[b] + eAB.counts(a).total()
 	st.nbrs[m] = make([]nbr, len(dec.crosses))
 
-	// Swap in the new cross entries. The neighbor c may be shared with
-	// another concurrently-committing group; its list and pcost are
-	// guarded by the striped lock. st.nbrs[m] is group-owned, and the
-	// decision's crosses are in its order.
+	// Build each new cross entry in the slot of the (A,C) entry, or else
+	// of the (B,C) one, and swap it in. The block counts of (M,C) follow
+	// from those of (A,C) and (B,C), and the records' side vectors from
+	// the counts. The neighbor c may be shared with another
+	// concurrently-committing group; its list and pcost are guarded by the
+	// striped lock. st.nbrs[m] is group-owned, and the decision's crosses
+	// are in its order.
 	var crossTotal int64
-	for i := range dec.crosses {
-		cp := &dec.crosses[i]
+	i, j := 0, 0
+	for k := range dec.crosses {
+		cp := &dec.crosses[k]
 		c := cp.c
-		entry := newEntries[i]
-		st.nbrs[m][i] = st.record(m, c, entry)
-		rec := st.record(c, m, entry)
-		delta := int64(len(entry.edges)) - cp.keepCost
+		iA, eA := st.walkTo(la, &i, c)
+		iB, eB := st.walkTo(lb, &j, c)
+		var edges []sedge // kept whole when only one pair is adjacent
+		buf = ctx.edgeBuf[:0]
+		switch {
+		case !cp.keep:
+			buf = st.materializeBip(ctx, buf, cp.prob, &cp.plan)
+		case eB == nil:
+			edges = eA.edges
+		case eA == nil:
+			edges = eB.edges
+		default:
+			buf = append(append(buf, eA.edges...), eB.edges...)
+		}
+		if edges == nil {
+			edges = exactEdges(buf)
+			ctx.edgeBuf = buf[:0]
+		}
+		blocks := mergedRows(eA.counts(a), eB.counts(b))
+		if eA == nil {
+			iA, eA = iB, eB
+		} else if eB != nil {
+			*eB = crossEntry{}
+		}
+		*eA = crossEntry{edges: edges, row: m, blocks: blocks}
+
+		st.nbrs[m][k] = st.record(m, c, iA)
+		rec := st.record(c, m, iA)
+		delta := int64(len(eA.edges)) - cp.keepCost
 		mu := st.stripe(c)
 		mu.Lock()
-		st.del(c, a)
-		st.del(c, b)
-		st.set(c, rec)
+		st.nbrs[c] = swapIn(st.nbrs[c], a, b, rec)
 		st.pcost[c] += delta
 		mu.Unlock()
-		crossTotal += int64(len(entry.edges))
+		crossTotal += int64(len(eA.edges))
 	}
 	st.pcost[m] = int64(len(w)) + crossTotal
+	if eAB != nil {
+		*eAB = crossEntry{}
+	}
 
 	// Update locators and hierarchy.
 	for _, v := range vs {
@@ -559,16 +579,24 @@ func (st *state) commitMerge(ctx *gctx, dec *mergeDecision, m int32) int32 {
 	st.parent[b] = m
 	st.within[a] = nil
 	st.within[b] = nil
-	// A leaf's list is a window of newState's one backing array: zero it,
-	// so that the array does not keep the dead entries reachable.
-	clear(st.nbrs[a])
-	clear(st.nbrs[b])
 	st.nbrs[a] = nil
 	st.nbrs[b] = nil
 	st.pcost[a] = 0
 	st.pcost[b] = 0
 	ctx.putDec(dec)
 	return m
+}
+
+// walkTo advances *i past the records of the ascending list l below root
+// c and returns the entry of l's record towards c, -1 and nil if none.
+func (st *state) walkTo(l []nbr, i *int, c int32) (int32, *crossEntry) {
+	for *i < len(l) && l[*i].c < c {
+		*i++
+	}
+	if *i < len(l) && l[*i].c == c {
+		return l[*i].e, &st.ents[l[*i].e]
+	}
+	return -1, nil
 }
 
 // tryMerge evaluates merging roots a and b and commits when feasible,
@@ -593,7 +621,7 @@ func (st *state) totalCost() int64 {
 		total += st.hCost[r] + int64(len(st.within[r]))
 		for _, nb := range st.nbrs[r] {
 			if nb.c > r {
-				total += int64(len(nb.e.edges))
+				total += int64(len(st.ents[nb.e].edges))
 			}
 		}
 	}

@@ -54,15 +54,15 @@ func flattenCrossEntries(st *state, ctx *gctx) int {
 	loose := 0
 	for _, x := range st.roots() {
 		for _, nb := range st.nbrs[x] {
-			y, e := nb.c, nb.e
+			y, e := nb.c, &st.ents[nb.e]
 			if y < x {
 				continue
 			}
 			flat := exactEdges(st.appendBlockEdges(ctx, nil, x, y, 1))
 			d := int64(len(flat) - len(e.edges))
-			linkEntry(st, x, y, &crossEntry{edges: flat, row: x, blocks: e.counts(x)})
+			linkEntry(st, x, y, crossEntry{edges: flat, row: x, blocks: e.counts(x)})
 			for _, r := range [][2]int32{{x, y}, {y, x}} {
-				if i, _ := st.find(r[0], r[1]); st.nbrs[r[0]][i].loose {
+				if i, _ := search(st.nbrs[r[0]], r[1]); st.nbrs[r[0]][i].loose {
 					loose++
 				}
 			}

@@ -427,7 +427,9 @@ func BenchmarkEvaluateMerge(b *testing.B) {
 }
 
 // BenchmarkScoreMerge measures scoring one partner of a popped root on
-// the same state (once per candidate of every pop).
+// the same state (once per candidate of every pop). After the first pass
+// over the roots an adjacent partner's within-plan cost comes from its
+// entry's memo, as when a later pop re-scores an unchanged pair.
 func BenchmarkScoreMerge(b *testing.B) {
 	st := allocState(b)
 	ctx := st.getCtx()

@@ -43,23 +43,26 @@ type gctx struct {
 }
 
 // popInfo is what every partner evaluation of one pop shares about the
-// popped root A: a dense copy of A's neighbour records by neighbour id
-// and the neighbours whose record is loose. The slots are epoch-stamped,
-// so a pop costs O(deg A) and nothing is reset. It is written by
-// stampPop only and read by scoreMerge on the same context.
+// popped root A: the position of each neighbour's record in A's list, by
+// neighbour id, and the neighbours whose record is loose. The slots are
+// epoch-stamped, so a pop costs O(deg A) and nothing is reset. It is
+// written by stampPop only and read by scoreMerge on the same context;
+// A's list does not change while the pop's partners are scored.
 type popInfo struct {
 	a     int32
 	epoch int32
+	list  []nbr
 	slots []popSlot // indexed by root id
 	loose []int32
 }
 
+// popSlot locates the popped root's record towards one root: list[idx],
+// valid when epoch is the pop's.
 type popSlot struct {
-	rec   nbr
-	epoch int32
+	idx, epoch int32
 }
 
-// stampPop copies root a's neighbour records into the context's popInfo.
+// stampPop indexes root a's neighbour records in the context's popInfo.
 func (ctx *gctx) stampPop(a int32) {
 	pop := &ctx.pop
 	if len(pop.slots) < len(ctx.st.nbrs) {
@@ -70,9 +73,10 @@ func (ctx *gctx) stampPop(a int32) {
 	}
 	pop.a = a
 	pop.epoch++
+	pop.list = ctx.st.nbrs[a]
 	pop.loose = pop.loose[:0]
-	for _, nb := range ctx.st.nbrs[a] {
-		pop.slots[nb.c] = popSlot{nb, pop.epoch}
+	for i, nb := range pop.list {
+		pop.slots[nb.c] = popSlot{int32(i), pop.epoch}
 		if nb.loose {
 			pop.loose = append(pop.loose, nb.c)
 		}
@@ -82,8 +86,8 @@ func (ctx *gctx) stampPop(a int32) {
 // record returns the popped root's record towards root c, nil when they
 // are not adjacent.
 func (pop *popInfo) record(c int32) *nbr {
-	if s := &pop.slots[c]; s.epoch == pop.epoch {
-		return &s.rec
+	if s := pop.slots[c]; s.epoch == pop.epoch {
+		return &pop.list[s.idx]
 	}
 	return nil
 }

@@ -33,6 +33,8 @@ type pruner struct {
 	totalH   int64    // alive supernodes with a parent
 	rng      *rand.Rand
 	items    []pairItem // step3's scratch, kept across rounds
+	spare    []pairItem // radixSort's second buffer, kept likewise
+	digits   []int32    // radixSort's counters
 }
 
 // pairItem is one nonzero net, or one subedge of the input graph, between
@@ -57,6 +59,7 @@ func newPruner(st *state) *pruner {
 		alive:    make([]bool, total),
 		adj:      make([][]pnet, total),
 		rng:      st.rng,
+		digits:   make([]int32, 1<<16),
 	}
 	for id := 0; id < total; id++ {
 		if st.parent[id] == unborn {
@@ -84,7 +87,7 @@ func newPruner(st *state) *pruner {
 		add(st.within[r])
 		for _, nb := range st.nbrs[r] {
 			if nb.c > r {
-				add(nb.e.edges) // each entry shared by both endpoints; add once
+				add(st.ents[nb.e].edges) // each entry shared by both endpoints; add once
 			}
 		}
 	}
@@ -306,11 +309,12 @@ func (p *pruner) step3() bool {
 	// One item per nonzero net and per subedge between two trees;
 	// sorting groups each root pair's items together. Each pair's
 	// decision touches only the nets between its own trees, so the pairs
-	// are settled in any order. There are at most totalPN nets and |E|
-	// subedges, so the buffer never grows.
+	// and their items are settled in any order. There are at most totalPN
+	// nets and |E| subedges, so the buffers never grow.
 	st := p.st
 	if need := int(p.totalPN + st.g.NumEdges()); cap(p.items) < need {
 		p.items = make([]pairItem, 0, need)
+		p.spare = make([]pairItem, 0, need)
 	}
 	items := p.items[:0]
 	key := func(x, y int32) uint64 {
@@ -338,7 +342,8 @@ func (p *pruner) step3() bool {
 			}
 		}
 	}
-	slices.SortFunc(items, func(x, y pairItem) int { return cmp.Compare(x.key, y.key) })
+	items, spare := radixSort(items, p.spare[:len(items)], p.digits)
+	p.items, p.spare = items[:0], spare[:0]
 
 	changed := false
 	ctx := st.getCtx() // vertex marks for addMissingPairs
@@ -385,6 +390,37 @@ func (p *pruner) step3() bool {
 		changed = true
 	}
 	return changed
+}
+
+// radixSort sorts items by key with LSD passes over 16-bit digits, skipping
+// the digits every key shares, into items or tmp (of the same length),
+// returning the sorted one first; count holds 2^16 counters.
+func radixSort(items, tmp []pairItem, count []int32) ([]pairItem, []pairItem) {
+	var diff uint64
+	for _, it := range items {
+		diff |= it.key ^ items[0].key
+	}
+	for shift := 0; shift < 64; shift += 16 {
+		if diff>>shift&0xFFFF == 0 {
+			continue
+		}
+		clear(count)
+		for _, it := range items {
+			count[it.key>>shift&0xFFFF]++
+		}
+		var sum int32
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, it := range items {
+			d := it.key >> shift & 0xFFFF
+			tmp[count[d]] = it
+			count[d]++
+		}
+		items, tmp = tmp, items
+	}
+	return items, tmp
 }
 
 // addMissingPairs adds an n-edge for every non-adjacent vertex pair

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -85,9 +87,8 @@ func TestStep2FlipsOppositeEdges(t *testing.T) {
 		prob: &bipProblem{}, plan: bipPlan{}}}
 	// Hand-build the cross entry instead of materializing the plan.
 	st.commitMerge(ctx, dec, m)
-	entry := &crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}},
-		row: m, blocks: blockCounts{{1, 0}, {0, 0}}}
-	linkEntry(st, m, 2, entry)
+	linkEntry(st, m, 2, crossEntry{edges: []sedge{{a: m, b: 2, sign: 1}, {a: 1, b: 2, sign: -1}},
+		row: m, blocks: blockCounts{{1, 0}, {0, 0}}})
 	pr := newPruner(st)
 	// Sanity: pre-prune model is exact.
 	if err := pr.emit().Validate(g); err != nil {
@@ -175,6 +176,29 @@ func TestPrunerCostMatchesEmittedModel(t *testing.T) {
 				t.Fatalf("seed %d substep %d: maintained cost %d != emitted %d",
 					seed, i+1, pr.cost(), got)
 			}
+		}
+	}
+}
+
+// radixSort orders keys as a comparison sort does, whichever of the four
+// 16-bit digits vary.
+func TestRadixSortMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, mask := range []uint64{0, 0xFFFF, 0xFFFF_0000_FFFF, 1<<63 | 0xF0F0, ^uint64(0)} {
+		items := make([]pairItem, 2000)
+		for i := range items {
+			items[i] = pairItem{key: rng.Uint64() & mask, a: int32(i)}
+		}
+		got, _ := radixSort(slices.Clone(items), make([]pairItem, len(items)), make([]int32, 1<<16))
+		if !slices.IsSortedFunc(got, func(x, y pairItem) int { return cmp.Compare(x.key, y.key) }) {
+			t.Fatalf("mask %#x: not sorted", mask)
+		}
+		seen := make([]bool, len(items))
+		for _, it := range got {
+			if seen[it.a] || it.key != items[it.a].key {
+				t.Fatalf("mask %#x: item %d lost or altered", mask, it.a)
+			}
+			seen[it.a] = true
 		}
 	}
 }

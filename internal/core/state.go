@@ -7,7 +7,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -74,7 +73,11 @@ func mergedRows(bcA, bcB blockCounts) blockCounts {
 // valid for the lifetime of the entry; a merge builds the new entries
 // of M from those of A and B (commitMerge) without revisiting the graph.
 // What scoring reads of the pair is copied into the two roots' neighbour
-// records (nbr); the entry itself is read by planning and commits only.
+// records (nbr); the entry itself is read by planning and commits, and
+// by scoring for within: computeWithinPlan's cost for the pair (either
+// way round), fixed while both roots live, set when first scored (an
+// adjacent pair's within(M) holds ≥ 1 edge, and at most its subedges, so
+// 0 means unset).
 //
 // Invariant: the edges of an entry always encode the bipartite
 // adjacency between the trees exactly, with per-subnode-pair net counts
@@ -83,6 +86,7 @@ type crossEntry struct {
 	edges  []sedge
 	blocks blockCounts // stored in one orientation; read through counts
 	row    int32       // the root of the pair whose atoms index the rows of blocks
+	within int32       // memoized within-plan cost, 0 until scored
 }
 
 // numEdges returns the number of signed edges currently encoding the
@@ -144,6 +148,13 @@ type state struct {
 	selfGT []int64   // ground-truth subedge count within the tree
 	nbrs   [][]nbr   // adjacent roots and the shared entries, ascending by root id
 
+	// The cross entries, named by index. newState puts the i-th edge's
+	// entry at i. At most |E| root pairs are adjacent (each holds a
+	// subedge), and a commit builds each new (M,C) entry in the slot of the
+	// (A,C) or (B,C) entry it replaces and zeroes the slots it leaves, so
+	// the table never grows and entries never move.
+	ents []crossEntry
+
 	next    int32   // id high-water mark
 	free    []int32 // recycled reserved-but-unused ids
 	rng     *rand.Rand
@@ -192,24 +203,32 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 		st.verts[v] = leafIDs[v : v+1]
 		st.rootOf[v] = v
 	}
-	// Initialize G to G: one p-edge per subedge (Algorithm 1 lines 1-4).
-	// A vertex's list is its adjacency, which the graph keeps ascending;
-	// the lists of old roots only ever shrink (a commit swaps two
+	// Initialize G to G: one p-edge per subedge (Algorithm 1 lines 1-4),
+	// entry i for the i-th edge. A vertex's list is its adjacency, visited
+	// ascending; the lists of old roots only ever shrink (a commit swaps two
 	// neighbours for one), so one exact-size backing array serves them all.
-	backing := make([]nbr, 2*g.NumEdges())
+	m := g.NumEdges()
+	st.ents = make([]crossEntry, m)
+	edges := make([]sedge, m)
+	backing := make([]nbr, 2*m)
 	for v := int32(0); v < n; v++ {
 		deg := g.Degree(v)
 		st.nbrs[v], backing = backing[:0:deg], backing[deg:]
 	}
 	// Every initial entry joins two leaves by one subedge, so all records
 	// share one side vector.
-	leafSide := sideKernel(&blockCounts{{1, 0}, {0, 0}}, &[2]int64{1}, &[2]int64{1}, 1, 1)
+	leaf := newRecord(1, sideKernel(&blockCounts{{1, 0}, {0, 0}}, &[2]int64{1}, &[2]int64{1}, 1, 1))
+	i := int32(0)
 	g.ForEachEdge(func(u, v int32) {
-		e := &crossEntry{edges: []sedge{{a: u, b: v, sign: 1}}, row: u, blocks: blockCounts{{1, 0}, {0, 0}}}
-		st.set(u, newRecord(e, v, leafSide))
-		st.set(v, newRecord(e, u, leafSide))
+		edges[i] = sedge{a: u, b: v, sign: 1}
+		st.ents[i] = crossEntry{edges: edges[i : i+1 : i+1], row: u, blocks: blockCounts{{1, 0}, {0, 0}}}
+		leaf.e, leaf.c = i, v
+		st.nbrs[u] = append(st.nbrs[u], leaf)
+		leaf.c = u
+		st.nbrs[v] = append(st.nbrs[v], leaf)
 		st.pcost[u]++
 		st.pcost[v]++
+		i++
 	})
 	return st
 }
@@ -220,20 +239,20 @@ func newState(g *graph.Graph, rng *rand.Rand) *state {
 // this root's side vector towards c — its atoms' cost in a Case-2 panel
 // whose right root is c, whoever it is merged with — and its loose bit:
 // whether a merge with a partner not adjacent to c could still re-encode
-// the pair more cheaply than its edges. e is the entry the two roots
-// share, and a record is built with it (record). An entry never has more
-// edges than its pair has subedges, so n fits any graph of fewer than
-// 2^31 edges.
+// the pair more cheaply than its edges. e indexes the entry the two roots
+// share in st.ents, so the lists hold no pointer for the GC to scan.
+// An entry never has more edges than its pair has subedges, so n fits
+// any graph of fewer than 2^31 edges.
 type nbr struct {
-	e     *crossEntry
+	e     int32
 	c     int32
 	n     int32
 	side  sideVec
 	loose bool
 }
 
-// record returns root x's record towards root c, whose entry is e.
-func (st *state) record(x, c int32, e *crossEntry) nbr {
+// record returns root x's record towards root c, whose entry is ei.
+func (st *state) record(x, c, ei int32) nbr {
 	xa, ca := st.atomsOf(x), st.atomsOf(c)
 	nl, nr := numAtoms(xa), numAtoms(ca)
 	var ls, rs [2]int64
@@ -243,24 +262,25 @@ func (st *state) record(x, c int32, e *crossEntry) nbr {
 	for j := 0; j < nr; j++ {
 		rs[j] = int64(st.size[ca[j]])
 	}
+	e := &st.ents[ei]
 	bc := e.counts(x)
-	return newRecord(e, c, sideKernel(&bc, &ls, &rs, nl, nr))
+	rec := newRecord(int64(len(e.edges)), sideKernel(&bc, &ls, &rs, nl, nr))
+	rec.e, rec.c = ei, c
+	return rec
 }
 
-// newRecord completes a record from its entry, root and side vector. The
-// partner's rows cost at least nothing, so the panel of a merge with a
-// partner not adjacent to c costs at least the cheapest ambient vector
-// plus this side.
-func newRecord(e *crossEntry, c int32, side sideVec) nbr {
-	n := int64(len(e.edges))
-	return nbr{e: e, c: c, n: int32(n), side: side, loose: panelCost(&side, &sideVec{}) < n}
+// newRecord fills a record but for e and c from the entry's edge count and
+// the side vector. The partner's rows cost at least nothing, so the panel
+// of a merge with a partner not adjacent to c costs at least the cheapest
+// ambient vector plus this side.
+func newRecord(n int64, side sideVec) nbr {
+	return nbr{n: int32(n), side: side, loose: panelCost(&side, &sideVec{}) < n}
 }
 
-// find returns the position of root c in root r's neighbour list — where
+// search returns the position of root c in the neighbour list l — where
 // it is, or where it would be inserted — and whether it is there. Written
 // out because it takes a third of slices.BinarySearchFunc's time.
-func (st *state) find(r, c int32) (int, bool) {
-	l := st.nbrs[r]
+func search(l []nbr, c int32) (int, bool) {
 	lo, hi := 0, len(l)
 	for lo < hi {
 		if mid := int(uint(lo+hi) >> 1); l[mid].c < c {
@@ -275,28 +295,49 @@ func (st *state) find(r, c int32) (int, bool) {
 // entry returns the cross entry of roots r and c, nil when they are not
 // adjacent.
 func (st *state) entry(r, c int32) *crossEntry {
-	if i, ok := st.find(r, c); ok {
-		return st.nbrs[r][i].e
+	if i, ok := search(st.nbrs[r], c); ok {
+		return &st.ents[st.nbrs[r][i].e]
 	}
 	return nil
 }
 
-// set puts rec into root r's neighbour list, replacing its record
-// towards rec.c if there is one.
-func (st *state) set(r int32, rec nbr) {
-	i, ok := st.find(r, rec.c)
-	if ok {
-		st.nbrs[r][i] = rec
-		return
+// swapIn replaces the records towards roots a and b in the ascending
+// list l, at least one of them present, by rec — a commit's update of a
+// neighbour's list — moving each record at most once.
+func swapIn(l []nbr, a, b int32, rec nbr) []nbr {
+	var cut [3]int // the removed positions, ascending, then len(l)
+	n := 0
+	for _, x := range [2]int32{min(a, b), max(a, b)} {
+		if i, ok := search(l, x); ok {
+			cut[n] = i
+			n++
+		}
 	}
-	st.nbrs[r] = slices.Insert(st.nbrs[r], i, rec)
-}
-
-// del removes root c from root r's neighbour list, if it is there.
-func (st *state) del(r, c int32) {
-	if i, ok := st.find(r, c); ok {
-		st.nbrs[r] = slices.Delete(st.nbrs[r], i, i+1)
+	k, _ := search(l, rec.c)
+	if k <= cut[0] { // rec lands first: shift right up to the first removed
+		copy(l[k+1:], l[k:cut[0]])
+		l[k] = rec
+		if n == 2 {
+			copy(l[cut[1]:], l[cut[1]+1:])
+			l = l[:len(l)-1]
+		}
+		return l
 	}
+	cut[n] = len(l)
+	w := cut[0]
+	for s := 0; s < n; s++ { // shift each run between removals left
+		lo, hi := cut[s]+1, cut[s+1]
+		if lo <= k && k <= hi {
+			w += copy(l[w:], l[lo:k])
+			l[w] = rec
+			w, lo = w+1, k
+		}
+		if w < lo {
+			copy(l[w:], l[lo:hi])
+		}
+		w += hi - lo
+	}
+	return l[:w]
 }
 
 // ensureLen grows every id-indexed slice to length n, marking the new

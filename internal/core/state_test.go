@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -22,11 +24,34 @@ func bruteBlockCount(st *state, g *graph.Graph, x, y int32) int64 {
 	return cnt
 }
 
-// linkEntry makes e the entry of roots x and y, with e.row == x,
-// rebuilding both records.
-func linkEntry(st *state, x, y int32, e *crossEntry) {
-	st.set(x, st.record(x, y, e))
-	st.set(y, st.record(y, x, e))
+// linkEntry overwrites the entry that the adjacent roots x and y share
+// with e, whose row must be x, and rebuilds both records.
+func linkEntry(st *state, x, y int32, e crossEntry) {
+	i, _ := search(st.nbrs[x], y)
+	j, _ := search(st.nbrs[y], x)
+	ei := st.nbrs[x][i].e
+	st.ents[ei] = e
+	st.nbrs[x][i] = st.record(x, y, ei)
+	st.nbrs[y][j] = st.record(y, x, ei)
+}
+
+// setRec puts rec into the ascending list l, replacing its record
+// towards rec.c if there is one: with delRec, the reference for swapIn.
+func setRec(l []nbr, rec nbr) []nbr {
+	i, ok := search(l, rec.c)
+	if ok {
+		l[i] = rec
+		return l
+	}
+	return slices.Insert(l, i, rec)
+}
+
+// delRec removes root c from the ascending list l, if it is there.
+func delRec(l []nbr, c int32) []nbr {
+	if i, ok := search(l, c); ok {
+		return slices.Delete(l, i, i+1)
+	}
+	return l
 }
 
 // mergeRandomPair merges one random feasible root pair, returning the
@@ -50,14 +75,19 @@ func mergeRandomPair(st *state, rng *rand.Rand) int32 {
 
 // checkAdjacency verifies the neighbour lists and what is kept in step
 // with them: a live root's list is strictly ascending, names live roots
-// only and shares each entry, pointer-identical, with the list of the
-// root it names; each record's edge count, side vector and loose bit are
-// what its entry's edges and counts give through the reference DP
-// (sideCosts); a dead or unborn id has no list; and pcost is the root's
-// within edges plus those of its entries.
+// only and shares each entry with the list of the root it names, and
+// with no other record; each record's edge count, side vector and loose
+// bit are what its entry's edges and counts give through the reference
+// DP (sideCosts); a set within memo is what computeWithinPlan finds; a
+// dead or unborn id has no list; and pcost is the root's within edges
+// plus those of its entries. Each entry of the table is named by two
+// records or by none, and then zeroed.
 func checkAdjacency(t testing.TB, st *state) {
 	t.Helper()
 	var p bipProblem
+	ctx := st.getCtx()
+	defer st.putCtx(ctx)
+	refs := make([]int8, len(st.ents))
 	for r := int32(0); r < st.next; r++ {
 		l := st.nbrs[r]
 		if st.parent[r] != -1 {
@@ -74,19 +104,38 @@ func checkAdjacency(t testing.TB, st *state) {
 			if nb.c == r || st.parent[nb.c] != -1 {
 				t.Fatalf("list of root %d names %d, which is not another live root", r, nb.c)
 			}
-			if nb.e == nil || st.entry(nb.c, r) != nb.e {
+			if nb.e < 0 || int(nb.e) >= len(refs) {
+				t.Fatalf("record of root %d towards %d names entry %d of %d", r, nb.c, nb.e, len(refs))
+			}
+			if refs[nb.e]++; refs[nb.e] > 2 {
+				t.Fatalf("entry %d is named by more than two records", nb.e)
+			}
+			e := &st.ents[nb.e]
+			if st.entry(nb.c, r) != e {
 				t.Fatalf("entry (%d,%d) not shared symmetrically", r, nb.c)
 			}
-			st.fillSide(&p, r, nb.c, nb.e.counts(r))
-			side, n := narrowSide(p.sideCosts()), int64(len(nb.e.edges))
+			if e.within != 0 {
+				w := st.computeWithinPlan(ctx, r, nb.c, e)
+				ctx.putProb(w.prob)
+				if w.cost != int64(e.within) {
+					t.Fatalf("entry (%d,%d) memoizes within cost %d, computeWithinPlan finds %d", r, nb.c, e.within, w.cost)
+				}
+			}
+			st.fillSide(&p, r, nb.c, e.counts(r))
+			side, n := narrowSide(p.sideCosts()), int64(len(e.edges))
 			if loose := panelCost(&side, &sideVec{}) < n; int64(nb.n) != n || nb.side != side || nb.loose != loose {
 				t.Fatalf("record of root %d towards %d holds %d edges, side %v, loose %v; its entry gives %d, %v, %v",
 					r, nb.c, nb.n, nb.side, nb.loose, n, side, loose)
 			}
-			want += int64(len(nb.e.edges))
+			want += int64(len(e.edges))
 		}
 		if st.pcost[r] != want {
 			t.Fatalf("pcost[%d] = %d, want %d", r, st.pcost[r], want)
+		}
+	}
+	for i, n := range refs {
+		if e := &st.ents[i]; n == 1 || n == 0 && (e.edges != nil || e.within != 0 || e.blocks != (blockCounts{}) || e.row != 0) {
+			t.Fatalf("entry %d is named by %d records and not zeroed", i, n)
 		}
 	}
 }
@@ -129,7 +178,7 @@ func checkBlockCounts(t *testing.T, st *state, g *graph.Graph, when string) {
 	}
 	// sideOf is what root x contributes to a panel whose right root is c.
 	sideOf := func(x, c int32) *sideVec {
-		if i, ok := st.find(x, c); ok {
+		if i, ok := search(st.nbrs[x], c); ok {
 			return &st.nbrs[x][i].side
 		}
 		return &zeroSide[numAtoms(st.atomsOf(x))-1][numAtoms(st.atomsOf(c))-1]
@@ -232,7 +281,7 @@ func TestCrossEntriesSymmetric(t *testing.T) {
 	checkAdjacency(t, st) // symmetry included
 	for _, r := range st.roots() {
 		for _, nb := range st.nbrs[r] {
-			if gt := nb.e.blocks.total(); gt <= 0 {
+			if gt := st.ents[nb.e].blocks.total(); gt <= 0 {
 				t.Fatalf("entry (%d,%d) has gt=%d", r, nb.c, gt)
 			}
 		}
@@ -250,7 +299,7 @@ func TestRootCostDecomposition(t *testing.T) {
 	for _, r := range st.roots() {
 		want := st.hCost[r] + int64(len(st.within[r]))
 		for _, nb := range st.nbrs[r] {
-			want += int64(len(nb.e.edges))
+			want += int64(len(st.ents[nb.e].edges))
 		}
 		if st.rootCost(r) != want {
 			t.Fatalf("rootCost(%d) = %d, want %d", r, st.rootCost(r), want)
@@ -369,6 +418,58 @@ func TestEvaluateMergeCrossesAscending(t *testing.T) {
 				}
 			}
 			ctx.putDec(dec)
+		}
+	}
+}
+
+// swapIn must leave a neighbour's list as removing the records towards
+// the merged roots and inserting the new root's record would: with a and
+// b each present or absent (not both absent) and M landing before,
+// between or after them.
+func TestSwapInMatchesDelSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	seen := map[[3]bool]bool{}
+	for trial := 0; trial < 4000; trial++ {
+		var l []nbr
+		for c := int32(0); c < 24; c++ {
+			if rng.Intn(3) == 0 {
+				l = append(l, nbr{c: c, e: c + 100})
+			}
+		}
+		a, b, m := int32(rng.Intn(24)), int32(rng.Intn(24)), int32(rng.Intn(24))
+		_, okA := search(l, a)
+		_, okB := search(l, b)
+		if _, okM := search(l, m); a == b || m == a || m == b || okM || (!okA && !okB) {
+			continue
+		}
+		rec := nbr{c: m, e: -1}
+		want := setRec(delRec(delRec(slices.Clone(l), a), b), rec)
+		got := swapIn(slices.Clone(l), a, b, rec)
+		if !slices.Equal(got, want) {
+			t.Fatalf("swapIn(%v, %d, %d, %d) = %v, want %v", l, a, b, m, got, want)
+		}
+		seen[[3]bool{okA && okB, m < min(a, b), m > max(a, b)}] = true
+	}
+	if len(seen) != 6 {
+		t.Fatalf("only %d of the 6 cases drawn: %v", len(seen), seen)
+	}
+}
+
+// newState's allocations do not grow with the graph: the initial entries
+// live in one table and their one-edge lists in one backing array. An
+// entry stays 64 bytes and a neighbour record 32.
+func TestNewStateAllocs(t *testing.T) {
+	if s, r := unsafe.Sizeof(crossEntry{}), unsafe.Sizeof(nbr{}); s != 64 || r != 32 {
+		t.Fatalf("crossEntry is %d bytes, nbr %d; want 64 and 32", s, r)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var base float64
+	for i, g := range []*graph.Graph{graph.ErdosRenyi(300, 1200, 1), graph.ErdosRenyi(3000, 20000, 2)} {
+		allocs := testing.AllocsPerRun(5, func() { newState(g, rng) })
+		if i == 0 {
+			base = allocs
+		} else if allocs != base {
+			t.Fatalf("newState makes %v allocations on %d edges, %v on the smaller graph", allocs, g.NumEdges(), base)
 		}
 	}
 }
