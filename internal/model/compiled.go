@@ -20,13 +20,11 @@ import (
 )
 
 // CompiledSummary is an immutable, read-optimized compilation of a
-// Summary for serving workloads. All per-query state lives in QueryCtx,
-// so one CompiledSummary is safe for any number of concurrent readers.
-//
-// Compared to querying the Summary directly, the compiled form replaces
-// per-call map allocation and parent-pointer chasing with flat arrays:
-// ancestor chains are precomputed per leaf, and membership tests use
-// epoch-stamped dense scratch in the context.
+// Summary, and the model's one implementation of Algorithm 4: serving,
+// Decode and Validate all query it. All per-query state lives in
+// QueryCtx, so one CompiledSummary is safe for any number of concurrent
+// readers. Ancestor chains are precomputed per leaf, and membership
+// tests use epoch-stamped dense scratch in the context.
 type CompiledSummary struct {
 	n     int // leaf vertices 0..n-1
 	total int // supernodes
@@ -89,14 +87,27 @@ func (s *Summary) Compile() *CompiledSummary {
 		}
 	}
 
-	// Incidence CSR.
+	// Incidence CSR: edge indices ascending per supernode, a self-loop
+	// listed once.
 	cs.incOff = make([]int32, total+1)
+	for _, e := range s.Edges {
+		cs.incOff[e.A+1]++
+		if e.B != e.A {
+			cs.incOff[e.B+1]++
+		}
+	}
 	for x := 0; x < total; x++ {
-		cs.incOff[x+1] = cs.incOff[x] + int32(len(s.incident[x]))
+		cs.incOff[x+1] += cs.incOff[x]
 	}
 	cs.incAdj = make([]int32, cs.incOff[total])
-	for x := 0; x < total; x++ {
-		copy(cs.incAdj[cs.incOff[x]:cs.incOff[x+1]], s.incident[x])
+	next := slices.Clone(cs.incOff[:total])
+	for i, e := range s.Edges {
+		cs.incAdj[next[e.A]] = int32(i)
+		next[e.A]++
+		if e.B != e.A {
+			cs.incAdj[next[e.B]] = int32(i)
+			next[e.B]++
+		}
 	}
 
 	// Edges as parallel arrays.
@@ -109,14 +120,22 @@ func (s *Summary) Compile() *CompiledSummary {
 		cs.edgeSign[i] = e.Sign
 	}
 
-	// Subnode CSR.
+	// Subnode CSR: x's list holds the leaves whose chain passes through
+	// x, so walking the leaves in ascending order fills each list sorted.
 	cs.vertsOff = make([]int64, total+1)
-	for x := 0; x < total; x++ {
-		cs.vertsOff[x+1] = cs.vertsOff[x] + int64(len(s.verts[x]))
+	for _, x := range cs.chains {
+		cs.vertsOff[x+1]++
 	}
-	cs.verts = make([]int32, cs.vertsOff[total])
 	for x := 0; x < total; x++ {
-		copy(cs.verts[cs.vertsOff[x]:cs.vertsOff[x+1]], s.verts[x])
+		cs.vertsOff[x+1] += cs.vertsOff[x]
+	}
+	cs.verts = make([]int32, len(cs.chains))
+	pos := slices.Clone(cs.vertsOff[:total])
+	for v := int32(0); v < int32(s.N); v++ {
+		for _, x := range cs.chainOf(v) {
+			cs.verts[pos[x]] = v
+			pos[x]++
+		}
 	}
 	return cs
 }
@@ -142,8 +161,7 @@ func (cs *CompiledSummary) chainOf(v int32) []int32 {
 
 // QueryCtx holds the per-goroutine scratch for queries against one
 // CompiledSummary: dense, epoch-stamped arrays over the leaves and the
-// supernodes, replacing the maps the uncompiled path allocates per
-// call. A context is not safe for concurrent use; acquire one per
+// supernodes. A context is not safe for concurrent use; acquire one per
 // goroutine (or per traversal) and release it when done.
 type QueryCtx struct {
 	cs *CompiledSummary
@@ -226,6 +244,15 @@ func (ctx *QueryCtx) count(u, sign, ep int32) {
 		ctx.touched = append(ctx.touched, u)
 	}
 	ctx.cnt[u] += sign
+}
+
+// countOf returns leaf u's count from the last accumulate, 0 if it was
+// not reached.
+func (ctx *QueryCtx) countOf(u int32) int32 {
+	if ctx.cntStamp[u] != ctx.cntEpoch {
+		return 0
+	}
+	return ctx.cnt[u]
 }
 
 // accumulate runs the counting core of Algorithm 4 for leaf v into the

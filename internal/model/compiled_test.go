@@ -86,42 +86,20 @@ func int32sEqual(a, b []int32) bool {
 
 func TestCompiledMatchesSummary(t *testing.T) {
 	for name, s := range compiledCases() {
-		cs := s.Compile()
-		ctx := cs.AcquireCtx()
-		n := int32(s.N)
-		for v := int32(0); v < n; v++ {
-			want := s.NeighborsOf(v)
-			if got := ctx.NeighborsOf(v); !int32sEqual(got, want) {
-				t.Fatalf("%s: ctx.NeighborsOf(%d) = %v, want %v", name, v, got, want)
-			}
-			if got := cs.NeighborsOf(v); !int32sEqual(got, want) {
-				t.Fatalf("%s: cs.NeighborsOf(%d) = %v, want %v", name, v, got, want)
-			}
-		}
-		for u := int32(0); u < n; u++ {
-			for v := int32(0); v < n; v++ {
-				if got, want := ctx.HasEdge(u, v), s.HasEdge(u, v); got != want {
-					t.Fatalf("%s: HasEdge(%d,%d) = %v, want %v", name, u, v, got, want)
-				}
-			}
-		}
-		cs.ReleaseCtx(ctx)
-		if !graph.Equal(cs.Decode(), s.Decode()) {
-			t.Fatalf("%s: compiled Decode differs from summary Decode", name)
-		}
+		checkAgainstOracle(t, name, s, s.Compile())
 	}
 }
 
 func TestCompiledNeighborsBatch(t *testing.T) {
 	s := fig2LikeSummary()
-	cs := s.Compile()
+	cs, o := s.Compile(), newOracle(s)
 	vs := []int32{0, 2, 5, 4, 6, 0}
 	i := 0
 	cs.NeighborsBatch(vs, func(v int32, nbrs []int32) {
 		if v != vs[i] {
 			t.Fatalf("batch visited %d at position %d, want %d", v, i, vs[i])
 		}
-		if want := s.NeighborsOf(v); !int32sEqual(nbrs, want) {
+		if want := o.neighbors(v); !int32sEqual(nbrs, want) {
 			t.Fatalf("batch NeighborsOf(%d) = %v, want %v", v, nbrs, want)
 		}
 		i++
@@ -136,11 +114,11 @@ func TestCompiledNeighborsBatch(t *testing.T) {
 // asserts the "N concurrent readers, zero locks in the hot path" claim.
 func TestCompiledConcurrentReaders(t *testing.T) {
 	s := compiledCases()["deep"]
-	cs := s.Compile()
+	cs, o := s.Compile(), newOracle(s)
 	n := int32(s.N)
 	want := make([][]int32, n)
 	for v := int32(0); v < n; v++ {
-		want[v] = s.NeighborsOf(v)
+		want[v] = o.neighbors(v)
 	}
 	const goroutines = 8
 	const iters = 200
@@ -225,10 +203,10 @@ func TestCompiledQueryAllocationFree(t *testing.T) {
 // the wrap must not read as current).
 func TestQueryCtxEpochWrap(t *testing.T) {
 	s := fig2LikeSummary()
-	cs := s.Compile()
+	cs, o := s.Compile(), newOracle(s)
 	ctx := cs.AcquireCtx()
 	defer cs.ReleaseCtx(ctx)
-	want0 := s.NeighborsOf(0)
+	want0 := o.neighbors(0)
 	if got := ctx.NeighborsOf(0); !int32sEqual(got, want0) {
 		t.Fatalf("pre-wrap NeighborsOf(0) = %v, want %v", got, want0)
 	}
@@ -238,7 +216,7 @@ func TestQueryCtxEpochWrap(t *testing.T) {
 		if got := ctx.NeighborsOf(0); !int32sEqual(got, want0) {
 			t.Fatalf("wrap step %d: NeighborsOf(0) = %v, want %v", i, got, want0)
 		}
-		if got, want := ctx.HasEdge(2, 5), s.HasEdge(2, 5); got != want {
+		if got, want := ctx.HasEdge(2, 5), o.hasEdge(2, 5); got != want {
 			t.Fatalf("wrap step %d: HasEdge(2,5) = %v, want %v", i, got, want)
 		}
 	}

@@ -8,3 +8,9 @@ func MappedVertsOffset(cs *CompiledSummary, metaLen int) int {
 		len(cs.edgeA), len(cs.chains), len(cs.incAdj), len(cs.verts))
 	return lo.secOff[8]
 }
+
+// DefinitionNeighbors returns the neighbor lists of s by the model's
+// definition (oracle_test.go), for external tests on small summaries.
+func DefinitionNeighbors(s *Summary) func(v int32) []int32 {
+	return newOracle(s).neighbors
+}

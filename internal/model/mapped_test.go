@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // writeV2 serializes a compiled summary into an aligned buffer, the
@@ -47,18 +49,7 @@ func TestMappedRoundTrip(t *testing.T) {
 					got.NumNodes(), got.NumSupernodes(), got.NumSuperedges(),
 					cs.NumNodes(), cs.NumSupernodes(), cs.NumSuperedges())
 			}
-			for v := int32(0); v < int32(cs.NumNodes()); v++ {
-				if !int32sEqual(got.NeighborsOf(v), cs.NeighborsOf(v)) {
-					t.Fatalf("NeighborsOf(%d) diverges", v)
-				}
-			}
-			for u := int32(0); u < int32(cs.NumNodes()); u++ {
-				for v := u; v < int32(cs.NumNodes()); v++ {
-					if got.HasEdge(u, v) != cs.HasEdge(u, v) {
-						t.Fatalf("HasEdge(%d,%d) diverges", u, v)
-					}
-				}
-			}
+			checkAgainstOracle(t, name, s, got)
 		})
 	}
 }
@@ -246,15 +237,8 @@ func TestMappedDecodeMatches(t *testing.T) {
 			if err != nil {
 				t.Fatalf("FromMapped: %v", err)
 			}
-			want, got := s.Compile().Decode(), cs.Decode()
-			if want.NumNodes() != got.NumNodes() || want.NumEdges() != got.NumEdges() {
-				t.Fatalf("decode sizes diverge: (%d,%d) vs (%d,%d)",
-					want.NumNodes(), want.NumEdges(), got.NumNodes(), got.NumEdges())
-			}
-			for v := int32(0); v < int32(want.NumNodes()); v++ {
-				if !int32sEqual(want.Neighbors(v), got.Neighbors(v)) {
-					t.Fatalf("decoded neighbors of %d diverge", v)
-				}
+			if !graph.Equal(cs.Decode(), newOracle(s).graph()) {
+				t.Fatal("decoded mapped artifact differs from the definition")
 			}
 		})
 	}

@@ -67,8 +67,11 @@ func TestFig2SummaryRepresentsGraph(t *testing.T) {
 	}
 }
 
+// TestNeighborsOfFig2 pins the definition (oracle_test.go) and the
+// compiled engine to neighbor lists worked out by hand.
 func TestNeighborsOfFig2(t *testing.T) {
 	s := fig2LikeSummary()
+	cs, o := s.Compile(), newOracle(s)
 	cases := []struct {
 		v    int32
 		want []int32
@@ -80,14 +83,11 @@ func TestNeighborsOfFig2(t *testing.T) {
 		{6, []int32{5}},
 	}
 	for _, c := range cases {
-		got := s.NeighborsOf(c.v)
-		if len(got) != len(c.want) {
-			t.Fatalf("NeighborsOf(%d) = %v, want %v", c.v, got, c.want)
+		if got := o.neighbors(c.v); !int32sEqual(got, c.want) {
+			t.Fatalf("oracle neighbors(%d) = %v, want %v", c.v, got, c.want)
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("NeighborsOf(%d) = %v, want %v", c.v, got, c.want)
-			}
+		if got := cs.NeighborsOf(c.v); !int32sEqual(got, c.want) {
+			t.Fatalf("NeighborsOf(%d) = %v, want %v", c.v, got, c.want)
 		}
 	}
 }
@@ -196,24 +196,22 @@ func TestNewPanicsOnMalformedInput(t *testing.T) {
 	mustPanic("short parent", func() { New(3, []int32{-1}, nil) })
 	mustPanic("childless internal", func() { New(2, []int32{-1, -1, -1}, nil) })
 	mustPanic("cycle", func() { New(2, []int32{2, 2, 3, 2}, nil) })
+	mustPanic("own parent", func() { New(2, []int32{2, 2, 2}, nil) })
+	// 3 and 4 parent each other, off every leaf's ancestor chain.
+	mustPanic("cycle off the leaves' chains", func() { New(2, []int32{2, 2, -1, 4, 3}, nil) })
+	mustPanic("three-cycle", func() { New(2, []int32{2, 3, 3, 4, 2}, nil) })
 	mustPanic("bad sign", func() { New(2, []int32{-1, -1}, []Edge{{A: 0, B: 1, Sign: 0}}) })
 	mustPanic("edge out of range", func() { New(2, []int32{-1, -1}, []Edge{{A: 0, B: 9, Sign: 1}}) })
 }
 
+// TestVertsOfSortedAndComplete: Compile's subnode lists are sorted and
+// complete, also where a parent's children interleave in id order
+// (4 = {1,3}, 5 = {0,2}, 6 = {4,5}).
 func TestVertsOfSortedAndComplete(t *testing.T) {
-	parent := []int32{4, 4, 5, 5, 6, 6, -1}
-	s := New(4, parent, nil)
-	got := s.VertsOf(6)
-	want := []int32{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("VertsOf(6) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("VertsOf(6) = %v, want %v", got, want)
+	cs := New(4, []int32{5, 4, 5, 4, 6, 6, -1}, nil).Compile()
+	for x, want := range [][]int32{{0}, {1}, {2}, {3}, {1, 3}, {0, 2}, {0, 1, 2, 3}} {
+		if got := cs.vertsOf(int32(x)); !int32sEqual(got, want) {
+			t.Fatalf("vertsOf(%d) = %v, want %v", x, got, want)
 		}
-	}
-	if len(s.VertsOf(4)) != 2 || len(s.VertsOf(2)) != 1 {
-		t.Fatal("unexpected verts sizes")
 	}
 }

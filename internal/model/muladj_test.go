@@ -101,7 +101,7 @@ func handBuilt() map[string]*model.Summary {
 func TestMulAdjHandBuilt(t *testing.T) {
 	for name, s := range handBuilt() {
 		cs := s.Compile()
-		checkMulAdj(t, name, cs, s.N, s.NeighborsOf)
+		checkMulAdj(t, name, cs, s.N, model.DefinitionNeighbors(s))
 	}
 }
 
