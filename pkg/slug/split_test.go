@@ -25,73 +25,6 @@ func splitFixture(t *testing.T) (*Sharded, *graph.Graph) {
 	return sh, g
 }
 
-func TestSplitRoundTrip(t *testing.T) {
-	for _, format := range []string{"v1", "v2"} {
-		t.Run(format, func(t *testing.T) {
-			sh, g := splitFixture(t)
-			dir := t.TempDir()
-			m, err := sh.Split(dir, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.NumShards() != 3 || m.Nodes != g.NumNodes() || m.Epoch != sh.Epoch() {
-				t.Fatalf("manifest = %+v, want 3 shards over %d nodes, epoch %s", m, g.NumNodes(), sh.Epoch())
-			}
-
-			loaded, err := LoadManifest(filepath.Join(dir, ManifestFilename))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Epoch != sh.Epoch() {
-				t.Fatalf("loaded epoch %s != artifact epoch %s", loaded.Epoch, sh.Epoch())
-			}
-
-			// Every shard opens, verifies, and decodes to the same subgraph
-			// the in-memory artifact holds.
-			for s := 0; s < loaded.NumShards(); s++ {
-				art, err := loaded.OpenShard(dir, s)
-				if err != nil {
-					t.Fatalf("shard %d: %v", s, err)
-				}
-				if art.Cost() != sh.Shards[s].Cost() {
-					t.Fatalf("shard %d cost %d != %d", s, art.Cost(), sh.Shards[s].Cost())
-				}
-				if !graph.Equal(art.Decode(), sh.Shards[s].Decode()) {
-					t.Fatalf("shard %d decodes differently after round-trip", s)
-				}
-			}
-
-			// Reassembled from the split pieces, the sharded artifact decodes
-			// the whole input, and so does its compiled union (over
-			// heap-decoded v2 shards, for format v2).
-			shards := make([]Artifact, loaded.NumShards())
-			gids := make([][]int32, loaded.NumShards())
-			for s := range shards {
-				art, err := loaded.OpenShard(dir, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shards[s] = art
-				gids[s] = sh.GlobalID[s]
-			}
-			re := &Sharded{algo: loaded.Algorithm, n: loaded.Nodes, Shards: shards, GlobalID: gids, Boundary: loaded.Boundary}
-			if !graph.Equal(re.Decode(), g) {
-				t.Fatal("reassembled artifact does not decode to the input")
-			}
-			cs, err := re.Queryable()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !graph.Equal(cs.Decode(), g) {
-				t.Fatal("reassembled artifact's compiled union does not decode to the input")
-			}
-			if re.Epoch() != sh.Epoch() {
-				t.Fatalf("reassembled epoch %s != original %s", re.Epoch(), sh.Epoch())
-			}
-		})
-	}
-}
-
 func TestSplitRefusesTamper(t *testing.T) {
 	sh, _ := splitFixture(t)
 	dir := t.TempDir()

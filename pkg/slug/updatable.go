@@ -166,9 +166,20 @@ func (la *liveArtifact) Queryable() (*model.CompiledSummary, error) {
 // the live graph; with fixed options the bytes are a deterministic
 // function of the build inputs and the update stream.
 func (la *liveArtifact) WriteTo(w io.Writer) (int64, error) {
+	base, err := la.settled()
+	if err != nil {
+		return 0, err
+	}
+	return base.WriteTo(w)
+}
+
+// settled compacts a non-empty overlay and returns the base artifact,
+// which then represents the live graph by itself: what WriteTo and
+// WriteCompiledTo serialize.
+func (la *liveArtifact) settled() (Artifact, error) {
 	if la.live.View().Len() > 0 {
 		if err := la.live.Compact(); err != nil {
-			return 0, fmt.Errorf("slug: compacting before serialization: %w", err)
+			return nil, fmt.Errorf("slug: compacting before serialization: %w", err)
 		}
 	} else {
 		// Even an empty overlay may sit above a stale base artifact if
@@ -176,9 +187,8 @@ func (la *liveArtifact) WriteTo(w io.Writer) (int64, error) {
 		la.live.Quiesce()
 	}
 	la.mu.Lock()
-	base := la.base
-	la.mu.Unlock()
-	return base.WriteTo(w)
+	defer la.mu.Unlock()
+	return la.base, nil
 }
 
 func (la *liveArtifact) ApplyUpdates(ups []model.EdgeUpdate) (int, error) {
