@@ -1,15 +1,15 @@
 // Command fedserve is the federation coordinator: it loads a split
 // sharded build (slugger -split: the manifest, shard files and id-map
 // sidecars, of which it keeps the id maps and boundary sidecar — the
-// routing state), connects to a set of shard servers over HTTP
-// (cmd/serve -shard-role processes, one per shard, mounting the same
-// directory), and serves the familiar query
-// surface by scatter-gathering across them. Queries arrive and leave
-// in global vertex ids; the coordinator routes each to the owning
-// shard, fetches shard-local answers over a compact binary batch
-// protocol, and merges the boundary edges locally — so neighbor lists
-// and edge probes are bit-identical to serving the same sharded
-// artifact in one process, and PageRank agrees with it to 1e-12.
+// routing state — and the compiled union of the shard hierarchies),
+// connects to a set of shard servers over HTTP (cmd/serve -shard-role
+// processes, one per shard, mounting the same directory), and serves
+// the familiar query surface by scatter-gathering across them. Queries
+// arrive and leave in global vertex ids; the coordinator routes each to
+// the owning shard, fetches shard-local answers over a compact binary
+// batch protocol, and merges the boundary edges locally. PageRank runs
+// on the union and needs no shard. Every answer is bit-identical to
+// serving the same sharded artifact in one process.
 //
 // Usage:
 //

@@ -11,7 +11,8 @@
 // answer. The single-process server of the same build answers from one
 // compiled summary instead (the union of the shard hierarchies, with
 // every boundary edge a leaf–leaf p-edge). Both are lossless, so their
-// neighbor lists and edge answers are byte-identical.
+// neighbor lists and edge answers are byte-identical; PageRank runs on
+// that union in both, so it is too.
 package fed
 
 import (

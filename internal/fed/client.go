@@ -476,31 +476,22 @@ func errMessage(body []byte) string {
 }
 
 // NeighborsLocal fetches the neighbor lists of shard-local vertex ids
-// from the shard's binary batch endpoint, chunking to the server-side
-// batch cap. Results are in request order, in shard-local ids.
+// from the shard's binary batch endpoint in one request; a batch over
+// serve.MaxBatchItems gets the shard's terminal 400. Results are in
+// request order, in shard-local ids.
 func (c *Client) NeighborsLocal(ctx context.Context, shard int, ids []int32) ([][]int32, error) {
-	out := make([][]int32, 0, len(ids))
-	for off := 0; off < len(ids); off += serve.MaxBatchItems {
-		end := min(off+serve.MaxBatchItems, len(ids))
-		chunk := ids[off:end]
-		v, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
-			return neighborsOnce(ctx, ep, chunk)
-		})
+	v, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
+		body, err := ep.conns.exchange(ctx, http.MethodPost, "/batch/neighbors",
+			serve.EncodeNeighborsRequest(ids), maxBatchReply)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, v.([][]int32)...)
-	}
-	return out, nil
-}
-
-func neighborsOnce(ctx context.Context, ep *endpoint, ids []int32) ([][]int32, error) {
-	body, err := ep.conns.exchange(ctx, http.MethodPost, "/batch/neighbors",
-		serve.EncodeNeighborsRequest(ids), maxBatchReply)
+		return serve.DecodeNeighborsResponse(body, len(ids))
+	})
 	if err != nil {
 		return nil, err
 	}
-	return serve.DecodeNeighborsResponse(body, len(ids))
+	return v.([][]int32), nil
 }
 
 // HasEdgeLocal asks shard for an intra-shard edge in local ids.

@@ -3,11 +3,12 @@ package fed
 // The federation coordinator: the data source behind the process
 // clients actually talk to. It keeps a sharded build's routing half
 // (id maps + boundary sidecar, as slug.OpenSplit reads them back from a
-// split directory) but none of the per-shard engines — those live in
-// shard servers across the network — and plugs into
-// internal/serve's request pipeline as a serve.Backend, so the public
-// HTTP surface (routes, validation, metrics, admission, encoding, the
-// PageRank result cache) is serve's own. The coordinator only routes:
+// split directory) and the compiled union of its shard hierarchies, but
+// serves neighbor and edge queries from the shard servers across the
+// network. It plugs into internal/serve's request pipeline as a
+// serve.Backend, so the public HTTP surface (routes, validation,
+// metrics, admission, encoding, the PageRank result cache) is serve's
+// own:
 //
 //   - NeighborsBatch: scatter shard-local batches to the owning shards,
 //     gather, translate to global ids, merge each vertex's boundary
@@ -16,12 +17,10 @@ package fed
 //   - HasEdge: intra-shard pairs go to the owning shard in local ids;
 //     cross-shard pairs are answered locally from the boundary CSR
 //     with no network round-trip at all.
-//   - Source (PageRank): gather the full merged adjacency once (cached —
-//     the artifact is immutable), then serve runs the ordinary
-//     in-process power iteration over it: the ranks algos.PageRank
-//     gives the raw graph, bit for bit, and within 1e-12 of the single
-//     process serving the same build (which multiplies on the merged
-//     hierarchy, model.CompiledSummary.MulAdj, in another order).
+//   - Source (PageRank): the compiled union, multiplied on the
+//     hierarchy (model.CompiledSummary.MulAdj) exactly as a single
+//     process serving the same build does, so the ranks are
+//     bit-identical to it and need no shard.
 //
 // A shard failure surfaces as a *ShardError, which serve answers 503
 // naming the failed shard: the caller learns which piece of the data is
@@ -43,20 +42,22 @@ import (
 // network shard federation.
 type Coordinator struct {
 	rt      *model.Routing
+	union   *model.CompiledSummary // what PageRank runs on
 	client  *Client
 	algo    string
 	epoch   string
 	version uint64
-
-	mu  sync.Mutex
-	adj [][]int32 // gathered global adjacency; nil until first PageRank
 }
 
 // NewCoordinator builds a coordinator from a sharded build's routing
-// structure and a resilient client whose peer set must cover exactly
-// the build's shards.
+// structure and compiled union, and a resilient client whose peer set
+// must cover exactly the build's shards.
 func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	rt, err := model.NewRouting(sh.GlobalID, sh.Boundary)
+	if err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
+	}
+	union, err := sh.Queryable()
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
@@ -66,6 +67,7 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	epoch := sh.Epoch()
 	return &Coordinator{
 		rt:      rt,
+		union:   union,
 		client:  client,
 		algo:    sh.Algorithm(),
 		epoch:   epoch,
@@ -201,56 +203,19 @@ func (co *Coordinator) HasEdge(ctx context.Context, u, v int32) (bool, error) {
 	return co.client.HasEdgeLocal(ctx, int(su), co.rt.LocalOf(u), co.rt.LocalOf(v))
 }
 
-// adjacency gathers (and caches) the full merged global adjacency. The
-// artifact is immutable, so a successful gather is cached forever; a
-// failed one is not cached, and the next request retries — a transient
-// shard outage never poisons PageRank permanently.
-func (co *Coordinator) adjacency(ctx context.Context) ([][]int32, error) {
-	co.mu.Lock()
-	if co.adj != nil {
-		adj := co.adj
-		co.mu.Unlock()
-		return adj, nil
-	}
-	co.mu.Unlock()
-
-	vs := make([]int32, co.rt.NumNodes())
-	for v := range vs {
-		vs[v] = int32(v)
-	}
-	adj := make([][]int32, len(vs))
-	if err := co.NeighborsBatch(ctx, vs, func(v int32, nbrs []int32) { adj[v] = nbrs }); err != nil {
-		return nil, err
-	}
-	co.mu.Lock()
-	if co.adj == nil {
-		co.adj = adj
-	}
-	adj = co.adj
-	co.mu.Unlock()
-	return adj, nil
+// Source supplies PageRank's traversal source: the compiled union, as
+// the static backend of a single process supplies its summary.
+func (co *Coordinator) Source() (algos.NeighborSource, func()) {
+	src := algos.OnCompiled(co.union)
+	return src, src.Release
 }
 
-// Source supplies PageRank's traversal source: the merged adjacency,
-// gathered once.
-func (co *Coordinator) Source(ctx context.Context) (algos.NeighborSource, func(), error) {
-	adj, err := co.adjacency(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	src := algos.FromFuncs(co.rt.NumNodes(), func(v int32) []int32 { return adj[v] })
-	return src, func() {}, nil
-}
-
-// PageRankVector computes the federated PageRank vector for (d, t): the
-// ordinary local power iteration over the gathered adjacency, within
-// 1e-12 of the in-process engine. Results are not cached here — that
-// layer is serve's, behind GET /pagerank.
-func (co *Coordinator) PageRankVector(ctx context.Context, d float64, t int) ([]float64, error) {
-	src, _, err := co.Source(ctx)
-	if err != nil {
-		return nil, err
-	}
+// PageRankVector computes the federated PageRank vector for (d, t) on
+// the compiled union; it never fails, and ctx is unused. Results are
+// not cached here — that layer is serve's, behind GET /pagerank.
+func (co *Coordinator) PageRankVector(_ context.Context, d float64, t int) ([]float64, error) {
+	src, release := co.Source()
+	defer release()
 	return algos.PageRank(src, d, t), nil
 }
 

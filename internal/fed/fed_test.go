@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -261,31 +260,6 @@ func TestFederationParityAndFailure(t *testing.T) {
 		}
 	}
 
-	// --- PageRank parity with the in-process compiled union (1e-12: it
-	// multiplies on the merged hierarchy, the coordinator on the
-	// gathered adjacency, so the sums differ in order) ---
-	src := algos.OnCompiled(cs)
-	want := algos.PageRank(src, 0.85, 20)
-	src.Release()
-	var pr struct {
-		Top []serve.RankedVertex `json:"top"`
-	}
-	resp, err := getJSON(t, fmt.Sprintf("%s/pagerank?d=0.85&t=20&top=%d", f.ts.URL, n), &pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pagerank: status %d", resp.StatusCode)
-	}
-	if len(pr.Top) != n {
-		t.Fatalf("pagerank returned %d ranks, want %d", len(pr.Top), n)
-	}
-	for _, rv := range pr.Top {
-		if math.Abs(rv.Rank-want[rv.V]) > 1e-12 {
-			t.Fatalf("pagerank(%d) = %v, in-process engine says %v", rv.V, rv.Rank, want[rv.V])
-		}
-	}
-
 	// --- Kill shard 1: queries on it fail 503 naming the shard, other
 	// shards keep answering, the breaker opens ---
 	f.procs[1].stop()
@@ -315,7 +289,7 @@ func TestFederationParityAndFailure(t *testing.T) {
 		Error string `json:"error"`
 		Shard *int   `json:"shard"`
 	}
-	resp, err = getJSON(t, fmt.Sprintf("%s/neighbors?v=%d", f.ts.URL, deadV), &fail)
+	resp, err := getJSON(t, fmt.Sprintf("%s/neighbors?v=%d", f.ts.URL, deadV), &fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +310,31 @@ func TestFederationParityAndFailure(t *testing.T) {
 	}
 	if fmt.Sprint(live.Neighbors) != fmt.Sprint(f.g.Neighbors(liveV)) {
 		t.Fatalf("live-shard answer diverged during outage")
+	}
+
+	// --- PageRank with shard 1 down: the coordinator ranks on the
+	// compiled union it loaded, bit-identical to the in-process engine,
+	// and needs no shard ---
+	src := algos.OnCompiled(cs)
+	want := algos.PageRank(src, 0.85, 20)
+	src.Release()
+	var pr struct {
+		Top []serve.RankedVertex `json:"top"`
+	}
+	resp, err = getJSON(t, fmt.Sprintf("%s/pagerank?d=0.85&t=20&top=%d", f.ts.URL, n), &pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pagerank: status %d", resp.StatusCode)
+	}
+	if len(pr.Top) != n {
+		t.Fatalf("pagerank returned %d ranks, want %d", len(pr.Top), n)
+	}
+	for _, rv := range pr.Top {
+		if rv.Rank != want[rv.V] {
+			t.Fatalf("pagerank(%d) = %v, in-process engine says %v", rv.V, rv.Rank, want[rv.V])
+		}
 	}
 
 	// Breaker opens (request failures plus health probes feed it).

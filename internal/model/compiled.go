@@ -149,6 +149,25 @@ func (cs *CompiledSummary) NumSupernodes() int { return cs.total }
 // NumSuperedges returns |P+| + |P-|.
 func (cs *CompiledSummary) NumSuperedges() int { return len(cs.edgeA) }
 
+// NumHEdges returns |H|, the supernodes that have a parent, in one pass
+// over the ancestor chains: a chain's walk stops at the first supernode
+// an earlier chain reached, whose ancestors that chain counted.
+func (cs *CompiledSummary) NumHEdges() int {
+	seen := make([]bool, cs.total)
+	h := 0
+	for v := range int32(cs.n) {
+		chain := cs.chainOf(v)
+		for _, x := range chain[:len(chain)-1] {
+			if seen[x] {
+				break
+			}
+			seen[x] = true
+			h++
+		}
+	}
+	return h
+}
+
 // vertsOf returns the leaves under supernode x.
 func (cs *CompiledSummary) vertsOf(x int32) []int32 {
 	return cs.verts[cs.vertsOff[x]:cs.vertsOff[x+1]]

@@ -42,12 +42,10 @@ type View interface {
 }
 
 // Sourcer supplies the traversal source whole-graph algorithms
-// (PageRank) run on, with its release hook. Concurrent PageRank misses
-// share one computation, so ctx is detached from the leading request's
-// cancellation: a remote view bounds its own gather with per-attempt
-// timeouts.
+// (PageRank) run on, with its release hook. Every backend's source is
+// in memory (a federation's is its compiled union), so it cannot fail.
 type Sourcer interface {
-	Source(ctx context.Context) (algos.NeighborSource, func(), error)
+	Source() (algos.NeighborSource, func())
 }
 
 // Backend is a data source behind the request pipeline: View hands each
@@ -108,9 +106,9 @@ func (v overlayView) NeighborsBatch(_ context.Context, vs []int32, visit func(in
 	return nil
 }
 
-func (v overlayView) Source(context.Context) (algos.NeighborSource, func(), error) {
+func (v overlayView) Source() (algos.NeighborSource, func()) {
 	src := algos.OnView(v.o)
-	return src, src.Release, nil
+	return src, src.Release
 }
 
 // staticBackend serves one frozen compiled summary.

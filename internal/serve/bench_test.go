@@ -178,7 +178,7 @@ func BenchmarkServePageRankUnderChurn(b *testing.B) {
 	s := NewLive(live)
 	h := s.Handler()
 
-	got, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
+	got, err := s.pageRank(s.view(), 0.85, 20)
 	if err != nil {
 		b.Fatal(err)
 	}

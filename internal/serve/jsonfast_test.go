@@ -273,7 +273,7 @@ func TestPageRankTopMatchesFullSort(t *testing.T) {
 	const n = 300
 	s := benchServer(n, 1200)
 	h := s.Handler()
-	computed, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
+	computed, err := s.pageRank(s.view(), 0.85, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestPageRankSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			r, err := s.pageRank(context.Background(), s.view(), 0.85, 20)
+			r, err := s.pageRank(s.view(), 0.85, 20)
 			if err != nil {
 				t.Error(err)
 				return
@@ -344,14 +344,14 @@ func TestPageRankSingleflight(t *testing.T) {
 	}
 
 	// A different (d, t) is its own flight (now cached separately).
-	if _, err := s.pageRank(context.Background(), s.view(), 0.5, 10); err != nil {
+	if _, err := s.pageRank(s.view(), 0.5, 10); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {
 		t.Fatalf("distinct params coalesced: %d computations, want 2", got)
 	}
 	// Cache hit: no new computation.
-	if _, err := s.pageRank(context.Background(), s.view(), 0.85, 20); err != nil {
+	if _, err := s.pageRank(s.view(), 0.85, 20); err != nil {
 		t.Fatal(err)
 	}
 	if got := computes.Load(); got != 2 {

@@ -33,9 +33,9 @@ const (
 	// maxRequestBody caps every request body read; oversized payloads
 	// get 413 instead of exhausting memory.
 	maxRequestBody = 8 << 20
-	// MaxBatchItems caps the per-request work of batched endpoints.
-	// Exported so federation clients (internal/fed) chunk their
-	// scatter-gather fan-out to exactly the server-side limit.
+	// MaxBatchItems caps the per-request work of batched endpoints. A
+	// coordinator's per-shard batch never exceeds it: it splits a
+	// request already capped here.
 	MaxBatchItems = 10000
 )
 
@@ -616,14 +616,11 @@ var errPageRankAborted = errors.New("pagerank computation aborted; retry")
 
 // computePageRank runs the actual power iteration (overridable in tests
 // to count and slow down computations).
-func (s *Server) computePageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
+func (s *Server) computePageRank(view View, d float64, t int) ([]float64, error) {
 	if s.prCompute != nil {
 		return s.prCompute(view, d, t)
 	}
-	src, release, err := view.Source(ctx)
-	if err != nil {
-		return nil, err
-	}
+	src, release := view.Source()
 	defer release()
 	return algos.PageRank(src, d, t), nil
 }
@@ -636,10 +633,8 @@ func (s *Server) computePageRank(ctx context.Context, view View, d float64, t in
 // (d, t, version) are coalesced into a single computation
 // (singleflight): under update-driven version churn a thundering herd
 // of /pagerank requests costs one power iteration, not one per request.
-// Followers share the leader's result, so the computation runs detached
-// from the leader's cancellation: its client disconnecting must not fail
-// everyone else's request. A failed computation is never cached.
-func (s *Server) pageRank(ctx context.Context, view View, d float64, t int) ([]float64, error) {
+// A failed computation is never cached.
+func (s *Server) pageRank(view View, d float64, t int) ([]float64, error) {
 	key := prKey{d: d, t: t}
 	ver := view.Version()
 	s.mu.Lock()
@@ -688,7 +683,7 @@ func (s *Server) pageRank(ctx context.Context, view View, d float64, t int) ([]f
 		s.mu.Unlock()
 		close(c.done)
 	}()
-	c.val, c.err = s.computePageRank(context.WithoutCancel(ctx), view, d, t)
+	c.val, c.err = s.computePageRank(view, d, t)
 	return c.val, c.err
 }
 
@@ -725,7 +720,7 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		top = parsed
 	}
 	view := s.view()
-	rank, err := s.pageRank(r.Context(), view, d, t)
+	rank, err := s.pageRank(view, d, t)
 	if err != nil {
 		unavailable(w, err)
 		return

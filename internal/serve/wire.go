@@ -4,7 +4,7 @@ package serve
 // (POST /batch/neighbors). JSON encoding dominates the cost of large
 // neighbor batches — every id is re-rendered as decimal text and the
 // response allocates per vertex — so the federation fan-out path
-// (internal/fed scatter-gathering thousands of ids per shard per
+// (internal/fed scatter-gathering up to MaxBatchItems ids per shard per
 // request) speaks this fixed-width little-endian format instead. The
 // codec is symmetric and exported so the coordinator's client decodes
 // with the same code the shard server encodes with.

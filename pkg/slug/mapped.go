@@ -62,8 +62,15 @@ type Mapped struct {
 }
 
 // newMappedFromBytes validates data (already aligned) and wraps it.
+// The header's cost must be the compiled hierarchy's own,
+// |superedges| + |h-edges|: Cost reports it as the artifact's size.
 func newMappedFromBytes(data []byte, mapped bool, unmap func() error) (*Mapped, error) {
 	cs, info, err := model.FromMapped(data)
+	if err == nil {
+		if want := int64(cs.NumSuperedges() + cs.NumHEdges()); info.Cost != want {
+			err = fmt.Errorf("%w: header cost %d, hierarchy has %d superedges and h-edges", ErrArtifactCorrupt, info.Cost, want)
+		}
+	}
 	if err != nil {
 		if unmap != nil {
 			unmap()

@@ -8,8 +8,10 @@ package slug_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -116,6 +118,21 @@ func TestOpenMappedRejectsDamage(t *testing.T) {
 		p := write(t, b)
 		if _, err := slug.OpenMapped(p); !errors.Is(err, slug.ErrArtifactCorrupt) {
 			t.Fatalf("got %v, want ErrArtifactCorrupt", err)
+		}
+	})
+	t.Run("cost-edit", func(t *testing.T) {
+		// A header cost that is not the hierarchy's, under a valid header
+		// CRC (at header 64 + padded algorithm tag + 9 × 16 section table).
+		b := append([]byte(nil), pristine...)
+		binary.LittleEndian.PutUint64(b[56:64], uint64(art.Cost()+1))
+		crcOff := 64 + (int(binary.LittleEndian.Uint16(b[6:8]))+7)&^7 + 9*16
+		binary.LittleEndian.PutUint32(b[crcOff:], crc32.Checksum(b[:crcOff], crc32.MakeTable(crc32.Castagnoli)))
+		p := write(t, b)
+		if _, err := slug.OpenMapped(p); !errors.Is(err, slug.ErrArtifactCorrupt) {
+			t.Fatalf("OpenMapped: got %v, want ErrArtifactCorrupt", err)
+		}
+		if _, err := slug.Load(p); !errors.Is(err, slug.ErrArtifactCorrupt) {
+			t.Fatalf("Load: got %v, want ErrArtifactCorrupt", err)
 		}
 	})
 	t.Run("payload-flip", func(t *testing.T) {
