@@ -10,7 +10,7 @@ package algos
 
 // NeighborSource is the only access graph algorithms need: the vertex
 // count and per-vertex neighbor retrieval. *graph.Graph satisfies it
-// via an adapter (Raw); a compiled *model.Summary via OnCompiled.
+// via an adapter (Raw); a summary's overlay snapshot via OnView.
 type NeighborSource interface {
 	NumNodes() int
 	// Neighbors returns the neighbors of v. The result may alias
@@ -114,9 +114,9 @@ func mulAdj(g NeighborSource, dst, x []float64) {
 // undirected graph (Algorithm 6 of the paper). Dangling mass is
 // redistributed uniformly; the result sums to 1 for non-empty graphs.
 // Each iteration is one product with the adjacency matrix, which a
-// compiled, live or sharded source computes on the hierarchy itself
-// (model's MulAdj) rather than by querying every vertex; the degrees
-// are one more, unless the source keeps them (model's Degrees).
+// summary's source computes on the hierarchy itself (model's MulAdj)
+// rather than by querying every vertex; the degrees are one more,
+// unless the source keeps them (model's Degrees), as a summary's does.
 func PageRank(g NeighborSource, d float64, T int) []float64 {
 	n := g.NumNodes()
 	if n == 0 {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 func lineGraph(n int) *graph.Graph {
@@ -263,5 +264,50 @@ func TestPageRankNeighborSourcesKeepTheirBits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// countingSource counts the products PageRank asks its source for.
+type countingSource struct {
+	*Source
+	products int
+}
+
+func (c *countingSource) MulAdj(dst, x []float64) bool {
+	c.products++
+	return c.Source.MulAdj(dst, x)
+}
+
+// TestOverlaySourceOffersDegrees: the source over an overlay snapshot,
+// live or the empty one OnCompiled makes, keeps the degree vector, so
+// PageRank runs T products on every view and not T + 1.
+func TestOverlaySourceOffersDegrees(t *testing.T) {
+	g := graph.Caveman(4, 6, 3, 21)
+	sum, _ := core.Summarize(g, core.Config{T: 10, Seed: 3})
+	live, _, err := model.NewOverlay(sum.Compile()).Apply([]model.EdgeUpdate{{U: 0, V: 20}, {U: 1, V: 2, Delete: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*Source{"live": OnView(live), "compiled": OnCompiled(live.Base())} {
+		var ns NeighborSource = src
+		ds, ok := ns.(interface{ Degrees([]float64) bool })
+		if !ok {
+			t.Fatalf("%s: the overlay source offers no Degrees", name)
+		}
+		deg := make([]float64, src.NumNodes())
+		if !ds.Degrees(deg) {
+			t.Fatalf("%s: Degrees reported ineligible", name)
+		}
+		for v, d := range deg {
+			if want := len(src.Neighbors(int32(v))); d != float64(want) {
+				t.Fatalf("%s: Degrees[%d] = %v, %d neighbors", name, v, d, want)
+			}
+		}
+		c := &countingSource{Source: src}
+		PageRank(c, 0.85, 10)
+		if c.products != 10 {
+			t.Fatalf("%s: PageRank(T = 10) ran %d products", name, c.products)
+		}
+		src.Release()
 	}
 }

@@ -30,10 +30,6 @@ type Config struct {
 	// Dir is the working directory for go list (module root or any
 	// directory inside the module). Empty means the process cwd.
 	Dir string
-	// Tests includes _test.go files: each matched package is analyzed
-	// as its test variant (package + internal test files) and external
-	// _test packages become their own roots.
-	Tests bool
 }
 
 // Package is one loaded, type-checked package.
@@ -68,7 +64,6 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	ForTest    string
 	DepOnly    bool
 	Standard   bool
 	ImportMap  map[string]string
@@ -84,11 +79,7 @@ type listError struct {
 // parses each matched package's sources, and type-checks them against
 // gc export data for every dependency.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
-	args := []string{"list", "-deps", "-export", "-e", "-json=ImportPath,Name,Dir,Export,GoFiles,ForTest,DepOnly,Standard,ImportMap,Error"}
-	if cfg.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-e", "-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Standard,ImportMap,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	var out, errbuf bytes.Buffer
@@ -115,7 +106,6 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 			roots = append(roots, &q)
 		}
 	}
-	roots = selectRoots(roots, cfg.Tests)
 
 	fset := token.NewFileSet()
 	var pkgs []*Package
@@ -130,31 +120,6 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// selectRoots drops synthetic ".test" mains and, when test variants are
-// loaded, prefers "pkg [pkg.test]" (package plus its internal test
-// files) over the plain "pkg" so each source file is analyzed once.
-func selectRoots(roots []*listPkg, tests bool) []*listPkg {
-	if !tests {
-		return roots
-	}
-	hasVariant := make(map[string]bool)
-	for _, r := range roots {
-		if r.ForTest != "" && r.ForTest == strings.TrimSuffix(r.ImportPath, " ["+r.ForTest+".test]") {
-			hasVariant[r.ForTest] = true
-		}
-	}
-	var keep []*listPkg
-	for _, r := range roots {
-		switch {
-		case strings.HasSuffix(r.ImportPath, ".test"): // generated test main
-		case r.ForTest == "" && hasVariant[r.ImportPath]: // superseded by variant
-		default:
-			keep = append(keep, r)
-		}
-	}
-	return keep
 }
 
 func check(fset *token.FileSet, r *listPkg, exports map[string]string) (*Package, error) {

@@ -17,10 +17,10 @@ package fed
 //   - HasEdge: intra-shard pairs go to the owning shard in local ids;
 //     cross-shard pairs are answered locally from the boundary CSR
 //     with no network round-trip at all.
-//   - Source (PageRank): the compiled union, multiplied on the
-//     hierarchy (model.CompiledSummary.MulAdj) exactly as a single
-//     process serving the same build does, so the ranks are
-//     bit-identical to it and need no shard.
+//   - Source (PageRank): the empty overlay of the compiled union,
+//     multiplied on the hierarchy (model.DeltaOverlay.MulAdj) through
+//     the same source a single process serving the same build uses, so
+//     the ranks are bit-identical to it and need no shard.
 //
 // A shard failure surfaces as a *ShardError, which serve answers 503
 // naming the failed shard: the caller learns which piece of the data is
@@ -42,7 +42,7 @@ import (
 // network shard federation.
 type Coordinator struct {
 	rt      *model.Routing
-	union   *model.CompiledSummary // what PageRank runs on
+	union   *model.DeltaOverlay // the compiled union, what PageRank runs on
 	client  *Client
 	algo    string
 	epoch   string
@@ -67,7 +67,7 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	epoch := sh.Epoch()
 	return &Coordinator{
 		rt:      rt,
-		union:   union,
+		union:   model.NewOverlay(union),
 		client:  client,
 		algo:    sh.Algorithm(),
 		epoch:   epoch,
@@ -206,7 +206,7 @@ func (co *Coordinator) HasEdge(ctx context.Context, u, v int32) (bool, error) {
 // Source supplies PageRank's traversal source: the compiled union, as
 // the static backend of a single process supplies its summary.
 func (co *Coordinator) Source() (algos.NeighborSource, func()) {
-	src := algos.OnCompiled(co.union)
+	src := algos.OnView(co.union)
 	return src, src.Release
 }
 

@@ -149,6 +149,10 @@ func (cs *CompiledSummary) NumSupernodes() int { return cs.total }
 // NumSuperedges returns |P+| + |P-|.
 func (cs *CompiledSummary) NumSuperedges() int { return len(cs.edgeA) }
 
+// Cost returns the encoding cost of the compiled hierarchy,
+// |P+| + |P-| + |H|: the cost of the summary it was compiled from.
+func (cs *CompiledSummary) Cost() int64 { return int64(cs.NumSuperedges() + cs.NumHEdges()) }
+
 // NumHEdges returns |H|, the supernodes that have a parent, in one pass
 // over the ancestor chains: a chain's walk stops at the first supernode
 // an earlier chain reached, whose ancestors that chain counted.

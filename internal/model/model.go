@@ -171,48 +171,10 @@ func (s *Summary) leafDepths() []int {
 // decompression (Algorithm 4) from every vertex on the compiled form.
 func (s *Summary) Decode() *graph.Graph { return s.Compile().Decode() }
 
-// Validate checks that the summary exactly represents g and that every
-// subnode pair has a p-minus-n count in {0,1} (the restriction SLUGGER
-// maintains, Sect. III-B3). It returns a descriptive error on the first
-// violation found.
-func (s *Summary) Validate(g *graph.Graph) error {
-	if g.NumNodes() != s.N {
-		return fmt.Errorf("model: vertex count %d != graph %d", s.N, g.NumNodes())
-	}
-	cs := s.Compile()
-	ctx := cs.AcquireCtx()
-	defer cs.ReleaseCtx(ctx)
-	for v := int32(0); v < int32(s.N); v++ {
-		ctx.accumulate(v)
-		ones := 0
-		for _, u := range ctx.touched {
-			c := ctx.cnt[u]
-			if u == v || c == 0 {
-				continue
-			}
-			if c != 1 {
-				return fmt.Errorf("model: pair (%d,%d) has net count %d, outside {0,1}", v, u, c)
-			}
-			ones++
-		}
-		// Every edge of g at v has count 1, so the pairs with count 1
-		// are exactly g's edges at v iff there are as many of them.
-		nbrs := g.Neighbors(v)
-		for _, u := range nbrs {
-			if c := ctx.countOf(u); c != 1 {
-				return fmt.Errorf("model: edge (%d,%d) has net count %d, want 1", v, u, c)
-			}
-		}
-		if ones != len(nbrs) {
-			for _, u := range ctx.touched {
-				if u != v && ctx.cnt[u] == 1 && !g.HasEdge(v, u) {
-					return fmt.Errorf("model: pair (%d,%d) decoded true, graph has false", v, u)
-				}
-			}
-		}
-	}
-	return nil
-}
+// Validate checks that the summary exactly represents g, with every
+// subnode pair count in {0,1}; see DeltaOverlay.Validate, which it runs
+// on the empty overlay of the compiled summary.
+func (s *Summary) Validate(g *graph.Graph) error { return NewOverlay(s.Compile()).Validate(g) }
 
 // Composition reports the share of each edge type in the output
 // (Fig. 6 of the paper). Shares sum to 1 unless the model is empty.

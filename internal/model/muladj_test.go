@@ -77,6 +77,26 @@ func checkDegrees(t *testing.T, what string, cs *model.CompiledSummary, neighbor
 	}
 }
 
+// checkOverlayDegrees demands an overlay's Degrees be MulAdj of the
+// all-ones vector bit for bit, and that the two report false together.
+func checkOverlayDegrees(t *testing.T, what string, o *model.DeltaOverlay) {
+	t.Helper()
+	n := o.NumNodes()
+	ones, prod, deg := make([]float64, n), make([]float64, n), make([]float64, n)
+	for v := range ones {
+		ones[v] = 1
+	}
+	okMul, okDeg := o.MulAdj(prod, ones), o.Degrees(deg)
+	if okMul != okDeg {
+		t.Fatalf("%s: MulAdj reports %v, Degrees %v", what, okMul, okDeg)
+	}
+	for v := range deg {
+		if math.Float64bits(deg[v]) != math.Float64bits(prod[v]) {
+			t.Fatalf("%s: Degrees[%d] = %v, MulAdj(ones) = %v", what, v, deg[v], prod[v])
+		}
+	}
+}
+
 // handBuilt are models exercising each branch of the edge pass.
 func handBuilt() map[string]*model.Summary {
 	return map[string]*model.Summary{
@@ -242,6 +262,7 @@ func TestMulAdjFallback(t *testing.T) {
 				t.Fatalf("%s: %s view reports eligible", name, view)
 			}
 		}
+		checkOverlayDegrees(t, name, model.NewOverlay(cs))
 		src := algos.OnCompiled(cs)
 		if cs.Degrees(dst) || src.Degrees(dst) {
 			t.Fatalf("%s: Degrees reports eligible", name)
@@ -437,11 +458,14 @@ func FuzzMulAdjParity(f *testing.F) {
 				ups = append(ups, model.EdgeUpdate{U: u, V: v, Delete: stream[i+2]&1 == 1})
 			}
 		}
-		o, _, err := model.NewOverlay(cs).Apply(ups)
+		empty := model.NewOverlay(cs)
+		checkOverlayDegrees(t, name+"+empty overlay", empty)
+		o, _, err := empty.Apply(ups)
 		if err != nil {
 			t.Fatalf("Apply(%v): %v", ups, err)
 		}
 		checkMulAdj(t, name+"+overlay", o, n, o.Decode().Neighbors)
+		checkOverlayDegrees(t, name+"+overlay", o)
 	})
 }
 

@@ -380,10 +380,32 @@ func (o *DeltaOverlay) MulAdj(dst, x []float64) bool {
 	return true
 }
 
+// Degrees writes the live graph's degree vector to dst: the base's
+// (CompiledSummary.Degrees, whose false it passes on) plus the
+// overlay's ±1 corrections in MulAdj's order, so its bits are those of
+// MulAdj on the all-ones vector. Safe for concurrent callers.
+func (o *DeltaOverlay) Degrees(dst []float64) bool {
+	if !o.cs.Degrees(dst) {
+		return false
+	}
+	for _, c := range o.corrections() {
+		if c.u >= 0 {
+			dst[c.v]++
+		} else {
+			dst[c.v]--
+		}
+	}
+	return true
+}
+
 // flatten lists the entries in (v, u) order: every dst[v] then takes
 // its corrections in ascending u, a fixed order, so MulAdj does not
-// depend on the batches that built the overlay.
+// depend on the batches that built the overlay. The empty overlay has
+// none and skips the walk over the vertices.
 func (o *DeltaOverlay) flatten() []correction {
+	if o.pages == nil {
+		return nil
+	}
 	flat := make([]correction, 0, 2*o.Len())
 	for v := int32(0); v < int32(o.cs.n); v++ {
 		for _, e := range o.list(v) {
@@ -391,6 +413,56 @@ func (o *DeltaOverlay) flatten() []correction {
 		}
 	}
 	return flat
+}
+
+// Validate checks that the snapshot represents exactly g: every pair
+// count of the base is in {0,1} (the restriction SLUGGER maintains,
+// Sect. III-B3) and stays there with the overlay's correction, and
+// every vertex's live neighbours are g's. It names the first bad pair.
+func (o *DeltaOverlay) Validate(g *graph.Graph) error {
+	if g.NumNodes() != o.cs.n {
+		return fmt.Errorf("model: vertex count %d != graph %d", o.cs.n, g.NumNodes())
+	}
+	ctx := o.cs.AcquireCtx()
+	defer o.cs.ReleaseCtx(ctx)
+	for v := int32(0); v < int32(o.cs.n); v++ {
+		ctx.accumulate(v)
+		ones := 0
+		for _, u := range ctx.touched {
+			c := ctx.cnt[u]
+			if u == v || c == 0 {
+				continue
+			}
+			if c != 1 {
+				return fmt.Errorf("model: pair (%d,%d) has net count %d, outside {0,1}", v, u, c)
+			}
+			ones++
+		}
+		// Fold v's corrections in: the counts become the live graph's.
+		for _, e := range o.list(v) {
+			ctx.count(e.u, int32(e.s), ctx.cntEpoch)
+			if c := ctx.cnt[e.u]; c != 0 && c != 1 {
+				return fmt.Errorf("model: pair (%d,%d) has net count %d with its overlay correction, outside {0,1}", v, e.u, c)
+			}
+			ones += int(e.s)
+		}
+		// Every edge of g at v has count 1, so the pairs with count 1
+		// are exactly g's edges at v iff there are as many of them.
+		nbrs := g.Neighbors(v)
+		for _, u := range nbrs {
+			if c := ctx.countOf(u); c != 1 {
+				return fmt.Errorf("model: edge (%d,%d) has net count %d, want 1", v, u, c)
+			}
+		}
+		if ones != len(nbrs) {
+			for _, u := range ctx.touched {
+				if u != v && ctx.cnt[u] == 1 && !g.HasEdge(v, u) {
+					return fmt.Errorf("model: pair (%d,%d) decoded true, graph has false", v, u)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Decode materializes the live graph (base graph with all overlay
@@ -426,11 +498,11 @@ type Durability struct {
 	// applied and must not be acknowledged.
 	Append func(ups []EdgeUpdate) (uint64, error)
 	// Checkpoint is invoked after a successful compaction commits its
-	// base swap, with the LSN of the last update batch included in the
-	// rebuilt base. Called without internal locks held, so it may do
-	// I/O; failures are the sink's to record (a missed checkpoint only
+	// base swap, with that base and the LSN of the last update batch it
+	// includes. Called without internal locks held, so it may do I/O;
+	// failures are the sink's to record (a missed checkpoint only
 	// lengthens the next replay, it never loses data).
-	Checkpoint func(lsn uint64)
+	Checkpoint func(lsn uint64, base *CompiledSummary)
 }
 
 // ErrDurability wraps failures to persist an update batch: the batch
@@ -475,10 +547,9 @@ type LiveStats struct {
 type Live struct {
 	cur atomic.Pointer[DeltaOverlay]
 
-	mu          sync.Mutex
-	rebuild     RebuildFunc
-	onCompacted func()
-	threshold   int
+	mu        sync.Mutex
+	rebuild   RebuildFunc
+	threshold int
 
 	logging     bool         // journal updates for an in-flight compaction
 	log         []EdgeUpdate // updates applied since the compaction captured its view
@@ -511,17 +582,6 @@ func NewLive(cs *CompiledSummary) *Live {
 func (l *Live) SetRebuild(fn RebuildFunc) {
 	l.mu.Lock()
 	l.rebuild = fn
-	l.mu.Unlock()
-}
-
-// SetOnCompacted installs a hook invoked immediately after a successful
-// compaction commits its base swap, atomically with the swap (the
-// internal lock is held): rebuild-side state staged by the RebuildFunc
-// can be published here without a window where it disagrees with the
-// served base. The hook must be fast and must not call back into l.
-func (l *Live) SetOnCompacted(fn func()) {
-	l.mu.Lock()
-	l.onCompacted = fn
 	l.mu.Unlock()
 }
 
@@ -655,11 +715,12 @@ func (l *Live) beginCompactionLocked() (*DeltaOverlay, RebuildFunc, uint64) {
 
 // runCompaction materializes the captured view, re-summarizes it, and
 // swaps in the fresh base with the journaled updates replayed on top.
-// After a successful commit it checkpoints the durability sink at
-// ckptLSN — the last batch the captured view covered — outside the
-// lock. The committed base may already include journaled batches beyond
-// ckptLSN; tagging low is safe because updates are absolute set
-// operations, so replaying an already-applied suffix converges.
+// After a successful commit it hands the sink the new base to
+// checkpoint at ckptLSN — the last batch the captured view covered —
+// outside the lock. The committed base may already include journaled
+// batches beyond ckptLSN; tagging low is safe because updates are
+// absolute set operations, so replaying an already-applied suffix
+// converges.
 //
 // The compaction stays in flight (compacting set, compactDone open)
 // until that checkpoint has returned: Quiesce and Compact therefore
@@ -700,16 +761,13 @@ func (l *Live) runCompaction(view *DeltaOverlay, rebuild RebuildFunc, ckptLSN ui
 			l.compactions++
 			l.lastErr = nil
 			l.failedAt = 0
-			if l.onCompacted != nil {
-				l.onCompacted()
-			}
 			committed = true
 		}
 	}
 	durable := l.durable
 	l.mu.Unlock()
 	if committed && durable != nil && durable.Checkpoint != nil {
-		durable.Checkpoint(ckptLSN)
+		durable.Checkpoint(ckptLSN, cs)
 	}
 	l.mu.Lock()
 	l.compacting = false

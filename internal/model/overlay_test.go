@@ -481,7 +481,7 @@ func TestQuiesceWaitsForCheckpoint(t *testing.T) {
 	var lsn uint64
 	l.SetDurability(Durability{
 		Append: func([]EdgeUpdate) (uint64, error) { lsn++; return lsn, nil },
-		Checkpoint: func(at uint64) {
+		Checkpoint: func(at uint64, _ *CompiledSummary) {
 			entered <- at
 			<-release
 		},

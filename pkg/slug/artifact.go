@@ -156,8 +156,17 @@ func Save(path string, a io.WriterTo) error {
 // directory fsync. On any failure the temporary file is removed and the
 // previous contents of path are untouched.
 func atomicWrite(path string, write func(io.Writer) (int64, error)) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err := renameSynced(path, write); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// renameSynced is atomicWrite without the directory fsync: write's
+// output lands in a temporary file beside path, is fsynced and renamed
+// over path. The rename is durable only once the directory is synced.
+func renameSynced(path string, write func(io.Writer) (int64, error)) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -181,9 +190,13 @@ func atomicWrite(path string, write func(io.Writer) (int64, error)) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Make the rename itself durable: fsync the directory entry. Failure
-	// here is reported (the data is safe, but the commit may not survive
-	// power loss until the OS flushes the directory).
+	return nil
+}
+
+// syncDir makes the renames into dir durable by fsyncing the directory.
+// Failure is reported (the data is safe, but a commit may not survive
+// power loss until the OS flushes the directory).
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -207,46 +220,18 @@ func Load(path string) (Artifact, error) {
 	return ReadFrom(f)
 }
 
-// Validate checks that the artifact decodes exactly to g, reporting
-// the first discrepancy found (a concrete missing or extra edge) —
-// more useful than a boolean when debugging a losslessness regression.
+// Validate checks that the snapshot an artifact serves — its compiled
+// form, or an Updatable's current overlay over it — represents exactly
+// g, with every pair count in {0,1} (model.DeltaOverlay.Validate). It
+// reports the first discrepancy found, a concrete pair, which is more
+// useful than a boolean when debugging a losslessness regression.
 func Validate(a Artifact, g *graph.Graph) error {
-	switch t := a.(type) {
-	case *Hierarchical:
-		// The hierarchical model's validator names the offending edge
-		// without materializing the decoded graph.
-		return t.Summary.Validate(g)
-	case *Sharded:
-		return t.Validate(g) // the union, through the same validator
+	if u, ok := a.(Updatable); ok {
+		return u.View().Validate(g)
 	}
-	return compareDecoded(a.Decode(), g)
-}
-
-// compareDecoded checks a decoded graph against the input edge for
-// edge, naming the first discrepancy.
-func compareDecoded(dec, g *graph.Graph) error {
-	if dec.NumNodes() != g.NumNodes() {
-		return fmt.Errorf("slug: decoded graph has %d nodes, input has %d", dec.NumNodes(), g.NumNodes())
+	cs, err := a.Queryable()
+	if err != nil {
+		return err
 	}
-	var firstErr error
-	g.ForEachEdge(func(u, v int32) {
-		if firstErr == nil && !dec.HasEdge(u, v) {
-			firstErr = fmt.Errorf("slug: edge (%d,%d) of the input is missing from the decoded graph", u, v)
-		}
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	if dec.NumEdges() != g.NumEdges() {
-		dec.ForEachEdge(func(u, v int32) {
-			if firstErr == nil && !g.HasEdge(u, v) {
-				firstErr = fmt.Errorf("slug: decoded graph has extra edge (%d,%d)", u, v)
-			}
-		})
-		if firstErr == nil {
-			firstErr = fmt.Errorf("slug: decoded graph has %d edges, input has %d", dec.NumEdges(), g.NumEdges())
-		}
-		return firstErr
-	}
-	return nil
+	return model.NewOverlay(cs).Validate(g)
 }

@@ -128,6 +128,7 @@ func openDurable(art Artifact, cfg buildConfig, opts []Option) (Updatable, error
 	la.recCkpt = rec.HasCheckpoint
 	la.recTrunc = rec.Truncated
 	la.recRecords = len(rec.Records)
+	seed := la.live.View().Base() // before replay can start a compaction
 
 	// Replay before installing the sink, so recovered batches are not
 	// appended a second time. Replay is idempotent (updates are absolute
@@ -151,7 +152,7 @@ func openDurable(art Artifact, cfg buildConfig, opts []Option) (Updatable, error
 	// floor, not the replay floor: the serialized base does not contain
 	// the replayed batches, which must stay replayable.
 	if !rec.HasCheckpoint {
-		if err := checkpointArtifact(log, base, rec.CheckpointLSN); err != nil {
+		if err := writeCheckpoint(log, la.algo, seed, rec.CheckpointLSN); err != nil {
 			return fail(fmt.Errorf("slug: seeding initial checkpoint: %w", err))
 		}
 	}
@@ -161,24 +162,24 @@ func openDurable(art Artifact, cfg buildConfig, opts []Option) (Updatable, error
 		Append: func(ups []model.EdgeUpdate) (uint64, error) {
 			return log.Append(model.EncodeUpdates(ups))
 		},
-		Checkpoint: func(lsn uint64) { la.checkpoint(lsn) },
+		Checkpoint: la.checkpoint,
 	}, floor)
 	return la, nil
 }
 
-// checkpoint persists the current base artifact as the log's checkpoint
-// covering every batch up to lsn, retiring the segments it supersedes.
-// Invoked by Live after each committed compaction, off the writer lock.
-// Failure is recorded, not fatal: the old checkpoint stays
+// checkpoint persists the base a compaction committed as the log's
+// checkpoint covering every batch up to lsn, retiring the segments it
+// supersedes. Invoked by Live after each committed compaction, off the
+// writer lock. Failure is recorded, not fatal: the old checkpoint stays
 // authoritative and recovery just replays a longer suffix.
-func (la *liveArtifact) checkpoint(lsn uint64) {
+func (la *liveArtifact) checkpoint(lsn uint64, base *model.CompiledSummary) {
 	la.mu.Lock()
-	base, log := la.base, la.log
+	log := la.log
 	la.mu.Unlock()
 	if log == nil {
 		return
 	}
-	err := checkpointArtifact(log, base, lsn)
+	err := writeCheckpoint(log, la.algo, base, lsn)
 	la.mu.Lock()
 	if err != nil {
 		la.ckptFails++
@@ -189,15 +190,15 @@ func (la *liveArtifact) checkpoint(lsn uint64) {
 	la.mu.Unlock()
 }
 
-// checkpointArtifact persists base as the log's checkpoint in the v2
+// writeCheckpoint persists base as the log's checkpoint in the v2
 // zero-copy compiled layout: recovery then rebuilds the serving engine
 // straight from the checkpoint bytes — no decode, no recompile — so
 // crash-recovery time stops growing with summary size. v1-envelope
 // checkpoints from earlier versions still recover (ReadFrom dispatches
 // on the magic).
-func checkpointArtifact(log *wal.Log, base Artifact, lsn uint64) error {
+func writeCheckpoint(log *wal.Log, algo string, base *model.CompiledSummary, lsn uint64) error {
 	return log.Checkpoint(lsn, func(w io.Writer) error {
-		_, err := WriteCompiledTo(w, base)
+		_, err := writeCompiled(w, algo, base)
 		return err
 	})
 }

@@ -67,7 +67,7 @@ type Mapped struct {
 func newMappedFromBytes(data []byte, mapped bool, unmap func() error) (*Mapped, error) {
 	cs, info, err := model.FromMapped(data)
 	if err == nil {
-		if want := int64(cs.NumSuperedges() + cs.NumHEdges()); info.Cost != want {
+		if want := cs.Cost(); info.Cost != want {
 			err = fmt.Errorf("%w: header cost %d, hierarchy has %d superedges and h-edges", ErrArtifactCorrupt, info.Cost, want)
 		}
 	}
@@ -181,18 +181,23 @@ func (m *Mapped) Close() error {
 // already (the one-time cost OpenMapped readers never pay again). An
 // Updatable is written as WriteTo writes it: its overlay compacted in.
 func WriteCompiledTo(w io.Writer, a Artifact) (int64, error) {
+	var cs *model.CompiledSummary
+	var err error
 	if la, ok := a.(*liveArtifact); ok {
-		base, err := la.settled()
-		if err != nil {
-			return 0, err
-		}
-		a = base
+		cs, err = la.settled()
+	} else {
+		cs, err = a.Queryable()
 	}
-	cs, err := a.Queryable()
 	if err != nil {
 		return 0, err
 	}
-	return model.WriteCompiled(w, cs, model.MappedInfo{Algorithm: a.Algorithm(), Cost: a.Cost()})
+	return writeCompiled(w, a.Algorithm(), cs)
+}
+
+// writeCompiled writes cs in the v2 layout under algo, at the cost the
+// compiled hierarchy fixes (what newMappedFromBytes checks on reading).
+func writeCompiled(w io.Writer, algo string, cs *model.CompiledSummary) (int64, error) {
+	return model.WriteCompiled(w, cs, model.MappedInfo{Algorithm: algo, Cost: cs.Cost()})
 }
 
 // SaveCompiled writes an artifact to path in the v2 zero-copy compiled

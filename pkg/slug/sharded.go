@@ -83,16 +83,6 @@ func (a *Sharded) Decode() *graph.Graph {
 	return b.Build()
 }
 
-// Validate checks that the union — what WriteTo saves and Queryable
-// compiles — decodes exactly to g, reporting the first discrepancy.
-func (a *Sharded) Validate(g *graph.Graph) error {
-	h, err := a.union()
-	if err != nil {
-		return err
-	}
-	return h.Summary.Validate(g)
-}
-
 // union builds the shards' union hierarchy (model.Union: global ids,
 // boundary edges as leaf–leaf p-edges, at exactly Cost()) once; later
 // calls share it, and its compiled form.

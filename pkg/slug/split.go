@@ -181,9 +181,11 @@ func EpochVersion(epoch string) uint64 {
 // envelope) or shard-000.slgc, ... for format "v2" (zero-copy compiled
 // layout, mmap-bootable by a shard server) — with each shard's id map
 // beside it (shard-000.ids, ...), plus ManifestFilename tying them
-// together, and returns the manifest. All writes are crash-safe (tmp +
-// fsync + rename). The per-shard files round-trip through the ordinary
-// Load path; OpenSplit reads the whole directory back, as a
+// together, and returns the manifest. All writes are crash-safe: every
+// shard and id-map file is fsynced and renamed into place, the
+// directory is fsynced once, and the manifest — the commit point — is
+// written last, atomically. The per-shard files round-trip through the
+// ordinary Load path; OpenSplit reads the whole directory back, as a
 // coordinator boots from it.
 func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 	var ext string
@@ -231,6 +233,9 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 			IDMapFile:   idName,
 		}
 	}
+	if err := syncDir(dir); err != nil {
+		return nil, fmt.Errorf("slug: syncing %s: %w", dir, err)
+	}
 	m.Epoch = a.Epoch()
 	if err := atomicWrite(filepath.Join(dir, ManifestFilename), func(w io.Writer) (int64, error) {
 		enc := json.NewEncoder(w)
@@ -242,9 +247,10 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 	return m, nil
 }
 
-// writeBytes commits raw to path crash-safely (see atomicWrite).
+// writeBytes puts raw at path, fsynced and renamed into place; the
+// caller fsyncs the directory (see renameSynced).
 func writeBytes(path string, raw []byte) error {
-	return atomicWrite(path, func(w io.Writer) (int64, error) {
+	return renameSynced(path, func(w io.Writer) (int64, error) {
 		n, err := w.Write(raw)
 		return int64(n), err
 	})

@@ -57,16 +57,15 @@ type Updatable interface {
 }
 
 // liveArtifact implements Updatable over a model.Live whose rebuild
-// re-summarizes through the algorithm registry.
+// re-summarizes through the algorithm registry. The Live's snapshot is
+// its only summary state: cost, bytes and checkpoints all come from the
+// compiled base the snapshot corrects.
 type liveArtifact struct {
 	algo string
 	live *model.Live
 
-	mu      sync.Mutex
-	base    Artifact // artifact of the served compiled base
-	pending Artifact // rebuilt artifact staged until its swap commits
-
-	// Durable state (nil log = volatile artifact).
+	// Durable state (nil log = volatile artifact), under mu.
+	mu          sync.Mutex
 	log         *wal.Log
 	closed      bool
 	recRecords  int  // records replayed at open
@@ -105,36 +104,15 @@ func newLiveArtifact(art Artifact, cfg buildConfig, opts []Option) (*liveArtifac
 	if err != nil {
 		return nil, err
 	}
-	la := &liveArtifact{algo: art.Algorithm(), base: art}
-	l := model.NewLive(cs)
-	l.SetCompactionThreshold(cfg.compaction)
-	// The rebuilt artifact is only staged here: it becomes la.base in
-	// the OnCompacted hook, atomically with the Live base swap, so a
-	// failed compaction (or the window before the swap commits) never
-	// leaves la.base describing a base that isn't being served.
-	l.SetRebuild(func(g *graph.Graph) (*model.CompiledSummary, error) {
+	la := &liveArtifact{algo: art.Algorithm(), live: model.NewLive(cs)}
+	la.live.SetCompactionThreshold(cfg.compaction)
+	la.live.SetRebuild(func(g *graph.Graph) (*model.CompiledSummary, error) {
 		fresh, err := Get(la.algo).Summarize(context.Background(), g, opts...)
 		if err != nil {
 			return nil, err
 		}
-		compiled, err := fresh.Queryable()
-		if err != nil {
-			return nil, err
-		}
-		la.mu.Lock()
-		la.pending = fresh
-		la.mu.Unlock()
-		return compiled, nil
+		return fresh.Queryable()
 	})
-	l.SetOnCompacted(func() {
-		la.mu.Lock()
-		if la.pending != nil {
-			la.base = la.pending
-			la.pending = nil
-		}
-		la.mu.Unlock()
-	})
-	la.live = l
 	return la, nil
 }
 
@@ -144,10 +122,8 @@ func (la *liveArtifact) Algorithm() string { return la.algo }
 // one correction edge per overlay entry (exactly what serializing the
 // overlay as signed edges would add).
 func (la *liveArtifact) Cost() int64 {
-	la.mu.Lock()
-	base := la.base
-	la.mu.Unlock()
-	return base.Cost() + int64(la.live.View().Len())
+	v := la.live.View()
+	return v.Base().Cost() + int64(v.Len())
 }
 
 // Decode materializes the current live graph.
@@ -170,25 +146,17 @@ func (la *liveArtifact) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return base.WriteTo(w)
+	return writeEnvelope(w, la.algo, base.ToSummary())
 }
 
-// settled compacts a non-empty overlay and returns the base artifact,
-// which then represents the live graph by itself: what WriteTo and
-// WriteCompiledTo serialize.
-func (la *liveArtifact) settled() (Artifact, error) {
-	if la.live.View().Len() > 0 {
-		if err := la.live.Compact(); err != nil {
-			return nil, fmt.Errorf("slug: compacting before serialization: %w", err)
-		}
-	} else {
-		// Even an empty overlay may sit above a stale base artifact if
-		// a background compaction is mid-swap; wait it out.
-		la.live.Quiesce()
+// settled waits out a background compaction, compacts what the overlay
+// then holds, and returns the compiled base, which represents the live
+// graph by itself: what WriteTo and WriteCompiledTo serialize.
+func (la *liveArtifact) settled() (*model.CompiledSummary, error) {
+	if err := la.live.Compact(); err != nil {
+		return nil, fmt.Errorf("slug: compacting before serialization: %w", err)
 	}
-	la.mu.Lock()
-	defer la.mu.Unlock()
-	return la.base, nil
+	return la.live.View().Base(), nil
 }
 
 func (la *liveArtifact) ApplyUpdates(ups []model.EdgeUpdate) (int, error) {

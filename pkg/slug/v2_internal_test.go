@@ -1,13 +1,15 @@
 package slug
 
-// White-box check of the v2 checkpoint fast path: recovery must seed
-// the live base straight from the checkpoint's compiled bytes — a
-// *Mapped, not a re-decoded and recompiled envelope — while serving the
-// exact acknowledged state.
+// White-box check of the v2 checkpoint fast path: a compaction's
+// checkpoint is the served base in the v2 compiled layout, and recovery
+// seeds the live base from those bytes while serving the exact
+// acknowledged state.
 
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 func TestDurableCheckpointRecoversMapped(t *testing.T) {
@@ -36,24 +38,31 @@ func TestDurableCheckpointRecoversMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The checkpoint on disk is the compiled layout, not an envelope.
+	log, rec, err := wal.Open(wal.Options{Dir: dir, Policy: wal.Always()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.HasCheckpoint || !bytes.HasPrefix(rec.Checkpoint, []byte(compiledMagic)) {
+		t.Fatalf("checkpoint present %v, magic %q: want a v2 checkpoint", rec.HasCheckpoint, rec.Checkpoint[:min(4, len(rec.Checkpoint))])
+	}
+
 	re, err := OpenUpdatable(dir, SyncAlways(), durableTestOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 
-	// The recovered base must be the checkpoint's mapped form: queryable
-	// without recompiling.
-	la, ok := re.(*liveArtifact)
-	if !ok {
-		t.Fatalf("OpenUpdatable returned %T", re)
+	// The recovered base is the checkpoint's compiled form, byte for byte.
+	var base bytes.Buffer
+	if _, err := writeCompiled(&base, re.Algorithm(), re.View().Base()); err != nil {
+		t.Fatal(err)
 	}
-	m, ok := la.base.(*Mapped)
-	if !ok {
-		t.Fatalf("recovered base is %T, want *Mapped (v2 checkpoint fast path)", la.base)
-	}
-	if m.Format() != "v2-heap" {
-		t.Fatalf("recovered base format %q, want v2-heap", m.Format())
+	if !bytes.Equal(base.Bytes(), rec.Checkpoint) {
+		t.Fatalf("recovered base (%d bytes) differs from the checkpoint (%d bytes)", base.Len(), len(rec.Checkpoint))
 	}
 
 	// And it serves the exact acknowledged state.

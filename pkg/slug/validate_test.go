@@ -2,6 +2,7 @@ package slug_test
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // TestValidateRejectsCountsOutsideZeroOne: a pair covered by more
 // p-edges than one, or by an n-edge with nothing to cancel, fails
 // slug.Validate by the {0,1} restriction (Sect. III-B3), even where the
-// decoded graph alone could not tell.
+// decoded graph alone could not tell — as a v1 artifact, reopened from
+// the v2 layout, and made live.
 func TestValidateRejectsCountsOutsideZeroOne(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int32{{0, 1}})
 	roots := []int32{-1, -1, -1}
@@ -22,11 +24,48 @@ func TestValidateRejectsCountsOutsideZeroOne(t *testing.T) {
 		"doubled p-edge":   {{A: 0, B: 1, Sign: 1}, {A: 0, B: 1, Sign: 1}},
 		"uncovered n-edge": {{A: 0, B: 1, Sign: 1}, {A: 0, B: 2, Sign: -1}},
 	} {
-		art := slug.NewHierarchical("slugger", model.New(3, roots, edges))
-		if err := slug.Validate(art, g); err == nil || !strings.Contains(err.Error(), "outside {0,1}") {
-			t.Fatalf("%s: Validate = %v, want a count outside {0,1}", name, err)
+		for kind, art := range validateKinds(t, slug.NewHierarchical("slugger", model.New(3, roots, edges))) {
+			if err := slug.Validate(art, g); err == nil || !strings.Contains(err.Error(), "outside {0,1}") {
+				t.Fatalf("%s, %s: Validate = %v, want a count outside {0,1}", name, kind, err)
+			}
 		}
 	}
+
+	// A live edge that g lacks is named.
+	art := slug.NewHierarchical("slugger", model.New(3, roots, []model.Edge{{A: 0, B: 1, Sign: 1}}))
+	up, err := slug.NewUpdatable(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slug.Validate(up, g); err != nil {
+		t.Fatalf("before the update: %v", err)
+	}
+	if _, err := up.ApplyUpdates([]model.EdgeUpdate{{U: 2, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := slug.Validate(up, g); err == nil || !strings.Contains(err.Error(), "(1,2)") {
+		t.Fatalf("overlay inserts (1,2): Validate = %v, want the pair named", err)
+	}
+}
+
+// validateKinds returns art as itself, as a v2 artifact (SaveCompiled,
+// OpenMapped) and as an Updatable.
+func validateKinds(t *testing.T, art slug.Artifact) map[string]slug.Artifact {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "a.slgc")
+	if err := slug.SaveCompiled(path, art); err != nil {
+		t.Fatal(err)
+	}
+	m, err := slug.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	up, err := slug.NewUpdatable(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]slug.Artifact{"v1": art, "v2": m, "updatable": up}
 }
 
 type validateCase struct {
