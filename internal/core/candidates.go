@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"repro/internal/minhash"
 )
@@ -16,10 +15,10 @@ import (
 // every iteration varies the candidate sets across iterations.
 //
 // Level 0 keys every root, so its shingles are computed in one bulk
-// (parallel) pass; deeper levels only re-key the roots of one oversized
-// group, so their shingles are computed per root on demand — re-split
-// hashing is scoped to the group being split instead of touching every
-// root in the graph.
+// pass; deeper levels only re-key the roots of one oversized group, so
+// their shingles are computed per root on demand — re-split hashing is
+// scoped to the group being split instead of touching every root in
+// the graph.
 func (st *state) generateCandidates(iter, maxGroup int, seed int64) [][]int32 {
 	roots := st.roots()
 	var level0 []uint64
@@ -49,30 +48,9 @@ func (st *state) rootShingle(root int32, seed uint64) uint64 {
 }
 
 // rootShingles computes the shingle of every current root in
-// O(|V|+|E|) (Lemma 2). With multiple workers the vertex loop is
-// chunked and per-root minima are folded with compare-and-swap — min is
-// commutative, so the result is identical to the serial pass.
+// O(|V|+|E|) (Lemma 2), in one serial pass.
 func (st *state) rootShingles(seed uint64) []uint64 {
-	if st.workers <= 1 || st.n < 1024 {
-		return minhash.Shingles(st.g, st.rootOf, int(st.next), seed)
-	}
-	sh := make([]uint64, st.next)
-	for i := range sh {
-		sh[i] = ^uint64(0)
-	}
-	runChunks(st.workers, int(st.n), func(lo, hi int) {
-		for v := int32(lo); v < int32(hi); v++ {
-			f := minhash.VertexShingle(st.g, v, seed)
-			r := st.rootOf[v]
-			for {
-				old := atomic.LoadUint64(&sh[r])
-				if f >= old || atomic.CompareAndSwapUint64(&sh[r], old, f) {
-					break
-				}
-			}
-		}
-	})
-	return sh
+	return minhash.Shingles(st.g, st.rootOf, int(st.next), seed)
 }
 
 // processGroup runs the inner loop of Algorithm 2 on one candidate set:

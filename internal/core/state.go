@@ -12,32 +12,6 @@ import (
 	"repro/internal/graph"
 )
 
-// runChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each chunk's half-open range concurrently, blocking until
-// all complete.
-func runChunks(workers, n int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // sedge is a signed superedge; sign is +1 (p-edge) or -1 (n-edge).
 type sedge struct {
 	a, b int32

@@ -133,23 +133,7 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // storage. The Builder remains usable (further AddEdge calls and a
 // second Build produce a larger graph).
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	// Dedup in place.
-	uniq := b.edges[:0]
-	var last [2]int32 = [2]int32{-1, -1}
-	for _, e := range b.edges {
-		if e != last {
-			uniq = append(uniq, e)
-			last = e
-		}
-	}
-	b.edges = uniq
-
+	uniq := b.edges[:b.dedup()]
 	n := int(b.n)
 	deg := make([]int64, n+1)
 	for _, e := range uniq {
@@ -178,6 +162,27 @@ func (b *Builder) Build() *Graph {
 		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
 	}
 	return g
+}
+
+// dedup sorts the pending edges and drops repeats, in place, and
+// returns how many distinct edges remain.
+func (b *Builder) dedup() int {
+	sort.Slice(b.edges, func(i, j int) bool {
+		if b.edges[i][0] != b.edges[j][0] {
+			return b.edges[i][0] < b.edges[j][0]
+		}
+		return b.edges[i][1] < b.edges[j][1]
+	})
+	uniq := b.edges[:0]
+	var last [2]int32 = [2]int32{-1, -1}
+	for _, e := range b.edges {
+		if e != last {
+			uniq = append(uniq, e)
+			last = e
+		}
+	}
+	b.edges = uniq
+	return len(uniq)
 }
 
 // FromEdges builds a Graph with n vertices from an edge slice.

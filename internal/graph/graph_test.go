@@ -116,6 +116,17 @@ func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("-1 2\n")); err == nil {
 		t.Fatal("expected error for negative id")
 	}
+	// One edge naming id 700000100 would size the graph's arrays at
+	// ~17 GB; it is refused by line, before anything is allocated.
+	if _, err := ReadEdgeList(strings.NewReader("0 1\n000 700000100\n")); err == nil || !strings.Contains(err.Error(), "line 2: vertex id 700000100") {
+		t.Fatalf("out-of-proportion id: %v", err)
+	}
+	// A self-loop sizes nothing, and an id below 2^20 is always allowed.
+	for _, in := range []string{"900000000 900000000\n0 1\n", "999999 3\n"} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+	}
 }
 
 func TestErdosRenyiProperties(t *testing.T) {

@@ -20,7 +20,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	// metadata lines; start with a modest buffer but allow lines up to
 	// 1 GiB rather than failing with bufio.ErrTooLong at 1 MiB.
 	sc.Buffer(make([]byte, 64<<10), 1<<30)
-	lineNo := 0
+	lineNo, maxLine := 0, 0
+	maxID := int64(-1)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -42,10 +43,20 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
 		}
+		if u != v && max(u, v) > maxID {
+			maxID, maxLine = max(u, v), lineNo
+		}
 		b.AddEdge(int32(u), int32(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	// The largest id sizes the graph's arrays: refuse one so far beyond
+	// the edges listed that Build would allocate gigabytes for a few
+	// lines. Distinct edges, not lines, bound it, so a graph's own
+	// WriteEdgeList output always reads back.
+	if limit := int64(1<<20 + 64*b.dedup()); maxID >= limit {
+		return nil, fmt.Errorf("graph: line %d: vertex id %d is out of proportion to the edges listed (ids must stay below %d)", maxLine, maxID, limit)
 	}
 	return b.Build(), nil
 }

@@ -38,10 +38,38 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 
-// syncDir makes directory-entry mutations (segment creation, checkpoint
-// rename, retirement) durable. Failure is reported to the caller: a
-// checkpoint is not committed until its rename has reached the disk.
-func syncDir(fs FS, dir string) error {
+// WriteFile is the one crash-safe commit of a file: it creates tmp
+// (0644, truncating any leftover), hands it to write, fsyncs and closes
+// it, and renames it over path, so path holds either its old bytes or
+// all of the new ones. On failure tmp is removed and path is untouched.
+// The rename is durable once the directory is synced (SyncDir); a
+// caller committing several files into one directory syncs it once,
+// after the last.
+func WriteFile(fs FS, tmp, path string, write func(io.Writer) error) error {
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		fs.Remove(tmp)
+	}
+	return err
+}
+
+// SyncDir makes the directory-entry mutations in dir (creations,
+// renames, removals) durable. Failure is reported to the caller: a
+// rename is not committed until it has reached the disk.
+func SyncDir(fs FS, dir string) error {
 	d, err := fs.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err

@@ -435,7 +435,7 @@ func (l *Log) Close() error {
 // Checkpoint atomically persists compacted state covering every record
 // with LSN <= lsn (write is handed an io.Writer for the payload), then
 // retires superseded segments and older checkpoints. The checkpoint is
-// committed by an atomic rename + directory fsync; a crash at any point
+// committed by WriteFile and a directory fsync; a crash at any point
 // leaves either the old or the new checkpoint authoritative, never a
 // torn one. Stale calls (lsn at or below the committed checkpoint) are
 // no-ops. lsn may exceed the state actually captured only if record
@@ -460,20 +460,15 @@ func (l *Log) Checkpoint(lsn uint64, write func(io.Writer) error) error {
 	}
 	l.mu.Unlock()
 
-	tmp := join(l.dir, "ckpt.tmp")
-	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: creating checkpoint temp: %w", err)
-	}
 	var hdr [ckptHdrLen]byte
 	copy(hdr[:4], ckptMagic)
 	hdr[4] = formatVer
 	binary.LittleEndian.PutUint64(hdr[5:], lsn)
-	cw := &crcWriter{w: f, crc: crc32.New(castagnoli)}
-	werr := func() error {
-		if _, err := f.Write(hdr[:]); err != nil {
+	err := WriteFile(l.fs, join(l.dir, "ckpt.tmp"), join(l.dir, ckptName(lsn)), func(w io.Writer) error {
+		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
+		cw := &crcWriter{w: w, crc: crc32.New(castagnoli)}
 		if err := write(cw); err != nil {
 			return err
 		}
@@ -481,24 +476,13 @@ func (l *Log) Checkpoint(lsn uint64, write func(io.Writer) error) error {
 		binary.LittleEndian.PutUint32(trl[0:], cw.crc.Sum32())
 		binary.LittleEndian.PutUint64(trl[4:], uint64(cw.n))
 		copy(trl[12:], ckptEnd)
-		if _, err := f.Write(trl[:]); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); cerr != nil && werr == nil {
-		werr = cerr
+		_, err := w.Write(trl[:])
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("wal: writing checkpoint: %w", err)
 	}
-	if werr != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: writing checkpoint: %w", werr)
-	}
-	final := join(l.dir, ckptName(lsn))
-	if err := l.fs.Rename(tmp, final); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("wal: committing checkpoint: %w", err)
-	}
-	if err := syncDir(l.fs, l.dir); err != nil {
+	if err := SyncDir(l.fs, l.dir); err != nil {
 		return fmt.Errorf("wal: syncing dir after checkpoint: %w", err)
 	}
 

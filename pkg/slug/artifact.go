@@ -3,15 +3,16 @@ package slug
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // Artifact serialization envelope. Every artifact, regardless of the
@@ -142,71 +143,30 @@ func ReadFrom(r io.Reader) (Artifact, error) {
 }
 
 // Save writes an artifact (anything serializing through WriteTo; a
-// *Sharded saves its union) to a file.
-// The write is crash-safe: the bytes land in a temporary file in the
-// same directory, are fsynced, and are renamed over the target — the
-// same discipline as WAL checkpoints — so a crash mid-save never
-// leaves a torn artifact at path (the old file, if any, survives
-// intact until the rename commits).
+// *Sharded saves its union) to a file, crash-safely: see save.
 func Save(path string, a io.WriterTo) error {
-	return atomicWrite(path, a.WriteTo)
+	return save(wal.OSFS{}, path, a.WriteTo)
 }
 
-// atomicWrite commits write's output to path via tmp + fsync + rename +
-// directory fsync. On any failure the temporary file is removed and the
-// previous contents of path are untouched.
-func atomicWrite(path string, write func(io.Writer) (int64, error)) error {
-	if err := renameSynced(path, write); err != nil {
+// save commits write's output to path through wal.WriteFile and syncs
+// the directory, so a crash mid-save leaves path holding the old file,
+// if any, or all of the new one — never a torn artifact.
+func save(fs wal.FS, path string, write func(io.Writer) (int64, error)) error {
+	err := commit(fs, path, func(w io.Writer) error {
+		_, err := write(w)
 		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// renameSynced is atomicWrite without the directory fsync: write's
-// output lands in a temporary file beside path, is fsynced and renamed
-// over path. The rename is durable only once the directory is synced.
-func renameSynced(path string, write func(io.Writer) (int64, error)) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	})
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return wal.SyncDir(fs, filepath.Dir(path))
 }
 
-// syncDir makes the renames into dir durable by fsyncing the directory.
-// Failure is reported (the data is safe, but a commit may not survive
-// power loss until the OS flushes the directory).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+// commit is wal.WriteFile under a temporary name beside path that is
+// new on every call, so concurrent writers of one path never share it.
+// The rename is durable once the directory is synced.
+func commit(fs wal.FS, path string, write func(io.Writer) error) error {
+	return wal.WriteFile(fs, fmt.Sprintf("%s.tmp-%016x", path, rand.Uint64()), path, write)
 }
 
 // Load reads an artifact from a file written by Save or SaveCompiled

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // compiledMagic is the v2 zero-copy artifact signature.
@@ -202,9 +203,9 @@ func writeCompiled(w io.Writer, algo string, cs *model.CompiledSummary) (int64, 
 
 // SaveCompiled writes an artifact to path in the v2 zero-copy compiled
 // layout ("SLGC"), the format OpenMapped boots from. The write is
-// crash-safe: tmp + fsync + rename, like Save.
+// crash-safe, like Save.
 func SaveCompiled(path string, a Artifact) error {
-	return atomicWrite(path, func(w io.Writer) (int64, error) { return WriteCompiledTo(w, a) })
+	return save(wal.OSFS{}, path, func(w io.Writer) (int64, error) { return WriteCompiledTo(w, a) })
 }
 
 // readMappedFrom drains a reader positioned at a v2 stream into an

@@ -27,6 +27,7 @@ import (
 	"slices"
 
 	"repro/internal/model"
+	"repro/internal/wal"
 )
 
 // ManifestFilename is the conventional manifest name Split writes
@@ -181,13 +182,18 @@ func EpochVersion(epoch string) uint64 {
 // envelope) or shard-000.slgc, ... for format "v2" (zero-copy compiled
 // layout, mmap-bootable by a shard server) — with each shard's id map
 // beside it (shard-000.ids, ...), plus ManifestFilename tying them
-// together, and returns the manifest. All writes are crash-safe: every
-// shard and id-map file is fsynced and renamed into place, the
-// directory is fsynced once, and the manifest — the commit point — is
-// written last, atomically. The per-shard files round-trip through the
-// ordinary Load path; OpenSplit reads the whole directory back, as a
-// coordinator boots from it.
+// together, and returns the manifest. Every file is committed through
+// wal.WriteFile; the directory is fsynced once after the shard and
+// id-map files, and the manifest — the commit point — is saved last.
+// The per-shard files round-trip through the ordinary Load path;
+// OpenSplit reads the whole directory back, as a coordinator boots
+// from it.
 func (a *Sharded) Split(dir, format string) (*Manifest, error) {
+	return a.split(wal.OSFS{}, dir, format)
+}
+
+// split is Split on fs.
+func (a *Sharded) split(fs wal.FS, dir, format string) (*Manifest, error) {
 	var ext string
 	switch format {
 	case "v1":
@@ -200,7 +206,7 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 	if len(a.Shards) != len(a.GlobalID) {
 		return nil, fmt.Errorf("slug: %d shards but %d id maps", len(a.Shards), len(a.GlobalID))
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	m := &Manifest{
@@ -216,13 +222,18 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slug: exporting shard %d: %w", s, err)
 		}
-		if err := writeBytes(filepath.Join(dir, name), payload); err != nil {
-			return nil, fmt.Errorf("slug: writing shard %d: %w", s, err)
-		}
 		idName := fmt.Sprintf("shard-%03d.ids", s)
 		idMap := appendIDMap(nil, a.GlobalID[s])
-		if err := writeBytes(filepath.Join(dir, idName), idMap); err != nil {
-			return nil, fmt.Errorf("slug: writing shard %d id map: %w", s, err)
+		for _, f := range []struct {
+			name string
+			raw  []byte
+		}{{name, payload}, {idName, idMap}} {
+			if err := commit(fs, filepath.Join(dir, f.name), func(w io.Writer) error {
+				_, err := w.Write(f.raw)
+				return err
+			}); err != nil {
+				return nil, fmt.Errorf("slug: writing %s: %w", f.name, err)
+			}
 		}
 		m.Shards[s] = ManifestShard{
 			File:        name,
@@ -233,11 +244,11 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 			IDMapFile:   idName,
 		}
 	}
-	if err := syncDir(dir); err != nil {
+	if err := wal.SyncDir(fs, dir); err != nil {
 		return nil, fmt.Errorf("slug: syncing %s: %w", dir, err)
 	}
 	m.Epoch = a.Epoch()
-	if err := atomicWrite(filepath.Join(dir, ManifestFilename), func(w io.Writer) (int64, error) {
+	if err := save(fs, filepath.Join(dir, ManifestFilename), func(w io.Writer) (int64, error) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return 0, enc.Encode(m)
@@ -245,15 +256,6 @@ func (a *Sharded) Split(dir, format string) (*Manifest, error) {
 		return nil, fmt.Errorf("slug: writing manifest: %w", err)
 	}
 	return m, nil
-}
-
-// writeBytes puts raw at path, fsynced and renamed into place; the
-// caller fsyncs the directory (see renameSynced).
-func writeBytes(path string, raw []byte) error {
-	return renameSynced(path, func(w io.Writer) (int64, error) {
-		n, err := w.Write(raw)
-		return int64(n), err
-	})
 }
 
 // encodeArtifact serializes one shard artifact in the requested format.
