@@ -1,6 +1,9 @@
 package graph
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Generators for the synthetic analogues of the paper's 16 datasets.
 // All generators are deterministic given their seed.
@@ -40,22 +43,21 @@ func BarabasiAlbert(n, k int, seed int64) *Graph {
 			targets = append(targets, int32(i), int32(j))
 		}
 	}
+	// Every candidate is an existing node (< v), so the nodes a vertex
+	// has drawn are exactly the ones it attaches to.
+	added := make([]int32, 0, k)
 	for v := m0; v < n; v++ {
-		seen := map[int32]bool{}
-		added := make([]int32, 0, k)
-		for len(added) < k && len(seen) < v {
+		added = added[:0]
+		for len(added) < k && len(added) < v {
 			var u int32
 			if len(targets) == 0 {
 				u = int32(rng.Intn(v))
 			} else {
 				u = targets[rng.Intn(len(targets))]
 			}
-			if u == int32(v) || seen[u] {
-				seen[u] = true
-				continue
+			if !slices.Contains(added, u) {
+				added = append(added, u)
 			}
-			seen[u] = true
-			added = append(added, u)
 		}
 		for _, u := range added {
 			b.AddEdge(int32(v), u)
@@ -131,38 +133,24 @@ func HierCommunity(p HierParams, seed int64) *Graph {
 		panic("graph: HierParams.Density must have Levels+1 entries")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	numLeaves := 1
-	for i := 0; i < p.Levels; i++ {
-		numLeaves *= p.Branching
-	}
-	n := numLeaves * p.LeafSize
-	b := NewBuilder(n)
 	// Community of node v at level l is v / (LeafSize * Branching^(Levels-l)).
 	div := make([]int, p.Levels+1)
 	div[p.Levels] = p.LeafSize
 	for l := p.Levels - 1; l >= 0; l-- {
 		div[l] = div[l+1] * p.Branching
 	}
-	// lcaLevel(u,v): deepest l with same community.
-	lcaLevel := func(u, v int) int {
-		for l := p.Levels; l >= 0; l-- {
-			if u/div[l] == v/div[l] {
-				return l
-			}
-		}
-		return 0
-	}
-	// Sample per-pair via geometric skipping per density band would be
-	// complex; for the dense bands (deep levels, small blocks) iterate
-	// pairs directly, for the sparse top band sample edges.
-	// Deep levels: iterate pairs within each level-1..Levels block only
-	// when block size is moderate.
+	n := div[0] // the root community holds every node
+	b := NewBuilder(n)
+	// Levels 1..Levels: one draw per pair inside a level-1 community, in
+	// (i, j) order. The j > i whose lowest common community with i is at
+	// level l form one interval, ending where i's level-l community ends.
 	blockSize := div[1] // size of a level-1 community
-	for start := 0; start < n; start += blockSize {
-		for i := start; i < start+blockSize; i++ {
-			for j := i + 1; j < start+blockSize; j++ {
-				l := lcaLevel(i, j)
-				if rng.Float64() < p.Density[l] {
+	for i := 0; i < n; i++ {
+		j := i + 1
+		for l := p.Levels; l >= 1; l-- {
+			end, d := (i/div[l]+1)*div[l], p.Density[l]
+			for ; j < end; j++ {
+				if rng.Float64() < d {
 					b.AddEdge(int32(i), int32(j))
 				}
 			}

@@ -10,7 +10,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an immutable undirected simple graph in CSR form.
@@ -50,9 +50,8 @@ func (g *Graph) HasEdge(u, v int32) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	_, found := slices.BinarySearch(g.Neighbors(u), v)
+	return found
 }
 
 // ForEachEdge calls fn once per undirected edge with u < v.
@@ -96,8 +95,8 @@ func (g *Graph) String() string {
 // ("We removed all edge directions, duplicated edges, and self-loops",
 // Sect. IV-A).
 type Builder struct {
-	n     int32
-	edges [][2]int32
+	n    int32
+	keys []uint64 // one per edge: u<<32 | v with u < v, so keys sort as (u, v)
 }
 
 // NewBuilder returns a Builder for a graph with at least n vertices.
@@ -122,67 +121,49 @@ func (b *Builder) AddEdge(u, v int32) {
 	if v >= b.n {
 		b.n = v + 1
 	}
-	b.edges = append(b.edges, [2]int32{u, v})
+	b.keys = append(b.keys, uint64(u)<<32|uint64(v))
 }
 
 // NumPendingEdges returns the number of (possibly duplicated) edges
 // recorded so far.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
+func (b *Builder) NumPendingEdges() int { return len(b.keys) }
 
 // Build finalizes the graph: deduplicates edges and constructs CSR
 // storage. The Builder remains usable (further AddEdge calls and a
 // second Build produce a larger graph).
 func (b *Builder) Build() *Graph {
-	uniq := b.edges[:b.dedup()]
+	keys := b.keys[:b.dedup()]
 	n := int(b.n)
-	deg := make([]int64, n+1)
-	for _, e := range uniq {
-		deg[e[0]+1]++
-		deg[e[1]+1]++
-	}
+	// offsets[v+1] counts v's degree, then becomes v's fill cursor
+	// (starting at v's window), and ends as the end of v's window.
 	offsets := make([]int64, n+1)
-	for i := 1; i <= n; i++ {
-		offsets[i] = offsets[i-1] + deg[i]
+	for _, k := range keys {
+		offsets[k>>32+1]++
+		offsets[uint32(k)+1]++
 	}
-	adj := make([]int32, offsets[n])
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for _, e := range uniq {
-		adj[cursor[e[0]]] = e[1]
-		cursor[e[0]]++
-		adj[cursor[e[1]]] = e[0]
-		cursor[e[1]]++
+	var sum int64
+	for v := 1; v <= n; v++ {
+		offsets[v], sum = sum, sum+offsets[v]
 	}
-	g := &Graph{offsets: offsets, adj: adj, m: int64(len(uniq))}
-	// CSR windows are sorted because edges were added in sorted order
-	// for the first endpoint, but the second-endpoint insertions are
-	// interleaved; sort each window to restore the invariant.
-	for v := 0; v < n; v++ {
-		w := adj[offsets[v]:offsets[v+1]]
-		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
+	// Visiting edges in (u, v) order fills each window ascending: first
+	// its smaller neighbors (as v, in u order), then its larger ones.
+	adj := make([]int32, sum)
+	for _, k := range keys {
+		u, v := uint32(k>>32), uint32(k)
+		adj[offsets[u+1]] = int32(v)
+		offsets[u+1]++
+		adj[offsets[v+1]] = int32(u)
+		offsets[v+1]++
 	}
-	return g
+	return &Graph{offsets: offsets, adj: adj, m: int64(len(keys))}
 }
 
 // dedup sorts the pending edges and drops repeats, in place, and
 // returns how many distinct edges remain.
 func (b *Builder) dedup() int {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	uniq := b.edges[:0]
-	var last [2]int32 = [2]int32{-1, -1}
-	for _, e := range b.edges {
-		if e != last {
-			uniq = append(uniq, e)
-			last = e
-		}
-	}
-	b.edges = uniq
-	return len(uniq)
+	slices.Sort(b.keys)
+	b.keys = slices.Compact(b.keys)
+	return len(b.keys)
 }
 
 // FromEdges builds a Graph with n vertices from an edge slice.

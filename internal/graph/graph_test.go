@@ -27,6 +27,73 @@ func TestBuilderDedupAndSelfLoops(t *testing.T) {
 	if g.HasEdge(2, 2) || g.HasEdge(0, 2) {
 		t.Fatal("unexpected edge present")
 	}
+
+	// Build fills each CSR window in one pass over the sorted edges, with
+	// no sort of its own: every insertion order must still leave each
+	// window strictly ascending and exactly the vertex's distinct
+	// neighbors. Each case adds its edges in two batches and checks the
+	// graph after each Build.
+	var fwd, rev [][2]int32
+	for u := int32(0); u < 12; u++ {
+		for v := u + 1; v < 12; v += 1 + u%3 {
+			fwd = append(fwd, [2]int32{u, v})
+		}
+	}
+	for i := len(fwd) - 1; i >= 0; i-- {
+		rev = append(rev, fwd[i])
+	}
+	var both, dups, loops [][2]int32
+	for _, e := range fwd {
+		both = append(both, e, [2]int32{e[1], e[0]})
+		dups = append(dups, [2]int32{e[1], e[0]}, e, e)
+		loops = append(loops, [2]int32{e[0], e[0]}, e, [2]int32{e[1], e[1]})
+	}
+	cases := []struct {
+		name          string
+		n             int
+		first, second [][2]int32
+	}{
+		{"ascending", 12, fwd[:30], fwd[30:]},
+		{"reverse", 12, rev[:30], rev[30:]},
+		{"both orientations", 12, both[:25], both[25:]},
+		{"duplicates", 12, dups[:40], dups},
+		{"self-loops", 12, loops[:50], loops[50:]},
+		{"ids grow the vertex count", 0, rev[:20], append([][2]int32{{40, 3}, {17, 40}}, rev[20:]...)},
+	}
+	for _, c := range cases {
+		b := NewBuilder(c.n)
+		want := map[[2]int32]bool{}
+		n := c.n
+		for round, edges := range [][][2]int32{c.first, c.second} {
+			for _, e := range edges {
+				b.AddEdge(e[0], e[1])
+				if e[0] != e[1] {
+					want[[2]int32{min(e[0], e[1]), max(e[0], e[1])}] = true
+					n = max(n, int(max(e[0], e[1]))+1)
+				}
+			}
+			g := b.Build()
+			if g.NumNodes() != n || g.NumEdges() != int64(len(want)) {
+				t.Fatalf("%s, build %d: %v, want n=%d m=%d", c.name, round+1, g, n, len(want))
+			}
+			slots := 0
+			for v := int32(0); v < int32(n); v++ {
+				nbrs := g.Neighbors(v)
+				slots += len(nbrs)
+				for i, w := range nbrs {
+					if i > 0 && nbrs[i-1] >= w {
+						t.Fatalf("%s, build %d: Neighbors(%d) = %v, not strictly ascending", c.name, round+1, v, nbrs)
+					}
+					if !want[[2]int32{min(v, w), max(v, w)}] {
+						t.Fatalf("%s, build %d: Neighbors(%d) holds %d, which no edge names", c.name, round+1, v, w)
+					}
+				}
+			}
+			if slots != 2*len(want) {
+				t.Fatalf("%s, build %d: %d adjacency slots for %d edges", c.name, round+1, slots, len(want))
+			}
+		}
+	}
 }
 
 func TestBuilderGrowsVertexCount(t *testing.T) {

@@ -170,7 +170,7 @@ func TestFsyncFailureIsFailStop(t *testing.T) {
 	if _, err := l.Append([]byte("one")); err != nil {
 		t.Fatalf("first append: %v", err)
 	}
-	fs.FailSyncAt(2) // next append's fsync fails
+	fs.FailSyncAt(3) // syncs 1 and 2 were Open's directory sync and the first append's: the next append's fails
 	if _, err := l.Append([]byte("two")); err == nil {
 		t.Fatal("append with failing fsync acknowledged")
 	}

@@ -266,6 +266,11 @@ func (l *Log) openActive() error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		return errors.Join(fmt.Errorf("wal: writing segment header: %w", err), f.Close())
 	}
+	// A record fsynced into the segment is durable only once the
+	// segment's directory entry is.
+	if err := SyncDir(l.fs, l.dir); err != nil {
+		return errors.Join(fmt.Errorf("wal: syncing dir after creating segment %s: %w", name, err), f.Close())
+	}
 	l.active = f
 	l.bw = bufio.NewWriterSize(writerOnly{f}, 64<<10)
 	l.actSize = segHdrLen

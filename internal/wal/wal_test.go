@@ -380,3 +380,56 @@ func onlySegment(t *testing.T, dir string) string {
 	}
 	return segs[0]
 }
+
+// dirSyncFS is the real filesystem that counts the segments created in
+// dir since dir was last fsynced.
+type dirSyncFS struct {
+	OSFS
+	dir      string
+	unsynced int
+}
+
+type dirSyncFile struct {
+	File
+	fs    *dirSyncFS
+	isDir bool
+}
+
+func (f dirSyncFile) Sync() error {
+	if f.isDir {
+		f.fs.unsynced = 0
+	}
+	return f.File.Sync()
+}
+
+func (fs *dirSyncFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := fs.OSFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if flag&os.O_CREATE != 0 && strings.HasSuffix(name, ".seg") {
+		fs.unsynced++
+	}
+	return dirSyncFile{f, fs, name == fs.dir}, nil
+}
+
+// TestNewSegmentDirectorySynced: under SyncAlways an acknowledged
+// record must survive power loss, and so must the directory entry of
+// the segment that holds it. No Append returns while a segment created
+// by Open or by a rotation is missing from a synced directory.
+func TestNewSegmentDirectorySynced(t *testing.T) {
+	fs := &dirSyncFS{dir: t.TempDir()}
+	l, _ := mustOpen(t, Options{Dir: fs.dir, SegmentBytes: 128, FS: fs})
+	defer l.Close()
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+		if fs.unsynced != 0 {
+			t.Fatalf("Append %d returned with %d new segment(s) whose directory entry was never synced", i, fs.unsynced)
+		}
+	}
+	if l.Stats().Segments < 3 {
+		t.Fatalf("only %d segments: the log never rotated", l.Stats().Segments)
+	}
+}

@@ -76,9 +76,10 @@ func killEvery(t *testing.T, setup func(dir string), work func(fs wal.FS, dir st
 // TestWritersKillPointMatrix kills Save (v1), SaveCompiled (v2) and
 // Split (v2, k = 3) at every filesystem operation while each writes a
 // new build over an old one. After every kill the old build or the new
-// one loads — for Split, OpenSplit may refuse the directory, but never
-// returns a mixed build — an acknowledged write left the new one, and a
-// clean retry writes the new one.
+// one loads — for Split, OpenSplit returns the old epoch or the new one,
+// never an error or a mixed build — an acknowledged write left the new
+// one, and a clean retry writes the new one (a clean re-split leaves no
+// file its manifest does not name).
 func TestWritersKillPointMatrix(t *testing.T) {
 	ctx := context.Background()
 	graphs := []*graph.Graph{graph.ErdosRenyi(60, 180, 1), graph.ErdosRenyi(60, 180, 2)}
@@ -170,30 +171,46 @@ func TestWritersKillPointMatrix(t *testing.T) {
 			return err
 		}, func(name, dir string, werr error) {
 			back, err := OpenSplit(manifest(dir))
-			if err == nil {
-				build := -1
-				for i, e := range epochs {
-					if back.Epoch() == e {
-						build = i
-					}
+			if err != nil {
+				t.Fatalf("%s: OpenSplit refuses the directory (write error %v): %v", name, werr, err)
+			}
+			build := -1
+			for i, e := range epochs {
+				if back.Epoch() == e {
+					build = i
 				}
-				if build < 0 {
-					t.Fatalf("%s: OpenSplit returned epoch %.12s..., neither the old build's nor the new one's", name, back.Epoch())
-				}
-				if err := Validate(back, graphs[build]); err != nil {
-					t.Fatalf("%s: the build OpenSplit returned does not represent its graph: %v", name, err)
-				}
-				if werr == nil && build != 1 {
-					t.Fatalf("%s: acknowledged split opens at the old epoch", name)
-				}
-			} else if werr == nil {
-				t.Fatalf("%s: acknowledged split does not open: %v", name, err)
+			}
+			if build < 0 {
+				t.Fatalf("%s: OpenSplit returned epoch %.12s..., neither the old build's nor the new one's", name, back.Epoch())
+			}
+			if err := Validate(back, graphs[build]); err != nil {
+				t.Fatalf("%s: the build OpenSplit returned does not represent its graph: %v", name, err)
+			}
+			if werr == nil && build != 1 {
+				t.Fatalf("%s: acknowledged split opens at the old epoch", name)
 			}
 			if _, err := shs[1].split(noSync{}, dir, "v2"); err != nil {
 				t.Fatalf("%s: clean re-split: %v", name, err)
 			}
+			m, err := LoadManifest(manifest(dir))
+			if err != nil {
+				t.Fatalf("%s: clean re-split: %v", name, err)
+			}
 			if back, err := OpenSplit(manifest(dir)); err != nil || back.Epoch() != epochs[1] {
 				t.Fatalf("%s: clean re-split does not open at the new epoch (%v)", name, err)
+			}
+			named := map[string]bool{ManifestFilename: true}
+			for _, sh := range m.Shards {
+				named[sh.File], named[sh.IDMapFile] = true, true
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !named[e.Name()] {
+					t.Fatalf("%s: clean re-split left %s, which its manifest does not name", name, e.Name())
+				}
 			}
 		})
 	})

@@ -24,6 +24,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 
 	"repro/internal/model"
@@ -178,13 +179,17 @@ func EpochVersion(epoch string) uint64 {
 }
 
 // Split exports each shard of the artifact as a standalone file in
-// dir — shard-000.slga, shard-001.slga, ... for format "v1" (portable
-// envelope) or shard-000.slgc, ... for format "v2" (zero-copy compiled
-// layout, mmap-bootable by a shard server) — with each shard's id map
-// beside it (shard-000.ids, ...), plus ManifestFilename tying them
-// together, and returns the manifest. Every file is committed through
-// wal.WriteFile; the directory is fsynced once after the shard and
-// id-map files, and the manifest — the commit point — is saved last.
+// dir — shard-000-<digest>.slga, ... for format "v1" (portable
+// envelope) or shard-000-<digest>.slgc, ... for format "v2" (zero-copy
+// compiled layout, mmap-bootable by a shard server) — with each shard's
+// id map beside it (shard-000-<digest>.ids, ...), plus ManifestFilename
+// tying them together, and returns the manifest. Files are named by the
+// first 16 hex digits of their SHA-256, so a new build never writes
+// over a file the old manifest names. Every file is committed through
+// wal.WriteFile; the directory is fsynced after the shard and id-map
+// files, the manifest — the commit point — is saved next, and only then
+// are the split files it does not name removed. A split killed at any
+// point leaves a directory that opens as the old build or the new one.
 // The per-shard files round-trip through the ordinary Load path;
 // OpenSplit reads the whole directory back, as a coordinator boots
 // from it.
@@ -216,14 +221,17 @@ func (a *Sharded) split(fs wal.FS, dir, format string) (*Manifest, error) {
 		Shards:        make([]ManifestShard, len(a.Shards)),
 		Boundary:      a.Boundary,
 	}
+	keep := map[string]bool{ManifestFilename: true}
 	for s, art := range a.Shards {
-		name := fmt.Sprintf("shard-%03d%s", s, ext)
 		payload, err := encodeArtifact(art, format)
 		if err != nil {
 			return nil, fmt.Errorf("slug: exporting shard %d: %w", s, err)
 		}
-		idName := fmt.Sprintf("shard-%03d.ids", s)
 		idMap := appendIDMap(nil, a.GlobalID[s])
+		sum, idSum := digest(payload), digest(idMap)
+		name := fmt.Sprintf("shard-%03d-%s%s", s, sum[:16], ext)
+		idName := fmt.Sprintf("shard-%03d-%s.ids", s, idSum[:16])
+		keep[name], keep[idName] = true, true
 		for _, f := range []struct {
 			name string
 			raw  []byte
@@ -239,8 +247,8 @@ func (a *Sharded) split(fs wal.FS, dir, format string) (*Manifest, error) {
 			File:        name,
 			Nodes:       len(a.GlobalID[s]),
 			Cost:        art.Cost(),
-			Digest:      digest(payload),
-			IDMapDigest: digest(idMap),
+			Digest:      sum,
+			IDMapDigest: idSum,
 			IDMapFile:   idName,
 		}
 	}
@@ -255,8 +263,27 @@ func (a *Sharded) split(fs wal.FS, dir, format string) (*Manifest, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("slug: writing manifest: %w", err)
 	}
+	// The new build is committed: retire the files of the builds it
+	// replaces, and leftovers of killed splits.
+	entries, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if !keep[e.Name()] && splitFile.MatchString(e.Name()) {
+			fs.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	if err := wal.SyncDir(fs, dir); err != nil {
+		return nil, fmt.Errorf("slug: syncing %s: %w", dir, err)
+	}
 	return m, nil
 }
+
+// splitFile matches the names split writes: shard files, id maps and
+// the manifest (content-named, or fixed as older splits wrote them),
+// and their temporary names while a commit is in flight.
+var splitFile = regexp.MustCompile(`^(shard-\d{3,}(-[0-9a-f]{16})?\.(slga|slgc|ids)|manifest\.json)(\.tmp-[0-9a-f]{16})?$`)
 
 // encodeArtifact serializes one shard artifact in the requested format.
 func encodeArtifact(art Artifact, format string) ([]byte, error) {
