@@ -28,10 +28,13 @@
 // At boot the coordinator asks every shard server for /shardinfo and
 // refuses to start unless shard index, shard count, and federation
 // epoch all match the loaded split: pieces of different sharded
-// builds never federate silently. The same check runs continuously in
-// the active health loop, which also feeds the per-endpoint circuit
-// breakers. Per-shard failures surface as 503 with the shard identity
-// in the body; /readyz turns 503 while any shard is unreachable.
+// builds never federate silently. After boot each endpoint's circuit
+// breaker is its only state: consecutive failures, a data reply
+// without the split's X-Summary-Version, or a health probe finding
+// another epoch or shard index open it, and only a passing probe
+// (/healthz and /shardinfo) closes it. Per-shard failures surface as
+// 503 with the shard identity in the body; /readyz turns 503 while
+// any shard has no endpoint with a closed breaker.
 //
 // Resilience knobs (-timeout, -retries, -hedge, ...) configure the
 // scatter-gather client: per-attempt timeouts, exponential backoff
@@ -69,9 +72,9 @@ func main() {
 		retries  = flag.Int("retries", 2, "re-attempts after the first failed shard request (0 = fail fast)")
 		hedge    = flag.Duration("hedge", 0, "launch a hedged request to a second replica when the first has not answered within this delay (0 = off; needs >1 replica per shard to matter)")
 		brkFails = flag.Int("breaker-failures", 3, "consecutive failures that open an endpoint's circuit breaker")
-		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open circuit waits before admitting a half-open probe")
-		health   = flag.Duration("health-interval", time.Second, "active health-probe interval per endpoint; probes also re-verify the federation epoch (0 = disabled)")
-		skipBoot = flag.Bool("skip-verify", false, "skip the boot-time /shardinfo verification (shards verified lazily by the health loop instead; first queries may 503 until it passes)")
+		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open circuit waits before a /healthz + /shardinfo probe may readmit the endpoint (and again after each failed probe)")
+		health   = flag.Duration("health-interval", time.Second, "active health-probe interval per endpoint; probes also re-verify the epoch and shard index (0 = disabled: an open endpoint is then probed by the first request after its cooldown)")
+		skipBoot = flag.Bool("skip-verify", false, "skip the boot-time /shardinfo verification (shards are then checked by each reply's X-Summary-Version and by the health loop's probes)")
 	)
 	flag.Parse()
 	if *manifest == "" || *peers == "" {

@@ -3,8 +3,9 @@
 // shard-local answers from remote shard servers (internal/serve's
 // NewShard role), and a resilient HTTP client that gets it there —
 // connection pooling, bounded retries with exponential backoff and
-// jitter, hedged requests, per-endpoint circuit breakers fed by active
-// health checks, and static-file peer discovery with live reload.
+// jitter, hedged requests, one circuit breaker per endpoint that only
+// an identity probe closes, and static-file peer discovery with live
+// reload.
 //
 // The coordinator routes with model.Routing: which shard owns a vertex,
 // and each vertex's boundary adjacency, merged into the shard's sorted
@@ -20,105 +21,82 @@ import (
 	"time"
 )
 
-// breakerState is the classic three-state circuit.
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// breaker is a per-endpoint circuit breaker. Closed, it counts
-// consecutive failures and opens at the threshold; open, it fast-fails
-// every request until the cooldown elapses; then it half-opens and
-// admits exactly one probe — success closes the circuit, failure
-// reopens it (and restarts the cooldown). Success in any state resets
-// the failure count. Safe for concurrent use.
+// breaker is an endpoint's one admission state: closed, requests go
+// to it; open, they fast-fail. It opens after threshold consecutive
+// failures, or at once when a probe finds another build or shard
+// behind the address. Only a passing probe closes it: live traffic
+// resets the failure count but never readmits an open endpoint. Safe
+// for concurrent use.
 type breaker struct {
 	mu        sync.Mutex
-	state     breakerState
+	open      bool
 	failures  int
 	threshold int
 	cooldown  time.Duration
-	openedAt  time.Time
-	probing   bool // a half-open probe is in flight
-
-	// now is replaceable so tests can drive the cooldown clock.
-	now func() time.Time
+	openedAt  time.Time // open: when the current cooldown started
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
-// allow reports whether a request may proceed. In the open state it
-// transitions to half-open once the cooldown has elapsed and admits a
-// single probe; concurrent callers during the probe are rejected.
-func (b *breaker) allow() bool {
+// closed reports whether requests may go to the endpoint.
+func (b *breaker) closed() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open: one probe at a time
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
+	return !b.open
 }
 
-// success records a request that reached the endpoint and was answered.
+// trial claims the readmission probe of an open breaker whose cooldown
+// has passed, restarting the cooldown so concurrent callers do not
+// probe too; the probe's outcome then closes or keeps it open.
+func (b *breaker) trial() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := time.Now()
+	if !b.open || now.Sub(b.openedAt) < b.cooldown {
+		return false
+	}
+	b.openedAt = now
+	return true
+}
+
+// success records a request the endpoint answered.
 func (b *breaker) success() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.failures = 0
-	b.state = breakerClosed
-	b.probing = false
+	b.mu.Unlock()
 }
 
-// failure records a transport-level failure (timeout, reset, 5xx).
+// failure records a failed request or liveness probe (timeout, reset,
+// 5xx, a reply from another build); at the threshold it opens.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerHalfOpen:
-		// The probe failed: back to open, cooldown restarts.
-		b.state = breakerOpen
-		b.openedAt = b.now()
-		b.probing = false
-	case breakerClosed:
-		b.failures++
-		if b.failures >= b.threshold {
-			b.state = breakerOpen
-			b.openedAt = b.now()
-		}
+	if b.failures++; !b.open && b.failures >= b.threshold {
+		b.open, b.openedAt = true, time.Now()
 	}
+}
+
+// trip opens the breaker at once: the endpoint is not who it must be.
+func (b *breaker) trip() {
+	b.mu.Lock()
+	b.open, b.openedAt = true, time.Now()
+	b.mu.Unlock()
+}
+
+// pass closes the breaker: a probe found the endpoint alive and, with
+// an epoch pinned, of the right build and shard.
+func (b *breaker) pass() {
+	b.mu.Lock()
+	b.open, b.failures = false, 0
+	b.mu.Unlock()
 }
 
 // snapshot returns the state name for /stats and tests.
 func (b *breaker) snapshot() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state.String()
+	if b.closed() {
+		return "closed"
+	}
+	return "open"
 }

@@ -8,11 +8,14 @@ package fed
 // 5xx are retryable), back off exponentially with jitter between
 // retries, and wrap whatever remains after the budget in a ShardError
 // naming the shard so the coordinator can surface *which* piece of the
-// federation is down. A background health loop probes every endpoint's
-// /healthz and (when an epoch is pinned) /shardinfo, feeding the same
-// breakers the request path trips, so a restarted shard is readmitted
-// without waiting for a live request to probe it. Every call is one
-// synchronous exchange on a pooled connection (transport.go).
+// federation is down. An endpoint's breaker is its only state: failed
+// requests open it, and only a probe closes it again — /healthz, plus
+// /shardinfo naming the pinned epoch and the shard's own index. The
+// health loop probes every endpoint; without one, the first pick after
+// an open breaker's cooldown runs the probe inline. With an epoch
+// pinned, every data reply must also carry that epoch's
+// X-Summary-Version. Every call is one synchronous exchange on a
+// pooled connection (transport.go).
 
 import (
 	"bytes"
@@ -27,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/pkg/slug"
 )
 
 // Config tunes the client's resilience. Zero values take the defaults
@@ -53,16 +57,17 @@ type Config struct {
 	// the shard has a second usable endpoint).
 	HedgeDelay time.Duration
 	// BreakerFailures consecutive failures open an endpoint's circuit
-	// (default 3); BreakerCooldown later it half-opens for one probe
-	// (default 1s).
+	// (default 3); BreakerCooldown after it opened (default 1s), and
+	// after each failed probe since, the next probe may readmit it.
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// HealthInterval spaces active health probes (0 disables the loop;
 	// start it with StartHealth).
 	HealthInterval time.Duration
-	// ExpectEpoch, when set, makes health probes verify each shard
-	// server's /shardinfo epoch: a server from a different sharded
-	// build is marked unhealthy rather than queried.
+	// ExpectEpoch, when set, makes probes verify each shard server's
+	// /shardinfo epoch and shard index, and data replies their
+	// X-Summary-Version: a server of another build or shard opens its
+	// breaker rather than being queried.
 	ExpectEpoch string
 }
 
@@ -88,14 +93,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// endpoint is one replica of one shard, with its breaker and health
-// mark. Endpoints are keyed by URL across peer reloads, so breaker
-// state survives a SIGHUP that keeps the URL.
+// endpoint is one replica of one shard, with its breaker. Endpoints
+// are keyed by URL across peer reloads, so breaker state survives a
+// SIGHUP that keeps the URL.
 type endpoint struct {
-	url     string
-	conns   *connPool
-	brk     *breaker
-	healthy atomic.Bool
+	url   string
+	conns *connPool
+	brk   *breaker
 }
 
 // ShardError marks a shard-level failure: the wrapped error exhausted
@@ -134,18 +138,18 @@ type Stats struct {
 	Shards   []ShardEndpoint `json:"shards"`
 }
 
-// ShardEndpoint describes one endpoint's current disposition.
+// ShardEndpoint describes one endpoint's breaker: "closed" or "open".
 type ShardEndpoint struct {
 	Shard   int    `json:"shard"`
 	URL     string `json:"url"`
 	Breaker string `json:"breaker"`
-	Healthy bool   `json:"healthy"`
 }
 
 // Client is the resilient HTTP client of the federation: one instance
 // per coordinator, safe for concurrent use.
 type Client struct {
-	cfg Config
+	cfg     Config
+	version uint64 // X-Summary-Version data replies must carry (0: any)
 
 	mu     sync.RWMutex
 	shards [][]*endpoint
@@ -161,24 +165,23 @@ type Client struct {
 
 // NewClient builds a client over a validated peer set.
 func NewClient(p *Peers, cfg Config) (*Client, error) {
-	if err := p.validate(); err != nil {
-		return nil, fmt.Errorf("fed: %w", err)
-	}
-	cfg = cfg.withDefaults()
-	if cfg.ExpectEpoch != "" && p.Epoch != "" && p.Epoch != cfg.ExpectEpoch {
-		return nil, fmt.Errorf("fed: peers file epoch %.12s... does not match expected %.12s... — refusing to federate mismatched epochs", p.Epoch, cfg.ExpectEpoch)
+	if err := p.check(cfg.ExpectEpoch); err != nil {
+		return nil, err
 	}
 	c := &Client{
-		cfg: cfg,
+		cfg: cfg.withDefaults(),
 		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
+	}
+	if cfg.ExpectEpoch != "" {
+		c.version = slug.EpochVersion(cfg.ExpectEpoch)
 	}
 	c.install(p)
 	return c, nil
 }
 
-// install replaces the endpoint table, carrying breaker, health and
-// connection state over for URLs that persist; endpoints that leave
-// close their idle connections.
+// install replaces the endpoint table, carrying breaker and connection
+// state over for URLs that persist; endpoints that leave close their
+// idle connections.
 func (c *Client) install(p *Peers) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -197,9 +200,7 @@ func (c *Client) install(p *Peers) {
 				kept[u] = true
 				continue
 			}
-			ep := &endpoint{url: u, conns: newConnPool(u), brk: newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)}
-			ep.healthy.Store(true) // innocent until probed
-			shards[s][i] = ep
+			shards[s][i] = &endpoint{url: u, conns: newConnPool(u), brk: newBreaker(c.cfg.BreakerFailures, c.cfg.BreakerCooldown)}
 		}
 	}
 	for u, ep := range prev {
@@ -217,11 +218,8 @@ func (c *Client) install(p *Peers) {
 // must not change — shard ownership is fixed by the artifact, only
 // endpoint addresses move — and a pinned epoch must match.
 func (c *Client) Reload(p *Peers) error {
-	if err := p.validate(); err != nil {
-		return fmt.Errorf("fed: %w", err)
-	}
-	if c.cfg.ExpectEpoch != "" && p.Epoch != "" && p.Epoch != c.cfg.ExpectEpoch {
-		return fmt.Errorf("fed: peers file epoch %.12s... does not match expected %.12s...", p.Epoch, c.cfg.ExpectEpoch)
+	if err := p.check(c.cfg.ExpectEpoch); err != nil {
+		return err
 	}
 	c.mu.RLock()
 	cur := len(c.shards)
@@ -241,7 +239,7 @@ func (c *Client) NumShards() int {
 }
 
 // Snapshot reports the client's resilience counters and per-endpoint
-// breaker/health state.
+// breaker state.
 func (c *Client) Snapshot() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -256,65 +254,28 @@ func (c *Client) Snapshot() Stats {
 				Shard:   s,
 				URL:     ep.url,
 				Breaker: ep.brk.snapshot(),
-				Healthy: ep.healthy.Load(),
 			})
 		}
 	}
 	return st
 }
 
-// pick selects up to two usable endpoints for one attempt round:
-// rotated across replicas, open breakers skipped (allow() also admits
-// the half-open probe), unhealthy endpoints deprioritized but not
-// excluded — the health loop may simply not have caught up with a
-// recovery.
-func (c *Client) pick(shard int) []*endpoint {
+// pick selects up to two endpoints for one attempt round, rotated
+// across replicas: closed breakers, and an open one whose cooldown has
+// passed if the readmission probe it runs inline here passes.
+func (c *Client) pick(ctx context.Context, shard int) []*endpoint {
 	c.mu.RLock()
 	eps := c.shards[shard]
 	start := int(c.rr[shard].Add(1) - 1)
 	c.mu.RUnlock()
-	var healthy, unhealthy []*endpoint
-	for i := range eps {
+	picked := make([]*endpoint, 0, 2)
+	for i := 0; i < len(eps) && len(picked) < 2; i++ {
 		ep := eps[(start+i)%len(eps)]
-		if !ep.brk.allow() {
-			continue
-		}
-		if ep.healthy.Load() {
-			healthy = append(healthy, ep)
-		} else {
-			unhealthy = append(unhealthy, ep)
-		}
-	}
-	picked := append(healthy, unhealthy...)
-	if len(picked) > 2 {
-		picked = picked[:2]
-	}
-	// allow() on a half-open breaker claims the single probe slot; give
-	// back the slots of endpoints we are not actually going to call.
-	for i := range eps {
-		ep := eps[(start+i)%len(eps)]
-		claimed := false
-		for _, p := range picked {
-			if p == ep {
-				claimed = true
-				break
-			}
-		}
-		if !claimed {
-			ep.brk.releaseProbe()
+		if ep.brk.closed() || ep.brk.trial() && c.probe(ctx, shard, ep) {
+			picked = append(picked, ep)
 		}
 	}
 	return picked
-}
-
-// releaseProbe undoes an allow() that was never followed by a call, so
-// an unpicked half-open endpoint can still admit its probe.
-func (b *breaker) releaseProbe() {
-	b.mu.Lock()
-	if b.state == breakerHalfOpen {
-		b.probing = false
-	}
-	b.mu.Unlock()
 }
 
 // backoff sleeps the exponential-plus-jitter delay for retry round
@@ -339,11 +300,12 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 type op func(ctx context.Context, ep *endpoint) (any, error)
 
 // call runs one attempt against one endpoint, bounded by the
-// per-attempt timeout, and settles the endpoint's breaker: success or
-// a terminal (4xx) answer closes it — the endpoint is alive and
-// answering — while network failures and 5xx count against it. A
-// cancellation inherited from the parent (hedge winner elsewhere,
-// caller gone) records nothing.
+// per-attempt timeout, and reports the outcome to the endpoint's
+// breaker: success or a terminal (4xx) answer resets its failure count
+// — the endpoint is alive and answering — while network failures, 5xx
+// and replies of another build count against it. A cancellation
+// inherited from the parent (hedge winner elsewhere, caller gone)
+// records nothing.
 func (c *Client) call(ctx context.Context, ep *endpoint, f op) (any, error) {
 	c.attempts.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
@@ -352,13 +314,11 @@ func (c *Client) call(ctx context.Context, ep *endpoint, f op) (any, error) {
 	switch {
 	case err == nil:
 		ep.brk.success()
-		ep.healthy.Store(true)
 		return v, nil
 	case isTerminal(err):
 		ep.brk.success()
 		return nil, err
 	case ctx.Err() != nil:
-		ep.brk.releaseProbe()
 		return nil, ctx.Err()
 	default:
 		ep.brk.failure()
@@ -431,7 +391,7 @@ func (c *Client) do(ctx context.Context, shard int, f op) (any, error) {
 				break
 			}
 		}
-		eps := c.pick(shard)
+		eps := c.pick(ctx, shard)
 		if len(eps) == 0 {
 			lastErr = fmt.Errorf("no endpoint available (circuit open)")
 			continue
@@ -451,9 +411,10 @@ func (c *Client) do(ctx context.Context, shard int, f op) (any, error) {
 	return nil, &ShardError{Shard: shard, Err: lastErr}
 }
 
-// get issues a GET of path on ep and decodes a JSON body into out.
-func get(ctx context.Context, ep *endpoint, path string, out any) error {
-	body, err := ep.conns.exchange(ctx, http.MethodGet, path, nil, maxJSONReply)
+// get issues a GET of path on ep and decodes a JSON body into out; a
+// non-zero version is the X-Summary-Version the reply must carry.
+func get(ctx context.Context, ep *endpoint, path string, version uint64, out any) error {
+	body, err := ep.conns.exchange(ctx, http.MethodGet, path, nil, maxJSONReply, version)
 	if err != nil {
 		return err
 	}
@@ -478,11 +439,13 @@ func errMessage(body []byte) string {
 // NeighborsLocal fetches the neighbor lists of shard-local vertex ids
 // from the shard's binary batch endpoint in one request; a batch over
 // serve.MaxBatchItems gets the shard's terminal 400. Results are in
-// request order, in shard-local ids.
+// request order, in shard-local ids. With an epoch pinned, a reply
+// without that epoch's X-Summary-Version fails the attempt, as does
+// HasEdgeLocal's.
 func (c *Client) NeighborsLocal(ctx context.Context, shard int, ids []int32) ([][]int32, error) {
 	v, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
 		body, err := ep.conns.exchange(ctx, http.MethodPost, "/batch/neighbors",
-			serve.EncodeNeighborsRequest(ids), maxBatchReply)
+			serve.EncodeNeighborsRequest(ids), maxBatchReply, c.version)
 		if err != nil {
 			return nil, err
 		}
@@ -500,7 +463,7 @@ func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool,
 		var body struct {
 			Exists bool `json:"exists"`
 		}
-		if err := get(ctx, ep, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), &body); err != nil {
+		if err := get(ctx, ep, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), c.version, &body); err != nil {
 			return nil, err
 		}
 		return body.Exists, nil
@@ -515,7 +478,7 @@ func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool,
 func (c *Client) ShardInfo(ctx context.Context, shard int) (serve.ShardInfo, error) {
 	r, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
 		var info serve.ShardInfo
-		if err := get(ctx, ep, "/shardinfo", &info); err != nil {
+		if err := get(ctx, ep, "/shardinfo", 0, &info); err != nil {
 			return nil, err
 		}
 		return info, nil
@@ -526,14 +489,14 @@ func (c *Client) ShardInfo(ctx context.Context, shard int) (serve.ShardInfo, err
 	return r.(serve.ShardInfo), nil
 }
 
-// Healthy reports whether shard s currently has at least one endpoint
-// that is marked healthy and whose breaker admits requests.
+// Healthy reports whether shard s has an endpoint whose breaker is
+// closed.
 func (c *Client) Healthy(shard int) bool {
 	c.mu.RLock()
 	eps := c.shards[shard]
 	c.mu.RUnlock()
 	for _, ep := range eps {
-		if ep.healthy.Load() && ep.brk.snapshot() != "open" {
+		if ep.brk.closed() {
 			return true
 		}
 	}
@@ -541,10 +504,9 @@ func (c *Client) Healthy(shard int) bool {
 }
 
 // StartHealth launches the active health loop: every HealthInterval it
-// probes each endpoint's /healthz (and /shardinfo when an epoch is
-// pinned), marking health and feeding the breakers — a probe success
-// closes a half-open circuit, so a restarted shard is readmitted
-// without a live request paying for the discovery. No-op when
+// probes each endpoint with a closed breaker, and each open one whose
+// cooldown has passed, so a dead, swapped or restarted shard server is
+// found without a live request paying for the discovery. No-op when
 // HealthInterval is 0. Returns a stop function.
 func (c *Client) StartHealth(ctx context.Context) (stop func()) {
 	if c.cfg.HealthInterval <= 0 {
@@ -571,66 +533,46 @@ func (c *Client) StartHealth(ctx context.Context) (stop func()) {
 	}
 }
 
-// probeAll health-checks every endpoint once, concurrently.
+// probeAll runs one round of the health loop, probing concurrently.
 func (c *Client) probeAll(ctx context.Context) {
+	var wg sync.WaitGroup
 	c.mu.RLock()
-	type probe struct {
-		shard int
-		ep    *endpoint
-	}
-	var probes []probe
 	for s, eps := range c.shards {
 		for _, ep := range eps {
-			probes = append(probes, probe{s, ep})
+			if ep.brk.closed() || ep.brk.trial() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.probe(ctx, s, ep)
+				}()
+			}
 		}
 	}
 	c.mu.RUnlock()
-	var wg sync.WaitGroup
-	for _, p := range probes {
-		wg.Add(1)
-		go func(p probe) {
-			defer wg.Done()
-			c.probeOne(ctx, p.shard, p.ep)
-		}(p)
-	}
 	wg.Wait()
 }
 
-// probeOne checks one endpoint: /healthz must answer 200, and with a
-// pinned epoch /shardinfo must report the expected epoch and shard
-// index. Outcomes feed both the health mark and the breaker (via
-// allow/success/failure, respecting the half-open single-probe rule).
-func (c *Client) probeOne(ctx context.Context, shard int, ep *endpoint) {
+// probe checks one endpoint and settles its breaker: /healthz must
+// answer 200, and with a pinned epoch /shardinfo must report that
+// epoch and this shard's index. A pass closes the breaker; a wrong
+// identity opens it at once; any other failure counts like a failed
+// request. A probe cut short by ctx records nothing.
+func (c *Client) probe(ctx context.Context, shard int, ep *endpoint) bool {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	ok := func() bool {
-		var h struct {
-			Status string `json:"status"`
-		}
-		if err := get(pctx, ep, "/healthz", &h); err != nil {
+	err := get(pctx, ep, "/healthz", 0, &struct{}{})
+	if err == nil && c.cfg.ExpectEpoch != "" {
+		var info serve.ShardInfo
+		if err = get(pctx, ep, "/shardinfo", 0, &info); err == nil && (info.Epoch != c.cfg.ExpectEpoch || info.Shard != shard) {
+			ep.brk.trip()
 			return false
 		}
-		if c.cfg.ExpectEpoch != "" {
-			var info serve.ShardInfo
-			if err := get(pctx, ep, "/shardinfo", &info); err != nil {
-				return false
-			}
-			if info.Epoch != c.cfg.ExpectEpoch || info.Shard != shard {
-				return false
-			}
-		}
-		return true
-	}()
-	ep.healthy.Store(ok)
-	if ctx.Err() != nil {
-		return // shutdown race: don't let a cancelled probe trip the breaker
 	}
-	if ok {
-		ep.brk.success()
-	} else if ep.brk.allow() {
-		// Only count the failure when the breaker would have admitted a
-		// request (claiming the half-open probe slot when there is one);
-		// probing an already-open circuit must not extend its cooldown.
+	switch {
+	case err == nil:
+		ep.brk.pass()
+	case ctx.Err() == nil:
 		ep.brk.failure()
 	}
+	return err == nil
 }

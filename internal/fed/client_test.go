@@ -3,7 +3,7 @@ package fed_test
 // Chaos tests for the resilient client: injected 5xx storms, terminal
 // 4xx answers, slow responses vs. the per-attempt timeout, connection
 // resets, hedging (fires, wins, cancels the loser), circuit breaker
-// lifecycle (opens, fast-fails, half-open probe, closes), and peer
+// lifecycle (opens, fast-fails, a readmission probe closes it), and peer
 // reload semantics; then the transport's own rules: stale pooled
 // connections, chunked replies, the reply-size cap, and
 // "Connection: close".
@@ -275,14 +275,26 @@ func asShardError(err error, target **fed.ShardError) bool {
 func TestBreakerLifecycle(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
-	var hits atomic.Int64
-	ts := httptest.NewServer(neighborsHandler(func(w http.ResponseWriter) bool {
+	var hits, probes atomic.Int64
+	data := neighborsHandler(func(w http.ResponseWriter) bool {
 		hits.Add(1)
 		if failing.Load() {
 			w.WriteHeader(http.StatusInternalServerError)
 			return true
 		}
 		return false
+	})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			data.ServeHTTP(w, r)
+			return
+		}
+		probes.Add(1)
+		if failing.Load() {
+			w.WriteHeader(http.StatusInternalServerError)
+			return
+		}
+		w.Write([]byte(`{"status":"ok"}`))
 	}))
 	defer ts.Close()
 
@@ -311,28 +323,32 @@ func TestBreakerLifecycle(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "circuit open") {
 		t.Fatalf("fast-fail error = %v", err)
 	}
-	if hits.Load() != before {
-		t.Fatal("open breaker let a request through")
+	if hits.Load() != before || probes.Load() != 0 {
+		t.Fatal("open breaker let a request or probe through before its cooldown")
 	}
 
-	// After the cooldown the half-open probe goes through; with the
-	// server still failing it reopens...
+	// After the cooldown the trial is one /healthz probe and no data
+	// request; with the server still failing the circuit stays open...
 	time.Sleep(70 * time.Millisecond)
 	if _, err := c.NeighborsLocal(ctx, 0, []int32{0}); err == nil {
-		t.Fatal("failing probe reported success")
+		t.Fatal("failing trial reported success")
 	}
-	if hits.Load() != before+1 {
-		t.Fatalf("half-open admitted %d probes, want 1", hits.Load()-before)
+	if hits.Load() != before || probes.Load() != 1 {
+		t.Fatalf("trial made %d data requests and %d probes, want 0 and 1", hits.Load()-before, probes.Load())
 	}
 	if st := c.Snapshot().Shards[0].Breaker; st != "open" {
 		t.Fatalf("breaker after failed probe = %s, want open", st)
 	}
 
-	// ...and once the server heals, the next probe closes the circuit.
+	// ...and once the server heals, the next trial's probe closes the
+	// circuit and the request goes through.
 	failing.Store(false)
 	time.Sleep(70 * time.Millisecond)
 	if _, err := c.NeighborsLocal(ctx, 0, []int32{0}); err != nil {
-		t.Fatalf("healed probe failed: %v", err)
+		t.Fatalf("request after healed probe failed: %v", err)
+	}
+	if hits.Load() != before+1 || probes.Load() != 2 {
+		t.Fatalf("healed trial made %d data requests and %d probes, want 1 and 2", hits.Load()-before, probes.Load())
 	}
 	if st := c.Snapshot().Shards[0].Breaker; st != "closed" {
 		t.Fatalf("breaker after recovery = %s, want closed", st)

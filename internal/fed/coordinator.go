@@ -227,8 +227,9 @@ func (e *downError) ErrorFields() map[string]any {
 	return map[string]any{"down_shards": e.shards}
 }
 
-// Ready reports the federation not ready while any shard has no healthy
-// endpoint; GET /readyz then answers 503 listing "down_shards".
+// Ready reports the federation not ready while any shard has no
+// endpoint with a closed breaker; GET /readyz then answers 503 listing
+// "down_shards".
 func (co *Coordinator) Ready() error {
 	var down []int
 	for s := 0; s < co.rt.NumShards(); s++ {

@@ -6,7 +6,8 @@ package fed_test
 // address), exercising query parity
 // against the raw graph and the compiled union, partial-failure semantics
 // (503 naming the dead shard while live shards keep answering), the
-// circuit breaker opening, and recovery after restart.
+// circuit breaker opening, recovery after restart, and shard servers
+// of another build or shard swapped in on a shard's address.
 
 import (
 	"context"
@@ -378,6 +379,131 @@ func TestFederationParityAndFailure(t *testing.T) {
 	}
 	if fmt.Sprint(back.Neighbors) != fmt.Sprint(f.g.Neighbors(deadV)) {
 		t.Fatalf("post-recovery answer diverged")
+	}
+}
+
+// impostor is a shard server of another identity for shard s's
+// address: an edgeless summary of the same vertex count (so every local
+// id is in range and every answer it gives is wrong), announcing
+// epoch and shard index as given, with the version of its epoch.
+func (f *federation) impostor(t *testing.T, s int, epoch string, index int) http.Handler {
+	t.Helper()
+	n := len(f.sh.GlobalID[s])
+	built, err := slug.SummarizeSharded(context.Background(), graph.FromEdges(n, nil), 1, slug.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := built.Shards[0].Queryable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve.NewShard(cs, serve.ShardInfo{
+		Shard: index, Shards: f.sh.NumShards(), Epoch: epoch, Nodes: n,
+		Version: slug.EpochVersion(epoch),
+	}).Handler()
+}
+
+// swap replaces the server on p's address by one serving h.
+func (p *shardProc) swap(t *testing.T, h http.Handler) {
+	t.Helper()
+	p.stop()
+	p.handler = h
+	p.restart(t)
+}
+
+// TestFederationRefusesWrongIdentity swaps shard 1's server for one of
+// another build, and for one of the right build that is another shard.
+// Under a running health loop the probe opens the endpoint's breaker;
+// without one, the replies' X-Summary-Version does, and the inline
+// readmission probe keeps it open. Either way no live answer closes it
+// again: no query owned by shard 1 answers 200 and /readyz names the
+// shard. Putting the right server back readmits it.
+func TestFederationRefusesWrongIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		epoch  string // "" is the federation's own
+		index  int
+		health time.Duration
+	}{
+		{"another build", "another build's epoch", 1, 20 * time.Millisecond},
+		{"another shard", "", 2, 20 * time.Millisecond},
+		{"another build, no health loop", "another build's epoch", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := buildFederation(t, fed.Config{
+				Retries:         1,
+				RetriesSet:      true,
+				BackoffBase:     2 * time.Millisecond,
+				BackoffCap:      10 * time.Millisecond,
+				BreakerFailures: 2,
+				BreakerCooldown: 50 * time.Millisecond,
+				HealthInterval:  tc.health,
+			})
+			stop := f.client.StartHealth(context.Background())
+			defer stop()
+			epoch := tc.epoch
+			if epoch == "" {
+				epoch = f.epoch
+			}
+			right := f.procs[1].handler
+			f.procs[1].swap(t, f.impostor(t, 1, epoch, tc.index))
+			if tc.health > 0 {
+				waitFor(t, 5*time.Second, "breaker open", func() bool {
+					return f.client.Snapshot().Shards[1].Breaker == "open"
+				})
+			}
+
+			// Neighbor lists of up to 100 shard-1 vertices, and edge
+			// queries between two of them (answered by the shard, not
+			// the boundary).
+			owned := f.sh.GlobalID[1]
+			for i, v := range owned[:min(100, len(owned))] {
+				urls := []string{fmt.Sprintf("%s/neighbors?v=%d", f.ts.URL, v)}
+				if i > 0 {
+					urls = append(urls, fmt.Sprintf("%s/hasedge?u=%d&v=%d", f.ts.URL, owned[0], v))
+				}
+				for _, u := range urls {
+					resp, err := http.Get(u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusOK {
+						t.Fatalf("%s answered 200 from a server of another identity", u)
+					}
+				}
+			}
+			var ready struct {
+				Down []int `json:"down_shards"`
+			}
+			resp, err := getJSON(t, f.ts.URL+"/readyz", &ready)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusServiceUnavailable || fmt.Sprint(ready.Down) != "[1]" {
+				t.Fatalf("readyz with an impostor = %d down=%v, want 503 down=[1]", resp.StatusCode, ready.Down)
+			}
+
+			f.procs[1].swap(t, right)
+			waitFor(t, 5*time.Second, "readmission", func() bool {
+				resp, err := http.Get(fmt.Sprintf("%s/neighbors?v=%d", f.ts.URL, owned[0]))
+				if err != nil {
+					return false
+				}
+				resp.Body.Close()
+				return resp.StatusCode == http.StatusOK
+			})
+			for _, v := range owned {
+				var res serve.NeighborsResult
+				resp, err := getJSON(t, fmt.Sprintf("%s/neighbors?v=%d", f.ts.URL, v), &res)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("neighbors(%d) after readmission: err=%v status=%v", v, err, resp.StatusCode)
+				}
+				if fmt.Sprint(res.Neighbors) != fmt.Sprint(f.g.Neighbors(v)) {
+					t.Fatalf("neighbors(%d) after readmission = %v, want %v", v, res.Neighbors, f.g.Neighbors(v))
+				}
+			}
+		})
 	}
 }
 

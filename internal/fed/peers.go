@@ -51,6 +51,18 @@ func LoadPeers(path string) (*Peers, error) {
 	return &p, nil
 }
 
+// check validates a peer set for a client and refuses one pinned to
+// an epoch other than expect (when both are set).
+func (p *Peers) check(expect string) error {
+	if err := p.validate(); err != nil {
+		return fmt.Errorf("fed: %w", err)
+	}
+	if expect != "" && p.Epoch != "" && p.Epoch != expect {
+		return fmt.Errorf("fed: peers file epoch %.12s... does not match expected %.12s... — refusing to federate mismatched epochs", p.Epoch, expect)
+	}
+	return nil
+}
+
 func (p *Peers) validate() error {
 	if len(p.Shards) == 0 {
 		return fmt.Errorf("no shards listed")

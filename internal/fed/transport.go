@@ -58,7 +58,9 @@ func newConnPool(base string) *connPool {
 }
 
 // exchange sends one request and returns the body (at most limit
-// bytes) of a 200 reply; any other status is a *statusError. The
+// bytes) of a 200 reply; any other status is a *statusError, and a 200
+// whose X-Summary-Version is not version (when non-zero) a retryable
+// error: the server is of another build. The
 // context's deadline becomes the connection's, and cancelling the
 // context forces a past deadline, which unblocks a read or write at
 // once. A connection that errored, was cancelled or answered
@@ -66,7 +68,7 @@ func newConnPool(base string) *connPool {
 // fails before the first reply byte was most likely closed by the
 // server while idle: it is redialled once, at no cost to the retry
 // budget.
-func (p *connPool) exchange(ctx context.Context, method, path string, body []byte, limit int64) ([]byte, error) {
+func (p *connPool) exchange(ctx context.Context, method, path string, body []byte, limit int64, version uint64) ([]byte, error) {
 	for fresh := false; ; fresh = true {
 		c, pooled, err := p.take(ctx, fresh)
 		if err != nil {
@@ -75,7 +77,7 @@ func (p *connPool) exchange(ctx context.Context, method, path string, body []byt
 		deadline, _ := ctx.Deadline()
 		c.nc.SetDeadline(deadline)
 		stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Unix(1, 0)) })
-		status, resp, keep, replied, err := c.roundTrip(p, method, path, body, limit)
+		status, resp, ver, keep, replied, err := c.roundTrip(p, method, path, body, limit)
 		if stop() && keep && err == nil && c.br.Buffered() == 0 {
 			p.put(c)
 		} else {
@@ -84,6 +86,8 @@ func (p *connPool) exchange(ctx context.Context, method, path string, body []byt
 		switch {
 		case err == nil && status != http.StatusOK:
 			return nil, &statusError{status: status, msg: errMessage(resp)}
+		case err == nil && version != 0 && ver != version:
+			return nil, fmt.Errorf("fed: reply of summary version %d, want %d: another build", ver, version)
 		case err != nil && ctx.Err() != nil:
 			return nil, ctx.Err()
 		case err == nil || !pooled || replied:
@@ -136,7 +140,7 @@ func (p *connPool) closeIdle() {
 
 // roundTrip writes one request in one Write and reads the reply;
 // replied reports whether any byte of it arrived.
-func (c *conn) roundTrip(p *connPool, method, path string, body []byte, limit int64) (status int, resp []byte, keep, replied bool, err error) {
+func (c *conn) roundTrip(p *connPool, method, path string, body []byte, limit int64) (status int, resp []byte, version uint64, keep, replied bool, err error) {
 	b := append(append(append(append(c.wbuf[:0], method...), ' '), p.prefix...), path...)
 	b = append(append(b, " HTTP/1.1\r\nHost: "...), p.host...)
 	b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(body)), 10)
@@ -148,26 +152,27 @@ func (c *conn) roundTrip(p *connPool, method, path string, body []byte, limit in
 		_, err = c.br.Peek(1)
 	}
 	if err != nil {
-		return 0, nil, false, false, err
+		return 0, nil, 0, false, false, err
 	}
-	status, resp, keep, err = readResponse(c.br, limit)
-	return status, resp, keep, true, err
+	status, resp, version, keep, err = readResponse(c.br, limit)
+	return status, resp, version, keep, true, err
 }
 
 // readResponse reads one HTTP/1.1 reply: the status, the body (at most
-// limit bytes, and never a larger allocation than the cap allows), and
-// whether the connection may carry another exchange.
-func readResponse(br *bufio.Reader, limit int64) (status int, body []byte, keepAlive bool, err error) {
+// limit bytes, and never a larger allocation than the cap allows), its
+// X-Summary-Version (0 when absent or malformed), and whether the
+// connection may carry another exchange.
+func readResponse(br *bufio.Reader, limit int64) (status int, body []byte, version uint64, keepAlive bool, err error) {
 	line, err := readLine(br)
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, 0, false, err
 	}
 	if len(line) < 12 || string(line[:9]) != "HTTP/1.1 " || (len(line) > 12 && line[12] != ' ') {
-		return 0, nil, false, fmt.Errorf("fed: malformed status line %.40q", line)
+		return 0, nil, 0, false, fmt.Errorf("fed: malformed status line %.40q", line)
 	}
 	code, err := strconv.ParseUint(string(line[9:12]), 10, 10)
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("fed: malformed status line %.40q", line)
+		return 0, nil, 0, false, fmt.Errorf("fed: malformed status line %.40q", line)
 	}
 	keepAlive, length, chunked := true, int64(-1), false
 	for {
@@ -193,6 +198,8 @@ func readResponse(br *bufio.Reader, limit int64) (status int, body []byte, keepA
 			chunked = true
 		case strings.EqualFold(string(name), "Connection"):
 			keepAlive = keepAlive && !strings.EqualFold(string(value), "close")
+		case strings.EqualFold(string(name), "X-Summary-Version"):
+			version, _ = strconv.ParseUint(string(value), 10, 64)
 		}
 		if err != nil {
 			break
@@ -219,9 +226,9 @@ func readResponse(br *bufio.Reader, limit int64) (status int, body []byte, keepA
 		}
 	}
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, 0, false, err
 	}
-	return int(code), body, keepAlive, nil
+	return int(code), body, version, keepAlive, nil
 }
 
 // readLine reads one CRLF- or LF-terminated line without its ending; a

@@ -22,6 +22,7 @@ func FuzzShardResponse(f *testing.F) {
 		"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\r\n{\"error\":\"down\"}",
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n2\r\nde\r\n0\r\nX-Trailer: t\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Summary-Version: 16045690984833335023\r\nContent-Length: 2\r\n\r\nok",
 		"HTTP/1.0 200 OK\nContent-Length: 2\n\nok",
 		"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok",
@@ -35,7 +36,7 @@ func FuzzShardResponse(f *testing.F) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		status, body, _, err := readResponse(br, limit)
+		status, body, _, _, err := readResponse(br, limit)
 		runtime.ReadMemStats(&after)
 		// Growing a chunked body to the cap may overshoot it by a
 		// constant factor, never by the declared size.

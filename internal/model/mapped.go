@@ -144,55 +144,27 @@ func computeLayout(metaLen, n, total, numEdges, chainsLen, incAdjLen, vertsLen i
 
 func (lo *mappedLayout) fileSize() int { return lo.footerOff + mappedFtrLen }
 
-// int32Bytes views an int32 slice as raw bytes (little-endian hosts
-// only; callers gate on hostLittleEndian).
+// asBytes views a slice of fixed-size integers as its raw bytes
+// (little-endian hosts only; callers gate on hostLittleEndian).
 //
 //slugvet:unsafe narrowing view: byte length equals the source slice's exact byte size, so no index can exceed the backing array
-func int32Bytes(s []int32) []byte {
+func asBytes[T int8 | int32 | int64](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-//slugvet:unsafe narrowing view: byte length equals the source slice's exact byte size, so no index can exceed the backing array
-func int64Bytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-//slugvet:unsafe same-size view: int8 and byte share layout, so the element count is unchanged
-func int8Bytes(s []int8) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
-}
-
-//slugvet:unsafe widening view: len/4 rounds down so the view never exceeds the backing bytes; callers gate 8-byte base alignment via aligned8
-func bytesToInt32(b []byte) []int32 {
+// viewAs views raw bytes as a slice of fixed-size integers, the length
+// rounded down to whole elements.
+//
+//slugvet:unsafe widening view: the length rounds down to whole elements so the view never exceeds the backing bytes; callers gate 8-byte base alignment via aligned8
+func viewAs[T int8 | int32 | int64](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-//slugvet:unsafe widening view: len/8 rounds down so the view never exceeds the backing bytes; callers gate 8-byte base alignment via aligned8
-func bytesToInt64(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
-}
-
-//slugvet:unsafe same-size view: byte and int8 share layout, so the element count is unchanged
-func bytesToInt8(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
+	p := (*T)(unsafe.Pointer(&b[0]))
+	return unsafe.Slice(p, len(b)/int(unsafe.Sizeof(*p)))
 }
 
 // AlignedBuffer returns a zeroed byte slice of length n whose base
@@ -268,10 +240,10 @@ func WriteCompiled(w io.Writer, cs *CompiledSummary, info MappedInfo) (int64, er
 	}
 	var zeros [8]byte
 	sections := [mappedSections][]byte{
-		int32Bytes(cs.chainOff), int32Bytes(cs.chains),
-		int32Bytes(cs.incOff), int32Bytes(cs.incAdj),
-		int32Bytes(cs.edgeA), int32Bytes(cs.edgeB), int8Bytes(cs.edgeSign),
-		int64Bytes(cs.vertsOff), int32Bytes(cs.verts),
+		asBytes(cs.chainOff), asBytes(cs.chains),
+		asBytes(cs.incOff), asBytes(cs.incAdj),
+		asBytes(cs.edgeA), asBytes(cs.edgeB), asBytes(cs.edgeSign),
+		asBytes(cs.vertsOff), asBytes(cs.verts),
 	}
 	for i, sec := range sections {
 		if pad := lo.secOff[i] - int(cw.n); pad > 0 {
@@ -388,15 +360,15 @@ func FromMapped(data []byte) (*CompiledSummary, MappedInfo, error) {
 	cs := &CompiledSummary{
 		n:        int(n),
 		total:    int(total),
-		chainOff: bytesToInt32(sec(0)),
-		chains:   bytesToInt32(sec(1)),
-		incOff:   bytesToInt32(sec(2)),
-		incAdj:   bytesToInt32(sec(3)),
-		edgeA:    bytesToInt32(sec(4)),
-		edgeB:    bytesToInt32(sec(5)),
-		edgeSign: bytesToInt8(sec(6)),
-		vertsOff: bytesToInt64(sec(7)),
-		verts:    bytesToInt32(sec(8)),
+		chainOff: viewAs[int32](sec(0)),
+		chains:   viewAs[int32](sec(1)),
+		incOff:   viewAs[int32](sec(2)),
+		incAdj:   viewAs[int32](sec(3)),
+		edgeA:    viewAs[int32](sec(4)),
+		edgeB:    viewAs[int32](sec(5)),
+		edgeSign: viewAs[int8](sec(6)),
+		vertsOff: viewAs[int64](sec(7)),
+		verts:    viewAs[int32](sec(8)),
 	}
 	if err := cs.validateMapped(); err != nil {
 		return nil, info, err
