@@ -17,7 +17,7 @@
 //
 // peers.json maps each shard index to one or more replica base URLs:
 //
-//	{"epoch": "<hex, optional pin>",
+//	{"epoch": "<hex; the manifest's when absent, refused when another>",
 //	 "shards": [["http://10.0.0.1:8081"], ["http://10.0.0.2:8081"]]}
 //
 // SIGHUP reloads the peers file without dropping the routing state or
@@ -25,16 +25,14 @@
 // count must not change (that would be a different build — restart
 // with its manifest instead).
 //
-// At boot the coordinator asks every shard server for /shardinfo and
-// refuses to start unless shard index, shard count, and federation
-// epoch all match the loaded split: pieces of different sharded
-// builds never federate silently. After boot each endpoint's circuit
-// breaker is its only state: consecutive failures, a data reply
-// without the split's X-Summary-Version, or a health probe finding
-// another epoch or shard index open it, and only a passing probe
-// (/healthz and /shardinfo) closes it. Per-shard failures surface as
-// 503 with the shard identity in the body; /readyz turns 503 while
-// any shard has no endpoint with a closed breaker.
+// Every reply of shard s's server carries X-Summary-Version
+// serve.ShardVersion(epoch, s), and the coordinator checks it on every
+// exchange: a server of another build or shard fails the boot probe of
+// every endpoint's /healthz, and later opens its circuit breaker at its
+// first reply. Consecutive failures open a breaker too; only a passing
+// /healthz probe closes it. Per-shard failures surface as 503 with the
+// shard identity in the body; /readyz turns 503 while any shard has no
+// endpoint with a closed breaker.
 //
 // Resilience knobs (-timeout, -retries, -hedge, ...) configure the
 // scatter-gather client: per-attempt timeouts, exponential backoff
@@ -72,9 +70,9 @@ func main() {
 		retries  = flag.Int("retries", 2, "re-attempts after the first failed shard request (0 = fail fast)")
 		hedge    = flag.Duration("hedge", 0, "launch a hedged request to a second replica when the first has not answered within this delay (0 = off; needs >1 replica per shard to matter)")
 		brkFails = flag.Int("breaker-failures", 3, "consecutive failures that open an endpoint's circuit breaker")
-		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open circuit waits before a /healthz + /shardinfo probe may readmit the endpoint (and again after each failed probe)")
-		health   = flag.Duration("health-interval", time.Second, "active health-probe interval per endpoint; probes also re-verify the epoch and shard index (0 = disabled: an open endpoint is then probed by the first request after its cooldown)")
-		skipBoot = flag.Bool("skip-verify", false, "skip the boot-time /shardinfo verification (shards are then checked by each reply's X-Summary-Version and by the health loop's probes)")
+		brkCool  = flag.Duration("breaker-cooldown", time.Second, "how long an open circuit waits before a /healthz probe may readmit the endpoint (and again after each failed probe)")
+		health   = flag.Duration("health-interval", time.Second, "active /healthz probe interval per endpoint (0 = disabled: an open endpoint is then probed by the first request after its cooldown)")
+		skipBoot = flag.Bool("skip-verify", false, "skip the boot-time probe of every endpoint (each reply's shard version is checked either way)")
 	)
 	flag.Parse()
 	if *manifest == "" || *peers == "" {
@@ -94,6 +92,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("loading peers: %v", err)
 	}
+	if p.Epoch == "" {
+		p.Epoch = epoch
+	}
 	client, err := fed.NewClient(p, fed.Config{
 		Timeout:         *timeout,
 		Retries:         *retries,
@@ -102,7 +103,6 @@ func main() {
 		BreakerFailures: *brkFails,
 		BreakerCooldown: *brkCool,
 		HealthInterval:  *health,
-		ExpectEpoch:     epoch,
 	})
 	if err != nil {
 		log.Fatalf("building client: %v", err)

@@ -28,9 +28,10 @@
 // sharded build (from slugger -split or slug.Split): the shard's
 // artifact file is located through -manifest, cross-checked against
 // the manifest's byte digest, and mounted behind the shard surface —
-// /shardinfo announces the shard index, shard count, and federation
-// epoch, and POST /batch/neighbors answers the coordinator's compact
-// binary batches. Shard serving is immutable and single-shard by
+// every reply carries the shard's version, a digest of the federation
+// epoch and the shard index, as X-Summary-Version, /stats reports the
+// shard's identity under "shard_role", and POST /batch/neighbors
+// answers the coordinator's compact binary batches. Shard serving is immutable and single-shard by
 // construction, so -shard-role is incompatible with -summary, -in,
 // -mutable, -shards, -mmap and -wal-dir. A cmd/fedserve coordinator
 // scatter-gathers across a set of these processes.
@@ -72,7 +73,6 @@
 //	GET  /hasedge?u=1&v=2
 //	GET  /pagerank?d=0.85&t=20&top=10
 //	POST /update                 ({"u":1,"v":2,"delete":false} or {"updates":[...]})
-//	GET  /shardinfo              (-shard-role only)
 //
 // SIGINT/SIGTERM drain in-flight requests through a graceful shutdown
 // instead of killing them.
@@ -183,13 +183,8 @@ func main() {
 			*shardRole, m.NumShards(), cs.NumNodes(), cs.NumSupernodes(), cs.NumSuperedges(),
 			time.Since(start).Round(time.Millisecond), m.Epoch)
 		srv := serve.NewShard(cs, serve.ShardInfo{
-			Shard:     *shardRole,
-			Shards:    m.NumShards(),
-			Epoch:     m.Epoch,
-			Nodes:     cs.NumNodes(),
-			Version:   slug.EpochVersion(m.Epoch),
-			Algorithm: m.Algorithm,
-		}).WithAlgorithm(m.Algorithm).WithArtifact("shard-mount", 0, bootStart)
+			Shard: *shardRole, Shards: m.NumShards(), Epoch: m.Epoch, Nodes: cs.NumNodes(), Algorithm: m.Algorithm,
+		}).WithArtifact("shard-mount", 0, bootStart)
 		fmt.Printf("listening on %s (shard role %d of %d, algorithm %s)\n", *addr, *shardRole, m.NumShards(), m.Algorithm)
 		if err := srv.Run(ctx, *addr); err != nil {
 			log.Fatal(err)

@@ -30,7 +30,7 @@ func BenchmarkNeighborsLocal(b *testing.B) {
 	}
 	ts := httptest.NewServer(serve.NewShard(cs, serve.ShardInfo{Shards: 1, Epoch: sh.Epoch(), Nodes: n}).Handler())
 	defer ts.Close()
-	c, err := fed.NewClient(&fed.Peers{Shards: [][]string{{ts.URL}}}, fed.Config{})
+	c, err := fed.NewClient(&fed.Peers{Epoch: sh.Epoch(), Shards: [][]string{{ts.URL}}}, fed.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

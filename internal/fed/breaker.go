@@ -4,8 +4,8 @@
 // NewShard role), and a resilient HTTP client that gets it there —
 // connection pooling, bounded retries with exponential backoff and
 // jitter, hedged requests, one circuit breaker per endpoint that only
-// an identity probe closes, and static-file peer discovery with live
-// reload.
+// a probe answered with the shard's own version closes, and static-file
+// peer discovery with live reload.
 //
 // The coordinator routes with model.Routing: which shard owns a vertex,
 // and each vertex's boundary adjacency, merged into the shard's sorted
@@ -23,10 +23,10 @@ import (
 
 // breaker is an endpoint's one admission state: closed, requests go
 // to it; open, they fast-fail. It opens after threshold consecutive
-// failures, or at once when a probe finds another build or shard
-// behind the address. Only a passing probe closes it: live traffic
-// resets the failure count but never readmits an open endpoint. Safe
-// for concurrent use.
+// failures, or at once when any reply, a probe's or a request's, lacks
+// the shard's version: another build or shard is behind the address.
+// Only a passing probe closes it: live traffic resets the failure
+// count but never readmits an open endpoint. Safe for concurrent use.
 type breaker struct {
 	mu        sync.Mutex
 	open      bool
@@ -69,7 +69,7 @@ func (b *breaker) success() {
 }
 
 // failure records a failed request or liveness probe (timeout, reset,
-// 5xx, a reply from another build); at the threshold it opens.
+// 5xx); at the threshold it opens.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -86,7 +86,7 @@ func (b *breaker) trip() {
 }
 
 // pass closes the breaker: a probe found the endpoint alive and, with
-// an epoch pinned, of the right build and shard.
+// an epoch pinned, stamping its shard's version.
 func (b *breaker) pass() {
 	b.mu.Lock()
 	b.open, b.failures = false, 0

@@ -9,13 +9,12 @@ package fed
 // retries, and wrap whatever remains after the budget in a ShardError
 // naming the shard so the coordinator can surface *which* piece of the
 // federation is down. An endpoint's breaker is its only state: failed
-// requests open it, and only a probe closes it again — /healthz, plus
-// /shardinfo naming the pinned epoch and the shard's own index. The
-// health loop probes every endpoint; without one, the first pick after
-// an open breaker's cooldown runs the probe inline. With an epoch
-// pinned, every data reply must also carry that epoch's
-// X-Summary-Version. Every call is one synchronous exchange on a
-// pooled connection (transport.go).
+// requests, or one reply without the shard's version (serve.ShardVersion
+// of the pinned epoch), open it; only a probe — one GET /healthz —
+// closes it. The health loop probes every endpoint; without one, the
+// first pick after an open breaker's cooldown probes inline. Every
+// call is one synchronous exchange on a pooled connection
+// (transport.go).
 
 import (
 	"bytes"
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/pkg/slug"
 )
 
 // Config tunes the client's resilience. Zero values take the defaults
@@ -64,11 +62,6 @@ type Config struct {
 	// HealthInterval spaces active health probes (0 disables the loop;
 	// start it with StartHealth).
 	HealthInterval time.Duration
-	// ExpectEpoch, when set, makes probes verify each shard server's
-	// /shardinfo epoch and shard index, and data replies their
-	// X-Summary-Version: a server of another build or shard opens its
-	// breaker rather than being queried.
-	ExpectEpoch string
 }
 
 func (c Config) withDefaults() Config {
@@ -148,8 +141,9 @@ type ShardEndpoint struct {
 // Client is the resilient HTTP client of the federation: one instance
 // per coordinator, safe for concurrent use.
 type Client struct {
-	cfg     Config
-	version uint64 // X-Summary-Version data replies must carry (0: any)
+	cfg      Config
+	epoch    string   // the peer set's epoch ("": unpinned)
+	versions []uint64 // per shard, the X-Summary-Version of every reply (0: any)
 
 	mu     sync.RWMutex
 	shards [][]*endpoint
@@ -163,17 +157,22 @@ type Client struct {
 	rng *rand.Rand
 }
 
-// NewClient builds a client over a validated peer set.
+// NewClient builds a client over a validated peer set, pinned to its
+// epoch when it names one.
 func NewClient(p *Peers, cfg Config) (*Client, error) {
-	if err := p.check(cfg.ExpectEpoch); err != nil {
-		return nil, err
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
 	}
 	c := &Client{
-		cfg: cfg.withDefaults(),
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:      cfg.withDefaults(),
+		epoch:    p.Epoch,
+		versions: make([]uint64, len(p.Shards)),
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	if cfg.ExpectEpoch != "" {
-		c.version = slug.EpochVersion(cfg.ExpectEpoch)
+	if c.epoch != "" {
+		for s := range c.versions {
+			c.versions[s] = serve.ShardVersion(c.epoch, s)
+		}
 	}
 	c.install(p)
 	return c, nil
@@ -216,10 +215,14 @@ func (c *Client) install(p *Peers) {
 
 // Reload swaps in a new peer set (e.g. after SIGHUP). The shard count
 // must not change — shard ownership is fixed by the artifact, only
-// endpoint addresses move — and a pinned epoch must match.
+// endpoint addresses move — and an epoch the file names must be the
+// client's.
 func (c *Client) Reload(p *Peers) error {
-	if err := p.check(c.cfg.ExpectEpoch); err != nil {
-		return err
+	if err := p.validate(); err != nil {
+		return fmt.Errorf("fed: %w", err)
+	}
+	if p.Epoch != "" && p.Epoch != c.epoch {
+		return fmt.Errorf("fed: peers file epoch %.12s... does not match the client's %.12s... — refusing to federate mismatched epochs", p.Epoch, c.epoch)
 	}
 	c.mu.RLock()
 	cur := len(c.shards)
@@ -302,10 +305,10 @@ type op func(ctx context.Context, ep *endpoint) (any, error)
 // call runs one attempt against one endpoint, bounded by the
 // per-attempt timeout, and reports the outcome to the endpoint's
 // breaker: success or a terminal (4xx) answer resets its failure count
-// — the endpoint is alive and answering — while network failures, 5xx
-// and replies of another build count against it. A cancellation
-// inherited from the parent (hedge winner elsewhere, caller gone)
-// records nothing.
+// — the endpoint is alive and answering — a reply without the shard's
+// version opens it, and network failures and 5xx count against it. A
+// cancellation inherited from the parent (hedge winner elsewhere,
+// caller gone) records nothing.
 func (c *Client) call(ctx context.Context, ep *endpoint, f op) (any, error) {
 	c.attempts.Add(1)
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
@@ -315,6 +318,9 @@ func (c *Client) call(ctx context.Context, ep *endpoint, f op) (any, error) {
 	case err == nil:
 		ep.brk.success()
 		return v, nil
+	case errors.Is(err, errIdentity):
+		ep.brk.trip()
+		return nil, err
 	case isTerminal(err):
 		ep.brk.success()
 		return nil, err
@@ -439,13 +445,11 @@ func errMessage(body []byte) string {
 // NeighborsLocal fetches the neighbor lists of shard-local vertex ids
 // from the shard's binary batch endpoint in one request; a batch over
 // serve.MaxBatchItems gets the shard's terminal 400. Results are in
-// request order, in shard-local ids. With an epoch pinned, a reply
-// without that epoch's X-Summary-Version fails the attempt, as does
-// HasEdgeLocal's.
+// request order, in shard-local ids.
 func (c *Client) NeighborsLocal(ctx context.Context, shard int, ids []int32) ([][]int32, error) {
 	v, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
 		body, err := ep.conns.exchange(ctx, http.MethodPost, "/batch/neighbors",
-			serve.EncodeNeighborsRequest(ids), maxBatchReply, c.version)
+			serve.EncodeNeighborsRequest(ids), maxBatchReply, c.versions[shard])
 		if err != nil {
 			return nil, err
 		}
@@ -463,7 +467,7 @@ func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool,
 		var body struct {
 			Exists bool `json:"exists"`
 		}
-		if err := get(ctx, ep, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), c.version, &body); err != nil {
+		if err := get(ctx, ep, fmt.Sprintf("/hasedge?u=%d&v=%d", u, v), c.versions[shard], &body); err != nil {
 			return nil, err
 		}
 		return body.Exists, nil
@@ -472,21 +476,6 @@ func (c *Client) HasEdgeLocal(ctx context.Context, shard int, u, v int32) (bool,
 		return false, err
 	}
 	return r.(bool), nil
-}
-
-// ShardInfo fetches a shard server's identity.
-func (c *Client) ShardInfo(ctx context.Context, shard int) (serve.ShardInfo, error) {
-	r, err := c.do(ctx, shard, func(ctx context.Context, ep *endpoint) (any, error) {
-		var info serve.ShardInfo
-		if err := get(ctx, ep, "/shardinfo", 0, &info); err != nil {
-			return nil, err
-		}
-		return info, nil
-	})
-	if err != nil {
-		return serve.ShardInfo{}, err
-	}
-	return r.(serve.ShardInfo), nil
 }
 
 // Healthy reports whether shard s has an endpoint whose breaker is
@@ -533,44 +522,47 @@ func (c *Client) StartHealth(ctx context.Context) (stop func()) {
 	}
 }
 
-// probeAll runs one round of the health loop, probing concurrently.
-func (c *Client) probeAll(ctx context.Context) {
+// probeAll runs one round of the health loop, probing concurrently,
+// and reports for each shard whether one of its probes passed.
+func (c *Client) probeAll(ctx context.Context) []bool {
 	var wg sync.WaitGroup
 	c.mu.RLock()
+	passed := make([]atomic.Bool, len(c.shards))
 	for s, eps := range c.shards {
 		for _, ep := range eps {
 			if ep.brk.closed() || ep.brk.trial() {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					c.probe(ctx, s, ep)
+					if c.probe(ctx, s, ep) {
+						passed[s].Store(true)
+					}
 				}()
 			}
 		}
 	}
 	c.mu.RUnlock()
 	wg.Wait()
+	out := make([]bool, len(passed))
+	for s := range passed {
+		out[s] = passed[s].Load()
+	}
+	return out
 }
 
 // probe checks one endpoint and settles its breaker: /healthz must
-// answer 200, and with a pinned epoch /shardinfo must report that
-// epoch and this shard's index. A pass closes the breaker; a wrong
-// identity opens it at once; any other failure counts like a failed
-// request. A probe cut short by ctx records nothing.
+// answer 200 with the shard's version. A pass closes the breaker; a
+// wrong version opens it at once; any other failure counts like a
+// failed request. A probe cut short by ctx records nothing.
 func (c *Client) probe(ctx context.Context, shard int, ep *endpoint) bool {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	err := get(pctx, ep, "/healthz", 0, &struct{}{})
-	if err == nil && c.cfg.ExpectEpoch != "" {
-		var info serve.ShardInfo
-		if err = get(pctx, ep, "/shardinfo", 0, &info); err == nil && (info.Epoch != c.cfg.ExpectEpoch || info.Shard != shard) {
-			ep.brk.trip()
-			return false
-		}
-	}
+	err := get(pctx, ep, "/healthz", c.versions[shard], &struct{}{})
 	switch {
 	case err == nil:
 		ep.brk.pass()
+	case errors.Is(err, errIdentity):
+		ep.brk.trip()
 	case ctx.Err() == nil:
 		ep.brk.failure()
 	}

@@ -422,12 +422,71 @@ func TestLoadPeersValidation(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 
-	// Epoch pinning: a client refuses a peers file from another build.
-	if _, err := fed.NewClient(
-		&fed.Peers{Epoch: "aaa", Shards: [][]string{{"http://a:1"}}},
-		fed.Config{ExpectEpoch: "bbb"},
-	); err == nil || !strings.Contains(err.Error(), "epoch") {
+	// Epoch pinning: a client pinned by its peer set refuses a reloaded
+	// peers file from another build, not one that names no epoch.
+	c, err := fed.NewClient(&fed.Peers{Epoch: "aaa", Shards: [][]string{{"http://a:1"}}}, fed.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Reload(&fed.Peers{Epoch: "bbb", Shards: [][]string{{"http://a:1"}}}); err == nil || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("epoch mismatch accepted: %v", err)
+	}
+	if err := c.Reload(&fed.Peers{Shards: [][]string{{"http://b:1"}}}); err != nil {
+		t.Fatalf("reload without an epoch: %v", err)
+	}
+}
+
+// TestWrongVersionOpensBreaker: one reply without the shard's version
+// opens the endpoint's breaker at once, whatever its status and
+// however high the failure threshold, and a probe that finds it keeps
+// the breaker open.
+func TestWrongVersionOpensBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		version string // X-Summary-Version of every reply ("" = none)
+		status  int
+	}{
+		{"another shard", fmt.Sprint(serve.ShardVersion("e", 1)), http.StatusOK},
+		{"another build", fmt.Sprint(serve.ShardVersion("f", 0)), http.StatusOK},
+		{"unversioned", "", http.StatusOK},
+		{"another shard, 4xx", fmt.Sprint(serve.ShardVersion("e", 1)), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := neighborsHandler(nil)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.version != "" {
+					w.Header().Set("X-Summary-Version", tc.version)
+				}
+				if tc.status != http.StatusOK {
+					w.WriteHeader(tc.status)
+					return
+				}
+				data.ServeHTTP(w, r)
+			}))
+			defer ts.Close()
+			c, err := fed.NewClient(&fed.Peers{Epoch: "e", Shards: [][]string{{ts.URL}}}, fed.Config{
+				Retries: 0, RetriesSet: true,
+				BreakerFailures: 100,
+				BreakerCooldown: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.NeighborsLocal(context.Background(), 0, []int32{0})
+			if err == nil || !strings.Contains(err.Error(), "another build or shard") {
+				t.Fatalf("reply of version %q accepted: %v", tc.version, err)
+			}
+			if st := c.Snapshot().Shards[0].Breaker; st != "open" {
+				t.Fatalf("breaker after one reply of another identity = %s, want open", st)
+			}
+			time.Sleep(5 * time.Millisecond)
+			if _, err := c.HasEdgeLocal(context.Background(), 0, 0, 1); err == nil {
+				t.Fatal("readmission probe passed a server of another identity")
+			}
+			if st := c.Snapshot().Shards[0].Breaker; st != "open" {
+				t.Fatalf("breaker after the readmission probe = %s, want open", st)
+			}
+		})
 	}
 }
 

@@ -337,7 +337,8 @@ func TestCoordinatorInheritsRouteMetrics(t *testing.T) {
 }
 
 // stubFederation is a coordinator over two stub shard servers (see
-// neighborsHandler) sharing one failure hook.
+// neighborsHandler) sharing one failure hook, each stamping its shard's
+// version.
 func stubFederation(t *testing.T, fail func(w http.ResponseWriter) bool) *fed.Coordinator {
 	t.Helper()
 	sh, err := slug.SummarizeSharded(context.Background(), graph.ErdosRenyi(40, 120, 5), 2, slug.WithSeed(1))
@@ -346,11 +347,15 @@ func stubFederation(t *testing.T, fail func(w http.ResponseWriter) bool) *fed.Co
 	}
 	urls := make([][]string, sh.NumShards())
 	for s := range urls {
-		ts := httptest.NewServer(neighborsHandler(fail))
+		stub, version := neighborsHandler(fail), fmt.Sprint(serve.ShardVersion(sh.Epoch(), s))
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Summary-Version", version)
+			stub.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		urls[s] = []string{ts.URL}
 	}
-	client, err := fed.NewClient(&fed.Peers{Shards: urls}, fed.Config{Retries: 0, RetriesSet: true, Timeout: 10 * time.Second})
+	client, err := fed.NewClient(&fed.Peers{Epoch: sh.Epoch(), Shards: urls}, fed.Config{Retries: 0, RetriesSet: true, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator from a sharded build's routing
 // structure and compiled union, and a resilient client whose peer set
-// must cover exactly the build's shards.
+// must cover exactly the build's shards and be pinned to its epoch.
 func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	rt, err := model.NewRouting(sh.GlobalID, sh.Boundary)
 	if err != nil {
@@ -65,6 +65,9 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 		return nil, fmt.Errorf("fed: peers cover %d shards, build has %d", client.NumShards(), rt.NumShards())
 	}
 	epoch := sh.Epoch()
+	if client.epoch != epoch {
+		return nil, fmt.Errorf("fed: peers name epoch %q, the build's is %.12s... — refusing to federate mismatched epochs", client.epoch, epoch)
+	}
 	return &Coordinator{
 		rt:      rt,
 		union:   model.NewOverlay(union),
@@ -75,8 +78,8 @@ func NewCoordinator(sh *slug.Sharded, client *Client) (*Coordinator, error) {
 	}, nil
 }
 
-// Version returns the content version derived from the epoch — the
-// same value every shard server of the split reports.
+// Version returns the content version derived from the epoch; each
+// shard server stamps its own (serve.ShardVersion).
 func (co *Coordinator) Version() uint64 { return co.version }
 
 // NumNodes returns the global vertex count.
@@ -98,26 +101,18 @@ func (co *Coordinator) View() serve.View { return co }
 // (see serve.Server.Handler for the routes) over the federation.
 func (co *Coordinator) Handler() http.Handler { return serve.NewServer(co).Handler() }
 
-// Verify cross-checks every shard server against the build: each
-// must report the expected epoch, its own shard index, the federation
-// shard count, and its shard's vertex count. Run it at boot —
-// federating a server from a different sharded build would silently
-// merge unrelated graphs.
+// Verify probes every endpoint once, at boot, and fails on the first
+// shard none of whose endpoints answers /healthz with the shard's
+// version: the epoch in it binds the shard count, the shard sizes and
+// the partition.
 func (co *Coordinator) Verify(ctx context.Context) error {
-	for s := 0; s < co.rt.NumShards(); s++ {
-		info, err := co.client.ShardInfo(ctx, s)
-		if err != nil {
-			return err
-		}
-		switch {
-		case info.Epoch != co.epoch:
-			return fmt.Errorf("fed: shard %d serves epoch %.12s..., coordinator has %.12s... — refusing to federate mismatched epochs", s, info.Epoch, co.epoch)
-		case info.Shard != s:
-			return fmt.Errorf("fed: endpoint for shard %d identifies as shard %d", s, info.Shard)
-		case info.Shards != co.rt.NumShards():
-			return fmt.Errorf("fed: shard %d believes the federation has %d shards, build has %d", s, info.Shards, co.rt.NumShards())
-		case info.Nodes != co.rt.ShardSize(s):
-			return fmt.Errorf("fed: shard %d serves %d vertices, build assigns it %d", s, info.Nodes, co.rt.ShardSize(s))
+	passed := co.client.probeAll(ctx)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("fed: verify: %w", err)
+	}
+	for s, ok := range passed {
+		if !ok {
+			return fmt.Errorf("fed: no endpoint of shard %d answers /healthz with the shard's version: it is down, or of another build or shard", s)
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ package fed_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -139,16 +140,12 @@ func buildFederation(t *testing.T, cfg fed.Config) *federation {
 			Shards:    man.NumShards(),
 			Epoch:     man.Epoch,
 			Nodes:     cs.NumNodes(),
-			Version:   slug.EpochVersion(man.Epoch),
 			Algorithm: man.Algorithm,
 		})
 		procs[s] = startShardProc(t, srv.Handler())
 		urls[s] = []string{procs[s].url()}
 	}
 
-	if cfg.ExpectEpoch == "" {
-		cfg.ExpectEpoch = epoch
-	}
 	client, err := fed.NewClient(&fed.Peers{Epoch: epoch, Shards: urls}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +381,8 @@ func TestFederationParityAndFailure(t *testing.T) {
 
 // impostor is a shard server of another identity for shard s's
 // address: an edgeless summary of the same vertex count (so every local
-// id is in range and every answer it gives is wrong), announcing
-// epoch and shard index as given, with the version of its epoch.
+// id is in range and every answer it gives is wrong) whose replies
+// carry the version of the given epoch and shard index.
 func (f *federation) impostor(t *testing.T, s int, epoch string, index int) http.Handler {
 	t.Helper()
 	n := len(f.sh.GlobalID[s])
@@ -399,7 +396,6 @@ func (f *federation) impostor(t *testing.T, s int, epoch string, index int) http
 	}
 	return serve.NewShard(cs, serve.ShardInfo{
 		Shard: index, Shards: f.sh.NumShards(), Epoch: epoch, Nodes: n,
-		Version: slug.EpochVersion(epoch),
 	}).Handler()
 }
 
@@ -413,11 +409,11 @@ func (p *shardProc) swap(t *testing.T, h http.Handler) {
 
 // TestFederationRefusesWrongIdentity swaps shard 1's server for one of
 // another build, and for one of the right build that is another shard.
-// Under a running health loop the probe opens the endpoint's breaker;
-// without one, the replies' X-Summary-Version does, and the inline
-// readmission probe keeps it open. Either way no live answer closes it
-// again: no query owned by shard 1 answers 200 and /readyz names the
-// shard. Putting the right server back readmits it.
+// Under a running health loop the probe's version check opens the
+// endpoint's breaker; without one, the first reply's does, and the
+// inline readmission probe keeps it open. Either way no live answer
+// closes it again: no query owned by shard 1 answers 200 and /readyz
+// names the shard. Putting the right server back readmits it.
 func TestFederationRefusesWrongIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -428,6 +424,7 @@ func TestFederationRefusesWrongIdentity(t *testing.T) {
 		{"another build", "another build's epoch", 1, 20 * time.Millisecond},
 		{"another shard", "", 2, 20 * time.Millisecond},
 		{"another build, no health loop", "another build's epoch", 1, 0},
+		{"another shard, no health loop", "", 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := buildFederation(t, fed.Config{
@@ -519,42 +516,90 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestVerifyRejectsMismatchedEpoch stands up a shard server announcing
-// a different epoch and checks the coordinator refuses to federate it.
+// TestVerifyRejectsMismatchedEpoch stands up shard 1's server with
+// another build's epoch, then with the right epoch but shard 0's
+// index, and checks the coordinator refuses to federate either. It
+// also refuses a client pinned to another epoch, or to none.
 func TestVerifyRejectsMismatchedEpoch(t *testing.T) {
 	g := graph.ErdosRenyi(60, 200, 13)
 	sh, err := slug.SummarizeSharded(context.Background(), g, 2, slug.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := make([][]string, 2)
-	for s := 0; s < 2; s++ {
-		cs, err := sh.Shards[s].Queryable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		epoch := sh.Epoch()
-		if s == 1 {
-			epoch = "not-the-same-build"
-		}
-		srv := serve.NewShard(cs, serve.ShardInfo{
-			Shard: s, Shards: 2, Epoch: epoch,
-			Nodes: len(sh.GlobalID[s]), Version: 1,
+	for _, tc := range []struct {
+		name  string
+		epoch string // shard 1's; "" is the build's own
+		index int    // shard 1's
+		down  bool   // shard 1's server is closed before Verify
+	}{
+		{"right servers", "", 1, false},
+		{"another epoch", "not-the-same-build", 1, false},
+		{"another shard", "", 0, false},
+		{"shard down", "", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			urls := make([][]string, 2)
+			for s := 0; s < 2; s++ {
+				cs, err := sh.Shards[s].Queryable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				epoch, index := sh.Epoch(), s
+				if s == 1 {
+					index = tc.index
+					if tc.epoch != "" {
+						epoch = tc.epoch
+					}
+				}
+				srv := serve.NewShard(cs, serve.ShardInfo{
+					Shard: index, Shards: 2, Epoch: epoch, Nodes: len(sh.GlobalID[s]),
+				})
+				ts := httptest.NewServer(srv.Handler())
+				t.Cleanup(ts.Close)
+				urls[s] = []string{ts.URL}
+				if s == 1 && tc.down {
+					ts.Close()
+				}
+			}
+			cfg := fed.Config{Retries: 0, RetriesSet: true}
+			for _, pin := range []string{"", "another build's epoch"} {
+				client, err := fed.NewClient(&fed.Peers{Epoch: pin, Shards: urls}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fed.NewCoordinator(sh, client); err == nil {
+					t.Fatalf("coordinator accepted a client pinned to epoch %q", pin)
+				}
+			}
+			client, err := fed.NewClient(&fed.Peers{Epoch: sh.Epoch(), Shards: urls}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			co, err := fed.NewCoordinator(sh, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if err := co.Verify(cancelled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Verify under a cancelled context = %v, want context.Canceled", err)
+			}
+			err = co.Verify(context.Background())
+			if tc.name == "right servers" {
+				if err != nil {
+					t.Fatalf("Verify refused the build's own servers: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "shard 1 ") {
+				t.Fatalf("Verify accepted shard 1's server (%s): %v", tc.name, err)
+			}
+			if tc.down {
+				return // a refused connection counts toward the threshold; it does not open the breaker
+			}
+			if st := client.Snapshot().Shards; st[0].Breaker != "closed" || st[1].Breaker != "open" {
+				t.Fatalf("breakers after Verify = %+v, want shard 0 closed, shard 1 open", st)
+			}
 		})
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		urls[s] = []string{ts.URL}
-	}
-	client, err := fed.NewClient(&fed.Peers{Shards: urls}, fed.Config{Retries: 0, RetriesSet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := fed.NewCoordinator(sh, client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = co.Verify(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("Verify accepted a mismatched epoch: %v", err)
 	}
 }

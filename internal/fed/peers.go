@@ -3,7 +3,7 @@ package fed
 // Static-file peer discovery. A peers file is JSON:
 //
 //	{
-//	  "epoch": "4f2a…",                       // optional: pin the federation epoch
+//	  "epoch": "4f2a…",                       // the split's epoch (fedserve fills it in)
 //	  "shards": [
 //	    ["http://10.0.0.1:8081"],             // shard 0 endpoints (replicas)
 //	    ["http://10.0.0.2:8081", "http://10.0.0.3:8081"],
@@ -27,7 +27,8 @@ import (
 	"syscall"
 )
 
-// Peers is the parsed peers file: one endpoint list per shard.
+// Peers is the parsed peers file: the epoch that pins the client (shard
+// s must stamp serve.ShardVersion(Epoch, s)), one endpoint list per shard.
 type Peers struct {
 	Epoch  string     `json:"epoch,omitempty"`
 	Shards [][]string `json:"shards"`
@@ -49,18 +50,6 @@ func LoadPeers(path string) (*Peers, error) {
 		return nil, fmt.Errorf("fed: peers file %s: %w", path, err)
 	}
 	return &p, nil
-}
-
-// check validates a peer set for a client and refuses one pinned to
-// an epoch other than expect (when both are set).
-func (p *Peers) check(expect string) error {
-	if err := p.validate(); err != nil {
-		return fmt.Errorf("fed: %w", err)
-	}
-	if expect != "" && p.Epoch != "" && p.Epoch != expect {
-		return fmt.Errorf("fed: peers file epoch %.12s... does not match expected %.12s... — refusing to federate mismatched epochs", p.Epoch, expect)
-	}
-	return nil
 }
 
 func (p *Peers) validate() error {

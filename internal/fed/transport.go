@@ -57,17 +57,19 @@ func newConnPool(base string) *connPool {
 	return &connPool{addr: addr, host: u.Host, prefix: strings.TrimSuffix(u.EscapedPath(), "/")}
 }
 
+// errIdentity marks a reply from a server of another build or shard.
+var errIdentity = errors.New("another build or shard")
+
 // exchange sends one request and returns the body (at most limit
-// bytes) of a 200 reply; any other status is a *statusError, and a 200
-// whose X-Summary-Version is not version (when non-zero) a retryable
-// error: the server is of another build. The
-// context's deadline becomes the connection's, and cancelling the
-// context forces a past deadline, which unblocks a read or write at
-// once. A connection that errored, was cancelled or answered
-// "Connection: close" is closed, never pooled. A pooled connection that
-// fails before the first reply byte was most likely closed by the
-// server while idle: it is redialled once, at no cost to the retry
-// budget.
+// bytes) of a 200 reply. A reply whose X-Summary-Version is not version
+// (when non-zero) is an errIdentity, whatever its status; any other
+// non-200 reply is a *statusError. The context's deadline becomes the
+// connection's, and cancelling the context forces a past deadline,
+// which unblocks a read or write at once. A connection that errored,
+// was cancelled or answered "Connection: close" is closed, never
+// pooled. A pooled connection that fails before the first reply byte
+// was most likely closed by the server while idle: it is redialled
+// once, at no cost to the retry budget.
 func (p *connPool) exchange(ctx context.Context, method, path string, body []byte, limit int64, version uint64) ([]byte, error) {
 	for fresh := false; ; fresh = true {
 		c, pooled, err := p.take(ctx, fresh)
@@ -84,10 +86,10 @@ func (p *connPool) exchange(ctx context.Context, method, path string, body []byt
 			c.nc.Close()
 		}
 		switch {
+		case err == nil && version != 0 && ver != version:
+			return nil, fmt.Errorf("fed: reply of summary version %d, want %d: %w", ver, version, errIdentity)
 		case err == nil && status != http.StatusOK:
 			return nil, &statusError{status: status, msg: errMessage(resp)}
-		case err == nil && version != 0 && ver != version:
-			return nil, fmt.Errorf("fed: reply of summary version %d, want %d: another build", ver, version)
 		case err != nil && ctx.Err() != nil:
 			return nil, ctx.Err()
 		case err == nil || !pooled || replied:

@@ -199,9 +199,6 @@ func (rt *Routing) LocalOf(v int32) int32 { return rt.localOf[v] }
 // returned slice is shared; callers must not mutate it.
 func (rt *Routing) GlobalIDs(s int) []int32 { return rt.globalID[s] }
 
-// ShardSize returns the number of vertices owned by shard s.
-func (rt *Routing) ShardSize(s int) int { return len(rt.globalID[s]) }
-
 // NumBoundaryEdges returns the number of cross-shard edges.
 func (rt *Routing) NumBoundaryEdges() int { return rt.boundary }
 

@@ -75,12 +75,6 @@ type ReadyChecker interface {
 	Ready() error
 }
 
-// shardIdentifier marks a backend serving one shard of a network
-// federation; it adds GET /shardinfo.
-type shardIdentifier interface {
-	shardInfo() *ShardInfo
-}
-
 // withErrorFields merges the fields err contributes into body.
 func withErrorFields(body map[string]any, err error) map[string]any {
 	var fe interface{ ErrorFields() map[string]any }
@@ -123,16 +117,12 @@ func (b staticBackend) ReportStats(stats map[string]any) {
 }
 
 // shardBackend serves one shard of a network federation: a frozen
-// summary in shard-local ids whose content version is the one the
-// federation split recorded (the overlay's own version stays 0).
+// summary in shard-local ids. Its view is unversioned; the server
+// stamps the shard's version on every reply instead.
 type shardBackend struct {
 	staticBackend
 	info ShardInfo
 }
-
-func (b *shardBackend) View() View            { return b }
-func (b *shardBackend) Version() uint64       { return b.info.Version }
-func (b *shardBackend) shardInfo() *ShardInfo { return &b.info }
 
 func (b *shardBackend) ReportStats(stats map[string]any) {
 	b.staticBackend.ReportStats(stats)

@@ -14,6 +14,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,7 +48,7 @@ type Server struct {
 	updater Updater
 	stats   StatsReporter
 	ready   ReadyChecker
-	shard   shardIdentifier
+	stamp   string // X-Summary-Version of every reply (NewShard servers)
 
 	n    int    // leaf vertices (fixed across updates)
 	algo string // producing algorithm, reported by /stats when known
@@ -92,7 +94,6 @@ func NewServer(b Backend) *Server {
 	s.updater, _ = b.(Updater)
 	s.stats, _ = b.(StatsReporter)
 	s.ready, _ = b.(ReadyChecker)
-	s.shard, _ = b.(shardIdentifier)
 	return s
 }
 
@@ -101,11 +102,10 @@ func New(cs *model.CompiledSummary) *Server {
 	return NewServer(staticBackend{overlayView{model.NewOverlay(cs)}})
 }
 
-// ShardInfo identifies one shard server of a network federation: which
-// shard of how many it serves, the federation epoch it was split from
-// (coordinators refuse to federate mismatched epochs), the shard's
-// local vertex count, the content version, and the producing
-// algorithm. Served verbatim by GET /shardinfo.
+// ShardInfo identifies one shard server of a network federation, under
+// /stats "shard_role": which shard of how many, the epoch it was split
+// from, its local vertex count, its version (NewShard fills in
+// ShardVersion), and the producing algorithm.
 type ShardInfo struct {
 	Shard     int    `json:"shard"`
 	Shards    int    `json:"shards"`
@@ -115,15 +115,26 @@ type ShardInfo struct {
 	Algorithm string `json:"algorithm,omitempty"`
 }
 
+// ShardVersion is the X-Summary-Version of every reply of shard s of
+// the split with the given epoch: a digest of both with the low bit
+// set, never 0 (unversioned), and another build's or shard's.
+func ShardVersion(epoch string, shard int) uint64 {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s/%d", epoch, shard))
+	return binary.LittleEndian.Uint64(sum[:8]) | 1
+}
+
 // NewShard wraps one shard's compiled summary (in shard-local vertex
 // ids) in a read-only shard server: all ordinary endpoints answer in
-// local ids, and GET /shardinfo reports the shard's identity so a
-// coordinator can verify it is talking to the shard — and the epoch —
-// it expects. The binary POST /batch/neighbors endpoint is the
-// intended hot path for coordinator fan-out.
+// local ids, and every reply carries the shard's version (which it
+// sets in info.Version), so a coordinator can tell on each exchange
+// that it talks to the shard — and the epoch — it expects. The binary
+// POST /batch/neighbors endpoint is the intended hot path for
+// coordinator fan-out.
 func NewShard(cs *model.CompiledSummary, info ShardInfo) *Server {
-	b := &shardBackend{staticBackend{overlayView{model.NewOverlay(cs)}}, info}
-	return NewServer(b).WithAlgorithm(info.Algorithm)
+	info.Version = ShardVersion(info.Epoch, info.Shard)
+	s := NewServer(&shardBackend{staticBackend{overlayView{model.NewOverlay(cs)}}, info})
+	s.stamp = strconv.FormatUint(info.Version, 10)
+	return s.WithAlgorithm(info.Algorithm)
 }
 
 // NewLive wraps a live summary in a mutable query server: queries run
@@ -186,13 +197,13 @@ func (s *Server) markFirstQuery() {
 //	POST /neighbors {"v":[3,7,9]}     JSON batch form
 //	POST /batch/neighbors             binary batch form (wire.go framing;
 //	                                  the federation fan-out hot path)
-//	GET  /shardinfo                   shard identity (NewShard servers only)
 //	GET  /hasedge?u=1&v=2             edge-existence point query
 //	GET  /pagerank?d=0.85&t=20&top=10 top-k PageRank on the summary
 //	POST /update {"u":1,"v":2}        insert/delete edges (Updater backends;
 //	     or {"updates":[...]})        all others answer 405)
 //
-// Request bodies are capped at maxRequestBody bytes; oversized payloads
+// A NewShard server stamps its version on every reply. Request bodies
+// are capped at maxRequestBody bytes; oversized payloads
 // are rejected with 413. With WithAdmission configured, requests beyond
 // the in-flight and queue bounds are shed with 429 (the probes bypass
 // the limiter). A panicking handler answers 500 and the server keeps
@@ -209,16 +220,20 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /hasedge", s.instrument("GET /hasedge", s.handleHasEdge))
 	mux.HandleFunc("GET /pagerank", s.instrument("GET /pagerank", s.handlePageRank))
 	mux.HandleFunc("POST /update", s.instrument("POST /update", s.handleUpdate))
-	if s.shard != nil {
-		mux.HandleFunc("GET /shardinfo", s.instrument("GET /shardinfo", s.handleShardInfo))
-	}
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 		}
 		mux.ServeHTTP(w, r)
 	})
-	return s.recovered(s.admitted(inner))
+	h := s.recovered(s.admitted(inner))
+	if s.stamp == "" {
+		return h
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Summary-Version", s.stamp)
+		h.ServeHTTP(w, r)
+	})
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -479,11 +494,6 @@ func (s *Server) handleNeighborsBinary(w http.ResponseWriter, r *http.Request) {
 	setContentLength(w, len(buf))
 	w.Write(buf)
 	s.markFirstQuery()
-}
-
-// handleShardInfo reports the shard identity of a NewShard server.
-func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.shard.shardInfo())
 }
 
 // setVersionHeader reports the snapshot's content version on query

@@ -26,47 +26,96 @@ func identityCompiled(g *graph.Graph) *model.CompiledSummary {
 	return model.New(n, parent, edges).Compile()
 }
 
+// shardServer is shard 1 of 3; the Version it is handed is not the
+// one NewShard stamps.
 func shardServer(t *testing.T) (*Server, *graph.Graph, ShardInfo) {
 	t.Helper()
 	g := graph.ErdosRenyi(80, 300, 11)
 	info := ShardInfo{Shard: 1, Shards: 3, Epoch: "deadbeef", Nodes: g.NumNodes(), Version: 7, Algorithm: "slugger"}
-	return NewShard(identityCompiled(g), info), g, info
+	srv := NewShard(identityCompiled(g), info)
+	info.Version = ShardVersion(info.Epoch, info.Shard)
+	return srv, g, info
 }
 
-func TestShardInfoEndpoint(t *testing.T) {
-	srv, g, info := shardServer(t)
+// TestShardVersionOnEveryReply: a shard server stamps its own version
+// on every reply — probes, queries, errors — and reports its identity
+// under /stats "shard_role"; there is no /shardinfo route.
+func TestShardVersionOnEveryReply(t *testing.T) {
+	srv, _, info := shardServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/shardinfo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /shardinfo = %d", resp.StatusCode)
-	}
-	var got ShardInfo
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got != info {
-		t.Fatalf("shardinfo = %+v, want %+v", got, info)
-	}
-	if got.Nodes != g.NumNodes() {
-		t.Fatalf("shardinfo nodes = %d, want %d", got.Nodes, g.NumNodes())
+	want := fmt.Sprint(info.Version)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+	}{
+		{"GET", "/healthz", http.StatusOK},
+		{"GET", "/readyz", http.StatusOK},
+		{"GET", "/neighbors?v=3", http.StatusOK},
+		{"GET", "/hasedge?u=1&v=2", http.StatusOK},
+		{"GET", "/neighbors?v=nope", http.StatusBadRequest},
+		{"POST", "/update", http.StatusMethodNotAllowed},
+		{"GET", "/shardinfo", http.StatusNotFound},
+		{"GET", "/stats", http.StatusOK},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Role ShardInfo `json:"shard_role"`
+		}
+		if tc.path == "/stats" {
+			if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+				t.Fatal(err)
+			}
+			if stats.Role != info {
+				t.Fatalf("/stats shard_role = %+v, want %+v", stats.Role, info)
+			}
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.status)
+		}
+		if got := resp.Header.Get("X-Summary-Version"); got != want {
+			t.Fatalf("%s %s: X-Summary-Version = %q, want %q", tc.method, tc.path, got, want)
+		}
 	}
 
-	// Non-shard servers don't expose the endpoint.
-	plain := httptest.NewServer(New(identityCompiled(g)).Handler())
+	// A plain server stamps nothing on its probes.
+	plain := httptest.NewServer(New(identityCompiled(graph.ErdosRenyi(10, 20, 1))).Handler())
 	defer plain.Close()
-	r2, err := http.Get(plain.URL + "/shardinfo")
+	resp, err := http.Get(plain.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /shardinfo on plain server = %d, want 404", r2.StatusCode)
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Summary-Version"); got != "" {
+		t.Fatalf("plain server /healthz: X-Summary-Version = %q, want none", got)
+	}
+}
+
+// TestShardVersionDistinct: the version is never 0 (unversioned), and
+// no two shards share one, within a split or across two.
+func TestShardVersionDistinct(t *testing.T) {
+	seen := map[uint64]string{}
+	for _, epoch := range []string{
+		"4f2a9c0d51e7b38a6c2d9e0f1a3b5c7d9e1f3a5b7c9d1e3f5a7b9c1d3e5f7a9b",
+		"9e1f3a5b7c9d1e3f5a7b9c1d3e5f7a9b4f2a9c0d51e7b38a6c2d9e0f1a3b5c7d",
+	} {
+		for s := range 16 {
+			v := ShardVersion(epoch, s)
+			name := fmt.Sprintf("epoch %.8s shard %d", epoch, s)
+			if v == 0 {
+				t.Fatalf("%s: version 0", name)
+			}
+			if prev, ok := seen[v]; ok {
+				t.Fatalf("%s and %s share version %d", prev, name, v)
+			}
+			seen[v] = name
+		}
 	}
 }
 

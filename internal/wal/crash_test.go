@@ -53,9 +53,9 @@ func payloadFor(lsn uint64) []byte {
 
 // TestCrashKillPointMatrix kills the "process" (all filesystem
 // operations fail from an exact syscall boundary on) at every possible
-// operation of a scripted append/checkpoint workload — including torn
-// final writes — then recovers with a clean filesystem and asserts the
-// two WAL invariants:
+// operation of a scripted append/checkpoint workload, each of
+// faultfs.KillEvery's four ways, then recovers with a clean filesystem
+// and asserts the two WAL invariants:
 //
 //  1. no acknowledged record is lost: every Append that returned nil
 //     before the kill is covered by the recovered checkpoint or present
@@ -64,96 +64,75 @@ func payloadFor(lsn uint64) []byte {
 //     payload written for its LSN, and no LSN beyond the last attempted
 //     append appears.
 func TestCrashKillPointMatrix(t *testing.T) {
-	// Learn the operation count from an unkilled run.
-	probe := faultfs.Wrap(wal.OSFS{})
-	ackedAll, _ := crashWorkload(t.TempDir(), probe)
-	totalOps := probe.Ops()
-	if totalOps < 10 {
-		t.Fatalf("workload performed only %d filesystem operations", totalOps)
-	}
-	if len(ackedAll) != 12 {
-		t.Fatalf("unkilled workload acked %d appends, want 12", len(ackedAll))
-	}
-
-	variants := []struct {
-		torn, volatile bool
-	}{
-		{false, false}, // clean kill: completed writes survive
-		{true, false},  // torn write: half a buffer reaches the file
-		{false, true},  // power loss: unsynced writes vanish entirely
-		{true, true},   // power loss mid-fsync: half the dirty pages land
-	}
-	for _, v := range variants {
-		for killAt := 1; killAt <= totalOps; killAt++ {
-			name := fmt.Sprintf("kill=%d,torn=%v,volatile=%v", killAt, v.torn, v.volatile)
-			dir := t.TempDir()
-			fs := faultfs.Wrap(wal.OSFS{})
-			fs.SetVolatile(v.volatile)
-			fs.KillAt(killAt, v.torn)
-			acked, ackedCkpt := crashWorkload(dir, fs)
-
-			// Recover with a clean filesystem, as a restarted process would.
-			l, rec, err := wal.Open(wal.Options{Dir: dir})
-			if err != nil {
-				t.Fatalf("%s: recovery failed: %v", name, err)
-			}
-
-			byLSN := map[uint64][]byte{}
-			maxSeen := uint64(0)
-			for _, r := range rec.Records {
-				byLSN[r.LSN] = r.Payload
-				if r.LSN > maxSeen {
-					maxSeen = r.LSN
-				}
-				// Invariant 2a: recovered payloads are exactly what was
-				// written for that LSN — torn or flipped frames must never
-				// surface as different content.
-				if !bytes.Equal(r.Payload, payloadFor(r.LSN)) {
-					t.Fatalf("%s: lsn %d recovered payload %q, want %q", name, r.LSN, r.Payload, payloadFor(r.LSN))
-				}
-			}
-			// Invariant 2b: nothing beyond the last attempted append. The
-			// workload attempts at most 12 records.
-			if maxSeen > 12 {
-				t.Fatalf("%s: resurrected lsn %d beyond any attempted append", name, maxSeen)
-			}
-			if rec.HasCheckpoint && rec.CheckpointLSN != 4 {
-				t.Fatalf("%s: recovered checkpoint lsn %d, want 4", name, rec.CheckpointLSN)
-			}
-			if ackedCkpt != 0 && !rec.HasCheckpoint {
-				t.Fatalf("%s: acknowledged checkpoint lost", name)
-			}
-			if rec.HasCheckpoint && !bytes.Equal(rec.Checkpoint, []byte("state<=4")) {
-				t.Fatalf("%s: checkpoint payload %q", name, rec.Checkpoint)
-			}
-
-			// Invariant 1: every acknowledged record is recovered or
-			// superseded by the recovered checkpoint.
-			for _, lsn := range acked {
-				if rec.HasCheckpoint && lsn <= rec.CheckpointLSN {
-					continue
-				}
-				if _, ok := byLSN[lsn]; !ok {
-					t.Fatalf("%s: acknowledged lsn %d lost (recovered %d records, ckpt %v/%d)",
-						name, lsn, len(rec.Records), rec.HasCheckpoint, rec.CheckpointLSN)
-				}
-			}
-
-			// The recovered log accepts appends at the right next LSN.
-			nxt, err := l.Append([]byte("post-recovery"))
-			if err != nil {
-				t.Fatalf("%s: post-recovery append: %v", name, err)
-			}
-			floor := maxSeen
-			if rec.HasCheckpoint && rec.CheckpointLSN > floor {
-				floor = rec.CheckpointLSN
-			}
-			if nxt != floor+1 {
-				t.Fatalf("%s: post-recovery lsn %d, want %d", name, nxt, floor+1)
-			}
-			l.Close()
+	var acked []uint64
+	var ackedCkpt uint64
+	faultfs.KillEvery(t, 10, func(fs wal.FS, dir string) error {
+		if acked, ackedCkpt = crashWorkload(dir, fs); len(acked) != 12 {
+			return fmt.Errorf("acked %d appends, want 12", len(acked))
 		}
-	}
+		return nil
+	}, func(name, dir string, _ error) {
+		// Recover with a clean filesystem, as a restarted process would.
+		l, rec, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", name, err)
+		}
+
+		byLSN := map[uint64][]byte{}
+		maxSeen := uint64(0)
+		for _, r := range rec.Records {
+			byLSN[r.LSN] = r.Payload
+			if r.LSN > maxSeen {
+				maxSeen = r.LSN
+			}
+			// Invariant 2a: recovered payloads are exactly what was
+			// written for that LSN — torn or flipped frames must never
+			// surface as different content.
+			if !bytes.Equal(r.Payload, payloadFor(r.LSN)) {
+				t.Fatalf("%s: lsn %d recovered payload %q, want %q", name, r.LSN, r.Payload, payloadFor(r.LSN))
+			}
+		}
+		// Invariant 2b: nothing beyond the last attempted append. The
+		// workload attempts at most 12 records.
+		if maxSeen > 12 {
+			t.Fatalf("%s: resurrected lsn %d beyond any attempted append", name, maxSeen)
+		}
+		if rec.HasCheckpoint && rec.CheckpointLSN != 4 {
+			t.Fatalf("%s: recovered checkpoint lsn %d, want 4", name, rec.CheckpointLSN)
+		}
+		if ackedCkpt != 0 && !rec.HasCheckpoint {
+			t.Fatalf("%s: acknowledged checkpoint lost", name)
+		}
+		if rec.HasCheckpoint && !bytes.Equal(rec.Checkpoint, []byte("state<=4")) {
+			t.Fatalf("%s: checkpoint payload %q", name, rec.Checkpoint)
+		}
+
+		// Invariant 1: every acknowledged record is recovered or
+		// superseded by the recovered checkpoint.
+		for _, lsn := range acked {
+			if rec.HasCheckpoint && lsn <= rec.CheckpointLSN {
+				continue
+			}
+			if _, ok := byLSN[lsn]; !ok {
+				t.Fatalf("%s: acknowledged lsn %d lost (recovered %d records, ckpt %v/%d)",
+					name, lsn, len(rec.Records), rec.HasCheckpoint, rec.CheckpointLSN)
+			}
+		}
+
+		// The recovered log accepts appends at the right next LSN.
+		nxt, err := l.Append([]byte("post-recovery"))
+		if err != nil {
+			t.Fatalf("%s: post-recovery append: %v", name, err)
+		}
+		floor := maxSeen
+		if rec.HasCheckpoint && rec.CheckpointLSN > floor {
+			floor = rec.CheckpointLSN
+		}
+		if nxt != floor+1 {
+			t.Fatalf("%s: post-recovery lsn %d, want %d", name, nxt, floor+1)
+		}
+		l.Close()
+	})
 }
 
 // TestFsyncFailureIsFailStop: after an injected fsync error the log

@@ -6,19 +6,65 @@
 // Kills landing on a write can optionally persist a prefix of the
 // buffer first (a torn write), modeling a crash mid pwrite.
 //
-// The standard crash test runs a scripted workload once with no kill to
-// learn the total operation count, then replays it once per kill point,
-// reopening the directory with a clean filesystem after each kill and
-// asserting recovery invariants.
+// The standard crash test, KillEvery, runs a scripted workload once
+// with no kill to learn the total operation count, then replays it once
+// per kill point and way to die, reopening the directory with a clean
+// filesystem after each kill and asserting recovery invariants.
 package faultfs
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"sync"
+	"testing"
 
 	"repro/internal/wal"
 )
+
+// NoSync is the real filesystem without fsyncs. FS keeps its
+// power-loss model in its own buffers, so a crash test's verdicts do
+// not depend on the disk flush, which would only cost it time.
+type NoSync struct{ wal.OSFS }
+
+type noSyncFile struct{ *os.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (NoSync) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+// KillEvery runs work once on a counting filesystem to learn its
+// operation count (at least minOps; an error fails the test), then in
+// a fresh directory once per kill point and way to die — clean, torn
+// write, power loss, power loss mid-fsync (torn and volatile) —
+// handing each killed run's name, directory and error to check.
+func KillEvery(t testing.TB, minOps int, work func(fs wal.FS, dir string) error, check func(name, dir string, err error)) {
+	t.Helper()
+	probe := Wrap(NoSync{})
+	if err := work(probe, t.TempDir()); err != nil {
+		t.Fatalf("unkilled run: %v", err)
+	}
+	total := probe.Ops()
+	if total < minOps {
+		t.Fatalf("the workload performed only %d filesystem operations, want at least %d", total, minOps)
+	}
+	t.Logf("%d filesystem operations, each killed 4 ways", total)
+	for _, volatile := range []bool{false, true} {
+		for _, torn := range []bool{false, true} {
+			for killAt := 1; killAt <= total; killAt++ {
+				dir := t.TempDir()
+				err := work(&FS{inner: NoSync{}, killAt: killAt, torn: torn, volatile: volatile}, dir)
+				check(fmt.Sprintf("kill=%d/%d,torn=%v,volatile=%v", killAt, total, torn, volatile), dir, err)
+			}
+		}
+	}
+}
 
 // ErrKilled is returned by every operation at and after the kill point.
 var ErrKilled = errors.New("faultfs: killed at injected crash point")
@@ -28,12 +74,16 @@ var ErrKilled = errors.New("faultfs: killed at injected crash point")
 type FS struct {
 	inner wal.FS
 
-	mu       sync.Mutex
-	ops      int  // mutating operations observed so far
-	killAt   int  // kill on reaching this op ordinal (1-based); 0 = never
-	torn     bool // kills landing on a write/sync persist a prefix first
-	killed   bool
-	volatile bool // writes buffer in memory until Sync (power-loss model)
+	mu     sync.Mutex
+	ops    int  // mutating operations observed so far
+	killAt int  // kill on reaching this op ordinal (1-based); 0 = never
+	torn   bool // kills landing on a write/sync persist a prefix first
+	killed bool
+	// volatile, fixed at creation, is the power-loss model: writes
+	// buffer in memory until Sync, so a kill loses everything unsynced,
+	// as a power failure loses the page cache — which catches a missing
+	// fsync that a passthrough kill would forgive.
+	volatile bool
 	// syncErrAt makes the Nth sync fail with a plain error without
 	// killing the filesystem (models a transient fsync failure; 0 =
 	// never). The log must fail-stop on it.
@@ -50,17 +100,6 @@ func Wrap(inner wal.FS) *FS { return &FS{inner: inner} }
 func (f *FS) KillAt(n int, torn bool) {
 	f.mu.Lock()
 	f.killAt, f.torn = n, torn
-	f.mu.Unlock()
-}
-
-// SetVolatile switches to the power-loss model: Write buffers in
-// memory and only Sync flushes to the real filesystem, so a kill loses
-// everything unsynced — exactly what a power failure does to the OS
-// page cache. This is the mode that catches missing-fsync bugs: data a
-// passthrough kill would "persist" for free simply vanishes here.
-func (f *FS) SetVolatile(v bool) {
-	f.mu.Lock()
-	f.volatile = v
 	f.mu.Unlock()
 }
 
@@ -113,10 +152,7 @@ func (f *FS) MkdirAll(dir string, perm os.FileMode) error {
 func (f *FS) ReadDir(dir string) ([]os.DirEntry, error) {
 	// Reads are not mutating and never killed individually, but a dead
 	// filesystem refuses everything.
-	f.mu.Lock()
-	dead := f.killed
-	f.mu.Unlock()
-	if dead {
+	if f.Killed() {
 		return nil, ErrKilled
 	}
 	return f.inner.ReadDir(dir)
@@ -142,13 +178,8 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error)
 		if _, err := f.step(false); err != nil {
 			return nil, err
 		}
-	} else {
-		f.mu.Lock()
-		dead := f.killed
-		f.mu.Unlock()
-		if dead {
-			return nil, ErrKilled
-		}
+	} else if f.Killed() {
+		return nil, ErrKilled
 	}
 	file, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
@@ -166,22 +197,16 @@ type faultFile struct {
 }
 
 func (ff *faultFile) Read(p []byte) (int, error) {
-	ff.fs.mu.Lock()
-	dead := ff.fs.killed
-	ff.fs.mu.Unlock()
-	if dead {
+	if ff.fs.Killed() {
 		return 0, ErrKilled
 	}
 	return ff.inner.Read(p)
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	ff.fs.mu.Lock()
-	volatile := ff.fs.volatile
-	ff.fs.mu.Unlock()
 	torn, err := ff.fs.step(true)
 	if err != nil {
-		if torn && !volatile && len(p) > 0 {
+		if torn && !ff.fs.volatile && len(p) > 0 {
 			// Crash mid-write: half the buffer reaches the file. (In the
 			// volatile model an unsynced write is page-cache only, so a
 			// kill during it persists nothing.)
@@ -190,7 +215,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		}
 		return 0, err
 	}
-	if volatile {
+	if ff.fs.volatile {
 		ff.pending = append(ff.pending, p...)
 		return len(p), nil
 	}
@@ -215,21 +240,20 @@ func (ff *faultFile) Sync() error {
 	ff.fs.mu.Lock()
 	ff.fs.syncs++
 	failSync := ff.fs.syncErrAt > 0 && ff.fs.syncs == ff.fs.syncErrAt
-	volatile := ff.fs.volatile
 	ff.fs.mu.Unlock()
 	if failSync {
 		return errors.New("faultfs: injected fsync failure")
 	}
 	torn, err := ff.fs.step(false)
 	if err != nil {
-		if volatile && torn {
+		if ff.fs.volatile && torn {
 			// Power loss mid-fsync: an arbitrary prefix of the dirty
 			// pages made it to the platter.
 			ff.flushPending(len(ff.pending) / 2)
 		}
 		return err
 	}
-	if volatile {
+	if ff.fs.volatile {
 		if err := ff.flushPending(len(ff.pending)); err != nil {
 			return err
 		}

@@ -62,8 +62,12 @@ func (a *Hierarchical) Algorithm() string { return a.algo }
 // Cost returns the hierarchical encoding cost |P+| + |P-| + |H|.
 func (a *Hierarchical) Cost() int64 { return a.Summary.Cost() }
 
-// Decode reconstructs the input graph exactly.
-func (a *Hierarchical) Decode() *graph.Graph { return a.Summary.Decode() }
+// Decode reconstructs the input graph exactly, from the compiled
+// engine Queryable caches.
+func (a *Hierarchical) Decode() *graph.Graph {
+	cs, _ := a.Queryable()
+	return cs.Decode()
+}
 
 // Queryable compiles the summary into the CSR query engine, once; the
 // compiled form is cached and shared by later calls.

@@ -3,12 +3,12 @@ package slug
 // White-box crash test of the artifact writers: Save, SaveCompiled and
 // Split commit through wal.WriteFile, and their unexported entry points
 // take the filesystem, so a fault filesystem can kill them at every
-// mutating operation, as TestCrashKillPointMatrix does to the WAL.
+// mutating operation, through the same faultfs.KillEvery loop as the
+// WAL's TestCrashKillPointMatrix.
 
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -18,60 +18,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
 )
-
-// killVariants are TestCrashKillPointMatrix's four ways to die.
-var killVariants = []struct{ torn, volatile bool }{
-	{false, false}, // clean kill: completed writes survive
-	{true, false},  // torn write: half a buffer reaches the file
-	{false, true},  // power loss: unsynced writes vanish entirely
-	{true, true},   // power loss mid-fsync: half the dirty pages land
-}
-
-// noSync is the real filesystem without fsyncs. faultfs keeps its
-// power-loss model in its own buffers, so a crash test's verdicts do
-// not depend on the disk flush, which would only cost it time.
-type noSync struct{ wal.OSFS }
-
-type noSyncFile struct{ *os.File }
-
-func (noSyncFile) Sync() error { return nil }
-
-func (noSync) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
-	f, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return noSyncFile{f}, nil
-}
-
-// killEvery runs work once on a counting filesystem to learn its
-// operation count, then once per kill point and variant on a fresh
-// directory prepared by setup, handing each outcome to check.
-func killEvery(t *testing.T, setup func(dir string), work func(fs wal.FS, dir string) error, check func(name, dir string, err error)) {
-	t.Helper()
-	probe := faultfs.Wrap(noSync{})
-	dir := t.TempDir()
-	setup(dir)
-	if err := work(probe, dir); err != nil {
-		t.Fatalf("unkilled run: %v", err)
-	}
-	total := probe.Ops()
-	if total < 4 {
-		t.Fatalf("writer performed only %d filesystem operations", total)
-	}
-	t.Logf("%d filesystem operations, each killed %d ways", total, len(killVariants))
-	for _, v := range killVariants {
-		for killAt := 1; killAt <= total; killAt++ {
-			dir := t.TempDir()
-			setup(dir)
-			fs := faultfs.Wrap(noSync{})
-			fs.SetVolatile(v.volatile)
-			fs.KillAt(killAt, v.torn)
-			err := work(fs, dir)
-			check(fmt.Sprintf("kill=%d/%d,torn=%v,volatile=%v", killAt, total, v.torn, v.volatile), dir, err)
-		}
-	}
-}
 
 // TestWritersKillPointMatrix kills Save (v1), SaveCompiled (v2) and
 // Split (v2, k = 3) at every filesystem operation while each writes a
@@ -125,11 +71,10 @@ func TestWritersKillPointMatrix(t *testing.T) {
 				want[i] = raw
 			}
 			path := func(dir string) string { return filepath.Join(dir, "a"+f.ext) }
-			killEvery(t, func(dir string) {
-				if err := f.onFS(noSync{}, path(dir), arts[0]); err != nil {
+			faultfs.KillEvery(t, 4, func(fs wal.FS, dir string) error {
+				if err := f.onFS(faultfs.NoSync{}, path(dir), arts[0]); err != nil {
 					t.Fatal(err)
 				}
-			}, func(fs wal.FS, dir string) error {
 				return f.onFS(fs, path(dir), arts[1])
 			}, func(name, dir string, werr error) {
 				if _, err := Load(path(dir)); err != nil {
@@ -146,7 +91,7 @@ func TestWritersKillPointMatrix(t *testing.T) {
 				case !bytes.Equal(raw, want[0]):
 					t.Fatalf("%s: %d bytes on disk are neither the old build nor the new one", name, len(raw))
 				}
-				if err := f.onFS(noSync{}, path(dir), arts[1]); err != nil {
+				if err := f.onFS(faultfs.NoSync{}, path(dir), arts[1]); err != nil {
 					t.Fatalf("%s: clean retry: %v", name, err)
 				}
 				if raw, err := os.ReadFile(path(dir)); err != nil || !bytes.Equal(raw, want[1]) {
@@ -162,11 +107,10 @@ func TestWritersKillPointMatrix(t *testing.T) {
 			t.Fatal("the old and the new build share an epoch")
 		}
 		manifest := func(dir string) string { return filepath.Join(dir, ManifestFilename) }
-		killEvery(t, func(dir string) {
-			if _, err := shs[0].split(noSync{}, dir, "v2"); err != nil {
+		faultfs.KillEvery(t, 4, func(fs wal.FS, dir string) error {
+			if _, err := shs[0].split(faultfs.NoSync{}, dir, "v2"); err != nil {
 				t.Fatal(err)
 			}
-		}, func(fs wal.FS, dir string) error {
 			_, err := shs[1].split(fs, dir, "v2")
 			return err
 		}, func(name, dir string, werr error) {
@@ -189,7 +133,7 @@ func TestWritersKillPointMatrix(t *testing.T) {
 			if werr == nil && build != 1 {
 				t.Fatalf("%s: acknowledged split opens at the old epoch", name)
 			}
-			if _, err := shs[1].split(noSync{}, dir, "v2"); err != nil {
+			if _, err := shs[1].split(faultfs.NoSync{}, dir, "v2"); err != nil {
 				t.Fatalf("%s: clean re-split: %v", name, err)
 			}
 			m, err := LoadManifest(manifest(dir))

@@ -186,9 +186,9 @@ func durableCrashWorkload(dir string, fs wal.FS, art Artifact, batches [][]model
 	return len(batches)
 }
 
-// TestDurableCrashParityMatrix is the acceptance test of the PR: kill
-// the process at every filesystem operation of an apply/compact
-// workload — including torn final writes and full power loss — then
+// TestDurableCrashParityMatrix kills the process at every filesystem
+// operation of an apply/compact workload, each of faultfs.KillEvery's
+// four ways (clean, torn write, power loss, power loss mid-fsync), then
 // recover from the directory and require the serialized artifact to be
 // byte-identical to a never-crashed server that applied the same
 // acknowledged batch stream (or that stream plus the one in-flight
@@ -201,66 +201,44 @@ func TestDurableCrashParityMatrix(t *testing.T) {
 	batches := durableTestBatches(durableTestGraph())
 	refs := referenceBytes(t, art, batches)
 
-	probe := faultfs.Wrap(wal.OSFS{})
-	if acked := durableCrashWorkload(t.TempDir(), probe, art, batches); acked != len(batches) {
-		t.Fatalf("unkilled workload acked %d batches, want %d", acked, len(batches))
-	}
-	totalOps := probe.Ops()
-	if totalOps < 15 {
-		t.Fatalf("workload performed only %d filesystem operations", totalOps)
-	}
-
-	variants := []struct {
-		torn, volatile bool
-	}{
-		{false, false}, // clean kill
-		{true, false},  // torn final write
-		{true, true},   // power loss mid-fsync
-	}
-	for _, v := range variants {
-		for killAt := 1; killAt <= totalOps; killAt++ {
-			name := fmt.Sprintf("kill=%d,torn=%v,volatile=%v", killAt, v.torn, v.volatile)
-			dir := t.TempDir()
-			fs := faultfs.Wrap(wal.OSFS{})
-			fs.SetVolatile(v.volatile)
-			fs.KillAt(killAt, v.torn)
-			acked := durableCrashWorkload(dir, fs, art, batches)
-
-			// Recover with a clean filesystem, passing the seed artifact as
-			// a fresh start would (a committed checkpoint overrides it).
-			re, err := NewUpdatable(art, append(durableTestOpts(), WithDurability(dir, SyncAlways()))...)
-			if err != nil {
-				t.Fatalf("%s: recovery failed: %v", name, err)
-			}
-			var buf bytes.Buffer
-			if _, err := re.WriteTo(&buf); err != nil {
-				t.Fatalf("%s: serializing recovered artifact: %v", name, err)
-			}
-
-			// Acceptance: recovered state is the acked prefix, or the acked
-			// prefix plus the batch whose append was cut between disk and
-			// ack. Nothing else.
-			floor := acked
-			if floor < 0 {
-				floor = 0
-			}
-			ok := bytes.Equal(buf.Bytes(), refs[floor])
-			if !ok && floor+1 <= len(batches) {
-				ok = bytes.Equal(buf.Bytes(), refs[floor+1])
-			}
-			if !ok {
-				t.Fatalf("%s: recovered artifact matches no acceptable prefix (acked %d)", name, acked)
-			}
-
-			// The recovered artifact keeps accepting durable updates.
-			if _, err := re.ApplyUpdates([]model.EdgeUpdate{{U: 0, V: 1}, {U: 0, V: 1, Delete: true}}); err != nil {
-				t.Fatalf("%s: post-recovery update: %v", name, err)
-			}
-			if err := re.Close(); err != nil {
-				t.Fatalf("%s: close after recovery: %v", name, err)
-			}
+	var acked int
+	faultfs.KillEvery(t, 15, func(fs wal.FS, dir string) error {
+		if acked = durableCrashWorkload(dir, fs, art, batches); acked != len(batches) {
+			return fmt.Errorf("acked %d batches, want %d", acked, len(batches))
 		}
-	}
+		return nil
+	}, func(name, dir string, _ error) {
+		// Recover with a clean filesystem, passing the seed artifact as
+		// a fresh start would (a committed checkpoint overrides it).
+		re, err := NewUpdatable(art, append(durableTestOpts(), WithDurability(dir, SyncAlways()))...)
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if _, err := re.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: serializing recovered artifact: %v", name, err)
+		}
+
+		// Acceptance: recovered state is the acked prefix, or the acked
+		// prefix plus the batch whose append was cut between disk and
+		// ack. Nothing else.
+		floor := max(acked, 0)
+		ok := bytes.Equal(buf.Bytes(), refs[floor])
+		if !ok && floor+1 <= len(batches) {
+			ok = bytes.Equal(buf.Bytes(), refs[floor+1])
+		}
+		if !ok {
+			t.Fatalf("%s: recovered artifact matches no acceptable prefix (acked %d)", name, acked)
+		}
+
+		// The recovered artifact keeps accepting durable updates.
+		if _, err := re.ApplyUpdates([]model.EdgeUpdate{{U: 0, V: 1}, {U: 0, V: 1, Delete: true}}); err != nil {
+			t.Fatalf("%s: post-recovery update: %v", name, err)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatalf("%s: close after recovery: %v", name, err)
+		}
+	})
 }
 
 // TestDurableAppendFailureRejectsBatch: when the log cannot persist a

@@ -8,10 +8,10 @@ package slug
 // id-map digests, the boundary sidecar, and an epoch digest binding
 // them all together. A shard server mounts one shard file and
 // cross-checks it against the manifest; a coordinator loads the whole
-// directory back with OpenSplit and cross-checks its epoch against
-// every shard server's /shardinfo — so processes holding pieces of
-// *different* sharded builds refuse to federate instead of silently
-// merging mismatched graphs.
+// directory back with OpenSplit and checks that every reply of shard s
+// carries the version of its epoch and s (serve.ShardVersion) — so
+// pieces of *different* sharded builds, or another shard, refuse to
+// federate instead of silently merging mismatched graphs.
 
 import (
 	"bytes"
@@ -167,8 +167,8 @@ func (a *Sharded) Epoch() string {
 }
 
 // EpochVersion folds an epoch digest into the uint64 content version
-// used for cache keying and the X-Summary-Version header. Never zero
-// (zero means "unversioned").
+// a federation coordinator keys its cache on and reports as
+// X-Summary-Version. Never zero (zero means "unversioned").
 func EpochVersion(epoch string) uint64 {
 	sum := sha256.Sum256([]byte(epoch))
 	v := binary.LittleEndian.Uint64(sum[:8])
